@@ -1,24 +1,25 @@
-"""Shard-scaling benchmark: serving throughput at 1 → 8 shards.
+"""Shard-scaling benchmark: serving throughput at 1 → 8 shards, same kernel.
 
-Gates the hash-sharded substrate refactor on a targeting-dominated request
-stream (the paper's online mix: k-hop expansion of the marketer's phrases,
-then top-K user selection over the expanded entities):
+Runs a targeting-dominated request stream (the paper's online mix: k-hop
+expansion of the marketer's phrases, then top-K user selection over the
+expanded entities) through the one serving stack at every shard count:
 
-* the 1-shard baseline is the **legacy unsharded stack** — the flat
-  :class:`GraphStore` CSR reader plus the dense
-  :class:`PreferenceStore` score-block kernel;
-* sharded configurations serve the identical requests through the
-  scatter-gather reader and the sharded preference index, whose
-  precombined kernel folds the combine matrix into the entity side once
-  (``q = E_unionᵀ @ combine``) so every shard scores with a ``(dim, sets)``
-  query instead of materialising the ``(users, union)`` block;
-* every request's ranking must be pointwise identical to the baseline
-  (same users, same order; scores to float round-off) — throughput
-  without parity doesn't count;
-* the gate: >= 2x request throughput at 4 shards vs the 1-shard baseline.
+* 1 shard: the flat :class:`GraphStore` CSR reader plus a one-partition
+  :class:`PreferenceStore`;
+* N shards: the scatter-gather graph reader plus the same store split into
+  N hash partitions (``store.partitioned(N)``) — the same scoring kernel
+  run once per partition and merged, inline on the calling thread; one
+  extra row runs 4 shards on a 4-thread :class:`ShardWorkerPool`;
+* the gate is byte parity: every request's expansion, users, order and
+  scores must equal the 1-shard answer exactly.
 
-Smoke mode (``BENCH_SHARD_SMOKE=1``, the CI regression gate) runs the same
-parity checks and the same 2x gate on a smaller world.
+``same_kernel_ratio_Nx`` = 1-shard time / N-shard time, so it isolates
+what in-process sharding itself costs (or buys). There is no throughput
+gate; the ratios are recorded in the perf history and fall under its
+trailing-median trend gate.
+
+Smoke mode (``BENCH_SHARD_SMOKE=1``, the CI step) runs the same parity
+checks on a smaller world.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import time
 
 import numpy as np
 
-from repro.graph import GraphStore, ShardedGraphStore, k_hop_expansion
-from repro.preference import PreferenceStore, ShardedPreferenceIndex
+from repro.graph import GraphStore, ShardedGraphStore, ShardWorkerPool, k_hop_expansion
+from repro.preference import PreferenceStore
 from repro.text.sequence_extractor import UserEntitySequence
 
 from bench_common import format_table, record_history, save_result
@@ -45,11 +46,13 @@ DIM = 64
 NUM_REQUESTS = 20 if SMOKE else 60
 SHARD_COUNTS = [1, 2, 4, 8]
 DEPTH = 2
-#: Expansion cap per request — the targeting union size. The dense block
-#: kernel's cost grows with it; the precombined kernel's does not.
+#: Expansion cap per request — the targeting union size.
 MAX_NODES = 100
 TOP_K = 50
-MIN_SPEEDUP_4X = 2.0
+#: Thread-pool row: shard count and pool size.
+POOLED_SHARDS = 4
+#: Timed passes over the stream per stack; the fastest counts.
+PASSES = 5
 
 
 def _random_edges(num_nodes: int, num_edges: int, rng: np.random.Generator):
@@ -75,19 +78,14 @@ def _build_preferences(rng: np.random.Generator) -> PreferenceStore:
         u: UserEntitySequence(u, [int(x) for x in rng.integers(0, NUM_ENTITIES, 8)])
         for u in range(NUM_USERS)
     }
-    store = PreferenceStore(embeddings, head_size=TOP_K)
+    store = PreferenceStore(embeddings)
     store.build(sequences, NUM_USERS)
     return store
 
 
 def _serve(graph_reader, preferences, requests):
-    """Run the request stream; return (elapsed_s, responses)."""
+    """Run the request stream once; return (elapsed_s, responses)."""
     responses = []
-    # Warm each stack (page-cache, lazy mmaps, numpy dispatch) so the timed
-    # region compares steady-state serving, not first-touch costs.
-    for seeds in requests[:2]:
-        view = k_hop_expansion(graph_reader, seeds, DEPTH, max_nodes=MAX_NODES)
-        preferences.top_users_for_entities(view.entities(), TOP_K)
     start = time.perf_counter()
     for seeds in requests:
         view = k_hop_expansion(graph_reader, seeds, DEPTH, max_nodes=MAX_NODES)
@@ -109,58 +107,59 @@ def run_bench() -> dict:
 def _run_bench(root: str) -> dict:
     rng = np.random.default_rng(29)
     pairs, weights = _random_edges(NUM_ENTITIES, NUM_EDGES, rng)
-    dense = _build_preferences(rng)
+    preferences = _build_preferences(rng)
     requests = [
         sorted(int(s) for s in rng.choice(NUM_ENTITIES, size=3, replace=False))
         for _ in range(NUM_REQUESTS)
     ]
 
-    # 1-shard baseline: the legacy unsharded serving stack.
     flat = GraphStore(os.path.join(root, "flat"), num_nodes=NUM_ENTITIES)
     flat.put_edges(pairs, weights)
     flat_reader = flat.snapshot_reader(flat.commit_version(tag="bench"))
-    base_elapsed, base_responses = _serve(flat_reader, dense, requests)
-    base_rps = NUM_REQUESTS / base_elapsed
-
-    rows = [{
-        "shards": 1,
-        "stack": "flat CSR + dense",
-        "elapsed_s": base_elapsed,
-        "rps": base_rps,
-        "speedup": 1.0,
-    }]
-    speedups = {1: 1.0}
-    for n_shards in SHARD_COUNTS[1:]:
-        store = ShardedGraphStore(
-            os.path.join(root, f"sharded-{n_shards}"),
-            num_nodes=NUM_ENTITIES,
-            n_shards=n_shards,
-        )
-        store.put_edges(pairs, weights)
-        reader = store.snapshot_reader(store.commit_version(tag="bench"))
-        index = ShardedPreferenceIndex.from_store(dense, n_shards)
-        elapsed, responses = _serve(reader, index, requests)
-
-        # Parity: every request's expansion and ranking must match the
-        # legacy baseline pointwise.
-        for (base_scores, base_users), (scores, users) in zip(
-            base_responses, responses
-        ):
-            assert base_scores == scores
-            assert [u for u, _ in base_users] == [u for u, _ in users]
-            assert np.allclose(
-                [s for _, s in base_users], [s for _, s in users]
+    #: (shards, workers label) -> (graph reader, preference store)
+    stacks = {(1, "inline"): (flat_reader, preferences)}
+    pool = ShardWorkerPool(POOLED_SHARDS)
+    try:
+        for n_shards in SHARD_COUNTS[1:]:
+            store = ShardedGraphStore(
+                os.path.join(root, f"sharded-{n_shards}"),
+                num_nodes=NUM_ENTITIES,
+                n_shards=n_shards,
             )
+            store.put_edges(pairs, weights)
+            generation = store.commit_version(tag="bench")
+            for workers in [None, pool] if n_shards == POOLED_SHARDS else [None]:
+                label = "inline" if workers is None else f"{pool.size} threads"
+                stacks[n_shards, label] = (
+                    store.snapshot_reader(generation, pool=workers),
+                    preferences.partitioned(n_shards, pool=workers),
+                )
+        # Round-robin passes, fastest pass per stack: a pass is tens of
+        # milliseconds, so machine drift must hit every stack alike. The
+        # first pass warms page cache, lazy mmaps and numpy dispatch.
+        best = dict.fromkeys(stacks, float("inf"))
+        _, base_responses = _serve(*stacks[1, "inline"], requests)
+        for timed in [False] + [True] * PASSES:
+            for key, stack in stacks.items():
+                elapsed, responses = _serve(*stack, requests)
+                # Byte parity: same expansion, users, order and scores.
+                assert responses == base_responses
+                if timed:
+                    best[key] = min(best[key], elapsed)
+    finally:
+        pool.close()
 
-        speedups[n_shards] = base_elapsed / elapsed
-        rows.append({
-            "shards": n_shards,
-            "stack": "scatter-gather + precombined",
+    rows = [
+        {
+            "shards": shards,
+            "workers": label,
             "elapsed_s": elapsed,
             "rps": NUM_REQUESTS / elapsed,
-            "speedup": speedups[n_shards],
-        })
-
+            "ratio": best[1, "inline"] / elapsed,
+        }
+        for (shards, label), elapsed in best.items()
+    ]
+    ratio = {(r["shards"], r["workers"]): r["ratio"] for r in rows}
     return {
         "mode": "smoke" if SMOKE else "full",
         "num_entities": NUM_ENTITIES,
@@ -171,53 +170,52 @@ def _run_bench(root: str) -> dict:
         "depth": DEPTH,
         "top_k": TOP_K,
         "per_shard_count": rows,
-        "speedup_2x": speedups.get(2),
-        "speedup_4x": speedups.get(4),
-        "speedup_8x": speedups.get(8),
-        "min_speedup_4x": MIN_SPEEDUP_4X,
+        "same_kernel_ratio_2x": ratio[2, "inline"],
+        "same_kernel_ratio_4x": ratio[4, "inline"],
+        "same_kernel_ratio_8x": ratio[8, "inline"],
+        "same_kernel_ratio_4x_threads": ratio[POOLED_SHARDS, f"{pool.size} threads"],
     }
 
 
-def test_shard_scaling_throughput(benchmark):
+def test_shard_scaling_parity(benchmark):
     payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
 
     rows = [
         [
             r["shards"],
-            r["stack"],
+            r["workers"],
             f"{r['elapsed_s'] * 1000:.0f}",
             f"{r['rps']:.0f}",
-            f"{r['speedup']:.2f}x",
+            f"{r['ratio']:.2f}x",
         ]
         for r in payload["per_shard_count"]
     ]
     text = format_table(
-        f"Shard scaling — {payload['num_requests']} expand+target requests, "
-        f"{payload['num_entities']} entities / {payload['num_users']} users "
-        f"({payload['mode']} mode)",
-        ["shards", "stack", "total ms", "req/s", "speedup"],
+        f"Shard scaling, same kernel — {payload['num_requests']} expand+target "
+        f"requests, {payload['num_entities']} entities / {payload['num_users']} "
+        f"users ({payload['mode']} mode)",
+        ["shards", "workers", "total ms", "req/s", "vs 1 shard"],
         rows,
     )
     text += (
-        f"\ngate: >= {payload['min_speedup_4x']:.1f}x at 4 shards vs the "
-        f"legacy 1-shard stack (got {payload['speedup_4x']:.2f}x); every "
-        "request verified pointwise identical across all shard counts.\n"
+        "\ngate: every request byte-identical to the 1-shard answer at every "
+        "shard count (no throughput gate; ratios go to the perf history).\n"
     )
     save_result("shard_scaling", payload, text)
+    metrics = {
+        name: payload[name]
+        for name in (
+            "same_kernel_ratio_2x",
+            "same_kernel_ratio_4x",
+            "same_kernel_ratio_8x",
+            "same_kernel_ratio_4x_threads",
+        )
+    }
+    metrics["same_kernel_baseline_rps"] = payload["per_shard_count"][0]["rps"]
     record_history(
         f"shard_scaling_{payload['mode']}",
-        {
-            "speedup_2x": payload["speedup_2x"],
-            "speedup_4x": payload["speedup_4x"],
-            "speedup_8x": payload["speedup_8x"],
-            "baseline_rps": payload["per_shard_count"][0]["rps"],
-        },
-        directions={
-            "speedup_2x": "higher",
-            "speedup_4x": "higher",
-            "speedup_8x": "higher",
-            "baseline_rps": "higher",
-        },
+        metrics,
+        directions={name: "higher" for name in metrics},
         config={
             "num_entities": NUM_ENTITIES,
             "num_users": NUM_USERS,
@@ -227,6 +225,3 @@ def test_shard_scaling_throughput(benchmark):
             "top_k": TOP_K,
         },
     )
-
-    # Acceptance gate from the sharded-substrate refactor.
-    assert payload["speedup_4x"] >= MIN_SPEEDUP_4X

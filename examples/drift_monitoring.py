@@ -62,7 +62,7 @@ def main() -> None:
             for u in range(world.num_users)
         }
         bad = PreferenceStore(
-            np.zeros((world.num_entities, 8)), head_size=16, direct_weight=0.0
+            np.zeros((world.num_entities, 8)), direct_weight=0.0
         ).build(sequences, world.num_users)
         try:
             system.runtime.activate_preferences(

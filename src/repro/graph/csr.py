@@ -265,7 +265,8 @@ class CSRGraph:
         """Open an artifact directory, memory-mapped read-only by default.
 
         ``verify=True`` additionally proves every array file's SHA-256
-        against ``meta.json`` (publish-time / startup validation); the
+        against ``meta.json`` (publish-time / startup validation) and
+        refuses an array ``meta.json`` has no checksum for; the
         default open trusts previously-validated bytes so a generation
         swap stays O(1) in artifact size.
         """
@@ -290,10 +291,10 @@ class CSRGraph:
             if not path.exists():
                 raise CorruptArtifactError(f"CSR artifact missing array {path}")
             if verify:
-                recorded = meta.get("checksums", {}).get(name)
-                if recorded is not None and file_digest(path) != recorded:
+                recorded = (meta.get("checksums") or {}).get(name)
+                if not recorded or file_digest(path) != recorded:
                     raise CorruptArtifactError(
-                        f"CSR artifact checksum mismatch for {path}"
+                        f"CSR artifact checksum missing or mismatched for {path}"
                     )
             try:
                 arrays[name] = np.load(path, mmap_mode="r" if mmap else None)

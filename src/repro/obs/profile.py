@@ -243,7 +243,7 @@ class ResourceAccountant:
     Walks the artifact registry's records at *read-out* time and exports:
 
     * ``artifact_disk_bytes{kind}`` — bytes on disk across that kind's
-      retained generations (primary + aux/sidecar paths);
+      retained generations;
     * ``artifact_generations{kind}`` — retained generation count;
     * ``artifact_mmap_opens_total{kind}`` — process mmap opens.
 
@@ -287,7 +287,7 @@ class ResourceAccountant:
                     return list(store.artifact_paths(record.version))
                 except Exception:
                     pass
-        return [getattr(record, "path", None), getattr(record, "aux_path", None)]
+        return [getattr(record, "path", None)]
 
     def usage(self) -> dict:
         """JSON-safe per-kind usage summary (the ``/profile`` payload)."""

@@ -50,7 +50,7 @@ from repro.obs.drift import DriftReport
 from repro.online.feedback import FeedbackRecorder
 from repro.online.reasoning import ExpansionView, GraphReasoner
 from repro.online.targeting import TargetingResult
-from repro.preference.store import PreferenceStore, ShardedPreferenceIndex
+from repro.preference.store import PreferenceStore
 from repro.resilience import Deadline, FaultInjector, RetryPolicy
 from repro.serving import ArtifactRegistry, ServingRuntime
 from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
@@ -106,7 +106,6 @@ class EGLSystem:
         world: World,
         config: TRMPConfig | None = None,
         store_path: str | Path | None = None,
-        preference_head_size: int = 200,
         artifact_root: str | Path | None = None,
         cache_size: int = 256,
         obs: Observability | None = None,
@@ -149,7 +148,6 @@ class EGLSystem:
             )
         else:
             self.store = GraphStore(store_path, num_nodes=world.num_entities)
-        self.preference_head_size = preference_head_size
         self.registry = ArtifactRegistry(root=artifact_root, faults=faults)
         self.pipeline = TRMPipeline(
             world, config, obs=self.obs,
@@ -378,46 +376,37 @@ class EGLSystem:
         with self.obs.tracer.span("offline.daily_preference_refresh"):
             embeddings = self.pipeline.entity_embeddings()
             sequences = self.pipeline.extractor.extract_sequences(events)
-            store = PreferenceStore(embeddings, head_size=self.preference_head_size)
-            store.build(sequences, self.world.num_users)
+            store = PreferenceStore(embeddings).build(sequences, self.world.num_users)
+            covered = int(store.covered_users.sum())
+            store = store.partitioned(self.n_shards, pool=self.shard_pool)
             record = self.retry.call(
-                lambda: self.registry.publish_preferences(
-                    store, shards=self.n_shards
-                ),
+                lambda: self.registry.publish_preferences(store),
                 seam="registry.publish_preferences",
             )
-            serve_store = store
-            if self.n_shards > 1:
-                # Unrooted fallback: serve the sharded index in memory so
-                # the scatter-gather top-K path is exercised either way.
-                serve_store = ShardedPreferenceIndex.from_store(
-                    store, self.n_shards, pool=self.shard_pool
-                )
-            if record.source == "file":
-                # Serve the registry's artifact (memmap sidecar preferred):
-                # pages are mapped read-only and shared, not copied.
-                try:
-                    serve_store = self.retry.call(
-                        lambda: self.registry.open_preferences(
-                            record.version,
-                            pool=self.shard_pool if self.n_shards > 1 else None,
-                        ),
-                        seam="registry.open_preferences",
-                    )
-                except StorageError:
-                    pass  # artifact quarantined; serve the in-memory copy
             try:
-                self.runtime.activate_preferences(
-                    serve_store, record.version, tag=record.tag
+                # Serve the registry's artifact: a rooted registry maps the
+                # published pages read-only and shared, not copied.
+                serve_store = self.retry.call(
+                    lambda: self.registry.open_preferences(
+                        record.version, pool=self.shard_pool
+                    ),
+                    seam="registry.open_preferences",
                 )
-            except (DriftGateError, CircuitOpenError):
-                pass  # published but not activated; report already filed
+            except StorageError:
+                pass  # artifact quarantined; the last-good generation keeps serving
+            else:
+                try:
+                    self.runtime.activate_preferences(
+                        serve_store, record.version, tag=record.tag
+                    )
+                except (DriftGateError, CircuitOpenError):
+                    pass  # published but not activated; report already filed
         metrics = self.obs.metrics
         metrics.counter("offline_refreshes_total", job="daily").inc()
         metrics.histogram("offline_refresh_seconds", job="daily").observe(
             clock.perf() - start
         )
-        return int(store.covered_users.sum())
+        return covered
 
     def rollback(self, kind: str = "graph") -> dict:
         """Swap serving back to the previous generation of ``kind``.

@@ -68,9 +68,9 @@ class UserTargeting:
     ) -> list[TargetingResult]:
         """Score many entity sets per call instead of one-by-one.
 
-        The dense user×entity block is computed once for the union of all
-        sets (see :meth:`PreferenceStore.top_users_for_entity_sets`); each
-        result carries the same per-request metadata as :meth:`target`.
+        Every set is scored in one pass over the user rows (see
+        :meth:`PreferenceStore.top_users_for_entity_sets`); each result
+        carries the same per-request metadata as :meth:`target`.
         """
         if k < 1:
             raise ConfigError("k must be >= 1")

@@ -5,19 +5,13 @@ from repro.preference.user_embedding import (
     user_embedding,
     user_embedding_matrix,
 )
-from repro.preference.store import (
-    PREF_SHARDED_FORMAT,
-    PreferenceStore,
-    ShardedPreferenceIndex,
-    UserScore,
-)
+from repro.preference.store import PREF_FORMAT, PreferenceStore, UserScore
 
 __all__ = [
     "user_embedding",
     "user_embedding_matrix",
     "preference_scores",
     "PreferenceStore",
-    "ShardedPreferenceIndex",
-    "PREF_SHARDED_FORMAT",
+    "PREF_FORMAT",
     "UserScore",
 ]

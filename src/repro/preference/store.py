@@ -1,19 +1,32 @@
-"""Pre-computed user-entity preference store (the daily offline product).
+"""Pre-computed user-entity preference index (the daily offline product).
 
-The online stage must answer "top-K users for these entities" in
-milliseconds, so preferences are pre-computed: per entity, users are ranked
-by ``r_u · h_e`` and the head of each ranking is kept in an inverted index.
+The online stage must answer "top-K users by average preference over
+these entities" in milliseconds, so the daily job pre-computes one row per
+user — the embedding ``r_u`` (Eq. 7) and the user's sparse interaction
+frequencies ``freq_u(e)`` — and :class:`PreferenceStore` serves them.
 
-A built store is also a *serving artifact* in two durable forms:
+Rows live in ``P >= 1`` user partitions (hash
+:func:`~repro.graph.sharding.shard_of`). One partition is the default;
+``P > 1`` runs the same code once per partition, optionally on a
+:class:`~repro.graph.sharding.ShardWorkerPool`, and merges the
+per-partition top-K under the canonical order (descending score, ties by
+ascending user id). Every answer is byte-identical for every ``P``.
 
-* :meth:`save`/:meth:`load` — the legacy single-file compressed ``.npz``;
-* :meth:`save_memmap`/:meth:`load_memmap` — a directory of raw ``.npy``
-  arrays plus a checksummed ``meta.json``, openable with ``np.memmap`` so
-  the serving runtime swaps preference generations by remapping pages
-  instead of decompressing and copying the whole score matrix.
+One scoring kernel: the request's combine weights are folded into the
+entity side once (``q = E_unionᵀ · combine``), each partition scores
+``U_p · q`` and adds the direct-interaction term from its CSR rows — work
+proportional to the rows and their non-zeros, never to
+``users × |union|``.
 
-The daily producer publishes both; the registry prefers the memmap form
-and falls back to the ``.npz`` when it is absent or corrupt.
+One on-disk layout (format :data:`PREF_FORMAT`), holding exactly the
+arrays the kernel reads::
+
+    <directory>/entity_embeddings.npy
+    <directory>/shard-NN/{user_ids,user_matrix,covered,row_ptr,col_idx,values}.npy
+    <directory>/meta.json        per-array SHA-256; written last (commit point)
+
+:meth:`PreferenceStore.load_memmap` maps every array read-only, so a
+generation swap remaps pages instead of copying matrices.
 """
 
 from __future__ import annotations
@@ -26,20 +39,24 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigError, CorruptArtifactError, NotFittedError, StorageError
+from repro.graph.sharding import shard_of
 from repro.obs.profile import current_profiler, record_mmap_open
-from repro.preference.user_embedding import user_embedding_matrix
+from repro.preference.user_embedding import user_embedding, user_embedding_matrix
 from repro.resilience import atomic_write_bytes, atomic_write_text, file_digest, sha256_hex
 from repro.text.sequence_extractor import UserEntitySequence
 
-#: On-disk format identifier of the memmap artifact directory.
-PREF_MEMMAP_FORMAT = "pref-mm-v1"
+#: On-disk format identifier of the preference artifact directory.
+PREF_FORMAT = "pref-mm-v2"
 
-#: On-disk format identifier of the hash-sharded memmap artifact directory.
-PREF_SHARDED_FORMAT = "pref-mm-sharded-v1"
-
-_MEMMAP_ARRAYS = ("entity_embeddings", "user_matrix", "covered", "interaction")
-
-_SHARD_ARRAYS = ("user_ids", "user_matrix", "covered", "interaction")
+#: Per-partition arrays (file order) and the dtype the kernel reads them as.
+_PARTITION_ARRAYS = (
+    ("user_ids", np.int64),
+    ("user_matrix", np.float64),
+    ("covered", np.bool_),
+    ("row_ptr", np.int64),
+    ("col_idx", np.int64),
+    ("values", np.float64),
+)
 
 
 @dataclass
@@ -52,10 +69,9 @@ def _select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest scores in **canonical order**.
 
     Descending score, ties broken by ascending index (= ascending user
-    id). This total order is the ranking contract shared by the dense
-    store and the sharded index: a per-shard top-k under it, merged at a
-    coordinator under it, selects exactly the users the dense ranking
-    would.
+    id, because partition rows are sorted by user id). A per-partition
+    top-k under this total order, merged under the same order, selects
+    exactly the users a single ranking of all rows would.
     """
     n = len(scores)
     if k >= n:
@@ -98,19 +114,82 @@ def _combine_matrix(
     return combine
 
 
+def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` with each row reduced on its own, in one fixed
+    order. BLAS picks its blocking from the matrix shape, so ``@`` can
+    round the same row differently in different partitionings (and equal
+    rows differently within one); ``einsum`` cannot, which is what keeps
+    answers byte-identical across partition counts and exact ties exact.
+    """
+    return np.einsum("ud,d->u", matrix, vector)
+
+
+@dataclass
+class _Partition:
+    """One partition's users; rows ascending by global user id.
+
+    The direct-interaction term is CSR over the rows:
+    ``values[row_ptr[i]:row_ptr[i + 1]]`` are user ``user_ids[i]``'s
+    interaction frequencies with entities ``col_idx[...]`` (ascending).
+    """
+
+    user_ids: np.ndarray  # (users_p,) int64
+    user_matrix: np.ndarray  # (users_p, dim) float64
+    covered: np.ndarray  # (users_p,) bool
+    row_ptr: np.ndarray  # (users_p + 1,) int64
+    col_idx: np.ndarray  # (nnz,) int64
+    values: np.ndarray  # (nnz,) float64
+
+    def take(self, rows: np.ndarray) -> "_Partition":
+        """The partition holding ``rows`` (local indices) in that order."""
+        starts = self.row_ptr[rows]
+        counts = self.row_ptr[rows + 1] - starts
+        row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        entries = np.repeat(starts - row_ptr[:-1], counts) + np.arange(row_ptr[-1])
+        return _Partition(
+            self.user_ids[rows],
+            np.ascontiguousarray(self.user_matrix[rows]),
+            self.covered[rows],
+            row_ptr,
+            self.col_idx[entries],
+            self.values[entries],
+        )
+
+
+def _interaction_rows(
+    sequences: dict[int, UserEntitySequence], num_users: int, num_entities: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(row_ptr, col_idx, values)`` of ``freq_u(e)`` = share of
+    user ``u``'s sequence spent on entity ``e``."""
+    active = [(u, seq.entity_ids) for u, seq in sequences.items() if len(seq)]
+    lengths = np.zeros(num_users, dtype=np.int64)
+    if active:
+        users = np.asarray([u for u, _ in active], dtype=np.int64)
+        lengths[users] = [len(ids) for _, ids in active]
+        events = np.concatenate([np.asarray(ids, dtype=np.int64) for _, ids in active])
+        keys, counts = np.unique(
+            np.repeat(users, lengths[users]) * num_entities + events,
+            return_counts=True,
+        )
+    else:
+        keys = counts = np.zeros(0, dtype=np.int64)
+    rows, cols = np.divmod(keys, num_entities)
+    row_ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(rows, minlength=num_users))]
+    ).astype(np.int64)
+    return row_ptr, cols, counts / lengths[rows]
+
+
 class PreferenceStore:
-    """Inverted entity → ranked-users index plus dense score fallback."""
+    """Partitioned user rows + the top-K-by-average-preference kernel."""
 
     def __init__(
         self,
         entity_embeddings: np.ndarray,
-        head_size: int = 200,
         normalize: bool = True,
         direct_weight: float = 25.0,
         version_tag: str | None = None,
     ) -> None:
-        if head_size < 1:
-            raise ConfigError("head_size must be >= 1")
         if direct_weight < 0:
             raise ConfigError("direct_weight must be >= 0")
         embeddings = np.asarray(entity_embeddings, dtype=np.float64)
@@ -120,7 +199,6 @@ class PreferenceStore:
             norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
             embeddings = embeddings / np.maximum(norms, 1e-12)
         self.entity_embeddings = embeddings
-        self.head_size = head_size
         #: Preference blends two signals: the embedding dot (Eq. 7 —
         #: generalises to entities the user never touched) and the user's
         #: direct interaction frequency with the entity (exact preference
@@ -129,14 +207,27 @@ class PreferenceStore:
         #: Artifact identity: set by the daily producer (e.g. ``daily-3``)
         #: and reported by the serving runtime's health endpoint.
         self.version_tag = version_tag
-        #: How the backing arrays are held: ``"memory"`` (freshly built),
-        #: ``"npz"`` (loaded from the legacy artifact) or ``"memmap"``
-        #: (zero-copy mapped pages). Reported by the serving runtime.
+        #: How the backing arrays are held: ``"memory"`` (freshly built)
+        #: or ``"memmap"`` (zero-copy mapped pages of a published
+        #: artifact). Reported by the serving runtime.
         self.storage = "memory"
-        self._user_matrix: np.ndarray | None = None
-        self._covered: np.ndarray | None = None
-        self._interaction: np.ndarray | None = None  # (users, entities) freq
-        self._heads: dict[int, np.ndarray] = {}
+        self.num_users = 0
+        self._parts: list[_Partition] = []
+        self._pool = None
+        #: Per-partition ranked-row counters, exported with ``shard``
+        #: labels by the serving runtime's metrics collector.
+        self.shard_score_rows: list[int] = []
+
+    def _adopt(self, parts: list[_Partition], num_users: int, pool=None) -> "PreferenceStore":
+        self._parts = parts
+        self.num_users = int(num_users)
+        self._pool = pool
+        self.shard_score_rows = [0] * len(parts)
+        return self
+
+    @property
+    def n_shards(self) -> int:
+        return max(1, len(self._parts))
 
     # ------------------------------------------------------------------
     def build(
@@ -144,70 +235,124 @@ class PreferenceStore:
         sequences: dict[int, UserEntitySequence],
         num_users: int,
     ) -> "PreferenceStore":
-        """The daily refresh: recompute user embeddings and head rankings."""
-        self._user_matrix, self._covered = user_embedding_matrix(
+        """The daily refresh: recompute every user's row (one partition)."""
+        user_matrix, covered = user_embedding_matrix(
             self.entity_embeddings, sequences, num_users
         )
-        num_entities = len(self.entity_embeddings)
-        self._interaction = np.zeros((num_users, num_entities))
-        for user_id, seq in sequences.items():
-            if len(seq) == 0:
-                continue
-            ids = np.asarray(seq.entity_ids, dtype=np.int64)
-            np.add.at(self._interaction[user_id], ids, 1.0 / len(ids))
-        self._heads = {}
+        row_ptr, col_idx, values = _interaction_rows(
+            sequences, num_users, len(self.entity_embeddings)
+        )
         self.storage = "memory"
-        return self
+        return self._adopt(
+            [
+                _Partition(
+                    np.arange(num_users, dtype=np.int64),
+                    user_matrix, covered, row_ptr, col_idx, values,
+                )
+            ],
+            num_users,
+        )
 
-    def update_user(self, sequence: UserEntitySequence) -> None:
-        """Incremental daily refresh of a single user.
+    def partitioned(self, n_shards: int, pool=None) -> "PreferenceStore":
+        """The same rows split into ``n_shards`` hash partitions.
 
-        Recomputes the user's embedding and interaction row in place and
-        invalidates only the cached entity heads (they may rank this user
-        differently now). Cheaper than a full :meth:`build` when only a few
-        users had new behavior.
+        ``pool`` (a :class:`~repro.graph.sharding.ShardWorkerPool`) scores
+        partitions concurrently; without one they run inline.
         """
         self._require_built()
-        user_id = sequence.user_id
-        if not 0 <= user_id < len(self._user_matrix):
-            raise ConfigError(f"user {user_id} out of range")
-        if len(sequence) == 0:
-            self._user_matrix[user_id] = 0.0
-            self._interaction[user_id] = 0.0
-            self._covered[user_id] = False
-        else:
-            from repro.preference.user_embedding import user_embedding
+        if n_shards < 1:
+            raise ConfigError("n_shards must be >= 1")
+        parts = self._parts
+        if n_shards != len(parts):
+            rows = self._all_rows()
+            owner = shard_of(rows.user_ids, n_shards)
+            parts = [rows.take(np.flatnonzero(owner == s)) for s in range(n_shards)]
+        out = PreferenceStore(
+            self.entity_embeddings,
+            normalize=False,
+            direct_weight=self.direct_weight,
+            version_tag=self.version_tag,
+        )
+        out.storage = self.storage if parts is self._parts else "memory"
+        return out._adopt(parts, self.num_users, pool)
 
-            self._user_matrix[user_id] = user_embedding(self.entity_embeddings, sequence)
-            ids = np.asarray(sequence.entity_ids, dtype=np.int64)
-            self._interaction[user_id] = 0.0
-            np.add.at(self._interaction[user_id], ids, 1.0 / len(ids))
-            self._covered[user_id] = True
-        self._heads.clear()
+    def update_user(self, sequence: UserEntitySequence) -> None:
+        """Incremental daily refresh of a single user, in place.
+
+        Cheaper than a full :meth:`build` when only a few users had new
+        behavior. Needs a freshly built (in-memory) store: a published
+        artifact is immutable.
+        """
+        self._require_built()
+        if self.storage != "memory":
+            raise ConfigError("a memmap-backed store is immutable; rebuild to update")
+        user_id = sequence.user_id
+        if not 0 <= user_id < self.num_users:
+            raise ConfigError(f"user {user_id} out of range")
+        embedding = user_embedding(self.entity_embeddings, sequence) if len(sequence) else 0.0
+        cols, counts = np.unique(
+            np.asarray(sequence.entity_ids, dtype=np.int64), return_counts=True
+        )
+        values = counts / max(len(sequence), 1)
+        part = self._parts[shard_of(user_id, len(self._parts))]
+        row = int(np.searchsorted(part.user_ids, user_id))
+        part.covered[row] = len(sequence) > 0
+        part.user_matrix[row] = embedding
+        start, end = part.row_ptr[row], part.row_ptr[row + 1]
+        part.col_idx = np.concatenate([part.col_idx[:start], cols, part.col_idx[end:]])
+        part.values = np.concatenate([part.values[:start], values, part.values[end:]])
+        part.row_ptr[row + 1 :] += len(cols) - (end - start)
 
     def _require_built(self) -> None:
-        if self._user_matrix is None:
+        if not self._parts:
             raise NotFittedError("PreferenceStore.build has not been called")
+
+    def _all_rows(self) -> _Partition:
+        """Every user's row as one partition in user-id order (the
+        partition itself at ``P = 1``; an assembled copy above)."""
+        self._require_built()
+        if len(self._parts) == 1:
+            return self._parts[0]
+        lengths = np.concatenate([np.diff(p.row_ptr) for p in self._parts])
+        stacked = _Partition(
+            *(
+                np.concatenate([getattr(p, name) for p in self._parts])
+                for name in ("user_ids", "user_matrix", "covered")
+            ),
+            np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+            np.concatenate([p.col_idx for p in self._parts]),
+            np.concatenate([p.values for p in self._parts]),
+        )
+        return stacked.take(np.argsort(stacked.user_ids, kind="stable"))
+
+    @property
+    def user_matrix(self) -> np.ndarray:
+        return self._all_rows().user_matrix
+
+    @property
+    def covered_users(self) -> np.ndarray:
+        return self._all_rows().covered
 
     # ------------------------------------------------------------------
     def score_entity(self, entity_id: int) -> np.ndarray:
         """All users' preference scores for one entity (uncovered = -inf)."""
         self._require_built()
-        scores = self._user_matrix @ self.entity_embeddings[entity_id]
-        if self.direct_weight:
-            scores = scores + self.direct_weight * self._interaction[:, entity_id]
-        return np.where(self._covered, scores, -np.inf)
+        out = np.full(self.num_users, -np.inf)
+        embedding = self.entity_embeddings[entity_id]
+        for part in self._parts:
+            scores = _row_dots(part.user_matrix, embedding)
+            if self.direct_weight:
+                # The entity's column, read straight from the CSR rows
+                # (at most one entry per row).
+                hits = np.flatnonzero(part.col_idx == entity_id)
+                rows = np.searchsorted(part.row_ptr, hits, side="right") - 1
+                scores[rows] += self.direct_weight * part.values[hits]
+            out[part.user_ids] = np.where(part.covered, scores, -np.inf)
+        return out
 
     def top_users_for_entity(self, entity_id: int, k: int) -> list[UserScore]:
-        """Head of the entity's user ranking (cached up to ``head_size``)."""
-        self._require_built()
-        if entity_id not in self._heads:
-            scores = self.score_entity(entity_id)
-            head = min(self.head_size, len(scores))
-            self._heads[entity_id] = _select_top_k(scores, head)
-        ranked = self._heads[entity_id][:k]
-        scores = self.score_entity(entity_id)
-        return [UserScore(int(u), float(scores[u])) for u in ranked if np.isfinite(scores[u])]
+        """Head of one entity's user ranking."""
+        return self.top_users_for_entity_sets([[int(entity_id)]], k)[0]
 
     def top_users_for_entities(
         self,
@@ -225,12 +370,37 @@ class PreferenceStore:
         self._require_built()
         if not entity_ids:
             raise ConfigError("need at least one entity to target users")
-        # Delegate to the batched kernel with a single set: the sequential
-        # and batch paths share one float pipeline, so a burst of requests
-        # returns byte-identical rankings to one-at-a-time serving.
+        # One set through the batched kernel: sequential and batch serving
+        # share one float pipeline.
         return self.top_users_for_entity_sets(
             [list(entity_ids)], k, None if weights is None else [weights]
         )[0]
+
+    def _score_partition(self, task):
+        """Score one partition against the precombined queries; return its
+        per-set top-K as ``(user ids, scores)`` pairs."""
+        index, queries, slot_of, combine, k_eff = task
+        part = self._parts[index]
+        users = len(part.user_ids)
+        scores = np.stack([_row_dots(part.user_matrix, query) for query in queries])
+        if self.direct_weight:
+            # Direct-preference term from the CSR rows whose entity is in
+            # the request's union: O(nnz), summed per row in CSR order.
+            slots = slot_of[part.col_idx]
+            hits = np.flatnonzero(slots >= 0)
+            rows = np.searchsorted(part.row_ptr, hits, side="right") - 1
+            shares = part.values[hits, None] * combine[slots[hits]]
+            for i, out in enumerate(scores):
+                out += self.direct_weight * np.bincount(
+                    rows, weights=shares[:, i], minlength=users
+                )
+        scores = np.where(part.covered, scores, -np.inf)
+        k_local = min(k_eff, users)
+        top = []
+        for row in scores:
+            chosen = _select_top_k(row, k_local)
+            top.append((part.user_ids[chosen], row[chosen]))
+        return index, top
 
     def top_users_for_entity_sets(
         self,
@@ -240,13 +410,11 @@ class PreferenceStore:
     ) -> list[list[UserScore]]:
         """Batched :meth:`top_users_for_entities` over many entity sets.
 
-        Fully vectorized: the dense score block ``r_u · h_e`` is computed
-        *once* for the union of all requested entities, every set's
-        (normalised) combination weights are scattered into one combine
-        matrix, and a single ``block @ combine`` matmul plus one batched
-        ``argpartition`` ranks all sets — no per-request Python loop. This
-        is how the runtime serves a burst of targeting requests (or one
-        request per expansion seed).
+        The combine weights of every set are folded into the entity side
+        once, each partition scores all sets against its rows and keeps a
+        per-set top-K, and the coordinator merges those under the
+        canonical order. This is how the runtime serves a burst of
+        targeting requests (or one request per expansion seed).
         """
         self._require_built()
         if not entity_sets:
@@ -257,112 +425,108 @@ class PreferenceStore:
             raise ConfigError("weights must align with entity_sets")
         profiler = current_profiler()
         with profiler.phase("preference.top_users"):
-            with profiler.phase("union_block"):
-                union_ids = _union_ids(entity_sets)
-                # (users, union) — the single shared forward pass.
-                block = self._user_matrix @ self.entity_embeddings[union_ids].T
-                if self.direct_weight:
-                    block = block + self.direct_weight * self._interaction[:, union_ids]
             with profiler.phase("combine"):
+                union_ids = _union_ids(entity_sets)
                 combine = _combine_matrix(entity_sets, weights, union_ids)
-            with profiler.phase("rank"):
-                scores_all = block @ combine  # (users, sets)
-                scores_all = np.where(self._covered[:, None], scores_all, -np.inf)
-                k_eff = min(k, int(self._covered.sum()))
+                # (sets, dim), one contiguous query per set.
+                queries = np.ascontiguousarray(
+                    (self.entity_embeddings[union_ids].T @ combine).T
+                )
+                # entity id -> combine row (or -1), so partitions map their
+                # CSR columns into the union without a dense gather.
+                slot_of = np.full(len(self.entity_embeddings), -1, dtype=np.int64)
+                slot_of[union_ids] = np.arange(len(union_ids))
+                k_eff = min(k, self._covered_count())
                 if k_eff < 1:
                     return [[] for _ in entity_sets]
-                # Canonical per-set selection: descending score, ties by
-                # ascending user id — the same total order the sharded
-                # index's per-shard heaps and coordinator merge use.
-                return [
-                    [
-                        UserScore(int(u), float(scores_all[u, i]))
-                        for u in _select_top_k(scores_all[:, i], k_eff)
-                    ]
-                    for i in range(len(entity_sets))
+            with profiler.phase("shard_scores"):
+                tasks = [
+                    (s, queries, slot_of, combine, k_eff)
+                    for s in range(len(self._parts))
                 ]
+                if self._pool is not None and self._pool.size > 1:
+                    results = self._pool.map(self._score_partition, tasks)
+                else:
+                    results = []
+                    for task in tasks:
+                        with profiler.phase(f"shard{task[0]:02d}"):
+                            results.append(self._score_partition(task))
+            with profiler.phase("merge"):
+                merged: list[list[UserScore]] = []
+                for index, top in results:
+                    self.shard_score_rows[index] += sum(len(u) for u, _ in top)
+                for i in range(len(entity_sets)):
+                    user_ids = np.concatenate([top[i][0] for _, top in results])
+                    scores = np.concatenate([top[i][1] for _, top in results])
+                    finite = np.isfinite(scores)
+                    user_ids, scores = user_ids[finite], scores[finite]
+                    order = np.lexsort((user_ids, -scores))[:k_eff]
+                    merged.append(
+                        [
+                            UserScore(u, s)
+                            for u, s in zip(
+                                user_ids[order].tolist(), scores[order].tolist()
+                            )
+                        ]
+                    )
+                return merged
+
+    def _covered_count(self) -> int:
+        return sum(int(part.covered.sum()) for part in self._parts)
+
+    def shard_stats(self) -> list[dict]:
+        """Per-partition serving stats (CLI tables, health payloads, metrics)."""
+        return [
+            {
+                "shard": s,
+                "users": int(len(part.user_ids)),
+                "covered": int(part.covered.sum()),
+                "score_rows": int(self.shard_score_rows[s]),
+            }
+            for s, part in enumerate(self._parts)
+        ]
 
     # ------------------------------------------------------------------
     # Artifact serialization (daily producer → serving runtime handoff)
     # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> Path:
-        """Persist the built index as one immutable ``.npz`` artifact."""
-        self._require_built()
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_suffix(".npz")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "head_size": self.head_size,
-            "direct_weight": self.direct_weight,
-            "version_tag": self.version_tag,
-        }
-        np.savez_compressed(
-            path,
-            entity_embeddings=self.entity_embeddings,
-            user_matrix=self._user_matrix,
-            covered=self._covered,
-            interaction=self._interaction,
-            meta=np.array(json.dumps(meta)),
-        )
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PreferenceStore":
-        """Reopen an artifact written by :meth:`save` — ready to serve."""
-        path = Path(path)
-        if not path.exists():
-            raise StorageError(f"preference artifact missing: {path}")
-        with np.load(path, allow_pickle=False) as data:
-            try:
-                meta = json.loads(str(data["meta"]))
-                store = cls(
-                    data["entity_embeddings"],
-                    head_size=int(meta["head_size"]),
-                    # Embeddings were already normalised (or deliberately
-                    # not) before saving; do not renormalise on load.
-                    normalize=False,
-                    direct_weight=float(meta["direct_weight"]),
-                    version_tag=meta["version_tag"],
-                )
-                store._user_matrix = data["user_matrix"]
-                store._covered = data["covered"]
-                store._interaction = data["interaction"]
-            except KeyError as missing:
-                raise StorageError(
-                    f"preference artifact {path} is missing field {missing}"
-                ) from None
-        store.storage = "npz"
-        return store
-
     def save_memmap(self, directory: str | Path) -> Path:
         """Persist the built index as a memmap-able artifact directory.
 
         Each array is a raw ``.npy`` written through the atomic temp +
         fsync + rename path; ``meta.json`` (with per-file SHA-256) lands
-        last as the commit point. Unlike :meth:`save`, an artifact written
-        this way is opened with ``np.memmap`` — swapping generations costs
-        page-table work, not a full decompress-and-copy of the matrices.
+        last as the commit point — a crash mid-write leaves no readable
+        (hence no servable) artifact.
         """
         self._require_built()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        arrays = {
-            "entity_embeddings": self.entity_embeddings,
-            "user_matrix": self._user_matrix,
-            "covered": self._covered,
-            "interaction": self._interaction,
-        }
-        checksums: dict[str, str] = {}
-        for name in _MEMMAP_ARRAYS:
+
+        def write(path: Path, array: np.ndarray) -> str:
             buffer = io.BytesIO()
-            np.save(buffer, np.ascontiguousarray(arrays[name]))
+            np.save(buffer, np.ascontiguousarray(array))
             data = buffer.getvalue()
-            checksums[name] = sha256_hex(data)
-            atomic_write_bytes(directory / f"{name}.npy", data)
+            atomic_write_bytes(path, data)
+            return sha256_hex(data)
+
+        checksums: dict = {
+            "entity_embeddings": write(
+                directory / "entity_embeddings.npy", self.entity_embeddings
+            ),
+            "shards": [],
+        }
+        for s, part in enumerate(self._parts):
+            shard_dir = directory / f"shard-{s:02d}"
+            shard_dir.mkdir(parents=True, exist_ok=True)
+            checksums["shards"].append(
+                {
+                    name: write(shard_dir / f"{name}.npy", getattr(part, name))
+                    for name, _ in _PARTITION_ARRAYS
+                }
+            )
         meta = {
-            "format": PREF_MEMMAP_FORMAT,
-            "head_size": self.head_size,
+            "format": PREF_FORMAT,
+            "n_shards": len(self._parts),
+            "num_users": self.num_users,
             "direct_weight": self.direct_weight,
             "version_tag": self.version_tag,
             "checksums": checksums,
@@ -374,15 +538,16 @@ class PreferenceStore:
 
     @classmethod
     def load_memmap(
-        cls, directory: str | Path, mmap: bool = True, verify: bool = False
+        cls, directory: str | Path, verify: bool = False, pool=None
     ) -> "PreferenceStore":
         """Open a :meth:`save_memmap` artifact, memory-mapped read-only.
 
         ``verify=True`` proves every array file against the manifest
-        checksums (publish/startup validation); the default open trusts
-        previously-validated bytes so activation stays O(1) in index size.
-        A memmap-backed store is immutable: :meth:`update_user` requires a
-        rebuilt (in-memory) store.
+        checksums (publish/startup validation) and refuses an array the
+        manifest has no checksum for; the default open trusts
+        previously-validated bytes and only checks dtypes and that the
+        array lengths agree, so activation stays O(1) in matrix size.
+        Every partition must open or none serves.
         """
         directory = Path(directory)
         meta_path = directory / "meta.json"
@@ -394,448 +559,107 @@ class PreferenceStore:
             raise CorruptArtifactError(
                 f"preference artifact manifest unreadable: {meta_path}"
             ) from error
-        if meta.get("format") != PREF_MEMMAP_FORMAT:
+        if not isinstance(meta, dict) or meta.get("format") != PREF_FORMAT:
             raise CorruptArtifactError(
-                f"preference artifact {directory} has format "
-                f"{meta.get('format')!r}, expected {PREF_MEMMAP_FORMAT!r}"
+                f"preference artifact {directory} is not format {PREF_FORMAT!r}"
             )
-        arrays: dict[str, np.ndarray] = {}
-        for name in _MEMMAP_ARRAYS:
-            path = directory / f"{name}.npy"
+
+        def open_array(path: Path, recorded, dtype) -> np.ndarray:
             if not path.exists():
                 raise CorruptArtifactError(f"preference artifact missing array {path}")
-            if verify:
-                recorded = meta.get("checksums", {}).get(name)
-                if recorded is not None and file_digest(path) != recorded:
-                    raise CorruptArtifactError(
-                        f"preference artifact checksum mismatch for {path}"
-                    )
+            if verify and (not recorded or file_digest(path) != recorded):
+                raise CorruptArtifactError(
+                    f"preference artifact checksum missing or mismatched for {path}"
+                )
             try:
-                arrays[name] = np.load(path, mmap_mode="r" if mmap else None)
+                array = np.load(path, mmap_mode="r")
             except (ValueError, OSError) as error:
                 raise CorruptArtifactError(
                     f"preference artifact array unreadable: {path}"
                 ) from error
-            if mmap:
-                record_mmap_open("preferences")
+            record_mmap_open("preferences")
+            if array.dtype != dtype:
+                raise CorruptArtifactError(
+                    f"preference artifact {path} has dtype {array.dtype}, "
+                    f"expected {np.dtype(dtype)}"
+                )
+            return array
+
         try:
+            n_shards = int(meta["n_shards"])
+            checksums = meta.get("checksums") or {}
+            shard_sums = checksums.get("shards") or [{}] * n_shards
             store = cls(
-                arrays["entity_embeddings"],
-                head_size=int(meta["head_size"]),
+                open_array(
+                    directory / "entity_embeddings.npy",
+                    checksums.get("entity_embeddings"),
+                    np.float64,
+                ),
                 # Embeddings were already normalised (or deliberately not)
                 # before saving; do not renormalise on load.
                 normalize=False,
                 direct_weight=float(meta["direct_weight"]),
                 version_tag=meta["version_tag"],
             )
-        except (KeyError, TypeError, ValueError) as error:
-            raise CorruptArtifactError(
-                f"preference artifact manifest malformed: {meta_path}"
-            ) from error
-        store._user_matrix = arrays["user_matrix"]
-        store._covered = arrays["covered"]
-        store._interaction = arrays["interaction"]
-        store.storage = "memmap"
-        return store
-
-    @classmethod
-    def validate_memmap(cls, directory: str | Path) -> bool:
-        """Full checksum proof of a memmap artifact directory."""
-        cls.load_memmap(directory, mmap=True, verify=True)
-        return True
-
-    @property
-    def user_matrix(self) -> np.ndarray:
-        self._require_built()
-        return self._user_matrix
-
-    @property
-    def covered_users(self) -> np.ndarray:
-        self._require_built()
-        return self._covered
-
-
-@dataclass
-class _PreferenceShard:
-    """One shard's slice of the user universe (rows sorted by user id)."""
-
-    user_ids: np.ndarray  # global user ids owned by this shard, ascending
-    user_matrix: np.ndarray  # (users_s, dim)
-    covered: np.ndarray  # (users_s,) bool
-    interaction: np.ndarray  # (users_s, entities)
-    # CSR view of ``interaction``, built lazily on first targeting request.
-    # A user's interaction row has at most sequence-length nonzeros out of
-    # the full entity width, so the direct-preference term is computed per
-    # nonzero instead of gathering a dense (users_s, union) column block.
-    _row_ptr: np.ndarray | None = None
-    _col_idx: np.ndarray | None = None
-    _values: np.ndarray | None = None
-
-    def sparse_interaction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._row_ptr is None:
-            rows, cols = np.nonzero(self.interaction)
-            counts = np.bincount(rows, minlength=len(self.interaction))
-            self._row_ptr = np.concatenate(
-                [[0], np.cumsum(counts)]
-            ).astype(np.int64)
-            self._col_idx = cols.astype(np.int64)
-            self._values = np.ascontiguousarray(
-                self.interaction[rows, cols], dtype=np.float64
-            )
-        return self._row_ptr, self._col_idx, self._values
-
-
-class ShardedPreferenceIndex:
-    """Hash-sharded serving form of a built :class:`PreferenceStore`.
-
-    Users are partitioned by the same stable hash the graph substrate uses
-    (:func:`repro.graph.sharding.shard_of`); each shard holds its users'
-    embedding / coverage / interaction rows.  Targeting becomes per-shard
-    top-K heaps merged at a coordinator under one canonical total order
-    (descending score, ties by ascending user id) — the identical order
-    the dense kernel ranks by, so the merged top-K names exactly the same
-    users.
-
-    The per-shard scoring kernel is the **precombined** form of the dense
-    pipeline: instead of materialising the full ``(users, union)`` score
-    block and multiplying by the combine matrix, the coordinator folds the
-    combine matrix into the entity embeddings once
-    (``q = E_unionᵀ @ combine``, a ``(dim, sets)`` matrix) and each shard
-    computes ``U_s @ q`` — the same linear map evaluated with
-    ``~|union|/|sets|``-fold fewer flops, which is where the sharded
-    serving path's throughput win comes from.  Scores agree with the dense
-    kernel to float round-off (different summation association), rankings
-    agree exactly under the canonical order.
-    """
-
-    def __init__(
-        self,
-        entity_embeddings: np.ndarray,
-        shards: list[_PreferenceShard],
-        num_users: int,
-        head_size: int = 200,
-        direct_weight: float = 25.0,
-        version_tag: str | None = None,
-        pool=None,
-    ) -> None:
-        self.entity_embeddings = np.asarray(entity_embeddings, dtype=np.float64)
-        self._shards = shards
-        self.n_shards = len(shards)
-        self.num_users = int(num_users)
-        self.head_size = head_size
-        self.direct_weight = direct_weight
-        self.version_tag = version_tag
-        self.storage = "memory-sharded"
-        self._pool = pool
-        self._covered_total: int | None = None
-        #: Per-shard ranked-row counters, exported with ``shard`` labels by
-        #: the serving runtime's metrics collector (coordinator-side only).
-        self.shard_score_rows = [0] * self.n_shards
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_store(
-        cls, store: PreferenceStore, n_shards: int, pool=None
-    ) -> "ShardedPreferenceIndex":
-        """Split a built dense store into ``n_shards`` user shards."""
-        from repro.graph.sharding import shard_of
-
-        if n_shards < 1:
-            raise ConfigError("n_shards must be >= 1")
-        user_matrix = store.user_matrix
-        covered = store.covered_users
-        interaction = store._interaction
-        num_users = len(user_matrix)
-        owner = shard_of(np.arange(num_users), n_shards)
-        shards = []
-        for s in range(n_shards):
-            ids = np.flatnonzero(owner == s)
-            shards.append(
-                _PreferenceShard(
-                    user_ids=ids.astype(np.int64),
-                    user_matrix=np.ascontiguousarray(user_matrix[ids]),
-                    covered=np.ascontiguousarray(covered[ids]),
-                    interaction=np.ascontiguousarray(interaction[ids]),
-                )
-            )
-        return cls(
-            store.entity_embeddings,
-            shards,
-            num_users=num_users,
-            head_size=store.head_size,
-            direct_weight=store.direct_weight,
-            version_tag=store.version_tag,
-            pool=pool,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def covered_users(self) -> np.ndarray:
-        out = np.zeros(self.num_users, dtype=bool)
-        for sh in self._shards:
-            out[sh.user_ids] = sh.covered
-        return out
-
-    def _covered_count(self) -> int:
-        if self._covered_total is None:
-            self._covered_total = int(sum(int(sh.covered.sum()) for sh in self._shards))
-        return self._covered_total
-
-    def score_entity(self, entity_id: int) -> np.ndarray:
-        """All users' preference scores for one entity (uncovered = -inf)."""
-        out = np.full(self.num_users, -np.inf)
-        emb = self.entity_embeddings[entity_id]
-        for sh in self._shards:
-            scores = sh.user_matrix @ emb
-            if self.direct_weight:
-                scores = scores + self.direct_weight * sh.interaction[:, entity_id]
-            out[sh.user_ids] = np.where(sh.covered, scores, -np.inf)
-        return out
-
-    def top_users_for_entity(self, entity_id: int, k: int) -> list[UserScore]:
-        return self.top_users_for_entity_sets([[int(entity_id)]], k)[0]
-
-    def top_users_for_entities(
-        self,
-        entity_ids: list[int],
-        k: int,
-        weights: np.ndarray | None = None,
-    ) -> list[UserScore]:
-        if not entity_ids:
-            raise ConfigError("need at least one entity to target users")
-        return self.top_users_for_entity_sets(
-            [list(entity_ids)], k, None if weights is None else [weights]
-        )[0]
-
-    def _score_shard(self, task):
-        """Score one shard against the precombined query and take its top-K."""
-        shard, q, combine_of, combine, k_eff = task
-        sh = self._shards[shard]
-        scores = sh.user_matrix @ q  # (users_s, sets)
-        if self.direct_weight:
-            # Direct-preference term via the shard's CSR interaction view:
-            # O(nnz) scattered adds instead of a dense (users_s, union)
-            # column gather — union-width work stays on the coordinator.
-            row_ptr, col_idx, values = sh.sparse_interaction()
-            in_union = combine_of[col_idx] >= 0
-            if in_union.any():
-                rows = np.repeat(
-                    np.arange(len(sh.user_ids)), np.diff(row_ptr)
-                )[in_union]
-                contrib = (
-                    values[in_union, None]
-                    * combine[combine_of[col_idx[in_union]], :]
-                )
-                direct = np.zeros_like(scores)
-                np.add.at(direct, rows, contrib)
-                scores = scores + self.direct_weight * direct
-        scores = np.where(sh.covered[:, None], scores, -np.inf)
-        k_local = min(k_eff, len(sh.user_ids))
-        out = []
-        for i in range(scores.shape[1]):
-            col = scores[:, i]
-            # Shard-local rows are sorted by global user id, so positional
-            # tie-breaks below ARE user-id tie-breaks — canonical order.
-            idx = _select_top_k(col, k_local)
-            out.append((sh.user_ids[idx], col[idx]))
-        return shard, out
-
-    def top_users_for_entity_sets(
-        self,
-        entity_sets: list[list[int]],
-        k: int,
-        weights: list | None = None,
-    ) -> list[list[UserScore]]:
-        """Scatter-gather targeting: per-shard top-K heaps, merged once.
-
-        Same contract as :meth:`PreferenceStore.top_users_for_entity_sets`;
-        rankings are identical (canonical order), scores agree to float
-        round-off.
-        """
-        if not entity_sets:
-            return []
-        if any(not ids for ids in entity_sets):
-            raise ConfigError("need at least one entity to target users")
-        if weights is not None and len(weights) != len(entity_sets):
-            raise ConfigError("weights must align with entity_sets")
-        profiler = current_profiler()
-        with profiler.phase("preference.top_users"):
-            with profiler.phase("combine"):
-                union_ids = _union_ids(entity_sets)
-                combine = _combine_matrix(entity_sets, weights, union_ids)
-                # Precombine: fold the combine matrix into the entity side
-                # once, so every shard scores with a (dim, sets) query.
-                q = self.entity_embeddings[union_ids].T @ combine
-                # entity id -> combine row (or -1): lets shards map their
-                # sparse interaction columns into the union without a
-                # per-shard dense gather.
-                combine_of = np.full(len(self.entity_embeddings), -1, dtype=np.int64)
-                combine_of[union_ids] = np.arange(len(union_ids))
-                k_eff = min(k, self._covered_count())
-                if k_eff < 1:
-                    return [[] for _ in entity_sets]
-            with profiler.phase("shard_scores"):
-                tasks = [
-                    (s, q, combine_of, combine, k_eff) for s in range(self.n_shards)
-                ]
-                if self._pool is not None and self._pool.size > 1:
-                    results = self._pool.map(self._score_shard, tasks)
-                else:
-                    results = []
-                    for task in tasks:
-                        with profiler.phase(f"shard{task[0]:02d}"):
-                            results.append(self._score_shard(task))
-            with profiler.phase("merge"):
-                for shard, out in results:
-                    self.shard_score_rows[shard] += sum(len(u) for u, _ in out)
-                merged: list[list[UserScore]] = []
-                for i in range(len(entity_sets)):
-                    uids = np.concatenate([out[i][0] for _, out in results])
-                    svals = np.concatenate([out[i][1] for _, out in results])
-                    finite = np.isfinite(svals)
-                    uids, svals = uids[finite], svals[finite]
-                    order = np.lexsort((uids, -svals))[:k_eff]
-                    merged.append(
-                        [UserScore(int(u), float(s)) for u, s in zip(uids[order], svals[order])]
+            parts = [
+                _Partition(
+                    *(
+                        open_array(
+                            directory / f"shard-{s:02d}" / f"{name}.npy",
+                            shard_sums[s].get(name),
+                            dtype,
+                        )
+                        for name, dtype in _PARTITION_ARRAYS
                     )
-                return merged
-
-    # ------------------------------------------------------------------
-    # Artifact serialization (sharded memmap sidecar)
-    # ------------------------------------------------------------------
-    def save_memmap(self, directory: str | Path) -> Path:
-        """Persist as a sharded memmap artifact directory.
-
-        Layout: ``entity_embeddings.npy`` at the root, one ``shard-NN/``
-        of raw ``.npy`` arrays per shard, and a checksummed root
-        ``meta.json`` written last as the commit point — a crash mid-write
-        leaves no readable (hence no servable) artifact.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-
-        def _write(path: Path, array: np.ndarray) -> str:
-            buffer = io.BytesIO()
-            np.save(buffer, np.ascontiguousarray(array))
-            data = buffer.getvalue()
-            atomic_write_bytes(path, data)
-            return sha256_hex(data)
-
-        emb_checksum = _write(directory / "entity_embeddings.npy", self.entity_embeddings)
-        shard_checksums = []
-        for s, sh in enumerate(self._shards):
-            shard_dir = directory / f"shard-{s:02d}"
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            shard_checksums.append(
-                {
-                    name: _write(shard_dir / f"{name}.npy", getattr(sh, name))
-                    for name in _SHARD_ARRAYS
-                }
-            )
-        meta = {
-            "format": PREF_SHARDED_FORMAT,
-            "n_shards": self.n_shards,
-            "num_users": self.num_users,
-            "head_size": self.head_size,
-            "direct_weight": self.direct_weight,
-            "version_tag": self.version_tag,
-            "checksums": {
-                "entity_embeddings": emb_checksum,
-                "shards": shard_checksums,
-            },
-        }
-        atomic_write_text(
-            directory / "meta.json", json.dumps(meta, indent=2, sort_keys=True)
-        )
-        return directory
-
-    @classmethod
-    def load_memmap(
-        cls,
-        directory: str | Path,
-        mmap: bool = True,
-        verify: bool = False,
-        pool=None,
-    ) -> "ShardedPreferenceIndex":
-        """Open a sharded artifact; every shard must verify or none serves."""
-        directory = Path(directory)
-        meta_path = directory / "meta.json"
-        if not meta_path.exists():
-            raise StorageError(f"preference artifact missing: {meta_path}")
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError as error:
-            raise CorruptArtifactError(
-                f"preference artifact manifest unreadable: {meta_path}"
-            ) from error
-        if meta.get("format") != PREF_SHARDED_FORMAT:
-            raise CorruptArtifactError(
-                f"preference artifact {directory} has format "
-                f"{meta.get('format')!r}, expected {PREF_SHARDED_FORMAT!r}"
-            )
-
-        def _open(path: Path, recorded: str | None) -> np.ndarray:
-            if not path.exists():
-                raise CorruptArtifactError(f"preference artifact missing array {path}")
-            if verify and recorded is not None and file_digest(path) != recorded:
-                raise CorruptArtifactError(
-                    f"preference artifact checksum mismatch for {path}"
                 )
-            try:
-                array = np.load(path, mmap_mode="r" if mmap else None)
-            except (ValueError, OSError) as error:
-                raise CorruptArtifactError(
-                    f"preference artifact array unreadable: {path}"
-                ) from error
-            if mmap:
-                record_mmap_open("preferences")
-            return array
-
-        checksums = meta.get("checksums", {})
-        embeddings = _open(
-            directory / "entity_embeddings.npy", checksums.get("entity_embeddings")
-        )
-        try:
-            n_shards = int(meta["n_shards"])
-            shard_sums = checksums.get("shards", [{}] * n_shards)
-            shards = []
-            for s in range(n_shards):
-                shard_dir = directory / f"shard-{s:02d}"
-                arrays = {
-                    name: _open(shard_dir / f"{name}.npy", shard_sums[s].get(name))
-                    for name in _SHARD_ARRAYS
-                }
-                shards.append(_PreferenceShard(**arrays))
-            index = cls(
-                embeddings,
-                shards,
-                num_users=int(meta["num_users"]),
-                head_size=int(meta["head_size"]),
-                direct_weight=float(meta["direct_weight"]),
-                version_tag=meta["version_tag"],
-                pool=pool,
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as error:
+                for s in range(n_shards)
+            ]
+            num_users = int(meta["num_users"])
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as error:
             raise CorruptArtifactError(
                 f"preference artifact manifest malformed: {meta_path}"
             ) from error
-        index.storage = "memmap-sharded"
-        return index
+        _check_shapes(directory, store.entity_embeddings, parts, num_users)
+        store.storage = "memmap"
+        return store._adopt(parts, num_users, pool)
 
     @classmethod
     def validate_memmap(cls, directory: str | Path) -> bool:
-        """Full checksum proof of every shard of the artifact."""
-        cls.load_memmap(directory, mmap=True, verify=True)
+        """Full checksum proof of every array of the artifact."""
+        cls.load_memmap(directory, verify=True)
         return True
 
-    def shard_stats(self) -> list[dict]:
-        """Per-shard serving stats (CLI tables, health payloads, metrics)."""
-        return [
-            {
-                "shard": s,
-                "users": int(len(sh.user_ids)),
-                "covered": int(sh.covered.sum()),
-                "score_rows": int(self.shard_score_rows[s]),
-            }
-            for s, sh in enumerate(self._shards)
-        ]
+
+def _check_shapes(
+    directory: Path, embeddings: np.ndarray, parts: list[_Partition], num_users: int
+) -> None:
+    """Cheap structural proof of an opened artifact: a truncated or
+    swapped array must not reach the kernel as an out-of-bounds read."""
+
+    def require(condition: bool, what: str) -> None:
+        if not condition:
+            raise CorruptArtifactError(f"preference artifact {directory}: {what}")
+
+    require(embeddings.ndim == 2, "entity_embeddings is not a matrix")
+    require(len(parts) >= 1, "no partitions")
+    for s, part in enumerate(parts):
+        require(part.user_ids.ndim == 1, f"shard {s} user_ids is not a vector")
+        users = len(part.user_ids)
+        require(
+            part.user_matrix.shape == (users, embeddings.shape[1]),
+            f"shard {s} user_matrix does not match its user_ids and the embedding width",
+        )
+        require(
+            part.covered.shape == (users,) and part.row_ptr.shape == (users + 1,),
+            f"shard {s} covered/row_ptr do not match its user_ids",
+        )
+        require(
+            part.col_idx.shape == part.values.shape == (int(part.row_ptr[-1]),),
+            f"shard {s} CSR arrays disagree on the entry count",
+        )
+    require(
+        np.array_equal(
+            np.sort(np.concatenate([p.user_ids for p in parts])), np.arange(num_users)
+        ),
+        f"partitions do not hold each of {num_users} users exactly once",
+    )

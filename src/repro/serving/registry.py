@@ -13,22 +13,24 @@ the record list only ever grows. Two artifact kinds exist today:
   the registry root, source ``"csr"``), or an in-memory
   :class:`~repro.graph.EntityGraph` when the registry has no root;
 * ``preferences`` — a built :class:`~repro.preference.PreferenceStore`,
-  serialized to ``.npz`` plus a memmap-able ``preferences-mm-NNNNNN/``
-  sidecar when the registry has a root directory; opens prefer the memmap
-  form (zero-copy swap) and fall back to the ``.npz`` if the sidecar is
-  missing or corrupt.
+  frozen to a memmap-able ``preferences-NNNNNN/`` directory (one
+  sub-directory per user partition) when the registry has a root
+  directory and opened zero-copy from it; held in memory otherwise.
 
 Crash safety (a rooted registry is the system's durable state):
 
 * every durable write — preference artifacts, the record manifest
   (``registry.json``), drift reports — goes through temp file + fsync +
   atomic rename, so a torn write leaves the previous complete file;
-* file artifacts carry a SHA-256 checksum in their record, proven on every
-  open; a mismatch (truncation, bit rot) *quarantines* the file under
-  ``quarantine/`` and drops the record instead of serving bad bytes —
-  ``latest()`` then resolves to the previous good generation;
-* the same quarantine path runs at startup, so a corrupt artifact on disk
-  degrades the catalogue rather than crashing the process;
+* directory artifacts carry per-array SHA-256 checksums in their
+  ``meta.json`` and the ``meta.json`` digest in their record: proven in
+  full at publish and at startup, trusted (structure checks only) at
+  swap time so an open stays O(1) in artifact size;
+* one recovery rule for every kind: an artifact that fails validation is
+  *quarantined* under ``quarantine/`` and its record dropped instead of
+  serving bad bytes — ``latest()`` then resolves to the previous good
+  generation, at startup as well as on open, so a corrupt artifact on
+  disk degrades the catalogue rather than crashing the process;
 * per-stage refresh checkpoints live in a sibling
   :class:`~repro.resilience.CheckpointStore` under ``checkpoints/``.
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import CorruptArtifactError, StorageError
@@ -53,7 +55,7 @@ from repro.graph.csr import CSRGraph, csr_meta_digest
 from repro.graph.entity_graph import EntityGraph
 from repro.graph.sharding import ShardedGraphStore, ShardWorkerPool
 from repro.graph.storage import GraphStore, SnapshotReader
-from repro.preference.store import PreferenceStore, ShardedPreferenceIndex
+from repro.preference.store import PreferenceStore
 from repro.resilience import (
     CheckpointStore,
     FaultInjector,
@@ -72,15 +74,11 @@ QUARANTINE_DIR = "quarantine"
 class ArtifactRecord:
     """One immutable published artifact: what it is and where it lives.
 
-    ``format`` names the serving representation (``"csr"``, ``"memmap"``,
-    ``"snapshot"``, ``"npz"``, ``"memory"``, ``"csr-sharded"``,
-    ``"memmap-sharded"``). ``aux_path``/``aux_checksum`` point at an
-    optional sidecar artifact — the (possibly sharded) memmap preference
-    directory published next to the legacy ``.npz``; both fields are
-    absent on records written before the CSR substrate landed, which is
-    what keeps old manifests loadable. ``shards`` records the generation's
-    shard count (``None`` ≡ 1 — unsharded records are byte-identical to
-    pre-sharding manifests).
+    ``format`` names the serving representation (``"csr"``,
+    ``"csr-sharded"``, ``"snapshot"``, ``"memmap"``, ``"memory"``). For a
+    directory artifact ``path`` is the directory and ``checksum`` the
+    digest of its ``meta.json``. ``shards`` records the generation's
+    shard count (``None`` ≡ 1).
     """
 
     kind: str
@@ -91,8 +89,6 @@ class ArtifactRecord:
     edges: int | None = None
     checksum: str | None = None
     format: str | None = None
-    aux_path: str | None = None
-    aux_checksum: str | None = None
     shards: int | None = None
 
     def to_dict(self) -> dict:
@@ -105,8 +101,6 @@ class ArtifactRecord:
             "edges": self.edges,
             "checksum": self.checksum,
             "format": self.format,
-            "aux_path": self.aux_path,
-            "aux_checksum": self.aux_checksum,
             "shards": self.shards,
         }
 
@@ -121,8 +115,6 @@ class ArtifactRecord:
             edges=data.get("edges"),
             checksum=data.get("checksum"),
             format=data.get("format"),
-            aux_path=data.get("aux_path"),
-            aux_checksum=data.get("aux_checksum"),
             shards=data.get("shards"),
         )
 
@@ -133,8 +125,8 @@ class ArtifactRegistry:
     Parameters
     ----------
     root:
-        Optional directory for durable artifacts (preference ``.npz``
-        files). Without it the registry still versions and names artifacts,
+        Optional directory for durable artifacts (preference and CSR graph
+        directories). Without it the registry still versions and names artifacts,
         holding storeless ones in memory — the shape integration tests use.
     faults:
         Optional :class:`~repro.resilience.FaultInjector`; when given, the
@@ -301,47 +293,33 @@ class ArtifactRegistry:
         return "csr"
 
     def publish_preferences(
-        self, store: PreferenceStore, tag: str | None = None, shards: int = 1
+        self, store: PreferenceStore, tag: str | None = None
     ) -> ArtifactRecord:
-        """Register a daily preference artifact (saved to disk if rooted).
+        """Register a daily preference artifact (frozen to disk if rooted).
 
-        The ``.npz`` is written to a temp name and atomically renamed into
-        place; its SHA-256 goes into the record, so every later open can
-        prove it reads the published bytes. A memmap-able sidecar directory
-        is published alongside — ``preferences-mm-NNNNNN/`` (dense) or,
-        when ``shards > 1``, a hash-sharded ``preferences-sh-NNNNNN/``
-        holding one sub-directory per user shard. The serving runtime maps
-        the sidecar zero-copy; the ``.npz`` remains the fallback should
-        the sidecar be lost or corrupted.
+        A rooted registry writes the store — in whatever partitioning it
+        carries — to ``preferences-NNNNNN/``: every array through the
+        atomic temp + rename path with its SHA-256 recorded in
+        ``meta.json``, which lands last; the ``meta.json`` digest goes
+        into the record, pinning the whole directory.
         """
         self._check_faults("registry.write")
         version = self._next_version(KIND_PREFERENCES)
         tag = tag or f"daily-{version}"
         store.version_tag = tag
+        shards = store.n_shards if store.n_shards > 1 else None
         if self.root is not None:
-            final = self.root / f"preferences-{version:06d}.npz"
-            tmp = store.save(self.root / f".tmp-preferences-{version:06d}.npz")
-            os.replace(tmp, final)
-            if shards > 1:
-                sidecar = ShardedPreferenceIndex.from_store(store, shards).save_memmap(
-                    self.root / f"preferences-sh-{version:06d}"
-                )
-                sidecar_format = "memmap-sharded"
-            else:
-                sidecar = store.save_memmap(self.root / f"preferences-mm-{version:06d}")
-                sidecar_format = "memmap"
+            directory = store.save_memmap(self.root / f"preferences-{version:06d}")
             record = ArtifactRecord(
                 kind=KIND_PREFERENCES, version=version, tag=tag,
-                source="file", path=str(final), checksum=file_digest(final),
-                format=sidecar_format,
-                aux_path=str(sidecar),
-                aux_checksum=file_digest(sidecar / "meta.json"),
-                shards=shards if shards > 1 else None,
+                source="file", path=str(directory),
+                checksum=file_digest(directory / "meta.json"),
+                format="memmap", shards=shards,
             )
         else:
             record = ArtifactRecord(
                 kind=KIND_PREFERENCES, version=version, tag=tag, source="memory",
-                format="memory",
+                format="memory", shards=shards,
             )
             self._memory[(KIND_PREFERENCES, version)] = store
         return self._append(record)
@@ -372,96 +350,65 @@ class ArtifactRegistry:
                 return self._graph_store.snapshot_reader(record.version, pool=pool)
             return self._graph_store.snapshot_reader(record.version)
         if record.source == "csr":
-            try:
-                return CSRGraph.load(record.path)
-            except StorageError as error:
-                self._quarantine(record, f"CSR artifact unreadable: {error}")
-                raise CorruptArtifactError(
-                    f"graph artifact v{record.version} quarantined: {error}"
-                ) from error
+            return self._open_directory(record, CSRGraph.load)
         return self._memory[(KIND_GRAPH, record.version)]
 
     def open_preferences(
         self, version: int | None = None, pool: ShardWorkerPool | None = None
-    ):
-        """Open a published preference artifact (loads from disk if rooted).
+    ) -> PreferenceStore:
+        """Open a published preference artifact (maps it from disk if rooted).
 
-        Rooted opens prefer the memmap sidecar (zero-copy generation
-        swap) — dense :class:`PreferenceStore` or, for ``shards > 1``
-        records, a scatter-gather :class:`ShardedPreferenceIndex`; a
-        missing or corrupt sidecar is quarantined and the legacy ``.npz``
-        serves instead. A ``.npz`` whose bytes no longer match the
-        published checksum is quarantined and its record dropped before
+        The directory was proven at publish (or startup), so the open maps
+        it read-only after structure checks alone. An artifact that no
+        longer opens is quarantined and its record dropped before
         :class:`~repro.errors.CorruptArtifactError` is raised — the next
         ``open_preferences()`` resolves to the previous good version.
+        ``pool`` scores the partitions of a multi-partition artifact.
         """
         self._check_faults("registry.read")
         record = self._resolve(KIND_PREFERENCES, version)
         if record.source == "file":
-            if record.aux_path is not None:
-                try:
-                    if record.format == "memmap-sharded":
-                        return ShardedPreferenceIndex.load_memmap(
-                            record.aux_path, pool=pool
-                        )
-                    return PreferenceStore.load_memmap(record.aux_path)
-                except StorageError as error:
-                    record = self._demote_preference_sidecar(record, str(error))
-            self._validate_file_record(record, raise_on_corrupt=True)
-            return PreferenceStore.load(record.path)
+            return self._open_directory(
+                record, lambda path: PreferenceStore.load_memmap(path, pool=pool)
+            )
         return self._memory[(KIND_PREFERENCES, record.version)]
-
-    def _demote_preference_sidecar(
-        self, record: ArtifactRecord, reason: str
-    ) -> ArtifactRecord:
-        """Quarantine a bad memmap sidecar; keep the record on its ``.npz``.
-
-        Returns the demoted record (aux fields stripped, format ``npz``)
-        that replaced the original in the catalogue.
-        """
-        self._quarantine_dir(
-            record.kind,
-            record.version,
-            Path(record.aux_path),
-            f"memmap sidecar unreadable: {reason}",
-        )
-        demoted = replace(record, format="npz", aux_path=None, aux_checksum=None)
-        records = self._records.get(record.kind, [])
-        if record in records:
-            records[records.index(record)] = demoted
-            self._save_manifest()
-        return demoted
 
     # ------------------------------------------------------------------
     # Validation + quarantine
     # ------------------------------------------------------------------
-    def _validate_file_record(
-        self, record: ArtifactRecord, raise_on_corrupt: bool
-    ) -> bool:
-        """Prove a file artifact's bytes; quarantine + drop on mismatch."""
-        path = Path(record.path)
-        reason = None
-        if not path.exists():
-            reason = "artifact file missing"
-        elif record.checksum is not None and file_digest(path) != record.checksum:
-            reason = "checksum mismatch (truncated or corrupted file)"
-        if reason is None:
-            return True
-        self._quarantine(record, reason)
-        if raise_on_corrupt:
+    def _open_directory(self, record: ArtifactRecord, load):
+        """``load(record.path)``, or quarantine the record and raise."""
+        try:
+            return load(record.path)
+        except StorageError as error:
+            self._quarantine(record, f"artifact unreadable: {error}")
             raise CorruptArtifactError(
-                f"{record.kind} artifact v{record.version} quarantined: {reason}"
-            )
-        return False
+                f"{record.kind} artifact v{record.version} quarantined: {error}"
+            ) from error
+
+    @staticmethod
+    def _verify_directory(record: ArtifactRecord) -> None:
+        """Full proof of a directory artifact: the ``meta.json`` digest the
+        record pinned, then every array checksum inside it."""
+        directory = Path(record.path)
+        if record.checksum is not None and (
+            not (directory / "meta.json").exists()
+            or file_digest(directory / "meta.json") != record.checksum
+        ):
+            raise CorruptArtifactError("manifest digest mismatch")
+        if record.kind == KIND_GRAPH:
+            CSRGraph.validate(directory)
+        else:
+            PreferenceStore.validate_memmap(directory)
 
     def _quarantine_dir(
         self, kind: str, version: int, directory: Path, reason: str
     ) -> None:
         """Move a bad artifact *directory* aside without touching records.
 
-        Used for redundant artifacts (CSR freeze next to a snapshot, the
-        memmap preference sidecar) where a fallback representation keeps
-        serving — the evidence lands in ``quarantined`` either way. The
+        Used for store-owned CSR freezes: the snapshot next to it keeps
+        serving (or the publish is refused), so no record changes hands —
+        the evidence lands in ``quarantined`` either way. The
         directory moves into a ``quarantine/`` sibling so it works for
         store-owned paths as well as registry-root paths.
         """
@@ -487,11 +434,7 @@ class ArtifactRegistry:
         )
 
     def _quarantine(self, record: ArtifactRecord, reason: str) -> None:
-        """Move the bad file aside, drop the record, keep the evidence.
-
-        The record's sidecar (memmap directory), if any, moves with it —
-        a dropped record must not leave a servable-looking orphan behind.
-        """
+        """Move the bad artifact aside, drop the record, keep the evidence."""
         quarantined_path = None
         path = Path(record.path) if record.path else None
         if path is not None and path.exists() and self.root is not None:
@@ -501,15 +444,6 @@ class ArtifactRegistry:
             if quarantined_path.exists() and quarantined_path.is_dir():
                 shutil.rmtree(quarantined_path, ignore_errors=True)
             os.replace(path, quarantined_path)
-        if record.aux_path is not None and self.root is not None:
-            aux = Path(record.aux_path)
-            if aux.exists():
-                qdir = self.root / QUARANTINE_DIR
-                qdir.mkdir(parents=True, exist_ok=True)
-                target = qdir / aux.name
-                if target.exists():
-                    shutil.rmtree(target, ignore_errors=True)
-                os.replace(aux, target)
         records = self._records.get(record.kind, [])
         if record in records:
             records.remove(record)
@@ -598,8 +532,9 @@ class ArtifactRegistry:
 
         Memory-source records died with their process and are dropped;
         store-source records are kept (they resolve again once the
-        GraphStore is re-bound); file artifacts that fail their checksum
-        are quarantined — startup never crashes on a torn artifact.
+        GraphStore is re-bound); directory artifacts that fail their
+        checksums are quarantined — startup never crashes on a torn
+        artifact.
         """
         assert self.root is not None
         path = self.root / MANIFEST_NAME
@@ -619,62 +554,22 @@ class ArtifactRegistry:
             )
             return
         corrupt: list[tuple[ArtifactRecord, str]] = []
-        demote: list[tuple[ArtifactRecord, str]] = []
         for kind in self._records:
             for data in raw.get(kind, []):
                 record = ArtifactRecord.from_dict(data)
                 if record.source == "memory":
                     continue
-                if record.source == "csr":
-                    # Frozen CSR directory: full checksum proof at startup,
-                    # so every later open can map it without re-hashing.
+                if record.source in ("csr", "file"):
+                    # Full checksum proof at startup, so every later open
+                    # can map the directory without re-hashing.
                     try:
-                        directory = Path(record.path)
-                        if record.checksum is not None and (
-                            not (directory / "meta.json").exists()
-                            or csr_meta_digest(directory) != record.checksum
-                        ):
-                            raise CorruptArtifactError("manifest digest mismatch")
-                        CSRGraph.validate(directory)
+                        self._verify_directory(record)
                     except (StorageError, TypeError) as error:
-                        corrupt.append((record, f"CSR artifact invalid: {error}"))
+                        corrupt.append((record, f"artifact invalid: {error}"))
                         continue
-                if record.source == "file":
-                    file_path = Path(record.path) if record.path else None
-                    if file_path is None or not file_path.exists():
-                        corrupt.append((record, "artifact file missing"))
-                        continue
-                    if (
-                        record.checksum is not None
-                        and file_digest(file_path) != record.checksum
-                    ):
-                        corrupt.append(
-                            (record, "checksum mismatch (truncated or corrupted file)")
-                        )
-                        continue
-                    if record.aux_path is not None:
-                        # Memmap sidecar: prove it now or demote the record
-                        # to its .npz fallback — startup never crashes on a
-                        # torn sidecar.
-                        try:
-                            aux_dir = Path(record.aux_path)
-                            if record.aux_checksum is not None and (
-                                not (aux_dir / "meta.json").exists()
-                                or file_digest(aux_dir / "meta.json")
-                                != record.aux_checksum
-                            ):
-                                raise CorruptArtifactError("manifest digest mismatch")
-                            if record.format == "memmap-sharded":
-                                ShardedPreferenceIndex.validate_memmap(aux_dir)
-                            else:
-                                PreferenceStore.validate_memmap(aux_dir)
-                        except (StorageError, TypeError) as error:
-                            demote.append((record, str(error)))
                 self._records[kind].append(record)
         for record, reason in corrupt:
             self._quarantine(record, reason)
-        for record, reason in demote:
-            self._demote_preference_sidecar(record, reason)
 
     # ------------------------------------------------------------------
     # Catalogue

@@ -88,7 +88,7 @@ class ActiveArtifacts:
     targeting: UserTargeting | None = None
     #: Shard counts of the generation that produced each artifact. 1 for
     #: the unsharded substrate; >1 when the artifact came out of a
-    #: ShardedGraphStore / ShardedPreferenceIndex generation.
+    #: ShardedGraphStore / partitioned PreferenceStore generation.
     graph_shards: int = 1
     preference_shards: int = 1
 
@@ -259,9 +259,8 @@ class ServingRuntime:
                     help="Neighbor candidates emitted by one shard during expansion",
                     shard=shard,
                 ).set_total(row["gather_candidates"])
-        stats_fn = getattr(active.preference_store, "shard_stats", None)
-        if callable(stats_fn):
-            for row in stats_fn():
+        if active.preference_store is not None:
+            for row in active.preference_store.shard_stats():
                 shard = f"{row['shard']:02d}"
                 metrics.gauge(
                     "serving_shard_users",
@@ -424,7 +423,7 @@ class ServingRuntime:
             preference_tag=tag or store.version_tag or f"daily-{version}",
             preference_store=store,
             targeting=UserTargeting(store),
-            preference_shards=int(getattr(store, "n_shards", 1) or 1),
+            preference_shards=store.n_shards,
         )
         breaker.record_success()
         if previous.preference_store is not None:
@@ -763,9 +762,9 @@ class ServingRuntime:
 
         ``*_format`` names the serving representation each artifact is
         mapped through — ``"csr"``/``"memmap"`` for the zero-copy mmap
-        substrate, ``"snapshot"``/``"npz"`` for the legacy forms,
-        ``"memory"`` for in-process artifacts — so operators can tell at a
-        glance whether a generation swap was a remap or a copy.
+        substrate, ``"snapshot"`` for the legacy graph form, ``"memory"``
+        for in-process artifacts — so operators can tell at a glance
+        whether a generation swap was a remap or a copy.
         """
         active = self._active
         graph_format = None
@@ -773,7 +772,7 @@ class ServingRuntime:
             graph_format = getattr(active.reasoner.graph, "artifact_format", "memory")
         preference_format = None
         if active.preference_store is not None:
-            preference_format = getattr(active.preference_store, "storage", "memory")
+            preference_format = active.preference_store.storage
         return {
             "graph_version": active.graph_version,
             "graph_tag": active.graph_tag,
@@ -788,9 +787,10 @@ class ServingRuntime:
     def shard_summary(self) -> dict:
         """Per-shard serving state for health payloads and the CLI.
 
-        ``graph``/``preferences`` carry the active generation's per-shard
-        rows (entities, owned/incident edges, gather/score counters) when
-        the corresponding artifact is sharded; absent otherwise.
+        ``graph`` carries the active generation's per-shard rows
+        (entities, owned/incident edges, gather counters) when the graph
+        is sharded; ``preferences`` one row per user partition (users,
+        covered, score counters) whenever an index is active.
         """
         active = self._active
         summary: dict = {
@@ -802,9 +802,8 @@ class ServingRuntime:
         stats_fn = getattr(graph, "shard_stats", None)
         if callable(stats_fn):
             summary["graph"] = stats_fn()
-        stats_fn = getattr(active.preference_store, "shard_stats", None)
-        if callable(stats_fn):
-            summary["preferences"] = stats_fn()
+        if active.preference_store is not None:
+            summary["preferences"] = active.preference_store.shard_stats()
         return summary
 
     def health(self) -> dict:

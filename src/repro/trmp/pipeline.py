@@ -399,7 +399,7 @@ class TRMPipeline:
         """Freeze + register the run's servable artifacts as a stage.
 
         ``publish`` performs the actual registry publication (which writes
-        the CSR graph artifact and, for preferences, the memmap sidecar)
+        the CSR graph artifact and, for preferences, the memmap directory)
         and returns a *path-free* summary — version, tag, format, content
         digest. That summary is what gets checkpointed under ``run_id``: a
         refresh killed between publication and activation resumes onto the

@@ -1,0 +1,60 @@
+"""The paper's online targeting rule, written to be obviously correct.
+
+One user at a time, from the users' ``sequences`` and the entity
+embeddings — never from a store's arrays:
+
+    score(u) = Σ_e ŵ_e · (r_u · h_e + direct_weight · freq_u(e))
+
+``r_u`` is the mean of ``h_e`` over the user's sequence (Eq. 7),
+``freq_u(e)`` the share of the sequence spent on ``e``, ``ŵ`` the request
+weights scaled to sum to one (uniform when absent; a repeated entity
+counts once per repeat). Users with an empty sequence are never returned.
+The audience is the top ``k`` by score, ties by ascending user id.
+"""
+
+import numpy as np
+
+TOLERANCE = 1e-9
+
+
+def reference_scores(
+    embeddings, sequences, num_users, entity_ids, weights=None,
+    direct_weight=25.0, normalize=True,
+) -> dict[int, float]:
+    h = np.asarray(embeddings, dtype=np.float64)
+    if normalize:
+        h = h / np.maximum(np.linalg.norm(h, axis=1, keepdims=True), 1e-12)
+    w = np.ones(len(entity_ids)) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = w / w.sum()
+    scores = {}
+    for user in range(num_users):
+        ids = list(sequences[user].entity_ids) if user in sequences else []
+        if not ids:
+            continue
+        r_u = np.mean([h[e] for e in ids], axis=0)
+        scores[user] = sum(
+            w_e * (float(r_u @ h[e]) + direct_weight * ids.count(e) / len(ids))
+            for e, w_e in zip(entity_ids, w)
+        )
+    return scores
+
+
+def reference_top_k(scores: dict[int, float], k: int) -> list[tuple[int, float]]:
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def assert_matches_reference(got, scores: dict[int, float], k: int, sequences) -> None:
+    """``got`` (objects with ``user_id``/``score``) is the model's top-k:
+    same user at every rank unless the two candidates' model scores are
+    within ``TOLERANCE``, scores within ``TOLERANCE``, and users with
+    identical sequences (exact ties) in ascending user id."""
+    want = reference_top_k(scores, k)
+    assert len(got) == len(want)
+    assert len({g.user_id for g in got}) == len(got)
+    for g, (user, score) in zip(got, want):
+        assert abs(g.score - scores[g.user_id]) <= TOLERANCE
+        assert g.user_id == user or abs(scores[g.user_id] - score) <= TOLERANCE
+    by_sequence: dict[tuple, list[int]] = {}
+    for g in got:
+        by_sequence.setdefault(tuple(sequences[g.user_id].entity_ids), []).append(g.user_id)
+    assert all(users == sorted(users) for users in by_sequence.values())

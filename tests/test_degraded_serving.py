@@ -28,7 +28,7 @@ def build_preferences(world, seed: int) -> PreferenceStore:
         u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
         for u in range(30)
     }
-    return PreferenceStore(embeddings, head_size=16).build(sequences, world.num_users)
+    return PreferenceStore(embeddings).build(sequences, world.num_users)
 
 
 def build_reasoner(world, system) -> GraphReasoner:

@@ -152,7 +152,7 @@ class TestHealthyCadence:
 def _degenerate_store(world, sequences):
     """Zero embeddings + no direct-frequency term: constant scores."""
     return PreferenceStore(
-        np.zeros((world.num_entities, 6)), head_size=16, direct_weight=0.0
+        np.zeros((world.num_entities, 6)), direct_weight=0.0
     ).build(sequences, world.num_users)
 
 
@@ -169,7 +169,7 @@ class TestDegenerateArtifactGating:
             for u in range(60)
         }
         good = PreferenceStore(
-            rng.normal(size=(world.num_entities, 6)), head_size=16
+            rng.normal(size=(world.num_entities, 6))
         ).build(sequences, world.num_users)
         system.runtime.activate_preferences(good, version=1, tag="daily-1")
         return system, sequences
@@ -239,7 +239,7 @@ class TestDegenerateArtifactGating:
             for u in range(60)
         }
         good = PreferenceStore(
-            rng.normal(size=(world.num_entities, 6)), head_size=16
+            rng.normal(size=(world.num_entities, 6))
         ).build(sequences, world.num_users)
         system.runtime.activate_preferences(good, version=1)
         system.runtime.activate_preferences(

@@ -120,7 +120,7 @@ class TestCompareGraphs:
         assert compare_graphs(old, new)["edge_ratio"] is None
 
 
-def _pref_store(world, seed, zero_scores=False, head=16):
+def _pref_store(world, seed, zero_scores=False):
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(size=(world.num_entities, 6))
     sequences = {
@@ -130,11 +130,9 @@ def _pref_store(world, seed, zero_scores=False, head=16):
     if zero_scores:
         # The degenerate publish: zero embeddings *and* no direct-frequency
         # term, so every covered user scores exactly 0 for every entity.
-        store = PreferenceStore(
-            np.zeros_like(embeddings), head_size=head, direct_weight=0.0
-        )
+        store = PreferenceStore(np.zeros_like(embeddings), direct_weight=0.0)
     else:
-        store = PreferenceStore(embeddings, head_size=head)
+        store = PreferenceStore(embeddings)
     return store.build(sequences, world.num_users)
 
 

@@ -36,7 +36,7 @@ def frozen_service(world):
         u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
         for u in range(30)
     }
-    prefs = PreferenceStore(embeddings, head_size=16).build(sequences, world.num_users)
+    prefs = PreferenceStore(embeddings).build(sequences, world.num_users)
     system.runtime.activate_preferences(prefs, version=1, tag="daily-1")
     obs.tracer.clear()  # only request traces from here on
     return EGLService(system)

@@ -180,7 +180,6 @@ class TestResourceAccounting:
 
         class _Record:
             path = str(artifact)
-            aux_path = None
 
         class _Registry:
             def records(self, kind):
@@ -202,7 +201,6 @@ class TestResourceAccounting:
 
         class _Record:
             path = str(artifact)
-            aux_path = None
 
         class _Registry:
             def records(self, kind):

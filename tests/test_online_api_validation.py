@@ -29,7 +29,7 @@ def service(world):
         u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
         for u in range(30)
     }
-    prefs = PreferenceStore(embeddings, head_size=16).build(sequences, world.num_users)
+    prefs = PreferenceStore(embeddings).build(sequences, world.num_users)
     system.runtime.activate_preferences(prefs, version=5, tag="daily-5")
     return EGLService(system)
 

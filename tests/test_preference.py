@@ -1,8 +1,12 @@
 """User entity preference: embeddings and the serving store."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from reference_model import assert_matches_reference, reference_scores
 from repro.errors import ConfigError, NotFittedError
 from repro.preference import (
     PreferenceStore,
@@ -58,8 +62,6 @@ class TestUserEmbedding:
 class TestPreferenceStore:
     def test_validation(self, embeddings):
         with pytest.raises(ConfigError):
-            PreferenceStore(embeddings, head_size=0)
-        with pytest.raises(ConfigError):
             PreferenceStore(embeddings, direct_weight=-1)
 
     def test_requires_build(self, embeddings):
@@ -98,13 +100,10 @@ class TestPreferenceStore:
 
     def test_top_users_matches_bruteforce(self, embeddings, sequences):
         store = PreferenceStore(embeddings).build(sequences, num_users=5)
-        ids = [1, 5]
-        per = store.user_matrix @ store.entity_embeddings[np.array(ids)].T
-        per = per + store.direct_weight * store._interaction[:, np.array(ids)]
-        brute = per.mean(axis=1)
-        brute[~store.covered_users] = -np.inf
-        expected_top = int(np.argmax(brute))
-        assert store.top_users_for_entities(ids, k=1)[0].user_id == expected_top
+        scores = reference_scores(embeddings, sequences, 5, [1, 5])
+        assert_matches_reference(
+            store.top_users_for_entities([1, 5], k=1), scores, 1, sequences
+        )
 
     def test_weighted_average(self, embeddings, sequences):
         store = PreferenceStore(embeddings).build(sequences, num_users=5)
@@ -122,14 +121,23 @@ class TestPreferenceStore:
         with pytest.raises(ConfigError):
             store.top_users_for_entities([], k=1)
 
-    def test_head_caching_consistent(self, embeddings, sequences):
-        store = PreferenceStore(embeddings, head_size=2).build(sequences, num_users=5)
-        first = store.top_users_for_entity(1, k=2)
-        second = store.top_users_for_entity(1, k=2)
-        assert [u.user_id for u in first] == [u.user_id for u in second]
-
     def test_normalization_unit_rows(self, rng):
         raw = rng.normal(size=(6, 3)) * 10
         store = PreferenceStore(raw, normalize=True)
         norms = np.linalg.norm(store.entity_embeddings, axis=1)
         np.testing.assert_allclose(norms, np.ones(6))
+
+
+def test_one_index_one_layout():
+    """Guard: the deleted second index, ``.npz`` copy and demotion chain
+    must not come back unnoticed."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    text = {path: path.read_text(encoding="utf-8") for path in src.rglob("*.py")}
+    assert sum(b.count("def top_users_for_entity_sets") for b in text.values()) == 1
+    for path, body in text.items():
+        if path.parent.name == "preference":
+            assert not re.search(r"savez|\.npz", body), path
+    registry = text[src / "serving" / "registry.py"]
+    assert not re.search(r"preferences-[^\n]*\.npz|savez", registry)
+    formats = {m for body in text.values() for m in re.findall(r'"pref-[a-z0-9-]+"', body)}
+    assert len(formats) == 1

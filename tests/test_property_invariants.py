@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_model import assert_matches_reference, reference_scores
 from repro.graph import EntityGraph, k_hop_expansion, k_hop_subgraph
 from repro.preference import PreferenceStore
 from repro.text.sequence_extractor import UserEntitySequence
@@ -96,16 +97,10 @@ class TestPreferenceBruteForce:
             for u in range(num_users - 1)  # one user stays uncovered
         }
         store = PreferenceStore(embeddings, direct_weight=2.0).build(sequences, num_users)
-        ids = list(rng.choice(num_entities, size=min(3, num_entities), replace=False))
-
-        per = store.user_matrix @ store.entity_embeddings[np.array(ids)].T
-        per = per + store.direct_weight * store._interaction[:, np.array(ids)]
-        brute = per.mean(axis=1)
-        brute[~store.covered_users] = -np.inf
-        expected = np.argsort(-brute)[: min(k, num_users - 1)]
-
-        actual = [u.user_id for u in store.top_users_for_entities(ids, k=k)]
-        # Order can differ on exact ties; compare score multisets instead.
-        np.testing.assert_allclose(
-            sorted(brute[expected]), sorted(brute[actual]), atol=1e-12
+        ids = [int(e) for e in rng.choice(num_entities, size=min(3, num_entities), replace=False)]
+        scores = reference_scores(
+            embeddings, sequences, num_users, ids, direct_weight=2.0
+        )
+        assert_matches_reference(
+            store.top_users_for_entities(ids, k=k), scores, k, sequences
         )

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import CorruptArtifactError, StorageError
+from repro.graph import CSRGraph, EntityGraph
 from repro.preference.store import PreferenceStore
 from repro.resilience import FaultInjector, InjectedFault, atomic_write_bytes
 from repro.serving import KIND_PREFERENCES, ArtifactRegistry
@@ -29,7 +31,7 @@ def built_preferences(num_users=6, num_entities=10, seed=0) -> PreferenceStore:
         u: UserEntitySequence(u, list(rng.integers(0, num_entities, size=5)))
         for u in range(num_users)
     }
-    return PreferenceStore(embeddings, head_size=4).build(sequences, num_users)
+    return PreferenceStore(embeddings).build(sequences, num_users)
 
 
 class TestAtomicWrites:
@@ -61,57 +63,97 @@ class TestAtomicWrites:
         assert loaded.version_tag == "daily-x"
 
 
+def published_dir(root, record):
+    return root / f"preferences-{record.version:06d}"
+
+
+def truncate(path, count=40):
+    path.write_bytes(path.read_bytes()[:-count])
+
+
+def flip_byte(path, offset=-3):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def strip_checksums(path):
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    del meta["checksums"]
+    path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+#: name → (file inside the artifact of a P-partition publish, damage,
+#: caught by the trusted open — otherwise only by the startup proof).
+DAMAGE = {
+    "truncated": ("shard-{last}/user_matrix.npy", truncate, True),
+    "missing": ("shard-{last}/values.npy", Path.unlink, True),
+    "bitflip": ("shard-{last}/user_matrix.npy", flip_byte, False),
+    "meta-garbled": ("meta.json", truncate, True),
+    "meta-missing": ("meta.json", Path.unlink, True),
+    "no-checksums": ("meta.json", strip_checksums, False),
+}
+
+
 class TestQuarantine:
     def test_truncated_artifact_is_quarantined_not_served(self, tmp_path):
         registry = ArtifactRegistry(root=tmp_path)
         good = registry.publish_preferences(built_preferences(seed=1), tag="good")
         bad = registry.publish_preferences(built_preferences(seed=2), tag="bad")
-        bad_path = tmp_path / f"preferences-{bad.version:06d}.npz"
-        bad_path.write_bytes(bad_path.read_bytes()[:-50])  # torn write
-        # Lose the redundant memmap sidecar too — with either form intact
-        # the version would still serve correctly.
-        shutil.rmtree(tmp_path / f"preferences-mm-{bad.version:06d}")
+        bad_path = published_dir(tmp_path, bad)
+        truncate(bad_path / "shard-00" / "covered.npy", 3)  # torn write
 
         with pytest.raises(CorruptArtifactError):
             registry.open_preferences(bad.version)
 
-        # The file moved to quarantine/, the record dropped, and latest()
-        # falls back to the previous good generation.
+        # The directory moved to quarantine/, the record dropped, and
+        # latest() falls back to the previous good generation.
         assert (tmp_path / QUARANTINE_DIR / bad_path.name).exists()
         assert not bad_path.exists()
         assert registry.latest(KIND_PREFERENCES).version == good.version
         assert registry.open_preferences().version_tag == "good"
-        assert registry.quarantined[-1]["reason"].startswith("checksum mismatch")
+        assert registry.quarantined[-1]["reason"].startswith("artifact unreadable")
 
-    def test_corrupt_sidecar_falls_back_to_npz(self, tmp_path):
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("n_shards", [1, 4], ids=["P1", "P4"])
+    def test_damage_quarantines_generation(self, tmp_path, n_shards, damage):
+        """One recovery rule: the damaged generation is quarantined, the
+        previous one answers, and a reopened registry agrees."""
+        relative, apply, caught_on_open = DAMAGE[damage]
+        relative = relative.format(last=f"{n_shards - 1:02d}")
+        good_store = built_preferences(num_users=40, seed=1)
+        want = good_store.top_users_for_entities([1, 2, 5], 10, weights=[3.0, 1.0, 1.0])
+
+        def answer(registry):
+            assert registry.latest(KIND_PREFERENCES).version == 1
+            store = registry.open_preferences()
+            assert store.version_tag == "good" and store.n_shards == n_shards
+            return store.top_users_for_entities([1, 2, 5], 10, weights=[3.0, 1.0, 1.0])
+
         registry = ArtifactRegistry(root=tmp_path)
-        record = registry.publish_preferences(built_preferences(seed=3), tag="daily")
-        mm_dir = tmp_path / f"preferences-mm-{record.version:06d}"
-        matrix = mm_dir / "user_matrix.npy"
-        matrix.write_bytes(matrix.read_bytes()[:-40])  # torn sidecar array
+        registry.publish_preferences(good_store.partitioned(n_shards), tag="good")
+        bad = registry.publish_preferences(
+            built_preferences(num_users=40, seed=2).partitioned(n_shards), tag="bad"
+        )
+        apply(published_dir(tmp_path, bad) / relative)
 
-        # The open still succeeds — served from the intact .npz — while
-        # the bad sidecar is quarantined and the record demoted.
-        store = registry.open_preferences(record.version)
-        assert store.version_tag == "daily"
-        assert store.storage == "npz"
-        assert (tmp_path / QUARANTINE_DIR / mm_dir.name).exists()
-        assert not mm_dir.exists()
-        demoted = registry.latest(KIND_PREFERENCES)
-        assert demoted.aux_path is None and demoted.format == "npz"
-        assert "sidecar" in registry.quarantined[-1]["reason"]
-        # The demotion is durable: a restart serves the .npz directly.
-        reopened = ArtifactRegistry(root=tmp_path)
-        assert reopened.open_preferences(record.version).storage == "npz"
+        if caught_on_open:
+            with pytest.raises(CorruptArtifactError):
+                registry.open_preferences(bad.version)
+            assert answer(registry) == want
+        reopened = ArtifactRegistry(root=tmp_path)  # must not raise
+        assert answer(reopened) == want
+        assert (tmp_path / QUARANTINE_DIR / published_dir(tmp_path, bad).name).exists()
+        assert not published_dir(tmp_path, bad).exists()
+        assert len(registry.quarantined if caught_on_open else reopened.quarantined) == 1
+        assert answer(ArtifactRegistry(root=tmp_path)) == want  # durable
 
     def test_corrupt_artifact_detected_at_startup(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
         good = first.publish_preferences(built_preferences(seed=1), tag="good")
         bad = first.publish_preferences(built_preferences(seed=2), tag="bad")
-        bad_path = tmp_path / f"preferences-{bad.version:06d}.npz"
-        data = bytearray(bad_path.read_bytes())
-        data[100] ^= 0xFF
-        bad_path.write_bytes(bytes(data))
+        bad_path = published_dir(tmp_path, bad)
+        flip_byte(bad_path / "shard-00" / "user_matrix.npy")
 
         reopened = ArtifactRegistry(root=tmp_path)  # must not raise
         assert reopened.latest(KIND_PREFERENCES).version == good.version
@@ -121,11 +163,11 @@ class TestQuarantine:
     def test_missing_artifact_file_quarantined_at_startup(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
         record = first.publish_preferences(built_preferences())
-        (tmp_path / f"preferences-{record.version:06d}.npz").unlink()
+        shutil.rmtree(published_dir(tmp_path, record))
 
         reopened = ArtifactRegistry(root=tmp_path)
         assert reopened.latest(KIND_PREFERENCES) is None
-        assert reopened.quarantined[-1]["reason"] == "artifact file missing"
+        assert "manifest digest mismatch" in reopened.quarantined[-1]["reason"]
 
     def test_torn_manifest_does_not_crash_startup(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
@@ -142,6 +184,83 @@ class TestQuarantine:
         reopened = ArtifactRegistry(root=tmp_path)
         assert reopened.drift_reports() == []
         assert reopened.quarantined[-1]["reason"] == "unparseable drift report"
+
+
+def frozen_graph(directory):
+    graph = EntityGraph.from_edge_list(6, [(0, 1), (1, 2), (2, 5)], [0.9, 0.5, 0.7], [0, 1, 0])
+    return CSRGraph.from_entity_graph(graph).save(directory)
+
+
+def frozen_preferences(directory):
+    return built_preferences(num_users=12).partitioned(2).save_memmap(directory)
+
+
+class TestVerifiedLoad:
+    @pytest.mark.parametrize(
+        "freeze, array, validate",
+        [
+            (frozen_graph, "weights.npy", CSRGraph.validate),
+            (frozen_preferences, "shard-01/user_matrix.npy", PreferenceStore.validate_memmap),
+        ],
+        ids=["csr", "pref"],
+    )
+    def test_missing_checksum_fails_verification(self, tmp_path, freeze, array, validate):
+        """A manifest without checksums proves nothing: the full proof
+        must refuse it instead of skipping the arrays it cannot check."""
+        directory = freeze(tmp_path / "artifact")
+        assert validate(directory)
+        strip_checksums(directory / "meta.json")
+        flip_byte(directory / array)
+        with pytest.raises(CorruptArtifactError, match="checksum"):
+            validate(directory)
+
+
+def rewrite(relative, change):
+    def damage(directory):
+        np.save(directory / relative, change(np.load(directory / relative)))
+
+    return damage
+
+
+def set_num_users(value):
+    def damage(directory):
+        meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+        meta["num_users"] = value
+        (directory / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+    return damage
+
+
+#: One violated structure condition each, on a 12-user, 2-partition artifact.
+BAD_SHAPES = {
+    "matrix-rows": rewrite("shard-00/user_matrix.npy", lambda a: a[:-1]),
+    "matrix-width": rewrite("shard-01/user_matrix.npy", lambda a: a[:, :-1]),
+    "embedding-width": rewrite("entity_embeddings.npy", lambda a: a[:, :-1]),
+    "covered-length": rewrite("shard-00/covered.npy", lambda a: a[:-1]),
+    "row_ptr-length": rewrite("shard-01/row_ptr.npy", lambda a: a[:-1]),
+    "row_ptr-end": rewrite("shard-00/row_ptr.npy", lambda a: a + 1),
+    "col_idx-length": rewrite("shard-00/col_idx.npy", lambda a: a[:-1]),
+    "values-length": rewrite("shard-01/values.npy", lambda a: a[:-1]),
+    "values-dtype": rewrite("shard-00/values.npy", lambda a: a.astype(np.float32)),
+    "user_ids-dtype": rewrite("shard-01/user_ids.npy", lambda a: a.astype(np.int32)),
+    "covered-dtype": rewrite("shard-00/covered.npy", lambda a: a.astype(np.int8)),
+    "user-owned-twice": rewrite("shard-00/user_ids.npy", lambda a: np.r_[a[:-1], 0]),
+    "user-out-of-range": rewrite("shard-01/user_ids.npy", lambda a: np.r_[a[:-1], 12]),
+    "num_users-large": set_num_users(13),
+    "num_users-small": set_num_users(11),
+}
+
+
+class TestTrustedOpen:
+    @pytest.mark.parametrize("violation", sorted(BAD_SHAPES))
+    def test_bad_structure_is_corrupt(self, tmp_path, violation):
+        """The trusted (non-verifying) open still refuses arrays that do
+        not fit together — they would be out-of-bounds reads in the kernel."""
+        directory = frozen_preferences(tmp_path / "artifact")
+        assert PreferenceStore.load_memmap(directory).n_shards == 2
+        BAD_SHAPES[violation](directory)
+        with pytest.raises(CorruptArtifactError):
+            PreferenceStore.load_memmap(directory)
 
 
 class TestFaultSeams:

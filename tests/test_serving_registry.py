@@ -25,7 +25,7 @@ def built_preferences(num_users=6, num_entities=10, seed=0) -> PreferenceStore:
         u: UserEntitySequence(u, list(rng.integers(0, num_entities, size=5)))
         for u in range(num_users - 1)  # leave one user uncovered
     }
-    return PreferenceStore(embeddings, head_size=4).build(sequences, num_users)
+    return PreferenceStore(embeddings).build(sequences, num_users)
 
 
 class TestSnapshotReader:
@@ -71,27 +71,26 @@ class TestPreferenceArtifact:
     def test_save_load_roundtrip(self, tmp_path):
         store = built_preferences()
         store.version_tag = "daily-1"
-        path = store.save(tmp_path / "prefs")
-        assert path.suffix == ".npz"
-        loaded = PreferenceStore.load(path)
+        directory = store.save_memmap(tmp_path / "prefs")
+        assert (directory / "meta.json").exists()
+        loaded = PreferenceStore.load_memmap(directory)
         assert loaded.version_tag == "daily-1"
-        np.testing.assert_allclose(loaded.user_matrix, store.user_matrix)
-        np.testing.assert_allclose(loaded.covered_users, store.covered_users)
+        assert loaded.storage == "memmap"
+        np.testing.assert_array_equal(loaded.user_matrix, store.user_matrix)
+        np.testing.assert_array_equal(loaded.covered_users, store.covered_users)
         original = store.top_users_for_entities([0, 3], k=3)
-        reloaded = loaded.top_users_for_entities([0, 3], k=3)
-        assert [u.user_id for u in original] == [u.user_id for u in reloaded]
-        assert [u.score for u in original] == pytest.approx([u.score for u in reloaded])
+        assert loaded.top_users_for_entities([0, 3], k=3) == original
 
     def test_save_requires_built(self, tmp_path):
         from repro.errors import NotFittedError
 
         store = PreferenceStore(np.eye(4))
         with pytest.raises(NotFittedError):
-            store.save(tmp_path / "prefs")
+            store.save_memmap(tmp_path / "prefs")
 
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(StorageError):
-            PreferenceStore.load(tmp_path / "nope.npz")
+            PreferenceStore.load_memmap(tmp_path / "nope")
 
 
 class TestRegistry:

@@ -45,7 +45,7 @@ def build_preferences(world, seed=0):
         u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
         for u in range(40)
     }
-    return PreferenceStore(embeddings, head_size=16).build(sequences, world.num_users)
+    return PreferenceStore(embeddings).build(sequences, world.num_users)
 
 
 class TestActivation:

@@ -10,6 +10,8 @@ checkpoints resumes to a single published generation.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,11 @@ from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldCon
 from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
-from repro.errors import CorruptArtifactError, NotFittedError, StorageError
+from repro.errors import NotFittedError, StorageError
 from repro.graph import ShardedGraphStore, k_hop_expansion
 from repro.obs import ManualClock, Observability
 from repro.online import EGLSystem
-from repro.preference import PreferenceStore, ShardedPreferenceIndex
+from repro.preference import PreferenceStore
 from repro.resilience import FaultInjector, InjectedCrash, RetryPolicy
 from repro.serving import ArtifactRegistry, ServingRuntime
 from repro.text.sequence_extractor import UserEntitySequence
@@ -58,7 +60,7 @@ def built_preferences(seed=0, num_users=60, d=12):
         u: UserEntitySequence(u, [int(x) for x in rng.integers(0, NUM_NODES, 5)])
         for u in range(num_users)
     }
-    store = PreferenceStore(embeddings, head_size=16, version_tag=f"daily-{seed}")
+    store = PreferenceStore(embeddings, version_tag=f"daily-{seed}")
     store.build(sequences, num_users)
     return store
 
@@ -110,37 +112,23 @@ class TestRegistryShardedGraph:
 
 
 class TestRegistryShardedPreferences:
-    def test_sharded_sidecar_roundtrip(self, tmp_path):
+    def test_partitioned_artifact_roundtrip(self, tmp_path):
         registry = ArtifactRegistry(tmp_path / "registry")
         store = built_preferences()
-        record = registry.publish_preferences(store, shards=4)
-        assert record.shards == 4
+        record = registry.publish_preferences(store.partitioned(4))
+        assert record.shards == 4 and record.format == "memmap"
+        assert sorted(p.name for p in Path(record.path).iterdir()) == [
+            "entity_embeddings.npy", "meta.json",
+            "shard-00", "shard-01", "shard-02", "shard-03",
+        ]
         index = registry.open_preferences(record.version)
-        assert isinstance(index, ShardedPreferenceIndex)
-        assert index.storage == "memmap-sharded"
-        want = store.top_users_for_entity_sets([[1, 2, 5], [9, 40]], 10)
-        got = index.top_users_for_entity_sets([[1, 2, 5], [9, 40]], 10)
-        for w, g in zip(want, got):
-            assert [u.user_id for u in w] == [u.user_id for u in g]
-            assert np.allclose([u.score for u in w], [u.score for u in g])
-
-    def test_corrupt_sidecar_demotes_to_npz(self, tmp_path):
-        registry = ArtifactRegistry(tmp_path / "registry")
-        store = built_preferences(seed=2)
-        record = registry.publish_preferences(store, shards=2)
-        from pathlib import Path
-
-        sidecar = Path(record.aux_path)
-        array = sidecar / "shard-01" / "user_matrix.npy"
-        array.write_bytes(array.read_bytes()[:-7])  # truncate one shard array
-        with pytest.raises(CorruptArtifactError):
-            ShardedPreferenceIndex.load_memmap(sidecar, verify=True)
-        # open falls back to the dense .npz artifact instead of serving it
-        opened = registry.open_preferences(record.version)
-        assert isinstance(opened, PreferenceStore)
-        want = store.top_users_for_entity(3, 10)
-        got = opened.top_users_for_entity(3, 10)
-        assert [u.user_id for u in want] == [u.user_id for u in got]
+        assert index.n_shards == 4 and index.storage == "memmap"
+        assert [row["users"] for row in index.shard_stats()] == [
+            len(p.user_ids) for p in index._parts
+        ]
+        assert sum(row["users"] for row in index.shard_stats()) == 60
+        sets = [[1, 2, 5], [9, 40]]
+        assert index.top_users_for_entity_sets(sets, 10) == store.top_users_for_entity_sets(sets, 10)
 
 
 class TestRuntimeShardIdentity:
@@ -288,3 +276,22 @@ class TestShardedRefreshChaos:
         phrase = max(shard_world.entities, key=lambda e: e.popularity).name
         view, result = resumed.target_users_for_phrases([phrase], depth=2, k=10)
         assert view.entities and result.users
+        assert resumed.runtime.versions()["preference_shards"] == 4
+
+        # A daily artifact torn between publish and open is quarantined;
+        # the runtime keeps serving the last-good generation.
+        publish = resumed.registry.publish_preferences
+
+        def torn_publish(store, tag=None):
+            record = publish(store, tag)
+            array = Path(record.path) / "shard-02" / "user_matrix.npy"
+            array.write_bytes(array.read_bytes()[:-7])
+            return record
+
+        resumed.registry.publish_preferences = torn_publish
+        resumed.daily_preference_refresh(shard_events)
+        assert resumed.runtime.versions()["preference_version"] == 1
+        assert resumed.registry.latest("preferences").version == 1
+        assert [q["version"] for q in resumed.registry.quarantined] == [2]
+        _, again = resumed.target_users_for_phrases([phrase], depth=2, k=10)
+        assert again.users == result.users
