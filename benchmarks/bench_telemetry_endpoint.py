@@ -2,9 +2,10 @@
 
 Prometheus scrapes land on the serving box every few seconds, so
 rendering the exposition text must stay far off the request path's
-latency budget. This benchmark stands up the real stdlib HTTP endpoint
-(:class:`~repro.obs.TelemetryServer` over ``EGLService.telemetry_routes``)
-on an ephemeral loopback port, densifies the registry with realistic
+latency budget. This benchmark stands up the real listener
+(:class:`~repro.serving.frontend.QueryFrontend`, which serves
+``EGLService.telemetry_routes`` to GET) on an ephemeral loopback port,
+densifies the registry with realistic
 traffic (spans, counters, latency histograms, drift reports), then times
 repeated warm GETs of ``/metrics`` end to end — socket, render, transfer.
 
@@ -21,6 +22,7 @@ import numpy as np
 from repro.obs import Observability
 from repro.online import EGLSystem
 from repro.online.api import EGLService, ExpandRequest
+from repro.serving.frontend import QueryFrontend
 
 from bench_common import bench_trmp_config, format_table, get_context, save_result
 
@@ -60,10 +62,8 @@ def _scrape(url: str) -> tuple[float, int]:
 
 
 def run_bench() -> dict:
-    from repro.obs import TelemetryServer
-
     service = _prepare()
-    with TelemetryServer(service.telemetry_routes()) as server:
+    with QueryFrontend(service) as server:
         url = server.url + "/metrics"
         for _ in range(WARMUP_SCRAPES):
             _scrape(url)

@@ -66,10 +66,11 @@ def main() -> None:
         for record in system.registry.records(kind):
             print(f"  [{record.kind}] v{record.version}  tag {record.tag}  "
                   f"source {record.source}  format {record.format}")
-    reader = system.store.snapshot_reader()  # pinned to the latest version
-    print(f"online stage serves pinned snapshot v{reader.version} "
-          f"({reader.num_edges} relations, {reader.artifact_format} artifact — "
-          f"generations swap by remapping, not copying)")
+    versions = system.runtime.versions()
+    graph = system.runtime.acquire().reasoner.graph  # the mapped CSR artifact
+    print(f"online stage serves graph v{versions['graph_version']} "
+          f"({graph.num_edges} relations, {versions['graph_format']} artifact at "
+          f"{graph.source.name}/ — generations swap by remapping, not copying)")
 
 
 if __name__ == "__main__":

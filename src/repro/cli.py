@@ -15,27 +15,19 @@ Commands
     Bring up the layered serving runtime (registry → runtime → cached read
     path → API), replay a burst of marketer requests through the API
     envelope, then print artifact versions, cache statistics and the
-    ``/metrics`` exposition. With ``--port`` it also binds the stdlib
-    telemetry HTTP endpoint (``/metrics``, ``/health``, ``/drift``,
-    ``/alerts``, ``/traces``) and prints its URL; ``--hold SECONDS`` keeps
-    it up for scraping, ``--log-json`` streams structured JSON logs to
-    stdout. With ``--frontend`` the bound endpoint is the concurrent
-    query front end instead: POST ``/expand``/``/target`` with admission
-    control (``--max-concurrency``, ``--max-queue``, ``--queue-timeout``),
-    structured 429/503 shed envelopes with ``Retry-After``, the GET
-    telemetry routes merged in, and a graceful drain on shutdown.
+    ``/metrics`` exposition. With ``--port`` it also binds the one HTTP
+    listener (:class:`~repro.serving.frontend.QueryFrontend`) and prints
+    its URL: POST ``/expand``/``/target`` with admission control
+    (``--max-concurrency``, ``--max-queue``, ``--queue-timeout``) and
+    structured 429/503 shed envelopes with ``Retry-After``; GET/HEAD
+    ``/metrics``, ``/health``, ``/drift``, ``/alerts``, ``/traces``,
+    ``/frontend``; a graceful drain on shutdown. ``--hold SECONDS`` keeps
+    it up, ``--log-json`` streams structured JSON logs to stdout.
 ``metrics``
     Run a miniature offline + online workload and print the Prometheus
     text exposition — request counters, latency histograms, cache
     hit/miss counts, artifact version gauges and per-stage TRMP timings.
     ``--json`` prints the machine-readable snapshot instead.
-``shards``
-    Run one sharded offline refresh (``--shards N`` hash partitions) plus
-    a request burst, then print the per-shard serving tables: entities
-    and edges owned per graph shard, users per preference shard, the
-    scatter-gather counters the burst drove, and per-generation disk
-    usage. ``serve`` and ``metrics`` accept ``--shards`` too and grow
-    shard columns when it is above one.
 ``refresh``
     Run one checkpointed weekly refresh against ``--artifact-root``.
     ``--kill-after STAGE`` injects a crash right after that stage
@@ -104,28 +96,16 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=20)
     serve.add_argument(
         "--port", type=int, default=None,
-        help="bind the telemetry HTTP endpoint on this port (0 = ephemeral)",
+        help="bind the HTTP listener (POST queries, GET telemetry) on this "
+             "port (0 = ephemeral)",
     )
     serve.add_argument(
         "--hold", type=float, default=0.0,
-        help="keep the telemetry endpoint up for SECONDS after the replay",
+        help="keep the listener up for SECONDS after the replay",
     )
     serve.add_argument(
         "--log-json", action="store_true",
         help="stream structured JSON logs to stdout",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1, dest="n_shards",
-        help="hash-shard the graph & preference substrate into N shards",
-    )
-    serve.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="shard worker pool size (default 1 = inline)",
-    )
-    serve.add_argument(
-        "--frontend", action="store_true",
-        help="bind the concurrent query front end (POST /expand, /target) "
-             "instead of the read-only telemetry endpoint",
     )
     serve.add_argument(
         "--max-concurrency", type=int, default=8,
@@ -153,28 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the machine-readable snapshot instead of the exposition",
     )
-    metrics.add_argument(
-        "--shards", type=int, default=1, dest="n_shards",
-        help="hash-shard the graph & preference substrate into N shards",
-    )
-
-    shards = sub.add_parser(
-        "shards", help="run a sharded refresh and print per-shard serving tables"
-    )
-    shards.add_argument("--entities", type=int, default=200)
-    shards.add_argument("--users", type=int, default=150)
-    shards.add_argument("--seed", type=int, default=7)
-    shards.add_argument(
-        "--shards", type=int, default=4, dest="n_shards",
-        help="hash partition count (fixed per store generation)",
-    )
-    shards.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="shard worker pool size (default 1 = inline)",
-    )
-    shards.add_argument("--requests", type=int, default=10, help="request burst size")
-    shards.add_argument("--depth", type=int, default=2)
-    shards.add_argument("--k", type=int, default=20)
 
     journeys = sub.add_parser(
         "journeys",
@@ -249,61 +207,6 @@ def _make_world(args):
     return world, generator
 
 
-def _make_system(world, args):
-    """An EGLSystem honoring the command's ``--shards`` flag.
-
-    Sharded serving needs an on-disk store (each shard is a versioned
-    store directory), so above one shard the system gets a throwaway
-    store + registry root.
-    """
-    from repro.online import EGLSystem
-
-    n_shards = getattr(args, "n_shards", 1) or 1
-    if n_shards <= 1:
-        return EGLSystem(world)
-    import tempfile
-    from pathlib import Path
-
-    root = Path(tempfile.mkdtemp(prefix="repro-shards-"))
-    return EGLSystem(
-        world,
-        store_path=root / "store",
-        artifact_root=root / "registry",
-        n_shards=n_shards,
-        shard_workers=getattr(args, "shard_workers", None),
-    )
-
-
-def _print_shard_tables(system) -> None:
-    """Per-shard serving tables (the ``shards`` command's main output)."""
-    from repro.obs.profile import mmap_open_counts
-
-    summary = system.runtime.shard_summary()
-    graph_rows = summary.get("graph") or []
-    if graph_rows:
-        print(f"\ngraph shards ({summary['graph_shards']}):")
-        print(f"  {'shard':>5s} {'entities':>9s} {'owned':>8s} {'incident':>9s} "
-              f"{'format':>12s} {'gather rows':>12s} {'candidates':>11s}")
-        for row in graph_rows:
-            print(f"  {row['shard']:>5d} {row['entities']:>9d} {row['edges_owned']:>8d} "
-                  f"{row['edges_incident']:>9d} {row['format']:>12s} "
-                  f"{row['gather_rows']:>12d} {row['gather_candidates']:>11d}")
-    pref_rows = summary.get("preferences") or []
-    if pref_rows:
-        print(f"\npreference shards ({summary['preference_shards']}):")
-        print(f"  {'shard':>5s} {'users':>7s} {'covered':>8s} {'score rows':>11s}")
-        for row in pref_rows:
-            print(f"  {row['shard']:>5d} {row['users']:>7d} {row['covered']:>8d} "
-                  f"{row['score_rows']:>11d}")
-    usage = system.resources.usage()
-    opens = mmap_open_counts()
-    for kind, stats in usage.get("artifacts", {}).items():
-        print(f"{kind}: {stats['generations']} generation(s), "
-              f"{stats['disk_bytes'] / 1024:.1f} KiB on disk, "
-              f"{stats['shards']} shard(s), "
-              f"{opens.get(kind, 0)} mmap open(s)")
-
-
 def cmd_demo(args) -> int:
     from repro.online import EGLSystem
 
@@ -372,18 +275,15 @@ def cmd_serve(args) -> int:
         return 2
     world, generator = _make_world(args)
     events = generator.generate()
-    system = _make_system(world, args)
+    system = EGLSystem(world)
     if args.log_json:
         system.obs.logger.attach_stream(sys.stdout)
     print("publishing offline artifacts...")
     report = system.weekly_refresh(events)
     system.daily_preference_refresh(events)
     versions = system.runtime.versions()
-    shard_note = (
-        f", {versions['graph_shards']} shards" if versions["graph_shards"] > 1 else ""
-    )
     print(f"  graph artifact    v{versions['graph_version']} ({versions['graph_tag']}, "
-          f"format {versions['graph_format']}{shard_note}), {report.num_relations} relations")
+          f"format {versions['graph_format']}), {report.num_relations} relations")
     print(f"  preference artifact v{versions['preference_version']} "
           f"({versions['preference_tag']}, format {versions['preference_format']})")
 
@@ -423,11 +323,9 @@ def cmd_serve(args) -> int:
         if last is not None:
             print(f"drift [{kind}]: {last['severity']} "
                   f"(v{last['old_version']} -> v{last['new_version']})")
-    if health["shards"]["sharded"]:
-        _print_shard_tables(system)
     _print_stage_breakdown(report.stage_seconds)
 
-    if args.frontend:
+    if args.port is not None:
         from repro.serving.frontend import QueryFrontend
 
         frontend = QueryFrontend(
@@ -435,14 +333,15 @@ def cmd_serve(args) -> int:
             max_concurrency=args.max_concurrency,
             max_queue=args.max_queue,
             queue_timeout=args.queue_timeout,
-            port=args.port if args.port is not None else 0,
+            port=args.port,
         )
         frontend.start()
         try:
-            print(f"\nquery front end: {frontend.url}")
+            print(f"\nlistener: {frontend.url}")
             for endpoint in frontend.POST_ENDPOINTS:
                 print(f"  POST {frontend.url}/{endpoint}")
-            print(f"  GET  {frontend.url}/frontend  (admission + breaker stats)")
+            for route in frontend.routes():
+                print(f"  GET  {frontend.url}{route}")
             snap = frontend.admission.snapshot()
             print(f"admission: {snap['max_concurrency']} tokens, "
                   f"queue {snap['max_queue']} deep, "
@@ -458,25 +357,6 @@ def cmd_serve(args) -> int:
             print(f"front end stopped (drained={drained}, "
                   f"admitted={frontend.admission.admitted}, "
                   f"shed={sum(frontend.admission.shed.values())})")
-    elif args.port is not None:
-        from repro.obs import TelemetryServer
-
-        server = TelemetryServer(
-            service.telemetry_routes(),
-            port=args.port,
-            metrics=system.obs.metrics,
-            logger=system.obs.logger.child("telemetry"),
-        )
-        with server:
-            print(f"\ntelemetry endpoint: {server.url}")
-            for route in server.routes():
-                print(f"  {server.url}{route}")
-            if args.hold > 0:
-                print(f"holding for {args.hold:.0f}s (ctrl-c to stop early)...")
-                try:
-                    time.sleep(args.hold)
-                except KeyboardInterrupt:
-                    pass
 
     print("\n=== /metrics ===")
     print(service.metrics_text(), end="")
@@ -499,13 +379,11 @@ def cmd_metrics(args) -> int:
 
     world, generator = _make_world(args)
     events = generator.generate()
-    system = _make_system(world, args)
+    system = EGLSystem(world)
     report = system.weekly_refresh(events)
     system.daily_preference_refresh(events)
     if not args.json:  # keep --json output pure machine-readable JSON
         _print_stage_breakdown(report.stage_seconds)
-        if system.runtime.shard_summary()["sharded"]:
-            _print_shard_tables(system)
 
     service = EGLService(system)
     popular = sorted(world.entities, key=lambda e: -e.popularity)
@@ -524,36 +402,6 @@ def cmd_metrics(args) -> int:
         return 0
     print("\n=== /metrics ===")
     print(service.metrics_text(), end="")
-    return 0
-
-
-def cmd_shards(args) -> int:
-    from repro.online.api import EGLService, ExpandRequest, TargetRequest
-
-    if args.n_shards < 1:
-        print("error: --shards must be a positive integer", file=sys.stderr)
-        return 2
-    world, generator = _make_world(args)
-    events = generator.generate()
-    system = _make_system(world, args)
-    print(f"sharded refresh: {args.n_shards} hash shards, "
-          f"pool size {system.shard_pool.size}")
-    report = system.weekly_refresh(events)
-    system.daily_preference_refresh(events)
-    print(f"graph generation v{report.graph_version} ({report.graph_format}, "
-          f"{report.graph_shards} shards), {report.num_relations} relations")
-
-    service = EGLService(system)
-    popular = sorted(world.entities, key=lambda e: -e.popularity)
-    phrases = [e.name for e in popular[: max(1, min(5, args.requests))]]
-    for i in range(max(1, args.requests)):
-        expand = service.expand(
-            ExpandRequest(phrases=[phrases[i % len(phrases)]], depth=args.depth)
-        )
-        if expand.ok:
-            ids = [e["entity_id"] for e in expand.payload["entities"]][:10]
-            service.target(TargetRequest(entity_ids=ids, k=args.k))
-    _print_shard_tables(system)
     return 0
 
 
@@ -678,7 +526,6 @@ _COMMANDS = {
     "graph-stats": cmd_graph_stats,
     "serve": cmd_serve,
     "metrics": cmd_metrics,
-    "shards": cmd_shards,
     "journeys": cmd_journeys,
     "profile": cmd_profile,
     "refresh": cmd_refresh,

@@ -18,12 +18,6 @@ from repro.graph.sampling import (
     sample_corrupted_targets,
     sample_negative_pairs,
 )
-from repro.graph.sharding import (
-    ShardedGraphStore,
-    ShardedSnapshotReader,
-    ShardWorkerPool,
-    shard_of,
-)
 from repro.graph.storage import GraphStore, SnapshotReader
 from repro.graph.metrics import GraphSummary, connected_components, degree_histogram, local_clustering, mean_clustering, summarize_graph
 
@@ -42,10 +36,6 @@ __all__ = [
     "sample_negative_pairs",
     "GraphStore",
     "SnapshotReader",
-    "ShardedGraphStore",
-    "ShardedSnapshotReader",
-    "ShardWorkerPool",
-    "shard_of",
     "GraphSummary",
     "connected_components",
     "degree_histogram",

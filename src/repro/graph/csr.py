@@ -7,9 +7,8 @@ committed graph version into a compressed-sparse-row artifact:
 * ``offsets`` — int32, ``num_nodes + 1`` entries; row ``n`` of the
   adjacency is ``neighbors[offsets[n]:offsets[n + 1]]``;
 * ``neighbors`` — int32, both directions of every undirected edge, each
-  row sorted ascending by neighbor id (the same order the legacy
-  dict-adjacency reader yields, which is what makes the two paths produce
-  identical expansions);
+  row sorted ascending by neighbor id (the adjacency order k-hop
+  expansion's tie rules are defined over);
 * ``weights`` — float32 edge confidences aligned with ``neighbors``;
 * ``relations`` — int32 relation-source ids aligned with ``neighbors``.
 
@@ -26,10 +25,12 @@ Checksum verification is therefore *not* performed on every open — it runs
 at publish time and at registry startup (``verify=True``), exactly like the
 registry's existing artifact-checksum story.
 
-Float note: weights are quantised to float32 at freeze time (half the
-bytes, twice the cache density). Expansion scores computed over a CSR
-artifact can differ from the float64 legacy path in the 8th significant
-digit; parity is exact whenever edge weights are float32-representable.
+Float rule: weights are quantised to float32 at freeze time (half the
+bytes, twice the cache density). An expansion score is the float64 product
+of the *stored* float32 weights along the best path — for a committed
+weight that is not float32-representable it differs from the product of
+the committed float64 values in the 8th significant digit, and weight
+comparisons (``min_edge_weight``, per-row top-k) see the stored value.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ class CSRGraph:
         """Freeze a canonical (one row per undirected edge) edge list.
 
         Both directions are materialised and every row is sorted by
-        neighbor id, matching the iteration order of the legacy snapshot
-        dict adjacency.
+        neighbor id.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         n_edges = len(pairs)
@@ -259,10 +259,8 @@ class CSRGraph:
         return "offsets" if name == "offsets" else f"{name}_arr"
 
     @classmethod
-    def load(
-        cls, directory: str | Path, mmap: bool = True, verify: bool = False
-    ) -> "CSRGraph":
-        """Open an artifact directory, memory-mapped read-only by default.
+    def load(cls, directory: str | Path, verify: bool = False) -> "CSRGraph":
+        """Open an artifact directory, memory-mapped read-only.
 
         ``verify=True`` additionally proves every array file's SHA-256
         against ``meta.json`` (publish-time / startup validation) and
@@ -297,13 +295,12 @@ class CSRGraph:
                         f"CSR artifact checksum missing or mismatched for {path}"
                     )
             try:
-                arrays[name] = np.load(path, mmap_mode="r" if mmap else None)
+                arrays[name] = np.load(path, mmap_mode="r")
             except (ValueError, OSError) as error:
                 raise CorruptArtifactError(
                     f"CSR artifact array unreadable: {path}"
                 ) from error
-            if mmap:
-                record_mmap_open("graph")
+            record_mmap_open("graph")
             if arrays[name].dtype != dtype:
                 raise CorruptArtifactError(
                     f"CSR artifact {path} has dtype {arrays[name].dtype}, "
@@ -332,7 +329,7 @@ class CSRGraph:
     @classmethod
     def validate(cls, directory: str | Path) -> bool:
         """Full checksum proof of an artifact directory (no arrays kept)."""
-        cls.load(directory, mmap=True, verify=True)
+        cls.load(directory, verify=True)
         return True
 
 

@@ -9,19 +9,13 @@ describes (§II-B: deeper expansion → more entities, lower relevance).
 Expansion is *hop-synchronous*: every node of a frontier expands from the
 score it held when the hop started, and all score improvements commit at
 the end of the hop. That makes the result a pure function of the graph and
-the parameters — independent of the order frontier rows are processed — and
-is what lets the vectorized CSR kernel and the pointwise fallback produce
-byte-identical :class:`ExpansionResult` contents.
+the parameters — independent of the order frontier rows are processed.
 
-Two kernels implement the same semantics:
-
-* ``_expand_csr`` — a frontier-sweep over a bulk CSR view (anything with a
-  ``csr_view() -> (offsets, neighbors, weights)`` method): one gather per
-  hop, vectorized weight filter / per-row top-k / best-parent merge. This
-  is the serving hot path over memmapped :class:`~repro.graph.csr.CSRGraph`
-  artifacts.
-* ``_expand_pointwise`` — the legacy per-node walk for readers that only
-  expose ``neighbors(node)`` point reads.
+One kernel, ``_expand_csr``, implements it: a frontier sweep over a CSR
+adjacency (anything with ``num_nodes`` and ``csr_view() -> (offsets,
+neighbors, weights)``) — one gather per hop, then a vectorized weight
+filter, per-row top-k and best-parent merge. ``tests/reference_model.py``
+holds the per-node definition it is checked against.
 """
 
 from __future__ import annotations
@@ -122,24 +116,6 @@ def k_hop_subgraph(
     return subgraph, expansion, node_ids
 
 
-def _top_k_stable(weights: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest weights, deterministically.
-
-    Equivalent to ``np.argsort(-weights, kind="stable")[:k]`` — descending
-    weight, ties broken by ascending position — but via ``argpartition``,
-    so the full-row sort is replaced by an O(n) selection plus an O(k log k)
-    sort of the winners.
-    """
-    n = len(weights)
-    if k >= n:
-        return np.argsort(-weights, kind="stable")
-    boundary = weights[np.argpartition(-weights, k - 1)[k - 1]]
-    strict = np.flatnonzero(weights > boundary)
-    ties = np.flatnonzero(weights == boundary)
-    chosen = np.concatenate([strict, ties[: k - len(strict)]])
-    return chosen[np.argsort(-weights[chosen], kind="stable")]
-
-
 def k_hop_expansion(
     graph: EntityGraph,
     seeds: list[int],
@@ -153,12 +129,10 @@ def k_hop_expansion(
     Parameters
     ----------
     graph:
-        The mined entity graph — anything exposing ``num_nodes`` and a
-        ``neighbors(node) -> (ids, weights)`` point read works, including
-        a pinned :class:`~repro.graph.storage.SnapshotReader`. Readers that
-        additionally expose ``csr_view()`` (:class:`EntityGraph`,
-        :class:`~repro.graph.csr.CSRGraph`, CSR-backed snapshot readers)
-        are served by the vectorized frontier-sweep kernel.
+        The mined entity graph — anything exposing ``num_nodes`` and
+        ``csr_view()``: a :class:`~repro.graph.csr.CSRGraph` artifact, a
+        pinned :class:`~repro.graph.storage.SnapshotReader`, or an
+        in-memory :class:`EntityGraph`.
     seeds:
         Seed entity ids (deduplicated, order preserved).
     depth:
@@ -188,60 +162,9 @@ def k_hop_expansion(
             seed_set.add(s)
             ordered_seeds.append(s)
 
-    if hasattr(graph, "csr_view") or hasattr(graph, "gather_frontier"):
-        return _expand_csr(
-            graph, ordered_seeds, depth, min_edge_weight, max_neighbors_per_node, max_nodes
-        )
-    return _expand_pointwise(
+    return _expand_csr(
         graph, ordered_seeds, depth, min_edge_weight, max_neighbors_per_node, max_nodes
     )
-
-
-def _expand_pointwise(
-    graph,
-    ordered_seeds: list[int],
-    depth: int,
-    min_edge_weight: float,
-    max_neighbors_per_node: int | None,
-    max_nodes: int | None,
-) -> ExpansionResult:
-    """Per-node fallback for readers exposing only point reads."""
-    seen: dict[int, float] = {s: 1.0 for s in ordered_seeds}
-    parents: dict[int, int] = {s: s for s in ordered_seeds}
-    hops: list[list[int]] = [list(ordered_seeds)]
-    frontier = list(ordered_seeds)
-    for _ in range(depth):
-        # Hop-synchronous: every frontier node expands from the score it
-        # held when the hop started, not from mid-hop improvements.
-        bases = [seen[node] for node in frontier]
-        next_frontier: list[int] = []
-        for node, base in zip(frontier, bases):
-            nbrs, weights = graph.neighbors(node)
-            if min_edge_weight > 0:
-                keep = weights >= min_edge_weight
-                nbrs, weights = nbrs[keep], weights[keep]
-            if max_neighbors_per_node is not None:
-                top = _top_k_stable(weights, max_neighbors_per_node)
-                nbrs, weights = nbrs[top], weights[top]
-            for nbr, w in zip(nbrs, weights):
-                nbr = int(nbr)
-                score = base * float(w)
-                if nbr not in seen:
-                    if max_nodes is not None and len(seen) >= max_nodes:
-                        continue
-                    seen[nbr] = score
-                    parents[nbr] = node
-                    next_frontier.append(nbr)
-                elif score > seen[nbr]:
-                    seen[nbr] = score
-                    parents[nbr] = node
-        hops.append(next_frontier)
-        frontier = next_frontier
-        if not frontier:
-            break
-    while len(hops) < depth + 1:
-        hops.append([])
-    return ExpansionResult(seeds=ordered_seeds, hops=hops, scores=seen, parents=parents)
 
 
 def _expand_csr(
@@ -252,19 +175,11 @@ def _expand_csr(
     max_neighbors_per_node: int | None,
     max_nodes: int | None,
 ) -> ExpansionResult:
-    """Vectorized frontier sweep over a bulk gather.
+    """Vectorized frontier sweep over one CSR adjacency.
 
     Per hop: one gather of every frontier row, a vectorized weight filter
     and per-row top-k, then a single lexsort-based merge that picks each
-    target's best (score, earliest-candidate) parent. Result contents are
-    identical to :func:`_expand_pointwise` over the same adjacency order.
-
-    The gather step is a hook: readers exposing
-    ``gather_frontier(frontier) -> (rep, nbrs, ws)`` (the sharded
-    scatter-gather reader) supply their own; plain ``csr_view()`` readers
-    get the local single-CSR gather. Both produce the candidate stream in
-    the same (frontier order, then row order) layout, so every downstream
-    stage — and therefore the result — is byte-identical either way.
+    target's best (score, earliest-candidate) parent.
 
     Each stage of the sweep runs under an ambient profiler phase
     (``expand.csr`` → ``seed_init`` / ``hop.gather`` / ``hop.filter_cap``
@@ -275,33 +190,7 @@ def _expand_csr(
     profiler = current_profiler()
     with profiler.phase("expand.csr"):
         with profiler.phase("seed_init"):
-            gather_frontier = getattr(graph, "gather_frontier", None)
-            if gather_frontier is None:
-                offsets, adj_nbrs, adj_ws = graph.csr_view()
-
-                def gather_frontier(frontier: np.ndarray):
-                    """Local gather of every frontier row from one CSR."""
-                    starts = np.asarray(offsets[frontier], dtype=np.int64)
-                    ends = np.asarray(offsets[frontier + 1], dtype=np.int64)
-                    counts = ends - starts
-                    total = int(counts.sum())
-                    if total == 0:
-                        return (
-                            np.empty(0, np.int64),
-                            np.empty(0, np.int64),
-                            np.empty(0, adj_ws.dtype),
-                        )
-                    # rep[i] says which frontier position produced candidate
-                    # i; within a row, candidates keep row order.
-                    rep = np.repeat(np.arange(len(frontier)), counts)
-                    row_start = np.cumsum(counts) - counts
-                    edge_idx = starts[rep] + (np.arange(total) - row_start[rep])
-                    return (
-                        rep,
-                        np.asarray(adj_nbrs[edge_idx], dtype=np.int64),
-                        np.asarray(adj_ws[edge_idx]),
-                    )
-
+            offsets, adj_nbrs, adj_ws = graph.csr_view()
             num_nodes = graph.num_nodes
 
             score = np.zeros(num_nodes)
@@ -319,12 +208,15 @@ def _expand_csr(
             if len(frontier) == 0:
                 break
             with profiler.phase("hop.gather"):
-                rep, nbrs, ws = gather_frontier(frontier)
-                total = len(nbrs)
-            if total == 0:
-                hops.append([])
-                frontier = np.empty(0, dtype=np.int64)
-                break
+                starts = np.asarray(offsets[frontier], dtype=np.int64)
+                counts = np.asarray(offsets[frontier + 1], dtype=np.int64) - starts
+                # rep[i] says which frontier position produced candidate i;
+                # within a row, candidates keep row order.
+                rep = np.repeat(np.arange(len(frontier)), counts)
+                row_start = np.cumsum(counts) - counts
+                edge_idx = starts[rep] + (np.arange(len(rep)) - row_start[rep])
+                nbrs = np.asarray(adj_nbrs[edge_idx], dtype=np.int64)
+                ws = np.asarray(adj_ws[edge_idx])
 
             with profiler.phase("hop.filter_cap"):
                 if min_edge_weight > 0:
@@ -332,8 +224,7 @@ def _expand_csr(
                     rep, nbrs, ws = rep[keep], nbrs[keep], ws[keep]
                 if max_neighbors_per_node is not None and len(rep):
                     # Reorder every row strongest-first (ties by position)
-                    # and keep its first `cap` entries — the bulk form of
-                    # _top_k_stable.
+                    # and keep its first `cap` entries.
                     pos = np.arange(len(rep))
                     order = np.lexsort((pos, -ws, rep))
                     rep_sorted = rep[order]
@@ -350,13 +241,12 @@ def _expand_csr(
                 break
 
             with profiler.phase("hop.merge"):
-                # Hop-synchronous bases (scores at hop start), float64 like
-                # the pointwise kernel's `base * float(w)`.
+                # Hop-synchronous bases (scores at hop start); the stored
+                # (float32) weights are multiplied in float64.
                 cand_scores = score[frontier[rep]] * ws.astype(np.float64)
 
                 # Per-target merge: best score wins, earliest candidate on
-                # ties — exactly the pointwise kernel's strictly-greater
-                # update rule.
+                # ties (a later candidate must be strictly greater to win).
                 merge = np.lexsort((np.arange(len(nbrs)), -cand_scores, nbrs))
                 nbrs_sorted = nbrs[merge]
                 best_mask = np.r_[True, nbrs_sorted[1:] != nbrs_sorted[:-1]]

@@ -4,9 +4,12 @@ The paper persists the mined entity graph in Geabase, Ant's distributed
 graph database, and refreshes it weekly (§II-B). This module provides the
 same *contract* as an embedded store:
 
-* durable writes through an append-only, CRC-checked write-ahead log;
-* weekly ``commit_version`` snapshots (compacted ``.npz`` files) that the
-  online stage serves reads from;
+* durable writes through an append-only, CRC-checked, fsynced
+  write-ahead log;
+* weekly ``commit_version`` generations: a compacted ``.npz`` snapshot
+  (the write side's merge base for the next commit) plus the frozen
+  ``csr-NNNNNN/`` :class:`~repro.graph.csr.CSRGraph` artifact the online
+  stage serves reads from;
 * crash recovery: on reopen, the latest snapshot is loaded and the WAL tail
   is replayed, truncating at the first corrupt record;
 * point reads (``neighbors``) that merge the snapshot with the memtable.
@@ -18,6 +21,7 @@ weekly batch producer / online reader split at reproduction scale.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import struct
 import zlib
@@ -28,6 +32,7 @@ import numpy as np
 from repro.errors import StorageError
 from repro.graph.csr import CSRGraph
 from repro.graph.entity_graph import EntityGraph
+from repro.resilience.atomic import atomic_write_text
 
 _WAL_HEADER = struct.Struct("<II")  # (payload length, crc32)
 
@@ -38,96 +43,34 @@ _OP_DELETE = "delete"
 class SnapshotReader:
     """Immutable read-only view pinned to one committed version.
 
-    The online stage serves from snapshot readers, never from the live
-    store: once constructed, the reader's data is pinned and stays frozen,
-    so concurrent writes, later commits, and even :meth:`GraphStore.compact`
-    deleting the backing file cannot change what an in-flight request sees.
-    Exposes the same ``num_nodes``/``neighbors`` contract as
-    :class:`~repro.graph.entity_graph.EntityGraph`, so k-hop expansion runs
-    directly on it.
-
-    Versions committed since the CSR substrate landed carry a frozen
-    :class:`~repro.graph.csr.CSRGraph` artifact next to the ``.npz``
-    snapshot; the reader then serves from the memmapped CSR arrays
-    (``artifact_format == "csr"``) and additionally exposes ``csr_view()``
-    so k-hop expansion takes the vectorized kernel. Legacy snapshot-only
-    versions fall back to the dict adjacency, built lazily and shared per
-    ``(store, version)`` so pinning the same version twice does not double
-    memory.
+    The reader maps the version's frozen CSR artifact when constructed and
+    stays frozen: concurrent writes, later commits, and even
+    :meth:`GraphStore.compact` deleting the backing directory cannot change
+    what an in-flight request sees. Exposes ``num_nodes`` / ``csr_view()``
+    / ``neighbors``, so k-hop expansion runs directly on it.
     """
 
-    def __init__(self, store: "GraphStore", version: int, use_csr: bool = True) -> None:
+    artifact_format = CSRGraph.artifact_format
+
+    def __init__(self, store: "GraphStore", version: int) -> None:
         self.version = version
         self.num_nodes = store.num_nodes
-        self._csr = store._open_csr(version) if use_csr else None
-        self._adjacency: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
-        if self._csr is not None:
-            self._pairs = self._weights = self._relations = None
-            self._adjacency_cache = None
-            # Instance attribute on purpose: legacy readers must NOT have
-            # csr_view, so k_hop_expansion's hasattr dispatch stays honest.
-            self.csr_view = self._csr.csr_view
-        else:
-            self._pairs, self._weights, self._relations = store._cached_snapshot(version)
-            self._adjacency_cache = store._adjacency_cache
-
-    @property
-    def artifact_format(self) -> str:
-        """``"csr"`` (memmapped artifact) or ``"snapshot"`` (legacy dict)."""
-        return "csr" if self._csr is not None else "snapshot"
+        self._csr = store._open_csr(version)
 
     @property
     def num_edges(self) -> int:
-        if self._csr is not None:
-            return self._csr.num_edges
-        return int(len(self._pairs))
+        return self._csr.num_edges
 
-    def _build_adjacency(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        if self._adjacency is None:
-            cache = self._adjacency_cache
-            if cache is not None and self.version in cache:
-                self._adjacency = cache[self.version]
-                return self._adjacency
-            nbrs: dict[int, list[tuple[int, float]]] = {}
-            for (u, v), w in zip(self._pairs, self._weights):
-                nbrs.setdefault(int(u), []).append((int(v), float(w)))
-                nbrs.setdefault(int(v), []).append((int(u), float(w)))
-            self._adjacency = {
-                node: (
-                    np.array([n for n, _ in pairs], dtype=np.int64),
-                    np.array([w for _, w in pairs]),
-                )
-                for node, pairs in nbrs.items()
-            }
-            if cache is not None:
-                cache[self.version] = self._adjacency
-        return self._adjacency
+    def csr_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._csr.csr_view()
 
     def neighbors(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """``(neighbor_ids, weights)`` arrays — EntityGraph-compatible."""
-        node = int(node)
-        if not 0 <= node < self.num_nodes:
-            raise StorageError(f"node {node} out of range")
-        if self._csr is not None:
-            return self._csr.neighbors(node)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        return self._build_adjacency().get(node, empty)
+        return self._csr.neighbors(node)
 
     def graph(self) -> EntityGraph:
         """Materialise the pinned version as an :class:`EntityGraph`."""
-        if self._csr is not None:
-            return self._csr.graph()
-        if len(self._pairs) == 0:
-            return EntityGraph(
-                self.num_nodes, np.empty(0, np.int64), np.empty(0, np.int64)
-            )
-        return EntityGraph(
-            self.num_nodes,
-            self._pairs[:, 0],
-            self._pairs[:, 1],
-            self._weights,
-            self._relations,
-        )
+        return self._csr.graph()
 
 
 class GraphStore:
@@ -163,12 +106,8 @@ class GraphStore:
         self.num_nodes = int(self._manifest["num_nodes"])
         # memtable: canonical pair -> (weight, relation) or None for deletes
         self._memtable: dict[tuple[int, int], tuple[float, int] | None] = {}
-        # Per-version shared caches: snapshot arrays, the lazily-built dict
-        # adjacency (legacy read path), and opened memmap CSR artifacts.
-        # Shared so two readers pinning the same version reuse one copy;
-        # evicted by compact() when a version is dropped.
-        self._snapshot_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._adjacency_cache: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+        # Opened memmap CSR artifacts, shared so two readers pinning the
+        # same version reuse one mapping; evicted by compact().
         self._csr_cache: dict[int, CSRGraph] = {}
         self._replay_wal()
 
@@ -211,6 +150,7 @@ class GraphStore:
             f.write(header)
             f.write(payload)
             f.flush()
+            os.fsync(f.fileno())
 
     def _replay_wal(self) -> None:
         if not self._wal_path.exists():
@@ -249,9 +189,9 @@ class GraphStore:
 
         Returns the new version number. The WAL is truncated afterwards:
         all its effects are now captured by the snapshot. Alongside the
-        ``.npz`` snapshot the version is frozen into an immutable CSR
-        artifact directory (``csr-NNNNNN/``) that the serving read path
-        memory-maps; the manifest entry records its presence.
+        ``.npz`` snapshot (the next commit's merge base) the version is
+        frozen into an immutable CSR artifact directory (``csr-NNNNNN/``)
+        — the only form the serving read path opens.
         """
         merged = self._merged_edges()
         version = (self._manifest["versions"][-1]["version"] + 1) if self._manifest["versions"] else 1
@@ -273,7 +213,6 @@ class GraphStore:
                 "version": version,
                 "tag": tag or f"v{version}",
                 "edges": int(len(pairs)),
-                "csr": True,
             }
         )
         self._write_manifest()
@@ -286,39 +225,15 @@ class GraphStore:
         """Directory of the frozen CSR artifact for ``version``."""
         return self.path / f"csr-{version:06d}"
 
-    def artifact_paths(self, version: int) -> list[Path]:
-        """The immutable on-disk artifacts of one committed version.
-
-        Used by the resource accountant: unlike the store root (which
-        grows as new versions land), each of these paths never changes
-        after commit, so per-path size caching stays accurate.
-        """
-        return [self.path / f"snapshot-{version:06d}.npz", self.csr_path(version)]
-
-    def _open_csr(self, version: int) -> CSRGraph | None:
-        """Memory-map a version's CSR artifact; ``None`` for legacy versions.
+    def _open_csr(self, version: int) -> CSRGraph:
+        """Memory-map a version's CSR artifact.
 
         Opened artifacts are shared per (store, version): remapping the
         same generation twice costs one page table, not two copies.
         """
         cached = self._csr_cache.get(version)
-        if cached is not None:
-            return cached
-        directory = self.csr_path(version)
-        if not (directory / "meta.json").exists():
-            return None
-        csr = CSRGraph.load(directory)
-        self._csr_cache[version] = csr
-        return csr
-
-    def _cached_snapshot(
-        self, version: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Snapshot arrays shared per (store, version) for legacy readers."""
-        cached = self._snapshot_cache.get(version)
         if cached is None:
-            cached = self._read_snapshot(version)
-            self._snapshot_cache[version] = cached
+            cached = self._csr_cache[version] = CSRGraph.load(self.csr_path(version))
         return cached
 
     def versions(self) -> list[dict]:
@@ -345,17 +260,12 @@ class GraphStore:
             )
         return EntityGraph(self.num_nodes, pairs[:, 0], pairs[:, 1], weights, relations)
 
-    def snapshot_reader(
-        self, version: int | None = None, use_csr: bool = True
-    ) -> SnapshotReader:
+    def snapshot_reader(self, version: int | None = None) -> SnapshotReader:
         """A pinned, immutable reader over one committed version.
 
         Defaults to the latest version. Unlike :meth:`load_version`, the
-        reader keeps its version id attached and serves point reads without
-        the memtable merge — it is the artifact the serving runtime holds.
-        When the version carries a CSR artifact (every commit since the CSR
-        substrate landed) the reader is memmap-backed; ``use_csr=False``
-        forces the legacy dict-adjacency path (benchmarks, debugging).
+        reader keeps its version id attached and serves from the version's
+        memmapped CSR artifact without the memtable merge.
         """
         if version is None:
             version = self.latest_version()
@@ -364,7 +274,7 @@ class GraphStore:
         known = {v["version"] for v in self._manifest["versions"]}
         if version not in known:
             raise StorageError(f"unknown version {version}; have {sorted(known)}")
-        return SnapshotReader(self, version, use_csr=use_csr)
+        return SnapshotReader(self, version)
 
     def current_graph(self) -> EntityGraph:
         """Latest snapshot merged with uncommitted memtable edits."""
@@ -448,8 +358,6 @@ class GraphStore:
             if snap.exists():
                 snap.unlink()
             shutil.rmtree(self.csr_path(dropped), ignore_errors=True)
-            self._snapshot_cache.pop(dropped, None)
-            self._adjacency_cache.pop(dropped, None)
             self._csr_cache.pop(dropped, None)
         self._manifest["versions"] = keep
         self._write_manifest()
@@ -478,6 +386,4 @@ class GraphStore:
         }
 
     def _write_manifest(self) -> None:
-        tmp = self._manifest_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self._manifest, indent=2))
-        tmp.replace(self._manifest_path)
+        atomic_write_text(self._manifest_path, json.dumps(self._manifest, indent=2))

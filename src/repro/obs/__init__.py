@@ -1,5 +1,5 @@
 """repro.obs — dependency-free observability: metrics, tracing, clocks,
-structured logging, drift detection, SLOs/alerts, telemetry endpoint.
+structured logging, drift detection, SLOs/alerts.
 
 The paper's online stage answers marketer queries "in milliseconds" while
 weekly/daily refreshes republish artifacts underneath it; operating that
@@ -39,10 +39,6 @@ just swapped in drift, are we inside our SLOs, should anyone be paged?
     :class:`SLOTracker` rolling-window objectives + error-budget burn
     rate, and the :class:`AlertManager` rule engine with firing/resolved
     state.
-``server``
-    :class:`TelemetryServer` — a stdlib ``http.server`` endpoint exposing
-    ``/metrics``, ``/health``, ``/drift``, ``/alerts`` and ``/traces``.
-
 One :class:`Observability` bundle (registry + tracer + clock + logger) is
 created per :class:`~repro.online.EGLSystem` and shared by the serving
 runtime, the TRMP pipeline and the API facade. ``Observability.disabled()``
@@ -85,7 +81,6 @@ from repro.obs.profile import (
     mmap_open_counts,
     record_mmap_open,
 )
-from repro.obs.server import TelemetryServer
 from repro.obs.slo import (
     AlertManager,
     AlertRule,
@@ -169,6 +164,5 @@ __all__ = [
     "AlertRule",
     "default_objectives",
     "default_alert_rules",
-    "TelemetryServer",
     "Observability",
 ]

@@ -175,7 +175,7 @@ def topk_overlap(old_ids, new_ids) -> float:
 # ----------------------------------------------------------------------
 def _as_entity_graph(graph):
     """Accept an :class:`~repro.graph.EntityGraph` or anything exposing
-    ``graph()`` (a pinned :class:`~repro.graph.storage.SnapshotReader`)."""
+    ``graph()`` (a frozen :class:`~repro.graph.csr.CSRGraph`)."""
     if hasattr(graph, "canonical_pairs"):
         return graph
     return graph.graph()
@@ -312,42 +312,8 @@ class DriftMonitor:
         self, old_graph, new_graph, old_version: int | None, new_version: int
     ) -> DriftReport:
         measured = compare_graphs(old_graph, new_graph, bins=self.config.bins)
-        shard_rows = self._shard_graph_metrics(old_graph, new_graph)
-        if shard_rows is not None:
-            measured["shards"] = shard_rows
         severity, reasons = self._classify_graph(measured)
         return self._finalize("graph", old_version, new_version, measured, severity, reasons)
-
-    def _shard_graph_metrics(self, old_graph, new_graph) -> list[dict] | None:
-        """Per-shard structural deltas when both generations are sharded.
-
-        The merged-graph metrics above stay the classification input — the
-        per-shard rows localize *where* churn landed (one hot shard vs an
-        even reshuffle), which the merged view cannot distinguish. Only
-        computed when both readers expose ``shard_graph`` with the same
-        shard count; a re-shard between generations falls back to the
-        merged comparison alone.
-        """
-        old_fn = getattr(old_graph, "shard_graph", None)
-        new_fn = getattr(new_graph, "shard_graph", None)
-        n_old = getattr(old_graph, "n_shards", None)
-        n_new = getattr(new_graph, "n_shards", None)
-        if not callable(old_fn) or not callable(new_fn) or not n_new or n_old != n_new:
-            return None
-        rows = []
-        for s in range(n_new):
-            m = compare_graphs(old_fn(s), new_fn(s), bins=self.config.bins)
-            rows.append(
-                {
-                    "shard": s,
-                    "old_edges": m["old_edges"],
-                    "new_edges": m["new_edges"],
-                    "edge_churn": m["edge_churn"],
-                    "edge_ratio": m["edge_ratio"],
-                    "degree_psi": m["degree_shift"]["psi"],
-                }
-            )
-        return rows
 
     def preference_report(
         self, old_store, new_store, old_version: int | None, new_version: int

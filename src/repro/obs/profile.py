@@ -268,27 +268,6 @@ class ResourceAccountant:
             cached = self._bytes_cache[key] = _tree_bytes(key)
         return cached
 
-    def _record_paths(self, record) -> list:
-        """The on-disk paths one record's bytes live under.
-
-        Store-backed records (``source`` "store"/"sharded_store") point
-        ``record.path`` at the *store root* — a mutable directory shared by
-        every generation, so walking it per record both double-counts and
-        goes stale in the per-path cache as later versions commit. Those
-        records resolve through the bound store's ``artifact_paths``
-        (per-generation immutable snapshot/CSR paths, per-shard for a
-        sharded store) so each generation is counted exactly once and the
-        cache stays valid.
-        """
-        if getattr(record, "source", None) in ("store", "sharded_store"):
-            store = getattr(self._registry, "graph_store", None)
-            if store is not None:
-                try:
-                    return list(store.artifact_paths(record.version))
-                except Exception:
-                    pass
-        return [getattr(record, "path", None)]
-
     def usage(self) -> dict:
         """JSON-safe per-kind usage summary (the ``/profile`` payload)."""
         out: dict = {"mmap_opens": mmap_open_counts(), "artifacts": {}}
@@ -299,15 +278,9 @@ class ResourceAccountant:
                 records = self._registry.records(kind)
             except Exception:
                 records = []
-            total = 0
-            shards = 1
-            for record in records:
-                total += sum(self._path_bytes(p) for p in self._record_paths(record))
-                shards = max(shards, int(getattr(record, "shards", None) or 1))
             out["artifacts"][kind] = {
                 "generations": len(records),
-                "disk_bytes": total,
-                "shards": shards,
+                "disk_bytes": sum(self._path_bytes(record.path) for record in records),
             }
         return out
 

@@ -45,14 +45,15 @@ from repro.obs.context import (
     next_correlation_id,
     unbind_context,
 )
-from repro.obs.server import (
-    JSON_CONTENT_TYPE,
-    NDJSON_CONTENT_TYPE,
-    OPENMETRICS_CONTENT_TYPE,
-    PROMETHEUS_CONTENT_TYPE,
-)
 from repro.online.system import EGLSystem
 from repro.resilience import Deadline
+
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+OPENMETRICS_CONTENT_TYPE = (
+    "application/openmetrics-text; version=1.0.0; charset=utf-8"
+)
+JSON_CONTENT_TYPE = "application/json"
+NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
 #: Exception class → machine-readable envelope code, most specific first
 #: (``CorruptArtifactError`` subclasses ``StorageError``; ``ReproError``
@@ -452,7 +453,6 @@ class EGLService:
                 "preferences_ready": runtime_health["preferences_ready"],
                 "ensemble_ready": self.system.pipeline.ensemble is not None,
                 "store": store_stats,
-                "shards": runtime_health["shards"],
                 "quarantined": list(self.system.registry.quarantined),
                 "runtime": runtime_health,
                 "artifacts": {
@@ -502,7 +502,9 @@ class EGLService:
         return payload
 
     def telemetry_routes(self) -> dict:
-        """The route table a :class:`~repro.obs.TelemetryServer` serves.
+        """The GET route table :class:`~repro.serving.frontend.QueryFrontend`
+        serves: path → zero-arg callable returning ``(content_type, body)``
+        (body ``str`` or ``bytes``).
 
         Every route renders from already-maintained state — scrapes share
         the process with request serving, so nothing here recomputes

@@ -59,7 +59,7 @@ class GraphReasoner:
 
     def __init__(
         self,
-        graph: EntityGraph,  # or any neighbors()-compatible reader (SnapshotReader)
+        graph: EntityGraph,  # or any csr_view() reader (a frozen CSRGraph)
         entity_dict: EntityDict,
         semantic_encoder: SemanticEntityEncoder | None = None,
         e_semantic: np.ndarray | None = None,

@@ -28,13 +28,11 @@ from repro.datasets.behavior import BehaviorEvent
 from repro.datasets.world import World
 from repro.errors import (
     CircuitOpenError,
-    ConfigError,
     DriftGateError,
     NotFittedError,
     StorageError,
 )
 from repro.graph.entity_graph import EntityGraph
-from repro.graph.sharding import ShardedGraphStore, ShardWorkerPool
 from repro.graph.storage import GraphStore
 from repro.obs import (
     AlertManager,
@@ -90,12 +88,9 @@ class RefreshReport:
     #: Content digest of the published ranked graph — identical for a
     #: resumed and an uninterrupted run of the same seeded refresh.
     artifact_digest: str | None = None
-    #: On-disk format of the published graph generation ("csr" when the
-    #: zero-copy artifact was frozen, "snapshot"/"memory" otherwise;
-    #: "csr-sharded" for a sharded generation).
+    #: Format of the published graph generation: "csr" (frozen artifact
+    #: directory) or "memory" (storeless, rootless registry).
     graph_format: str | None = None
-    #: Shard count of the published generation (1 = unsharded substrate).
-    graph_shards: int = 1
 
 
 class EGLSystem:
@@ -113,8 +108,6 @@ class EGLSystem:
         gate_on_critical_drift: bool = False,
         retry_policy: RetryPolicy | None = None,
         faults: FaultInjector | None = None,
-        n_shards: int = 1,
-        shard_workers: int | None = None,
     ) -> None:
         self.world = world
         self.obs = obs or Observability()
@@ -123,31 +116,11 @@ class EGLSystem:
         if self.retry.on_retry is None:
             self.retry.on_retry = self._count_retry
         self.feedback = FeedbackRecorder()
-        if n_shards < 1:
-            raise ConfigError("n_shards must be >= 1")
-        if n_shards > 1 and store_path is None:
-            raise ConfigError(
-                "sharded graph serving (n_shards > 1) requires a store_path: "
-                "each shard is a versioned on-disk store"
-            )
-        self.n_shards = int(n_shards)
-        #: Worker pool the scatter-gather read path and the sharded refresh
-        #: share; size 1 (the default) runs shard work inline on the
-        #: coordinator thread — same results, no thread hops.
-        self.shard_pool = ShardWorkerPool(
-            shard_workers if shard_workers is not None else 1
+        self.store = (
+            GraphStore(store_path, num_nodes=world.num_entities)
+            if store_path is not None
+            else None
         )
-        if store_path is None:
-            self.store = None
-        elif self.n_shards > 1:
-            self.store = ShardedGraphStore(
-                store_path,
-                num_nodes=world.num_entities,
-                n_shards=self.n_shards,
-                faults=faults,
-            )
-        else:
-            self.store = GraphStore(store_path, num_nodes=world.num_entities)
         self.registry = ArtifactRegistry(root=artifact_root, faults=faults)
         self.pipeline = TRMPipeline(
             world, config, obs=self.obs,
@@ -197,54 +170,6 @@ class EGLSystem:
         self.obs.logger.child("resilience").warning(
             "retry", seam=seam, attempt=attempt, error=str(error)
         )
-
-    def _shard_freeze_stages(self, run: WeeklyRun) -> list:
-        """One checkpointed freeze stage per shard of the week's graph.
-
-        Each stage routes the ranked graph's edges into its shard (staging
-        is idempotent) and freezes them into a new shard version — WAL →
-        snapshot → CSR, returning the :meth:`ShardedGraphStore.commit_shard`
-        payload the generation commit needs. The pipeline checkpoints each
-        stage as ``artifact_freeze.shardNN``, so a refresh killed between
-        shards resumes the remainder without re-freezing completed shards.
-        """
-        tag = f"week-{run.week}"
-        lo, hi = run.ranked_graph.canonical_pairs()
-        pairs = np.stack([lo, hi], axis=1)
-        weights = run.ranked_graph.weight
-        relations = run.ranked_graph.relation
-
-        def freeze_shard(shard: int) -> dict:
-            self.store.stage_shard(shard, pairs, weights, relations)
-            return self.store.commit_shard(shard, tag=tag)
-
-        return [
-            (f"shard{s:02d}", lambda s=s: freeze_shard(s))
-            for s in range(self.n_shards)
-        ]
-
-    def _publish_sharded_generation(self, run: WeeklyRun, shard_payloads: list) -> dict:
-        """Generation-level commit + registry publication (sharded path).
-
-        ``commit_generation`` is the atomic visibility point — until its
-        manifest rewrite lands, the freshly frozen shard versions are
-        unreferenced and serving keeps resolving the previous generation.
-        Re-running after a crash between commit and publication is safe:
-        the same shard versions map back to the existing generation.
-        """
-        tag = f"week-{run.week}"
-        generation = self.store.commit_generation(shard_payloads, tag=tag)
-        record = self.retry.call(
-            lambda: self.registry.publish_graph(self.store, version=generation, tag=tag),
-            seam="registry.publish_graph",
-        )
-        return {
-            "version": record.version,
-            "tag": record.tag,
-            "format": record.format,
-            "shards": record.shards,
-            "digest": graph_digest(run.ranked_graph),
-        }
 
     def _publish_week_graph(self, run: WeeklyRun) -> dict:
         """Commit + publish one week's mined graph; returns a path-free
@@ -296,23 +221,12 @@ class EGLSystem:
                 events, feedback_pairs=feedback_pairs, run_id=run_id, resume=resume
             )
 
-            # Freeze + register the mined graph (the registry writes the
-            # CSR artifact alongside the snapshot) as its own checkpointed
+            # Freeze + register the mined graph as its own checkpointed
             # stage: a crash between publication and activation resumes
-            # onto the already-registered generation. Sharded serving
-            # splits the freeze into one checkpointed stage per shard; the
-            # final publish is the generation-level atomic commit.
-            if self.n_shards > 1:
-                frozen = self.pipeline.freeze_artifacts(
-                    run_id,
-                    lambda payloads: self._publish_sharded_generation(run, payloads),
-                    resume=resume,
-                    shard_stages=self._shard_freeze_stages(run),
-                )
-            else:
-                frozen = self.pipeline.freeze_artifacts(
-                    run_id, lambda: self._publish_week_graph(run), resume=resume
-                )
+            # onto the already-registered generation.
+            frozen = self.pipeline.freeze_artifacts(
+                run_id, lambda: self._publish_week_graph(run), resume=resume
+            )
 
             ensemble_trained = False
             if len(self.pipeline.weekly_runs) >= 2:
@@ -323,10 +237,7 @@ class EGLSystem:
             # requests already in flight finish on the previous version.
             reasoner = GraphReasoner(
                 self.retry.call(
-                    lambda: self.registry.open_graph(
-                        frozen["version"],
-                        pool=self.shard_pool if self.n_shards > 1 else None,
-                    ),
+                    lambda: self.registry.open_graph(frozen["version"]),
                     seam="registry.open_graph",
                 ),
                 self.pipeline.entity_dict,
@@ -366,7 +277,6 @@ class EGLSystem:
             resumed_stages=list(run.resumed_stages),
             artifact_digest=graph_digest(run.ranked_graph),
             graph_format=frozen.get("format"),
-            graph_shards=int(frozen.get("shards") or 1),
         )
 
     def daily_preference_refresh(self, events: list[BehaviorEvent]) -> int:
@@ -378,7 +288,6 @@ class EGLSystem:
             sequences = self.pipeline.extractor.extract_sequences(events)
             store = PreferenceStore(embeddings).build(sequences, self.world.num_users)
             covered = int(store.covered_users.sum())
-            store = store.partitioned(self.n_shards, pool=self.shard_pool)
             record = self.retry.call(
                 lambda: self.registry.publish_preferences(store),
                 seam="registry.publish_preferences",
@@ -387,9 +296,7 @@ class EGLSystem:
                 # Serve the registry's artifact: a rooted registry maps the
                 # published pages read-only and shared, not copied.
                 serve_store = self.retry.call(
-                    lambda: self.registry.open_preferences(
-                        record.version, pool=self.shard_pool
-                    ),
+                    lambda: self.registry.open_preferences(record.version),
                     seam="registry.open_preferences",
                 )
             except StorageError:

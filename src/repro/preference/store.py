@@ -5,12 +5,11 @@ these entities" in milliseconds, so the daily job pre-computes one row per
 user — the embedding ``r_u`` (Eq. 7) and the user's sparse interaction
 frequencies ``freq_u(e)`` — and :class:`PreferenceStore` serves them.
 
-Rows live in ``P >= 1`` user partitions (hash
-:func:`~repro.graph.sharding.shard_of`). One partition is the default;
-``P > 1`` runs the same code once per partition, optionally on a
-:class:`~repro.graph.sharding.ShardWorkerPool`, and merges the
-per-partition top-K under the canonical order (descending score, ties by
-ascending user id). Every answer is byte-identical for every ``P``.
+Rows live in ``P >= 1`` user partitions (hash :func:`shard_of`). One
+partition is the default; ``P > 1`` runs the same code once per partition
+and merges the per-partition top-K under the canonical order (descending
+score, ties by ascending user id). Every answer is byte-identical for
+every ``P``.
 
 One scoring kernel: the request's combine weights are folded into the
 entity side once (``q = E_unionᵀ · combine``), each partition scores
@@ -39,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigError, CorruptArtifactError, NotFittedError, StorageError
-from repro.graph.sharding import shard_of
 from repro.obs.profile import current_profiler, record_mmap_open
 from repro.preference.user_embedding import user_embedding, user_embedding_matrix
 from repro.resilience import atomic_write_bytes, atomic_write_text, file_digest, sha256_hex
@@ -57,6 +55,40 @@ _PARTITION_ARRAYS = (
     ("col_idx", np.int64),
     ("values", np.float64),
 )
+
+
+#: splitmix64 finalizer constants — fixed forever; changing them would
+#: silently re-route every user and orphan published partition layouts.
+_MIX_0 = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def shard_of(user_ids, n_shards: int):
+    """Owning partition of each user id — the stable hash partitioner.
+
+    Vectorized splitmix64 finalizer over the raw id, reduced modulo
+    ``n_shards``. Pure arithmetic on fixed constants: the mapping depends
+    only on ``(user_id, n_shards)``, never on process, platform, or
+    insertion order, which is what lets ``meta.json`` pin routing by
+    recording ``n_shards`` alone.
+
+    Accepts a scalar or an array; returns ``int`` or an int64 array.
+    """
+    if n_shards < 1:
+        raise StorageError("n_shards must be >= 1")
+    scalar = np.isscalar(user_ids) or getattr(user_ids, "ndim", 1) == 0
+    ids = np.atleast_1d(np.asarray(user_ids, dtype=np.uint64))
+    if n_shards == 1:
+        out = np.zeros(len(ids), dtype=np.int64)
+    else:
+        with np.errstate(over="ignore"):
+            x = ids + _MIX_0
+            x = (x ^ (x >> np.uint64(30))) * _MIX_1
+            x = (x ^ (x >> np.uint64(27))) * _MIX_2
+            x = x ^ (x >> np.uint64(31))
+            out = (x % np.uint64(n_shards)).astype(np.int64)
+    return int(out[0]) if scalar else out
 
 
 @dataclass
@@ -213,15 +245,13 @@ class PreferenceStore:
         self.storage = "memory"
         self.num_users = 0
         self._parts: list[_Partition] = []
-        self._pool = None
         #: Per-partition ranked-row counters, exported with ``shard``
         #: labels by the serving runtime's metrics collector.
         self.shard_score_rows: list[int] = []
 
-    def _adopt(self, parts: list[_Partition], num_users: int, pool=None) -> "PreferenceStore":
+    def _adopt(self, parts: list[_Partition], num_users: int) -> "PreferenceStore":
         self._parts = parts
         self.num_users = int(num_users)
-        self._pool = pool
         self.shard_score_rows = [0] * len(parts)
         return self
 
@@ -253,12 +283,8 @@ class PreferenceStore:
             num_users,
         )
 
-    def partitioned(self, n_shards: int, pool=None) -> "PreferenceStore":
-        """The same rows split into ``n_shards`` hash partitions.
-
-        ``pool`` (a :class:`~repro.graph.sharding.ShardWorkerPool`) scores
-        partitions concurrently; without one they run inline.
-        """
+    def partitioned(self, n_shards: int) -> "PreferenceStore":
+        """The same rows split into ``n_shards`` hash partitions."""
         self._require_built()
         if n_shards < 1:
             raise ConfigError("n_shards must be >= 1")
@@ -274,7 +300,7 @@ class PreferenceStore:
             version_tag=self.version_tag,
         )
         out.storage = self.storage if parts is self._parts else "memory"
-        return out._adopt(parts, self.num_users, pool)
+        return out._adopt(parts, self.num_users)
 
     def update_user(self, sequence: UserEntitySequence) -> None:
         """Incremental daily refresh of a single user, in place.
@@ -444,13 +470,10 @@ class PreferenceStore:
                     (s, queries, slot_of, combine, k_eff)
                     for s in range(len(self._parts))
                 ]
-                if self._pool is not None and self._pool.size > 1:
-                    results = self._pool.map(self._score_partition, tasks)
-                else:
-                    results = []
-                    for task in tasks:
-                        with profiler.phase(f"shard{task[0]:02d}"):
-                            results.append(self._score_partition(task))
+                results = []
+                for task in tasks:
+                    with profiler.phase(f"shard{task[0]:02d}"):
+                        results.append(self._score_partition(task))
             with profiler.phase("merge"):
                 merged: list[list[UserScore]] = []
                 for index, top in results:
@@ -537,9 +560,7 @@ class PreferenceStore:
         return directory
 
     @classmethod
-    def load_memmap(
-        cls, directory: str | Path, verify: bool = False, pool=None
-    ) -> "PreferenceStore":
+    def load_memmap(cls, directory: str | Path, verify: bool = False) -> "PreferenceStore":
         """Open a :meth:`save_memmap` artifact, memory-mapped read-only.
 
         ``verify=True`` proves every array file against the manifest
@@ -621,7 +642,7 @@ class PreferenceStore:
             ) from error
         _check_shapes(directory, store.entity_embeddings, parts, num_users)
         store.storage = "memmap"
-        return store._adopt(parts, num_users, pool)
+        return store._adopt(parts, num_users)
 
     @classmethod
     def validate_memmap(cls, directory: str | Path) -> bool:

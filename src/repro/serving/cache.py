@@ -8,11 +8,6 @@ makes every old entry unreachable — no explicit flush, no risk of serving a
 stale expansion for a new graph. Replaced versions are purged eagerly to
 bound memory; anything else ages out by LRU.
 
-The version token is any hashable value, not necessarily an int: the
-runtime keys sharded generations with ``(version, n_shards)`` tuples so a
-re-sharded world (same numeric version, different partitioning of the read
-path) can never collide with entries computed under another shard count.
-
 The cache is thread-safe: the concurrent front end drives ``get``/``put``
 from a thread pool, and ``OrderedDict.move_to_end`` + the eviction loop +
 the bytes accounting are multi-step read-modify-writes that corrupt the

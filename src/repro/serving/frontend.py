@@ -1,11 +1,13 @@
-"""Concurrent query front end: admission control, backpressure, drain.
+"""The one HTTP listener: admission control, backpressure, drain, telemetry.
 
 The paper's online stage answers "heavy traffic from millions of users";
 everything below this module already serves one request correctly — this
 module makes *many at once* safe. A :class:`QueryFrontend` drives an
 :class:`~repro.online.api.EGLService` from a thread pool (stdlib
-``ThreadingHTTPServer``, the same idiom as
-:class:`~repro.obs.TelemetryServer`) behind an
+``ThreadingHTTPServer``): POST queries go through :meth:`dispatch`,
+GET/HEAD requests render the service's telemetry routes (``/metrics``,
+``/health``, …, plus ``/frontend``), and every response leaves through one
+responder in one socket write. Queries run behind an
 :class:`AdmissionController` that enforces:
 
 * **token-style concurrency** — at most ``max_concurrency`` requests
@@ -63,9 +65,18 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ConfigError, ReproError
-from repro.obs.server import JSON_CONTENT_TYPE
-from repro.online.api import EGLService, ExpandRequest, TargetRequest, error_code
+from repro.online.api import (
+    JSON_CONTENT_TYPE,
+    EGLService,
+    ExpandRequest,
+    TargetRequest,
+    error_code,
+)
 from repro.resilience import CircuitBreaker, Deadline
+
+#: Largest request body the listener will read, in bytes. A longer
+#: ``Content-Length`` is refused (413) without reading it.
+MAX_BODY_BYTES = 1 << 20
 
 #: Envelope code → HTTP status. Sheds are 429 (back off and retry) or 503
 #: (service-level condition); expired budgets are 504; anything unmapped
@@ -224,6 +235,11 @@ class AdmissionController:
             }
 
 
+def _route_path(handler: BaseHTTPRequestHandler) -> str:
+    """The request path without query string or trailing slash."""
+    return handler.path.split("?", 1)[0].rstrip("/") or "/"
+
+
 def _build(cls, payload: dict):
     """Payload dict → request dataclass; unknown keys are caller errors."""
     if not isinstance(payload, dict):
@@ -239,7 +255,8 @@ class QueryFrontend:
 
     :meth:`dispatch` is the transport-free core — benchmarks and tests
     drive it directly from threads; the HTTP listener is a thin wrapper
-    that JSON-decodes bodies and maps envelopes to statuses/headers.
+    that JSON-decodes bodies, maps envelopes to statuses/headers and
+    serves the service's telemetry routes to GET/HEAD.
     """
 
     POST_ENDPOINTS = ("expand", "target", "target_batch", "feedback")
@@ -285,6 +302,7 @@ class QueryFrontend:
         )
         self._request_counters: dict[tuple[str, str], object] = {}
         self._shed_counters: dict[str, object] = {}
+        self._http_counters: dict[tuple[str, int], object] = {}
         self._metrics = metrics
         metrics.add_collector(self._collect)
         self._handlers = {
@@ -292,6 +310,14 @@ class QueryFrontend:
             "target": lambda p: self.service.target(_build(TargetRequest, p)),
             "target_batch": self._handle_target_batch,
             "feedback": self._handle_feedback,
+        }
+        self._get_routes = dict(service.telemetry_routes())
+        self._get_routes["/frontend"] = lambda: (
+            JSON_CONTENT_TYPE, json.dumps(self.stats())
+        )
+        # The only values the request counter's ``path`` label takes.
+        self._known_paths = frozenset(self._get_routes) | {
+            f"/{endpoint}" for endpoint in self.POST_ENDPOINTS
         }
 
     # ------------------------------------------------------------------
@@ -339,6 +365,19 @@ class QueryFrontend:
                 reason=reason,
             )
             self._shed_counters[reason] = counter
+        counter.inc()
+
+    def _count_http(self, path: str, status: int) -> None:
+        if path not in self._known_paths:
+            path = "other"  # a port scan must not mint a series per probe
+        counter = self._http_counters.get((path, status))
+        if counter is None:
+            counter = self._metrics.counter(
+                "frontend_http_requests_total",
+                help="Requests answered by the listener, by path and status",
+                path=path, status=str(status),
+            )
+            self._http_counters[(path, status)] = counter
         counter.inc()
 
     def _collect(self) -> None:
@@ -505,14 +544,14 @@ class QueryFrontend:
     # ------------------------------------------------------------------
     # HTTP surface
     # ------------------------------------------------------------------
+    def routes(self) -> list[str]:
+        """The GET/HEAD route table, sorted."""
+        return sorted(self._get_routes)
+
     def start(self) -> "QueryFrontend":
         if self._httpd is not None:
             return self
         frontend = self
-        get_routes = dict(self.service.telemetry_routes())
-        get_routes["/frontend"] = lambda: (
-            JSON_CONTENT_TYPE, json.dumps(frontend.stats())
-        )
 
         class _Handler(BaseHTTPRequestHandler):
             server_version = "repro-frontend/1.0"
@@ -522,7 +561,11 @@ class QueryFrontend:
                 frontend._handle_post(self)
 
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                frontend._handle_get(self, get_routes)
+                frontend._handle_get(self)
+
+            # Load balancers and scrapers probe with HEAD: same status and
+            # headers as the GET, no body bytes on the wire.
+            do_HEAD = do_GET  # noqa: N815 (http.server API)
 
             def log_message(self, *args) -> None:
                 pass  # access logs go through the structured logger
@@ -542,7 +585,7 @@ class QueryFrontend:
         )
         self._thread.start()
         self._log.info(
-            "frontend_started", url=self.url,
+            "frontend_started", url=self.url, routes=self.routes(),
             max_concurrency=self.admission.max_concurrency,
             max_queue=self.admission.max_queue,
         )
@@ -584,63 +627,99 @@ class QueryFrontend:
 
     # ------------------------------------------------------------------
     def _handle_post(self, handler: BaseHTTPRequestHandler) -> None:
-        path = handler.path.split("?", 1)[0].rstrip("/")
+        path = _route_path(handler)
         endpoint = path.lstrip("/")
         start = self._perf()
-        if endpoint not in self.POST_ENDPOINTS:
-            status, envelope = self._error(
+        try:
+            length = int(handler.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Read-or-close: a body that cannot be (or will not be) read
+            # would be parsed as the next request line, so this
+            # connection ends with the refusal.
+            handler.close_connection = True
+            _, envelope = self._error(
                 endpoint or "/", start, "invalid_argument",
-                f"no POST route {path!r}; endpoints: {list(self.POST_ENDPOINTS)}",
+                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]",
             )
+            status = 413 if length > MAX_BODY_BYTES else 400
         else:
-            try:
-                length = int(handler.headers.get("Content-Length") or 0)
-                raw = handler.rfile.read(length) if length else b"{}"
-                payload = json.loads(raw.decode("utf-8")) if raw.strip() else {}
-            except (ValueError, UnicodeDecodeError) as error:
+            # Consumed before routing: an unknown route must not leave its
+            # body behind on a keep-alive connection either.
+            raw = handler.rfile.read(length)
+            if endpoint not in self.POST_ENDPOINTS:
                 status, envelope = self._error(
-                    endpoint, start, "invalid_argument", f"bad JSON body: {error}"
+                    endpoint or "/", start, "invalid_argument",
+                    f"no POST route {path!r}; endpoints: {list(self.POST_ENDPOINTS)}",
                 )
             else:
-                status, envelope = self.dispatch(endpoint, payload)
-        self._respond(handler, status, envelope)
-
-    def _handle_get(self, handler: BaseHTTPRequestHandler, routes: dict) -> None:
-        path = handler.path.split("?", 1)[0].rstrip("/") or "/"
-        route = routes.get(path)
-        if route is None:
-            self._respond(
-                handler, 404,
-                {"error": f"no route {path!r}", "routes": sorted(routes)},
-            )
-            return
-        try:
-            content_type, body = route()
-        except Exception as error:  # route bugs must not kill the thread
-            self._respond(handler, 500, {"error": f"{type(error).__name__}: {error}"})
-            return
-        payload = body.encode("utf-8") if isinstance(body, str) else body
-        handler.send_response(200)
-        handler.send_header("Content-Type", content_type)
-        handler.send_header("Content-Length", str(len(payload)))
-        handler.end_headers()
-        handler.wfile.write(payload)
-
-    def _respond(self, handler: BaseHTTPRequestHandler, status: int, envelope: dict) -> None:
-        payload = json.dumps(envelope).encode("utf-8")
-        handler.send_response(status)
-        handler.send_header("Content-Type", JSON_CONTENT_TYPE)
-        handler.send_header("Content-Length", str(len(payload)))
+                try:
+                    payload = json.loads(raw.decode("utf-8")) if raw.strip() else {}
+                except (ValueError, UnicodeDecodeError) as error:
+                    status, envelope = self._error(
+                        endpoint, start, "invalid_argument", f"bad JSON body: {error}"
+                    )
+                else:
+                    status, envelope = self.dispatch(endpoint, payload)
+        extra_headers = []
         retry_after_ms = envelope.get("retry_after_ms")
         if retry_after_ms is not None:
             # HTTP Retry-After is integral seconds; round up so clients
             # never retry before the advertised window.
-            handler.send_header("Retry-After", str(max(1, math.ceil(retry_after_ms / 1000))))
+            extra_headers.append(
+                ("Retry-After", str(max(1, math.ceil(retry_after_ms / 1000))))
+            )
+        self._send(handler, status, JSON_CONTENT_TYPE, json.dumps(envelope), extra_headers)
+
+    def _handle_get(self, handler: BaseHTTPRequestHandler) -> None:
+        path = _route_path(handler)
+        route = self._get_routes.get(path)
+        status, content_type = 200, JSON_CONTENT_TYPE
+        if route is None:
+            status = 404
+            body = json.dumps({"error": f"no route {path!r}", "routes": self.routes()})
+        else:
+            try:
+                content_type, body = route()
+            except Exception as error:  # route bugs must not kill the thread
+                self._log.error("route_failed", path=path, error=repr(error))
+                status, content_type = 500, JSON_CONTENT_TYPE
+                body = json.dumps({"error": f"{type(error).__name__}: {error}"})
+        self._send(handler, status, content_type, body)
+
+    def _send(
+        self,
+        handler: BaseHTTPRequestHandler,
+        status: int,
+        content_type: str,
+        body: "str | bytes",
+        extra_headers=(),
+    ) -> None:
+        """The one responder: count the request, then emit status line,
+        headers and body.
+
+        ``Content-Length`` always states the body a GET would carry, also
+        on HEAD responses where the body itself is omitted (RFC 9110).
+        Headers and body still leave in two writes, as before the
+        listeners were merged; ROADMAP item 1(a) makes them one.
+        """
+        self._count_http(_route_path(handler), status)
+        payload = body.encode("utf-8") if isinstance(body, str) else body
+        handler.send_response(status)
+        handler.send_header("Content-Type", content_type)
+        handler.send_header("Content-Length", str(len(payload)))
+        for name, value in extra_headers:
+            handler.send_header(name, value)
+        if handler.close_connection:
+            handler.send_header("Connection", "close")
         handler.end_headers()
-        handler.wfile.write(payload)
+        if handler.command != "HEAD":
+            handler.wfile.write(payload)
 
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "AdmissionController",
     "QueryFrontend",
     "HTTP_STATUS_BY_CODE",

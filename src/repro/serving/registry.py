@@ -6,12 +6,12 @@ artifact. The registry makes that explicit: every publish creates an
 immutable, named, versioned record; readers open artifacts *by version* and
 the record list only ever grows. Two artifact kinds exist today:
 
-* ``graph`` — a committed :class:`~repro.graph.GraphStore` version (opened
-  as a pinned :class:`~repro.graph.storage.SnapshotReader`, memmap CSR
-  backed when the version carries the frozen artifact), a rooted storeless
-  publish (frozen straight to a ``graph-csr-NNNNNN/`` CSR directory under
-  the registry root, source ``"csr"``), or an in-memory
-  :class:`~repro.graph.EntityGraph` when the registry has no root;
+* ``graph`` — a frozen :class:`~repro.graph.csr.CSRGraph` directory: the
+  ``csr-NNNNNN/`` a :class:`~repro.graph.GraphStore` wrote when it
+  committed the version, or the ``graph-csr-NNNNNN/`` the registry itself
+  freezes a plain :class:`~repro.graph.EntityGraph` to under its root;
+  an in-memory :class:`~repro.graph.EntityGraph` when the registry has
+  no root;
 * ``preferences`` — a built :class:`~repro.preference.PreferenceStore`,
   frozen to a memmap-able ``preferences-NNNNNN/`` directory (one
   sub-directory per user partition) when the registry has a root
@@ -27,10 +27,11 @@ Crash safety (a rooted registry is the system's durable state):
   full at publish and at startup, trusted (structure checks only) at
   swap time so an open stays O(1) in artifact size;
 * one recovery rule for every kind: an artifact that fails validation is
-  *quarantined* under ``quarantine/`` and its record dropped instead of
-  serving bad bytes — ``latest()`` then resolves to the previous good
-  generation, at startup as well as on open, so a corrupt artifact on
-  disk degrades the catalogue rather than crashing the process;
+  *quarantined* (moved into a ``quarantine/`` directory beside it) and its
+  record dropped instead of serving bad bytes — ``latest()`` then resolves
+  to the previous good generation, at startup as well as on open, so a
+  corrupt artifact on disk degrades the catalogue rather than crashing
+  the process;
 * per-stage refresh checkpoints live in a sibling
   :class:`~repro.resilience.CheckpointStore` under ``checkpoints/``.
 
@@ -53,8 +54,7 @@ from repro.errors import CorruptArtifactError, StorageError
 from repro.obs.drift import DriftReport
 from repro.graph.csr import CSRGraph, csr_meta_digest
 from repro.graph.entity_graph import EntityGraph
-from repro.graph.sharding import ShardedGraphStore, ShardWorkerPool
-from repro.graph.storage import GraphStore, SnapshotReader
+from repro.graph.storage import GraphStore
 from repro.preference.store import PreferenceStore
 from repro.resilience import (
     CheckpointStore,
@@ -69,27 +69,28 @@ KIND_PREFERENCES = "preferences"
 MANIFEST_NAME = "registry.json"
 QUARANTINE_DIR = "quarantine"
 
+#: Record sources whose ``path`` is an artifact directory; every other
+#: record is held in memory and dies with its process.
+_DIRECTORY_SOURCES = ("csr", "file")
+
 
 @dataclass(frozen=True)
 class ArtifactRecord:
     """One immutable published artifact: what it is and where it lives.
 
-    ``format`` names the serving representation (``"csr"``,
-    ``"csr-sharded"``, ``"snapshot"``, ``"memmap"``, ``"memory"``). For a
-    directory artifact ``path`` is the directory and ``checksum`` the
-    digest of its ``meta.json``. ``shards`` records the generation's
-    shard count (``None`` ≡ 1).
+    ``format`` names the serving representation (``"csr"``, ``"memmap"``,
+    ``"memory"``). For a directory artifact ``path`` is the directory and
+    ``checksum`` the digest of its ``meta.json``.
     """
 
     kind: str
     version: int
     tag: str
-    source: str  # "store" | "file" | "memory" | "csr" | "sharded_store"
+    source: str  # "csr" | "file" | "memory"
     path: str | None = None
     edges: int | None = None
     checksum: str | None = None
     format: str | None = None
-    shards: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +102,6 @@ class ArtifactRecord:
             "edges": self.edges,
             "checksum": self.checksum,
             "format": self.format,
-            "shards": self.shards,
         }
 
     @classmethod
@@ -115,7 +115,6 @@ class ArtifactRecord:
             edges=data.get("edges"),
             checksum=data.get("checksum"),
             format=data.get("format"),
-            shards=data.get("shards"),
         )
 
 
@@ -147,7 +146,6 @@ class ArtifactRegistry:
             KIND_GRAPH: [],
             KIND_PREFERENCES: [],
         }
-        self._graph_store: GraphStore | None = None
         self._memory: dict[tuple[str, int], object] = {}
         self._drift: dict[tuple[str, int], DriftReport] = {}
         #: Artifacts moved aside because they failed validation — each entry
@@ -173,19 +171,16 @@ class ArtifactRegistry:
         """Register a weekly graph artifact.
 
         A :class:`GraphStore` publishes one of its committed versions
-        (default: latest) — the snapshot + CSR artifact pair *is* the
-        artifact; the frozen CSR directory is checksum-verified here at
-        publish time (verify-at-ingest) so later opens can trust-and-map
-        it without re-hashing. A plain :class:`EntityGraph` is frozen to a
-        ``graph-csr-NNNNNN/`` CSR directory when the registry is rooted
-        (source ``"csr"``, durable across restarts) and kept in memory
-        otherwise.
+        (default: latest): the record points at the ``csr-NNNNNN/``
+        directory the commit froze, proven in full here (verify-at-ingest)
+        so later opens can map it without re-hashing — a freeze that fails
+        the proof raises and no record is appended. A plain
+        :class:`EntityGraph` is frozen to ``graph-csr-NNNNNN/`` under the
+        registry root, or kept in memory when the registry has none. The
+        ``meta.json`` digest goes into the record, pinning the directory.
         """
         self._check_faults("registry.write")
-        if isinstance(graph, (GraphStore, ShardedGraphStore)):
-            if self._graph_store is not None and self._graph_store is not graph:
-                raise StorageError("registry is already bound to a different GraphStore")
-            self._graph_store = graph
+        if isinstance(graph, GraphStore):
             if version is None:
                 version = graph.latest_version()
                 if version is None:
@@ -193,104 +188,32 @@ class ArtifactRegistry:
             meta = {v["version"]: v for v in graph.versions()}
             if version not in meta:
                 raise StorageError(f"store has no committed version {version}")
-            if isinstance(graph, ShardedGraphStore):
-                # Verify-at-ingest for every shard: a generation with one
-                # bad shard must never be registered — the publish raises
-                # before _append, so latest() keeps resolving to the
-                # previous good generation (atomic rollback).
-                self._verify_sharded_generation(graph, version)
-                record = ArtifactRecord(
-                    kind=KIND_GRAPH,
-                    version=version,
-                    tag=tag or meta[version]["tag"],
-                    source="sharded_store",
-                    path=str(graph.path),
-                    edges=meta[version]["edges"],
-                    format="csr-sharded",
-                    shards=graph.n_shards,
-                )
-            else:
-                record = ArtifactRecord(
-                    kind=KIND_GRAPH,
-                    version=version,
-                    tag=tag or meta[version]["tag"],
-                    source="store",
-                    path=str(graph.path),
-                    edges=meta[version]["edges"],
-                    format=self._verified_store_format(graph, version),
-                )
-        elif self.root is not None:
-            version = self._next_version(KIND_GRAPH) if version is None else version
-            directory = self.root / f"graph-csr-{version:06d}"
-            CSRGraph.from_entity_graph(graph).save(directory)
-            record = ArtifactRecord(
-                kind=KIND_GRAPH,
-                version=version,
-                tag=tag or f"graph-v{version}",
-                source="csr",
-                path=str(directory),
-                edges=graph.num_edges,
-                checksum=csr_meta_digest(directory),
-                format="csr",
-            )
+            directory = graph.csr_path(version)
+            CSRGraph.validate(directory)
+            tag = tag or meta[version]["tag"]
+            edges = meta[version]["edges"]
         else:
             version = self._next_version(KIND_GRAPH) if version is None else version
+            tag = tag or f"graph-v{version}"
+            edges = graph.num_edges
+            directory = None
+            if self.root is not None:
+                directory = CSRGraph.from_entity_graph(graph).save(
+                    self.root / f"graph-csr-{version:06d}"
+                )
+        if directory is None:
             record = ArtifactRecord(
-                kind=KIND_GRAPH,
-                version=version,
-                tag=tag or f"graph-v{version}",
-                source="memory",
-                edges=graph.num_edges,
-                format="memory",
+                kind=KIND_GRAPH, version=version, tag=tag, source="memory",
+                edges=edges, format="memory",
             )
             self._memory[(KIND_GRAPH, version)] = graph
-        return self._append(record)
-
-    def _verify_sharded_generation(
-        self, store: ShardedGraphStore, generation: int
-    ) -> None:
-        """Digest + array proof of every shard CSR of one generation.
-
-        Any failure quarantines the offending shard artifact and raises —
-        no record is appended, the generation is never servable.
-        """
-        entry = store._generation_entry(generation)
-        for spec in entry["shards"]:
-            directory = store.shard_store(spec["shard"]).csr_path(spec["version"])
-            try:
-                if (
-                    not (directory / "meta.json").exists()
-                    or csr_meta_digest(directory) != spec["checksum"]
-                ):
-                    raise CorruptArtifactError("shard manifest digest mismatch")
-                CSRGraph.validate(directory)
-            except (StorageError, TypeError) as error:
-                self._quarantine_dir(
-                    KIND_GRAPH,
-                    generation,
-                    directory,
-                    f"shard {spec['shard']} CSR invalid: {error}",
-                )
-                raise StorageError(
-                    f"sharded generation {generation} rejected: shard "
-                    f"{spec['shard']} failed validation: {error}"
-                ) from error
-
-    def _verified_store_format(self, store: GraphStore, version: int) -> str:
-        """``"csr"`` when the version's CSR artifact proves out, else
-        ``"snapshot"`` (legacy versions, or a corrupt freeze that gets
-        quarantined here so the reader falls back to the dict path)."""
-        directory = store.csr_path(version)
-        if not (directory / "meta.json").exists():
-            return "snapshot"
-        try:
-            CSRGraph.validate(directory)
-        except StorageError:
-            self._quarantine_dir(
-                KIND_GRAPH, version, directory, "CSR artifact failed validation"
+        else:
+            record = ArtifactRecord(
+                kind=KIND_GRAPH, version=version, tag=tag, source="csr",
+                path=str(directory), edges=edges,
+                checksum=csr_meta_digest(directory), format="csr",
             )
-            return "snapshot"
-        return "csr"
+        return self._append(record)
 
     def publish_preferences(
         self, store: PreferenceStore, tag: str | None = None
@@ -307,19 +230,18 @@ class ArtifactRegistry:
         version = self._next_version(KIND_PREFERENCES)
         tag = tag or f"daily-{version}"
         store.version_tag = tag
-        shards = store.n_shards if store.n_shards > 1 else None
         if self.root is not None:
             directory = store.save_memmap(self.root / f"preferences-{version:06d}")
             record = ArtifactRecord(
                 kind=KIND_PREFERENCES, version=version, tag=tag,
                 source="file", path=str(directory),
                 checksum=file_digest(directory / "meta.json"),
-                format="memmap", shards=shards,
+                format="memmap",
             )
         else:
             record = ArtifactRecord(
                 kind=KIND_PREFERENCES, version=version, tag=tag, source="memory",
-                format="memory", shards=shards,
+                format="memory",
             )
             self._memory[(KIND_PREFERENCES, version)] = store
         return self._append(record)
@@ -327,50 +249,32 @@ class ArtifactRegistry:
     # ------------------------------------------------------------------
     # Open (serving side)
     # ------------------------------------------------------------------
-    def open_graph(self, version: int | None = None, pool: ShardWorkerPool | None = None):
-        """Open a published graph artifact, pinned to its version.
+    def open_graph(self, version: int | None = None) -> CSRGraph | EntityGraph:
+        """Open a published graph artifact (maps it from disk if frozen).
 
-        Store records resolve to a pinned snapshot reader (memmap CSR
-        backed when available); ``sharded_store`` records resolve to a
-        scatter-gather :class:`~repro.graph.sharding.ShardedSnapshotReader`
-        over that generation's shard artifacts (``pool`` supplies the
-        shard worker pool); ``csr`` records map the frozen artifact
-        directory read-only — the checksums were proven at publish (or
-        startup), so the open itself is O(1) in graph size.
+        The directory's checksums were proven at publish (or startup), so
+        the open maps it read-only after structure checks alone — O(1) in
+        graph size. An artifact that no longer opens is quarantined and
+        its record dropped before
+        :class:`~repro.errors.CorruptArtifactError` is raised — the next
+        ``open_graph()`` resolves to the previous good version.
         """
         self._check_faults("registry.read")
         record = self._resolve(KIND_GRAPH, version)
-        if record.source in ("store", "sharded_store"):
-            if self._graph_store is None:
-                raise StorageError(
-                    "graph record references a GraphStore this process has "
-                    "not bound; publish the store first"
-                )
-            if record.source == "sharded_store":
-                return self._graph_store.snapshot_reader(record.version, pool=pool)
-            return self._graph_store.snapshot_reader(record.version)
         if record.source == "csr":
             return self._open_directory(record, CSRGraph.load)
         return self._memory[(KIND_GRAPH, record.version)]
 
-    def open_preferences(
-        self, version: int | None = None, pool: ShardWorkerPool | None = None
-    ) -> PreferenceStore:
+    def open_preferences(self, version: int | None = None) -> PreferenceStore:
         """Open a published preference artifact (maps it from disk if rooted).
 
-        The directory was proven at publish (or startup), so the open maps
-        it read-only after structure checks alone. An artifact that no
-        longer opens is quarantined and its record dropped before
-        :class:`~repro.errors.CorruptArtifactError` is raised — the next
-        ``open_preferences()`` resolves to the previous good version.
-        ``pool`` scores the partitions of a multi-partition artifact.
+        Same contract as :meth:`open_graph`: trusted map, quarantine on
+        failure, previous generation next.
         """
         self._check_faults("registry.read")
         record = self._resolve(KIND_PREFERENCES, version)
         if record.source == "file":
-            return self._open_directory(
-                record, lambda path: PreferenceStore.load_memmap(path, pool=pool)
-            )
+            return self._open_directory(record, PreferenceStore.load_memmap)
         return self._memory[(KIND_PREFERENCES, record.version)]
 
     # ------------------------------------------------------------------
@@ -401,44 +305,17 @@ class ArtifactRegistry:
         else:
             PreferenceStore.validate_memmap(directory)
 
-    def _quarantine_dir(
-        self, kind: str, version: int, directory: Path, reason: str
-    ) -> None:
-        """Move a bad artifact *directory* aside without touching records.
+    def _quarantine(self, record: ArtifactRecord, reason: str) -> None:
+        """Move the bad artifact aside, drop the record, keep the evidence.
 
-        Used for store-owned CSR freezes: the snapshot next to it keeps
-        serving (or the publish is refused), so no record changes hands —
-        the evidence lands in ``quarantined`` either way. The
-        directory moves into a ``quarantine/`` sibling so it works for
-        store-owned paths as well as registry-root paths.
+        The directory moves into a ``quarantine/`` sibling — same
+        filesystem whether it lives under the registry root or inside a
+        :class:`GraphStore`, so the rename cannot fail half way.
         """
         quarantined_path = None
-        if directory.exists():
-            qdir = (
-                self.root / QUARANTINE_DIR
-                if self.root is not None
-                else directory.parent / QUARANTINE_DIR
-            )
-            qdir.mkdir(parents=True, exist_ok=True)
-            quarantined_path = qdir / directory.name
-            if quarantined_path.exists():
-                shutil.rmtree(quarantined_path, ignore_errors=True)
-            os.replace(directory, quarantined_path)
-        self.quarantined.append(
-            {
-                "kind": kind,
-                "version": version,
-                "path": str(quarantined_path) if quarantined_path else str(directory),
-                "reason": reason,
-            }
-        )
-
-    def _quarantine(self, record: ArtifactRecord, reason: str) -> None:
-        """Move the bad artifact aside, drop the record, keep the evidence."""
-        quarantined_path = None
         path = Path(record.path) if record.path else None
-        if path is not None and path.exists() and self.root is not None:
-            qdir = self.root / QUARANTINE_DIR
+        if path is not None and path.exists():
+            qdir = path.parent / QUARANTINE_DIR
             qdir.mkdir(parents=True, exist_ok=True)
             quarantined_path = qdir / path.name
             if quarantined_path.exists() and quarantined_path.is_dir():
@@ -530,11 +407,10 @@ class ArtifactRegistry:
     def _load_manifest(self) -> None:
         """Reload the published catalogue; validate every file artifact.
 
-        Memory-source records died with their process and are dropped;
-        store-source records are kept (they resolve again once the
-        GraphStore is re-bound); directory artifacts that fail their
-        checksums are quarantined — startup never crashes on a torn
-        artifact.
+        In-memory records died with their process and are dropped;
+        directory artifacts get the full checksum proof, so every later
+        open can map them without re-hashing, and the ones that fail it
+        are quarantined — startup never crashes on a torn artifact.
         """
         assert self.root is not None
         path = self.root / MANIFEST_NAME
@@ -557,16 +433,13 @@ class ArtifactRegistry:
         for kind in self._records:
             for data in raw.get(kind, []):
                 record = ArtifactRecord.from_dict(data)
-                if record.source == "memory":
+                if record.source not in _DIRECTORY_SOURCES:
                     continue
-                if record.source in ("csr", "file"):
-                    # Full checksum proof at startup, so every later open
-                    # can map the directory without re-hashing.
-                    try:
-                        self._verify_directory(record)
-                    except (StorageError, TypeError) as error:
-                        corrupt.append((record, f"artifact invalid: {error}"))
-                        continue
+                try:
+                    self._verify_directory(record)
+                except (StorageError, TypeError) as error:
+                    corrupt.append((record, f"artifact invalid: {error}"))
+                    continue
                 self._records[kind].append(record)
         for record, reason in corrupt:
             self._quarantine(record, reason)
@@ -574,12 +447,6 @@ class ArtifactRegistry:
     # ------------------------------------------------------------------
     # Catalogue
     # ------------------------------------------------------------------
-    @property
-    def graph_store(self):
-        """The bound (possibly sharded) graph store, if any — used by the
-        resource accountant to enumerate per-generation artifact paths."""
-        return self._graph_store
-
     def records(self, kind: str) -> list[ArtifactRecord]:
         return list(self._require_kind(kind))
 

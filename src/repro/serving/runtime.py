@@ -86,23 +86,8 @@ class ActiveArtifacts:
     preference_tag: str | None = None
     preference_store: PreferenceStore | None = None
     targeting: UserTargeting | None = None
-    #: Shard counts of the generation that produced each artifact. 1 for
-    #: the unsharded substrate; >1 when the artifact came out of a
-    #: ShardedGraphStore / partitioned PreferenceStore generation.
-    graph_shards: int = 1
+    #: User partitions of the active preference artifact (``P >= 1``).
     preference_shards: int = 1
-
-    def graph_cache_version(self):
-        """The cache's version token for this graph generation.
-
-        Shard count is part of the token: re-sharding the same world
-        produces a different partitioning of the read path, so cached
-        expansions must never cross a shard-count boundary even if the
-        numeric version were ever reused.
-        """
-        if self.graph_version is None or self.graph_shards <= 1:
-            return self.graph_version
-        return (self.graph_version, self.graph_shards)
 
     def require_reasoner(self) -> GraphReasoner:
         if self.reasoner is None:
@@ -223,55 +208,28 @@ class ServingRuntime:
         metrics.add_collector(self._collect_shard_metrics)
 
     def _collect_shard_metrics(self) -> None:
-        """Read-through export of per-shard serving state (``shard`` label).
+        """Read-through export of per-partition preference serving state.
 
-        Only runs at exposition/snapshot time; the authoritative gather and
-        score counters live on the sharded readers themselves, so the
-        scatter-gather hot path never touches the registry.
+        Only runs at exposition/snapshot time; the authoritative score
+        counters live on the store itself, so the scoring hot path never
+        touches the registry.
         """
         metrics = self.obs.metrics
-        active = self._active
-        graph = getattr(active.reasoner, "graph", None)
-        stats_fn = getattr(graph, "shard_stats", None)
-        if callable(stats_fn):
-            for row in stats_fn():
-                shard = f"{row['shard']:02d}"
-                metrics.gauge(
-                    "serving_shard_entities",
-                    help="Entities owned by one graph shard of the active generation",
-                    shard=shard,
-                ).set(row["entities"])
-                metrics.gauge(
-                    "serving_shard_edges",
-                    help="Edges of one graph shard of the active generation",
-                    kind="owned", shard=shard,
-                ).set(row["edges_owned"])
-                metrics.gauge(
-                    "serving_shard_edges", kind="incident", shard=shard
-                ).set(row["edges_incident"])
-                metrics.counter(
-                    "serving_shard_gather_rows_total",
-                    help="Frontier rows routed to one shard by scatter-gather expansion",
-                    shard=shard,
-                ).set_total(row["gather_rows"])
-                metrics.counter(
-                    "serving_shard_gather_candidates_total",
-                    help="Neighbor candidates emitted by one shard during expansion",
-                    shard=shard,
-                ).set_total(row["gather_candidates"])
-        if active.preference_store is not None:
-            for row in active.preference_store.shard_stats():
-                shard = f"{row['shard']:02d}"
-                metrics.gauge(
-                    "serving_shard_users",
-                    help="Users owned by one preference shard of the active generation",
-                    shard=shard,
-                ).set(row["users"])
-                metrics.counter(
-                    "serving_shard_score_rows_total",
-                    help="User rows scored by one preference shard",
-                    shard=shard,
-                ).set_total(row["score_rows"])
+        store = self._active.preference_store
+        if store is None:
+            return
+        for row in store.shard_stats():
+            shard = f"{row['shard']:02d}"
+            metrics.gauge(
+                "serving_shard_users",
+                help="Users owned by one preference shard of the active generation",
+                shard=shard,
+            ).set(row["users"])
+            metrics.counter(
+                "serving_shard_score_rows_total",
+                help="User rows scored by one preference shard",
+                shard=shard,
+            ).set_total(row["score_rows"])
 
     # ------------------------------------------------------------------
     # Resilience plumbing
@@ -367,15 +325,13 @@ class ServingRuntime:
             graph_version=version,
             graph_tag=tag or f"graph-v{version}",
             reasoner=reasoner,
-            graph_shards=int(getattr(reasoner.graph, "n_shards", 1) or 1),
         )
         breaker.record_success()
         if previous.reasoner is not None:
             self._previous_graph = previous
         self._swap_count += 1
-        previous_token = previous.graph_cache_version()
-        if previous_token is not None and previous_token != self._active.graph_cache_version():
-            self._cache.purge_version(previous_token)
+        if previous.graph_version is not None and previous.graph_version != version:
+            self._cache.purge_version(previous.graph_version)
         self._record_swap("graph", previous.graph_version, version, self._active.graph_tag, start)
         self._graph_swap_counter.inc()
         self._graph_version_gauge.set(version)
@@ -528,14 +484,12 @@ class ServingRuntime:
                 graph_version=previous.graph_version,
                 graph_tag=previous.graph_tag,
                 reasoner=previous.reasoner,
-                graph_shards=previous.graph_shards,
             )
             self._previous_graph = current
             old_version, new_version = current.graph_version, previous.graph_version
             tag = previous.graph_tag
-            old_token = current.graph_cache_version()
-            if old_token is not None and old_token != self._active.graph_cache_version():
-                self._cache.purge_version(old_token)
+            if old_version is not None and old_version != new_version:
+                self._cache.purge_version(old_version)
             self._graph_version_gauge.set(new_version)
         elif kind == "preferences":
             previous = self._previous_preferences
@@ -599,8 +553,7 @@ class ServingRuntime:
             max_neighbors_per_node,
             max_nodes,
         )
-        cache_version = active.graph_cache_version()
-        cached = self._cache.get(cache_version, key)
+        cached = self._cache.get(active.graph_version, key)
         if cached is not None:
             # The hit path stays obs-free by design: a microsecond-scale
             # instrument on a microsecond-scale lookup would dominate it.
@@ -623,7 +576,7 @@ class ServingRuntime:
                     max_neighbors_per_node=max_neighbors_per_node,
                     max_nodes=max_nodes,
                 )
-        self._cache.put(cache_version, key, view)
+        self._cache.put(active.graph_version, key, view)
         elapsed = self._perf() - start
         ctx = current_context()
         if ctx is None:
@@ -762,9 +715,9 @@ class ServingRuntime:
 
         ``*_format`` names the serving representation each artifact is
         mapped through — ``"csr"``/``"memmap"`` for the zero-copy mmap
-        substrate, ``"snapshot"`` for the legacy graph form, ``"memory"``
-        for in-process artifacts — so operators can tell at a glance
-        whether a generation swap was a remap or a copy.
+        substrate, ``"memory"`` for in-process artifacts — so operators
+        can tell at a glance whether a generation swap was a remap or a
+        copy.
         """
         active = self._active
         graph_format = None
@@ -777,7 +730,6 @@ class ServingRuntime:
             "graph_version": active.graph_version,
             "graph_tag": active.graph_tag,
             "graph_format": graph_format,
-            "graph_shards": active.graph_shards,
             "preference_version": active.preference_version,
             "preference_tag": active.preference_tag,
             "preference_format": preference_format,
@@ -785,23 +737,11 @@ class ServingRuntime:
         }
 
     def shard_summary(self) -> dict:
-        """Per-shard serving state for health payloads and the CLI.
-
-        ``graph`` carries the active generation's per-shard rows
-        (entities, owned/incident edges, gather counters) when the graph
-        is sharded; ``preferences`` one row per user partition (users,
-        covered, score counters) whenever an index is active.
-        """
+        """Per-partition preference serving state for health payloads: one
+        row per user partition (users, covered, score counters) whenever
+        an index is active."""
         active = self._active
-        summary: dict = {
-            "graph_shards": active.graph_shards,
-            "preference_shards": active.preference_shards,
-            "sharded": active.graph_shards > 1 or active.preference_shards > 1,
-        }
-        graph = getattr(active.reasoner, "graph", None)
-        stats_fn = getattr(graph, "shard_stats", None)
-        if callable(stats_fn):
-            summary["graph"] = stats_fn()
+        summary: dict = {"preference_shards": active.preference_shards}
         if active.preference_store is not None:
             summary["preferences"] = active.preference_store.shard_stats()
         return summary

@@ -393,9 +393,7 @@ class TRMPipeline:
         ranked = self.ranked_graph(candidate, alpc)
         return {"alpc": alpc, "split": split, "ranked": ranked}
 
-    def freeze_artifacts(
-        self, run_id: str, publish, resume: bool = False, shard_stages=None
-    ) -> dict:
+    def freeze_artifacts(self, run_id: str, publish, resume: bool = False) -> dict:
         """Freeze + register the run's servable artifacts as a stage.
 
         ``publish`` performs the actual registry publication (which writes
@@ -405,17 +403,6 @@ class TRMPipeline:
         refresh killed between publication and activation resumes onto the
         already-registered generation instead of publishing a duplicate.
 
-        ``shard_stages`` is the sharded variant: an ordered list of
-        ``(name, fn)`` pairs, one per shard, each run through its own
-        checkpoint (``artifact_freeze.shardNN``) *before* the final
-        ``artifact_freeze`` commit. A refresh killed between shards
-        resumes with the completed shards' payloads loaded digest-proven
-        from the store, re-freezing only the remainder; ``publish`` then
-        receives the ordered shard payloads and performs the
-        generation-level commit (which is what makes all shards visible
-        atomically). Until that commit, the partial generation is
-        invisible to serving.
-
         The stage's digest is deliberately kept out of
         :attr:`WeeklyRun.stage_digests` — those are compared across
         registry roots by the chaos suite, and the freeze payload includes
@@ -423,18 +410,8 @@ class TRMPipeline:
         """
         state: dict = {"resumed": [], "digests": {}}
         with self._stage("artifact_freeze"):
-            if shard_stages:
-                shard_payloads = [
-                    self._stage_checkpointed(
-                        run_id, f"artifact_freeze.{name}", resume, state, fn
-                    )
-                    for name, fn in shard_stages
-                ]
-                publish_fn = lambda: publish(shard_payloads)
-            else:
-                publish_fn = publish
             return self._stage_checkpointed(
-                run_id, "artifact_freeze", resume, state, publish_fn
+                run_id, "artifact_freeze", resume, state, publish
             )
 
     def train_ensemble(

@@ -1,7 +1,7 @@
-"""The paper's online targeting rule, written to be obviously correct.
+"""The paper's online rules, written to be obviously correct.
 
-One user at a time, from the users' ``sequences`` and the entity
-embeddings — never from a store's arrays:
+**Targeting** — one user at a time, from the users' ``sequences`` and the
+entity embeddings — never from a store's arrays:
 
     score(u) = Σ_e ŵ_e · (r_u · h_e + direct_weight · freq_u(e))
 
@@ -10,6 +10,22 @@ embeddings — never from a store's arrays:
 weights scaled to sum to one (uniform when absent; a repeated entity
 counts once per repeat). Users with an empty sequence are never returned.
 The audience is the top ``k`` by score, ties by ascending user id.
+
+**k-hop expansion** — one node at a time, from the committed edge list —
+never from a reader. The serving artifact stores weights as float32 and
+every adjacency row ascending by neighbour id, so:
+
+* a relevance score is the float64 product of the *stored* (float32)
+  weights along the best path from a seed;
+* expansion is hop-synchronous: every frontier node expands from the score
+  it held when the hop started;
+* ``min_edge_weight`` drops edges whose stored weight is below the
+  threshold (compared as stored, in float32);
+* ``max_neighbors_per_node`` follows only a row's strongest edges,
+  strongest first, ties by ascending neighbour id;
+* a node's score (and parent) is replaced only by a strictly greater one;
+* new nodes are admitted in the order they are met until ``max_nodes``
+  nodes are known; a hop's list is that admission order.
 """
 
 import numpy as np
@@ -58,3 +74,46 @@ def assert_matches_reference(got, scores: dict[int, float], k: int, sequences) -
     for g in got:
         by_sequence.setdefault(tuple(sequences[g.user_id].entity_ids), []).append(g.user_id)
     assert all(users == sorted(users) for users in by_sequence.values())
+
+
+def expansion_key(result):
+    """An ``ExpansionResult`` in the shape :func:`reference_expansion` returns."""
+    return result.seeds, result.hops, result.scores, result.parents
+
+
+def reference_expansion(
+    num_nodes, edges, seeds, depth,
+    min_edge_weight=0.0, max_neighbors_per_node=None, max_nodes=None,
+):
+    """``(seeds, hops, scores, parents)`` of the expansion over ``edges``,
+    the committed ``(u, v, weight)`` triples (one per undirected edge)."""
+    rows = {node: [] for node in range(num_nodes)}
+    for u, v, weight in edges:
+        stored = np.float32(weight)
+        rows[int(u)].append((int(v), stored))
+        rows[int(v)].append((int(u), stored))
+    seeds = list(dict.fromkeys(int(s) for s in seeds))
+    scores = {s: 1.0 for s in seeds}
+    parents = {s: s for s in seeds}
+    hops = [list(seeds)]
+    for _ in range(depth):
+        frontier = [(node, scores[node]) for node in hops[-1]]
+        admitted = []
+        for node, base in frontier:
+            row = sorted(rows[node])
+            if min_edge_weight > 0:
+                row = [(n, w) for n, w in row if w >= np.float32(min_edge_weight)]
+            if max_neighbors_per_node is not None:
+                row = sorted(row, key=lambda edge: -edge[1])[:max_neighbors_per_node]
+            for neighbour, stored in row:
+                score = base * float(stored)
+                if neighbour not in scores:
+                    if max_nodes is not None and len(scores) >= max_nodes:
+                        continue
+                    admitted.append(neighbour)
+                elif score <= scores[neighbour]:
+                    continue
+                scores[neighbour] = score
+                parents[neighbour] = node
+        hops.append(admitted)
+    return seeds, hops, scores, parents

@@ -7,12 +7,15 @@ and a 30% storage error rate still completes through retries.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
+from repro.errors import CorruptArtifactError
 from repro.obs import ManualClock, Observability
 from repro.online import EGLSystem
 from repro.online.system import graph_digest
@@ -157,3 +160,44 @@ def test_report_carries_run_identity(chaos_world, chaos_events, tmp_path):
         system.pipeline.weekly_runs[-1].ranked_graph
     )
     assert set(system.pipeline.weekly_runs[-1].stage_digests) == set(WEEKLY_STAGES)
+
+
+def test_artifact_torn_between_publish_and_open_never_serves(
+    chaos_world, chaos_events, tmp_path
+):
+    """One recovery rule, seen from the refresh: an artifact that lands
+    torn is quarantined at open and the runtime keeps serving the
+    last-good generation of that kind."""
+    system = make_system(chaos_world, tmp_path)
+    system.weekly_refresh(chaos_events)
+    system.daily_preference_refresh(chaos_events)
+    phrase = max(chaos_world.entities, key=lambda e: e.popularity).name
+    view, result = system.target_users_for_phrases([phrase], depth=2, k=10)
+    assert view.entities and result.users
+
+    def torn(publish, array):
+        def publish_then_tear(artifact, **kwargs):
+            record = publish(artifact, **kwargs)
+            path = Path(record.path) / array
+            path.write_bytes(path.read_bytes()[:-7])
+            return record
+
+        return publish_then_tear
+
+    registry = system.registry
+    registry.publish_preferences = torn(
+        registry.publish_preferences, "shard-00/user_matrix.npy"
+    )
+    system.daily_preference_refresh(chaos_events)  # absorbed: nothing to swap to
+    registry.publish_graph = torn(registry.publish_graph, "neighbors.npy")
+    with pytest.raises(CorruptArtifactError):
+        system.weekly_refresh(chaos_events)
+
+    versions = system.runtime.versions()
+    assert (versions["graph_version"], versions["preference_version"]) == (1, 1)
+    assert registry.latest("graph").version == registry.latest("preferences").version == 1
+    assert [(q["kind"], q["version"]) for q in registry.quarantined] == [
+        ("preferences", 2), ("graph", 2),
+    ]
+    again_view, again = system.target_users_for_phrases([phrase], depth=2, k=10)
+    assert again_view.entities == view.entities and again.users == result.users

@@ -107,9 +107,10 @@ class TestServeCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "telemetry endpoint: http://127.0.0.1:" in out
-        for route in ("/metrics", "/health", "/drift", "/alerts", "/traces"):
+        assert "listener: http://127.0.0.1:" in out
+        for route in ("/metrics", "/health", "/drift", "/alerts", "/traces", "/frontend"):
             assert f"{route}\n" in out
+        assert "/expand\n" in out  # the same listener takes the POST queries
         # Drift verdicts from the refresh swaps are summarised too.
         assert "runtime health:" in out
         assert "=== /metrics ===" in out

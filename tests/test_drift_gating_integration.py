@@ -24,11 +24,12 @@ from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.errors import DriftGateError
-from repro.obs import ManualClock, Observability, TelemetryServer
+from repro.obs import ManualClock, Observability
 from repro.obs.drift import SEVERITY_CRITICAL
 from repro.online import EGLSystem
 from repro.online.api import EGLService
 from repro.preference.store import PreferenceStore
+from repro.serving.frontend import QueryFrontend
 from repro.text.sequence_extractor import UserEntitySequence
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
 
@@ -135,16 +136,14 @@ class TestHealthyCadence:
     def test_drift_endpoint_serves_persisted_reports(self, refreshed_system):
         system, _ = refreshed_system
         service = EGLService(system)
-        with TelemetryServer(service.telemetry_routes()) as server:
+        with QueryFrontend(service) as server:
             with urllib.request.urlopen(server.url + "/drift", timeout=5) as response:
                 payload = json.loads(response.read())
+            with urllib.request.urlopen(server.url + "/alerts", timeout=5) as response:
+                alerts = json.loads(response.read())
         assert payload["summary"]["graph"]["new_version"] == 2
         served = payload["reports"]["graph"]
         assert served == [system.registry.drift_report("graph", 2).to_dict()]
-
-        with TelemetryServer(service.telemetry_routes()) as server:
-            with urllib.request.urlopen(server.url + "/alerts", timeout=5) as response:
-                alerts = json.loads(response.read())
         assert alerts["active"] == []
         assert alerts["signals"]["drift_critical"] == 0.0
 

@@ -1,21 +1,26 @@
-"""CSR artifact substrate: roundtrip, corruption, and CSR↔dict parity.
+"""CSR artifact substrate: roundtrip, corruption, and the k-hop oracle.
 
 The load-bearing property: ``k_hop_expansion`` over a frozen
-:class:`CSRGraph` (vectorized frontier sweep) and over the legacy
-per-node adjacency path (pure-Python dict walk) must return *identical*
-expansions — same hop ordering, same scores, same parents — on any graph,
-under every knob combination. Speed without parity doesn't count.
+:class:`CSRGraph` (vectorized frontier sweep) must return exactly what
+``reference_model.reference_expansion`` (a per-node walk over the
+committed edge list) defines — same hop ordering, same scores, same
+parents — on any graph, under every knob combination. Speed without
+that doesn't count.
 """
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from reference_model import expansion_key, reference_expansion
 from repro.errors import CorruptArtifactError, StorageError
 from repro.graph import CSRGraph, EntityGraph, GraphStore, csr_meta_digest
 from repro.graph.csr import META_NAME
-from repro.graph.khop import _top_k_stable, k_hop_expansion
+from repro.graph.khop import k_hop_expansion
 
 
 def random_edges(rng, num_nodes, max_edges=150):
@@ -35,28 +40,8 @@ def random_edges(rng, num_nodes, max_edges=150):
     return pairs, weights.astype(np.float64)
 
 
-class DictReader:
-    """The legacy point-read protocol: no ``csr_view``, so expansion over
-    this reader exercises the pure-Python pointwise kernel."""
-
-    def __init__(self, num_nodes, pairs, weights):
-        self.num_nodes = num_nodes
-        self._adj = {}
-        for (u, v), w in zip(pairs, weights):
-            self._adj.setdefault(u, []).append((v, float(w)))
-            self._adj.setdefault(v, []).append((u, float(w)))
-        for rows in self._adj.values():
-            rows.sort()
-
-    def neighbors(self, node):
-        rows = self._adj.get(int(node), [])
-        ids = np.array([v for v, _ in rows], dtype=np.int64)
-        ws = np.array([w for _, w in rows], dtype=np.float64)
-        return ids, ws
-
-
-def expansion_key(result):
-    return (result.seeds, result.hops, result.scores, result.parents)
+def triples(pairs, weights):
+    return [(u, v, w) for (u, v), w in zip(pairs, weights)]
 
 
 class TestRoundtrip:
@@ -146,7 +131,7 @@ class TestCorruption:
 
 
 class TestExpansionParity:
-    """Property-style: vectorized CSR expansion == pointwise dict expansion."""
+    """Property-style: the vectorized CSR kernel == the oracle."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_default_knobs(self, seed):
@@ -154,14 +139,14 @@ class TestExpansionParity:
         num_nodes = int(rng.integers(10, 60))
         pairs, weights = random_edges(rng, num_nodes)
         csr = CSRGraph.from_edges(num_nodes, np.array(pairs), weights)
-        legacy = DictReader(num_nodes, pairs, weights)
+        edges = triples(pairs, weights)
         seeds = sorted(
             rng.choice(num_nodes, size=int(rng.integers(1, 4)), replace=False).tolist()
         )
         for depth in (0, 1, 2, 3):
             assert expansion_key(
                 k_hop_expansion(csr, seeds, depth)
-            ) == expansion_key(k_hop_expansion(legacy, seeds, depth))
+            ) == reference_expansion(num_nodes, edges, seeds, depth)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_knob_corners(self, seed):
@@ -169,7 +154,7 @@ class TestExpansionParity:
         num_nodes = int(rng.integers(12, 50))
         pairs, weights = random_edges(rng, num_nodes)
         csr = CSRGraph.from_edges(num_nodes, np.array(pairs), weights)
-        legacy = DictReader(num_nodes, pairs, weights)
+        edges = triples(pairs, weights)
         seeds = [int(rng.integers(0, num_nodes))]
         for min_w in (0.0, 0.3, 0.6):
             for max_nodes in (None, 1, 5, 20):
@@ -181,63 +166,84 @@ class TestExpansionParity:
                     )
                     assert expansion_key(
                         k_hop_expansion(csr, seeds, 3, **kwargs)
-                    ) == expansion_key(k_hop_expansion(legacy, seeds, 3, **kwargs))
+                    ) == reference_expansion(num_nodes, edges, seeds, 3, **kwargs)
 
-    def test_parity_against_real_snapshot_reader(self, tmp_path, rng):
-        """End to end: the GraphStore's legacy dict reader vs its frozen
-        CSR artifact must expand identically."""
+    def test_weights_that_float32_cannot_represent(self):
+        """The float rule: the artifact stores float32, so scores are
+        products of the *stored* weights and thresholds see the stored
+        value — not the committed float64."""
+        edges = [(0, 1, 0.1), (1, 2, 0.7), (0, 3, 0.3), (3, 2, 0.2), (2, 4, 0.6)]
+        csr = CSRGraph.from_edges(
+            5, np.array([(u, v) for u, v, _ in edges]), [w for _, _, w in edges]
+        )
+        for kwargs in ({}, {"min_edge_weight": 0.7}, {"max_neighbors_per_node": 1}):
+            for depth in (1, 2, 3):
+                assert expansion_key(
+                    k_hop_expansion(csr, [0], depth, **kwargs)
+                ) == reference_expansion(5, edges, [0], depth, **kwargs)
+        scores = k_hop_expansion(csr, [0], 2).scores
+        assert scores[2] == float(np.float32(0.1)) * float(np.float32(0.7))
+        assert scores[2] != 0.1 * 0.7
+        # float32(0.7) < 0.7, yet an edge committed at 0.7 survives a 0.7
+        # threshold: both sides of the comparison are the stored value.
+        assert 2 in k_hop_expansion(csr, [1], 1, min_edge_weight=0.7).scores
+
+    def test_store_reader_expands_the_committed_edges(self, tmp_path, rng):
+        """End to end: what a GraphStore commits is what its pinned reader
+        (the frozen CSR artifact) expands."""
         num_nodes = 40
         pairs, weights = random_edges(rng, num_nodes)
         store = GraphStore(tmp_path / "gs", num_nodes=num_nodes)
         store.put_edges(pairs, list(weights))
         version = store.commit_version(tag="parity")
 
-        legacy = store.snapshot_reader(version, use_csr=False)
-        csr = CSRGraph.load(store.csr_path(version))
-        assert legacy.artifact_format == "snapshot"
+        reader = store.snapshot_reader(version)
+        assert reader.artifact_format == "csr"
+        edges = list(store.scan_edges(version))
+        assert [e[:3] for e in edges] == triples(pairs, weights)
         seeds = [pairs[0][0]]
         for depth in (1, 2, 3):
             assert expansion_key(
-                k_hop_expansion(csr, seeds, depth)
-            ) == expansion_key(k_hop_expansion(legacy, seeds, depth))
+                k_hop_expansion(reader, seeds, depth)
+            ) == reference_expansion(num_nodes, [e[:3] for e in edges], seeds, depth)
 
-    def test_entity_graph_uses_vectorized_kernel(self, rng):
-        """EntityGraph exposes ``csr_view`` so the in-memory hot path gets
-        the vectorized sweep — with results identical to the pointwise
-        kernel walking the *same* (insertion-ordered) adjacency."""
+    def test_entity_graph_agrees_up_to_row_order(self, rng):
+        """The in-memory :class:`EntityGraph` keeps its rows in insertion
+        order, not neighbour order, so only what row order cannot change
+        is compared: scores, parents, and each hop as a set."""
         num_nodes = 30
         pairs, weights = random_edges(rng, num_nodes)
         graph = EntityGraph.from_edge_list(
             num_nodes, pairs, weights, [0] * len(pairs)
         )
-        assert hasattr(graph, "csr_view")
-
-        class PointwiseOnly:
-            num_nodes = graph.num_nodes
-            neighbors = staticmethod(graph.neighbors)
-
         seeds = [pairs[0][0], pairs[-1][1]]
         for cap in (None, 2):
-            assert expansion_key(
-                k_hop_expansion(graph, seeds, 2, max_neighbors_per_node=cap)
-            ) == expansion_key(
-                k_hop_expansion(PointwiseOnly(), seeds, 2, max_neighbors_per_node=cap)
+            got = k_hop_expansion(graph, seeds, 2, max_neighbors_per_node=cap)
+            _, hops, scores, parents = reference_expansion(
+                num_nodes, triples(pairs, weights), seeds, 2,
+                max_neighbors_per_node=cap,
             )
+            assert (got.scores, got.parents) == (scores, parents)
+            assert [sorted(h) for h in got.hops] == [sorted(h) for h in hops]
 
 
 class TestTopKDeterminism:
-    """The argpartition cap must match a full stable argsort exactly."""
+    """The per-row cap must match a full stable argsort exactly."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_stable_argsort(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
-        # Quantized weights force ties — the case argpartition alone gets
-        # wrong without the stable tie-break.
-        weights = rng.integers(0, 5, size=n) / 4.0
+        # A star around node 0 with quantized weights: ties everywhere, so
+        # hop 1 is the cap's choice, strongest first, ties by neighbour id.
+        weights = rng.integers(1, 5, size=n) / 4.0
+        star = CSRGraph.from_edges(
+            n + 1, np.array([(0, i) for i in range(1, n + 1)]), weights
+        )
         for k in (1, 2, 3, n // 2 + 1, n, n + 5):
-            expected = np.argsort(-weights, kind="stable")[:k]
-            assert np.array_equal(_top_k_stable(weights, k), expected)
+            expected = np.argsort(-weights, kind="stable")[:k] + 1
+            got = k_hop_expansion(star, [0], 1, max_neighbors_per_node=k)
+            assert got.hops[1] == expected.tolist()
 
     def test_capped_expansion_is_deterministic(self, rng):
         pairs, weights = random_edges(rng, num_nodes=30)
@@ -246,6 +252,29 @@ class TestTopKDeterminism:
         ties = np.full(len(pairs), 0.5)
         graph = CSRGraph.from_edges(30, np.array(pairs), ties)
         first = k_hop_expansion(graph, [pairs[0][0]], 2, max_neighbors_per_node=2)
+        assert expansion_key(first) == reference_expansion(
+            30, triples(pairs, ties), [pairs[0][0]], 2, max_neighbors_per_node=2
+        )
         for _ in range(3):
             again = k_hop_expansion(graph, [pairs[0][0]], 2, max_neighbors_per_node=2)
             assert expansion_key(again) == expansion_key(first)
+
+
+def test_one_graph_one_listener():
+    """Guard: the deleted pointwise kernel, dict-adjacency reader, graph
+    sharding stack, thread pool and second HTTP server must not come back
+    unnoticed."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    text = {path: path.read_text(encoding="utf-8") for path in src.rglob("*.py")}
+    everything = "\n".join(text.values())
+    assert len(re.findall(r"class \w+\([^)]*BaseHTTPRequestHandler", everything)) == 1
+    assert re.findall(r"def (_expand_\w+)", everything) == ["_expand_csr"]
+    assert not re.search(r"gather_frontier|use_csr", everything)
+    for path, body in text.items():
+        if path.parent.name in ("graph", "preference"):
+            assert "ThreadPoolExecutor" not in body, path
+    assert set(re.findall(r'"csr-[a-z0-9-]+"', everything)) == {'"csr-v1"'}
+    for module in ("registry.py", "runtime.py"):
+        assert not re.search(
+            r'"snapshot"|"sharded_store"|"csr-sharded"', text[src / "serving" / module]
+        ), module

@@ -1,18 +1,35 @@
-"""k-hop expansion."""
+"""k-hop expansion over the serving format, each case checked against the
+oracle (``reference_model.reference_expansion``) as well as spelled out."""
 
 import numpy as np
 import pytest
 
+from reference_model import expansion_key, reference_expansion
 from repro.errors import GraphError
-from repro.graph import EntityGraph, k_hop_expansion
+from repro.graph import CSRGraph
+from repro.graph import k_hop_expansion as kernel
+
+
+def frozen(num_nodes, pairs, weights):
+    """The serving artifact of an edge list, which it keeps for the oracle."""
+    graph = CSRGraph.from_edges(num_nodes, np.array(pairs), weights)
+    graph.edges = [(u, v, w) for (u, v), w in zip(pairs, weights)]
+    return graph
+
+
+def k_hop_expansion(graph, seeds, depth, **kwargs):
+    """The kernel's answer, after proving it equals the oracle's."""
+    result = kernel(graph, seeds, depth, **kwargs)
+    assert expansion_key(result) == reference_expansion(
+        graph.num_nodes, graph.edges, seeds, depth, **kwargs
+    )
+    return result
 
 
 @pytest.fixture()
 def chain_graph():
     # 0 - 1 - 2 - 3 with decreasing confidences.
-    return EntityGraph.from_edge_list(
-        5, [(0, 1), (1, 2), (2, 3)], weights=[0.9, 0.8, 0.7]
-    )
+    return frozen(5, [(0, 1), (1, 2), (2, 3)], [0.9, 0.8, 0.7])
 
 
 class TestExpansion:
@@ -52,8 +69,8 @@ class TestExpansion:
 
     def test_best_parent_updates(self):
         # Two paths to node 3: 0-1-3 (0.9*0.2) and 0-2-3 (0.5*0.9).
-        g = EntityGraph.from_edge_list(
-            4, [(0, 1), (0, 2), (1, 3), (2, 3)], weights=[0.9, 0.5, 0.2, 0.9]
+        g = frozen(
+            4, [(0, 1), (0, 2), (1, 3), (2, 3)], [0.9, 0.5, 0.2, 0.9]
         )
         result = k_hop_expansion(g, [0], 2)
         assert result.scores[3] == pytest.approx(0.45)
@@ -64,8 +81,8 @@ class TestExpansion:
         assert 2 not in result.scores
 
     def test_max_neighbors_cap(self):
-        g = EntityGraph.from_edge_list(
-            6, [(0, i) for i in range(1, 6)], weights=[0.9, 0.8, 0.7, 0.6, 0.5]
+        g = frozen(
+            6, [(0, i) for i in range(1, 6)], [0.9, 0.8, 0.7, 0.6, 0.5]
         )
         result = k_hop_expansion(g, [0], 1, max_neighbors_per_node=2)
         reached = set(result.scores) - {0}
@@ -84,9 +101,9 @@ class TestExpansion:
 
     def test_invalid_args(self, chain_graph):
         with pytest.raises(GraphError):
-            k_hop_expansion(chain_graph, [0], -1)
+            kernel(chain_graph, [0], -1)
         with pytest.raises(GraphError):
-            k_hop_expansion(chain_graph, [99], 1)
+            kernel(chain_graph, [99], 1)
 
     def test_frontier_exhaustion_pads_hops(self, chain_graph):
         result = k_hop_expansion(chain_graph, [4], 3)  # isolated node

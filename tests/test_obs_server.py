@@ -1,4 +1,5 @@
-"""Telemetry HTTP endpoint: routing, error envelopes, scrape metrics."""
+"""Telemetry over the one listener: GET/HEAD routing on ``QueryFrontend``,
+error envelopes, scrape metrics."""
 
 import json
 import urllib.error
@@ -6,9 +7,10 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.obs import MetricsRegistry, TelemetryServer
-from repro.obs.server import JSON_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE
+from repro.obs import Observability
+from repro.online import EGLSystem
+from repro.online.api import JSON_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE, EGLService
+from repro.serving.frontend import QueryFrontend
 
 
 def _get(url):
@@ -17,18 +19,28 @@ def _get(url):
 
 
 @pytest.fixture()
-def registry():
-    return MetricsRegistry()
-
-
-@pytest.fixture()
-def server(registry):
+def service(world):
+    """A service whose route table is four known routes: the listener
+    serves whatever ``telemetry_routes()`` hands it."""
+    service = EGLService(EGLSystem(world, obs=Observability()))
     routes = {
         "/metrics": lambda: (PROMETHEUS_CONTENT_TYPE, "up 1\n"),
         "/health": lambda: (JSON_CONTENT_TYPE, json.dumps({"ok": True})),
         "/boom": lambda: (_ for _ in ()).throw(RuntimeError("route bug")),
+        "/raw": lambda: ("application/octet-stream", b"\x00\x01"),
     }
-    with TelemetryServer(routes, metrics=registry) as srv:
+    service.telemetry_routes = lambda: routes
+    return service
+
+
+@pytest.fixture()
+def registry(service):
+    return service.obs.metrics
+
+
+@pytest.fixture()
+def server(service):
+    with QueryFrontend(service) as srv:
         yield srv
 
 
@@ -55,7 +67,7 @@ class TestRouting:
             _get(server.url + "/nope")
         assert err.value.code == 404
         payload = json.loads(err.value.read())
-        assert payload["routes"] == ["/boom", "/health", "/metrics"]
+        assert payload["routes"] == ["/boom", "/frontend", "/health", "/metrics", "/raw"]
 
     def test_route_exception_is_json_500_not_a_dead_thread(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -69,16 +81,22 @@ class TestRouting:
     def test_scrapes_counted_by_path_and_status(self, server, registry):
         _get(server.url + "/metrics")
         _get(server.url + "/metrics")
-        try:
-            _get(server.url + "/nope")
-        except urllib.error.HTTPError:
-            pass
+        for probe in ("/nope", "/wp-login.php"):
+            with pytest.raises(urllib.error.HTTPError):
+                _get(server.url + probe)
         assert registry.get_value(
-            "telemetry_http_requests_total", path="/metrics", status="200"
+            "frontend_http_requests_total", path="/metrics", status="200"
         ) == 2
+        # Unknown paths share one label value: a port scan must not mint a
+        # metric series per probed path.
         assert registry.get_value(
-            "telemetry_http_requests_total", path="/nope", status="404"
-        ) == 1
+            "frontend_http_requests_total", path="other", status="404"
+        ) == 2
+        paths = {
+            labels["path"]
+            for labels, _ in registry.series("frontend_http_requests_total")
+        }
+        assert paths == {"/metrics", "other"}
 
 
 class TestHeadAndContentLength:
@@ -109,28 +127,18 @@ class TestHeadAndContentLength:
 
 
 class TestLifecycle:
-    def test_empty_route_table_rejected(self):
-        with pytest.raises(ConfigError):
-            TelemetryServer({})
-
-    def test_route_must_start_with_slash(self):
-        with pytest.raises(ConfigError):
-            TelemetryServer({"metrics": lambda: ("text/plain", "x")})
-
-    def test_stop_releases_the_port_and_start_is_idempotent(self):
-        server = TelemetryServer({"/x": lambda: ("text/plain", "x")})
+    def test_stop_releases_the_port_and_start_is_idempotent(self, service):
+        server = QueryFrontend(service)
         server.start()
         server.start()  # second start is a no-op, not a second bind
         port = server.port
         server.stop()
         server.stop()  # double stop is safe
         # The port is free again: a new server can bind it immediately.
-        reuse = TelemetryServer({"/x": lambda: ("text/plain", "x")}, port=port)
-        with reuse:
-            status, _, _ = _get(reuse.url + "/x")
+        with QueryFrontend(service, port=port) as reuse:
+            status, _, _ = _get(reuse.url + "/health")
             assert status == 200
 
-    def test_bytes_bodies_pass_through(self):
-        with TelemetryServer({"/raw": lambda: ("application/octet-stream", b"\x00\x01")}) as srv:
-            status, _, body = _get(srv.url + "/raw")
-            assert status == 200 and body == b"\x00\x01"
+    def test_bytes_bodies_pass_through(self, server):
+        status, _, body = _get(server.url + "/raw")
+        assert status == 200 and body == b"\x00\x01"

@@ -14,6 +14,8 @@ from repro.preference import (
     user_embedding,
     user_embedding_matrix,
 )
+from repro.preference.store import shard_of
+from repro.serving import ArtifactRegistry, ServingRuntime
 from repro.text.sequence_extractor import UserEntitySequence
 
 
@@ -126,6 +128,62 @@ class TestPreferenceStore:
         store = PreferenceStore(raw, normalize=True)
         norms = np.linalg.norm(store.entity_embeddings, axis=1)
         np.testing.assert_allclose(norms, np.ones(6))
+
+
+class TestPartitioner:
+    def test_deterministic_and_in_range(self):
+        ids = np.arange(10_000)
+        for n in (2, 4, 8):
+            owners = shard_of(ids, n)
+            assert owners.min() >= 0 and owners.max() < n
+            assert np.array_equal(owners, shard_of(ids, n))
+            # splitmix64 spreads sequential ids close to evenly
+            counts = np.bincount(owners, minlength=n)
+            assert counts.min() > len(ids) / n * 0.8
+
+    def test_scalar_matches_array(self):
+        ids = np.arange(257)
+        owners = shard_of(ids, 8)
+        assert all(shard_of(int(i), 8) == owners[i] for i in ids)
+
+    def test_single_shard_is_zero(self):
+        assert np.array_equal(shard_of(np.arange(100), 1), np.zeros(100, dtype=np.int64))
+
+
+def test_partitioned_artifact_roundtrip(tmp_path, rng):
+    """A partitioned store publishes one sub-directory per partition, opens
+    with the same partitioning, answers like the unpartitioned store, and
+    the runtime reports one row per partition."""
+    embeddings = rng.standard_normal((90, 12))
+    sequences = {
+        u: UserEntitySequence(u, [int(x) for x in rng.integers(0, 90, 5)])
+        for u in range(60)
+    }
+    store = PreferenceStore(embeddings).build(sequences, 60)
+    registry = ArtifactRegistry(tmp_path / "registry")
+    record = registry.publish_preferences(store.partitioned(4))
+    assert record.format == "memmap"
+    assert sorted(p.name for p in Path(record.path).iterdir()) == [
+        "entity_embeddings.npy", "meta.json",
+        "shard-00", "shard-01", "shard-02", "shard-03",
+    ]
+    index = registry.open_preferences(record.version)
+    assert index.n_shards == 4 and index.storage == "memmap"
+    assert [row["users"] for row in index.shard_stats()] == [
+        len(p.user_ids) for p in index._parts
+    ]
+    assert sum(row["users"] for row in index.shard_stats()) == 60
+    sets = [[1, 2, 5], [9, 40]]
+    assert index.top_users_for_entity_sets(sets, 10) == store.top_users_for_entity_sets(sets, 10)
+
+    runtime = ServingRuntime()
+    runtime.activate_preferences(index, record.version)
+    assert runtime.versions()["preference_shards"] == 4
+    summary = runtime.health()["shards"]
+    assert summary["preference_shards"] == 4
+    assert [row["shard"] for row in summary["preferences"]] == [0, 1, 2, 3]
+    # Each of the 4 partitions ranked its own top 10 for both sets.
+    assert sum(row["score_rows"] for row in summary["preferences"]) == 4 * 2 * 10
 
 
 def test_one_index_one_layout():

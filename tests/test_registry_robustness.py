@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import CorruptArtifactError, StorageError
-from repro.graph import CSRGraph, EntityGraph
+from reference_model import expansion_key, reference_expansion
+from repro.errors import CorruptArtifactError
+from repro.graph import CSRGraph, EntityGraph, GraphStore, k_hop_expansion
 from repro.preference.store import PreferenceStore
 from repro.resilience import FaultInjector, InjectedFault, atomic_write_bytes
-from repro.serving import KIND_PREFERENCES, ArtifactRegistry
+from repro.serving import KIND_GRAPH, KIND_PREFERENCES, ArtifactRegistry
 from repro.serving.registry import MANIFEST_NAME, QUARANTINE_DIR
 from repro.text.sequence_extractor import UserEntitySequence
 
@@ -83,15 +84,86 @@ def strip_checksums(path):
     path.write_text(json.dumps(meta), encoding="utf-8")
 
 
-#: name → (file inside the artifact of a P-partition publish, damage,
-#: caught by the trusted open — otherwise only by the startup proof).
+#: name → (file inside a P-partition preference artifact, file inside a CSR
+#: graph artifact, damage, caught by the trusted open — otherwise only by
+#: the startup proof).
 DAMAGE = {
-    "truncated": ("shard-{last}/user_matrix.npy", truncate, True),
-    "missing": ("shard-{last}/values.npy", Path.unlink, True),
-    "bitflip": ("shard-{last}/user_matrix.npy", flip_byte, False),
-    "meta-garbled": ("meta.json", truncate, True),
-    "meta-missing": ("meta.json", Path.unlink, True),
-    "no-checksums": ("meta.json", strip_checksums, False),
+    "truncated": ("shard-{last}/user_matrix.npy", "neighbors.npy", truncate, True),
+    "missing": ("shard-{last}/values.npy", "weights.npy", Path.unlink, True),
+    "bitflip": ("shard-{last}/user_matrix.npy", "weights.npy", flip_byte, False),
+    "meta-garbled": ("meta.json", "meta.json", truncate, True),
+    "meta-missing": ("meta.json", "meta.json", Path.unlink, True),
+    "no-checksums": ("meta.json", "meta.json", strip_checksums, False),
+}
+
+GOOD_EDGES = [(0, 1, 0.9), (1, 2, 0.5), (2, 5, 0.7), (0, 3, 0.25), (3, 4, 0.6)]
+BAD_EDGES = [(4, 5, 0.75), (1, 5, 0.3)]  # committed on top of the good ones
+
+
+class PreferenceGenerations:
+    """A good then a bad P-partition preference publish, and the question
+    the surviving generation must keep answering."""
+
+    kind = KIND_PREFERENCES
+    query = ([1, 2, 5], 10, [3.0, 1.0, 1.0])
+
+    def __init__(self, n_shards):
+        self.n_shards = n_shards
+        self.good = built_preferences(num_users=40, seed=1)
+        self.want = self.good.top_users_for_entities(*self.query)
+
+    def publish(self, registry, tmp_path):
+        registry.publish_preferences(self.good.partitioned(self.n_shards), tag="good")
+        bad = built_preferences(num_users=40, seed=2).partitioned(self.n_shards)
+        return registry.publish_preferences(bad, tag="bad")
+
+    def damaged_file(self, damage):
+        return DAMAGE[damage][0].format(last=f"{self.n_shards - 1:02d}")
+
+    def answer(self, registry):
+        store = registry.open_preferences()
+        assert store.version_tag == "good" and store.n_shards == self.n_shards
+        return store.top_users_for_entities(*self.query)
+
+
+class GraphGenerations:
+    """The same for a graph, frozen by a :class:`GraphStore` commit or by
+    the registry itself; the question is an ``open_graph()`` expansion."""
+
+    kind = KIND_GRAPH
+    want = reference_expansion(6, GOOD_EDGES, [0], 2)
+
+    def __init__(self, frozen_by_store):
+        self.frozen_by_store = frozen_by_store
+
+    def publish(self, registry, tmp_path):
+        store = GraphStore(tmp_path / "gs", num_nodes=6) if self.frozen_by_store else None
+        edges = []
+        for tag, new in (("good", GOOD_EDGES), ("bad", BAD_EDGES)):
+            edges += new
+            if store is not None:
+                store.put_edges([e[:2] for e in new], [e[2] for e in new])
+                store.commit_version(tag)
+                record = registry.publish_graph(store)
+            else:
+                pairs, weights = [e[:2] for e in edges], [e[2] for e in edges]
+                graph = EntityGraph.from_edge_list(6, pairs, weights, [0] * len(pairs))
+                record = registry.publish_graph(graph, tag=tag)
+        return record
+
+    def damaged_file(self, damage):
+        return DAMAGE[damage][1]
+
+    def answer(self, registry):
+        assert registry.latest(KIND_GRAPH).tag == "good"
+        return expansion_key(k_hop_expansion(registry.open_graph(), [0], 2))
+
+
+GENERATIONS = {
+    "P1": PreferenceGenerations(1),
+    "P4": PreferenceGenerations(4),
+    "graph-store": GraphGenerations(frozen_by_store=True),
+    "graph-registry": GraphGenerations(frozen_by_store=False),
 }
 
 
@@ -115,38 +187,51 @@ class TestQuarantine:
         assert registry.quarantined[-1]["reason"].startswith("artifact unreadable")
 
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
-    @pytest.mark.parametrize("n_shards", [1, 4], ids=["P1", "P4"])
-    def test_damage_quarantines_generation(self, tmp_path, n_shards, damage):
-        """One recovery rule: the damaged generation is quarantined, the
-        previous one answers, and a reopened registry agrees."""
-        relative, apply, caught_on_open = DAMAGE[damage]
-        relative = relative.format(last=f"{n_shards - 1:02d}")
-        good_store = built_preferences(num_users=40, seed=1)
-        want = good_store.top_users_for_entities([1, 2, 5], 10, weights=[3.0, 1.0, 1.0])
+    @pytest.mark.parametrize("artifact", sorted(GENERATIONS))
+    def test_damage_quarantines_generation(self, tmp_path, artifact, damage):
+        """One recovery rule for every kind: the damaged generation is
+        quarantined, the previous one answers, and a reopened registry
+        agrees."""
+        generations = GENERATIONS[artifact]
+        *_, apply, caught_on_open = DAMAGE[damage]
 
         def answer(registry):
-            assert registry.latest(KIND_PREFERENCES).version == 1
-            store = registry.open_preferences()
-            assert store.version_tag == "good" and store.n_shards == n_shards
-            return store.top_users_for_entities([1, 2, 5], 10, weights=[3.0, 1.0, 1.0])
+            assert registry.latest(generations.kind).version == 1
+            return generations.answer(registry)
 
         registry = ArtifactRegistry(root=tmp_path)
-        registry.publish_preferences(good_store.partitioned(n_shards), tag="good")
-        bad = registry.publish_preferences(
-            built_preferences(num_users=40, seed=2).partitioned(n_shards), tag="bad"
-        )
-        apply(published_dir(tmp_path, bad) / relative)
+        bad = generations.publish(registry, tmp_path)
+        bad_path = Path(bad.path)
+        apply(bad_path / generations.damaged_file(damage))
 
         if caught_on_open:
             with pytest.raises(CorruptArtifactError):
-                registry.open_preferences(bad.version)
-            assert answer(registry) == want
+                getattr(registry, f"open_{generations.kind}")(bad.version)
+            assert answer(registry) == generations.want
         reopened = ArtifactRegistry(root=tmp_path)  # must not raise
-        assert answer(reopened) == want
-        assert (tmp_path / QUARANTINE_DIR / published_dir(tmp_path, bad).name).exists()
-        assert not published_dir(tmp_path, bad).exists()
+        assert answer(reopened) == generations.want
+        assert (bad_path.parent / QUARANTINE_DIR / bad_path.name).exists()
+        assert not bad_path.exists()
         assert len(registry.quarantined if caught_on_open else reopened.quarantined) == 1
-        assert answer(ArtifactRegistry(root=tmp_path)) == want  # durable
+        assert answer(ArtifactRegistry(root=tmp_path)) == generations.want  # durable
+
+    @pytest.mark.parametrize("damage", ["bitflip", "missing"])
+    def test_corrupt_store_freeze_is_refused_at_publish(self, tmp_path, damage):
+        """Verify-at-ingest: a commit whose CSR does not prove out raises
+        and appends no record — the previous generation stays latest."""
+        registry = ArtifactRegistry(root=tmp_path / "registry")
+        store = GraphStore(tmp_path / "gs", num_nodes=6)
+        store.put_edges([e[:2] for e in GOOD_EDGES], [e[2] for e in GOOD_EDGES])
+        good = registry.publish_graph(store, version=store.commit_version("good"))
+        store.put_edges([e[:2] for e in BAD_EDGES], [e[2] for e in BAD_EDGES])
+        bad_version = store.commit_version("bad")
+        DAMAGE[damage][2](store.csr_path(bad_version) / DAMAGE[damage][1])
+
+        with pytest.raises(CorruptArtifactError):
+            registry.publish_graph(store)
+        assert registry.latest(KIND_GRAPH) == good
+        assert registry.quarantined == []
+        assert registry.open_graph().num_edges == len(GOOD_EDGES)
 
     def test_corrupt_artifact_detected_at_startup(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
@@ -297,16 +382,16 @@ class TestFaultSeams:
         assert registry.open_preferences() is not None  # next attempt heals
 
 
-class TestUnboundStore:
-    def test_store_record_without_bound_store_raises_storage_error(self, tmp_path):
+class TestStoreFrozenGraph:
+    def test_reopened_registry_opens_without_the_store(self, tmp_path):
+        """The record is the ``csr-NNNNNN/`` directory, not a handle on the
+        store: a restarted process serves it without re-binding anything."""
         first = ArtifactRegistry(root=tmp_path)
-        from repro.graph import GraphStore
-
         store = GraphStore(tmp_path / "gs", num_nodes=6)
         store.put_edges([(0, 1)], weights=[0.5])
         store.commit_version("w0")
-        first.publish_graph(store)
+        record = first.publish_graph(store)
 
-        reopened = ArtifactRegistry(root=tmp_path)  # store not re-bound
-        with pytest.raises(StorageError, match="not bound"):
-            reopened.open_graph()
+        reopened = ArtifactRegistry(root=tmp_path)
+        assert reopened.latest(KIND_GRAPH) == record
+        assert reopened.open_graph().neighbors(0)[0].tolist() == [1]

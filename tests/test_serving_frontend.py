@@ -7,6 +7,7 @@ codes, ``Retry-After`` headers and the merged GET telemetry routes.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -20,7 +21,12 @@ from repro.obs import Observability
 from repro.online import EGLSystem
 from repro.online.api import EGLService
 from repro.online.reasoning import GraphReasoner
-from repro.serving.frontend import AdmissionController, QueryFrontend, http_status
+from repro.serving.frontend import (
+    MAX_BODY_BYTES,
+    AdmissionController,
+    QueryFrontend,
+    http_status,
+)
 
 
 @pytest.fixture()
@@ -312,6 +318,68 @@ class TestHTTPSurface:
         assert drained is True
         # The in-flight request finished normally despite the drain.
         assert results and results[0][0] == 200
+
+
+def _post(path: str, body: bytes, content_length=None) -> bytes:
+    length = len(body) if content_length is None else content_length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {length}\r\n\r\n"
+    ).encode() + body
+
+
+def _read_response(reader) -> tuple[int, dict, bytes]:
+    """One response off ``sock.makefile("rb")`` — buffered, so a pipelined
+    second response stays queued for the next call."""
+    status_line = reader.readline().decode("latin-1")
+    assert status_line, "connection closed before a response"
+    headers = {}
+    while (line := reader.readline().decode("latin-1").rstrip("\r\n")):
+        name, value = line.split(":", 1)
+        headers[name.lower()] = value.strip()
+    body = reader.read(int(headers["content-length"]))
+    assert len(body) == int(headers["content-length"])
+    return int(status_line.split()[1]), headers, body
+
+
+#: name → (request, status, connection stays usable). Only the first can be
+#: framed, so only it keeps the connection; the others carry no body, which
+#: is all a server may assume about a length it cannot trust.
+UNREADABLE_BODIES = {
+    "unknown-route-with-body": (_post("/nope", b'{"phrases": ["x"]}'), 400, True),
+    "non-integer-length": (_post("/expand", b"", "abc"), 400, False),
+    "negative-length": (_post("/expand", b"", -1), 400, False),
+    "over-limit-length": (_post("/expand", b"", MAX_BODY_BYTES + 1), 413, False),
+}
+
+
+class TestReadOrClose:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_BODIES))
+    def test_refusal_never_desynchronises_the_connection(self, service, world, case):
+        """Every refusal is answered at once (1 s socket timeouts), and the
+        next valid request — same connection when the body could be
+        consumed, a fresh one when the listener had to hang up — is too."""
+        request, status, stays_open = UNREADABLE_BODIES[case]
+        valid = _post("/expand", json.dumps({"phrases": [world.entities[0].name]}).encode())
+
+        def connect(frontend):
+            return socket.create_connection(("127.0.0.1", frontend.port), timeout=1.0)
+
+        with QueryFrontend(service) as frontend:
+            with connect(frontend) as sock, sock.makefile("rb") as reader:
+                sock.sendall(request)
+                got, headers, body = _read_response(reader)
+                assert got == status
+                assert json.loads(body)["code"] == "invalid_argument"
+                if stays_open:
+                    sock.sendall(valid)
+                    assert _read_response(reader)[0] == 200
+                else:
+                    assert headers["connection"] == "close"
+                    assert reader.read(1) == b""  # the listener hung up
+            with connect(frontend) as fresh, fresh.makefile("rb") as reader:
+                fresh.sendall(valid + valid)  # pipelined: framing is exact
+                assert _read_response(reader)[0] == 200
+                assert _read_response(reader)[0] == 200
 
 
 class TestStatusMapping:

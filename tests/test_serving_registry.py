@@ -100,9 +100,11 @@ class TestRegistry:
         assert record.kind == KIND_GRAPH
         assert record.version == 1
         assert record.tag == "week-0"
-        assert record.source == "store"
-        reader = registry.open_graph()
-        assert reader.version == 1 and reader.num_edges == 2
+        # The record is the frozen CSR directory, pinned by its digest.
+        assert (record.source, record.format) == ("csr", "csr")
+        assert record.path == str(store.csr_path(1)) and len(record.checksum) == 64
+        graph = registry.open_graph()
+        assert graph.num_edges == 2 and graph.artifact_format == "csr"
 
     def test_publish_memory_graph(self):
         registry = ArtifactRegistry()
@@ -148,12 +150,3 @@ class TestRegistry:
     def test_unknown_kind_raises(self):
         with pytest.raises(StorageError):
             ArtifactRegistry().records("embeddings")
-
-    def test_rejects_second_store(self, store, tmp_path):
-        registry = ArtifactRegistry()
-        registry.publish_graph(store)
-        other = GraphStore(tmp_path / "other", num_nodes=10)
-        other.put_edges([(0, 1)])
-        other.commit_version()
-        with pytest.raises(StorageError):
-            registry.publish_graph(other)

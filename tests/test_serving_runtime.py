@@ -62,7 +62,6 @@ class TestActivation:
             "graph_version": 1,
             "graph_tag": "week-0",
             "graph_format": "memory",
-            "graph_shards": 1,
             "preference_version": None,
             "preference_tag": None,
             "preference_format": None,
