@@ -1,0 +1,65 @@
+"""Weekly-refresh time as a recorded series (first half-step of ROADMAP 6a).
+
+Runs the end-to-end benchmark's public command on ``expand_hot`` and
+appends what the operator pays for bring-up to ``results/history.jsonl``
+under the bench name ``e2e_refresh``: the seconds of the week-0 TRMP stages
+that train, and of the whole week-0 refresh (``refresh_weekly_s``, the sum
+of all its ``refresh.*_s``), from the traced pass, and ``setup_s`` from
+an untraced pass (a traced pass does not print it: end-to-end numbers
+never come from a traced run). Nothing under ``benchmarks/e2e/`` is
+imported or changed.
+
+The gate is absolute -- seconds on the fixed dataset, not a ratio against
+an earlier run -- with ceilings about twice what this commit measures
+(``setup_s`` ~9.6 s, ``refresh_weekly_s`` ~6.6 s), so a slower CI host
+passes and a refresh that doubles does not. The quality of the graph each
+refresh produced (ACC / CorS / AUC) is the other half of item 6a.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from bench_common import record_history
+
+RUN = Path(__file__).resolve().parent / "e2e" / "run.py"
+SEED, SECONDS = 7, 9
+TRAINED_STAGES = (
+    "refresh.cooccurrence_embedding_s",
+    "refresh.semantic_pretrain_s",
+    "refresh.alpc_ranking_s",
+)
+CEILING_S = {"setup_s": 20.0, "refresh_weekly_s": 14.0}
+
+
+def run_pass(trace: int) -> dict:
+    done = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "expand_hot", "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", str(trace)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, result
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def test_e2e_refresh_history():
+    traced = run_pass(trace=1)
+    stages = {k: v for k, v in traced.items() if k.startswith("refresh.")}
+    # The stages that train; the rest are tens of milliseconds, which the
+    # history comparator's relative band would only flag as noise.
+    metrics = {name: stages[name] for name in TRAINED_STAGES}
+    metrics["refresh_weekly_s"] = sum(stages.values())
+    metrics["setup_s"] = run_pass(trace=0)["setup_s"]
+    record_history(
+        "e2e_refresh",
+        metrics,
+        directions=dict.fromkeys(metrics, "lower"),
+        config={"workload": "expand_hot", "seed": SEED, "seconds": SECONDS},
+    )
+    for name, ceiling in CEILING_S.items():
+        assert metrics[name] <= ceiling, (name, metrics[name], ceiling)

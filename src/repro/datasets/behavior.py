@@ -100,7 +100,6 @@ class BehaviorLogGenerator:
         self.world = world
         self.config = config or BehaviorConfig()
         self.config.validate()
-        self._affinity = world.user_entity_affinity()  # (U, E)
         self._drift_rng = ensure_rng(self.config.seed + 1)
         self.drift = WeeklyDriftProcess(
             world.num_topics, self.config.drift_scale, self._drift_rng
@@ -126,8 +125,16 @@ class BehaviorLogGenerator:
             topic_weights = np.ones(self.world.num_topics) / self.world.num_topics
 
         # Per-entity weight from the topic drift: weight of the topic mixture.
-        entity_drift = self.world.entity_topics @ topic_weights
+        entity_topics = self.world.entity_topics
+        entity_drift = entity_topics @ topic_weights
         base = self.world.popularity * entity_drift  # (E,)
+        # The same for every event of this call: the drifted weight of each
+        # topic, and each topic's distribution over the entities it mentions.
+        topic_weight = entity_topics.T @ base  # (K,)
+        mention_probs = []
+        for topic in range(self.world.num_topics):
+            probs = base * entity_topics[:, topic] ** 2
+            mention_probs.append(probs / probs.sum())
 
         events: list[BehaviorEvent] = []
         for day in range(start_day, start_day + num_days):
@@ -135,7 +142,9 @@ class BehaviorLogGenerator:
             for user_id in np.flatnonzero(active):
                 n_events = max(1, int(rng.poisson(cfg.events_per_active_day)))
                 for _ in range(n_events):
-                    events.append(self._make_event(int(user_id), day, base, rng))
+                    events.append(
+                        self._make_event(int(user_id), day, topic_weight, mention_probs, rng)
+                    )
         return events
 
     def generate_week(self, week: int, rng: np.random.Generator | int | None = None) -> list[BehaviorEvent]:
@@ -150,7 +159,8 @@ class BehaviorLogGenerator:
         self,
         user_id: int,
         day: int,
-        base_entity_weight: np.ndarray,
+        topic_weight: np.ndarray,
+        mention_probs: list[np.ndarray],
         rng: np.random.Generator,
     ) -> BehaviorEvent:
         cfg = self.config
@@ -160,15 +170,14 @@ class BehaviorLogGenerator:
         # event's topic from the user's interests (re-weighted by the
         # current drift), then mention entities about that topic. This is
         # what gives entity co-occurrence its topical signal.
-        topic_weight = self.world.entity_topics.T @ base_entity_weight  # (K,)
         topic_probs = world.user_interests[user_id] * topic_weight
         topic_probs = topic_probs / topic_probs.sum()
         topic = int(rng.choice(world.num_topics, p=topic_probs))
 
-        probs = base_entity_weight * world.entity_topics[:, topic] ** 2
-        probs = probs / probs.sum()
         n_mentions = int(rng.integers(1, cfg.max_mentions_per_event + 1))
-        entity_ids = rng.choice(world.num_entities, size=n_mentions, replace=False, p=probs)
+        entity_ids = rng.choice(
+            world.num_entities, size=n_mentions, replace=False, p=mention_probs[topic]
+        )
 
         lo, hi = cfg.filler_words
         n_filler = int(rng.integers(lo, hi + 1))

@@ -14,12 +14,14 @@ autograd engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.errors import ConfigError, NotFittedError
 from repro.graph.sampling import AliasSampler
 from repro.rng import ensure_rng
+from repro.tensor.ops import scatter_add_rows
 
 
 @dataclass
@@ -96,9 +98,7 @@ class SkipGramModel:
         return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
     def _noise_sampler(self, sequences: list[list[int]]) -> AliasSampler:
-        counts = np.zeros(self.num_items)
-        for seq in sequences:
-            np.add.at(counts, np.asarray(seq, dtype=np.int64), 1.0)
+        counts = occurrence_counts(sequences, self.num_items)
         counts = np.maximum(counts, 1e-3) ** self.config.noise_exponent
         return AliasSampler(counts)
 
@@ -132,12 +132,19 @@ class SkipGramModel:
         flat_neg = negatives.reshape(-1)
         neg_count = np.bincount(flat_neg, minlength=n)[flat_neg][:, None]
 
-        np.add.at(self.in_vectors, centers, -lr * grad_w / center_count)
-        np.add.at(self.out_vectors, contexts, -lr * grad_c_pos / ctx_count)
-        np.add.at(
+        scatter_add_rows(self.in_vectors, centers, -lr * grad_w / center_count)
+        # One call for both output updates. Contexts come before negatives:
+        # a row that is both accumulates in that order, and seeded training
+        # is pinned to the bit.
+        scatter_add_rows(
             self.out_vectors,
-            flat_neg,
-            -lr * grad_c_neg.reshape(-1, self.config.dim) / neg_count,
+            np.concatenate([contexts, flat_neg]),
+            np.concatenate(
+                [
+                    -lr * grad_c_pos / ctx_count,
+                    -lr * grad_c_neg.reshape(-1, self.config.dim) / neg_count,
+                ]
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -156,6 +163,12 @@ class SkipGramModel:
     def similarity(self, a: int, b: int) -> float:
         v = self.normalized_vectors()
         return float(v[a] @ v[b])
+
+
+def occurrence_counts(sequences: list[list[int]], num_items: int) -> np.ndarray:
+    """How often each id occurs across ``sequences``, as float64."""
+    ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
+    return np.bincount(ids, minlength=num_items).astype(np.float64)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

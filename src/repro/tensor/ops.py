@@ -7,6 +7,7 @@ the GNN layers vectorise over edge lists instead of looping over nodes.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -203,6 +204,34 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 # ----------------------------------------------------------------------
 # Gather / scatter / segment ops (the GNN workhorses)
 # ----------------------------------------------------------------------
+def scatter_add_rows(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``target[index[i]] += values[i]`` for every ``i``, in ``i`` order, in place.
+
+    Bit-identical to ``np.add.at(target, index, values)`` for a 1-D integer
+    ``index`` over the rows of ``target``, but ~5x faster on targets with
+    two or more dimensions: the rows are expanded to flat element
+    positions and accumulated through ``np.add.at`` on the 1-D view of
+    ``target``, which takes numpy's contiguous fast path and still applies
+    the additions to each element in the same ``i`` order as the N-d call.
+
+    ``target`` must be C-contiguous (its 1-D view must alias it, not copy
+    it); ``values`` broadcasts to ``(len(index),) + target.shape[1:]``.
+    """
+    if not target.flags.c_contiguous:
+        raise ValueError("scatter_add_rows needs a C-contiguous target")
+    index = np.asarray(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise IndexError("scatter_add_rows needs a 1-D integer index")
+    rows = target.shape[0]
+    if index.size and (index.min() < -rows or index.max() >= rows):
+        raise IndexError(f"row index out of bounds for {rows} rows")
+    index = np.where(index < 0, index + rows, index).astype(np.intp, copy=False)
+    values = np.broadcast_to(values, index.shape + target.shape[1:])
+    width = math.prod(target.shape[1:])  # elements per row; 1 for a 1-D target
+    flat = (index[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(target.reshape(-1), flat, values.reshape(-1))
+
+
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Select rows ``x[index]`` with a scatter-add backward pass.
 
@@ -215,8 +244,8 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     out = x.data[index]
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
-        grad = np.zeros_like(x.data)
-        np.add.at(grad, index, g)
+        grad = np.zeros(x.data.shape, dtype=x.data.dtype)
+        scatter_add_rows(grad, index, g)
         return (grad,)
 
     return _make(out, (x,), backward, "gather_rows")
@@ -230,7 +259,7 @@ def scatter_sum(x: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     out = np.zeros((num_rows,) + x.data.shape[1:], dtype=x.data.dtype)
-    np.add.at(out, index, x.data)
+    scatter_add_rows(out, index, x.data)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         return (g[index],)
@@ -269,14 +298,14 @@ def segment_softmax(logits: Tensor, segment_ids: np.ndarray, num_segments: int) 
     shifted = a - seg_max[segment_ids]
     ex = np.exp(shifted)
     denom = np.zeros((num_segments, a.shape[1]))
-    np.add.at(denom, segment_ids, ex)
+    scatter_add_rows(denom, segment_ids, ex)
     out = ex / denom[segment_ids]
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         gg = g[:, None] if g.ndim == 1 else g
         weighted = (gg * out)
         seg_dot = np.zeros((num_segments, a.shape[1]))
-        np.add.at(seg_dot, segment_ids, weighted)
+        scatter_add_rows(seg_dot, segment_ids, weighted)
         grad = out * (gg - seg_dot[segment_ids])
         return (grad[:, 0] if squeeze else grad,)
 

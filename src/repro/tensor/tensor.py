@@ -368,8 +368,13 @@ class Tensor:
         out = a[index]
 
         def backward(g: np.ndarray) -> tuple[np.ndarray]:
-            grad = np.zeros_like(a)
-            np.add.at(grad, index, g)
+            from repro.tensor.ops import scatter_add_rows  # ops imports this module
+
+            grad = np.zeros(a.shape, dtype=a.dtype)
+            if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
+                scatter_add_rows(grad, index, g)
+            else:  # slices, masks, index tuples: few elements or no duplicates
+                np.add.at(grad, index, g)
             return (grad,)
 
         return _make(np.asarray(out), (self,), backward, "getitem")

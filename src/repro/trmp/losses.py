@@ -87,15 +87,14 @@ def anchor_negative_mask(anchor_pairs: np.ndarray, edge_keys: set[tuple[int, int
     share an edge (or identity) — those are false negatives.
     """
     anchor_pairs = np.asarray(anchor_pairs, dtype=np.int64).reshape(-1, 2)
-    n = len(anchor_pairs)
-    mask = np.ones((n, n), dtype=bool)
-    for i in range(n):
-        a = int(anchor_pairs[i, 0])
-        for j in range(n):
-            b = int(anchor_pairs[j, 1])
-            if a == b or (min(a, b), max(a, b)) in edge_keys:
-                mask[i, j] = False
-    return mask
+    edges = np.asarray(list(edge_keys), dtype=np.int64).reshape(-1, 2)
+    # Entity-by-entity relatedness (identity or an edge), sized to cover
+    # batch entities that are absent from the graph.
+    size = int(max(anchor_pairs.max(initial=-1), edges.max(initial=-1))) + 1
+    related = np.eye(size, dtype=bool)
+    related[edges[:, 0], edges[:, 1]] = True
+    related[edges[:, 1], edges[:, 0]] = True
+    return ~related[np.ix_(anchor_pairs[:, 0], anchor_pairs[:, 1])]
 
 
 def _l2_normalize(x: Tensor, eps: float = 1e-8) -> Tensor:

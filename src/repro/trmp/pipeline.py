@@ -27,7 +27,7 @@ from repro.datasets.behavior import BehaviorEvent
 from repro.datasets.splits import LinkPredictionSplit, make_link_prediction_split
 from repro.datasets.world import World
 from repro.embeddings.semantic import SemanticEncoderConfig, SemanticEntityEncoder
-from repro.embeddings.skipgram import SkipGramConfig, SkipGramModel
+from repro.embeddings.skipgram import SkipGramConfig, SkipGramModel, occurrence_counts
 from repro.errors import ConfigError, NotFittedError
 from repro.graph.entity_graph import RELATION_RANKED, EntityGraph
 from repro.obs import Observability
@@ -191,10 +191,7 @@ class TRMPipeline:
             sequences = self.extractor.corpus_sequences(events)
         if not sequences:
             raise ConfigError("no entity sequences extracted from the events")
-        counts = np.zeros(self.world.num_entities)
-        for seq in sequences:
-            np.add.at(counts, np.asarray(seq, dtype=np.int64), 1.0)
-        self._last_entity_counts = counts
+        self._last_entity_counts = occurrence_counts(sequences, self.world.num_entities)
         with self._stage("cooccurrence_embedding"):
             model = SkipGramModel(self.world.num_entities, self.config.skipgram)
             return model.fit(sequences).normalized_vectors()

@@ -64,6 +64,16 @@ def baseline(chaos_world, chaos_events, tmp_path_factory):
     }
 
 
+def test_baseline_digest_is_the_recorded_one(baseline):
+    """Seeded training is reproducible to the bit, and the value is written
+    down: a change to the rounding of any training step (an operation
+    reordered, a fused kernel) moves this digest and has to edit it here,
+    deliberately, beside the quality numbers that justify it."""
+    assert baseline["artifact_digest"] == (
+        "9993cedb96b8c5591e89103e5a0febc9cd205f0911b2acb6b11c8525a57898e9"
+    )
+
+
 @pytest.mark.parametrize("kill_stage", WEEKLY_STAGES)
 def test_kill_after_each_stage_resumes_byte_identical(
     kill_stage, chaos_world, chaos_events, baseline, tmp_path

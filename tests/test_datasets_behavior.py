@@ -1,5 +1,7 @@
 """Behavior-log generation and weekly drift."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,35 @@ class TestEvents:
         a = BehaviorLogGenerator(world, BehaviorConfig(num_days=3, seed=4)).generate()
         b = BehaviorLogGenerator(world, BehaviorConfig(num_days=3, seed=4)).generate()
         assert [e.text for e in a[:20]] == [e.text for e in b[:20]]
+
+    @pytest.mark.parametrize(
+        "config, count, sha256",
+        [
+            (
+                BehaviorConfig(num_days=21, seed=5),
+                4731,
+                "efda29a2286840ffcdfcb5c66ddf040e8d225633d2aac8922c721740ff2c357e",
+            ),
+            (  # the end-to-end benchmark's BEHAVIOR_CONFIG
+                BehaviorConfig(num_days=28, daily_activity=0.03, events_per_active_day=1.0, seed=11),
+                199,
+                "3c2b5c6e8d78457a4958dce07f5af9f1eee19b70b6b8a666eb9dd902d204ad90",
+            ),
+        ],
+        ids=["dense", "benchmark"],
+    )
+    def test_event_stream_is_pinned(self, world, config, count, sha256):
+        """The base log plus two drifted weeks, hashed in full: a change to
+        the RNG call sequence, or to one bit of a probability vector handed
+        to it, moves the hash."""
+        generator = BehaviorLogGenerator(world, config)
+        events = generator.generate() + generator.generate_week(1) + generator.generate_week(2)
+        digest = hashlib.sha256()
+        for e in events:
+            mentions = tuple((m.start, m.end, m.entity_id) for m in e.mentions)
+            digest.update(repr((e.user_id, e.day, e.channel, e.text, mentions)).encode())
+        assert len(events) == count
+        assert digest.hexdigest() == sha256
 
     def test_users_mention_entities_they_like(self, world, events):
         # Users should interact with their top topics far more than chance.

@@ -1,5 +1,8 @@
 """Functional ops: gradchecks against finite differences, reference values."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from repro.tensor import (
     tanh,
     where_const,
 )
+from repro.tensor.ops import scatter_add_rows
 
 from helpers import assert_gradcheck
 
@@ -148,6 +152,113 @@ class TestShapeOps:
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs(out.data.mean() - 1.0) < 0.05
+
+
+class TestScatterAddRows:
+    """The kernel against its oracle, the N-d ``np.add.at`` it replaced:
+    equal bits (``np.array_equal``), because the additions reach every
+    element in the same order."""
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 5), (7, 3, 4)])
+    def test_bit_identical_with_heavy_duplicates(self, rng, shape):
+        index = rng.integers(0, shape[0], size=2500)  # ~350 hits per row
+        index[::9] -= shape[0]  # negative row ids address from the end
+        # Magnitudes spread over 16 decades, so every sum is order-sensitive.
+        scale = 10.0 ** rng.integers(-8, 8, size=(len(index),) + (1,) * (len(shape) - 1))
+        values = rng.normal(size=(len(index),) + shape[1:]) * scale
+        start = rng.normal(size=shape)
+        expected, got = start.copy(), start.copy()
+        np.add.at(expected, index, values)
+        scatter_add_rows(got, index, values)
+        assert np.array_equal(got, expected)
+        # The sums depend on the order: the check above is not vacuous.
+        shuffled = start.copy()
+        order = rng.permutation(len(index))
+        np.add.at(shuffled, index[order], values[order])
+        assert not np.array_equal(shuffled, expected)
+
+    @pytest.mark.parametrize(
+        "values", [1.0, np.arange(4.0), np.arange(6.0)[:, None]], ids=["scalar", "row", "column"]
+    )
+    def test_broadcast_values(self, values):
+        index = np.array([2, 0, 2, 2, 1, 0])
+        expected, got = np.zeros((3, 4)), np.zeros((3, 4))
+        np.add.at(expected, index, values)
+        scatter_add_rows(got, index, values)
+        assert np.array_equal(got, expected)
+
+    def test_empty_index_leaves_target_alone(self, rng):
+        target = rng.normal(size=(4, 3))
+        before = target.copy()
+        scatter_add_rows(target, np.empty(0, dtype=np.int64), np.empty((0, 3)))
+        assert np.array_equal(target, before)
+
+    def test_other_dtypes_match_the_oracle(self, rng):
+        index = rng.integers(0, 5, size=300)
+        values = rng.normal(size=(300, 2))  # float64 into a float32 target
+        expected, got = np.zeros((5, 2), dtype=np.float32), np.zeros((5, 2), dtype=np.float32)
+        np.add.at(expected, index, values)
+        scatter_add_rows(got, index, values)
+        assert np.array_equal(got, expected)
+
+    def test_non_contiguous_target_is_refused(self):
+        # ``reshape(-1)`` of a non-contiguous array is a copy: the adds
+        # would be lost, so the kernel must refuse instead.
+        for target in (np.zeros((4, 6))[:, ::2], np.zeros((3, 4)).T):
+            with pytest.raises(ValueError):
+                scatter_add_rows(target, np.array([0, 1]), 1.0)
+            assert not target.any()
+
+    def test_bad_index_is_refused(self):
+        target = np.zeros((3, 2))
+        for index in (np.array([3]), np.array([-4]), np.array([[0, 1]]), np.array([0.0])):
+            with pytest.raises(IndexError):
+                scatter_add_rows(target, index, 1.0)
+        assert not target.any()
+
+    def test_gather_rows_backward_on_transposed_input(self, rng):
+        a = rng.normal(size=(3, 5))
+        idx = np.array([4, 4, 0, 2, 4])
+        x = Tensor(a.T, requires_grad=True)  # an F-ordered (5, 3) view
+        gather_rows(x, idx).sum().backward()
+        expected = np.bincount(idx, minlength=5)[:, None] * np.ones((5, 3))
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_getitem_backward_by_index_array(self, rng):
+        a = rng.normal(size=(6, 3))
+        idx = np.array([5, 1, 1, -1, 1])
+        g = rng.normal(size=(5, 3))
+        x = Tensor(a, requires_grad=True)
+        (x[idx] * Tensor(g)).sum().backward()
+        expected = np.zeros_like(a)
+        np.add.at(expected, idx, g)
+        assert np.array_equal(x.grad, expected)
+
+
+def test_one_scatter_add_kernel():
+    """Guard: under ``src/repro`` an unbuffered ``np.<ufunc>.at`` may be
+    called only inside ``scatter_add_rows``, for ``segment_softmax``'s max,
+    for the indices of ``Tensor.__getitem__`` that are not a row array
+    (slices, masks, tuples) and on the request path's one allow-listed line
+    -- so numpy's slow N-d scatter-add cannot come back into training
+    unnoticed."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "at"
+                and ast.unparse(node.func.value).startswith("np.")
+            ):
+                found.append((path.relative_to(src).as_posix(), ast.unparse(node)))
+    assert sorted(found) == [
+        ("preference/store.py", "np.add.at(combine[:, i], cols, w)"),
+        ("tensor/ops.py", "np.add.at(target.reshape(-1), flat, values.reshape(-1))"),
+        ("tensor/ops.py", "np.maximum.at(seg_max, segment_ids, a)"),
+        ("tensor/tensor.py", "np.add.at(grad, index, g)"),
+    ]
 
 
 class TestGatherScatter:

@@ -93,6 +93,31 @@ class TestInfoNCE:
         assert not mask[0, 2]  # partner of row 2 is entity 0 == anchor 0
         assert mask[1, 0] and mask[2, 0]
 
+    def test_anchor_negative_mask_equals_the_loop(self, rng):
+        def loop_mask(anchor_pairs, edge_keys):
+            """The cell-by-cell definition the vectorised mask replaced."""
+            n = len(anchor_pairs)
+            mask = np.ones((n, n), dtype=bool)
+            for i in range(n):
+                a = int(anchor_pairs[i, 0])
+                for j in range(n):
+                    b = int(anchor_pairs[j, 1])
+                    if a == b or (min(a, b), max(a, b)) in edge_keys:
+                        mask[i, j] = False
+            return mask
+
+        for num_nodes, num_edges, batch in [(12, 30, 40), (50, 80, 64), (30, 0, 16), (8, 5, 1)]:
+            ends = rng.integers(0, num_nodes, size=(num_edges, 2))
+            edges = {(int(min(u, v)), int(max(u, v))) for u, v in ends if u != v}
+            # Ids up to 2x the graph: anchors absent from it; a small id
+            # range: repeated anchors, a == b across rows, and self-pairs.
+            anchors = rng.integers(0, 2 * num_nodes, size=(batch, 2))
+            anchors[0] = anchors[0, 0]
+            mask = anchor_negative_mask(anchors, edges)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, loop_mask(anchors, edges))
+        assert anchor_negative_mask(np.empty((0, 2), dtype=np.int64), {(0, 1)}).shape == (0, 0)
+
 
 class TestTotalLoss:
     def test_weighted_sum(self):
