@@ -1,19 +1,20 @@
 """Observability overhead gate: instrumented vs uninstrumented read path.
 
 The obs layer rides the hottest path in the system — every API request
-opens a span, bumps counters and observes latency histograms. This
+opens a request record, times its phases, bumps counters and observes
+latency histograms. This
 benchmark serves the same warm (cached) expansion workload through two
 stacks sharing the *same* activated artifacts:
 
 * instrumented — the default :class:`~repro.obs.Observability` bundle;
-* uninstrumented — ``Observability.disabled()``, whose metric/span calls
-  are shared no-ops (the zero-cost baseline).
+* uninstrumented — ``Observability.disabled()``, which opens no record
+  and whose metric/phase calls are shared no-ops (the zero-cost baseline).
 
-The instrumented side runs the *full* request-journey path: ambient
-:class:`~repro.obs.RequestContext` bind/unbind, span open/close with the
-correlation id, latency histogram observation with an exemplar, and the
-per-request journey record appended to the ``/journeys`` ring — the
-complete production obs surface, not a trimmed subset.
+The instrumented side runs the *full* per-request path: one
+:class:`~repro.obs.RequestRecord` opened, bound and closed, its ``api`` /
+``runtime`` / ``cache.get`` phases timed, the latency histogram observed,
+and the record appended to the ``/journeys`` ring — the complete production
+obs surface, not a trimmed subset.
 
 Warm requests are the worst case for relative overhead (microseconds of
 work per request, nothing to amortise against), so gating here bounds the
@@ -28,7 +29,7 @@ quantile keeps estimating the floor, applied to both sides alike.
 Acceptance: < 15% added latency at the API layer. The budget was 10%
 while the read path was single-threaded; the concurrent front end made
 every per-request obs primitive concurrency-correct (striped histogram
-observations, ambient context binding, exemplar stamps), which raised
+observations, ambient record binding), which raised
 the honest floor to ~10% of a ~23µs warm request on a 1-core container,
 and run-to-run layout/ambient variance on shared runners adds another
 ±2-3 points around that floor. The hard gate is therefore the *cliff*
@@ -242,9 +243,9 @@ def test_obs_overhead_under_gate(benchmark):
         },
     )
 
-    # Acceptance: the full journey path stays under the cliff gate (see
+    # Acceptance: the full record path stays under the cliff gate (see
     # module docstring for why the thread-safe path moved the budget and
     # how creep is caught by the perf-history trend instead).
     assert payload["api_overhead_pct"] < payload["max_overhead_pct"]
-    # The instrumented side must actually have exercised the journey ring.
+    # The instrumented side must actually have filled the request ring.
     assert payload["journeys_recorded"] > 0

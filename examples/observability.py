@@ -1,4 +1,4 @@
-"""Observability tour: metrics, request traces, and the injectable clock.
+"""Observability tour: metrics, request records, and the injectable clock.
 
 Run with::
 
@@ -8,7 +8,7 @@ Takes a few seconds. Shows the three faces of ``repro.obs`` on a small
 system:
 
 1. the Prometheus-style ``/metrics`` exposition after a request mix;
-2. one request's trace — nested spans with parent/child ids;
+2. one request's record — outcome, cache hit/miss and its phase waterfall;
 3. a ``ManualClock``, which makes latencies deterministic in tests.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
-from repro.obs import ManualClock, Observability
+from repro.obs import ManualClock, Observability, phase
 from repro.online.api import EGLService, ExpandRequest, TargetRequest
 
 
@@ -47,26 +47,28 @@ def main() -> None:
     print("\n".join(shown))
     print(f"... plus histograms ({len(exposition.splitlines())} lines total)")
 
-    print("\n=== 2. One request = one trace ===")
-    # The first expansion was a cache miss, so its trace has a compute child.
-    for spans in system.obs.tracer.traces().values():
-        if any(s.name == "runtime.expand_compute" for s in spans):
-            for span in sorted(spans, key=lambda s: s.span_id):
-                indent = "  " if span.parent_id is not None else ""
-                print(f"  {indent}{span.name:<28s} span={span.span_id} "
-                      f"parent={span.parent_id} {span.duration_ms:.2f} ms")
-            break
+    print("\n=== 2. One request = one record ===")
+    # The first expansion was a cache miss, so its record holds the k-hop phases.
+    cold = next(j for j in system.obs.journeys.tail() if j["cache"] == "miss")
+    print(f"  request {cold['id']}: {cold['endpoint']} ok={cold['ok']} "
+          f"{cold['duration_ms']:.2f} ms cache={cold['cache']} hops={cold['hops']}")
+    for name, depth, start_us, dur_us in cold["phases"]:
+        print(f"  {'  ' * depth}{name:<{24 - 2 * depth}s} +{start_us:8.1f} µs {dur_us:8.1f} µs")
 
     print("\n=== 3. Frozen time with ManualClock ===")
     clock = ManualClock(start=1_000.0)
     obs = Observability(clock=clock)
-    with obs.tracer.span("outer") as outer:
+    record = obs.journeys.open("demo")
+    with phase("outer"):
         clock.advance(0.25)
-        with obs.tracer.span("inner"):
+        with phase("inner"):
             clock.advance(0.05)
-    print(f"  outer: {outer.duration_ms:.0f} ms (exactly the advances: 250+50)")
-    inner = obs.tracer.finished()[0]
-    print(f"  inner: {inner.duration_ms:.0f} ms, parented to span {inner.parent_id}")
+    obs.journeys.close(record, ok=True, code=None)
+    (journey,) = obs.journeys.tail()
+    outer, inner = journey["phases"]
+    print(f"  outer: {outer[3] / 1000:.0f} ms (exactly the advances: 250+50)")
+    print(f"  inner: {inner[3] / 1000:.0f} ms, nested at depth {inner[1]}, "
+          f"record stamped ts={journey['ts']}")
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@ Commands
     its URL: POST ``/expand``/``/target`` with admission control
     (``--max-concurrency``, ``--max-queue``, ``--queue-timeout``) and
     structured 429/503 shed envelopes with ``Retry-After``; GET/HEAD
-    ``/metrics``, ``/health``, ``/drift``, ``/alerts``, ``/traces``,
-    ``/frontend``; a graceful drain on shutdown. ``--hold SECONDS`` keeps
-    it up, ``--log-json`` streams structured JSON logs to stdout.
+    ``/metrics``, ``/health``, ``/drift``, ``/alerts``, ``/journeys``,
+    ``/profile``, ``/frontend``; a graceful drain on shutdown.
+    ``--hold SECONDS`` keeps it up, ``--log-json`` streams structured JSON
+    logs to stdout.
 ``metrics``
     Run a miniature offline + online workload and print the Prometheus
     text exposition — request counters, latency histograms, cache
@@ -136,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     journeys = sub.add_parser(
         "journeys",
-        help="run a mini workload and print per-request journey records (NDJSON)",
+        help="run a mini workload and print its request records (NDJSON)",
     )
     journeys.add_argument("--entities", type=int, default=200)
     journeys.add_argument("--users", type=int, default=150)
@@ -146,12 +147,12 @@ def _build_parser() -> argparse.ArgumentParser:
     journeys.add_argument("--k", type=int, default=20)
     journeys.add_argument(
         "--tail", type=int, default=None, metavar="N",
-        help="print only the last N journey records",
+        help="print only the last N request records",
     )
 
     profile = sub.add_parser(
         "profile",
-        help="run a mini workload and print the phase-profiler report",
+        help="run a mini workload and print per-phase totals + resource usage",
     )
     profile.add_argument("--entities", type=int, default=200)
     profile.add_argument("--users", type=int, default=150)
@@ -441,8 +442,8 @@ def cmd_profile(args) -> int:
 
     system, service = _run_request_burst(args)
     if args.collapsed:
-        collapsed = system.obs.profiler.collapsed()
-        print(collapsed, end="" if collapsed.endswith("\n") or not collapsed else "\n")
+        for row in system.obs.journeys.phase_totals():
+            print(f"{row['phase']} {round(row['self_us'])}")
         return 0
     print(json.dumps(service.profile_payload(), indent=2, sort_keys=True))
     return 0

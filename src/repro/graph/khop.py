@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.entity_graph import EntityGraph
-from repro.obs.profile import current_profiler
+from repro.obs.context import phase
 
 
 @dataclass
@@ -181,15 +181,14 @@ def _expand_csr(
     and per-row top-k, then a single lexsort-based merge that picks each
     target's best (score, earliest-candidate) parent.
 
-    Each stage of the sweep runs under an ambient profiler phase
-    (``expand.csr`` → ``seed_init`` / ``hop.gather`` / ``hop.filter_cap``
-    / ``hop.merge`` / ``hop.admit`` / ``collect``) so ``/profile`` can
-    attribute a cold expansion's wall time; outside a request the shared
-    no-op profiler makes the phase blocks free.
+    Each stage of the sweep is a phase of the ambient request record
+    (``khop`` → ``hop.seed`` / ``hop.gather`` / ``hop.filter_cap`` /
+    ``hop.merge`` / ``hop.admit`` / ``hop.collect``), so one ``/journeys``
+    row attributes a cold expansion's wall time; outside a request the
+    phase blocks are no-ops.
     """
-    profiler = current_profiler()
-    with profiler.phase("expand.csr"):
-        with profiler.phase("seed_init"):
+    with phase("khop"):
+        with phase("hop.seed"):
             offsets, adj_nbrs, adj_ws = graph.csr_view()
             num_nodes = graph.num_nodes
 
@@ -207,7 +206,7 @@ def _expand_csr(
         for _ in range(depth):
             if len(frontier) == 0:
                 break
-            with profiler.phase("hop.gather"):
+            with phase("hop.gather"):
                 starts = np.asarray(offsets[frontier], dtype=np.int64)
                 counts = np.asarray(offsets[frontier + 1], dtype=np.int64) - starts
                 # rep[i] says which frontier position produced candidate i;
@@ -218,7 +217,7 @@ def _expand_csr(
                 nbrs = np.asarray(adj_nbrs[edge_idx], dtype=np.int64)
                 ws = np.asarray(adj_ws[edge_idx])
 
-            with profiler.phase("hop.filter_cap"):
+            with phase("hop.filter_cap"):
                 if min_edge_weight > 0:
                     keep = ws >= min_edge_weight
                     rep, nbrs, ws = rep[keep], nbrs[keep], ws[keep]
@@ -240,7 +239,7 @@ def _expand_csr(
                 frontier = np.empty(0, dtype=np.int64)
                 break
 
-            with profiler.phase("hop.merge"):
+            with phase("hop.merge"):
                 # Hop-synchronous bases (scores at hop start); the stored
                 # (float32) weights are multiplied in float64.
                 cand_scores = score[frontier[rep]] * ws.astype(np.float64)
@@ -254,7 +253,7 @@ def _expand_csr(
                 best_scores = cand_scores[merge][best_mask]
                 best_parents = frontier[rep[merge]][best_mask]
 
-            with profiler.phase("hop.admit"):
+            with phase("hop.admit"):
                 # Admission order of new nodes = first occurrence in
                 # candidate order; the max_nodes budget truncates in that
                 # same order.
@@ -276,7 +275,7 @@ def _expand_csr(
 
                 hops.append([int(n) for n in admitted])
                 frontier = admitted
-        with profiler.phase("collect"):
+        with phase("hop.collect"):
             while len(hops) < depth + 1:
                 hops.append([])
 

@@ -1,5 +1,5 @@
-"""repro.obs — dependency-free observability: metrics, tracing, clocks,
-structured logging, drift detection, SLOs/alerts.
+"""repro.obs — dependency-free observability: metrics, the per-request
+record, clocks, structured logging, drift detection, SLOs/alerts.
 
 The paper's online stage answers marketer queries "in milliseconds" while
 weekly/daily refreshes republish artifacts underneath it; operating that
@@ -11,26 +11,21 @@ just swapped in drift, are we inside our SLOs, should anyone be paged?
     :class:`MetricsRegistry` — labeled counters/gauges/fixed-bucket
     histograms with p50/p90/p99 summaries, Prometheus text exposition and
     a JSON snapshot.
-``trace``
-    :class:`Tracer` — nested spans (trace id, parent span, wall time,
-    tags) in a bounded ring buffer, exportable as JSONL.
 ``clock``
     :class:`Clock` / :class:`ManualClock` — the single injectable time
     source, so tests freeze time deterministically.
 ``logging``
-    :class:`StructuredLogger` — JSON-lines events with trace/span-id
-    correlation injected from the active tracer span (falling back to
-    the ambient request's correlation id outside any span).
+    :class:`StructuredLogger` — JSON-lines events stamped with the
+    ambient request's id.
 ``context``
-    :class:`RequestContext` — ambient per-request identity (correlation
-    id, deadline, tenant) propagated via ``contextvars`` from the API
-    edge down through runtime, cache, kernels and preference reads, plus
-    the :class:`JourneyLog` ring behind the ``/journeys`` endpoint.
+    :class:`RequestRecord` — the one per-request structure: identity,
+    outcome, versions, queue wait, cache hit/miss, hop sizes and a nested
+    waterfall of :func:`phase` timings, bound via ``contextvars`` by the
+    outermost entry point and appended once to the :class:`RequestLog`
+    ring behind the ``/journeys`` endpoint.
 ``profile``
-    :class:`PhaseProfiler` — deterministic phase timers over the hot
-    paths (per-hop frontier sweeps, preference matmul blocks) with
-    collapsed-stack export, and :class:`ResourceAccountant` gauges for
-    per-generation disk/mmap/cache footprints.
+    :class:`ResourceAccountant` gauges for per-generation disk/mmap
+    footprints.
 ``drift``
     :class:`DriftMonitor` — artifact-to-artifact :class:`DriftReport`
     (graph churn, PSI/KL score drift, top-K audience overlap) computed at
@@ -39,22 +34,23 @@ just swapped in drift, are we inside our SLOs, should anyone be paged?
     :class:`SLOTracker` rolling-window objectives + error-budget burn
     rate, and the :class:`AlertManager` rule engine with firing/resolved
     state.
-One :class:`Observability` bundle (registry + tracer + clock + logger) is
-created per :class:`~repro.online.EGLSystem` and shared by the serving
+One :class:`Observability` bundle (registry + request log + clock + logger)
+is created per :class:`~repro.online.EGLSystem` and shared by the serving
 runtime, the TRMP pipeline and the API facade. ``Observability.disabled()``
-swaps in no-op primitives — the baseline the overhead benchmark measures
-against.
+swaps in no-op primitives and opens no records — the baseline the overhead
+benchmark measures against.
 """
 
 from __future__ import annotations
 
 from repro.obs.clock import Clock, ManualClock
 from repro.obs.context import (
-    JourneyLog,
-    RequestContext,
+    RequestLog,
+    RequestRecord,
     annotate,
-    current_context,
-    current_correlation_id,
+    current_record,
+    current_request_id,
+    phase,
 )
 from repro.obs.drift import (
     DriftConfig,
@@ -74,10 +70,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profile import (
-    NOOP_PROFILER,
-    PhaseProfiler,
     ResourceAccountant,
-    current_profiler,
     mmap_open_counts,
     record_mmap_open,
 )
@@ -89,14 +82,14 @@ from repro.obs.slo import (
     default_alert_rules,
     default_objectives,
 )
-from repro.obs.trace import Span, Tracer
 
 
 class Observability:
-    """One system's observability bundle: metrics + tracer + clock + logger.
+    """One system's observability bundle: metrics + request log + clock +
+    logger.
 
     Components share the clock, so freezing it (``ManualClock``) freezes
-    every timestamp, latency sample, span duration and log record at once.
+    every timestamp, latency sample, phase duration and log record at once.
     The logger is the family root — components derive scoped loggers via
     ``obs.logger.child("serving")`` which share one ring buffer/stream.
     """
@@ -104,7 +97,6 @@ class Observability:
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         clock: Clock | None = None,
         logger: StructuredLogger | None = None,
         log_stream=None,
@@ -113,33 +105,27 @@ class Observability:
         self.enabled = enabled
         self.clock = clock or Clock()
         self.metrics = metrics or MetricsRegistry(enabled=enabled)
-        self.tracer = tracer or Tracer(clock=self.clock, enabled=enabled)
         self.logger = logger or StructuredLogger(
-            "system", clock=self.clock, tracer=self.tracer,
-            stream=log_stream, enabled=enabled,
+            "system", clock=self.clock, stream=log_stream, enabled=enabled,
         )
-        self.profiler = (
-            PhaseProfiler(clock=self.clock) if enabled else NOOP_PROFILER
-        )
-        self.journeys = JourneyLog()
+        #: The one per-request ring (``/journeys``).
+        self.journeys = RequestLog(self.clock, enabled=enabled)
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """No-op bundle: every metric/span/log call is a cheap do-nothing."""
+        """No-op bundle: every metric/phase/log call is a cheap do-nothing."""
         return cls(enabled=False)
 
 
 __all__ = [
     "Clock",
     "ManualClock",
-    "RequestContext",
-    "JourneyLog",
-    "current_context",
-    "current_correlation_id",
+    "RequestRecord",
+    "RequestLog",
+    "current_record",
+    "current_request_id",
     "annotate",
-    "PhaseProfiler",
-    "NOOP_PROFILER",
-    "current_profiler",
+    "phase",
     "ResourceAccountant",
     "record_mmap_open",
     "mmap_open_counts",
@@ -148,8 +134,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "Span",
-    "Tracer",
     "StructuredLogger",
     "DriftConfig",
     "DriftMonitor",

@@ -6,9 +6,9 @@ Everything in the system that stamps or measures time goes through a
 scales are exposed, mirroring the stdlib split:
 
 * :meth:`Clock.time` — wall-clock seconds since the epoch, for event
-  timestamps (swap logs, span start times, response timestamps);
+  timestamps (swap logs, request records, response timestamps);
 * :meth:`Clock.perf` — a monotonic high-resolution counter, for durations
-  (latency histograms, span wall time, uptime).
+  (latency histograms, phase durations, uptime).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class Clock:
 
     ``time`` and ``perf`` are the stdlib functions themselves (not method
     wrappers): callers that bind them once pay zero indirection per call,
-    which matters on the per-request span path.
+    which matters on the per-request phase path.
     """
 
     #: Wall-clock seconds since the epoch (for timestamps).
@@ -41,7 +41,7 @@ class ManualClock(Clock):
 
     Both scales advance together, so a frozen clock yields zero durations
     and a single ``advance(0.25)`` is observed as exactly 250 ms by every
-    histogram and span in flight.
+    histogram and phase in flight.
     """
 
     def __init__(self, start: float = 1_700_000_000.0) -> None:

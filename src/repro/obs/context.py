@@ -1,40 +1,30 @@
-"""Ambient per-request context: correlation ids, deadlines, journeys.
+"""One request, one record: the ambient :class:`RequestRecord` and its ring.
 
-A :class:`RequestContext` is the identity of one in-flight request. The
-API facade binds it into a :mod:`contextvars` variable for the duration
-of the call, so every layer underneath — serving runtime, expansion
-cache, CSR kernels, preference reads — can reach the current request
-without threading a parameter through a dozen signatures. Trace spans,
-structured log records and latency-histogram exemplars all stamp the
-ambient correlation id, which is what makes one request joinable across
-all four telemetry surfaces (logs, traces, ``/journeys``, exemplars).
+A :class:`RequestRecord` is everything the system keeps about one request:
+identity, outcome, the artifact versions that served it, queue wait, cache
+hit/miss, degraded reason, hop sizes and a nested waterfall of timed
+phases. The outermost entry point opens it
+(:meth:`~repro.serving.frontend.QueryFrontend.dispatch`, or
+``EGLService._run`` when the service is driven without a front end) and
+binds it into a :mod:`contextvars` slot, so every layer underneath —
+runtime, cache, kernels, structured logs — reaches the current request
+without a parameter threaded through a dozen signatures. The opener closes
+it exactly once, on every outcome (ok, error, shed, escaped exception),
+which appends it to the system's one bounded ring: :class:`RequestLog`,
+served as flat NDJSON by ``/journeys`` and ``cli journeys``.
 
-Correlation ids are small process-wide integers from one shared counter:
-deterministic under test, unique per process, and cheap enough to mint on
-a hot path that answers in ~15µs (an f-string id costs ~0.5µs — a third
-of the whole observability budget — so ids stay ``int`` until render
-time).
+:func:`phase` is the one timed-region primitive. Inside a request it
+writes the phase's name and start time to the record's flat event list and
+hands the record back as the context manager whose exit writes the end
+time; nesting is recovered at read-out. Outside any request it is a shared
+no-op, so kernels called offline pay one ``ContextVar.get``.
 
-Hot-path discipline: the API facade pools **one** ``RequestContext`` per
-*serving thread* and re-stamps it per request (fresh correlation id,
-cleared deadline/hops/annotations slots), binding it via
-``bind_context``/``unbind_context``, the pre-bound
-``ContextVar.set``/``reset`` methods. A request runs start-to-finish on
-its thread, so per-thread pooling keeps every in-flight request's
-context private — the correctness requirement; the old one-per-*service*
-context let overlapping requests corrupt each other's correlation ids
-and deadlines — while costing four slot stores instead of an allocation.
-Everything layered on top (journey rendering, NDJSON) happens at
-read-out time, never per request.
-
-A :class:`JourneyLog` is the per-system ring of compact journey records —
-one flat tuple per finished request holding the envelope's scalars, the
-span's endpoint/trace-id scalars, and the expansion-view reference,
-rendered to dicts lazily when
-``/journeys`` or ``cli journeys`` asks. Records deliberately do **not**
-hold the response object: the ring would keep each request's payload
-dict tree alive for a full ring lap, and freeing ~30 dicts from cold
-memory 256 requests later costs far more than freeing them hot.
+The ring holds scalars only — numbers, short strings, the hop-size tuple
+and the phase events. A record never references the response, its payload
+or the expansion view: anything retained here stays alive for a full ring
+lap, and freeing a payload's dict tree 256 requests later, cache-cold,
+costs more than the record itself. Nothing is formatted until a read-out
+asks (:meth:`RequestLog.tail`, :meth:`RequestLog.phase_totals`).
 """
 
 from __future__ import annotations
@@ -44,128 +34,170 @@ import json
 from collections import deque
 from contextvars import ContextVar
 
-#: Process-wide correlation id mint (ids are unique across every system
-#: and service in the process, so cross-system joins stay unambiguous).
-_CORRELATION_IDS = itertools.count(1)
-next_correlation_id = _CORRELATION_IDS.__next__
+#: Process-wide request id mint: small integers, unique across every
+#: system in the process, deterministic under test.
+next_request_id = itertools.count(1).__next__
 
 #: The ambient request slot. ``None`` outside any request.
-_AMBIENT: ContextVar["RequestContext | None"] = ContextVar(
-    "repro_request_context", default=None
+_AMBIENT: ContextVar["RequestRecord | None"] = ContextVar(
+    "repro_request_record", default=None
 )
 
-#: Pre-bound set/reset — the API hot path calls these once per request.
-bind_context = _AMBIENT.set
-unbind_context = _AMBIENT.reset
+#: Finished records the ring keeps (old requests age out — this is a
+#: serving process, not a log store).
+RING_CAPACITY = 256
 
-
-class RequestContext:
-    """Identity and scratch state of one in-flight request.
-
-    One live instance per in-flight request — pooled per serving thread
-    and re-stamped at the API edge, then bound into the ambient
-    contextvar for the call's duration (see module docstring). Fields:
-
-    ``correlation_id``
-        Integer id minted per request; ``0`` until the edge stamps it.
-    ``tenant``
-        The tenant slot (single-tenant today, a label tomorrow).
-    ``deadline``
-        ``(correlation_id, Deadline)`` when the request carried a
-        ``timeout_ms`` — stamped with the id so a stale value from an
-        earlier request is never mistaken for the current one.
-    ``profiler``
-        The system's :class:`~repro.obs.profile.PhaseProfiler`; hot-path
-        kernels fetch it via :func:`~repro.obs.profile.current_profiler`.
-    ``hops``
-        Scratch slot the expand endpoint fills with the served
-        :class:`~repro.online.reasoning.ExpansionView` (per-hop frontier
-        sizes render from it lazily).
-    ``annotations``
-        Lazily-created dict cold paths write through :func:`annotate`
-        (``cache="miss"``, ``degraded=...``); cleared per request.
-    """
-
-    __slots__ = (
-        "correlation_id", "tenant", "deadline", "profiler", "hops", "annotations",
-    )
-
-    def __init__(self, tenant: str = "default", profiler=None) -> None:
-        self.correlation_id = 0
-        self.tenant = tenant
-        self.deadline = None
-        self.profiler = profiler
-        self.hops = None
-        self.annotations = None
-
-    def current_deadline(self):
-        """The deadline of *this* request, or ``None`` (stale-safe)."""
-        stamped = self.deadline
-        if stamped is not None and stamped[0] == self.correlation_id:
-            return stamped[1]
-        return None
-
-
-def current_context() -> RequestContext | None:
-    """The ambient request context, or ``None`` outside any request."""
-    return _AMBIENT.get()
-
-
-def current_correlation_id() -> int | None:
-    """The ambient correlation id, or ``None`` outside any request."""
-    ctx = _AMBIENT.get()
-    return ctx.correlation_id if ctx is not None else None
-
-
-def annotate(**fields) -> None:
-    """Attach journey annotations to the current request, if any.
-
-    Cold-path helper (cache misses, degraded serving, load shedding):
-    does nothing outside a request, creates the annotation dict lazily so
-    un-annotated (warm) requests never allocate one.
-    """
-    ctx = _AMBIENT.get()
-    if ctx is not None:
-        ann = ctx.annotations
-        if ann is None:
-            ann = ctx.annotations = {}
-        ann.update(fields)
-
-
-#: API responses with these codes count as shed (rejected by admission
-#: machinery rather than failed while computing). The first two originate
-#: in the runtime; the rest are front-end admission-control rejections.
+#: Envelope codes that count as shed (refused by admission machinery rather
+#: than failed while computing). The first two originate in the runtime,
+#: the rest in the front end.
 _SHED_CODES = (
     "circuit_open", "deadline_exceeded", "queue_full", "queue_timeout", "draining",
 )
 
 
-class JourneyLog:
-    """Bounded ring of per-request journey records.
+class RequestRecord:
+    """One request, start to finish (see module docstring).
 
-    ``append`` (pre-bound to the deque's append) takes the raw tuple the
-    API facade builds per request::
-
-        (correlation_id, endpoint, trace_id, ts, duration_ms, ok, code,
-         graph_version, preference_version, view_or_None,
-         annotations_or_None)
-
-    Envelope fields ride as scalars so the ring never pins a response
-    payload (see module docstring). The span rides as its ``endpoint``
-    and ``trace_id`` scalars rather than the span object itself: a
-    retained span would only be freed after *both* the trace ring and
-    this ring lap past it — a cache-cold deallocation hundreds of
-    requests later — and render only ever needed those two fields.
-    Nothing is formatted until :meth:`tail` / :meth:`to_ndjson` renders —
-    journeys must cost nanoseconds on the request path, not microseconds.
+    ``id``, ``endpoint`` and the phase events are written while the request
+    runs; layers fill ``queue_wait_ms`` / ``cache`` / ``degraded`` /
+    ``hops`` as they learn them (directly or through :func:`annotate`);
+    :meth:`RequestLog.close` stamps ``ts``, ``duration_ms``, the outcome
+    and both artifact versions. A record belongs to the one thread serving
+    its request, so nothing here locks.
     """
 
-    __slots__ = ("_ring", "tenant", "append")
+    __slots__ = (
+        "id", "endpoint", "ts", "duration_ms", "ok", "code",
+        "graph_version", "preference_version",
+        "queue_wait_ms", "cache", "degraded", "hops",
+        "_events", "_perf", "_start",
+    )
 
-    def __init__(self, capacity: int = 256, tenant: str = "default") -> None:
-        self._ring: deque = deque(maxlen=capacity)
-        self.tenant = tenant
-        self.append = self._ring.append
+    def __init__(self, endpoint: str, perf) -> None:
+        self.id = next_request_id()
+        self.endpoint = endpoint
+        self.queue_wait_ms = self.cache = self.degraded = self.hops = None
+        #: Flat phase log: opening a phase appends its name then its start
+        #: time, closing one appends its end time. A string therefore opens
+        #: a phase and a float not preceded by a string closes the innermost
+        #: open one — :meth:`phases` rebuilds the rows.
+        self._events: list = []
+        self._perf = perf
+        self._start = perf()
+
+    # The record is the context manager :func:`phase` returns: entering is
+    # free, leaving stamps the end of the innermost open phase.
+    def __enter__(self) -> "RequestRecord":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._events.append(self._perf())
+
+    def phases(self) -> list[list]:
+        """``[name, depth, start_s, duration_s]`` rows in opening order
+        (start relative to the request's own start)."""
+        rows: list[list] = []
+        open_rows: list[list] = []
+        events = iter(self._events)
+        for event in events:
+            if isinstance(event, str):
+                row = [event, len(open_rows), next(events) - self._start, 0.0]
+                rows.append(row)
+                open_rows.append(row)
+            else:
+                row = open_rows.pop()
+                row[3] = event - self._start - row[2]
+        return rows
+
+    def to_dict(self) -> dict:
+        """The flat ``/journeys`` row; phase times in µs from request start."""
+        return {
+            "id": self.id,
+            "endpoint": self.endpoint,
+            "ts": self.ts,
+            "duration_ms": self.duration_ms,
+            "ok": self.ok,
+            "code": self.code,
+            "graph_version": self.graph_version,
+            "preference_version": self.preference_version,
+            "queue_wait_ms": self.queue_wait_ms,
+            "cache": self.cache,
+            "degraded": self.degraded,
+            "shed": self.code in _SHED_CODES,
+            "hops": None if self.hops is None else list(self.hops),
+            "phases": [
+                [name, depth, round(start * 1e6, 3), round(duration * 1e6, 3)]
+                for name, depth, start, duration in self.phases()
+            ],
+        }
+
+
+class _NoopPhase:
+    """What :func:`phase` hands out when no request is bound."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NOOP_PHASE = _NoopPhase()
+
+
+def phase(name: str):
+    """Time a region of the current request: ``with phase("khop"): ...``.
+
+    Nests under whichever phase is open; a no-op outside any request.
+    ``with phase(name) as record`` yields the current record (``None``
+    outside a request) to layers that also annotate it. The returned
+    object must be entered at once (always use it in ``with``).
+    """
+    record = _AMBIENT.get()
+    if record is None:
+        return _NOOP_PHASE
+    events = record._events
+    events.append(name)
+    events.append(record._perf())
+    return record
+
+
+def current_record() -> RequestRecord | None:
+    """The ambient request record, or ``None`` outside any request."""
+    return _AMBIENT.get()
+
+
+def current_request_id() -> int | None:
+    """The ambient request id, or ``None`` outside any request."""
+    record = _AMBIENT.get()
+    return record.id if record is not None else None
+
+
+def annotate(**fields) -> None:
+    """Set record fields (``degraded=...``, ``queue_wait_ms=...``) on the
+    current request, if any — the cold-path spelling of "if a record is
+    bound"."""
+    record = _AMBIENT.get()
+    if record is not None:
+        for name, value in fields.items():
+            setattr(record, name, value)
+
+
+class RequestLog:
+    """The one bounded ring of finished request records.
+
+    ``enabled=False`` (the :meth:`Observability.disabled` bundle) opens no
+    records at all, so :func:`phase` stays a no-op under it — the baseline
+    the overhead benchmark measures against.
+    """
+
+    def __init__(self, clock, enabled: bool = True) -> None:
+        self.enabled = enabled
+        self._perf = clock.perf
+        self._time = clock.time
+        self._ring: deque[RequestRecord] = deque(maxlen=RING_CAPACITY)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -174,61 +206,90 @@ class JourneyLog:
         self._ring.clear()
 
     # ------------------------------------------------------------------
-    def _render(self, record: tuple) -> dict:
-        (
-            correlation_id, endpoint, trace_id, ts, duration_ms, ok, code,
-            graph_version, preference_version, view, annotations,
-        ) = record
-        journey = {
-            "correlation_id": correlation_id,
-            "trace_id": trace_id,
-            "endpoint": endpoint,
-            "tenant": self.tenant,
-            "ts": ts,
-            "duration_ms": duration_ms,
-            "ok": ok,
-            "code": code,
-            "graph_version": graph_version,
-            "preference_version": preference_version,
-            "cache": annotations.get("cache") if annotations else None,
-            "degraded": bool(annotations.get("degraded")) if annotations else False,
-            "shed": code in _SHED_CODES,
-            "hops": None,
-        }
-        if endpoint == "expand" and ok:
-            # The scratch slot holds the ExpansionView that served *this*
-            # request only when it succeeded (errors leave a stale view
-            # from an earlier request, hence the ``ok`` gate).
-            if view is not None:
-                journey["hops"] = list(view.hop_sizes)
-            if journey["cache"] is None:
-                # The runtime annotates misses; an un-annotated
-                # successful expand was served from the cache.
-                journey["cache"] = "hit"
-        return journey
+    def open(self, endpoint: str) -> RequestRecord | None:
+        """Open and bind the record of a request entering the system.
 
+        Returns ``None`` — nothing for the caller to close — when a record
+        is already bound (an outer entry point opened it and will close
+        it) or the log is disabled.
+        """
+        if not self.enabled or _AMBIENT.get() is not None:
+            return None
+        record = RequestRecord(endpoint, self._perf)
+        _AMBIENT.set(record)
+        return record
+
+    def close(
+        self,
+        record: RequestRecord | None,
+        ok: bool = False,
+        code: str | None = "internal",
+        graph_version: int | None = None,
+        preference_version: int | None = None,
+    ) -> None:
+        """Unbind ``record``, stamp its outcome and append it to the ring.
+
+        The defaults describe a request that escaped with a
+        non-``ReproError``: callers on that path pass the record alone.
+        """
+        if record is None:
+            return
+        _AMBIENT.set(None)  # only the outermost entry point binds
+        record.duration_ms = (self._perf() - record._start) * 1000
+        record.ts = self._time()
+        record.ok = ok
+        record.code = code
+        record.graph_version = graph_version
+        record.preference_version = preference_version
+        self._ring.append(record)
+
+    # ------------------------------------------------------------------
+    # Read-out
+    # ------------------------------------------------------------------
     def tail(self, n: int | None = None) -> list[dict]:
-        """The most recent ``n`` journeys (all, when ``n`` is ``None``),
+        """The most recent ``n`` records (all, when ``n`` is ``None``),
         oldest first, rendered to JSON-safe dicts."""
         records = list(self._ring)
         if n is not None and n >= 0:
             records = records[-n:] if n else []
-        return [self._render(record) for record in records]
+        return [record.to_dict() for record in records]
 
     def to_ndjson(self, n: int | None = None) -> str:
         """NDJSON body for the ``/journeys`` telemetry route."""
-        return "".join(
-            json.dumps(journey) + "\n" for journey in self.tail(n)
-        )
+        return "".join(json.dumps(row) + "\n" for row in self.tail(n))
+
+    def phase_totals(self) -> list[dict]:
+        """Per phase path (``api;runtime;khop``): call count, inclusive and
+        self µs summed over the ring — the ``/profile`` aggregate."""
+        totals: dict[str, list] = {}
+        for record in list(self._ring):
+            path: list[str] = []
+            for name, depth, _start, duration in record.phases():
+                del path[depth:]
+                path.append(name)
+                row = totals.setdefault(";".join(path), [0, 0.0, 0.0])
+                row[0] += 1
+                row[1] += duration
+                row[2] += duration
+                if depth:
+                    totals[";".join(path[:depth])][2] -= duration
+        return [
+            {
+                "phase": key,
+                "count": count,
+                "total_us": round(total * 1e6, 3),
+                "self_us": round(max(0.0, own) * 1e6, 3),
+            }
+            for key, (count, total, own) in sorted(totals.items())
+        ]
 
 
 __all__ = [
-    "RequestContext",
-    "JourneyLog",
-    "current_context",
-    "current_correlation_id",
+    "RING_CAPACITY",
+    "RequestRecord",
+    "RequestLog",
+    "phase",
+    "current_record",
+    "current_request_id",
     "annotate",
-    "bind_context",
-    "unbind_context",
-    "next_correlation_id",
 ]

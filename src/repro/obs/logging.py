@@ -1,12 +1,12 @@
-"""Structured JSON logging with trace/span correlation.
+"""Structured JSON logging stamped with the ambient request id.
 
 Operational events (hot-swaps, drift reports, alert transitions, refresh
-lifecycle) need to be machine-readable and joinable against traces — an
+lifecycle) need to be machine-readable and joinable against requests — an
 ad-hoc ``print`` is neither. A :class:`StructuredLogger` emits one JSON
 object per line with a timestamp from the injectable clock and, when a
-span is open on the shared :class:`~repro.obs.Tracer`, the active
-``trace_id``/``span_id`` — so a log line can be correlated with the exact
-request or refresh that produced it.
+:class:`~repro.obs.context.RequestRecord` is bound, its id as
+``request_id`` — so a log line joins the one ``/journeys`` row of the
+request that produced it.
 
 Loggers are cheap views over one shared :class:`_LogSink`: ``child()``
 derives a component-scoped logger that writes to the same ring buffer and
@@ -24,7 +24,7 @@ from typing import IO
 
 from repro.errors import ConfigError
 from repro.obs.clock import Clock
-from repro.obs.context import current_correlation_id
+from repro.obs.context import current_request_id
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
@@ -49,21 +49,19 @@ class StructuredLogger:
     ----------
     component:
         Name stamped on every record (``serving``, ``drift``, ``alerts``).
-    clock, tracer:
-        The observability bundle's clock and tracer; the tracer supplies
-        trace/span correlation ids when a span is open.
+    clock:
+        The observability bundle's clock.
     stream:
         Optional text stream for immediate JSON-lines emission. ``None``
         (the default) keeps records only in the bounded ring buffer.
     """
 
-    __slots__ = ("component", "enabled", "_clock", "_tracer", "_sink")
+    __slots__ = ("component", "enabled", "_clock", "_sink")
 
     def __init__(
         self,
         component: str = "repro",
         clock: Clock | None = None,
-        tracer=None,
         stream: IO | None = None,
         min_level: str = "info",
         capacity: int = 512,
@@ -73,7 +71,6 @@ class StructuredLogger:
         self.component = component
         self.enabled = enabled
         self._clock = clock or Clock()
-        self._tracer = tracer
         self._sink = _sink or _LogSink(stream, capacity, min_level)
 
     def child(self, component: str) -> "StructuredLogger":
@@ -81,7 +78,6 @@ class StructuredLogger:
         return StructuredLogger(
             component=component,
             clock=self._clock,
-            tracer=self._tracer,
             enabled=self.enabled,
             _sink=self._sink,
         )
@@ -105,19 +101,9 @@ class StructuredLogger:
             "component": self.component,
             "event": event,
         }
-        span = self._tracer.current_span() if self._tracer is not None else None
-        if span is not None:
-            record["trace_id"] = span.trace_id
-            record["span_id"] = span.span_id
-            if span.correlation_id is not None:
-                record["correlation_id"] = span.correlation_id
-        else:
-            # Records outside any span (offline refresh, cold-path
-            # helpers) are still joinable when an ambient request is
-            # bound — the satellite fix for correlation-free TRMP logs.
-            correlation_id = current_correlation_id()
-            if correlation_id is not None:
-                record["correlation_id"] = correlation_id
+        request_id = current_request_id()
+        if request_id is not None:
+            record["request_id"] = request_id
         record.update(fields)
         self._sink.records.append(record)
         stream = self._sink.stream

@@ -179,12 +179,10 @@ class Histogram:
     ``observe`` is lossless under concurrent callers without a lock: each
     writer thread owns a private :class:`_HistogramStripe` and read-outs
     merge the stripes under the series lock (same design as
-    :class:`Counter`). Exemplar slots are shared, but each write is one
-    atomic list-item store of an immutable tuple — latest writer wins,
-    and a reader can never see a torn ``(value, correlation_id)`` pair.
+    :class:`Counter`).
     """
 
-    __slots__ = ("_bounds", "_stripes", "_local", "_exemplars", "_lock")
+    __slots__ = ("_bounds", "_stripes", "_local", "_lock")
 
     def __init__(self, bounds: tuple[float, ...]) -> None:
         if not bounds or list(bounds) != sorted(bounds):
@@ -192,7 +190,6 @@ class Histogram:
         self._bounds = tuple(float(b) for b in bounds)
         self._stripes: list[_HistogramStripe] = []
         self._local = threading.local()
-        self._exemplars: list | None = None  # lazy: per-bucket latest exemplar
         self._lock = threading.Lock()
 
     # -- write path ----------------------------------------------------
@@ -214,41 +211,6 @@ class Histogram:
             stripe.min = value
         if value > stripe.max:
             stripe.max = value
-
-    def observe_with_exemplar(
-        self, value: float, correlation_id: int, trace_id: int | None = None
-    ) -> None:
-        """Observe and remember *which request* landed in the bucket.
-
-        Keeps the latest ``(value, correlation_id, trace_id)`` per bucket
-        — OpenMetrics exemplar semantics: a dashboard that sees the p99
-        bucket grow can jump straight to a trace that lives there. One
-        tuple allocation and one atomic item store over plain
-        ``observe`` — this rides the warm request path under the
-        obs-overhead gate.
-        """
-        try:
-            stripe = self._local.stripe
-        except AttributeError:
-            stripe = self._register_stripe()
-        index = bisect_left(self._bounds, value)
-        stripe.counts[index] += 1
-        stripe.count += 1
-        stripe.sum += value
-        if value < stripe.min:
-            stripe.min = value
-        if value > stripe.max:
-            stripe.max = value
-        exemplars = self._exemplars
-        if exemplars is None:
-            exemplars = self._ensure_exemplars()
-        exemplars[index] = (value, correlation_id, trace_id)
-
-    def _ensure_exemplars(self) -> list:
-        with self._lock:
-            if self._exemplars is None:
-                self._exemplars = [None] * (len(self._bounds) + 1)
-            return self._exemplars
 
     # -- read path (merges stripes; exact once writers quiesce) --------
     def _merged(self) -> _HistogramStripe:
@@ -282,19 +244,6 @@ class Histogram:
     @property
     def max(self) -> float:
         return self._merged().max
-
-    def exemplars(self) -> list[tuple[float, tuple]]:
-        """``(upper_bound, (value, correlation_id, trace_id))`` pairs for
-        buckets that hold an exemplar; the last bound may be ``+Inf``."""
-        exemplars = self._exemplars
-        if exemplars is None:
-            return []
-        bounds = self._bounds + (math.inf,)
-        return [
-            (bounds[i], slot)
-            for i, slot in enumerate(list(exemplars))
-            if slot is not None
-        ]
 
     @staticmethod
     def _percentile_of(
@@ -382,12 +331,8 @@ class _Noop:
     def set(self, value: float) -> None: ...
     def set_total(self, value: float) -> None: ...
     def observe(self, value: float) -> None: ...
-    def observe_with_exemplar(self, value: float, correlation_id=None, trace_id=None) -> None: ...
     def percentile(self, q: float) -> None:
         return None
-
-    def exemplars(self) -> list:
-        return []
 
     def summary(self) -> dict:
         return {"count": 0}
@@ -521,51 +466,6 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{name}{_format_labels(key)} {_format_value(series.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def render_openmetrics(self) -> str:
-        """OpenMetrics-style exposition with histogram-bucket exemplars.
-
-        Same families and series as :meth:`render_prometheus` (which stays
-        byte-stable for the 0.0.4 scrapers and its conformance tests), plus
-        the exemplar trailer on bucket lines that hold one::
-
-            name_bucket{le="0.005"} 4 # {correlation_id="17",trace_id="3"} 0.0042
-
-        and the mandatory ``# EOF`` terminator. Pragmatic, not fully
-        conformant: sample names match the family name (our counters are
-        already ``*_total`` by convention) rather than re-suffixing.
-        """
-        if not self.enabled:
-            return ""
-        self._run_collectors()
-        lines: list[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
-            if family.help:
-                lines.append(f"# HELP {name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {name} {family.type}")
-            for key in sorted(family.series):
-                series = family.series[key]
-                if family.type == "histogram":
-                    exemplars = dict(series.exemplars())
-                    for bound, cumulative in series.cumulative_buckets():
-                        le = "+Inf" if math.isinf(bound) else _format_value(bound)
-                        labeled = _format_labels(key, f'le="{le}"')
-                        line = f"{name}_bucket{labeled} {cumulative}"
-                        exemplar = exemplars.get(bound)
-                        if exemplar is not None:
-                            value, correlation_id, trace_id = exemplar
-                            ex_labels = f'correlation_id="{correlation_id}"'
-                            if trace_id is not None:
-                                ex_labels += f',trace_id="{trace_id}"'
-                            line += f" # {{{ex_labels}}} {_format_value(value)}"
-                        lines.append(line)
-                    lines.append(f"{name}_sum{_format_labels(key)} {_format_value(series.sum)}")
-                    lines.append(f"{name}_count{_format_labels(key)} {series.count}")
-                else:
-                    lines.append(f"{name}{_format_labels(key)} {_format_value(series.value)}")
-        lines.append("# EOF")
-        return "\n".join(lines) + "\n"
 
     def snapshot(self) -> dict:
         """JSON-safe dump: scalar series values, histogram summaries."""

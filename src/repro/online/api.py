@@ -13,7 +13,8 @@ Every response also reports the artifact versions that served it, so
 clients can correlate results across hot-swaps.
 
 This edge is also where per-request observability lives: every endpoint
-call opens a trace span (``api.<endpoint>``), bumps
+call runs inside a :class:`~repro.obs.context.RequestRecord` (its own when
+the service is driven directly, the front end's otherwise), bumps
 ``api_requests_total{endpoint,status}`` and records its latency into
 ``api_request_seconds{endpoint}``. All timing goes through the system's
 injectable :class:`~repro.obs.Clock`, so tests can freeze it.
@@ -23,8 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.errors import (
     CheckpointError,
@@ -38,20 +38,10 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs import Observability
-from repro.obs.context import (
-    RequestContext,
-    bind_context,
-    current_context,
-    next_correlation_id,
-    unbind_context,
-)
 from repro.online.system import EGLSystem
 from repro.resilience import Deadline
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-OPENMETRICS_CONTENT_TYPE = (
-    "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
 JSON_CONTENT_TYPE = "application/json"
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
@@ -120,7 +110,18 @@ class ApiResponse:
     timestamp: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The wire envelope. ``payload`` rides by reference: it was built
+        for this response and nothing else holds it."""
+        return {
+            "ok": self.ok,
+            "elapsed_ms": self.elapsed_ms,
+            "payload": self.payload,
+            "error": self.error,
+            "code": self.code,
+            "graph_version": self.graph_version,
+            "preference_version": self.preference_version,
+            "timestamp": self.timestamp,
+        }
 
 
 def _validate_timeout(timeout_ms: float | None) -> None:
@@ -158,32 +159,14 @@ class EGLService:
         self,
         system: EGLSystem,
         obs: Observability | None = None,
-        tenant: str = "default",
     ) -> None:
         self.system = system
         self.obs = obs or getattr(system, "obs", None) or Observability()
-        self.tenant = tenant
         self._perf = self.obs.clock.perf
-        self._span = self.obs.tracer.span
+        self._requests = self.obs.journeys
         # Per-endpoint metric handles, resolved once: registry lookups sort
         # labels and hash keys, which is too much for the warm request path.
         self._endpoint_obs: dict[str, tuple] = {}
-        # One RequestContext per *thread*, re-stamped per request. A
-        # request runs start-to-finish on its serving thread, so pooling
-        # per thread keeps contexts private to each in-flight request
-        # (the correctness requirement — a single shared context let
-        # overlapping requests corrupt each other's correlation ids and
-        # deadlines) without paying an allocation per call. The hot path
-        # branches on this flag once instead of re-checking
-        # ``obs.enabled`` piecemeal.
-        self._ctx_local = threading.local()
-        self._ctx_enabled = self.obs.enabled and self.obs.tracer.enabled
-        if self._ctx_enabled:
-            self.obs.journeys.tenant = tenant
-        self._profiler = self.obs.profiler
-        self._span_fast = self.obs.tracer.span_fast
-        self._span_close = self.obs.tracer.close_fast
-        self._journey_append = self.obs.journeys.append
 
     # ------------------------------------------------------------------
     def _endpoint_bundle(self, endpoint: str) -> tuple:
@@ -211,12 +194,7 @@ class EGLService:
                     h.count - e.value
                 )
             )
-        bundle = (
-            f"api.{endpoint}",
-            error_counter.inc,
-            histogram.observe,
-            histogram.observe_with_exemplar,
-        )
+        bundle = (error_counter.inc, histogram.observe)
         self._endpoint_obs[endpoint] = bundle
         return bundle
 
@@ -224,88 +202,33 @@ class EGLService:
         bundle = self._endpoint_obs.get(endpoint)
         if bundle is None:
             bundle = self._endpoint_bundle(endpoint)
-        span_name, inc_error, observe_latency, observe_exemplar = bundle
+        inc_error, observe_latency = bundle
+        # ``None`` when a front end already opened (and will close) this
+        # request's record, or observability is disabled. A record's own
+        # duration is its opener's layer: opened here it *is* the api call,
+        # opened by the front end the api call is one phase inside it.
+        record = self._requests.open(endpoint)
         start = self._perf()
-        if not self._ctx_enabled:  # observability disabled: plain envelope, no journey
-            with self._span(span_name) as span:
-                try:
-                    payload = fn()
-                except ReproError as error:
-                    code = error_code(error)
-                    span.tag(status="error", code=code)
-                    response = self._envelope(
-                        start, ok=False, error=str(error), code=code
-                    )
-                else:
-                    response = self._envelope(start, ok=True, payload=payload)
-            observe_latency(response.elapsed_ms / 1000)
-            if not response.ok:
-                inc_error()
-            return response
-        # Request-journey hot path: re-stamp this thread's pooled context
-        # with a fresh correlation id, bind the ambient context, open the
-        # root span on the perf reading already taken for the envelope,
-        # and record one journey tuple. Rendering (dicts, JSON) is
-        # deferred to read-out; everything here is slot stores and
-        # pre-bound calls — the obs-overhead gate leaves this path a
-        # budget of nanoseconds, not microseconds.
         try:
-            ctx = self._ctx_local.ctx
-        except AttributeError:
-            ctx = self._ctx_local.ctx = RequestContext(
-                tenant=self.tenant, profiler=self._profiler
+            payload = fn()
+        except ReproError as error:
+            response = self._envelope(
+                start, ok=False, error=str(error), code=error_code(error)
             )
-        ctx.deadline = None
-        ctx.hops = None
-        ctx.annotations = None
-        correlation_id = ctx.correlation_id = next_correlation_id()
-        token = bind_context(ctx)
-        span = self._span_fast(span_name, correlation_id, start)
-        try:
-            try:
-                payload = fn()
-            except ReproError as error:
-                code = error_code(error)
-                span.tag(status="error", code=code)
-                response = self._envelope(
-                    start, ok=False, error=str(error), code=code
-                )
-            else:
-                response = self._envelope(start, ok=True, payload=payload)
         except BaseException:
-            # Non-ReproError escape: close out span + context, then let
-            # the caller see the crash.
-            span.status = "error"
-            self._span_close(span, (self._perf() - start) * 1000)
-            unbind_context(token)
+            # Non-ReproError escape: close the record with error status
+            # (which unbinds it), then let the caller see the crash.
+            self._requests.close(record)
             raise
-        unbind_context(token)
-        self._span_close(span, response.elapsed_ms)
-        trace_id = span.trace_id
-        observe_exemplar(
-            response.elapsed_ms / 1000, correlation_id, trace_id
-        )
+        else:
+            response = self._envelope(start, ok=True, payload=payload)
+        observe_latency(response.elapsed_ms / 1000)
         if not response.ok:
             inc_error()
-        annotations = ctx.annotations
-        # The record carries the envelope's *scalars*, never the response
-        # or the span: retaining either in the ring would defer its
-        # deallocation 256 requests (one ring lap), turning a hot
-        # freelist free into a cache-cold one — measurably worse than the
-        # six attribute loads this costs.
-        self._journey_append((
-            correlation_id,
-            endpoint,
-            trace_id,
-            response.timestamp,
-            response.elapsed_ms,
-            response.ok,
-            response.code,
-            response.graph_version,
-            response.preference_version,
-            ctx.hops,
-            annotations,
-        ))
+        self._requests.close(
+            record, response.ok, response.code,
+            response.graph_version, response.preference_version,
+        )
         return response
 
     def _envelope(
@@ -317,28 +240,22 @@ class EGLService:
         code: str | None = None,
     ) -> ApiResponse:
         clock = self.obs.clock
-        versions = self.system.runtime.versions()
+        active = self.system.runtime.acquire()
         return ApiResponse(
             ok=ok,
             elapsed_ms=(clock.perf() - start) * 1000,
             payload=payload or {},
             error=error,
             code=code,
-            graph_version=versions["graph_version"],
-            preference_version=versions["preference_version"],
+            graph_version=active.graph_version,
+            preference_version=active.preference_version,
             timestamp=clock.time(),
         )
 
     def _deadline(self, timeout_ms: float | None) -> Deadline | None:
         if timeout_ms is None:
             return None
-        deadline = Deadline.after(timeout_ms / 1000, clock=self.obs.clock)
-        ctx = current_context()
-        if ctx is not None:
-            # Stamped with the correlation id so a leftover deadline from
-            # an earlier request is never read as the current one.
-            ctx.deadline = (ctx.correlation_id, deadline)
-        return deadline
+        return Deadline.after(timeout_ms / 1000, clock=self.obs.clock)
 
     # ------------------------------------------------------------------
     def expand(self, request: ExpandRequest) -> ApiResponse:
@@ -352,11 +269,6 @@ class EGLService:
                 min_score=request.min_score,
                 deadline=self._deadline(request.timeout_ms),
             )
-            ctx = current_context()
-            if ctx is not None:
-                # Journey scratch: per-hop frontier sizes render lazily
-                # from the served view at /journeys read-out time.
-                ctx.hops = view
             return {
                 "seeds": view.seeds,
                 "entities": [
@@ -493,8 +405,9 @@ class EGLService:
         return payload
 
     def profile_payload(self) -> dict:
-        """Latest phase-profiler report + per-generation resource usage."""
-        payload = self.obs.profiler.report()
+        """Per-phase totals over the request ring + per-generation
+        resource usage + cache counters."""
+        payload: dict = {"phases": self.obs.journeys.phase_totals()}
         resources = getattr(self.system, "resources", None)
         if resources is not None:
             payload["resources"] = resources.usage()
@@ -512,23 +425,11 @@ class EGLService:
         """
         return {
             "/metrics": lambda: (PROMETHEUS_CONTENT_TYPE, self.metrics_text()),
-            # Same families as /metrics in OpenMetrics 1.0 text — the only
-            # exposition that can carry exemplars (correlation/trace ids on
-            # the histogram buckets a request landed in).
-            "/metrics-openmetrics": lambda: (
-                OPENMETRICS_CONTENT_TYPE, self.obs.metrics.render_openmetrics(),
-            ),
             "/health": lambda: (
                 JSON_CONTENT_TYPE, json.dumps(self.health().to_dict()),
             ),
             "/drift": lambda: (JSON_CONTENT_TYPE, json.dumps(self.drift_payload())),
             "/alerts": lambda: (JSON_CONTENT_TYPE, json.dumps(self.alerts_payload())),
-            "/traces": lambda: (
-                NDJSON_CONTENT_TYPE,
-                "".join(
-                    json.dumps(row) + "\n" for row in self.obs.tracer.to_dicts()
-                ),
-            ),
             "/journeys": lambda: (
                 NDJSON_CONTENT_TYPE, self.obs.journeys.to_ndjson(),
             ),

@@ -9,7 +9,7 @@ look-alike models both lack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +41,12 @@ class ExpansionView:
     seeds: list[str]
     entities: list[EntityView]
     raw: ExpansionResult
+    #: Frontier size per hop (hop 0 = seeds), for request records; computed
+    #: once, because a cached view is read on every warm request.
+    hop_sizes: tuple[int, ...] = field(init=False)
 
-    @property
-    def hop_sizes(self) -> tuple[int, ...]:
-        """Frontier size per hop (hop 0 = seeds), for journey records."""
-        return tuple(len(h) for h in self.raw.hops)
+    def __post_init__(self) -> None:
+        self.hop_sizes = tuple(len(h) for h in self.raw.hops)
 
     def at_hop(self, hop: int) -> list[EntityView]:
         return [e for e in self.entities if e.hop == hop]

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.obs.context import phase
 from repro.preference.store import PreferenceStore, UserScore
 from repro.tensor import no_grad
 
@@ -50,15 +51,16 @@ class UserTargeting:
         """Top-K users by (optionally relevance-weighted) average preference."""
         if k < 1:
             raise ConfigError("k must be >= 1")
-        start = time.perf_counter()
-        with no_grad():
-            users = self.preference_store.top_users_for_entities(
-                list(entity_ids), k, weights=None if weights is None else list(weights)
+        with phase("targeting"):
+            start = time.perf_counter()
+            with no_grad():
+                users = self.preference_store.top_users_for_entities(
+                    list(entity_ids), k, weights=None if weights is None else list(weights)
+                )
+            elapsed = time.perf_counter() - start
+            return TargetingResult(
+                entity_ids=list(entity_ids), users=users, elapsed_seconds=elapsed
             )
-        elapsed = time.perf_counter() - start
-        return TargetingResult(
-            entity_ids=list(entity_ids), users=users, elapsed_seconds=elapsed
-        )
 
     def target_batch(
         self,
@@ -74,15 +76,16 @@ class UserTargeting:
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
-        start = time.perf_counter()
-        with no_grad():
-            per_set = self.preference_store.top_users_for_entity_sets(
-                [list(ids) for ids in entity_sets], k, weights=weights
-            )
-        elapsed = time.perf_counter() - start
-        return [
-            TargetingResult(
-                entity_ids=list(ids), users=users, elapsed_seconds=elapsed
-            )
-            for ids, users in zip(entity_sets, per_set)
-        ]
+        with phase("targeting"):
+            start = time.perf_counter()
+            with no_grad():
+                per_set = self.preference_store.top_users_for_entity_sets(
+                    [list(ids) for ids in entity_sets], k, weights=weights
+                )
+            elapsed = time.perf_counter() - start
+            return [
+                TargetingResult(
+                    entity_ids=list(ids), users=users, elapsed_seconds=elapsed
+                )
+                for ids, users in zip(entity_sets, per_set)
+            ]

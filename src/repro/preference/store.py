@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigError, CorruptArtifactError, NotFittedError, StorageError
-from repro.obs.profile import current_profiler, record_mmap_open
+from repro.obs.context import phase
+from repro.obs.profile import record_mmap_open
 from repro.preference.user_embedding import user_embedding, user_embedding_matrix
 from repro.resilience import atomic_write_bytes, atomic_write_text, file_digest, sha256_hex
 from repro.text.sequence_extractor import UserEntitySequence
@@ -449,9 +450,8 @@ class PreferenceStore:
             raise ConfigError("need at least one entity to target users")
         if weights is not None and len(weights) != len(entity_sets):
             raise ConfigError("weights must align with entity_sets")
-        profiler = current_profiler()
-        with profiler.phase("preference.top_users"):
-            with profiler.phase("combine"):
+        with phase("preference.topk"):
+            with phase("combine"):
                 union_ids = _union_ids(entity_sets)
                 combine = _combine_matrix(entity_sets, weights, union_ids)
                 # (sets, dim), one contiguous query per set.
@@ -465,16 +465,16 @@ class PreferenceStore:
                 k_eff = min(k, self._covered_count())
                 if k_eff < 1:
                     return [[] for _ in entity_sets]
-            with profiler.phase("shard_scores"):
+            with phase("shard_scores"):
                 tasks = [
                     (s, queries, slot_of, combine, k_eff)
                     for s in range(len(self._parts))
                 ]
                 results = []
                 for task in tasks:
-                    with profiler.phase(f"shard{task[0]:02d}"):
+                    with phase(f"shard{task[0]:02d}"):
                         results.append(self._score_partition(task))
-            with profiler.phase("merge"):
+            with phase("merge"):
                 merged: list[list[UserScore]] = []
                 for index, top in results:
                     self.shard_score_rows[index] += sum(len(u) for u, _ in top)

@@ -9,17 +9,16 @@ stale expansion for a new graph. Replaced versions are purged eagerly to
 bound memory; anything else ages out by LRU.
 
 The cache is thread-safe: the concurrent front end drives ``get``/``put``
-from a thread pool, and ``OrderedDict.move_to_end`` + the eviction loop +
-the bytes accounting are multi-step read-modify-writes that corrupt the
-LRU order and the counters without mutual exclusion. One lock guards
-every mutator — uncontended acquisition costs ~100ns against a warm-hit
-path of a few µs, and the lock is held for dict operations only (never
-while computing an expansion).
+from a thread pool, and ``OrderedDict.move_to_end`` + the eviction loop
+are multi-step read-modify-writes that corrupt the LRU order and the
+counters without mutual exclusion. One lock guards every mutator —
+uncontended acquisition costs ~100ns against a warm-hit path of a few µs,
+and the lock is held for dict operations only (never while computing an
+expansion).
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable
@@ -27,48 +26,6 @@ from typing import Any, Hashable
 from repro.errors import ConfigError
 
 _MISSING = object()
-
-#: Bounds on the size estimator's traversal — entry sizes are resource
-#: *accounting*, not billing; a capped walk keeps cold-path puts cheap.
-_SIZE_MAX_DEPTH = 8
-_SIZE_MAX_ITEMS = 20_000
-
-
-def approx_value_bytes(value: Any) -> int:
-    """Approximate deep size of a cached value, in bytes.
-
-    Walks dicts/sequences and object ``__dict__``/``__slots__`` up to a
-    bounded depth and item budget (shared containers are counted once per
-    reference, which over-counts shared substructure — acceptable for a
-    footprint gauge). Runs on the cache's *put* (miss) path only.
-    """
-    budget = [_SIZE_MAX_ITEMS]
-
-    def walk(obj: Any, depth: int) -> int:
-        if budget[0] <= 0:
-            return 0
-        budget[0] -= 1
-        size = sys.getsizeof(obj, 64)
-        if depth >= _SIZE_MAX_DEPTH:
-            return size
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                size += walk(k, depth + 1) + walk(v, depth + 1)
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            for item in obj:
-                size += walk(item, depth + 1)
-        elif not isinstance(obj, (str, bytes, int, float, bool, type(None))):
-            attrs = getattr(obj, "__dict__", None)
-            if attrs is not None:
-                size += walk(attrs, depth + 1)
-            slots = getattr(type(obj), "__slots__", ())
-            for name in slots:
-                attr = getattr(obj, name, None)
-                if attr is not None:
-                    size += walk(attr, depth + 1)
-        return size
-
-    return walk(value, 0)
 
 
 class VersionedLRUCache:
@@ -86,14 +43,8 @@ class VersionedLRUCache:
             raise ConfigError("cache capacity must be >= 0")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[int, Hashable], Any] = OrderedDict()
-        # Entry sizes live in a side table so ``get`` (the warm path)
-        # returns stored values without unwrapping anything.
-        self._sizes: dict[tuple[int, Hashable], int] = {}
-        # One lock around every mutator (see module docstring). The size
-        # estimation on ``put`` runs *outside* it — only the dict surgery
-        # is serialized.
+        # One lock around every mutator (see module docstring).
         self._lock = threading.Lock()
-        self.approx_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -118,17 +69,12 @@ class VersionedLRUCache:
         if self.capacity == 0:
             return
         full_key = (version, key)
-        entry_bytes = approx_value_bytes(value)  # bounded walk, lock-free
         with self._lock:
             if full_key in self._entries:
                 self._entries.move_to_end(full_key)
-                self.approx_bytes -= self._sizes.get(full_key, 0)
             self._entries[full_key] = value
-            self._sizes[full_key] = entry_bytes
-            self.approx_bytes += entry_bytes
             while len(self._entries) > self.capacity:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self.approx_bytes -= self._sizes.pop(evicted_key, 0)
+                self._entries.popitem(last=False)
                 self.evictions += 1
 
     def purge_version(self, version: int) -> int:
@@ -137,14 +83,11 @@ class VersionedLRUCache:
             stale = [k for k in self._entries if k[0] == version]
             for k in stale:
                 del self._entries[k]
-                self.approx_bytes -= self._sizes.pop(k, 0)
             return len(stale)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._sizes.clear()
-            self.approx_bytes = 0
 
     def register_metrics(self, registry, prefix: str = "serving_expansion_cache") -> None:
         """Export this cache's counters through a metrics registry.
@@ -160,16 +103,12 @@ class VersionedLRUCache:
             prefix + "_evictions_total", help="Expansion cache LRU evictions"
         )
         size = registry.gauge(prefix + "_size", help="Cached expansion entries")
-        entry_bytes = registry.gauge(
-            prefix + "_bytes", help="Approximate bytes held by cached entries"
-        )
 
         def collect() -> None:
             hits.set_total(self.hits)
             misses.set_total(self.misses)
             evictions.set_total(self.evictions)
             size.set(len(self._entries))
-            entry_bytes.set(self.approx_bytes)
 
         registry.add_collector(collect)
 
@@ -180,7 +119,6 @@ class VersionedLRUCache:
             return {
                 "capacity": self.capacity,
                 "size": len(self._entries),
-                "approx_bytes": self.approx_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

@@ -65,8 +65,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ConfigError, ReproError
+from repro.obs.context import annotate, phase
 from repro.online.api import (
     JSON_CONTENT_TYPE,
+    ApiResponse,
     EGLService,
     ExpandRequest,
     TargetRequest,
@@ -278,6 +280,7 @@ class QueryFrontend:
         self.admission = AdmissionController(max_concurrency, max_queue, queue_timeout)
         self._clock = service.obs.clock
         self._perf = self._clock.perf
+        self._requests = service.obs.journeys
         # Front-end breaker: trips on backend fault codes so a broken
         # backend is rejected fast (503 circuit_open) instead of burning
         # pool threads on requests that will 500.
@@ -425,11 +428,28 @@ class QueryFrontend:
         """Run one request through admission + service; returns
         ``(http_status, envelope_dict)``.
 
-        Shed envelopes mirror the :class:`~repro.online.api.ApiResponse`
-        shape (``ok``/``code``/versions/timestamp) plus ``retry_after_ms``
-        so a shed is indistinguishable from any other envelope to parse,
-        and explicitly retryable.
+        Opens the request's :class:`~repro.obs.context.RequestRecord` and
+        closes it on every outcome — served, refused, shed or crashed — so
+        ``/journeys`` shows the requests that never reached the service
+        too. Shed envelopes mirror the
+        :class:`~repro.online.api.ApiResponse` shape
+        (``ok``/``code``/versions/timestamp) plus ``retry_after_ms`` so a
+        shed is indistinguishable from any other envelope to parse, and
+        explicitly retryable.
         """
+        record = self._requests.open(endpoint)
+        try:
+            status, envelope = self._serve(endpoint, payload)
+        except BaseException:
+            self._requests.close(record)
+            raise
+        self._requests.close(
+            record, envelope["ok"], envelope["code"],
+            envelope["graph_version"], envelope["preference_version"],
+        )
+        return (status, envelope)
+
+    def _serve(self, endpoint: str, payload: dict) -> tuple[int, dict]:
         start = self._perf()
         handler = self._handlers.get(endpoint)
         if handler is None:
@@ -449,9 +469,11 @@ class QueryFrontend:
             max_wait = max(0.0, deadline.remaining())
         if self._burn_pressure():
             max_wait = 0.0  # overload: admit-or-shed, no queueing
-        admitted, reason, waited = self.admission.try_admit(max_wait)
+        with phase("admission"):
+            admitted, reason, waited = self.admission.try_admit(max_wait)
         if waited:
             self._queue_wait_hist.observe(waited)
+            annotate(queue_wait_ms=waited * 1000)
         if not admitted:
             self._count_request(endpoint, "shed")
             self._count_shed(reason)
@@ -475,7 +497,8 @@ class QueryFrontend:
                 payload = dict(payload)
                 payload["timeout_ms"] = max(deadline.remaining() * 1000, 0.001)
             try:
-                response = handler(payload)
+                with phase("api"):
+                    response = handler(payload)
             except ReproError as error:
                 self._count_request(endpoint, "admitted")
                 return self._error(endpoint, start, error_code(error), str(error))
@@ -484,7 +507,9 @@ class QueryFrontend:
                 self.breaker.record_failure(ReproError(response.error or response.code))
             else:
                 self.breaker.record_success()
-            return (http_status(response.code), response.to_dict())
+            with phase("to_dict"):
+                envelope = response.to_dict()
+            return (http_status(response.code), envelope)
         finally:
             self.admission.release()
 
@@ -514,17 +539,16 @@ class QueryFrontend:
         message: str,
         retry_after: float | None = None,
     ) -> tuple[int, dict]:
-        versions = self.service.system.runtime.versions()
-        envelope = {
-            "ok": False,
-            "elapsed_ms": (self._perf() - start) * 1000,
-            "payload": {},
-            "error": message,
-            "code": code,
-            "graph_version": versions["graph_version"],
-            "preference_version": versions["preference_version"],
-            "timestamp": self._clock.time(),
-        }
+        active = self.service.system.runtime.acquire()
+        envelope = ApiResponse(
+            ok=False,
+            elapsed_ms=(self._perf() - start) * 1000,
+            error=message,
+            code=code,
+            graph_version=active.graph_version,
+            preference_version=active.preference_version,
+            timestamp=self._clock.time(),
+        ).to_dict()
         if retry_after is not None:
             envelope["retry_after_ms"] = round(retry_after * 1000, 3)
         return (http_status(code), envelope)

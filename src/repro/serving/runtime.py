@@ -62,7 +62,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.obs import Observability
-from repro.obs.context import annotate, current_context
+from repro.obs.context import annotate, phase
 from repro.obs.drift import DriftMonitor, DriftReport
 from repro.online.reasoning import ExpansionView, GraphReasoner
 from repro.online.targeting import TargetingResult, UserTargeting
@@ -176,20 +176,16 @@ class ServingRuntime:
             "serving_swap_rejections_total", kind="preferences"
         )
         # Bound ``observe`` methods — skips a handle-attribute lookup per
-        # request on the read path. The histogram objects themselves are
-        # kept too: miss/target paths exemplar-stamp them when a request
-        # context is bound.
-        self._expand_miss_hist = metrics.histogram(
+        # request on the read path.
+        self._observe_expand_miss = metrics.histogram(
             "serving_expand_seconds",
             help="k-hop expansion latency on the runtime read path "
-                 "(computed expansions only; cache hits are obs-free)",
+                 "(computed expansions only; cache hits are not sampled)",
             outcome="computed",
-        )
-        self._observe_expand_miss = self._expand_miss_hist.observe
-        self._target_hist = metrics.histogram(
+        ).observe
+        self._observe_target = metrics.histogram(
             "serving_target_seconds", help="User-targeting scoring latency"
-        )
-        self._observe_target = self._target_hist.observe
+        ).observe
         self._degraded_gauge = metrics.gauge(
             "serving_degraded", help="1 while any serving breaker is not closed"
         )
@@ -543,31 +539,27 @@ class ServingRuntime:
         deadline: Deadline | None = None,
     ) -> ExpansionView:
         """k-hop expansion, read-through cached under the active version."""
-        self._check_deadline(deadline, "expand")
-        active = self.acquire()
-        reasoner = active.require_reasoner()
-        key = (
-            tuple(p.strip().lower() for p in phrases),
-            depth,
-            float(min_score),
-            max_neighbors_per_node,
-            max_nodes,
-        )
-        cached = self._cache.get(active.graph_version, key)
-        if cached is not None:
-            # The hit path stays obs-free by design: a microsecond-scale
-            # instrument on a microsecond-scale lookup would dominate it.
-            # Hit counts come from the cache's own counters (collected at
-            # readout) and hit latency is inside api_request_seconds.
-            return cached
-        start = self._perf()
-        # Only the compute (miss) path gets a span and a histogram sample.
-        with self.obs.tracer.span(
-            "runtime.expand_compute",
-            depth=depth,
-            phrases=len(phrases),
-            graph_version=active.graph_version,
-        ):
+        with phase("runtime") as record:
+            self._check_deadline(deadline, "expand")
+            active = self.acquire()
+            reasoner = active.require_reasoner()
+            key = (
+                tuple(p.strip().lower() for p in phrases),
+                depth,
+                float(min_score),
+                max_neighbors_per_node,
+                max_nodes,
+            )
+            with phase("cache.get"):
+                cached = self._cache.get(active.graph_version, key)
+            if cached is not None:
+                # Hits are not sampled into a histogram: their counts come
+                # from the cache's own counters (collected at read-out) and
+                # their latency is inside api_request_seconds.
+                if record is not None:
+                    record.cache, record.hops = "hit", cached.hop_sizes
+                return cached
+            start = self._perf()
             with no_grad():
                 view = reasoner.expand(
                     phrases,
@@ -576,29 +568,19 @@ class ServingRuntime:
                     max_neighbors_per_node=max_neighbors_per_node,
                     max_nodes=max_nodes,
                 )
-        self._cache.put(active.graph_version, key, view)
-        elapsed = self._perf() - start
-        ctx = current_context()
-        if ctx is None:
+            with phase("cache.put"):
+                self._cache.put(active.graph_version, key, view)
+            elapsed = self._perf() - start
             self._observe_expand_miss(elapsed)
-        else:
-            # Cold path, so the extra bookkeeping is in the noise: mark
-            # the journey as a miss and leave an exemplar linking the
-            # computed-expansion bucket back to this request.
-            annotations = ctx.annotations
-            if annotations is None:
-                annotations = ctx.annotations = {}
-            annotations["cache"] = "miss"
-            self._expand_miss_hist.observe_with_exemplar(
-                elapsed, ctx.correlation_id
-            )
-            self._log.info(
-                "expand_miss",
-                depth=depth,
-                graph_version=active.graph_version,
-                elapsed_ms=elapsed * 1000,
-            )
-        return view
+            if record is not None:
+                record.cache, record.hops = "miss", view.hop_sizes
+                self._log.info(
+                    "expand_miss",
+                    depth=depth,
+                    graph_version=active.graph_version,
+                    elapsed_ms=elapsed * 1000,
+                )
+            return view
 
     def _score(self, endpoint: str, score_with) -> object:
         """Run one scoring call through the preference-read breaker.
@@ -652,14 +634,14 @@ class ServingRuntime:
         deadline: Deadline | None = None,
     ) -> TargetingResult:
         """Top-K users for one entity set (scoring already under no_grad)."""
-        self._check_deadline(deadline, "target")
-        start = self._perf()
-        with self.obs.tracer.span("runtime.target", k=k, entities=len(entity_ids)):
+        with phase("runtime"):
+            self._check_deadline(deadline, "target")
+            start = self._perf()
             result = self._score(
                 "target", lambda t: t.target(entity_ids, k, weights=weights)
             )
-        self._observe_target_latency(self._perf() - start)
-        return result
+            self._observe_target(self._perf() - start)
+            return result
 
     def target_batch(
         self,
@@ -669,22 +651,15 @@ class ServingRuntime:
         deadline: Deadline | None = None,
     ) -> list[TargetingResult]:
         """Vectorized scoring of many entity sets in one call."""
-        self._check_deadline(deadline, "target_batch")
-        start = self._perf()
-        with self.obs.tracer.span("runtime.target_batch", k=k, sets=len(entity_sets)):
+        with phase("runtime"):
+            self._check_deadline(deadline, "target_batch")
+            start = self._perf()
             results = self._score(
                 "target_batch",
                 lambda t: t.target_batch(entity_sets, k, weights=weights),
             )
-        self._observe_target_latency(self._perf() - start)
-        return results
-
-    def _observe_target_latency(self, elapsed: float) -> None:
-        ctx = current_context()
-        if ctx is None:
-            self._observe_target(elapsed)
-        else:
-            self._target_hist.observe_with_exemplar(elapsed, ctx.correlation_id)
+            self._observe_target(self._perf() - start)
+            return results
 
     def target_for_phrases(
         self,
@@ -813,7 +788,7 @@ class ServingRuntime:
         return self._cache
 
     def cache_stats(self) -> dict:
-        """The expansion cache's counters and approximate footprint."""
+        """The expansion cache's counters."""
         return self._cache.stats()
 
     def warm(

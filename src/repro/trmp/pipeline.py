@@ -142,12 +142,11 @@ class TRMPipeline:
 
     @contextmanager
     def _stage(self, name: str):
-        """Trace + time one TRMP stage; feeds the weekly stage breakdown
-        and the ``pipeline_stage_seconds`` histogram."""
+        """Time one TRMP stage; feeds the weekly stage breakdown and the
+        ``pipeline_stage_seconds`` histogram."""
         clock = self.obs.clock
         start = clock.perf()
-        with self.obs.tracer.span(f"pipeline.{name}"):
-            yield
+        yield
         elapsed = clock.perf() - start
         self._stage_seconds[name] = elapsed
         self.obs.metrics.histogram(
@@ -341,25 +340,24 @@ class TRMPipeline:
         run_id = run_id or f"weekly-{week:04d}"
         self._stage_seconds = {}
         run_state: dict = {"resumed": [], "digests": {}}
-        with self.obs.tracer.span("pipeline.run_week", week=week):
-            co_payload = self._stage_checkpointed(
-                run_id, "cooccurrence", resume, run_state,
-                lambda: self._compute_cooccurrence(events),
-            )
-            e_co = co_payload["e_co"]
-            # Tail-entity evidence must survive a resume: the candidate and
-            # ranking stages read it off the pipeline.
-            self._last_entity_counts = co_payload["counts"]
-            candidate = self._stage_checkpointed(
-                run_id, "candidates", resume, run_state,
-                lambda: self.build_candidate(e_co),
-            )
-            if self._e_semantic is None and "candidates" in run_state["resumed"]:
-                self._e_semantic = candidate.e_semantic
-            ranked_payload = self._stage_checkpointed(
-                run_id, "ranked", resume, run_state,
-                lambda: self._compute_ranked(candidate, feedback_pairs, week),
-            )
+        co_payload = self._stage_checkpointed(
+            run_id, "cooccurrence", resume, run_state,
+            lambda: self._compute_cooccurrence(events),
+        )
+        e_co = co_payload["e_co"]
+        # Tail-entity evidence must survive a resume: the candidate and
+        # ranking stages read it off the pipeline.
+        self._last_entity_counts = co_payload["counts"]
+        candidate = self._stage_checkpointed(
+            run_id, "candidates", resume, run_state,
+            lambda: self.build_candidate(e_co),
+        )
+        if self._e_semantic is None and "candidates" in run_state["resumed"]:
+            self._e_semantic = candidate.e_semantic
+        ranked_payload = self._stage_checkpointed(
+            run_id, "ranked", resume, run_state,
+            lambda: self._compute_ranked(candidate, feedback_pairs, week),
+        )
         run = WeeklyRun(
             week=week,
             candidate=candidate,

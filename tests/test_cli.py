@@ -108,8 +108,11 @@ class TestServeCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "listener: http://127.0.0.1:" in out
-        for route in ("/metrics", "/health", "/drift", "/alerts", "/traces", "/frontend"):
+        for route in (
+            "/metrics", "/health", "/drift", "/alerts", "/journeys", "/profile", "/frontend",
+        ):
             assert f"{route}\n" in out
+        assert "/traces" not in out and "/metrics-openmetrics" not in out
         assert "/expand\n" in out  # the same listener takes the POST queries
         # Drift verdicts from the refresh swaps are summarised too.
         assert "runtime health:" in out

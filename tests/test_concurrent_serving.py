@@ -1,14 +1,14 @@
-"""Thread-safety of the hot read path: contexts, cache, breaker, hot-swap.
+"""Thread-safety of the hot read path: records, cache, breaker, hot-swap.
 
 The concurrent front end (PR: admission control + load harness) drives
 the whole serving stack from a thread pool, so the invariants these tests
 pin are correctness requirements, not hygiene:
 
-* one ``RequestContext`` per request — overlapping requests must never
+* one ``RequestRecord`` per request — overlapping requests must never
   share or re-stamp one (the pre-fix design kept a single context per
   service);
 * the versioned LRU cache must not lose counter updates or corrupt its
-  LRU order / bytes accounting under a multi-threaded hammer;
+  LRU order under a multi-threaded hammer;
 * a half-open circuit breaker must admit exactly ``half_open_max_calls``
   concurrent probes, not one per racing thread;
 * a hot-swap during K in-flight expansions must yield every response
@@ -26,7 +26,7 @@ import pytest
 from repro.errors import ReproError
 from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
-from repro.obs.context import current_context
+from repro.obs.context import current_record
 from repro.online import EGLSystem
 from repro.online.api import EGLService, ExpandRequest
 from repro.online.reasoning import GraphReasoner
@@ -35,16 +35,16 @@ from repro.serving import ServingRuntime, VersionedLRUCache
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: per-request RequestContext (regression for the reuse race)
+# Satellite 1: per-request RequestRecord (regression for the reuse race)
 # ----------------------------------------------------------------------
 class TestRequestContextPerRequest:
     def test_interleaved_requests_get_distinct_contexts(self, world):
-        """Two overlapping requests must observe distinct, stable contexts.
+        """Two overlapping requests must observe distinct, stable records.
 
         With the old one-context-per-service design the second request
         re-stamps the shared context while the first is still in flight:
         both threads would see the *same* object and the first thread's
-        correlation id would change under it mid-request.
+        request id would change under it mid-request.
         """
         system = EGLSystem(world)
         graph = EntityGraph.from_edge_list(
@@ -61,12 +61,12 @@ class TestRequestContextPerRequest:
         real_expand = system.expand
 
         def slow_expand(phrases, depth=2, min_score=0.0, deadline=None):
-            ctx = current_context()
-            entry_id = ctx.correlation_id
+            ctx = current_record()
+            entry_id = ctx.id
             barrier.wait()  # both requests are now in flight together
             time.sleep(0.01)  # give the other thread room to trample
             with lock:
-                observed.append((ctx, entry_id, ctx.correlation_id, deadline))
+                observed.append((ctx, entry_id, ctx.id, deadline))
             return view
 
         system.expand = slow_expand
@@ -90,7 +90,7 @@ class TestRequestContextPerRequest:
         assert len(observed) == 2
         (ctx_a, entry_a, exit_a, dl_a), (ctx_b, entry_b, exit_b, dl_b) = observed
         assert ctx_a is not ctx_b  # distinct objects, not a shared re-stamp
-        assert entry_a != entry_b  # distinct correlation ids
+        assert entry_a != entry_b  # distinct request ids
         # Ids stayed stable across the overlap window.
         assert entry_a == exit_a and entry_b == exit_b
         # Exactly one request carried a deadline; it never leaked across.
@@ -119,8 +119,14 @@ class TestRequestContextPerRequest:
             t.join(timeout=30.0)
         journeys = service.obs.journeys.tail()
         assert len(journeys) == per_thread * n_threads
-        ids = [j["correlation_id"] for j in journeys]
+        ids = [j["id"] for j in journeys]
         assert len(set(ids)) == len(ids)
+        # No phase of one request landed in another's record: each holds
+        # exactly its own runtime > cache.get chain.
+        for journey in journeys:
+            names = [name for name, *_ in journey["phases"]]
+            assert names[:2] == ["runtime", "cache.get"]
+            assert [names.count(n) for n in ("runtime", "cache.get")] == [1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +153,8 @@ class TestCacheConcurrency:
         total_puts = n_threads * per_thread
         assert stats["size"] == capacity
         assert stats["evictions"] == total_puts - capacity
-        # Side tables stayed congruent.
-        assert len(cache._sizes) == len(cache._entries)
-        assert cache.approx_bytes == sum(cache._sizes.values())
+        assert len(cache) <= capacity
+        assert stats["hits"] + stats["misses"] == 0  # no get was issued
 
     def test_mixed_hammer_loses_no_counter_updates(self):
         capacity, n_threads, per_thread = 16, 8, 500
@@ -170,8 +175,7 @@ class TestCacheConcurrency:
         # Every get counted exactly once — a lost update breaks this.
         assert stats["hits"] + stats["misses"] == n_threads * per_thread
         assert stats["size"] <= capacity
-        assert len(cache._sizes) == len(cache._entries)
-        assert cache.approx_bytes == sum(cache._sizes.values())
+        assert len(cache) <= capacity
 
     def test_purge_races_puts_without_corruption(self):
         cache = VersionedLRUCache(64)
@@ -196,8 +200,9 @@ class TestCacheConcurrency:
         stop.set()
         for t in threads:
             t.join(timeout=10.0)
-        assert len(cache._sizes) == len(cache._entries)
-        assert cache.approx_bytes == sum(cache._sizes.values())
+        stats = cache.stats()
+        assert len(cache) <= cache.capacity
+        assert stats["hits"] + stats["misses"] == 0  # no get was issued
 
 
 # ----------------------------------------------------------------------

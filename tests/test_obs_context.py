@@ -1,177 +1,219 @@
-"""Request context: ambient binding, annotations, deadlines, journeys."""
+"""Request record: ambient binding, annotations, phases, the /journeys ring."""
 
 import json
 
 import pytest
 
+from repro.obs import ManualClock
 from repro.obs.context import (
-    JourneyLog,
-    RequestContext,
+    RING_CAPACITY,
+    RequestLog,
     annotate,
-    bind_context,
-    current_context,
-    current_correlation_id,
-    next_correlation_id,
-    unbind_context,
+    current_record,
+    current_request_id,
+    phase,
 )
 
 
-class _Response:
-    def __init__(self, ok=True, code=None, elapsed_ms=1.5):
-        self.ok = ok
-        self.code = code
-        self.elapsed_ms = elapsed_ms
-        self.timestamp = 5_000.0
-        self.graph_version = 3
-        self.preference_version = 2
+@pytest.fixture()
+def clock():
+    return ManualClock(start=5_000.0)
 
 
-class _View:
-    hop_sizes = (1, 4, 9)
+@pytest.fixture()
+def log(clock):
+    return RequestLog(clock)
+
+
+def _finish(log, endpoint="expand", ok=True, code=None, **fields):
+    """One closed record, annotated the way the serving layers would."""
+    record = log.open(endpoint)
+    annotate(**fields)
+    log.close(record, ok, code, graph_version=3, preference_version=2)
+    return record
 
 
 class TestAmbientBinding:
     def test_no_context_outside_any_request(self):
-        assert current_context() is None
-        assert current_correlation_id() is None
+        assert current_record() is None
+        assert current_request_id() is None
 
-    def test_bind_unbind_roundtrip(self):
-        ctx = RequestContext()
-        ctx.correlation_id = next_correlation_id()
-        token = bind_context(ctx)
+    def test_bind_unbind_roundtrip(self, log):
+        record = log.open("expand")
         try:
-            assert current_context() is ctx
-            assert current_correlation_id() == ctx.correlation_id
+            assert current_record() is record
+            assert current_request_id() == record.id
         finally:
-            unbind_context(token)
-        assert current_context() is None
+            log.close(record)
+        assert current_record() is None
 
-    def test_correlation_ids_are_unique_and_increasing(self):
-        first = next_correlation_id()
-        second = next_correlation_id()
-        assert second == first + 1
+    def test_correlation_ids_are_unique_and_increasing(self, log):
+        first = _finish(log)
+        second = _finish(log)
+        assert second.id == first.id + 1
 
     def test_annotate_is_noop_outside_a_request(self):
         annotate(cache="miss")  # must not raise and must not leak anywhere
-        assert current_context() is None
+        assert current_record() is None
 
-    def test_annotate_lazily_creates_the_dict(self):
-        ctx = RequestContext()
-        token = bind_context(ctx)
+    def test_annotate_sets_fields_on_the_bound_record(self, log):
+        record = log.open("target")
         try:
-            assert ctx.annotations is None
+            assert record.cache is None and record.degraded is None
             annotate(cache="miss")
             annotate(degraded="preference_read_open")
-            assert ctx.annotations == {
-                "cache": "miss",
-                "degraded": "preference_read_open",
-            }
+            assert record.cache == "miss"
+            assert record.degraded == "preference_read_open"
         finally:
-            unbind_context(token)
+            log.close(record)
+
+    def test_inner_entry_point_adopts_the_bound_record(self, log):
+        outer = log.open("expand")
+        assert log.open("expand") is None  # nothing for the inner to close
+        log.close(None)  # closing "nothing" is a no-op
+        assert current_record() is outer
+        log.close(outer, ok=True, code=None)
+        assert len(log) == 1
+
+    def test_disabled_log_opens_nothing(self, clock):
+        log = RequestLog(clock, enabled=False)
+        assert log.open("expand") is None
+        assert current_record() is None
+        with phase("api"):  # still a no-op
+            pass
+        assert len(log) == 0
 
 
-class TestDeadlineStamping:
-    def test_deadline_from_an_earlier_request_is_not_returned(self):
-        ctx = RequestContext()
-        ctx.correlation_id = 10
-        ctx.deadline = (10, "deadline-object")
-        assert ctx.current_deadline() == "deadline-object"
-        # Next request re-stamps the id but not the deadline: stale.
-        ctx.correlation_id = 11
-        assert ctx.current_deadline() is None
+class TestPhases:
+    def test_phase_is_a_noop_outside_a_request(self):
+        with phase("khop"):
+            pass
+        assert current_record() is None
+
+    def test_nested_phases_record_depth_start_and_duration(self, log, clock):
+        record = log.open("expand")
+        clock.advance(0.001)
+        with phase("api"):
+            clock.advance(0.002)
+            with phase("runtime"):
+                clock.advance(0.003)
+            with phase("runtime"):
+                clock.advance(0.001)
+        with phase("to_dict"):
+            clock.advance(0.0005)
+        log.close(record, ok=True, code=None)
+        (row,) = log.tail()
+        assert row["phases"] == [
+            ["api", 0, 1000.0, 6000.0],
+            ["runtime", 1, 3000.0, 3000.0],
+            ["runtime", 1, 6000.0, 1000.0],
+            ["to_dict", 0, 7000.0, 500.0],
+        ]
+        assert row["duration_ms"] == pytest.approx(7.5)
+
+    def test_phase_closes_when_its_body_raises(self, log, clock):
+        record = log.open("expand")
+        with pytest.raises(ValueError):
+            with phase("api"):
+                clock.advance(0.004)
+                raise ValueError("boom")
+        with phase("after"):
+            pass
+        log.close(record)
+        (row,) = log.tail()
+        assert row["phases"] == [["api", 0, 0.0, 4000.0], ["after", 0, 4000.0, 0.0]]
+
+    def test_phase_totals_sum_the_ring_per_path(self, log, clock):
+        for inner in (0.003, 0.001):
+            record = log.open("expand")
+            with phase("api"):
+                clock.advance(0.002)
+                with phase("runtime"):
+                    clock.advance(inner)
+            with phase("runtime"):  # same name, other parent: its own row
+                clock.advance(0.0005)
+            log.close(record, ok=True, code=None)
+        totals = {row["phase"]: row for row in log.phase_totals()}
+        assert totals["api"] == {
+            "phase": "api", "count": 2, "total_us": 8000.0, "self_us": 4000.0,
+        }
+        assert totals["api;runtime"]["total_us"] == 4000.0
+        assert totals["api;runtime"]["self_us"] == 4000.0
+        assert totals["runtime"]["count"] == 2
+        assert totals["runtime"]["total_us"] == 1000.0
+        log.clear()
+        assert log.phase_totals() == []
 
 
 class TestJourneyLog:
-    def _record(self, correlation_id=1, endpoint="expand", trace_id=7,
-                response=None, view=None, annotations=None):
-        # Mirrors the API facade: envelope and span scalars ride in the
-        # record so the ring retains neither the response nor the span.
-        response = response or _Response()
-        return (
-            correlation_id,
-            endpoint,
-            trace_id,
-            response.timestamp,
-            response.elapsed_ms,
-            response.ok,
-            response.code,
-            response.graph_version,
-            response.preference_version,
-            view,
-            annotations,
-        )
-
-    def test_render_basic_fields(self):
-        log = JourneyLog()
-        log.append(self._record(correlation_id=42, view=_View()))
+    def test_render_basic_fields(self, log):
+        record = _finish(log)
         (journey,) = log.tail()
-        assert journey["correlation_id"] == 42
-        assert journey["trace_id"] == 7
+        assert journey["id"] == record.id
         assert journey["endpoint"] == "expand"
-        assert journey["tenant"] == "default"
         assert journey["ts"] == 5_000.0
-        assert journey["duration_ms"] == 1.5
-        assert journey["ok"] is True
+        assert journey["duration_ms"] == 0.0  # the clock never moved
+        assert journey["ok"] is True and journey["code"] is None
         assert journey["graph_version"] == 3
         assert journey["preference_version"] == 2
+        assert journey["queue_wait_ms"] is None
+        assert journey["phases"] == []
 
-    def test_unannotated_ok_expand_renders_as_cache_hit(self):
-        log = JourneyLog()
-        log.append(self._record(view=_View()))
-        (journey,) = log.tail()
-        assert journey["cache"] == "hit"
-        assert journey["hops"] == [1, 4, 9]
-
-    def test_miss_annotation_wins_over_hit_inference(self):
-        log = JourneyLog()
-        log.append(self._record(view=_View(), annotations={"cache": "miss"}))
+    def test_annotated_fields_render_verbatim(self, log):
+        _finish(log, cache="miss", hops=(1, 4, 9), queue_wait_ms=12.5)
         (journey,) = log.tail()
         assert journey["cache"] == "miss"
+        assert journey["hops"] == [1, 4, 9]
+        assert journey["queue_wait_ms"] == 12.5
 
-    def test_failed_expand_renders_no_hops_and_no_cache_claim(self):
-        response = _Response(ok=False, code="bad_request")
-        log = JourneyLog()
-        log.append(self._record(response=response, view=_View()))
+    def test_failed_expand_renders_no_hops_and_no_cache_claim(self, log):
+        _finish(log, ok=False, code="invalid_argument")
         (journey,) = log.tail()
         assert journey["hops"] is None
         assert journey["cache"] is None
-        assert journey["ok"] is False and journey["code"] == "bad_request"
+        assert journey["ok"] is False and journey["code"] == "invalid_argument"
 
-    def test_shed_flag_derived_from_response_code(self):
-        log = JourneyLog()
+    def test_shed_flag_derived_from_response_code(self, log):
         for code, shed in [
             ("circuit_open", True),
             ("deadline_exceeded", True),
-            ("bad_request", False),
+            ("queue_full", True),
+            ("queue_timeout", True),
+            ("draining", True),
+            ("invalid_argument", False),
             (None, False),
         ]:
             log.clear()
-            log.append(self._record(response=_Response(ok=False, code=code)))
+            _finish(log, ok=code is None, code=code)
             assert log.tail()[0]["shed"] is shed
 
-    def test_degraded_flag_from_annotations(self):
-        log = JourneyLog()
-        log.append(self._record(annotations={"degraded": "preference_read_open"}))
-        assert log.tail()[0]["degraded"] is True
+    def test_degraded_flag_from_annotations(self, log):
+        _finish(log, endpoint="target", degraded="preference_read_open")
+        _finish(log, endpoint="target")
+        degraded, healthy = log.tail()
+        assert degraded["degraded"] == "preference_read_open"
+        assert healthy["degraded"] is None
 
-    def test_endpoint_passes_through_verbatim(self):
-        log = JourneyLog()
-        log.append(self._record(endpoint="replay.expand"))
+    def test_endpoint_passes_through_verbatim(self, log):
+        _finish(log, endpoint="replay.expand")
         assert log.tail()[0]["endpoint"] == "replay.expand"
 
-    def test_ring_is_bounded_and_tail_limits(self):
-        log = JourneyLog(capacity=3)
-        for i in range(5):
-            log.append(self._record(correlation_id=i))
-        assert len(log) == 3
-        assert [j["correlation_id"] for j in log.tail()] == [2, 3, 4]
-        assert [j["correlation_id"] for j in log.tail(2)] == [3, 4]
+    def test_escaped_request_closes_as_internal_error(self, log):
+        record = log.open("expand")
+        log.close(record)  # the opener's crash path passes the record alone
+        (journey,) = log.tail()
+        assert journey["ok"] is False and journey["code"] == "internal"
+        assert current_record() is None
+
+    def test_ring_is_bounded_and_tail_limits(self, log):
+        records = [_finish(log) for _ in range(RING_CAPACITY + 2)]
+        assert len(log) == RING_CAPACITY
+        assert [j["id"] for j in log.tail()] == [r.id for r in records[2:]]
+        assert [j["id"] for j in log.tail(2)] == [r.id for r in records[-2:]]
         assert log.tail(0) == []
 
-    def test_ndjson_is_one_json_object_per_line(self):
-        log = JourneyLog()
-        log.append(self._record(correlation_id=1))
-        log.append(self._record(correlation_id=2))
+    def test_ndjson_is_one_json_object_per_line(self, log):
+        first, second = _finish(log), _finish(log)
         lines = log.to_ndjson().splitlines()
-        assert [json.loads(line)["correlation_id"] for line in lines] == [1, 2]
+        assert [json.loads(line)["id"] for line in lines] == [first.id, second.id]
         assert log.to_ndjson(0) == ""

@@ -2,8 +2,9 @@
 
 Drives an ``expand`` → ``expand`` → ``target`` sequence through the API
 facade over hand-activated artifacts (no TRMP training) and asserts the
-exact counter deltas, the cache miss-then-hit pair, correctly parented
-trace spans, and the frozen-clock timestamps the injectable clock enables.
+exact counter deltas, the cache miss-then-hit pair, correctly nested
+request-record phases, and the frozen-clock timestamps the injectable clock
+enables.
 """
 
 import json
@@ -38,7 +39,6 @@ def frozen_service(world):
     }
     prefs = PreferenceStore(embeddings).build(sequences, world.num_users)
     system.runtime.activate_preferences(prefs, version=1, tag="daily-1")
-    obs.tracer.clear()  # only request traces from here on
     return EGLService(system)
 
 
@@ -100,50 +100,44 @@ class TestCounterDeltas:
         assert metrics.get_value("serving_hot_swaps_total", kind="graph") == 1
 
 
+def _nesting(journey):
+    """Phase name → name of the phase it is nested in (``None`` at depth 0)."""
+    parents, open_names = {}, []
+    for name, depth, _start, _duration in journey["phases"]:
+        del open_names[depth:]
+        parents[name] = open_names[-1] if open_names else None
+        open_names.append(name)
+    return parents
+
+
 class TestTraceParenting:
     def test_cold_expand_trace_nests_compute_under_request(self, frozen_service, world):
-        cold, warm, target = run_sequence(frozen_service, world)
-        traces = frozen_service.obs.tracer.traces()
-        assert len(traces) == 3  # one trace per request
+        run_sequence(frozen_service, world)
+        cold, warm, target = frozen_service.obs.journeys.tail()  # one record per request
+        assert [j["endpoint"] for j in (cold, warm, target)] == ["expand", "expand", "target"]
 
-        for spans in traces.values():
-            roots = [s for s in spans if s.parent_id is None]
-            assert len(roots) == 1  # every request is exactly one trace
+        # The *cold* expand computed: k-hop sits under runtime (the record
+        # itself is the api call when the service is driven directly).
+        nesting = _nesting(cold)
+        assert nesting["runtime"] is None
+        assert nesting["khop"] == "runtime"
+        assert nesting["hop.gather"] == "khop"
+        assert nesting["cache.put"] == "runtime"
 
-        # The *cold* expand computed: its trace holds the compute child.
-        cold_spans = next(
-            spans for spans in traces.values()
-            if any(s.name == "runtime.expand_compute" for s in spans)
-        )
-        compute = [s for s in cold_spans if s.name == "runtime.expand_compute"]
-        assert len(compute) == 1
-        root = next(s for s in cold_spans if s.parent_id is None)
-        assert root.name == "api.expand"
-        assert compute[0].parent_id == root.span_id
-        assert compute[0].trace_id == root.trace_id
-
-        target_spans = next(
-            spans for spans in traces.values()
-            if any(s.name == "api.target" for s in spans)
-        )
-        child = next(s for s in target_spans if s.name == "runtime.target")
-        assert child.parent_id == next(
-            s for s in target_spans if s.parent_id is None
-        ).span_id
+        nesting = _nesting(target)
+        assert nesting["runtime"] is None
+        assert nesting["targeting"] == "runtime"
+        assert nesting["preference.topk"] == "targeting"
 
     def test_warm_expand_trace_has_no_compute_span(self, frozen_service, world):
         run_sequence(frozen_service, world)
-        traces = frozen_service.obs.tracer.traces()
-        expand_traces = [
-            spans for spans in traces.values()
-            if any(s.name == "api.expand" for s in spans)
+        cold, warm, _target = frozen_service.obs.journeys.tail()
+        compute_counts = [
+            sum(1 for name, *_ in journey["phases"] if name == "khop")
+            for journey in (cold, warm)
         ]
-        assert len(expand_traces) == 2
-        compute_counts = sorted(
-            sum(1 for s in spans if s.name == "runtime.expand_compute")
-            for spans in expand_traces
-        )
-        assert compute_counts == [0, 1]  # warm hit never recomputes
+        assert compute_counts == [1, 0]  # warm hit never recomputes
+        assert (cold["cache"], warm["cache"]) == ("miss", "hit")
 
 
 class TestFrozenClock:

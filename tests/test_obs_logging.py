@@ -1,4 +1,4 @@
-"""Structured logging: JSON records, level gating, family sinks, trace ids."""
+"""Structured logging: JSON records, level gating, family sinks, request ids."""
 
 import io
 import json
@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import ManualClock, StructuredLogger, Tracer
+from repro.obs import ManualClock, StructuredLogger
+from repro.obs.context import RequestLog
 
 
 @pytest.fixture()
@@ -104,23 +105,25 @@ class TestFamilySink:
 
 class TestTraceCorrelation:
     def test_log_inside_span_carries_trace_ids(self, clock):
-        tracer = Tracer(clock=clock)
-        logger = StructuredLogger("x", clock=clock, tracer=tracer)
-        with tracer.span("api.expand") as outer:
-            logger.info("outer_event")
-            with tracer.span("runtime.compute") as inner:
-                logger.info("inner_event")
-        outer_rec, inner_rec = logger.records()
-        assert outer_rec["trace_id"] == outer.trace_id
-        assert outer_rec["span_id"] == outer.span_id
-        # The inner record is stamped with the *innermost* open span but
-        # shares the outer record's trace.
-        assert inner_rec["span_id"] == inner.span_id
-        assert inner_rec["trace_id"] == outer_rec["trace_id"]
+        """Inside a request every line carries the ambient record's id —
+        and nothing else (no ``trace_id`` / ``span_id``)."""
+        logger = StructuredLogger("x", clock=clock)
+        requests = RequestLog(clock)
+        first = requests.open("expand")
+        logger.info("first_event")
+        requests.close(first, ok=True, code=None)
+        second = requests.open("target")
+        logger.info("second_event")
+        requests.close(second, ok=True, code=None)
+        first_rec, second_rec = logger.records()
+        assert first_rec["request_id"] == first.id
+        assert second_rec["request_id"] == second.id != first.id
+        for record in (first_rec, second_rec):
+            assert "trace_id" not in record and "span_id" not in record
 
     def test_log_outside_any_span_has_no_ids(self, clock):
-        tracer = Tracer(clock=clock)
-        logger = StructuredLogger("x", clock=clock, tracer=tracer)
+        logger = StructuredLogger("x", clock=clock)
         logger.info("bare")
         (record,) = logger.records()
+        assert "request_id" not in record
         assert "trace_id" not in record and "span_id" not in record

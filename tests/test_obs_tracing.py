@@ -1,21 +1,13 @@
-"""Tracer span nesting, ring buffer, JSONL export; injectable clocks."""
-
-import json
+"""Injectable clocks, and what the observability bundle does with them."""
 
 import pytest
 
-from repro.errors import ReproError
-from repro.obs import ManualClock, Observability, Tracer
+from repro.obs import ManualClock, Observability, phase
 
 
 @pytest.fixture()
 def clock():
     return ManualClock(start=1_000.0)
-
-
-@pytest.fixture()
-def tracer(clock):
-    return Tracer(capacity=16, clock=clock)
 
 
 class TestClock:
@@ -31,126 +23,26 @@ class TestClock:
             clock.advance(-1)
 
 
-class TestSpanNesting:
-    def test_nested_spans_share_trace_and_parent_correctly(self, tracer, clock):
-        with tracer.span("outer", depth=2) as outer:
-            clock.advance(0.1)
-            with tracer.span("inner") as inner:
-                clock.advance(0.05)
-        assert inner.trace_id == outer.trace_id
-        assert inner.parent_id == outer.span_id
-        assert outer.parent_id is None
-        assert inner.duration_ms == pytest.approx(50)
-        assert outer.duration_ms == pytest.approx(150)
-        assert outer.tags == {"depth": 2}
-
-    def test_siblings_share_parent_but_not_ids(self, tracer):
-        with tracer.span("root") as root:
-            with tracer.span("a") as a:
-                pass
-            with tracer.span("b") as b:
-                pass
-        assert a.parent_id == b.parent_id == root.span_id
-        assert a.span_id != b.span_id
-
-    def test_separate_roots_are_separate_traces(self, tracer):
-        with tracer.span("first"):
-            pass
-        with tracer.span("second"):
-            pass
-        assert len(tracer.traces()) == 2
-
-    def test_exception_marks_span_errored(self, tracer):
-        with pytest.raises(ReproError):
-            with tracer.span("boom"):
-                raise ReproError("nope")
-        (span,) = tracer.finished()
-        assert span.status == "error"
-
-    def test_tag_while_open(self, tracer):
-        with tracer.span("op") as span:
-            span.tag(result_size=40)
-        assert tracer.finished()[0].tags["result_size"] == 40
-
-    def test_ring_buffer_ages_out_old_spans(self, clock):
-        tracer = Tracer(capacity=3, clock=clock)
-        for i in range(5):
-            with tracer.span(f"op{i}"):
-                pass
-        assert [s.name for s in tracer.finished()] == ["op2", "op3", "op4"]
-
-    def test_overflow_evicts_oldest_traces_first(self, clock):
-        # Many full traces through a small ring: only the newest survive,
-        # strictly in finish order.
-        tracer = Tracer(capacity=4, clock=clock)
-        for i in range(10):
-            with tracer.span(f"req{i}"):
-                with tracer.span(f"work{i}"):
-                    pass
-        # Each trace finishes child-then-root, so the ring holds the last
-        # two complete traces.
-        names = [s.name for s in tracer.finished()]
-        assert names == ["work8", "req8", "work9", "req9"]
-        assert set(tracer.traces()) == {9, 10}
-
-    def test_overflow_keeps_parent_links_valid_in_export(self, clock, tmp_path):
-        # After heavy eviction, every surviving child's parent_id must
-        # still resolve to a span inside the export (children finish before
-        # parents, so a trace is never split across the eviction boundary
-        # in parent-before-child order).
-        tracer = Tracer(capacity=6, clock=clock)
-        for i in range(20):
-            with tracer.span(f"root{i}"):
-                with tracer.span(f"mid{i}"):
-                    with tracer.span(f"leaf{i}"):
-                        pass
-        path = tmp_path / "spans.jsonl"
-        assert tracer.export_jsonl(path) == 6
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        by_id = {row["span_id"]: row for row in rows}
-        for row in rows:
-            if row["parent_id"] is not None:
-                parent = by_id[row["parent_id"]]  # KeyError = dangling link
-                assert parent["trace_id"] == row["trace_id"]
-        # Exactly the final two complete traces survive, oldest first.
-        assert [r["name"] for r in rows] == [
-            "leaf18", "mid18", "root18", "leaf19", "mid19", "root19",
-        ]
-
-
-class TestExport:
-    def test_jsonl_round_trip_preserves_parenting(self, tracer, clock, tmp_path):
-        with tracer.span("root"):
-            clock.advance(0.2)
-            with tracer.span("child", stage="alpc"):
-                clock.advance(0.1)
-        path = tmp_path / "spans.jsonl"
-        assert tracer.export_jsonl(path) == 2
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        by_name = {row["name"]: row for row in rows}
-        assert by_name["child"]["parent_id"] == by_name["root"]["span_id"]
-        assert by_name["child"]["trace_id"] == by_name["root"]["trace_id"]
-        assert by_name["child"]["tags"] == {"stage": "alpc"}
-        assert by_name["child"]["duration_ms"] == pytest.approx(100)
-        assert by_name["root"]["start_time"] == 1_000.0
-
-    def test_clear_empties_the_buffer(self, tracer):
-        with tracer.span("op"):
-            pass
-        tracer.clear()
-        assert tracer.finished() == []
-
-
 class TestDisabledTracer:
     def test_disabled_bundle_produces_no_spans(self):
         obs = Observability.disabled()
-        with obs.tracer.span("op") as span:
-            span.tag(anything=1)  # noop span still accepts tags
-        assert obs.tracer.finished() == []
+        record = obs.journeys.open("expand")
+        assert record is None  # nothing is opened, so nothing is bound
+        with phase("api"):
+            pass
+        obs.journeys.close(record)
+        assert obs.journeys.tail() == []
         assert obs.metrics.render_prometheus() == ""
 
     def test_shared_clock_across_bundle(self):
-        clock = ManualClock()
+        clock = ManualClock(start=1_000.0)
         obs = Observability(clock=clock)
-        assert obs.tracer._clock is clock
         assert obs.clock is clock
+        record = obs.journeys.open("expand")
+        clock.advance(0.25)
+        obs.logger.info("mid_request")
+        obs.journeys.close(record, ok=True, code=None)
+        (journey,) = obs.journeys.tail()
+        assert journey["ts"] == 1_000.25 and journey["duration_ms"] == 250.0
+        (line,) = obs.logger.records(event="mid_request")
+        assert line["ts"] == 1_000.25 and line["request_id"] == journey["id"]
