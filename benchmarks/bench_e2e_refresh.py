@@ -1,4 +1,4 @@
-"""Weekly-refresh time as a recorded series (first half-step of ROADMAP 6a).
+"""Weekly-refresh time as a recorded series (first half-step of ROADMAP item 5a).
 
 Runs the end-to-end benchmark's public command on ``expand_hot`` and
 appends what the operator pays for bring-up to ``results/history.jsonl``
@@ -11,9 +11,15 @@ imported or changed.
 
 The gate is absolute -- seconds on the fixed dataset, not a ratio against
 an earlier run -- with ceilings about twice what this commit measures
-(``setup_s`` ~9.6 s, ``refresh_weekly_s`` ~6.6 s), so a slower CI host
+(``setup_s`` ~7.6 s, ``refresh_weekly_s`` ~4.8 s), so a slower CI host
 passes and a refresh that doubles does not. The quality of the graph each
-refresh produced (ACC / CorS / AUC) is the other half of item 6a.
+refresh produced (ACC / CorS / AUC) is the other half of item 5a.
+
+Since ISSUE 22 the week-0 skip-gram fit runs in a stage worker beside the
+semantic pretrain, so ``refresh.cooccurrence_embedding_s`` is the parent's
+*wait* for that worker after its own pretrain (tens of milliseconds), not
+the fit's busy time: the series steps down by design, and each row's
+``config`` says so.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ TRAINED_STAGES = (
     "refresh.semantic_pretrain_s",
     "refresh.alpc_ranking_s",
 )
-CEILING_S = {"setup_s": 20.0, "refresh_weekly_s": 14.0}
+CEILING_S = {"setup_s": 16.0, "refresh_weekly_s": 10.0}
 
 
 def run_pass(trace: int) -> dict:
@@ -59,7 +65,10 @@ def test_e2e_refresh_history():
         "e2e_refresh",
         metrics,
         directions=dict.fromkeys(metrics, "lower"),
-        config={"workload": "expand_hot", "seed": SEED, "seconds": SECONDS},
+        config={
+            "workload": "expand_hot", "seed": SEED, "seconds": SECONDS,
+            "cooccurrence_embedding_s": "wait for the week-0 stage worker, not its busy time",
+        },
     )
     for name, ceiling in CEILING_S.items():
         assert metrics[name] <= ceiling, (name, metrics[name], ceiling)

@@ -324,7 +324,7 @@ def cmd_serve(args) -> int:
         if last is not None:
             print(f"drift [{kind}]: {last['severity']} "
                   f"(v{last['old_version']} -> v{last['new_version']})")
-    _print_stage_breakdown(report.stage_seconds)
+    _print_stage_breakdown(report)
 
     if args.port is not None:
         from repro.serving.frontend import QueryFrontend
@@ -364,7 +364,8 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _print_stage_breakdown(stage_seconds: dict) -> None:
+def _print_stage_breakdown(report) -> None:
+    stage_seconds = report.stage_seconds
     if not stage_seconds:
         return
     print("\nweekly refresh stage breakdown:")
@@ -372,6 +373,9 @@ def _print_stage_breakdown(stage_seconds: dict) -> None:
     for stage, seconds in sorted(stage_seconds.items(), key=lambda kv: -kv[1]):
         share = seconds / total if total else 0.0
         print(f"  {stage:<24s} {seconds * 1000:>9.1f} ms  ({share:.0%})")
+    for stage, seconds in report.overlapped_seconds.items():
+        print(f"  overlapped in the stage worker: {stage} "
+              f"{seconds * 1000:.1f} ms busy")
 
 
 def cmd_metrics(args) -> int:
@@ -384,7 +388,7 @@ def cmd_metrics(args) -> int:
     report = system.weekly_refresh(events)
     system.daily_preference_refresh(events)
     if not args.json:  # keep --json output pure machine-readable JSON
-        _print_stage_breakdown(report.stage_seconds)
+        _print_stage_breakdown(report)
 
     service = EGLService(system)
     popular = sorted(world.entities, key=lambda e: -e.popularity)
@@ -485,6 +489,7 @@ def cmd_refresh(args) -> int:
     if report.resumed_stages:
         print(f"  resumed stages: {', '.join(report.resumed_stages)}")
     print(f"  artifact digest: {report.artifact_digest}")
+    _print_stage_breakdown(report)
     if report.swap_rejected:
         print(f"  hot-swap rejected: {report.swap_rejected_reason}", file=sys.stderr)
         print("  serving stays on the previous generation", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Embedding substrate: skip-gram (E^Co), mini-BERT semantics (E^Se), kNN."""
 
-from repro.embeddings.skipgram import SkipGramConfig, SkipGramModel
+from repro.embeddings.skipgram import SkipGramConfig, SkipGramModel, fit_cooccurrence
 from repro.embeddings.mlm import MaskedLanguageModel, MLMConfig, MLMTrainReport, train_mlm
 from repro.embeddings.semantic import SemanticEncoderConfig, SemanticEntityEncoder
 from repro.embeddings.knn import BruteForceKNN, IVFIndex, LSHIndex
@@ -8,6 +8,7 @@ from repro.embeddings.knn import BruteForceKNN, IVFIndex, LSHIndex
 __all__ = [
     "SkipGramConfig",
     "SkipGramModel",
+    "fit_cooccurrence",
     "MaskedLanguageModel",
     "MLMConfig",
     "MLMTrainReport",

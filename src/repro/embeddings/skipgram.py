@@ -165,6 +165,18 @@ class SkipGramModel:
         return float(v[a] @ v[b])
 
 
+def fit_cooccurrence(
+    num_items: int, config: SkipGramConfig, sequences: list[list[int]]
+) -> np.ndarray:
+    """``E^Co``: the row-normalised SGNS vectors of ``sequences``.
+
+    A module-level function of picklable arguments, seeded by ``config``
+    alone, so the weekly refresh can run it inline or in its stage worker
+    (:mod:`repro.trmp.stage_worker`) and get the same bytes.
+    """
+    return SkipGramModel(num_items, config).fit(sequences).normalized_vectors()
+
+
 def occurrence_counts(sequences: list[list[int]], num_items: int) -> np.ndarray:
     """How often each id occurs across ``sequences``, as float64."""
     ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)

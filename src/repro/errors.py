@@ -63,3 +63,9 @@ class CheckpointError(ReproError):
 class CorruptArtifactError(StorageError):
     """A published artifact failed its checksum/shape validation on open;
     the file is quarantined rather than served."""
+
+
+class StageWorkerError(ReproError):
+    """A refresh stage running in a worker process failed: the worker
+    exited non-zero, was killed, or sent a truncated or invalid reply. The
+    stage is not checkpointed; a resumed run recomputes it."""

@@ -74,8 +74,12 @@ class RefreshReport:
     num_relations: int
     ensemble_trained: bool
     elapsed_seconds: float
-    #: Wall-time breakdown per TRMP stage (incl. ensemble when trained).
+    #: Wall time each TRMP stage added to the refresh (incl. ensemble when
+    #: trained); sums to ``elapsed_seconds`` less untimed glue.
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    #: Busy seconds of stages that ran in the stage worker beside another
+    #: stage (week 0: ``cooccurrence_embedding``); ``{}`` when none did.
+    overlapped_seconds: dict[str, float] = field(default_factory=dict)
     #: True when the drift gate (or an open activation breaker) rejected
     #: the hot-swap: the artifact was published to the registry but serving
     #: stayed on the old generation.
@@ -270,6 +274,7 @@ class EGLSystem:
             ensemble_trained=ensemble_trained,
             elapsed_seconds=elapsed,
             stage_seconds=self.pipeline.stage_seconds,
+            overlapped_seconds=self.pipeline.overlapped_seconds,
             swap_rejected=swap_rejected,
             swap_rejected_reason=swap_rejected_reason,
             run_id=run_id,

@@ -174,6 +174,12 @@ class Tensor:
 
         ``grad`` defaults to ``1.0`` and therefore requires a scalar output;
         pass an explicit cotangent for non-scalar roots.
+
+        The graph is freed as it is walked (PyTorch's ``retain_graph=False``):
+        a node drops its closure and parents once its gradient has been
+        propagated, so step *k*'s forward intermediates are gone before step
+        *k + 1* builds its own. Going through a freed node again raises
+        :class:`GradientError`; run the forward pass again instead.
         """
         if grad is None:
             if self.data.size != 1:
@@ -198,9 +204,11 @@ class Tensor:
             if node._backward_fn is None:
                 continue
             parent_grads = node._backward_fn(node_grad)
+            parents = node._parents
+            node._backward_fn, node._parents = _freed_graph, ()
             if parent_grads is None:
                 continue
-            for parent, pgrad in zip(node._parents, parent_grads):
+            for parent, pgrad in zip(parents, parent_grads):
                 if pgrad is None:
                     continue
                 pgrad = unbroadcast(np.asarray(pgrad, dtype=parent.data.dtype), parent.data.shape)
@@ -395,9 +403,19 @@ def _make(
     op: str,
 ) -> Tensor:
     """Create a result tensor, recording the graph only when needed."""
-    if _grad_enabled() and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled() and any(
+        p.requires_grad or p._backward_fn is not None for p in parents
+    ):
         return Tensor(data, parents=parents, backward_fn=backward_fn, op=op)
     return Tensor(data)
+
+
+def _freed_graph(grad: np.ndarray) -> None:
+    """The ``_backward_fn`` of a node an earlier ``backward()`` walked."""
+    raise GradientError(
+        "backward() through a graph that an earlier backward() already freed; "
+        "run the forward pass again"
+    )
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:

@@ -18,7 +18,8 @@ byte-identical (same checkpoint digests) to an uninterrupted one.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.datasets.behavior import BehaviorEvent
 from repro.datasets.splits import LinkPredictionSplit, make_link_prediction_split
 from repro.datasets.world import World
 from repro.embeddings.semantic import SemanticEncoderConfig, SemanticEntityEncoder
-from repro.embeddings.skipgram import SkipGramConfig, SkipGramModel, occurrence_counts
+from repro.embeddings.skipgram import SkipGramConfig, fit_cooccurrence, occurrence_counts
 from repro.errors import ConfigError, NotFittedError
 from repro.graph.entity_graph import RELATION_RANKED, EntityGraph
 from repro.obs import Observability
@@ -134,6 +135,10 @@ class TRMPipeline:
         self.ensemble: EnsembleLinkPredictor | None = None
         self.reweighter = DriftAwareReweighter() if self.config.stable_reweighting else None
         self._stage_seconds: dict[str, float] = {}
+        self._overlapped_seconds: dict[str, float] = {}
+        #: Per-entity occurrence counts of the latest drop (tail-entity
+        #: evidence for the candidate and ranking stages).
+        self._last_entity_counts: np.ndarray | None = None
         #: Optional per-stage checkpointing (attached by EGLSystem so the
         #: checkpoints live next to the artifact registry).
         self.checkpoints = checkpoints
@@ -146,18 +151,32 @@ class TRMPipeline:
         ``pipeline_stage_seconds`` histogram."""
         clock = self.obs.clock
         start = clock.perf()
-        yield
-        elapsed = clock.perf() - start
-        self._stage_seconds[name] = elapsed
+        try:
+            yield
+        finally:  # a stage that raises still took its seconds
+            elapsed = clock.perf() - start
+            self._stage_seconds[name] = elapsed
+            self._observe_stage(name, elapsed)
+
+    def _observe_stage(self, name: str, seconds: float) -> None:
         self.obs.metrics.histogram(
             "pipeline_stage_seconds", help="Offline TRMP stage wall time",
             stage=name,
-        ).observe(elapsed)
+        ).observe(seconds)
 
     @property
     def stage_seconds(self) -> dict[str, float]:
-        """Stage → seconds for the most recent refresh (incl. ensemble)."""
+        """Stage → wall seconds it *added* to the most recent refresh
+        (incl. ensemble); the values sum to the refresh's elapsed time
+        less untimed glue, also when stages overlapped."""
         return dict(self._stage_seconds)
+
+    @property
+    def overlapped_seconds(self) -> dict[str, float]:
+        """Stage → busy seconds it spent in the stage worker, beside
+        another stage, in the most recent refresh; empty when nothing
+        overlapped. Not part of :attr:`stage_seconds`' sum."""
+        return dict(self._overlapped_seconds)
 
     # ------------------------------------------------------------------
     # Static pieces
@@ -185,23 +204,48 @@ class TRMPipeline:
 
         Also records per-entity occurrence counts (evidence for the
         candidate stage's tail-entity gating).
+
+        While the semantic encoder is still untrained (week 0) and a second
+        CPU is available, the fit runs in a stage worker beside the
+        encoder's pretrain — the two share no state before the candidate
+        stage — so the pair costs the longer of the two, not their sum.
+        ``semantic_pretrain`` is then the parent's time in it and
+        ``cooccurrence_embedding`` the wait for the worker afterwards; the
+        worker's own busy time goes to :attr:`overlapped_seconds`. Either
+        way it is :func:`fit_cooccurrence` on the same inputs: same bytes.
         """
-        with self._stage("ner_extraction"):
-            sequences = self.extractor.corpus_sequences(events)
-        if not sequences:
-            raise ConfigError("no entity sequences extracted from the events")
-        self._last_entity_counts = occurrence_counts(sequences, self.world.num_entities)
-        with self._stage("cooccurrence_embedding"):
-            model = SkipGramModel(self.world.num_entities, self.config.skipgram)
-            return model.fit(sequences).normalized_vectors()
+        # Imported here: the worker runs that module as ``__main__`` after
+        # importing this package, which must not have loaded it already.
+        from repro.trmp.stage_worker import StageWorker
+
+        overlap = self._semantic_encoder is None and len(os.sched_getaffinity(0)) >= 2
+        # Started before NER so that its interpreter start-up and imports
+        # are off the critical path.
+        with StageWorker() if overlap else nullcontext() as worker:
+            with self._stage("ner_extraction"):
+                sequences = self.extractor.corpus_sequences(events)
+            if not sequences:
+                raise ConfigError("no entity sequences extracted from the events")
+            num_entities = self.world.num_entities
+            self._last_entity_counts = occurrence_counts(sequences, num_entities)
+            if worker is None:
+                with self._stage("cooccurrence_embedding"):
+                    return fit_cooccurrence(num_entities, self.config.skipgram, sequences)
+            worker.send(num_entities, self.config.skipgram, sequences)
+            self.semantic_encoder  # pretrains, as its own stage, beside the worker
+            with self._stage("cooccurrence_embedding"):
+                e_co, busy_seconds = worker.receive()
+        self._overlapped_seconds["cooccurrence_embedding"] = busy_seconds
+        self._observe_stage("cooccurrence_embedding.worker", busy_seconds)
+        return e_co
 
     def build_candidate(self, e_cooccurrence: np.ndarray) -> CandidateResult:
         e_semantic = self.e_semantic  # lazy pretrain is its own stage, not this one's
         with self._stage("candidate_generation"):
             generator = CandidateGenerator(self.config.candidate)
-            counts = getattr(self, "_last_entity_counts", None)
             return generator.generate(
-                e_cooccurrence, e_semantic, cooccurrence_counts=counts
+                e_cooccurrence, e_semantic,
+                cooccurrence_counts=self._last_entity_counts,
             )
 
     # ------------------------------------------------------------------
@@ -237,7 +281,7 @@ class TRMPipeline:
             alpc = ALPCLinkPredictor(alpc_cfg)
 
             pair_weights = None
-            counts = getattr(self, "_last_entity_counts", None)
+            counts = self._last_entity_counts
             if self.reweighter is not None and counts is not None:
                 self.reweighter.update_reference(counts)
                 pairs, _ = split.train_pairs_and_labels()
@@ -339,6 +383,7 @@ class TRMPipeline:
         week = len(self.weekly_runs)
         run_id = run_id or f"weekly-{week:04d}"
         self._stage_seconds = {}
+        self._overlapped_seconds = {}
         run_state: dict = {"resumed": [], "digests": {}}
         co_payload = self._stage_checkpointed(
             run_id, "cooccurrence", resume, run_state,

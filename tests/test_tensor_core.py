@@ -1,5 +1,7 @@
 """Core Tensor mechanics: arithmetic, broadcasting, graph traversal."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,37 @@ class TestBackwardMechanics:
         np.testing.assert_allclose(x.grad, [5.0])
         x.zero_grad()
         assert x.grad is None
+
+    def test_backward_frees_the_graph_it_walked(self):
+        """Step k's forward intermediates die with its backward, while the
+        loss is still bound — before, they lived until the next step's
+        loss replaced it, so two steps' graphs were alive at once."""
+        w = Tensor(np.ones((4, 3)), requires_grad=True)
+        hidden = Tensor(np.ones((5, 4))) @ w
+        activation = hidden * hidden
+        loss = activation.sum()
+        intermediates = [weakref.ref(hidden.data), weakref.ref(activation.data)]
+        del hidden, activation
+        assert all(ref() is not None for ref in intermediates)
+        loss.backward()
+        assert all(ref() is None for ref in intermediates)
+        assert loss._parents == ()
+        np.testing.assert_allclose(w.grad, np.full((4, 3), 40.0))
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        shared = x * 2
+        first, second = shared.sum(), (shared * shared).sum()
+        first.backward()
+        with pytest.raises(GradientError, match="already freed"):
+            first.backward()
+        # Also from another root, and through a new op on a freed node —
+        # neither silently treats the freed subgraph as a constant.
+        with pytest.raises(GradientError, match="already freed"):
+            second.backward()
+        with pytest.raises(GradientError, match="already freed"):
+            (shared * 3).sum().backward()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
     def test_no_grad_disables_recording(self):
         x = Tensor([1.0], requires_grad=True)
