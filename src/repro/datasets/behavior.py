@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.datasets.world import World
 from repro.errors import ConfigError
-from repro.rng import ensure_rng
+from repro.rng import ensure_rng, normalised_cdf, weighted_choice, weighted_sample_distinct
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,26 @@ class BehaviorLogGenerator:
         # The same for every event of this call: the drifted weight of each
         # topic, and each topic's distribution over the entities it mentions.
         topic_weight = entity_topics.T @ base  # (K,)
-        mention_probs = []
+        if not (np.isfinite(topic_weight).all() and (topic_weight >= 0).all()):
+            raise ConfigError("topic weights must be finite and non-negative")
+        mention_dists = []  # per topic: (probabilities, their cdf)
         for topic in range(self.world.num_topics):
             probs = base * entity_topics[:, topic] ** 2
-            mention_probs.append(probs / probs.sum())
+            with np.errstate(invalid="ignore", divide="ignore"):
+                probs = probs / probs.sum()
+            # What ``Generator.choice`` checked on every event, checked once.
+            positive = int(np.count_nonzero(probs > 0))
+            if (
+                not np.isfinite(probs).all()
+                or (probs < 0).any()
+                or positive < cfg.max_mentions_per_event
+            ):
+                raise ConfigError(
+                    f"topic {topic}: mention weights must be finite and non-negative with "
+                    f"at least max_mentions_per_event={cfg.max_mentions_per_event} "
+                    f"positive entries (found {positive})"
+                )
+            mention_dists.append((probs, normalised_cdf(probs)))
 
         events: list[BehaviorEvent] = []
         for day in range(start_day, start_day + num_days):
@@ -143,7 +159,7 @@ class BehaviorLogGenerator:
                 n_events = max(1, int(rng.poisson(cfg.events_per_active_day)))
                 for _ in range(n_events):
                     events.append(
-                        self._make_event(int(user_id), day, topic_weight, mention_probs, rng)
+                        self._make_event(int(user_id), day, topic_weight, mention_dists, rng)
                     )
         return events
 
@@ -160,7 +176,7 @@ class BehaviorLogGenerator:
         user_id: int,
         day: int,
         topic_weight: np.ndarray,
-        mention_probs: list[np.ndarray],
+        mention_dists: list[tuple[np.ndarray, np.ndarray]],
         rng: np.random.Generator,
     ) -> BehaviorEvent:
         cfg = self.config
@@ -171,13 +187,14 @@ class BehaviorLogGenerator:
         # current drift), then mention entities about that topic. This is
         # what gives entity co-occurrence its topical signal.
         topic_probs = world.user_interests[user_id] * topic_weight
-        topic_probs = topic_probs / topic_probs.sum()
-        topic = int(rng.choice(world.num_topics, p=topic_probs))
+        total = topic_probs.sum()
+        if not total > 0:
+            raise ConfigError(f"user {user_id} has no interest in any weighted topic")
+        topic = weighted_choice(rng, topic_probs / total)
 
         n_mentions = int(rng.integers(1, cfg.max_mentions_per_event + 1))
-        entity_ids = rng.choice(
-            world.num_entities, size=n_mentions, replace=False, p=mention_probs[topic]
-        )
+        probs, cdf = mention_dists[topic]
+        entity_ids = weighted_sample_distinct(rng, probs, n_mentions, cdf=cdf)
 
         lo, hi = cfg.filler_words
         n_filler = int(rng.integers(lo, hi + 1))

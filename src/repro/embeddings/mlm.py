@@ -63,10 +63,9 @@ class MaskedLanguageModel(Module):
         self._mask_rng = rng_mod.ensure_rng(self.config.seed + 1)
 
     # ------------------------------------------------------------------
-    def loss(self, token_ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """One MLM step: mask 15% of real tokens, predict them."""
+    def draw_targets(self, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Pick the positions one step predicts: 15% of the real tokens."""
         cfg = self.config
-        corrupted = token_ids.copy()
         candidates = mask & (token_ids != self.vocab.pad_id)
         targets_mask = candidates & (self._mask_rng.random(token_ids.shape) < cfg.mask_prob)
         if not targets_mask.any():
@@ -74,8 +73,12 @@ class MaskedLanguageModel(Module):
             rows, cols = np.nonzero(candidates)
             pick = self._mask_rng.integers(0, len(rows))
             targets_mask[rows[pick], cols[pick]] = True
-        corrupted[targets_mask] = self.vocab.mask_id
+        return targets_mask
 
+    def loss(self, token_ids: np.ndarray, mask: np.ndarray, targets_mask: np.ndarray) -> Tensor:
+        """One MLM step: mask the target positions, predict them."""
+        corrupted = token_ids.copy()
+        corrupted[targets_mask] = self.vocab.mask_id
         hidden = self.encoder(corrupted, key_padding_mask=mask)
         logits = self.output_head(hidden)
         return cross_entropy(logits, token_ids, mask=targets_mask)
@@ -92,6 +95,12 @@ class MaskedLanguageModel(Module):
 @dataclass
 class MLMTrainReport:
     losses: list[float]
+    #: Summed over steps: ``batch x max_len`` positions, the real (unpadded)
+    #: tokens among them, and the masked targets the loss reads — the shares
+    #: the row-selective ``gelu`` and ``cross_entropy`` depend on.
+    positions: int = 0
+    real_positions: int = 0
+    target_positions: int = 0
 
 
 def train_mlm(
@@ -99,21 +108,25 @@ def train_mlm(
     documents: list[list[str]],
     rng: np.random.Generator | int | None = None,
 ) -> MLMTrainReport:
-    """Pretrain on tokenised documents; returns the loss curve."""
+    """Pretrain on tokenised documents; returns the loss curve and row counts."""
     if not documents:
         raise ConfigError("no documents to pretrain on")
     cfg = model.config
     rng = rng_mod.ensure_rng(rng if rng is not None else cfg.seed + 2)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
-    losses: list[float] = []
+    report = MLMTrainReport(losses=[])
     for _ in range(cfg.epochs):
         order = rng.permutation(len(documents))
         for start in range(0, len(order), cfg.batch_size):
             batch = [documents[i] for i in order[start : start + cfg.batch_size]]
             ids, mask = encode_batch(batch, model.vocab, cfg.max_len)
+            targets_mask = model.draw_targets(ids, mask)
             optimizer.zero_grad()
-            loss = model.loss(ids, mask)
+            loss = model.loss(ids, mask, targets_mask)
             loss.backward()
             optimizer.step()
-            losses.append(float(loss.data))
-    return MLMTrainReport(losses=losses)
+            report.losses.append(float(loss.data))
+            report.positions += ids.size
+            report.real_positions += int(mask.sum())
+            report.target_positions += int(targets_mask.sum())
+    return report

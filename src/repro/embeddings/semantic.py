@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datasets.world import World
-from repro.embeddings.mlm import MaskedLanguageModel, MLMConfig, train_mlm
+from repro.embeddings.mlm import MaskedLanguageModel, MLMConfig, MLMTrainReport, train_mlm
 from repro.errors import ConfigError
 from repro.rng import ensure_rng
 from repro.text.tokenizer import WhitespaceTokenizer, encode_batch
@@ -44,6 +44,8 @@ class SemanticEntityEncoder:
         self.vocab = Vocab.build(corpus)
         self.model = MaskedLanguageModel(self.vocab, self.config.mlm)
         self._corpus = corpus
+        #: ``train_mlm``'s report once :meth:`pretrain` has run.
+        self.pretrain_report: MLMTrainReport | None = None
 
     def _make_descriptions(self) -> list[list[str]]:
         cfg = self.config
@@ -61,7 +63,7 @@ class SemanticEntityEncoder:
         documents = list(self._corpus)
         if extra_documents:
             documents.extend(extra_documents)
-        train_mlm(self.model, documents, rng=self.config.seed + 1)
+        self.pretrain_report = train_mlm(self.model, documents, rng=self.config.seed + 1)
         return self
 
     def encode_entities(self, method: str = "token_average") -> np.ndarray:

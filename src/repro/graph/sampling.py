@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.errors import ConfigError, GraphError
 from repro.graph.entity_graph import EntityGraph
-from repro.rng import ensure_rng
+from repro.rng import ensure_rng, weighted_choice
 
 
 class AliasSampler:
@@ -105,6 +105,9 @@ def node2vec_walks(
     """
     if p <= 0 or q <= 0:
         raise ConfigError("node2vec p and q must be positive")
+    # Checked once here; ``weighted_choice`` does not check per step.
+    if not (np.isfinite(graph.weight).all() and (graph.weight >= 0).all()):
+        raise GraphError("node2vec walks need finite, non-negative edge weights")
     rng = ensure_rng(rng)
     neighbor_sets = [set(graph.neighbors(v)[0].tolist()) for v in range(graph.num_nodes)]
     walks: list[list[int]] = []
@@ -132,8 +135,10 @@ def node2vec_walks(
                         else:
                             bias[i] = 1.0 / q
                     probs = weights * bias
-                probs = probs / probs.sum()
-                nxt = nbrs[rng.choice(len(nbrs), p=probs)]
+                total = probs.sum()
+                if not total > 0:
+                    raise GraphError(f"node {cur} has no positively weighted neighbour")
+                nxt = nbrs[weighted_choice(rng, probs / total)]
                 walk.append(int(nxt))
             walks.append(walk)
     return walks

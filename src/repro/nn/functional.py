@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Tensor, as_tensor, log_softmax, relu
+from repro.tensor import Tensor, as_tensor, relu
 from repro.tensor.ops import _as_tensor, _make  # noqa: F401 (re-export convenience)
 
 
@@ -47,19 +47,50 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
 
     ``logits``: ``(..., num_classes)``; ``targets``: integer class ids of
     shape ``logits.shape[:-1]``; optional boolean ``mask`` of the same shape
-    selects which positions count.
+    selects which positions count (all of them when ``None``).
+
+    One autograd node that does the softmax arithmetic on the counted rows
+    only, to the bit what ``log_softmax`` -> pick -> masked mean computes
+    (DESIGN.md "Training: only the rows that are read"). A target outside
+    ``[0, num_classes)`` on a counted row raises ``IndexError``; uncounted
+    rows may hold anything (the MLM has pad ids there).
     """
     logits = as_tensor(logits)
-    targets = np.asarray(targets, dtype=np.int64)
-    log_probs = log_softmax(logits, axis=-1)
-    flat = log_probs.reshape(-1, logits.shape[-1])
-    idx = np.arange(flat.shape[0])
-    picked = flat[idx, targets.reshape(-1)]
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64).reshape(-1)
-        denom = float(m.sum()) or 1.0
-        return -(picked * m).sum() * (1.0 / denom)
-    return -picked.mean()
+    num_classes = logits.shape[-1]
+    flat = logits.data.reshape(-1, num_classes)
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if mask is None:
+        rows = slice(None)
+    else:
+        rows = np.flatnonzero(np.asarray(mask, dtype=bool).reshape(-1))
+    picked_targets = targets[rows]
+    if picked_targets.size and not (
+        0 <= picked_targets.min() and picked_targets.max() < num_classes
+    ):
+        raise IndexError(f"cross_entropy target outside [0, {num_classes})")
+    at_target = (np.arange(len(picked_targets)), picked_targets)
+
+    counted = flat[rows]
+    shifted = counted - counted.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # Reduced over every row, counted or not, so the pairwise summation has
+    # the length it had when uncounted rows were multiplied by zero.
+    picked = np.zeros(flat.shape[0])
+    picked[rows] = shifted[at_target] - lse[:, 0]
+    scale = 1.0 / (float(len(picked_targets)) or 1.0)
+    loss = -picked.sum() * scale
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
+        per_row = -(g * scale)
+        grad_counted = np.zeros(counted.shape)
+        grad_counted[at_target] = per_row
+        grad_counted -= np.exp(shifted - lse) * per_row
+        # The logits' GEMMs stay full-size: uncounted rows get exact zeros.
+        grad = np.zeros(flat.shape)
+        grad[rows] = grad_counted
+        return (grad.reshape(logits.shape),)
+
+    return _make(np.asarray(loss), (logits,), backward, "cross_entropy")
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:

@@ -41,7 +41,7 @@ class TransformerEncoderLayer(Module):
         if self.dropout is not None:
             attended = self.dropout(attended)
         x = x + attended
-        hidden = self.ffn_out(gelu(self.ffn_in(self.norm2(x))))
+        hidden = self.ffn_out(gelu(self.ffn_in(self.norm2(x)), where=key_padding_mask))
         if self.dropout is not None:
             hidden = self.dropout(hidden)
         return x + hidden

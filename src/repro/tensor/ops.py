@@ -64,20 +64,33 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     return _make(x.data * slope, (x,), lambda g: (g * slope,), "leaky_relu")
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximation GELU (as used by BERT)."""
+def gelu(x: Tensor, where: np.ndarray | None = None) -> Tensor:
+    """Tanh-approximation GELU (as used by BERT).
+
+    ``where`` is an optional boolean array over the leading axes of ``x``
+    (numpy's ufunc convention, per row): output and gradient are computed on
+    the selected rows, bit-equal to the unrestricted call there, and are
+    zero elsewhere. A transformer passes its padding mask, because a padded
+    row's activation is read by nothing (DESIGN.md "Training: only the rows
+    that are read").
+    """
     x = _as_tensor(x)
-    a = x.data
+    rows = ... if where is None else np.asarray(where, dtype=bool)
+    a = x.data[rows]
     c = np.sqrt(2.0 / np.pi)
     inner = c * (a + 0.044715 * a**3)
     t = np.tanh(inner)
-    out = 0.5 * a * (1.0 + t)
+
+    def on_rows(values: np.ndarray) -> np.ndarray:
+        full = np.zeros(x.data.shape)
+        full[rows] = values
+        return full
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * a * a)
-        return (g * (0.5 * (1.0 + t) + 0.5 * a * dt),)
+        return (on_rows(g[rows] * (0.5 * (1.0 + t) + 0.5 * a * dt)),)
 
-    return _make(out, (x,), backward, "gelu")
+    return _make(on_rows(0.5 * a * (1.0 + t)), (x,), backward, "gelu")
 
 
 def abs_(x: Tensor) -> Tensor:
@@ -157,10 +170,9 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = a - m
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
-    soft = np.exp(out)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
     return _make(out, (x,), backward, "log_softmax")
 

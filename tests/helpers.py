@@ -1,10 +1,10 @@
-"""Test utilities: finite-difference gradient checking."""
+"""Test utilities: finite-difference gradient checking, training oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Tensor
+from repro.tensor import Tensor, gelu, log_softmax
 
 
 def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -32,3 +32,21 @@ def assert_gradcheck(fn, x0: np.ndarray, tol: float = 1e-5) -> None:
     numeric = numeric_gradient(fn, x0)
     error = np.abs(numeric - x.grad).max()
     assert error < tol, f"gradcheck failed: max abs error {error}"
+
+
+def composed_cross_entropy(logits, targets, mask=None):
+    """The graph ``cross_entropy`` was before it became one node: the oracle."""
+    targets = np.asarray(targets, dtype=np.int64)
+    log_probs = log_softmax(logits, axis=-1)
+    flat = log_probs.reshape(-1, logits.shape[-1])
+    picked = flat[np.arange(flat.shape[0]), targets.reshape(-1)]
+    if mask is not None:
+        m = np.asarray(mask, dtype=np.float64).reshape(-1)
+        denom = float(m.sum()) or 1.0
+        return -(picked * m).sum() * (1.0 / denom)
+    return -picked.mean()
+
+
+def plain_gelu(x, where=None):
+    """``gelu`` over every row, padding included: the oracle for ``where=``."""
+    return gelu(x)

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator, WeeklyDriftProcess
+from repro import rng as rng_mod
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, WeeklyDriftProcess, World, WorldConfig
 from repro.errors import ConfigError
 
 
@@ -77,6 +78,70 @@ class TestEvents:
             digest.update(repr((e.user_id, e.day, e.channel, e.text, mentions)).encode())
         assert len(events) == count
         assert digest.hexdigest() == sha256
+
+    @pytest.mark.parametrize("seed", [5, 12])
+    @pytest.mark.parametrize("tiny", [False, True], ids=["150-entities", "5-entities"])
+    def test_stream_equals_the_generator_choice_oracle(self, world, monkeypatch, seed, tiny):
+        """The helpers run ``Generator.choice``'s algorithm, so swapping
+        ``choice`` back in (the oracle, kept here) changes no event."""
+        if tiny:  # three mentions out of five entities: duplicates, so redraws
+            world = World(WorldConfig(num_topics=2, num_entities=5, num_users=30, seed=9))
+        config = BehaviorConfig(num_days=6, max_mentions_per_event=3, seed=seed)
+
+        def three_calls():
+            generator = BehaviorLogGenerator(world, config)
+            return generator.generate() + generator.generate_week(1) + generator.generate_week(2)
+
+        redraws = []
+
+        class CountingRng:
+            """Counts the batches of doubles one distinct-sample call draws."""
+
+            def __init__(self, rng):
+                self.rng, self.batches = rng, 0
+
+            def random(self, size):
+                self.batches += 1
+                return self.rng.random(size)
+
+        def spy(rng, p, size, cdf=None):
+            counting = CountingRng(rng)
+            found = rng_mod.weighted_sample_distinct(counting, p, size, cdf=cdf)
+            redraws.append(counting.batches - 1)
+            return found
+
+        monkeypatch.setattr("repro.datasets.behavior.weighted_sample_distinct", spy)
+        events = three_calls()
+        monkeypatch.setattr(
+            "repro.datasets.behavior.weighted_choice",
+            lambda rng, p: int(rng.choice(len(p), p=p)),
+        )
+        monkeypatch.setattr(
+            "repro.datasets.behavior.weighted_sample_distinct",
+            lambda rng, p, size, cdf=None: rng.choice(len(p), size=size, replace=False, p=p),
+        )
+        assert events == three_calls()
+        assert len(events) == len(redraws) > 100
+        if tiny:
+            assert sum(r > 0 for r in redraws) > 10
+
+    def test_too_few_mentionable_entities_is_a_config_error(self):
+        """Checked once per call: ``choice`` raised per event, and the bare
+        redraw loop would not end."""
+        world = World(WorldConfig(num_topics=2, num_entities=5, num_users=10, seed=9))
+        world.entity_topics[2:, 1] = 0.0  # topic 1 can mention two entities
+        generator = BehaviorLogGenerator(world, BehaviorConfig(max_mentions_per_event=3))
+        with pytest.raises(ConfigError, match="topic 1"):
+            generator.generate(num_days=1)
+        BehaviorLogGenerator(world, BehaviorConfig(max_mentions_per_event=2)).generate(num_days=1)
+
+    def test_unusable_topic_weights_are_a_config_error(self, world):
+        generator = BehaviorLogGenerator(world, BehaviorConfig())
+        for bad in (-1.0, np.nan):
+            weights = np.ones(world.num_topics)
+            weights[0] = bad
+            with pytest.raises(ConfigError):
+                generator.generate(num_days=1, topic_weights=weights)
 
     def test_users_mention_entities_they_like(self, world, events):
         # Users should interact with their top topics far more than chance.

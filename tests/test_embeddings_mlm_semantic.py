@@ -7,6 +7,8 @@ from repro.embeddings import MaskedLanguageModel, MLMConfig, SemanticEncoderConf
 from repro.errors import ConfigError
 from repro.text import Vocab
 
+from helpers import composed_cross_entropy, plain_gelu
+
 
 class TestMLM:
     def test_config_validation(self):
@@ -24,6 +26,31 @@ class TestMLM:
         last = np.mean(report.losses[-5:])
         assert last < first
 
+    @staticmethod
+    def three_steps():
+        vocab = Vocab([f"w{i}" for i in range(20)])
+        docs = [[f"w{(i + j) % 20}" for j in range(1 + i % 6)] for i in range(24)]
+        model = MaskedLanguageModel(
+            vocab, MLMConfig(epochs=1, batch_size=8, dim=16, max_len=6, seed=3)
+        )
+        report = train_mlm(model, docs, rng=1)
+        return report, b"".join(p.data.tobytes() for p in model.parameters())
+
+    def test_row_selective_kernels_train_the_same_bits(self, monkeypatch):
+        report, parameters = self.three_steps()
+        monkeypatch.setattr("repro.embeddings.mlm.cross_entropy", composed_cross_entropy)
+        monkeypatch.setattr("repro.nn.transformer.gelu", plain_gelu)
+        oracle_report, oracle_parameters = self.three_steps()
+        assert len(report.losses) == 3
+        assert report == oracle_report
+        assert parameters == oracle_parameters
+
+    def test_report_counts_the_rows_that_are_read(self):
+        report, _ = self.three_steps()
+        assert report.positions == 24 * 6  # batch x max_len, summed over steps
+        assert report.real_positions == sum(1 + i % 6 for i in range(24))
+        assert 3 <= report.target_positions < report.real_positions < report.positions
+
     def test_empty_documents_raise(self):
         model = MaskedLanguageModel(Vocab(["a"]), MLMConfig(epochs=1))
         with pytest.raises(ConfigError):
@@ -39,6 +66,12 @@ class TestMLM:
 
 
 class TestSemanticEncoder:
+    def test_pretrain_keeps_the_report(self, world, semantic_encoder):
+        assert SemanticEntityEncoder(world).pretrain_report is None
+        report = semantic_encoder.pretrain_report
+        assert report.positions % semantic_encoder.model.config.max_len == 0
+        assert 0 < report.target_positions < report.real_positions < report.positions
+
     def test_embeddings_unit_norm(self, e_semantic, world):
         assert e_semantic.shape[0] == world.num_entities
         np.testing.assert_allclose(

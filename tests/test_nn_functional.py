@@ -12,7 +12,7 @@ from repro.nn.functional import (
 )
 from repro.tensor import Tensor
 
-from helpers import assert_gradcheck
+from helpers import assert_gradcheck, composed_cross_entropy
 
 
 class TestBCE:
@@ -81,6 +81,80 @@ class TestCrossEntropy:
         mask = rng.random((2, 3)) < 0.6
         mask[0, 0] = True
         assert_gradcheck(lambda x: cross_entropy(x, targets, mask=mask), logits)
+
+
+def loss_and_grad(fn, logits, targets, mask):
+    x = Tensor(logits, requires_grad=True)
+    loss = fn(x, targets, mask=mask) if mask is not None else fn(x, targets)
+    loss.backward()
+    return loss.data, x.grad
+
+
+class TestFusedCrossEntropyKeepsTheBits:
+    """Row-selective arithmetic, byte-equal to the composed graph."""
+
+    @staticmethod
+    def case(name):
+        rng = np.random.default_rng(24)
+        shape = (4, 16, 53) if name.endswith("3d") else (64, 53)
+        logits = rng.normal(scale=3.0, size=shape)
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        if name.startswith("none"):
+            return logits, targets, None
+        mask = np.zeros(shape[:-1], dtype=bool)
+        if name.startswith("one"):
+            mask.reshape(-1)[37] = True
+        elif name.startswith("sparse"):  # the MLM's share: about 9 % of rows
+            mask.reshape(-1)[rng.permutation(mask.size)[:6]] = True
+        elif name.startswith("all"):
+            mask[...] = True
+        return logits, targets, mask
+
+    @pytest.mark.parametrize(
+        "name", ["one_2d", "one_3d", "sparse_2d", "sparse_3d", "all_2d", "all_3d", "none_2d", "none_3d"]
+    )
+    def test_loss_and_gradient_bytes(self, name):
+        logits, targets, mask = self.case(name)
+        loss, grad = loss_and_grad(cross_entropy, logits, targets, mask)
+        want_loss, want_grad = loss_and_grad(composed_cross_entropy, logits, targets, mask)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert grad.shape == logits.shape
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_upstream_cotangent_is_applied(self):
+        logits, targets, mask = self.case("sparse_3d")
+        grads = []
+        for fn in (cross_entropy, composed_cross_entropy):
+            x = Tensor(logits, requires_grad=True)
+            (fn(x, targets, mask=mask) * 0.37).backward()
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_no_counted_row_is_zero_loss_and_zero_gradient(self):
+        logits, targets, _ = self.case("none_3d")
+        mask = np.zeros(targets.shape, dtype=bool)
+        loss, grad = loss_and_grad(cross_entropy, logits, targets, mask)
+        assert float(loss) == 0.0
+        assert grad.tobytes() == np.zeros(logits.shape).tobytes()
+
+    def test_target_out_of_range_raises_on_counted_rows_only(self):
+        logits, targets, mask = self.case("sparse_2d")
+        counted, uncounted = np.flatnonzero(mask)[0], np.flatnonzero(~mask)[0]
+        for bad in (-1, logits.shape[-1]):
+            ignored = targets.copy()
+            ignored[uncounted] = bad  # the MLM keeps pad ids on such rows
+            want = cross_entropy(Tensor(logits), targets, mask=mask).data
+            assert cross_entropy(Tensor(logits), ignored, mask=mask).data == want
+            read = targets.copy()
+            read[counted] = bad
+            with pytest.raises(IndexError):
+                cross_entropy(Tensor(logits), read, mask=mask)
+            with pytest.raises(IndexError):
+                cross_entropy(Tensor(logits), read)
+
+    def test_no_graph_without_a_gradient_to_carry(self):
+        logits, targets, mask = self.case("sparse_2d")
+        assert cross_entropy(Tensor(logits), targets, mask=mask)._backward_fn is None
 
 
 class TestOtherLosses:

@@ -41,7 +41,9 @@ BEHAVIOR = dict(num_days=10, seed=4)
 def config(skipgram_epochs: int = 6) -> TRMPConfig:
     return TRMPConfig(
         skipgram=SkipGramConfig(epochs=skipgram_epochs, seed=2),
-        semantic=SemanticEncoderConfig(mlm=MLMConfig(epochs=3, seed=3)),
+        # Enough epochs that the pretrain outlasts the worker's import + fit,
+        # which test_only_week_zero_overlaps assumes (3 did before ISSUE 24).
+        semantic=SemanticEncoderConfig(mlm=MLMConfig(epochs=6, seed=3)),
         alpc=ALPCConfig(epochs=12, seed=1),
         ensemble=EnsembleConfig(epochs=8, seed=0),
     )

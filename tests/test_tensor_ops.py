@@ -84,6 +84,39 @@ class TestElementwise:
         out.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0, 0.0, 1.0])
 
+    def test_gelu_where_is_gelu_on_the_selected_rows_and_zero_elsewhere(self):
+        rng = np.random.default_rng(24)
+        a = rng.normal(scale=2.0, size=(4, 16, 37))  # (batch, seq, ffn)
+        where = rng.random((4, 16)) < 0.59  # the MLM's share of real tokens
+        upstream = rng.normal(size=a.shape)
+
+        def run(**kwargs):
+            x = Tensor(a, requires_grad=True)
+            out = gelu(x, **kwargs)
+            out.backward(upstream)
+            return out.data, x.grad
+
+        plain_out, plain_grad = run()
+        out, grad = run(where=where)
+        for got, want in ((out, plain_out), (grad, plain_grad)):
+            assert got.shape == a.shape
+            assert got[where].tobytes() == want[where].tobytes()
+            assert got[~where].tobytes() == np.zeros_like(a)[~where].tobytes()
+        # ``where=None`` is the formula it always was, to the bit.
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (a + 0.044715 * a**3))
+        assert plain_out.tobytes() == (0.5 * a * (1.0 + t)).tobytes()
+        dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * a * a)
+        assert plain_grad.tobytes() == (upstream * (0.5 * (1.0 + t) + 0.5 * a * dt)).tobytes()
+        none_out, none_grad = run(where=None)
+        assert none_out.tobytes() == plain_out.tobytes()
+        assert none_grad.tobytes() == plain_grad.tobytes()
+
+    def test_gelu_where_gradcheck(self, rng):
+        a = rng.normal(size=(3, 4))
+        where = np.array([True, False, True])
+        assert_gradcheck(lambda x: (gelu(x, where=where) ** 2).sum(), a)
+
 
 class TestNormalisations:
     def test_softmax_matches_scipy(self, rng):

@@ -18,6 +18,8 @@ from repro.text import (
     train_ner,
 )
 
+from helpers import plain_gelu
+
 
 class TestSpansFromTags:
     def test_simple_span(self):
@@ -69,6 +71,22 @@ class TestTraining:
         baseline = max(majority, 1 - majority)
         assert report.token_accuracy > baseline + 0.05
         assert report.losses[0] > report.losses[-1]
+
+    def test_gelu_skipping_padding_trains_the_same_bits(self, events, monkeypatch):
+        examples = make_ner_examples(events[:64])
+        vocab = Vocab.build([tokens for tokens, _ in examples])
+
+        def two_steps():
+            tagger = NERTagger(len(vocab), rng=0)
+            report = train_ner(tagger, vocab, examples, epochs=1, batch_size=32, rng=0)
+            return report, b"".join(p.data.tobytes() for p in tagger.parameters())
+
+        report, parameters = two_steps()
+        monkeypatch.setattr("repro.nn.transformer.gelu", plain_gelu)
+        oracle_report, oracle_parameters = two_steps()
+        assert len(report.losses) == 2
+        assert report == oracle_report
+        assert parameters == oracle_parameters
 
     def test_empty_examples_raise(self):
         tagger = NERTagger(10, rng=0)
