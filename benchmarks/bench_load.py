@@ -63,7 +63,6 @@ import time
 
 import numpy as np
 
-from repro.obs.slo import SLOTracker
 from repro.online import EGLSystem
 from repro.online.api import EGLService
 from repro.serving.frontend import QueryFrontend
@@ -109,9 +108,6 @@ def _prepare() -> tuple[EGLService, QueryFrontend, list[dict]]:
         max_concurrency=MAX_CONCURRENCY,
         max_queue=MAX_QUEUE,
         queue_timeout=QUEUE_TIMEOUT,
-        slo_tracker=SLOTracker(
-            metrics=system.obs.metrics, clock=system.obs.clock
-        ),
     )
     names = [e.name for e in context.world.entities]
     rng = np.random.RandomState(ARRIVAL_SEED)
@@ -259,7 +255,6 @@ def _run_step(
     shed = [r for r in results if r[1] in SHED_CODES]
     failed = [r for r in results if r[0] >= 500 and r[1] not in SHED_CODES]
     admitted_lat = np.array([r[2] for r in admitted]) if admitted else np.array([0.0])
-    stats = frontend.stats()
     return {
         "offered_rps": n_arrivals / dispatch_elapsed,
         "target_rps": rate,
@@ -272,7 +267,6 @@ def _run_step(
         "p50_ms": float(np.percentile(admitted_lat, 50) * 1000),
         "p99_ms": float(np.percentile(admitted_lat, 99) * 1000),
         "swaps": swaps_done[0],
-        "burn_rate": stats["burn_rate"],
     }
 
 

@@ -76,7 +76,7 @@ def main() -> None:
     swaps = sum(s["value"] for s in snapshot["counters"]["serving_hot_swaps_total"])
     print(f"hot swaps: {swaps:.0f}, metric families: "
           f"{len(snapshot['counters']) + len(snapshot['gauges']) + len(snapshot['histograms'])} "
-          f"(see `python -m repro.cli metrics` for the /metrics exposition)")
+          f"(see `python -m repro.cli serve` for the /metrics exposition)")
 
 
 if __name__ == "__main__":

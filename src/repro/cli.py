@@ -24,11 +24,6 @@ Commands
     ``/profile``, ``/frontend``; a graceful drain on shutdown.
     ``--hold SECONDS`` keeps it up, ``--log-json`` streams structured JSON
     logs to stdout.
-``metrics``
-    Run a miniature offline + online workload and print the Prometheus
-    text exposition — request counters, latency histograms, cache
-    hit/miss counts, artifact version gauges and per-stage TRMP timings.
-    ``--json`` prints the machine-readable snapshot instead.
 ``refresh``
     Run one checkpointed weekly refresh against ``--artifact-root``.
     ``--kill-after STAGE`` injects a crash right after that stage
@@ -119,50 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queue-timeout", type=float, default=0.25,
         help="max seconds a request may wait for an execution token",
-    )
-
-    metrics = sub.add_parser(
-        "metrics", help="run a mini workload and print the /metrics exposition"
-    )
-    metrics.add_argument("--entities", type=int, default=200)
-    metrics.add_argument("--users", type=int, default=150)
-    metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument("--requests", type=int, default=10, help="request burst size")
-    metrics.add_argument("--depth", type=int, default=2)
-    metrics.add_argument("--k", type=int, default=20)
-    metrics.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable snapshot instead of the exposition",
-    )
-
-    journeys = sub.add_parser(
-        "journeys",
-        help="run a mini workload and print its request records (NDJSON)",
-    )
-    journeys.add_argument("--entities", type=int, default=200)
-    journeys.add_argument("--users", type=int, default=150)
-    journeys.add_argument("--seed", type=int, default=7)
-    journeys.add_argument("--requests", type=int, default=10, help="request burst size")
-    journeys.add_argument("--depth", type=int, default=2)
-    journeys.add_argument("--k", type=int, default=20)
-    journeys.add_argument(
-        "--tail", type=int, default=None, metavar="N",
-        help="print only the last N request records",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run a mini workload and print per-phase totals + resource usage",
-    )
-    profile.add_argument("--entities", type=int, default=200)
-    profile.add_argument("--users", type=int, default=150)
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--requests", type=int, default=10, help="request burst size")
-    profile.add_argument("--depth", type=int, default=2)
-    profile.add_argument("--k", type=int, default=20)
-    profile.add_argument(
-        "--collapsed", action="store_true",
-        help="print collapsed-stack lines (flamegraph input) instead of JSON",
     )
 
     refresh = sub.add_parser(
@@ -378,81 +329,6 @@ def _print_stage_breakdown(report) -> None:
               f"{seconds * 1000:.1f} ms busy")
 
 
-def cmd_metrics(args) -> int:
-    from repro.online import EGLSystem
-    from repro.online.api import EGLService, ExpandRequest, TargetRequest
-
-    world, generator = _make_world(args)
-    events = generator.generate()
-    system = EGLSystem(world)
-    report = system.weekly_refresh(events)
-    system.daily_preference_refresh(events)
-    if not args.json:  # keep --json output pure machine-readable JSON
-        _print_stage_breakdown(report)
-
-    service = EGLService(system)
-    popular = sorted(world.entities, key=lambda e: -e.popularity)
-    phrases = [e.name for e in popular[: max(1, min(5, args.requests))]]
-    for i in range(max(1, args.requests)):
-        expand = service.expand(
-            ExpandRequest(phrases=[phrases[i % len(phrases)]], depth=args.depth)
-        )
-        if expand.ok:
-            ids = [e["entity_id"] for e in expand.payload["entities"]][:10]
-            service.target(TargetRequest(entity_ids=ids, k=args.k))
-    if args.json:
-        import json
-
-        print(json.dumps(system.obs.metrics.snapshot(), indent=2, sort_keys=True))
-        return 0
-    print("\n=== /metrics ===")
-    print(service.metrics_text(), end="")
-    return 0
-
-
-def _run_request_burst(args):
-    """Build a refreshed system + service and replay a small request burst."""
-    from repro.online import EGLSystem
-    from repro.online.api import EGLService, ExpandRequest, TargetRequest
-
-    world, generator = _make_world(args)
-    events = generator.generate()
-    system = EGLSystem(world)
-    system.weekly_refresh(events)
-    system.daily_preference_refresh(events)
-
-    service = EGLService(system)
-    popular = sorted(world.entities, key=lambda e: -e.popularity)
-    phrases = [e.name for e in popular[: max(1, min(5, args.requests))]]
-    for i in range(max(1, args.requests)):
-        expand = service.expand(
-            ExpandRequest(phrases=[phrases[i % len(phrases)]], depth=args.depth)
-        )
-        if expand.ok:
-            ids = [e["entity_id"] for e in expand.payload["entities"]][:10]
-            service.target(TargetRequest(entity_ids=ids, k=args.k))
-    return system, service
-
-
-def cmd_journeys(args) -> int:
-    system, _service = _run_request_burst(args)
-    ndjson = system.obs.journeys.to_ndjson(args.tail)
-    print(ndjson, end="" if ndjson.endswith("\n") or not ndjson else "\n")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    import json
-
-    system, service = _run_request_burst(args)
-    if args.collapsed:
-        for row in system.obs.journeys.phase_totals():
-            print(f"{row['phase']} {round(row['self_us'])}")
-        return 0
-    print(json.dumps(service.profile_payload(), indent=2, sort_keys=True))
-    return 0
-
-
 def cmd_refresh(args) -> int:
     from repro.online import EGLSystem
     from repro.resilience import FaultInjector, InjectedCrash
@@ -531,9 +407,6 @@ _COMMANDS = {
     "world": cmd_world,
     "graph-stats": cmd_graph_stats,
     "serve": cmd_serve,
-    "metrics": cmd_metrics,
-    "journeys": cmd_journeys,
-    "profile": cmd_profile,
     "refresh": cmd_refresh,
     "rollback": cmd_rollback,
 }

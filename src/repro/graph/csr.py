@@ -173,32 +173,9 @@ class CSRGraph:
         lo, hi = self.offsets[node], self.offsets[node + 1]
         return self.neighbors_arr[lo:hi], self.weights_arr[lo:hi]
 
-    def neighbor_relations(self, node: int) -> np.ndarray:
-        lo, hi = self.offsets[node], self.offsets[node + 1]
-        return self.relations_arr[lo:hi]
-
     def csr_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(offsets, neighbors, weights)`` for vectorized bulk kernels."""
         return self.offsets, self.neighbors_arr, self.weights_arr
-
-    def neighbors_batch(
-        self, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized multi-row read: ``(row_index, neighbor_ids, weights)``.
-
-        ``row_index[i]`` says which position of ``nodes`` produced entry
-        ``i``; entries of one row stay contiguous and sorted by neighbor.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        starts = self.offsets[nodes].astype(np.int64)
-        ends = self.offsets[nodes + 1].astype(np.int64)
-        counts = ends - starts
-        total = int(counts.sum())
-        rep = np.repeat(np.arange(len(nodes)), counts)
-        row_start = np.cumsum(counts) - counts
-        positions = np.arange(total) - row_start[rep]
-        edge_idx = starts[rep] + positions
-        return rep, self.neighbors_arr[edge_idx], self.weights_arr[edge_idx]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets).astype(np.int64)

@@ -155,10 +155,6 @@ class EntityGraph:
         lo, hi = self.indptr[node], self.indptr[node + 1]
         return self._adj_dst[lo:hi], self._adj_weight[lo:hi]
 
-    def neighbor_relations(self, node: int) -> np.ndarray:
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        return self._adj_relation[lo:hi]
-
     def csr_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(offsets, neighbors, weights)`` for vectorized bulk kernels.
 

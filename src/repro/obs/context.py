@@ -11,7 +11,7 @@ runtime, cache, kernels, structured logs — reaches the current request
 without a parameter threaded through a dozen signatures. The opener closes
 it exactly once, on every outcome (ok, error, shed, escaped exception),
 which appends it to the system's one bounded ring: :class:`RequestLog`,
-served as flat NDJSON by ``/journeys`` and ``cli journeys``.
+served as flat NDJSON by ``/journeys``.
 
 :func:`phase` is the one timed-region primitive. Inside a request it
 writes the phase's name and start time to the record's flat event list and

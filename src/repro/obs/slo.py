@@ -303,10 +303,6 @@ class AlertManager:
             "firing": False, "breaches": 0, "since": None, "value": None,
         }
 
-    @property
-    def rules(self) -> list[AlertRule]:
-        return list(self._rules)
-
     # ------------------------------------------------------------------
     def evaluate(self, signals: dict) -> list[dict]:
         """Apply every rule to ``signals``; returns this cycle's transitions."""

@@ -246,14 +246,10 @@ class PreferenceStore:
         self.storage = "memory"
         self.num_users = 0
         self._parts: list[_Partition] = []
-        #: Per-partition ranked-row counters, exported with ``shard``
-        #: labels by the serving runtime's metrics collector.
-        self.shard_score_rows: list[int] = []
 
     def _adopt(self, parts: list[_Partition], num_users: int) -> "PreferenceStore":
         self._parts = parts
         self.num_users = int(num_users)
-        self.shard_score_rows = [0] * len(parts)
         return self
 
     @property
@@ -476,8 +472,6 @@ class PreferenceStore:
                         results.append(self._score_partition(task))
             with phase("merge"):
                 merged: list[list[UserScore]] = []
-                for index, top in results:
-                    self.shard_score_rows[index] += sum(len(u) for u, _ in top)
                 for i in range(len(entity_sets)):
                     user_ids = np.concatenate([top[i][0] for _, top in results])
                     scores = np.concatenate([top[i][1] for _, top in results])
@@ -496,18 +490,6 @@ class PreferenceStore:
 
     def _covered_count(self) -> int:
         return sum(int(part.covered.sum()) for part in self._parts)
-
-    def shard_stats(self) -> list[dict]:
-        """Per-partition serving stats (CLI tables, health payloads, metrics)."""
-        return [
-            {
-                "shard": s,
-                "users": int(len(part.user_ids)),
-                "covered": int(part.covered.sum()),
-                "score_rows": int(self.shard_score_rows[s]),
-            }
-            for s, part in enumerate(self._parts)
-        ]
 
     # ------------------------------------------------------------------
     # Artifact serialization (daily producer → serving runtime handoff)

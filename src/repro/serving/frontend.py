@@ -33,11 +33,7 @@ Resilience composition (nothing new — the existing machinery, arranged):
   too: the queue wait is clipped to the remaining budget, a request whose
   budget expired while queued is shed as ``deadline_exceeded`` without
   touching the runtime, and the backend receives only the *remaining*
-  budget;
-* SLO error-budget burn (:class:`~repro.obs.slo.SLOTracker`) acts as
-  overload pressure: while the cached burn-rate signal exceeds
-  ``burn_shed_threshold`` the queue is bypassed entirely (admit-or-shed),
-  so a service already violating its SLO stops accumulating latency debt.
+  budget.
 
 Clocks: admission *waits* use the real ``threading.Condition`` timeout
 (wall seconds — a queue full of real threads cannot wait on a manual
@@ -195,10 +191,6 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Drain
     # ------------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     def begin_drain(self) -> None:
         """Stop admitting: new arrivals shed, queued waiters wake and shed."""
         with self._cond:
@@ -270,9 +262,6 @@ class QueryFrontend:
         max_queue: int = 16,
         queue_timeout: float = 0.25,
         breaker: CircuitBreaker | None = None,
-        slo_tracker=None,
-        burn_shed_threshold: float = 6.0,
-        burn_check_interval: float = 1.0,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -287,12 +276,6 @@ class QueryFrontend:
         self.breaker = breaker or CircuitBreaker(
             "frontend", failure_threshold=5, recovery_timeout=5.0, clock=self._clock
         )
-        self._slo = slo_tracker
-        self.burn_shed_threshold = burn_shed_threshold
-        self._burn_check_interval = burn_check_interval
-        self._burn_rate = 0.0
-        self._burn_checked_at = -math.inf
-        self._burn_lock = threading.Lock()
         self._host = host
         self._requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
@@ -396,32 +379,6 @@ class QueryFrontend:
         ).set(1.0 if snap["draining"] else 0.0)
 
     # ------------------------------------------------------------------
-    # Overload pressure (SLO burn)
-    # ------------------------------------------------------------------
-    def _burn_pressure(self) -> bool:
-        """True while the error-budget burn rate exceeds the shed bar.
-
-        Evaluating the SLO tracker walks metric series, so the signal is
-        cached and refreshed at most every ``burn_check_interval`` seconds
-        of service-clock time — requests between refreshes read one float.
-        """
-        if self._slo is None:
-            return False
-        now = self._clock.time()
-        if now - self._burn_checked_at >= self._burn_check_interval:
-            with self._burn_lock:
-                if now - self._burn_checked_at >= self._burn_check_interval:
-                    self._burn_checked_at = now
-                    try:
-                        signals = self._slo.evaluate().get("signals", {})
-                    except Exception:
-                        signals = {}
-                    self._burn_rate = float(
-                        signals.get("error_budget_burn_rate") or 0.0
-                    )
-        return self._burn_rate >= self.burn_shed_threshold
-
-    # ------------------------------------------------------------------
     # Dispatch (the transport-free core)
     # ------------------------------------------------------------------
     def dispatch(self, endpoint: str, payload: dict) -> tuple[int, dict]:
@@ -467,8 +424,6 @@ class QueryFrontend:
         max_wait = None
         if deadline is not None:
             max_wait = max(0.0, deadline.remaining())
-        if self._burn_pressure():
-            max_wait = 0.0  # overload: admit-or-shed, no queueing
         with phase("admission"):
             admitted, reason, waited = self.admission.try_admit(max_wait)
         if waited:
@@ -560,8 +515,6 @@ class QueryFrontend:
         return {
             "admission": self.admission.snapshot(),
             "breaker": self.breaker.snapshot(),
-            "burn_rate": self._burn_rate,
-            "burn_shed_threshold": self.burn_shed_threshold,
             "endpoints": list(self.POST_ENDPOINTS),
         }
 

@@ -49,7 +49,6 @@ interval.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, replace
@@ -86,8 +85,6 @@ class ActiveArtifacts:
     preference_tag: str | None = None
     preference_store: PreferenceStore | None = None
     targeting: UserTargeting | None = None
-    #: User partitions of the active preference artifact (``P >= 1``).
-    preference_shards: int = 1
 
     def require_reasoner(self) -> GraphReasoner:
         if self.reasoner is None:
@@ -201,31 +198,6 @@ class ServingRuntime:
             for kind in ("graph", "preferences")
         }
         self._shed_counters: dict[str, object] = {}
-        metrics.add_collector(self._collect_shard_metrics)
-
-    def _collect_shard_metrics(self) -> None:
-        """Read-through export of per-partition preference serving state.
-
-        Only runs at exposition/snapshot time; the authoritative score
-        counters live on the store itself, so the scoring hot path never
-        touches the registry.
-        """
-        metrics = self.obs.metrics
-        store = self._active.preference_store
-        if store is None:
-            return
-        for row in store.shard_stats():
-            shard = f"{row['shard']:02d}"
-            metrics.gauge(
-                "serving_shard_users",
-                help="Users owned by one preference shard of the active generation",
-                shard=shard,
-            ).set(row["users"])
-            metrics.counter(
-                "serving_shard_score_rows_total",
-                help="User rows scored by one preference shard",
-                shard=shard,
-            ).set_total(row["score_rows"])
 
     # ------------------------------------------------------------------
     # Resilience plumbing
@@ -375,7 +347,6 @@ class ServingRuntime:
             preference_tag=tag or store.version_tag or f"daily-{version}",
             preference_store=store,
             targeting=UserTargeting(store),
-            preference_shards=store.n_shards,
         )
         breaker.record_success()
         if previous.preference_store is not None:
@@ -462,9 +433,13 @@ class ServingRuntime:
         in turn).
 
         Returns the resulting :meth:`versions` map. Raises
+        :class:`~repro.errors.ConfigError` for a kind other than
+        ``"graph"`` / ``"preferences"`` (before touching any state) and
         :class:`~repro.errors.NotFittedError` when no previous generation
         of that kind exists.
         """
+        if kind not in self._rollback_counters:
+            raise ConfigError(f"unknown artifact kind {kind!r} for rollback")
         with self._swap_lock:
             return self._rollback(kind)
 
@@ -487,7 +462,7 @@ class ServingRuntime:
             if old_version is not None and old_version != new_version:
                 self._cache.purge_version(old_version)
             self._graph_version_gauge.set(new_version)
-        elif kind == "preferences":
+        else:
             previous = self._previous_preferences
             if previous is None:
                 raise NotFittedError(
@@ -499,15 +474,12 @@ class ServingRuntime:
                 preference_tag=previous.preference_tag,
                 preference_store=previous.preference_store,
                 targeting=previous.targeting,
-                preference_shards=previous.preference_shards,
             )
             self._previous_preferences = current
             old_version = current.preference_version
             new_version = previous.preference_version
             tag = previous.preference_tag
             self._pref_version_gauge.set(new_version)
-        else:
-            raise NotFittedError(f"unknown artifact kind {kind!r} for rollback")
         self._swap_count += 1
         self._swap_events.append(
             {
@@ -661,27 +633,6 @@ class ServingRuntime:
             self._observe_target(self._perf() - start)
             return results
 
-    def target_for_phrases(
-        self,
-        phrases: list[str],
-        depth: int = 2,
-        k: int = 50,
-        min_score: float = 0.0,
-        max_entities: int | None = 15,
-        deadline: Deadline | None = None,
-    ) -> tuple[ExpansionView, TargetingResult]:
-        """The full cold-start flow: phrases → cached expansion → top-K users.
-
-        The deadline is re-checked between the two phases, so a slow
-        expansion sheds the (more expensive) scoring pass instead of
-        starting it with a spent budget.
-        """
-        view = self.expand(phrases, depth=depth, min_score=min_score, deadline=deadline)
-        chosen = view.entities if max_entities is None else view.entities[:max_entities]
-        entity_ids = [e.entity_id for e in chosen]
-        weights = [e.score for e in chosen]
-        return view, self.target(entity_ids, k=k, weights=weights, deadline=deadline)
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -708,18 +659,7 @@ class ServingRuntime:
             "preference_version": active.preference_version,
             "preference_tag": active.preference_tag,
             "preference_format": preference_format,
-            "preference_shards": active.preference_shards,
         }
-
-    def shard_summary(self) -> dict:
-        """Per-partition preference serving state for health payloads: one
-        row per user partition (users, covered, score counters) whenever
-        an index is active."""
-        active = self._active
-        summary: dict = {"preference_shards": active.preference_shards}
-        if active.preference_store is not None:
-            summary["preferences"] = active.preference_store.shard_stats()
-        return summary
 
     def health(self) -> dict:
         """Liveness plus artifact/cache/degraded state for the endpoint."""
@@ -743,7 +683,6 @@ class ServingRuntime:
             "cache": self._cache.stats(),
             "recent_swaps": self.swap_events(),
             "drift": self.drift_summary(),
-            "shards": self.shard_summary(),
             **self.versions(),
         }
 
@@ -790,22 +729,3 @@ class ServingRuntime:
     def cache_stats(self) -> dict:
         """The expansion cache's counters."""
         return self._cache.stats()
-
-    def warm(
-        self,
-        phrase_lists: list[list[str]],
-        depths: tuple[int, ...] = (2,),
-    ) -> int:
-        """Pre-populate the expansion cache (e.g. after a hot-swap).
-
-        Returns the number of expansions primed; resolution failures are
-        skipped — warming is best-effort by design.
-        """
-        primed = 0
-        for phrases, depth in itertools.product(phrase_lists, depths):
-            try:
-                self.expand(list(phrases), depth=depth)
-                primed += 1
-            except Exception:
-                continue
-        return primed

@@ -33,12 +33,6 @@ class ABTestRow:
     control_cvr: float
     running_time_seconds: float  # EGL end-to-end targeting latency
 
-    @property
-    def cvr_uplift_pct(self) -> float:
-        if self.control_cvr == 0:
-            return float("inf")
-        return 100.0 * (self.egl_cvr - self.control_cvr) / self.control_cvr
-
 
 class ABTestHarness:
     """Run EGL-vs-rule-based experiments over a list of services."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -444,15 +444,3 @@ def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value, requires_grad=requires_grad)
-
-
-def stack_tensors(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (autograd-aware)."""
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> tuple:
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
-
-    return _make(data, tuple(tensors), backward, "stack")

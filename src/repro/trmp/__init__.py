@@ -20,8 +20,7 @@ from repro.trmp.negative_sampling import (
 )
 from repro.trmp.alpc import ALPCConfig, ALPCLinkPredictor, ALPCModel, ALPCTrainReport
 from repro.trmp.ensemble import EnsembleConfig, EnsembleLinkPredictor, EnsembleModel
-from repro.trmp.pipeline import OfflineArtifacts, TRMPConfig, TRMPipeline, WeeklyRun
-from repro.trmp.stable import DriftAwareReweighter, DriftReweighterConfig
+from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
 
 __all__ = [
     "CandidateGenerationConfig",
@@ -46,7 +45,4 @@ __all__ = [
     "TRMPConfig",
     "TRMPipeline",
     "WeeklyRun",
-    "OfflineArtifacts",
-    "DriftAwareReweighter",
-    "DriftReweighterConfig",
 ]

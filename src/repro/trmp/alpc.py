@@ -128,10 +128,8 @@ class ALPCLinkPredictor:
         split: LinkPredictionSplit,
         features: np.ndarray,
         e_semantic: np.ndarray | None = None,
-        pair_weights: np.ndarray | None = None,
     ) -> "ALPCLinkPredictor":
-        """Train on the split. ``pair_weights`` (aligned with the split's
-        train pairs) enable drift-aware stable training."""
+        """Train on the split."""
         cfg = self.config
         rng = rng_mod.ensure_rng(cfg.seed + 7)
         features = np.asarray(features, dtype=np.float64)
@@ -144,10 +142,6 @@ class ALPCLinkPredictor:
         n = graph.num_nodes
         x = Tensor(features)
         pairs, labels = split.train_pairs_and_labels()
-        if pair_weights is not None:
-            pair_weights = np.asarray(pair_weights, dtype=np.float64)
-            if pair_weights.shape != (len(pairs),):
-                raise ConfigError("pair_weights must align with the training pairs")
 
         anchors = (
             semantic_anchor_pairs(graph, e_semantic, cfg.anchor_similarity_quantile)
@@ -165,8 +159,7 @@ class ALPCLinkPredictor:
                 z = self.model.encode(x, src, dst, n)
 
                 logits = self.model.score_pairs(z, pairs[idx])
-                batch_weights = None if pair_weights is None else pair_weights[idx]
-                l_pred = prediction_loss(logits, labels[idx], weights=batch_weights)
+                l_pred = prediction_loss(logits, labels[idx])
 
                 if cfg.alpha > 0:
                     eps = self.model.thresholds(z, pairs[idx][:, 0])

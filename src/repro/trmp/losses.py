@@ -18,15 +18,9 @@ from repro.nn.functional import binary_cross_entropy_with_logits, cross_entropy
 from repro.tensor import Tensor, gather_rows
 
 
-def prediction_loss(
-    logits: Tensor, labels: np.ndarray, weights: np.ndarray | None = None
-) -> Tensor:
-    """Eq. 2: BCE between σ(s_uv) and the link labels.
-
-    ``weights`` are optional per-pair importance weights (used by the
-    drift-aware stable-training extension, :mod:`repro.trmp.stable`).
-    """
-    return binary_cross_entropy_with_logits(logits, labels, weights=weights)
+def prediction_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Eq. 2: BCE between σ(s_uv) and the link labels."""
+    return binary_cross_entropy_with_logits(logits, labels)
 
 
 def threshold_loss(logits: Tensor, thresholds: Tensor, labels: np.ndarray) -> Tensor:

@@ -43,7 +43,6 @@ from repro.trmp.candidate import (
     CandidateResult,
 )
 from repro.trmp.ensemble import EnsembleConfig, EnsembleLinkPredictor
-from repro.trmp.stable import DriftAwareReweighter
 
 
 @dataclass
@@ -62,10 +61,6 @@ class TRMPConfig:
     #: Relations must clear both endpoints' adaptive thresholds AND this
     #: calibrated link probability to enter the published entity graph.
     ranked_min_probability: float = 0.7
-    #: Enable drift-aware stable training (the paper's future-work
-    #: direction): training pairs are inverse-propensity weighted against
-    #: the week's topic drift. See :mod:`repro.trmp.stable`.
-    stable_reweighting: bool = False
     seed: int = 0
 
 
@@ -95,23 +90,6 @@ class WeeklyRun:
         return self.alpc.node_embeddings
 
 
-@dataclass(frozen=True)
-class OfflineArtifacts:
-    """The publishable output of the offline stage — what serving consumes.
-
-    The pipeline keeps training state (splits, models, snapshots); the
-    serving side needs only the mined graph, the entity embeddings behind
-    user preferences, and an artifact tag. This is the handoff contract the
-    registry versions.
-    """
-
-    week: int
-    tag: str
-    graph: EntityGraph
-    entity_embeddings: np.ndarray
-    ensemble_ready: bool
-
-
 class TRMPipeline:
     """Drives the three TRMP stages over weekly behavior-log drops."""
 
@@ -133,11 +111,10 @@ class TRMPipeline:
         self._e_semantic: np.ndarray | None = None
         self.weekly_runs: list[WeeklyRun] = []
         self.ensemble: EnsembleLinkPredictor | None = None
-        self.reweighter = DriftAwareReweighter() if self.config.stable_reweighting else None
         self._stage_seconds: dict[str, float] = {}
         self._overlapped_seconds: dict[str, float] = {}
         #: Per-entity occurrence counts of the latest drop (tail-entity
-        #: evidence for the candidate and ranking stages).
+        #: evidence for the candidate stage).
         self._last_entity_counts: np.ndarray | None = None
         #: Optional per-stage checkpointing (attached by EGLSystem so the
         #: checkpoints live next to the artifact registry).
@@ -279,17 +256,7 @@ class TRMPipeline:
             if seed is not None:
                 alpc_cfg.seed = seed
             alpc = ALPCLinkPredictor(alpc_cfg)
-
-            pair_weights = None
-            counts = self._last_entity_counts
-            if self.reweighter is not None and counts is not None:
-                self.reweighter.update_reference(counts)
-                pairs, _ = split.train_pairs_and_labels()
-                pair_weights = self.reweighter.pair_weights(pairs, counts)
-
-            alpc.fit(
-                split, candidate.node_features, self.e_semantic, pair_weights=pair_weights
-            )
+            alpc.fit(split, candidate.node_features, self.e_semantic)
         return alpc, split
 
     def ranked_graph(
@@ -390,8 +357,8 @@ class TRMPipeline:
             lambda: self._compute_cooccurrence(events),
         )
         e_co = co_payload["e_co"]
-        # Tail-entity evidence must survive a resume: the candidate and
-        # ranking stages read it off the pipeline.
+        # Tail-entity evidence must survive a resume: the candidate stage
+        # reads it off the pipeline.
         self._last_entity_counts = co_payload["counts"]
         candidate = self._stage_checkpointed(
             run_id, "candidates", resume, run_state,
@@ -501,16 +468,3 @@ class TRMPipeline:
         if not self.weekly_runs:
             raise NotFittedError("pipeline has not processed any data yet")
         return self.weekly_runs[-1].ranked_graph
-
-    def latest_artifacts(self) -> OfflineArtifacts:
-        """Package the latest run for publication to the serving registry."""
-        if not self.weekly_runs:
-            raise NotFittedError("pipeline has not processed any data yet")
-        run = self.weekly_runs[-1]
-        return OfflineArtifacts(
-            week=run.week,
-            tag=f"week-{run.week}",
-            graph=run.ranked_graph,
-            entity_embeddings=self.entity_embeddings(),
-            ensemble_ready=self.ensemble is not None,
-        )

@@ -1,7 +1,5 @@
 """Command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -63,9 +61,12 @@ class TestDemo:
 
 
 class TestMetricsCommand:
+    """``serve`` is the one command that prints the stage breakdown and the
+    ``/metrics`` exposition (there is no separate ``metrics`` command)."""
+
     def test_prints_exposition_and_stage_breakdown(self, capsys):
         code = main(
-            ["metrics", "--entities", "60", "--users", "40",
+            ["serve", "--entities", "60", "--users", "40",
              "--seed", "3", "--requests", "6", "--k", "5"]
         )
         assert code == 0
@@ -80,23 +81,6 @@ class TestMetricsCommand:
         assert "serving_expansion_cache_misses_total" in out
         assert 'serving_active_version{kind="graph"} 1' in out
         assert 'pipeline_stage_seconds_count{stage="ner_extraction"} 1' in out
-
-    def test_json_flag_prints_pure_machine_readable_snapshot(self, capsys):
-        code = main(
-            ["metrics", "--entities", "60", "--users", "40",
-             "--seed", "3", "--requests", "4", "--k", "5", "--json"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        snapshot = json.loads(out)  # the whole stdout is one JSON document
-        assert snapshot["enabled"] is True
-        requests = snapshot["counters"]["api_requests_total"]
-        assert any(s["labels"].get("endpoint") == "expand" for s in requests)
-        # Satellite behaviour: empty histograms carry no percentile keys.
-        for series_list in snapshot["histograms"].values():
-            for series in series_list:
-                if series["count"] == 0:
-                    assert "p50" not in series
 
 
 class TestServeCommand:

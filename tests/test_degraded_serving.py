@@ -3,11 +3,14 @@ rollback, deadline shedding, and the API's machine-readable error codes."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import (
     CircuitOpenError,
+    ConfigError,
     DeadlineExceededError,
     NotFittedError,
 )
@@ -200,6 +203,38 @@ class TestRollback:
         assert (
             system.obs.metrics.get_value("serving_rollbacks_total", kind="graph") == 1
         )
+
+    def test_unknown_kind_is_a_caller_error(self, rig, world):
+        """A misspelt kind is ``invalid_argument``, not a retryable
+        ``not_ready``; it is refused without waiting for the swap lock and
+        without moving the active generation, the event log or a counter."""
+        system, _, _ = rig
+        runtime = system.runtime
+        runtime.activate_graph(build_reasoner(world, system), 2)
+        active, events = runtime.acquire(), runtime.swap_events()
+        raised = []
+
+        def call():
+            try:
+                runtime.rollback("graphs")
+            except Exception as error:
+                raised.append(error)
+
+        worker = threading.Thread(target=call, daemon=True)
+        with runtime._swap_lock:  # a swap in progress
+            worker.start()
+            worker.join(timeout=5.0)
+            refused_while_locked = not worker.is_alive()
+        worker.join()
+        assert refused_while_locked
+        assert [type(error) for error in raised] == [ConfigError]
+        assert error_code(raised[0]) == "invalid_argument"
+        assert runtime.acquire() is active
+        assert runtime.swap_events() == events
+        for kind in ("graph", "preferences"):
+            assert (
+                system.obs.metrics.get_value("serving_rollbacks_total", kind=kind) == 0
+            )
 
     def test_health_reports_rollback_availability(self, rig, world):
         system, _, _ = rig

@@ -69,16 +69,6 @@ class TestRoundtrip:
             ids, _ = frozen.neighbors(node)
             assert np.all(np.diff(ids) > 0)  # sorted, no duplicates
 
-    def test_neighbors_batch_matches_point_reads(self, rng):
-        pairs, weights = random_edges(rng, num_nodes=25)
-        frozen = CSRGraph.from_edges(25, np.array(pairs), weights)
-        nodes = np.array([3, 0, 17, 3])
-        rep, ids, ws = frozen.neighbors_batch(nodes)
-        for i, node in enumerate(nodes):
-            point_ids, point_ws = frozen.neighbors(node)
-            assert np.array_equal(ids[rep == i], point_ids)
-            assert np.array_equal(ws[rep == i], point_ws)
-
     def test_entity_graph_roundtrip(self, rng):
         pairs, weights = random_edges(rng, num_nodes=20)
         graph = EntityGraph.from_edge_list(

@@ -15,7 +15,7 @@ from repro.preference import (
     user_embedding_matrix,
 )
 from repro.preference.store import shard_of
-from repro.serving import ArtifactRegistry, ServingRuntime
+from repro.serving import ArtifactRegistry
 from repro.text.sequence_extractor import UserEntitySequence
 
 
@@ -152,8 +152,7 @@ class TestPartitioner:
 
 def test_partitioned_artifact_roundtrip(tmp_path, rng):
     """A partitioned store publishes one sub-directory per partition, opens
-    with the same partitioning, answers like the unpartitioned store, and
-    the runtime reports one row per partition."""
+    with the same partitioning and answers like the unpartitioned store."""
     embeddings = rng.standard_normal((90, 12))
     sequences = {
         u: UserEntitySequence(u, [int(x) for x in rng.integers(0, 90, 5)])
@@ -169,21 +168,9 @@ def test_partitioned_artifact_roundtrip(tmp_path, rng):
     ]
     index = registry.open_preferences(record.version)
     assert index.n_shards == 4 and index.storage == "memmap"
-    assert [row["users"] for row in index.shard_stats()] == [
-        len(p.user_ids) for p in index._parts
-    ]
-    assert sum(row["users"] for row in index.shard_stats()) == 60
+    assert sum(len(p.user_ids) for p in index._parts) == 60
     sets = [[1, 2, 5], [9, 40]]
     assert index.top_users_for_entity_sets(sets, 10) == store.top_users_for_entity_sets(sets, 10)
-
-    runtime = ServingRuntime()
-    runtime.activate_preferences(index, record.version)
-    assert runtime.versions()["preference_shards"] == 4
-    summary = runtime.health()["shards"]
-    assert summary["preference_shards"] == 4
-    assert [row["shard"] for row in summary["preferences"]] == [0, 1, 2, 3]
-    # Each of the 4 partitions ranked its own top 10 for both sets.
-    assert sum(row["score_rows"] for row in summary["preferences"]) == 4 * 2 * 10
 
 
 def test_one_index_one_layout():

@@ -4,11 +4,16 @@ These tests drive the runtime with hand-built artifacts (no TRMP training)
 so the swap/caching semantics are isolated from the offline pipeline.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cli import _COMMANDS
 from repro.errors import NotFittedError
 from repro.graph import EntityGraph
+from repro.online import EGLSystem
 from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
 from repro.serving import ServingRuntime
@@ -65,7 +70,6 @@ class TestActivation:
             "preference_version": None,
             "preference_tag": None,
             "preference_format": None,
-            "preference_shards": 1,
         }
         runtime.activate_preferences(build_preferences(world), version=1, tag="daily-1")
         assert runtime.versions()["preference_version"] == 1
@@ -207,17 +211,59 @@ class TestBatchedTargeting:
                 [u.score for u in batch_result.users]
             )
 
-    def test_full_flow_for_phrases(self, runtime, world):
-        runtime.activate_preferences(build_preferences(world), version=1)
-        view, result = runtime.target_for_phrases(
+    def test_full_flow_for_phrases(self, world, entity_dict):
+        system = EGLSystem(world)
+        system.runtime.activate_graph(
+            make_reasoner(world, entity_dict, [(0, 1), (1, 2)], [0.9, 0.8]), version=1
+        )
+        system.runtime.activate_preferences(build_preferences(world), version=1)
+        view, result = system.target_users_for_phrases(
             [world.entities[0].name], depth=2, k=5
         )
         assert len(view.entities) >= 1
         assert len(result.users) == 5
+        # The expansion went through the runtime's cache.
+        assert system.runtime.cache.stats()["misses"] == 1
 
-    def test_warm_primes_the_cache(self, runtime, world):
-        primed = runtime.warm(
-            [[world.entities[0].name], ["definitely-not-an-entity"]], depths=(1, 2)
-        )
-        assert primed == 2  # the unknown phrase is skipped, both depths primed
-        assert len(runtime.cache) == 2
+
+#: Surface deleted because nothing outside its own test called it.
+DELETED_NAMES = frozenset({
+    "stable_reweighting", "DriftAwareReweighter", "pair_weights",
+    "slo_tracker", "burn_shed_threshold",
+    "_collect_shard_metrics", "shard_summary", "shard_stats",
+    "shard_score_rows", "preference_shards",
+    "warm", "target_for_phrases", "neighbors_batch",
+    "OfflineArtifacts", "stack_tensors",
+})
+
+
+def _identifiers(tree: ast.AST):
+    """Every name a module defines, reads, passes or spells as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_surface_nothing_pays_for():
+    """Guard: the deleted options, helpers and CLI commands stay deleted."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    found = {
+        (path.relative_to(src).as_posix(), name)
+        for path in src.rglob("*.py")
+        for name in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+        if name in DELETED_NAMES
+    }
+    assert not found
+    assert set(_COMMANDS) == {
+        "demo", "world", "graph-stats", "serve", "refresh", "rollback",
+    }
