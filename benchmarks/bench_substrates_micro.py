@@ -2,7 +2,7 @@
 
 Not a paper table — these track the cost of the building blocks every
 experiment leans on: autograd backward, GeniePath forward, segment softmax,
-graph-store reads, kNN vs LSH queries, k-hop expansion.
+kNN vs LSH queries, k-hop expansion.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.embeddings import BruteForceKNN, LSHIndex
 from repro.gnn import GeniePathEncoder
-from repro.graph import EntityGraph, GraphStore, k_hop_expansion
+from repro.graph import EntityGraph, k_hop_expansion
 from repro.nn import MLP
 from repro.tensor import Tensor, segment_softmax
 
@@ -56,14 +56,6 @@ def test_segment_softmax_large(benchmark, rng):
 
 def test_khop_expansion(benchmark, random_graph):
     benchmark(lambda: k_hop_expansion(random_graph, [0, 1, 2], depth=3))
-
-
-def test_graph_store_neighbor_reads(benchmark, tmp_path, random_graph):
-    store = GraphStore(tmp_path / "store", num_nodes=random_graph.num_nodes)
-    lo, hi = random_graph.canonical_pairs()
-    store.put_edges(list(zip(lo.tolist(), hi.tolist())), random_graph.weight.tolist())
-    store.commit_version()
-    benchmark(lambda: [store.neighbors(v) for v in range(0, 100)])
 
 
 def test_bruteforce_knn_query(benchmark, rng):

@@ -2,8 +2,9 @@
 
 Reproduces the §II-B Remark: the entity graph is rebuilt weekly from
 drifting data sources (topic popularity moves every week), the ensemble
-fuses the trailing snapshots to keep accuracy steady, and the mined graph
-versions accumulate in the Geabase-style store.
+fuses the trailing snapshots to keep accuracy steady, and each week's mined
+graph becomes one ``graph-csr-NNNNNN/`` generation of the artifact registry
+(the Geabase stand-in).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def main() -> None:
     generator = BehaviorLogGenerator(
         world, BehaviorConfig(seed=11, drift_scale=0.5)
     )
-    store_path = tempfile.mkdtemp(prefix="geabase-")
-    system = EGLSystem(world, store_path=store_path)
+    artifact_root = tempfile.mkdtemp(prefix="registry-")
+    system = EGLSystem(world, artifact_root=artifact_root)
     panel = AnnotatorPanel(world)
 
     weekly_acc = []
@@ -56,16 +57,12 @@ def main() -> None:
     print(f"\nweekly ACC band: [{stability.min_acc:.3f}, {stability.max_acc:.3f}], "
           f"variance {stability.variance_pp:.2f} pp^2")
 
-    print(f"\nGeabase-style store at {store_path}:")
-    for version in system.store.versions():
-        print(f"  version {version['version']}  tag {version['tag']}  "
-              f"{version['edges']} edges")
-
-    print("\nartifact registry (the offline → online handoff):")
+    print(f"\nartifact registry at {artifact_root} (the offline → online handoff):")
     for kind in ("graph", "preferences"):
         for record in system.registry.records(kind):
+            edges = f"  {record.edges} edges" if record.edges is not None else ""
             print(f"  [{record.kind}] v{record.version}  tag {record.tag}  "
-                  f"source {record.source}  format {record.format}")
+                  f"format {record.format}{edges}")
     versions = system.runtime.versions()
     graph = system.runtime.acquire().reasoner.graph  # the mapped CSR artifact
     print(f"online stage serves graph v{versions['graph_version']} "

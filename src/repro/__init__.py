@@ -31,7 +31,6 @@ from repro.serving import ArtifactRegistry, ServingRuntime
 from repro.trmp.pipeline import TRMPConfig, TRMPipeline
 from repro.trmp.alpc import ALPCConfig, ALPCLinkPredictor
 from repro.graph.entity_graph import EntityGraph
-from repro.graph.storage import GraphStore
 
 __version__ = "1.1.0"
 
@@ -47,6 +46,5 @@ __all__ = [
     "ALPCConfig",
     "ALPCLinkPredictor",
     "EntityGraph",
-    "GraphStore",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Entity-graph substrate: in-memory graph, k-hop reasoning, sampling, storage."""
+"""Entity-graph substrate: in-memory graph, CSR artifact, k-hop reasoning, sampling."""
 
 from repro.graph.entity_graph import (
     NUM_RELATION_TYPES,
@@ -18,7 +18,6 @@ from repro.graph.sampling import (
     sample_corrupted_targets,
     sample_negative_pairs,
 )
-from repro.graph.storage import GraphStore, SnapshotReader
 from repro.graph.metrics import GraphSummary, connected_components, degree_histogram, local_clustering, mean_clustering, summarize_graph
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "random_walks",
     "sample_corrupted_targets",
     "sample_negative_pairs",
-    "GraphStore",
-    "SnapshotReader",
     "GraphSummary",
     "connected_components",
     "degree_histogram",

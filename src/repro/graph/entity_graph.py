@@ -86,14 +86,10 @@ class EntityGraph:
         both_src = np.concatenate([self.src, self.dst])
         both_dst = np.concatenate([self.dst, self.src])
         both_w = np.concatenate([self.weight, self.weight])
-        both_r = np.concatenate([self.relation, self.relation])
-        both_e = np.concatenate([np.arange(len(self.src)), np.arange(len(self.src))])
 
         order = np.argsort(both_src, kind="stable")
         self._adj_dst = both_dst[order]
         self._adj_weight = both_w[order]
-        self._adj_relation = both_r[order]
-        self._adj_edge_id = both_e[order]
         counts = np.bincount(both_src, minlength=self.num_nodes)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 

@@ -130,8 +130,7 @@ def k_hop_expansion(
     ----------
     graph:
         The mined entity graph — anything exposing ``num_nodes`` and
-        ``csr_view()``: a :class:`~repro.graph.csr.CSRGraph` artifact, a
-        pinned :class:`~repro.graph.storage.SnapshotReader`, or an
+        ``csr_view()``: a :class:`~repro.graph.csr.CSRGraph` artifact or an
         in-memory :class:`EntityGraph`.
     seeds:
         Seed entity ids (deduplicated, order preserved).

@@ -356,7 +356,6 @@ class EGLService:
 
         def run() -> dict:
             weeks = len(self.system.pipeline.weekly_runs)
-            store_stats = self.system.store.stats() if self.system.store else None
             runtime_health = self.system.runtime.health()
             return {
                 "weekly_runs": weeks,
@@ -364,7 +363,6 @@ class EGLService:
                 "degraded_reasons": runtime_health["degraded_reasons"],
                 "preferences_ready": runtime_health["preferences_ready"],
                 "ensemble_ready": self.system.pipeline.ensemble is not None,
-                "store": store_stats,
                 "quarantined": list(self.system.registry.quarantined),
                 "runtime": runtime_health,
                 "artifacts": {

@@ -2,9 +2,9 @@
 
 Offline cadence (§II-B Remark):
 
-* ``weekly_refresh(events)`` — run TRMP on the week's logs, commit the mined
-  entity graph to the Geabase-style :class:`~repro.graph.GraphStore` as a
-  new version, retrain the ensemble over trailing snapshots;
+* ``weekly_refresh(events)`` — run TRMP on the week's logs, publish the
+  mined entity graph as the registry's next graph generation (the
+  Geabase stand-in), retrain the ensemble over trailing snapshots;
 * ``daily_preference_refresh(events)`` — recompute user embeddings and the
   preference index from the last 30 days of behavior.
 
@@ -34,7 +34,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.graph.entity_graph import EntityGraph
-from repro.graph.storage import GraphStore
 from repro.obs import (
     AlertManager,
     DriftConfig,
@@ -111,7 +110,7 @@ class RefreshReport:
     #: resumed and an uninterrupted run of the same seeded refresh.
     artifact_digest: str | None = None
     #: Format of the published graph generation: "csr" (frozen artifact
-    #: directory) or "memory" (storeless, rootless registry).
+    #: directory) or "memory" (rootless registry).
     graph_format: str | None = None
 
 
@@ -138,11 +137,7 @@ class EGLSystem:
         if self.retry.on_retry is None:
             self.retry.on_retry = self._count_retry
         self.feedback = FeedbackRecorder()
-        self.store = (
-            GraphStore(store_path, num_nodes=world.num_entities)
-            if store_path is not None
-            else None
-        )
+        del store_path  # unread; kept while benchmarks/e2e/server.py still passes it
         self.registry = ArtifactRegistry(root=artifact_root, faults=faults)
         self.pipeline = TRMPipeline(
             world, config, obs=self.obs,
@@ -193,23 +188,22 @@ class EGLSystem:
             "retry", seam=seam, attempt=attempt, error=str(error)
         )
 
-    def _publish_week_graph(self, run: WeeklyRun) -> dict:
-        """Commit + publish one week's mined graph; returns a path-free
-        summary of the registered generation (the freeze-stage payload)."""
+    def _publish_week_graph(self, run: WeeklyRun, resume: bool) -> dict:
+        """Publish one week's mined graph; returns a path-free summary of
+        the registered generation (the freeze-stage payload).
+
+        On resume, a generation this run already published — the crash
+        fell between the publish and the freeze checkpoint — is reused
+        instead of being published a second time.
+        """
         tag = f"week-{run.week}"
-        if self.store is not None:
-            lo, hi = run.ranked_graph.canonical_pairs()
-            self.store.put_edges(
-                list(zip(lo.tolist(), hi.tolist())),
-                run.ranked_graph.weight.tolist(),
-                run.ranked_graph.relation.tolist(),
-            )
-            self.store.commit_version(tag=tag)
-            record = self.retry.call(
-                lambda: self.registry.publish_graph(self.store, tag=tag),
-                seam="registry.publish_graph",
-            )
-        else:
+        record = self.registry.latest("graph")
+        if not (
+            resume
+            and record is not None
+            and record.tag == tag
+            and record.edges == run.ranked_graph.num_edges
+        ):
             record = self.retry.call(
                 lambda: self.registry.publish_graph(run.ranked_graph, tag=tag),
                 seam="registry.publish_graph",
@@ -246,7 +240,7 @@ class EGLSystem:
         # stage: a crash between publication and activation resumes
         # onto the already-registered generation.
         frozen = self.pipeline.freeze_artifacts(
-            run_id, lambda: self._publish_week_graph(run), resume=resume
+            run_id, lambda: self._publish_week_graph(run, resume), resume=resume
         )
 
         ensemble_trained = False

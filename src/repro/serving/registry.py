@@ -6,12 +6,9 @@ artifact. The registry makes that explicit: every publish creates an
 immutable, named, versioned record; readers open artifacts *by version* and
 the record list only ever grows. Two artifact kinds exist today:
 
-* ``graph`` — a frozen :class:`~repro.graph.csr.CSRGraph` directory: the
-  ``csr-NNNNNN/`` a :class:`~repro.graph.GraphStore` wrote when it
-  committed the version, or the ``graph-csr-NNNNNN/`` the registry itself
-  freezes a plain :class:`~repro.graph.EntityGraph` to under its root;
-  an in-memory :class:`~repro.graph.EntityGraph` when the registry has
-  no root;
+* ``graph`` — the week's :class:`~repro.graph.EntityGraph`, frozen to a
+  ``graph-csr-NNNNNN/`` :class:`~repro.graph.csr.CSRGraph` directory under
+  the registry root, or held in memory when the registry has no root;
 * ``preferences`` — a built :class:`~repro.preference.PreferenceStore`,
   frozen to a memmap-able ``preferences-NNNNNN/`` directory (one
   sub-directory per user partition) when the registry has a root
@@ -23,8 +20,8 @@ Crash safety (a rooted registry is the system's durable state):
   (``registry.json``), drift reports — goes through temp file + fsync +
   atomic rename, so a torn write leaves the previous complete file;
 * directory artifacts carry per-array SHA-256 checksums in their
-  ``meta.json`` and the ``meta.json`` digest in their record: proven in
-  full at publish and at startup, trusted (structure checks only) at
+  ``meta.json`` and the ``meta.json`` digest in their record: written at
+  publish, proven in full at startup, trusted (structure checks only) at
   swap time so an open stays O(1) in artifact size;
 * one recovery rule for every kind: an artifact that fails validation is
   *quarantined* (moved into a ``quarantine/`` directory beside it) and its
@@ -54,7 +51,6 @@ from repro.errors import CorruptArtifactError, StorageError
 from repro.obs.drift import DriftReport
 from repro.graph.csr import CSRGraph, csr_meta_digest
 from repro.graph.entity_graph import EntityGraph
-from repro.graph.storage import GraphStore
 from repro.preference.store import PreferenceStore
 from repro.resilience import (
     CheckpointStore,
@@ -126,7 +122,7 @@ class ArtifactRegistry:
     root:
         Optional directory for durable artifacts (preference and CSR graph
         directories). Without it the registry still versions and names artifacts,
-        holding storeless ones in memory — the shape integration tests use.
+        holding them in memory — the shape integration tests use.
     faults:
         Optional :class:`~repro.resilience.FaultInjector`; when given, the
         ``registry.write`` / ``registry.read`` seams fire on every durable
@@ -163,54 +159,30 @@ class ArtifactRegistry:
     # Publish (producer side)
     # ------------------------------------------------------------------
     def publish_graph(
-        self,
-        graph: GraphStore | EntityGraph,
-        version: int | None = None,
-        tag: str | None = None,
+        self, graph: EntityGraph, tag: str | None = None
     ) -> ArtifactRecord:
         """Register a weekly graph artifact.
 
-        A :class:`GraphStore` publishes one of its committed versions
-        (default: latest): the record points at the ``csr-NNNNNN/``
-        directory the commit froze, proven in full here (verify-at-ingest)
-        so later opens can map it without re-hashing — a freeze that fails
-        the proof raises and no record is appended. A plain
-        :class:`EntityGraph` is frozen to ``graph-csr-NNNNNN/`` under the
-        registry root, or kept in memory when the registry has none. The
+        The graph is frozen to ``graph-csr-NNNNNN/`` under the registry
+        root, or kept in memory when the registry has none. The
         ``meta.json`` digest goes into the record, pinning the directory.
         """
         self._check_faults("registry.write")
-        if isinstance(graph, GraphStore):
-            if version is None:
-                version = graph.latest_version()
-                if version is None:
-                    raise StorageError("store has no committed versions to publish")
-            meta = {v["version"]: v for v in graph.versions()}
-            if version not in meta:
-                raise StorageError(f"store has no committed version {version}")
-            directory = graph.csr_path(version)
-            CSRGraph.validate(directory)
-            tag = tag or meta[version]["tag"]
-            edges = meta[version]["edges"]
-        else:
-            version = self._next_version(KIND_GRAPH) if version is None else version
-            tag = tag or f"graph-v{version}"
-            edges = graph.num_edges
-            directory = None
-            if self.root is not None:
-                directory = CSRGraph.from_entity_graph(graph).save(
-                    self.root / f"graph-csr-{version:06d}"
-                )
-        if directory is None:
+        version = self._next_version(KIND_GRAPH)
+        tag = tag or f"graph-v{version}"
+        if self.root is None:
             record = ArtifactRecord(
                 kind=KIND_GRAPH, version=version, tag=tag, source="memory",
-                edges=edges, format="memory",
+                edges=graph.num_edges, format="memory",
             )
             self._memory[(KIND_GRAPH, version)] = graph
         else:
+            directory = CSRGraph.from_entity_graph(graph).save(
+                self.root / f"graph-csr-{version:06d}"
+            )
             record = ArtifactRecord(
                 kind=KIND_GRAPH, version=version, tag=tag, source="csr",
-                path=str(directory), edges=edges,
+                path=str(directory), edges=graph.num_edges,
                 checksum=csr_meta_digest(directory), format="csr",
             )
         return self._append(record)
@@ -252,10 +224,10 @@ class ArtifactRegistry:
     def open_graph(self, version: int | None = None) -> CSRGraph | EntityGraph:
         """Open a published graph artifact (maps it from disk if frozen).
 
-        The directory's checksums were proven at publish (or startup), so
-        the open maps it read-only after structure checks alone — O(1) in
-        graph size. An artifact that no longer opens is quarantined and
-        its record dropped before
+        The directory's checksums were written at publish (or proven at
+        startup), so the open maps it read-only after structure checks
+        alone — O(1) in graph size. An artifact that no longer opens is
+        quarantined and its record dropped before
         :class:`~repro.errors.CorruptArtifactError` is raised — the next
         ``open_graph()`` resolves to the previous good version.
         """
@@ -308,9 +280,8 @@ class ArtifactRegistry:
     def _quarantine(self, record: ArtifactRecord, reason: str) -> None:
         """Move the bad artifact aside, drop the record, keep the evidence.
 
-        The directory moves into a ``quarantine/`` sibling — same
-        filesystem whether it lives under the registry root or inside a
-        :class:`GraphStore`, so the rename cannot fail half way.
+        The directory moves into a ``quarantine/`` sibling on the same
+        filesystem, so the rename cannot fail half way.
         """
         quarantined_path = None
         path = Path(record.path) if record.path else None
@@ -484,11 +455,6 @@ class ArtifactRegistry:
 
     def _append(self, record: ArtifactRecord) -> ArtifactRecord:
         records = self._require_kind(record.kind)
-        if records and record.version <= records[-1].version:
-            raise StorageError(
-                f"{record.kind} version {record.version} is not newer than "
-                f"the latest ({records[-1].version})"
-            )
         records.append(record)
         try:
             self._save_manifest()

@@ -211,3 +211,23 @@ def test_artifact_torn_between_publish_and_open_never_serves(
     ]
     again_view, again = system.target_users_for_phrases([phrase], depth=2, k=10)
     assert again_view.entities == view.entities and again.users == result.users
+
+
+def test_crash_between_graph_publish_and_freeze_checkpoint_publishes_once(
+    chaos_world, chaos_events, baseline, tmp_path
+):
+    """The 4th checkpoint write is the ``artifact_freeze`` put: the graph
+    generation is already registered when the crash lands, so the resume
+    reuses it instead of publishing a duplicate of the same week."""
+    faults = FaultInjector(seed=0)
+    faults.fail_at("checkpoint.write", 4, exception=InjectedCrash)
+    crashed = make_system(chaos_world, tmp_path, faults=faults)
+    with pytest.raises(InjectedCrash):
+        crashed.weekly_refresh(chaos_events)
+    assert [r.tag for r in crashed.registry.records("graph")] == ["week-0"]
+
+    resumed = make_system(chaos_world, tmp_path)
+    report = resumed.weekly_refresh(chaos_events, resume=True)
+    assert [r.tag for r in resumed.registry.records("graph")] == ["week-0"]
+    assert report.graph_version == 1
+    assert report.artifact_digest == baseline["artifact_digest"]

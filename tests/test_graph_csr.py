@@ -10,6 +10,7 @@ that doesn't count.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -18,9 +19,10 @@ import pytest
 
 from reference_model import expansion_key, reference_expansion
 from repro.errors import CorruptArtifactError, StorageError
-from repro.graph import CSRGraph, EntityGraph, GraphStore, csr_meta_digest
+from repro.graph import CSRGraph, EntityGraph, csr_meta_digest
 from repro.graph.csr import META_NAME
 from repro.graph.khop import k_hop_expansion
+from repro.serving import ArtifactRegistry
 
 
 def random_edges(rng, num_nodes, max_edges=150):
@@ -178,24 +180,22 @@ class TestExpansionParity:
         # threshold: both sides of the comparison are the stored value.
         assert 2 in k_hop_expansion(csr, [1], 1, min_edge_weight=0.7).scores
 
-    def test_store_reader_expands_the_committed_edges(self, tmp_path, rng):
-        """End to end: what a GraphStore commits is what its pinned reader
-        (the frozen CSR artifact) expands."""
+    def test_registry_generation_expands_the_published_edges(self, tmp_path, rng):
+        """End to end: what the registry freezes is what its reopened
+        ``graph-csr-NNNNNN/`` generation expands."""
         num_nodes = 40
         pairs, weights = random_edges(rng, num_nodes)
-        store = GraphStore(tmp_path / "gs", num_nodes=num_nodes)
-        store.put_edges(pairs, list(weights))
-        version = store.commit_version(tag="parity")
+        graph = EntityGraph.from_edge_list(num_nodes, pairs, weights, [0] * len(pairs))
+        record = ArtifactRegistry(tmp_path).publish_graph(graph, tag="parity")
 
-        reader = store.snapshot_reader(version)
-        assert reader.artifact_format == "csr"
-        edges = list(store.scan_edges(version))
-        assert [e[:3] for e in edges] == triples(pairs, weights)
+        served = ArtifactRegistry(tmp_path).open_graph(record.version)
+        assert served.artifact_format == "csr"
+        assert Path(record.path).name == "graph-csr-000001"
         seeds = [pairs[0][0]]
         for depth in (1, 2, 3):
             assert expansion_key(
-                k_hop_expansion(reader, seeds, depth)
-            ) == reference_expansion(num_nodes, [e[:3] for e in edges], seeds, depth)
+                k_hop_expansion(served, seeds, depth)
+            ) == reference_expansion(num_nodes, triples(pairs, weights), seeds, depth)
 
     def test_entity_graph_agrees_up_to_row_order(self, rng):
         """The in-memory :class:`EntityGraph` keeps its rows in insertion
@@ -268,3 +268,31 @@ def test_one_graph_one_listener():
         assert not re.search(
             r'"snapshot"|"sharded_store"|"csr-sharded"', text[src / "serving" / module]
         ), module
+
+
+def test_one_graph_publisher():
+    """Guard: the registry's ``graph-csr-NNNNNN/`` generation is the only
+    way a graph becomes servable — the WAL/snapshot graph store, its
+    pinned readers and the write-only adjacency arrays stay deleted."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert not (src / "graph" / "storage.py").exists()
+    banned = {
+        "GraphStore", "SnapshotReader", "put_edges", "commit_version",
+        "snapshot_reader", "_adj_relation", "_adj_edge_id",
+    }
+    publish_params = []
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = set(re.findall(r"\w+", node.value))
+            else:
+                names = {
+                    getattr(node, field) for field in ("id", "attr", "name", "arg")
+                    if isinstance(getattr(node, field, None), str)
+                }
+            assert not names & banned, (path, names & banned)
+            if isinstance(node, ast.FunctionDef) and node.name == "publish_graph":
+                publish_params.append(
+                    [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+                )
+    assert publish_params == [["self", "graph", "tag"]]

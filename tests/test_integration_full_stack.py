@@ -1,10 +1,10 @@
-"""Full-stack integration: files → offline pipeline → store → API → explain.
+"""Full-stack integration: files → offline pipeline → registry → API → explain.
 
 One scenario exercising nearly every subsystem the way a deployment would:
 
 1. export the world's logs and Entity Dict to files, reload them;
-2. two weekly refreshes (drifted data) persisting graph versions;
-3. store compaction, checkpointing the ALPC model, reloading it;
+2. two weekly refreshes (drifted data) publishing graph generations;
+3. checkpointing the ALPC model, reloading it;
 4. daily preference refresh + an incremental single-user update;
 5. the serving API end to end, with explanations and calibration checks.
 """
@@ -23,10 +23,12 @@ from repro.datasets import (
 from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
+from repro.errors import ConfigError
 from repro.eval import reliability_report, roc_auc
 from repro.nn import load_checkpoint, save_checkpoint
 from repro.online import EGLSystem, explain_targeting
 from repro.online.api import EGLService, ExpandRequest, TargetRequest
+from repro.preference import PreferenceStore
 from repro.text.sequence_extractor import UserEntitySequence
 from repro.trmp import ALPCConfig, ALPCModel, TRMPConfig
 
@@ -47,7 +49,7 @@ def stack(world, tmp_path_factory):
         semantic=SemanticEncoderConfig(mlm=MLMConfig(epochs=4, seed=3)),
         alpc=ALPCConfig(epochs=20, seed=1),
     )
-    system = EGLSystem(world, config, store_path=base / "geabase")
+    system = EGLSystem(world, config, artifact_root=base / "registry")
     system.weekly_refresh(week0)
     system.weekly_refresh(generator.generate_week(1))
     system.daily_preference_refresh(week0 + generator.generate_week(1))
@@ -55,12 +57,11 @@ def stack(world, tmp_path_factory):
 
 
 class TestOfflineArtifacts:
-    def test_store_has_two_versions_then_compacts(self, stack):
-        base, system, _ = stack
-        assert [v["version"] for v in system.store.versions()] == [1, 2]
-        removed = system.store.compact(keep_last=1)
-        assert removed == 1
-        assert system.store.load_version().num_edges > 0
+    def test_registry_has_two_graph_generations(self, stack):
+        _, system, _ = stack
+        records = system.registry.records("graph")
+        assert [(r.version, r.tag) for r in records] == [(1, "week-0"), (2, "week-1")]
+        assert system.registry.open_graph().num_edges == records[-1].edges > 0
 
     def test_entity_dict_file_round_trip(self, stack, world):
         base, system, _ = stack
@@ -121,8 +122,15 @@ class TestServingPath:
         assert "top users" in report
 
     def test_incremental_preference_update_changes_ranking(self, stack, world):
-        _, system, _ = stack
-        store = system.preference_store
+        _, system, generator = stack
+        # The served generation is a mapped, immutable artifact: the
+        # incremental update runs on a freshly built in-memory store.
+        with pytest.raises(ConfigError):
+            system.preference_store.update_user(UserEntitySequence(0, [0]))
+        sequences = system.pipeline.extractor.extract_sequences(generator.generate_week(1))
+        store = PreferenceStore(system.pipeline.entity_embeddings()).build(
+            sequences, world.num_users
+        )
         target_entity = world.entities[0].entity_id
         # Make an arbitrary user the heaviest interactor with that entity.
         user = 3

@@ -1,5 +1,7 @@
 """Per-generation resource accounting (mmap opens, artifact bytes on disk)."""
 
+from pathlib import Path
+
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     ResourceAccountant,
@@ -38,31 +40,33 @@ class TestResourceAccounting:
         assert usage["artifacts"]["graph"] == {"generations": 1, "disk_bytes": 100}
         assert usage["artifacts"]["preferences"] == {"generations": 0, "disk_bytes": 0}
 
-    def test_store_generations_are_each_counted_once(self, tmp_path):
-        """A store-frozen record points at its own immutable ``csr-NNNNNN/``
-        directory, not at the (growing, shared) store root: a second commit
-        adds exactly its own bytes, also after the first walk was cached."""
-        from repro.graph import GraphStore
+    def test_graph_generations_are_each_counted_once(self, tmp_path):
+        """A graph record points at its own immutable ``graph-csr-NNNNNN/``
+        directory, not at the (growing, shared) registry root: a second
+        publish adds exactly its own bytes, also after the first walk was
+        cached."""
+        from repro.graph import EntityGraph
         from repro.serving import ArtifactRegistry
 
         def tree_bytes(path):
             return sum(f.stat().st_size for f in path.rglob("*") if f.is_file())
 
-        store = GraphStore(tmp_path / "store", num_nodes=20)
         registry = ArtifactRegistry(tmp_path / "registry")
         accountant = ResourceAccountant(metrics=None, registry=registry)
-        store.put_edges([(0, 1), (1, 2)], [0.9, 0.8])
-        v1 = store.commit_version()
-        registry.publish_graph(store)
+        v1 = registry.publish_graph(
+            EntityGraph.from_edge_list(20, [(0, 1), (1, 2)], [0.9, 0.8])
+        )
         first = accountant.usage()["artifacts"]["graph"]
-        assert first == {"generations": 1, "disk_bytes": tree_bytes(store.csr_path(v1))}
+        assert first == {"generations": 1, "disk_bytes": tree_bytes(Path(v1.path))}
 
-        store.put_edges([(2, 3), (3, 4), (4, 5)], [0.7, 0.6, 0.5])
-        v2 = store.commit_version()
-        registry.publish_graph(store)
+        v2 = registry.publish_graph(
+            EntityGraph.from_edge_list(
+                20, [(2, 3), (3, 4), (4, 5)], [0.7, 0.6, 0.5]
+            )
+        )
         assert accountant.usage()["artifacts"]["graph"] == {
             "generations": 2,
-            "disk_bytes": first["disk_bytes"] + tree_bytes(store.csr_path(v2)),
+            "disk_bytes": first["disk_bytes"] + tree_bytes(Path(v2.path)),
         }
 
     def test_collector_exports_gauges_through_registry(self, tmp_path):

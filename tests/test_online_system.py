@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.errors import NotFittedError
+from repro.graph import EntityGraph
 from repro.online import EGLSystem
 from repro.simulation import ABTestHarness, ConversionModel, RuleBasedTargeting, default_services
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
@@ -21,7 +22,7 @@ def system(world, tmp_path_factory):
         alpc=ALPCConfig(epochs=20, seed=1),
         ensemble=EnsembleConfig(epochs=12, seed=0),
     )
-    return EGLSystem(world, config, store_path=tmp_path_factory.mktemp("geabase"))
+    return EGLSystem(world, config, artifact_root=tmp_path_factory.mktemp("registry"))
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +48,8 @@ class TestOfflineCadence:
         assert all(r.num_relations > 0 for r in reports)
 
     def test_store_versions_match_weeks(self, system, refreshed):
-        versions = system.store.versions()
-        assert [v["tag"] for v in versions] == ["week-0", "week-1"]
+        records = system.registry.records("graph")
+        assert [r.tag for r in records] == ["week-0", "week-1"]
 
     def test_daily_refresh_covers_users(self, refreshed, world):
         _, covered, _ = refreshed
@@ -109,3 +110,48 @@ class TestABHarness:
             assert 0 <= row.control_cvr <= 1
             assert row.running_time_seconds < 10
             assert row.exposure_delta_pct == pytest.approx(0.0)
+
+
+def served_edges(graph) -> dict:
+    """``(lo, hi) -> (float32 weight, relation)`` of an in-memory graph or
+    a frozen CSR generation."""
+    if not isinstance(graph, EntityGraph):
+        graph = graph.graph()
+    lo, hi = graph.canonical_pairs()
+    table = {
+        (int(a), int(b)): (np.float32(w), int(r))
+        for a, b, w, r in zip(lo, hi, graph.weight, graph.relation)
+    }
+    assert len(table) == graph.num_edges
+    return table
+
+
+@pytest.mark.parametrize(
+    "construction", ["rootless", "artifact_root", "store_path+artifact_root"]
+)
+def test_published_generation_is_the_weeks_trmp_graph(construction, tmp_path):
+    """Generation N is exactly week N's ranked graph, never a union with
+    the weeks before it — however the system is constructed (the last
+    case is the e2e benchmark's)."""
+    world = World(WorldConfig(num_entities=60, num_users=50, seed=9))
+    generator = BehaviorLogGenerator(world, BehaviorConfig(num_days=7, seed=4))
+    roots = {
+        "rootless": {},
+        "artifact_root": {"artifact_root": tmp_path / "registry"},
+        "store_path+artifact_root": {
+            "store_path": tmp_path / "store", "artifact_root": tmp_path / "registry",
+        },
+    }[construction]
+    config = TRMPConfig(
+        skipgram=SkipGramConfig(epochs=4, seed=2),
+        semantic=SemanticEncoderConfig(mlm=MLMConfig(epochs=2, seed=3)),
+        alpc=ALPCConfig(epochs=8, seed=1),
+        ensemble=EnsembleConfig(epochs=4, seed=0),
+    )
+    system = EGLSystem(world, config, **roots)
+    for week in range(3):
+        report = system.weekly_refresh(generator.generate_week(week))
+        ranked = system.pipeline.weekly_runs[-1].ranked_graph
+        served = system.registry.open_graph(report.graph_version)
+        assert 0 < served.num_edges == report.num_relations == ranked.num_edges
+        assert served_edges(served) == served_edges(ranked)

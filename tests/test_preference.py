@@ -186,3 +186,42 @@ def test_one_index_one_layout():
     assert not re.search(r"preferences-[^\n]*\.npz|savez", registry)
     formats = {m for body in text.values() for m in re.findall(r'"pref-[a-z0-9-]+"', body)}
     assert len(formats) == 1
+
+
+class TestIncrementalPreference:
+    @pytest.fixture()
+    def built_store(self, rng):
+        vectors = rng.normal(size=(6, 4))
+        sequences = {0: UserEntitySequence(0, [1, 2]), 1: UserEntitySequence(1, [3])}
+        return PreferenceStore(vectors).build(sequences, num_users=3)
+
+    def test_update_matches_full_rebuild(self, built_store, rng):
+        new_seq = UserEntitySequence(2, [4, 5, 4])
+        built_store.update_user(new_seq)
+        rebuilt = PreferenceStore(built_store.entity_embeddings, normalize=False).build(
+            {
+                0: UserEntitySequence(0, [1, 2]),
+                1: UserEntitySequence(1, [3]),
+                2: new_seq,
+            },
+            num_users=3,
+        )
+        np.testing.assert_allclose(built_store.user_matrix[2], rebuilt.user_matrix[2])
+        assert built_store.covered_users[2]
+
+    def test_update_to_empty_uncovers(self, built_store):
+        built_store.update_user(UserEntitySequence(0, []))
+        assert not built_store.covered_users[0]
+        users = built_store.top_users_for_entities([1], k=3)
+        assert 0 not in [u.user_id for u in users]
+
+    def test_update_invalidates_heads(self, built_store):
+        before = [u.user_id for u in built_store.top_users_for_entity(3, k=2)]
+        # Make user 0 a heavy interactor with entity 3.
+        built_store.update_user(UserEntitySequence(0, [3, 3, 3, 3]))
+        after = built_store.top_users_for_entity(3, k=1)
+        assert after[0].user_id == 0 or before[0] == 0
+
+    def test_out_of_range_user(self, built_store):
+        with pytest.raises(ConfigError):
+            built_store.update_user(UserEntitySequence(99, [1]))

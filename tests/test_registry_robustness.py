@@ -17,7 +17,7 @@ import pytest
 
 from reference_model import expansion_key, reference_expansion
 from repro.errors import CorruptArtifactError
-from repro.graph import CSRGraph, EntityGraph, GraphStore, k_hop_expansion
+from repro.graph import CSRGraph, EntityGraph, k_hop_expansion
 from repro.preference.store import PreferenceStore
 from repro.resilience import FaultInjector, InjectedFault, atomic_write_bytes
 from repro.serving import KIND_GRAPH, KIND_PREFERENCES, ArtifactRegistry
@@ -97,7 +97,7 @@ DAMAGE = {
 }
 
 GOOD_EDGES = [(0, 1, 0.9), (1, 2, 0.5), (2, 5, 0.7), (0, 3, 0.25), (3, 4, 0.6)]
-BAD_EDGES = [(4, 5, 0.75), (1, 5, 0.3)]  # committed on top of the good ones
+BAD_EDGES = [(4, 5, 0.75), (1, 5, 0.3)]  # published on top of the good ones
 
 
 class PreferenceGenerations:
@@ -127,28 +127,19 @@ class PreferenceGenerations:
 
 
 class GraphGenerations:
-    """The same for a graph, frozen by a :class:`GraphStore` commit or by
-    the registry itself; the question is an ``open_graph()`` expansion."""
+    """The same for a graph the registry froze; the question is an
+    ``open_graph()`` expansion."""
 
     kind = KIND_GRAPH
     want = reference_expansion(6, GOOD_EDGES, [0], 2)
 
-    def __init__(self, frozen_by_store):
-        self.frozen_by_store = frozen_by_store
-
     def publish(self, registry, tmp_path):
-        store = GraphStore(tmp_path / "gs", num_nodes=6) if self.frozen_by_store else None
         edges = []
         for tag, new in (("good", GOOD_EDGES), ("bad", BAD_EDGES)):
             edges += new
-            if store is not None:
-                store.put_edges([e[:2] for e in new], [e[2] for e in new])
-                store.commit_version(tag)
-                record = registry.publish_graph(store)
-            else:
-                pairs, weights = [e[:2] for e in edges], [e[2] for e in edges]
-                graph = EntityGraph.from_edge_list(6, pairs, weights, [0] * len(pairs))
-                record = registry.publish_graph(graph, tag=tag)
+            pairs, weights = [e[:2] for e in edges], [e[2] for e in edges]
+            graph = EntityGraph.from_edge_list(6, pairs, weights, [0] * len(pairs))
+            record = registry.publish_graph(graph, tag=tag)
         return record
 
     def damaged_file(self, damage):
@@ -162,8 +153,7 @@ class GraphGenerations:
 GENERATIONS = {
     "P1": PreferenceGenerations(1),
     "P4": PreferenceGenerations(4),
-    "graph-store": GraphGenerations(frozen_by_store=True),
-    "graph-registry": GraphGenerations(frozen_by_store=False),
+    "graph-registry": GraphGenerations(),
 }
 
 
@@ -214,24 +204,6 @@ class TestQuarantine:
         assert not bad_path.exists()
         assert len(registry.quarantined if caught_on_open else reopened.quarantined) == 1
         assert answer(ArtifactRegistry(root=tmp_path)) == generations.want  # durable
-
-    @pytest.mark.parametrize("damage", ["bitflip", "missing"])
-    def test_corrupt_store_freeze_is_refused_at_publish(self, tmp_path, damage):
-        """Verify-at-ingest: a commit whose CSR does not prove out raises
-        and appends no record — the previous generation stays latest."""
-        registry = ArtifactRegistry(root=tmp_path / "registry")
-        store = GraphStore(tmp_path / "gs", num_nodes=6)
-        store.put_edges([e[:2] for e in GOOD_EDGES], [e[2] for e in GOOD_EDGES])
-        good = registry.publish_graph(store, version=store.commit_version("good"))
-        store.put_edges([e[:2] for e in BAD_EDGES], [e[2] for e in BAD_EDGES])
-        bad_version = store.commit_version("bad")
-        DAMAGE[damage][2](store.csr_path(bad_version) / DAMAGE[damage][1])
-
-        with pytest.raises(CorruptArtifactError):
-            registry.publish_graph(store)
-        assert registry.latest(KIND_GRAPH) == good
-        assert registry.quarantined == []
-        assert registry.open_graph().num_edges == len(GOOD_EDGES)
 
     def test_corrupt_artifact_detected_at_startup(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
@@ -382,15 +354,15 @@ class TestFaultSeams:
         assert registry.open_preferences() is not None  # next attempt heals
 
 
-class TestStoreFrozenGraph:
-    def test_reopened_registry_opens_without_the_store(self, tmp_path):
-        """The record is the ``csr-NNNNNN/`` directory, not a handle on the
-        store: a restarted process serves it without re-binding anything."""
+class TestRegistryFrozenGraph:
+    def test_reopened_registry_opens_the_frozen_graph(self, tmp_path):
+        """The record is the ``graph-csr-NNNNNN/`` directory, not a handle
+        on the published graph: a restarted process serves it without
+        re-binding anything."""
         first = ArtifactRegistry(root=tmp_path)
-        store = GraphStore(tmp_path / "gs", num_nodes=6)
-        store.put_edges([(0, 1)], weights=[0.5])
-        store.commit_version("w0")
-        record = first.publish_graph(store)
+        record = first.publish_graph(
+            EntityGraph.from_edge_list(6, [(0, 1)], [0.5]), tag="w0"
+        )
 
         reopened = ArtifactRegistry(root=tmp_path)
         assert reopened.latest(KIND_GRAPH) == record

@@ -1,21 +1,13 @@
-"""Artifact registry, snapshot readers, and preference store artifacts."""
+"""Artifact registry and preference store artifacts."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.graph import EntityGraph, GraphStore
+from repro.graph import EntityGraph
 from repro.preference.store import PreferenceStore
 from repro.serving import KIND_GRAPH, KIND_PREFERENCES, ArtifactRegistry
 from repro.text.sequence_extractor import UserEntitySequence
-
-
-@pytest.fixture()
-def store(tmp_path):
-    store = GraphStore(tmp_path / "store", num_nodes=10)
-    store.put_edges([(0, 1), (1, 2)], weights=[0.9, 0.8])
-    store.commit_version("week-0")
-    return store
 
 
 def built_preferences(num_users=6, num_entities=10, seed=0) -> PreferenceStore:
@@ -26,45 +18,6 @@ def built_preferences(num_users=6, num_entities=10, seed=0) -> PreferenceStore:
         for u in range(num_users - 1)  # leave one user uncovered
     }
     return PreferenceStore(embeddings).build(sequences, num_users)
-
-
-class TestSnapshotReader:
-    def test_reader_matches_committed_version(self, store):
-        reader = store.snapshot_reader()
-        assert reader.version == 1
-        assert reader.num_edges == 2
-        nbrs, weights = reader.neighbors(1)
-        assert sorted(nbrs.tolist()) == [0, 2]
-
-    def test_reader_is_pinned_against_later_writes(self, store):
-        reader = store.snapshot_reader(1)
-        store.put_edges([(3, 4)], weights=[0.5])
-        store.commit_version("week-1")
-        assert reader.num_edges == 2  # unchanged
-        nbrs, _ = reader.neighbors(3)
-        assert len(nbrs) == 0
-
-    def test_reader_survives_compaction(self, store):
-        reader = store.snapshot_reader(1)
-        store.put_edges([(3, 4)])
-        store.commit_version("week-1")
-        store.compact(keep_last=1)  # deletes snapshot 1 from disk
-        assert reader.num_edges == 2  # arrays were loaded at construction
-
-    def test_reader_graph_materialisation(self, store):
-        graph = store.snapshot_reader(1).graph()
-        assert isinstance(graph, EntityGraph)
-        assert graph.num_edges == 2
-        assert graph.has_edge(0, 1)
-
-    def test_unknown_version_raises(self, store):
-        with pytest.raises(StorageError):
-            store.snapshot_reader(7)
-
-    def test_empty_store_raises(self, tmp_path):
-        empty = GraphStore(tmp_path / "empty", num_nodes=5)
-        with pytest.raises(StorageError):
-            empty.snapshot_reader()
 
 
 class TestPreferenceArtifact:
@@ -94,18 +47,6 @@ class TestPreferenceArtifact:
 
 
 class TestRegistry:
-    def test_publish_graph_from_store(self, store):
-        registry = ArtifactRegistry()
-        record = registry.publish_graph(store)
-        assert record.kind == KIND_GRAPH
-        assert record.version == 1
-        assert record.tag == "week-0"
-        # The record is the frozen CSR directory, pinned by its digest.
-        assert (record.source, record.format) == ("csr", "csr")
-        assert record.path == str(store.csr_path(1)) and len(record.checksum) == 64
-        graph = registry.open_graph()
-        assert graph.num_edges == 2 and graph.artifact_format == "csr"
-
     def test_publish_memory_graph(self):
         registry = ArtifactRegistry()
         graph = EntityGraph.from_edge_list(5, [(0, 1)], [0.5], [0])
@@ -131,11 +72,12 @@ class TestRegistry:
         assert loaded is not prefs  # reopened from disk
         np.testing.assert_allclose(loaded.user_matrix, prefs.user_matrix)
 
-    def test_versions_are_monotonic(self, store):
-        registry = ArtifactRegistry()
-        registry.publish_graph(store, version=1)
-        with pytest.raises(StorageError):
-            registry.publish_graph(store, version=1)  # not newer
+    def test_versions_are_monotonic(self, tmp_path):
+        graph = EntityGraph.from_edge_list(5, [(0, 1)], [0.5], [0])
+        registry = ArtifactRegistry(tmp_path)
+        assert [registry.publish_graph(graph).version for _ in range(3)] == [1, 2, 3]
+        # A reopened registry continues the sequence from its manifest.
+        assert ArtifactRegistry(tmp_path).publish_graph(graph).version == 4
 
     def test_latest_and_get_record(self):
         registry = ArtifactRegistry()
