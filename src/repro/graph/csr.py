@@ -35,7 +35,6 @@ comparisons (``min_edge_weight``, per-row top-k) see the stored value.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.errors import CorruptArtifactError, StorageError
 from repro.obs.profile import record_mmap_open
-from repro.resilience import atomic_write_bytes, atomic_write_text, file_digest, sha256_hex
+from repro.resilience import atomic_write_array, atomic_write_text, file_digest
 
 #: On-disk format identifier, bumped on incompatible layout changes.
 CSR_FORMAT = "csr-v1"
@@ -56,12 +55,6 @@ _ARRAY_SPECS = (
     ("weights", np.float32),
     ("relations", np.int32),
 )
-
-
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array))
-    return buffer.getvalue()
 
 
 class CSRGraph:
@@ -216,9 +209,10 @@ class CSRGraph:
         directory.mkdir(parents=True, exist_ok=True)
         checksums: dict[str, str] = {}
         for name, dtype in _ARRAY_SPECS:
-            data = _npy_bytes(np.asarray(getattr(self, self._attr(name)), dtype=dtype))
-            checksums[name] = sha256_hex(data)
-            atomic_write_bytes(directory / f"{name}.npy", data)
+            checksums[name] = atomic_write_array(
+                directory / f"{name}.npy",
+                np.asarray(getattr(self, self._attr(name)), dtype=dtype),
+            )
         meta = {
             "format": CSR_FORMAT,
             "num_nodes": self.num_nodes,

@@ -230,48 +230,52 @@ class EGLSystem:
         """
         clock = self.obs.clock
         start = clock.perf()
-        feedback_pairs = self.feedback.drain()
-        run_id = f"weekly-{len(self.pipeline.weekly_runs):04d}"
-        run: WeeklyRun = self.pipeline.run_week(
-            events, feedback_pairs=feedback_pairs, run_id=run_id, resume=resume
-        )
-
-        # Freeze + register the mined graph as its own checkpointed
-        # stage: a crash between publication and activation resumes
-        # onto the already-registered generation.
-        frozen = self.pipeline.freeze_artifacts(
-            run_id, lambda: self._publish_week_graph(run, resume), resume=resume
-        )
-
-        ensemble_trained = False
-        if len(self.pipeline.weekly_runs) >= 2:
-            self.pipeline.train_ensemble(run_id=run_id, resume=resume)
-            ensemble_trained = True
-
-        # Hot-swap: build the complete new reasoner, then activate it —
-        # requests already in flight finish on the previous version.
-        reasoner = GraphReasoner(
-            self.retry.call(
-                lambda: self.registry.open_graph(frozen["version"]),
-                seam="registry.open_graph",
-            ),
-            self.pipeline.entity_dict,
-            semantic_encoder=self.pipeline.semantic_encoder,
-            e_semantic=self.pipeline.e_semantic,
-        )
-        swap_rejected = False
-        swap_rejected_reason = None
         try:
-            self.runtime.activate_graph(
-                reasoner, frozen["version"], tag=frozen["tag"]
+            feedback_pairs = self.feedback.drain()
+            run_id = f"weekly-{len(self.pipeline.weekly_runs):04d}"
+            run: WeeklyRun = self.pipeline.run_week(
+                events, feedback_pairs=feedback_pairs, run_id=run_id, resume=resume
             )
-        except (DriftGateError, CircuitOpenError) as error:
-            # The artifact stays published (evidence!) but serving keeps
-            # the old generation; a drift report is already in the
-            # registry and the alert engine via _on_drift_report.
-            swap_rejected = True
-            swap_rejected_reason = str(error)
-        _release_freed_heap()
+
+            # Freeze + register the mined graph as its own checkpointed
+            # stage: a crash between publication and activation resumes
+            # onto the already-registered generation.
+            frozen = self.pipeline.freeze_artifacts(
+                run_id, lambda: self._publish_week_graph(run, resume), resume=resume
+            )
+
+            ensemble_trained = False
+            if len(self.pipeline.weekly_runs) >= 2:
+                self.pipeline.train_ensemble(run_id=run_id, resume=resume)
+                ensemble_trained = True
+
+            # Hot-swap: build the complete new reasoner, then activate it —
+            # requests already in flight finish on the previous version.
+            reasoner = GraphReasoner(
+                self.retry.call(
+                    lambda: self.registry.open_graph(frozen["version"]),
+                    seam="registry.open_graph",
+                ),
+                self.pipeline.entity_dict,
+                semantic_encoder=self.pipeline.semantic_encoder,
+                e_semantic=self.pipeline.e_semantic,
+            )
+            swap_rejected = False
+            swap_rejected_reason = None
+            try:
+                self.runtime.activate_graph(
+                    reasoner, frozen["version"], tag=frozen["tag"]
+                )
+            except (DriftGateError, CircuitOpenError) as error:
+                # The artifact stays published (evidence!) but serving keeps
+                # the old generation; a drift report is already in the
+                # registry and the alert engine via _on_drift_report.
+                swap_rejected = True
+                swap_rejected_reason = str(error)
+        finally:
+            # Failure paths too: a refresh that raises must not leave its
+            # training heap resident in the serving process.
+            _release_freed_heap()
         elapsed = clock.perf() - start
         metrics = self.obs.metrics
         metrics.counter(
@@ -300,30 +304,35 @@ class EGLSystem:
         """Recompute user embeddings/preferences; returns #covered users."""
         clock = self.obs.clock
         start = clock.perf()
-        embeddings = self.pipeline.entity_embeddings()
-        sequences = self.pipeline.extractor.extract_sequences(events)
-        store = PreferenceStore(embeddings).build(sequences, self.world.num_users)
-        covered = int(store.covered_users.sum())
-        record = self.retry.call(
-            lambda: self.registry.publish_preferences(store),
-            seam="registry.publish_preferences",
-        )
         try:
-            # Serve the registry's artifact: a rooted registry maps the
-            # published pages read-only and shared, not copied.
-            serve_store = self.retry.call(
-                lambda: self.registry.open_preferences(record.version),
-                seam="registry.open_preferences",
+            embeddings = self.pipeline.entity_embeddings()
+            sequences = self.pipeline.extractor.extract_sequences(events)
+            store = PreferenceStore(embeddings).build(sequences, self.world.num_users)
+            covered = int(store.covered_users.sum())
+            record = self.retry.call(
+                lambda: self.registry.publish_preferences(store),
+                seam="registry.publish_preferences",
             )
-        except StorageError:
-            pass  # artifact quarantined; the last-good generation keeps serving
-        else:
             try:
-                self.runtime.activate_preferences(
-                    serve_store, record.version, tag=record.tag
+                # Serve the registry's artifact: a rooted registry maps the
+                # published pages read-only and shared, not copied.
+                serve_store = self.retry.call(
+                    lambda: self.registry.open_preferences(record.version),
+                    seam="registry.open_preferences",
                 )
-            except (DriftGateError, CircuitOpenError):
-                pass  # published but not activated; report already filed
+            except StorageError:
+                pass  # artifact quarantined; the last-good generation keeps serving
+            else:
+                try:
+                    self.runtime.activate_preferences(
+                        serve_store, record.version, tag=record.tag
+                    )
+                except (DriftGateError, CircuitOpenError):
+                    pass  # published but not activated; report already filed
+        finally:
+            # Return what the build freed to the OS, as weekly_refresh
+            # does, whether or not the refresh raised.
+            _release_freed_heap()
         metrics = self.obs.metrics
         metrics.counter("offline_refreshes_total", job="daily").inc()
         metrics.histogram("offline_refresh_seconds", job="daily").observe(

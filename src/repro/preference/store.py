@@ -30,7 +30,6 @@ generation swap remaps pages instead of copying matrices.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +40,7 @@ from repro.errors import ConfigError, CorruptArtifactError, NotFittedError, Stor
 from repro.obs.context import phase
 from repro.obs.profile import record_mmap_open
 from repro.preference.user_embedding import user_embedding, user_embedding_matrix
-from repro.resilience import atomic_write_bytes, atomic_write_text, file_digest, sha256_hex
+from repro.resilience import atomic_write_array, atomic_write_text, file_digest
 from repro.text.sequence_extractor import UserEntitySequence
 
 #: On-disk format identifier of the preference artifact directory.
@@ -497,24 +496,17 @@ class PreferenceStore:
     def save_memmap(self, directory: str | Path) -> Path:
         """Persist the built index as a memmap-able artifact directory.
 
-        Each array is a raw ``.npy`` written through the atomic temp +
-        fsync + rename path; ``meta.json`` (with per-file SHA-256) lands
-        last as the commit point — a crash mid-write leaves no readable
-        (hence no servable) artifact.
+        Each array is a raw ``.npy`` streamed from its own buffer through
+        the atomic temp + fsync + rename path (no in-memory serialised
+        copy); ``meta.json`` (with per-file SHA-256) lands last as the
+        commit point — a crash mid-write leaves no readable (hence no
+        servable) artifact.
         """
         self._require_built()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-
-        def write(path: Path, array: np.ndarray) -> str:
-            buffer = io.BytesIO()
-            np.save(buffer, np.ascontiguousarray(array))
-            data = buffer.getvalue()
-            atomic_write_bytes(path, data)
-            return sha256_hex(data)
-
         checksums: dict = {
-            "entity_embeddings": write(
+            "entity_embeddings": atomic_write_array(
                 directory / "entity_embeddings.npy", self.entity_embeddings
             ),
             "shards": [],
@@ -524,7 +516,9 @@ class PreferenceStore:
             shard_dir.mkdir(parents=True, exist_ok=True)
             checksums["shards"].append(
                 {
-                    name: write(shard_dir / f"{name}.npy", getattr(part, name))
+                    name: atomic_write_array(
+                        shard_dir / f"{name}.npy", getattr(part, name)
+                    )
                     for name, _ in _PARTITION_ARRAYS
                 }
             )

@@ -24,10 +24,12 @@ primitives that keep both sides alive when infrastructure misbehaves:
     chaos suite.
 ``atomic``
     temp-file + fsync + rename writes and SHA-256 content digests, shared
-    by the registry and checkpoint store.
+    by the registry and checkpoint store; :func:`atomic_write_array`
+    streams a ``.npy`` artifact to disk without serialising it in memory.
 """
 
 from repro.resilience.atomic import (
+    atomic_write_array,
     atomic_write_bytes,
     atomic_write_text,
     file_digest,
@@ -46,6 +48,7 @@ from repro.resilience.faults import (
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
+    "atomic_write_array",
     "atomic_write_bytes",
     "atomic_write_text",
     "file_digest",

@@ -12,9 +12,12 @@ were published.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 from pathlib import Path
+
+import numpy as np
 
 #: Pickle protocol pinned so content digests are stable across sessions.
 PICKLE_PROTOCOL = 4
@@ -55,12 +58,43 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     rename is atomic) and is cleaned up on failure. The containing
     directory is fsynced afterwards so the rename itself is durable.
     """
-    path = Path(path)
+    return _write_atomically(Path(path), (data,))
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_array(path: str | Path, array: np.ndarray) -> str:
+    """Write ``array`` as a ``.npy`` file atomically; returns its SHA-256.
+
+    The file is byte-identical to ``np.save(path, np.ascontiguousarray(array))``:
+    numpy's own version-1.0 header, then the C-order buffer handed to the
+    file through a ``memoryview``, by the same temp + fsync + rename path
+    as :func:`atomic_write_bytes`. The digest is taken over those same
+    views, so a C-contiguous array is never copied: the writer holds the
+    header and nothing else, whatever the array's size.
+    """
+    array = np.ascontiguousarray(array)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array)
+    )
+    chunks = (header.getvalue(), memoryview(array.reshape(-1).view(np.uint8)))
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    _write_atomically(Path(path), chunks)
+    return digest.hexdigest()
+
+
+def _write_atomically(path: Path, chunks: tuple) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -69,10 +103,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
         raise
     _fsync_dir(path.parent)
     return path
-
-
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _fsync_dir(directory: Path) -> None:

@@ -72,6 +72,44 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+#: Rows of the flattened leading axes whose weight gradients
+#: :func:`_batched_weight_grad` forms at once.
+WEIGHT_GRAD_CHUNK = 64
+
+
+def _batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``(swapaxes(a, -1, -2) @ g).sum(leading axes)``, in bounded memory.
+
+    The gradient of a 2-D weight applied to ``a`` of shape ``(..., m, k)``.
+    Formed in one go it materialises a ``(B, k, n)`` tensor (B = the product
+    of the leading axes): 16 MB per linear layer for the ensemble's
+    ``(2048, 4, 32) @ (32, 32)``. Here ``WEIGHT_GRAD_CHUNK`` rows at a time
+    land in one reused buffer behind row 0, which holds the running sum, so
+    each slice is reduced with the same ``.sum(axis=0)`` and the additions
+    run in exactly the order of the one-shot reduction — the result is
+    bit-identical. (That reduction adds row by row only when ``k·n > 1``;
+    a single weight is summed pairwise, so the caller keeps it one-shot.)
+    """
+    a = a.reshape(-1, *a.shape[-2:])
+    g = g.reshape(-1, *g.shape[-2:])
+    rows = a.shape[0]
+    buffer = np.empty(
+        (min(rows, WEIGHT_GRAD_CHUNK) + 1, a.shape[-1], g.shape[-1]),
+        dtype=np.result_type(a, g),
+    )
+    total = None
+    for start in range(0, rows, WEIGHT_GRAD_CHUNK):
+        stop = min(start + WEIGHT_GRAD_CHUNK, rows)
+        block = buffer[: stop - start + 1]
+        np.matmul(np.swapaxes(a[start:stop], -1, -2), g[start:stop], out=block[1:])
+        if total is None:
+            total = block[1:].sum(axis=0)
+        else:
+            block[0] = total
+            total = block.sum(axis=0)
+    return total
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff.
 
@@ -301,6 +339,10 @@ class Tensor:
                 gb = (a * g[..., :, None]).sum(axis=tuple(range(a.ndim - 1)))
                 return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
             ga = g @ np.swapaxes(b, -1, -2)
+            if a.ndim > 2 and b.ndim == 2 and b.size > 1 and a.size:
+                # A linear layer over a non-empty batch: never hold the
+                # (B, k, n) per-row products at once.
+                return ga, _batched_weight_grad(a, g)
             gb = np.swapaxes(a, -1, -2) @ g
             return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
+from repro.resilience import atomic_write_bytes, sha256_hex
 from repro.tensor import Tensor, gelu, log_softmax
 
 
@@ -50,3 +53,26 @@ def composed_cross_entropy(logits, targets, mask=None):
 def plain_gelu(x, where=None):
     """``gelu`` over every row, padding included: the oracle for ``where=``."""
     return gelu(x)
+
+
+def summed_weight_grad(a, g):
+    """The weight gradient of ``a @ w`` as the matmul backward formed it
+    before it was chunked — one ``(B, k, n)`` product summed over the
+    leading axes: the oracle for ``_batched_weight_grad``."""
+    gb = np.swapaxes(a, -1, -2) @ g
+    return gb.sum(axis=tuple(range(gb.ndim - 2)))
+
+
+def npy_bytes(array):
+    """``array`` serialised in memory the way artifacts were written before
+    the streaming writer: the oracle for ``atomic_write_array``."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(array))
+    return buffer.getvalue()
+
+
+def bytesio_write_array(path, array) -> str:
+    """The old artifact writer: serialise, then write the bytes atomically."""
+    data = npy_bytes(array)
+    atomic_write_bytes(path, data)
+    return sha256_hex(data)

@@ -231,3 +231,47 @@ def test_crash_between_graph_publish_and_freeze_checkpoint_publishes_once(
     assert [r.tag for r in resumed.registry.records("graph")] == ["week-0"]
     assert report.graph_version == 1
     assert report.artifact_digest == baseline["artifact_digest"]
+
+
+def count_heap_releases(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(
+        "repro.online.system._release_freed_heap", lambda: calls.append(1)
+    )
+    return calls
+
+
+def test_weekly_refresh_releases_the_heap_on_success_and_on_crash(
+    chaos_world, chaos_events, tmp_path, monkeypatch
+):
+    """A refresh that raises must not leave its training heap resident."""
+    calls = count_heap_releases(monkeypatch)
+    faults = FaultInjector(seed=0)
+    faults.fail_at("pipeline.ranked", 1, exception=InjectedCrash)
+    crashed = make_system(chaos_world, tmp_path, faults=faults)
+    with pytest.raises(InjectedCrash):
+        crashed.weekly_refresh(chaos_events)
+    assert len(calls) == 1
+
+    calls.clear()
+    make_system(chaos_world, tmp_path).weekly_refresh(chaos_events, resume=True)
+    assert len(calls) == 1
+
+
+def test_daily_refresh_releases_the_heap_on_success_and_on_crash(
+    chaos_world, chaos_events, tmp_path, monkeypatch
+):
+    system = make_system(chaos_world, tmp_path)
+    system.weekly_refresh(chaos_events)
+    calls = count_heap_releases(monkeypatch)
+    assert system.daily_preference_refresh(chaos_events) > 0
+    assert len(calls) == 1
+
+    def crash(store, **kwargs):
+        raise InjectedCrash("killed inside registry.publish_preferences")
+
+    calls.clear()
+    monkeypatch.setattr(system.registry, "publish_preferences", crash)
+    with pytest.raises(InjectedCrash):
+        system.daily_preference_refresh(chaos_events)
+    assert len(calls) == 1

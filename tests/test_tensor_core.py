@@ -1,5 +1,6 @@
 """Core Tensor mechanics: arithmetic, broadcasting, graph traversal."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import GradientError
 from repro.tensor import Tensor, as_tensor, is_grad_enabled, no_grad, unbroadcast
+from repro.tensor.tensor import WEIGHT_GRAD_CHUNK
 
-from helpers import assert_gradcheck
+from helpers import assert_gradcheck, summed_weight_grad
 
 
 class TestConstruction:
@@ -148,6 +150,75 @@ class TestMatmul:
         v = rng.normal(size=5)
         w = rng.normal(size=5)
         assert_gradcheck(lambda x: x @ Tensor(w), v)
+
+
+def linear_grads(a: np.ndarray, w: np.ndarray, g: np.ndarray):
+    x = Tensor(a, requires_grad=True)
+    weight = Tensor(w, requires_grad=True)
+    (x @ weight).backward(g)
+    return x.grad, weight.grad
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestChunkedWeightGrad:
+    """A weight applied over leading batch axes gets its gradient in slices
+    of ``WEIGHT_GRAD_CHUNK`` rows, bit-identical to the one-shot sum."""
+
+    @pytest.mark.parametrize(
+        "rows", [WEIGHT_GRAD_CHUNK - 1, 2 * WEIGHT_GRAD_CHUNK, 2 * WEIGHT_GRAD_CHUNK + 1]
+    )
+    @pytest.mark.parametrize("out_dim", [32, 96])
+    def test_rows_around_a_chunk_multiple(self, rng, rows, out_dim):
+        a = rng.normal(size=(rows, 4, 32))
+        w = rng.normal(size=(32, out_dim))
+        g = rng.normal(size=(rows, 4, out_dim))
+        ga, gw = linear_grads(a, w, g)
+        assert_same_bits(gw, summed_weight_grad(a, g))
+        assert_same_bits(ga, g @ w.T)
+
+    @pytest.mark.parametrize(
+        "a_shape, out_dim",
+        [
+            ((2048, 4, 32), 32),
+            ((2049, 4, 32), 96),
+            ((64, 24, 64), 64),
+            ((64, 24, 64), 256),
+            ((16, 2, 24, 32), 32),
+            ((3, 5, 7), 4),
+            ((40, 5, 3, 6), 2),
+            ((200, 3, 1), 1),  # a single weight keeps the one-shot sum
+        ],
+    )
+    def test_3d_and_4d_activations(self, rng, a_shape, out_dim):
+        a = rng.normal(size=a_shape)
+        w = rng.normal(size=(a_shape[-1], out_dim))
+        g = rng.normal(size=a_shape[:-1] + (out_dim,))
+        _, gw = linear_grads(a, w, g)
+        assert_same_bits(gw, summed_weight_grad(a, g))
+
+    def test_backward_holds_a_slice_not_the_batch(self, rng):
+        """(2048, 4, 32) @ (32, 32): the one-shot backward materialised
+        2048·32·32 float64s (16 MB) before summing them."""
+        a = rng.normal(size=(2048, 4, 32))
+        x = Tensor(a, requires_grad=True)
+        weight = Tensor(rng.normal(size=(32, 32)), requires_grad=True)
+        out = x @ weight
+        g = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out.backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond_outputs = peak - base - x.grad.nbytes - weight.grad.nbytes
+        assert beyond_outputs < 2048 * 32 * 32 * 8 / 4, beyond_outputs
 
 
 class TestReductionsAndShape:

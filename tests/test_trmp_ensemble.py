@@ -6,7 +6,10 @@ import pytest
 from repro.errors import ConfigError, NotFittedError
 from repro.eval import roc_auc
 from repro.tensor import Tensor
+from repro.tensor.tensor import WEIGHT_GRAD_CHUNK
 from repro.trmp import EnsembleConfig, EnsembleLinkPredictor, EnsembleModel
+
+from helpers import summed_weight_grad
 
 
 class TestModel:
@@ -62,3 +65,26 @@ class TestPredictor:
         np.testing.assert_allclose(tokens[0, 0], z[3])
         np.testing.assert_allclose(tokens[0, 1], z[3] + 1.0)
         np.testing.assert_allclose(tokens[0, 2], z[7])
+
+    def test_chunked_weight_grads_train_the_same_bits(
+        self, split, trained_alpc, monkeypatch
+    ):
+        """Seeded training with the chunked weight gradient ends on exactly
+        the parameters the one-shot ``(B, k, n)`` sum trains to."""
+        z = trained_alpc.node_embeddings
+        snapshots = [z, z + 0.5]
+        assert len(split.train_pairs_and_labels()[0]) > 2 * WEIGHT_GRAD_CHUNK
+
+        def fitted_parameters():
+            model = EnsembleLinkPredictor(EnsembleConfig(epochs=3, seed=0))
+            model.fit(snapshots, split)
+            return [p.data.copy() for p in model.model.parameters()]
+
+        chunked = fitted_parameters()
+        monkeypatch.setattr(
+            "repro.tensor.tensor._batched_weight_grad", summed_weight_grad
+        )
+        one_shot = fitted_parameters()
+        assert len(chunked) == len(one_shot)
+        for mine, oracle in zip(chunked, one_shot):
+            assert mine.tobytes() == oracle.tobytes()
