@@ -18,12 +18,12 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module, ModuleList
 from repro.tensor import (
     Tensor,
-    gather_rows,
+    edge_attention_logits,
     init,
-    scatter_sum,
     segment_softmax,
     sigmoid,
     tanh,
+    weighted_scatter,
 )
 
 
@@ -53,14 +53,13 @@ class GeniePathLayer(Module):
         src = np.concatenate([src, loop])
         dst = np.concatenate([dst, loop])
 
-        # Breadth: attention over incoming neighbours.
-        src_part = self.attn_src(h)
-        dst_part = self.attn_dst(h)
-        edge_hidden = tanh(gather_rows(dst_part, dst) + gather_rows(src_part, src))
-        logits = (edge_hidden @ self.attn_vector).reshape(len(src))
+        # Breadth: attention over incoming neighbours. Two fused edge ops, so
+        # one (E, d) array per layer lives until backward() (DESIGN.md).
+        logits = edge_attention_logits(
+            self.attn_src(h), self.attn_dst(h), self.attn_vector, src, dst
+        )
         weights = segment_softmax(logits, dst, num_nodes)  # (E,)
-        messages = gather_rows(h, src) * weights.reshape(len(src), 1)
-        neighborhood = scatter_sum(messages, dst, num_nodes)
+        neighborhood = weighted_scatter(h, weights, src, dst, num_nodes)
         candidate = tanh(self.breadth_linear(neighborhood))
 
         # Depth: LSTM gating over the stacked layers.

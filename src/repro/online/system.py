@@ -231,7 +231,7 @@ class EGLSystem:
         clock = self.obs.clock
         start = clock.perf()
         try:
-            feedback_pairs = self.feedback.drain()
+            feedback_pairs = self.feedback.pairs()
             run_id = f"weekly-{len(self.pipeline.weekly_runs):04d}"
             run: WeeklyRun = self.pipeline.run_week(
                 events, feedback_pairs=feedback_pairs, run_id=run_id, resume=resume
@@ -243,6 +243,9 @@ class EGLSystem:
             frozen = self.pipeline.freeze_artifacts(
                 run_id, lambda: self._publish_week_graph(run, resume), resume=resume
             )
+            # The published week trained on this feedback; a crash before
+            # here keeps it for the resume.
+            self.feedback.retire(feedback_pairs)
 
             ensemble_trained = False
             if len(self.pipeline.weekly_runs) >= 2:

@@ -14,6 +14,7 @@ from repro.tensor.ops import (
     clip,
     concat,
     dropout,
+    edge_attention_logits,
     embedding_lookup,
     exp,
     gather_rows,
@@ -33,6 +34,7 @@ from repro.tensor.ops import (
     sqrt,
     stack,
     tanh,
+    weighted_scatter,
     where_const,
 )
 from repro.tensor.optim import SGD, Adam, CosineLR, Optimizer, StepLR, global_grad_norm
@@ -48,6 +50,7 @@ __all__ = [
     "clip",
     "concat",
     "dropout",
+    "edge_attention_logits",
     "embedding_lookup",
     "exp",
     "gather_rows",
@@ -67,6 +70,7 @@ __all__ = [
     "sqrt",
     "stack",
     "tanh",
+    "weighted_scatter",
     "where_const",
     "SGD",
     "Adam",

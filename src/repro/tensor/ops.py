@@ -279,6 +279,70 @@ def scatter_sum(x: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
     return _make(out, (x,), backward, "scatter_sum")
 
 
+def edge_attention_logits(
+    src_part: Tensor,
+    dst_part: Tensor,
+    vector: Tensor,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> Tensor:
+    """Additive attention logits ``tanh(dst_part[dst] + src_part[src]) @ vector``.
+
+    One node for what would otherwise be two gathers, a sum, a ``tanh`` and
+    a matmul: the output has shape ``(E,)`` and only the ``(E, d)`` ``tanh``
+    output stays alive until ``backward()``, instead of five ``(E, d)``
+    arrays. Every value, and every gradient, is bit-identical to the
+    composed graph, whose backward visits ``dst_part`` before ``src_part``
+    — hence that parent order here.
+    """
+    src_part, dst_part, vector = (_as_tensor(t) for t in (src_part, dst_part, vector))
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    hidden = dst_part.data[dst] + src_part.data[src]
+    np.tanh(hidden, out=hidden)
+    out = (hidden @ vector.data).reshape(len(src))
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g = g.reshape(len(src), 1)
+        g_vector = hidden.T @ g
+        g_pre = (g @ vector.data.T) * (1.0 - hidden * hidden)
+        g_dst = np.zeros(dst_part.data.shape, dtype=dst_part.data.dtype)
+        scatter_add_rows(g_dst, dst, g_pre)
+        g_src = np.zeros(src_part.data.shape, dtype=src_part.data.dtype)
+        scatter_add_rows(g_src, src, g_pre)
+        return g_dst, g_src, g_vector
+
+    return _make(out, (dst_part, src_part, vector), backward, "edge_attention_logits")
+
+
+def weighted_scatter(
+    h: Tensor, weights: Tensor, src: np.ndarray, dst: np.ndarray, num_rows: int
+) -> Tensor:
+    """Weighted message passing: ``out[i] = sum_{e: dst[e]=i} weights[e] * h[src[e]]``.
+
+    ``weights`` has shape ``(E,)``. The ``(E, d)`` messages exist only while
+    the op runs: ``backward()`` re-gathers ``h[src]`` rather than keeping
+    it, so the node holds no per-edge array but ``weights``. Bit-identical
+    to ``scatter_sum(gather_rows(h, src) * weights.reshape(E, 1), dst, n)``.
+    """
+    h, weights = _as_tensor(h), _as_tensor(weights)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    w = weights.data.reshape(len(src), 1)
+    out = np.zeros((num_rows,) + h.data.shape[1:], dtype=h.data.dtype)
+    scatter_add_rows(out, dst, h.data[src] * w)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g_messages = g[dst]
+        g_weights = (g_messages * h.data[src]).sum(axis=1)
+        g_messages *= w
+        g_h = np.zeros(h.data.shape, dtype=h.data.dtype)
+        scatter_add_rows(g_h, src, g_messages)
+        return g_h, g_weights
+
+    return _make(out, (h, weights), backward, "weighted_scatter")
+
+
 def scatter_mean(x: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
     """Average rows of ``x`` per bucket; empty buckets yield zeros."""
     index = np.asarray(index, dtype=np.int64)

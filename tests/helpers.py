@@ -7,7 +7,16 @@ import io
 import numpy as np
 
 from repro.resilience import atomic_write_bytes, sha256_hex
-from repro.tensor import Tensor, gelu, log_softmax
+from repro.tensor import (
+    Tensor,
+    gather_rows,
+    gelu,
+    log_softmax,
+    scatter_sum,
+    segment_softmax,
+    sigmoid,
+    tanh,
+)
 
 
 def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -76,3 +85,32 @@ def bytesio_write_array(path, array) -> str:
     data = npy_bytes(array)
     atomic_write_bytes(path, data)
     return sha256_hex(data)
+
+
+def composed_geniepath_breadth(self, h, memory, src, dst, num_nodes):
+    """``GeniePathLayer.forward`` as it was before its breadth step became
+    two fused edge ops — gathers, sum, ``tanh``, matmul, message gather and
+    product, each its own graph node: the oracle for
+    ``edge_attention_logits`` / ``weighted_scatter``. Patch it over
+    ``GeniePathLayer.forward`` to train the composed graph."""
+    loop = np.arange(num_nodes)
+    src = np.concatenate([src, loop])
+    dst = np.concatenate([dst, loop])
+
+    src_part = self.attn_src(h)
+    dst_part = self.attn_dst(h)
+    edge_hidden = tanh(gather_rows(dst_part, dst) + gather_rows(src_part, src))
+    logits = (edge_hidden @ self.attn_vector).reshape(len(src))
+    weights = segment_softmax(logits, dst, num_nodes)
+    messages = gather_rows(h, src) * weights.reshape(len(src), 1)
+    neighborhood = scatter_sum(messages, dst, num_nodes)
+    candidate = tanh(self.breadth_linear(neighborhood))
+
+    gates = self.gate_linear(candidate)
+    i_gate = sigmoid(gates[:, : self.dim])
+    f_gate = sigmoid(gates[:, self.dim : 2 * self.dim])
+    o_gate = sigmoid(gates[:, 2 * self.dim : 3 * self.dim])
+    c_tilde = tanh(gates[:, 3 * self.dim :])
+    new_memory = f_gate * memory + i_gate * c_tilde
+    new_h = o_gate * tanh(new_memory)
+    return new_h, new_memory

@@ -109,6 +109,28 @@ def test_resume_without_checkpoints_runs_from_scratch(
     assert report.artifact_digest == baseline["artifact_digest"]
 
 
+def test_crashed_refresh_keeps_marketer_feedback_for_its_resume(
+    chaos_world, chaos_events, tmp_path
+):
+    """Feedback is retired only once the week that trained on it is
+    published: a refresh killed before that resumes, in the same process,
+    to the digest of an uninterrupted refresh with the same feedback (not
+    the no-feedback one). Surviving a restart needs a durable log."""
+    faults = FaultInjector(seed=0)
+    faults.fail_at("pipeline.cooccurrence", 1, exception=InjectedCrash)
+    system = make_system(chaos_world, tmp_path, faults=faults)
+    system.record_choice(0, [1, 2, 3])
+    with pytest.raises(InjectedCrash):
+        system.weekly_refresh(chaos_events)
+    assert len(system.feedback) == 3
+
+    report = system.weekly_refresh(chaos_events, resume=True)
+    assert report.artifact_digest == (
+        "9f59d943a5dbd44440bded031869b917eb470d635cf3c54f03a605cae868b7d9"
+    )
+    assert len(system.feedback) == 0
+
+
 def test_thirty_percent_storage_errors_complete_via_retries(
     chaos_world, chaos_events, baseline, tmp_path
 ):

@@ -1,5 +1,8 @@
 """Online targeting wrapper and marketer feedback recorder."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,10 +58,55 @@ class TestFeedbackRecorder:
         keys = {tuple(p) for p in recorder.pairs()}
         assert keys == {(0, 5), (0, 7)}
 
-    def test_drain_resets(self):
+    def test_retire_forgets_only_the_given_pairs(self):
         recorder = FeedbackRecorder()
         recorder.record_relation(0, 1)
-        drained = recorder.drain()
-        assert len(drained) == 1
+        read = recorder.pairs()
+        recorder.record_relation(2, 3)  # recorded while a refresh trains
+        recorder.retire(read)
+        np.testing.assert_array_equal(recorder.pairs(), [[2, 3]])
+        recorder.retire(recorder.pairs())
         assert len(recorder) == 0
         assert recorder.pairs().shape == (0, 2)
+
+    def test_concurrent_record_and_retire_lose_nothing(self):
+        """Request threads record while a refresh reads and retires: every
+        pair ends up either retired (it was read) or still recorded."""
+        recorder = FeedbackRecorder()
+        writers, per_writer = 4, 300
+        retired: set[tuple[int, int]] = set()
+        shapes: set[tuple[int, ...]] = set()
+        done, finished = threading.Event(), threading.Event()
+
+        def write(w):
+            for i in range(per_writer):
+                recorder.record_relation(w, 10 + w * per_writer + i)
+
+        def refresh():
+            while not done.is_set():
+                read = recorder.pairs()
+                shapes.add(read.shape[1:])
+                recorder.retire(read)
+                retired.update(map(tuple, read.tolist()))
+            finished.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=refresh)
+            threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+            reader.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            done.set()
+            reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not any(t.is_alive() for t in threads)
+        assert finished.is_set()  # the reader did not die on a raise
+        assert shapes == {(2,)}
+        remaining = set(map(tuple, recorder.pairs().tolist()))
+        assert not remaining & retired
+        assert len(remaining | retired) == writers * per_writer
