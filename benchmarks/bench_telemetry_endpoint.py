@@ -49,7 +49,6 @@ def _prepare() -> EGLService:
     for i in range(200):
         service.expand(ExpandRequest(phrases=[popular[i % 8].name], depth=2))
     system.target_users([popular[0].entity_id, popular[1].entity_id], k=20)
-    system.evaluate_alerts()
     return service
 
 

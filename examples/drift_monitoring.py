@@ -1,21 +1,24 @@
-"""Drift monitoring tour: refresh cadence, reports, alerts, and the gate.
+"""Drift tour: refresh cadence, filed reports, and the activation check.
 
 Run with::
 
     python examples/drift_monitoring.py
 
-Takes a few seconds. Walks the quality-monitoring loop end to end:
+Takes well under a minute. Walks the activation check end to end:
 
-1. two seeded weekly refreshes — every hot-swap is compared against the
-   generation it replaces and the verdict is filed in the registry;
-2. the quality signals and alert rules evaluated over those verdicts;
-3. a degenerate preference index (all scores identical) pushed with the
-   drift gate enabled — the swap is rejected, serving stays on the old
-   generation, and the ``critical-drift`` alert fires.
+1. two seeded weekly refreshes and two daily preference refreshes — every
+   hot-swap that has a predecessor is measured against the generation it
+   replaces, and the report is filed in the registry;
+2. a degenerate preference index (all scores identical) is refused, on a
+   default system with nothing switched on: serving stays on the previous
+   generation and the refusal is filed as ``gated``.
+
+Exits non-zero if the degenerate index is not refused.
 """
 
 from __future__ import annotations
 
+import sys
 import tempfile
 
 import numpy as np
@@ -24,38 +27,40 @@ from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
 from repro.errors import DriftGateError
 from repro.preference import PreferenceStore
+from repro.text.sequence_extractor import UserEntitySequence
 
 
-def main() -> None:
+def main() -> int:
     world = World(WorldConfig(num_entities=120, num_users=100, seed=5))
     generator = BehaviorLogGenerator(world, BehaviorConfig(seed=9))
 
     with tempfile.TemporaryDirectory() as root:
-        system = EGLSystem(world, artifact_root=root, gate_on_critical_drift=True)
+        system = EGLSystem(world, artifact_root=root)
 
-        print("=== 1. Two weekly refreshes, drift verdicts per swap ===")
+        print("=== 1. Healthy cadence: one report per swap ===")
         for week in range(2):
             system.weekly_refresh(generator.generate_week(week))
-        system.daily_preference_refresh(
-            generator.generate(start_day=50, num_days=30, rng=77)
-        )
+        for start_day, rng in ((50, 77), (55, 78)):
+            system.daily_preference_refresh(
+                generator.generate(start_day=start_day, num_days=30, rng=rng)
+            )
         for report in system.registry.drift_reports():
+            m = report.metrics
+            measured = (
+                f"edges {m['old_edges']}->{m['new_edges']} "
+                f"jaccard={m['edge_jaccard']:.3f} entity_churn={m['entity_churn']:.3f}"
+                if report.kind == "graph"
+                else f"topk_overlap={m['topk_overlap_mean']:.3f} "
+                f"score_std={m['new_score_std']:.4f}"
+            )
             print(
                 f"  {report.kind:<11s} v{report.old_version}->v{report.new_version}  "
-                f"severity={report.severity:<8s} reasons={report.reasons or '-'}"
+                f"{report.severity:<8s} {measured}"
             )
         print("  (the first activation of each kind has no baseline, no report)")
 
-        print("\n=== 2. Quality signals and alert rules ===")
-        system.evaluate_alerts()
-        for name, value in sorted(system.quality_signals().items()):
-            print(f"  {name:<24s} {value:.4f}")
-        print(f"  active alerts: {[a['rule'] for a in system.alerts.active()] or 'none'}")
-
-        print("\n=== 3. A degenerate artifact meets the drift gate ===")
-        from repro.text.sequence_extractor import UserEntitySequence
-
-        versions = system.runtime.versions()
+        print("\n=== 2. A degenerate preference index meets the activation check ===")
+        serving = system.runtime.versions()["preference_version"]
         rng = np.random.default_rng(0)
         sequences = {
             u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
@@ -65,18 +70,22 @@ def main() -> None:
             np.zeros((world.num_entities, 8)), direct_weight=0.0
         ).build(sequences, world.num_users)
         try:
-            system.runtime.activate_preferences(
-                bad, version=versions["preference_version"] + 1, tag="broken-daily"
-            )
+            system.runtime.activate_preferences(bad, version=serving + 1, tag="broken-daily")
         except DriftGateError as err:
-            print(f"  rejected: {err}")
-        print(f"  still serving preference v{system.runtime.versions()['preference_version']}")
-        system.evaluate_alerts()
-        print(f"  active alerts: {[a['rule'] for a in system.alerts.active()]}")
-        print(f"  has_critical: {system.alerts.has_critical()}")
-        drift = system.runtime.health()["drift"]
-        print(f"  health()['drift']['preferences']: {drift['preferences']}")
+            print(f"  refused: {err}")
+        else:
+            print("  FAILED: the degenerate index was activated")
+            return 1
+        still = system.runtime.versions()["preference_version"]
+        report = system.registry.drift_report("preferences", serving + 1)
+        print(f"  still serving preference v{still}")
+        print(f"  filed report: severity={report.severity} gated={report.gated} "
+              f"reasons={report.reasons}")
+        if still != serving or not report.gated:
+            print("  FAILED: serving moved or the refusal was not filed")
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,7 +20,7 @@ Commands
     its URL: POST ``/expand``/``/target`` with admission control
     (``--max-concurrency``, ``--max-queue``, ``--queue-timeout``) and
     structured 429/503 shed envelopes with ``Retry-After``; GET/HEAD
-    ``/metrics``, ``/health``, ``/drift``, ``/alerts``, ``/journeys``,
+    ``/metrics``, ``/health``, ``/drift``, ``/journeys``,
     ``/profile``, ``/frontend``; a graceful drain on shutdown.
     ``--hold SECONDS`` keeps it up, ``--log-json`` streams structured JSON
     logs to stdout.
@@ -34,14 +34,14 @@ Commands
 ``rollback``
     Publish ``--refreshes`` generations, then swap serving back to the
     previous one — the escape hatch for a bad artifact that slipped past
-    the drift gate. Exit 5 when there is no previous generation.
+    the activation check. Exit 5 when there is no previous generation.
 
 Exit codes
 ----------
 0   success
 2   usage error (bad arguments)
 3   refresh interrupted by an injected crash — resumable with ``--resume``
-4   refresh completed but the hot-swap was rejected (drift gate or open
+4   refresh completed but the hot-swap was refused (empty graph or open
     activation breaker); serving stayed on the previous generation
 5   rollback requested but no previous generation exists
 """

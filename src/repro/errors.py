@@ -40,9 +40,9 @@ class NotFittedError(ReproError):
 
 
 class DriftGateError(ReproError):
-    """A hot-swap was rejected because the candidate artifact drifted
-    critically from the active one; serving continues on the old
-    generation."""
+    """A hot-swap was refused because the candidate artifact is degenerate
+    (an empty graph, constant preference scores); serving continues on the
+    old generation."""
 
 
 class DeadlineExceededError(ReproError):

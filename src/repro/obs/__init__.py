@@ -1,11 +1,11 @@
 """repro.obs — dependency-free observability: metrics, the per-request
-record, clocks, structured logging, drift detection, SLOs/alerts.
+record, clocks, structured logging, drift measurement.
 
 The paper's online stage answers marketer queries "in milliseconds" while
 weekly/daily refreshes republish artifacts underneath it; operating that
 regime needs latency histograms, cache hit rates and per-stage pipeline
-timings — and, one level up, signals about *quality*: did the artifact we
-just swapped in drift, are we inside our SLOs, should anyone be paged?
+timings — and, one level up, whether the artifact we just swapped in is
+fit to serve.
 
 ``metrics``
     :class:`MetricsRegistry` — labeled counters/gauges/fixed-bucket
@@ -27,13 +27,9 @@ just swapped in drift, are we inside our SLOs, should anyone be paged?
     :class:`ResourceAccountant` gauges for per-generation disk/mmap
     footprints.
 ``drift``
-    :class:`DriftMonitor` — artifact-to-artifact :class:`DriftReport`
-    (graph churn, PSI/KL score drift, top-K audience overlap) computed at
-    every hot-swap and classified against :class:`DriftConfig` thresholds.
-``slo``
-    :class:`SLOTracker` rolling-window objectives + error-budget burn
-    rate, and the :class:`AlertManager` rule engine with firing/resolved
-    state.
+    artifact-to-artifact :class:`DriftReport` (edge/entity churn, top-K
+    audience overlap, score spread) computed at every hot-swap; an empty
+    graph or constant scores make it ``critical``.
 One :class:`Observability` bundle (registry + request log + clock + logger)
 is created per :class:`~repro.online.EGLSystem` and shared by the serving
 runtime, the TRMP pipeline and the API facade. ``Observability.disabled()``
@@ -53,12 +49,9 @@ from repro.obs.context import (
     phase,
 )
 from repro.obs.drift import (
-    DriftConfig,
-    DriftMonitor,
     DriftReport,
     compare_graphs,
     compare_preference_stores,
-    distribution_shift,
     topk_overlap,
 )
 from repro.obs.logging import StructuredLogger
@@ -73,14 +66,6 @@ from repro.obs.profile import (
     ResourceAccountant,
     mmap_open_counts,
     record_mmap_open,
-)
-from repro.obs.slo import (
-    AlertManager,
-    AlertRule,
-    SLObjective,
-    SLOTracker,
-    default_alert_rules,
-    default_objectives,
 )
 
 
@@ -135,18 +120,9 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "StructuredLogger",
-    "DriftConfig",
-    "DriftMonitor",
     "DriftReport",
     "compare_graphs",
     "compare_preference_stores",
-    "distribution_shift",
     "topk_overlap",
-    "SLObjective",
-    "SLOTracker",
-    "AlertManager",
-    "AlertRule",
-    "default_objectives",
-    "default_alert_rules",
     "Observability",
 ]

@@ -1,24 +1,21 @@
-"""Artifact-to-artifact drift detection for the weekly/daily refresh loop.
+"""Artifact-to-artifact drift measurement for the weekly/daily refresh loop.
 
 The dangerous production failures are silent: a weekly TRMP run that
-publishes a degenerate graph, a preference index whose score distribution
-collapsed, a retrain that quietly reshuffled every audience. This module
-turns each hot-swap into a measured comparison between the outgoing and
-incoming artifact:
+publishes an empty graph, or a preference index whose scores collapsed to
+a constant. This module turns each hot-swap into a measured comparison
+between the outgoing and incoming artifact:
 
-* **graph drift** — entity/edge churn (set deltas over canonical pairs),
-  degree-distribution shift, relation-type mix shift;
-* **preference drift** — PSI and KL divergence over fixed-bucket score
-  histograms sampled at a deterministic probe entity set, plus top-K user
-  overlap per probe entity (does the same ad still reach the same people?).
+* **graph drift** — edge counts and entity/edge churn (set deltas over
+  canonical pairs), with ``edge_jaccard`` as the week-to-week retention;
+* **preference drift** — top-K user overlap per deterministic probe entity
+  (does the same ad still reach the same people?) and the spread of the
+  pooled probe scores.
 
-A :class:`DriftMonitor` classifies the measurements against configurable
-thresholds into a :class:`DriftReport` (``ok`` / ``warning`` /
-``critical``). Reports are JSON-safe so the registry can persist them next
-to the artifact and the telemetry endpoint can serve them verbatim.
-Degenerate artifacts (empty graph, zero-variance scores) are always
-``critical`` regardless of thresholds — those are the failures gating
-exists for.
+:func:`graph_report` / :func:`preference_report` wrap a measurement in a
+:class:`DriftReport`. Exactly two findings are ``critical``: an empty graph
+and zero-variance scores — the failures gating exists for. Everything else
+is measured, not classified. Reports are JSON-safe so the registry can
+persist them next to the artifact and ``/drift`` can serve them verbatim.
 """
 
 from __future__ import annotations
@@ -27,48 +24,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.graph.entity_graph import RELATION_NAMES
-from repro.obs.clock import Clock
-
 SEVERITY_OK = "ok"
-SEVERITY_WARNING = "warning"
 SEVERITY_CRITICAL = "critical"
 
-_SEVERITY_RANK = {SEVERITY_OK: 0, SEVERITY_WARNING: 1, SEVERITY_CRITICAL: 2}
-
-#: Proportion floor used when a histogram bucket is empty: PSI/KL divide by
-#: bucket shares, and an exact zero would make a single empty bucket infinite.
-_EPS = 1e-4
-
-
-@dataclass(frozen=True)
-class DriftConfig:
-    """Thresholds for classifying artifact drift.
-
-    PSI conventions follow credit-scoring practice (<0.1 stable, 0.1–0.25
-    moderate, >0.25 shifted) but the *critical* bar is set far higher: on
-    the synthetic world every weekly retrain re-draws embeddings from a new
-    seed, so moderate PSI is the healthy baseline and only a
-    distribution collapse (PSI in the several-nats range, as produced by a
-    zeroed or constant artifact) should block a swap. See EXPERIMENTS.md.
-    """
-
-    bins: int = 10
-    #: How many deterministic probe entities sample the score distribution.
-    probe_entities: int = 16
-    #: Top-K depth for per-probe audience overlap.
-    top_k: int = 20
-    psi_warning: float = 0.25
-    psi_critical: float = 2.0
-    #: Fraction of the edge (or active-entity) union that churned.
-    churn_warning: float = 0.6
-    churn_critical: float = 0.98
-    #: Mean top-K user overlap below these marks is suspicious/critical.
-    overlap_warning: float = 0.3
-    overlap_critical: float = 0.05
-    #: New graph keeping under this fraction of the old edge count is a
-    #: degenerate publish even if churn math looks finite.
-    edge_ratio_critical: float = 0.05
+#: How many deterministic probe entities sample the preference scores.
+PROBE_ENTITIES = 16
+#: Top-K depth for per-probe audience overlap.
+TOP_K = 20
+#: Pooled probe scores with a standard deviation below this are constant.
+DEGENERATE_SCORE_STD = 1e-12
 
 
 @dataclass
@@ -82,8 +46,8 @@ class DriftReport:
     severity: str = SEVERITY_OK
     reasons: list[str] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    #: Set by the serving runtime when reject-on-critical-drift blocked the
-    #: hot-swap that produced this report.
+    #: Set by the serving runtime when the report refused the hot-swap
+    #: that produced it.
     gated: bool = False
 
     @property
@@ -98,61 +62,9 @@ class DriftReport:
         return cls(**data)
 
 
-# ----------------------------------------------------------------------
-# Distribution shift primitives (PSI / KL over fixed-bucket histograms)
-# ----------------------------------------------------------------------
 def _finite(values) -> np.ndarray:
     array = np.asarray(values, dtype=np.float64).ravel()
     return array[np.isfinite(array)]
-
-
-def _bucket_edges(reference: np.ndarray, current: np.ndarray, bins: int) -> np.ndarray:
-    """Interior bucket edges from the reference distribution's quantiles.
-
-    A constant reference has no quantile spread, so the pooled sample is
-    used as a fallback — otherwise a zeroed artifact compared against a
-    zeroed artifact's *successor* would collapse into one bucket and read
-    as zero drift.
-    """
-    qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = np.unique(np.quantile(reference, qs))
-    if len(edges) < 2:
-        pooled = np.concatenate([reference, current])
-        edges = np.unique(np.quantile(pooled, qs))
-    return edges
-
-
-def _bucket_shares(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    counts = np.bincount(
-        np.searchsorted(edges, values, side="right"), minlength=len(edges) + 1
-    ).astype(np.float64)
-    shares = counts / counts.sum()
-    # Floor-and-renormalise so empty buckets cannot produce infinities.
-    shares = np.maximum(shares, _EPS)
-    return shares / shares.sum()
-
-
-def distribution_shift(reference, current, bins: int = 10) -> dict:
-    """PSI and KL(current‖reference) over reference-quantile buckets.
-
-    Returns ``{"psi": None, "kl": None, ...}`` when either side has no
-    finite samples — absent data is reported, never scored.
-    """
-    ref = _finite(reference)
-    cur = _finite(current)
-    if ref.size == 0 or cur.size == 0:
-        return {"psi": None, "kl": None, "reference_samples": int(ref.size),
-                "current_samples": int(cur.size)}
-    edges = _bucket_edges(ref, cur, bins)
-    p = _bucket_shares(ref, edges)
-    q = _bucket_shares(cur, edges)
-    log_ratio = np.log(q / p)
-    return {
-        "psi": float(np.sum((q - p) * log_ratio)),
-        "kl": float(np.sum(q * log_ratio)),
-        "reference_samples": int(ref.size),
-        "current_samples": int(cur.size),
-    }
 
 
 def topk_overlap(old_ids, new_ids) -> float:
@@ -181,7 +93,7 @@ def _as_entity_graph(graph):
     return graph.graph()
 
 
-def compare_graphs(old_graph, new_graph, bins: int = 10) -> dict:
+def compare_graphs(old_graph, new_graph) -> dict:
     """Structural deltas between two published entity graphs."""
     old = _as_entity_graph(old_graph)
     new = _as_entity_graph(new_graph)
@@ -198,21 +110,6 @@ def compare_graphs(old_graph, new_graph, bins: int = 10) -> dict:
     def _churn(union: set, kept: set) -> float:
         return (len(union) - len(kept)) / len(union) if union else 0.0
 
-    def _relation_mix(graph) -> dict[str, float]:
-        if graph.num_edges == 0:
-            return {name: 0.0 for name in RELATION_NAMES.values()}
-        counts = np.bincount(graph.relation, minlength=len(RELATION_NAMES))
-        total = counts.sum()
-        return {
-            RELATION_NAMES[i]: float(counts[i] / total) for i in RELATION_NAMES
-        }
-
-    old_mix = _relation_mix(old)
-    new_mix = _relation_mix(new)
-    mix_distance = 0.5 * sum(
-        abs(old_mix[name] - new_mix[name]) for name in old_mix
-    )
-
     return {
         "old_edges": len(old_edges),
         "new_edges": len(new_edges),
@@ -226,10 +123,6 @@ def compare_graphs(old_graph, new_graph, bins: int = 10) -> dict:
         "entities_added": len(new_active - old_active),
         "entities_removed": len(old_active - new_active),
         "entity_churn": _churn(node_union, old_active & new_active),
-        "degree_shift": distribution_shift(old.degrees(), new.degrees(), bins),
-        "relation_mix_old": old_mix,
-        "relation_mix_new": new_mix,
-        "relation_mix_distance": mix_distance,
     }
 
 
@@ -247,215 +140,80 @@ def default_probe_entities(num_entities: int, count: int) -> list[int]:
 
 
 def compare_preference_stores(
-    old_store,
-    new_store,
-    probe_entities: list[int],
-    top_k: int = 20,
-    bins: int = 10,
+    old_store, new_store, probe_entities: list[int], top_k: int = TOP_K
 ) -> dict:
-    """Score-distribution drift + audience overlap between preference indexes."""
+    """Audience overlap and score spread between preference indexes."""
     num_entities = min(
         len(old_store.entity_embeddings), len(new_store.entity_embeddings)
     )
     probes = [e for e in probe_entities if 0 <= e < num_entities]
 
-    old_scores, new_scores, overlaps = [], [], []
+    new_scores, overlaps = [], []
     for entity_id in probes:
-        old_scores.append(_finite(old_store.score_entity(entity_id)))
         new_scores.append(_finite(new_store.score_entity(entity_id)))
         old_top = [u.user_id for u in old_store.top_users_for_entity(entity_id, top_k)]
         new_top = [u.user_id for u in new_store.top_users_for_entity(entity_id, top_k)]
         overlaps.append(topk_overlap(old_top, new_top))
 
-    pooled_old = np.concatenate(old_scores) if old_scores else np.empty(0)
     pooled_new = np.concatenate(new_scores) if new_scores else np.empty(0)
-    degenerate = pooled_new.size == 0 or float(np.std(pooled_new)) < 1e-12
+    new_std = float(np.std(pooled_new)) if pooled_new.size else None
 
     return {
         "probe_entities": probes,
         "top_k": top_k,
-        "score_shift": distribution_shift(pooled_old, pooled_new, bins),
         "topk_overlap_mean": float(np.mean(overlaps)) if overlaps else None,
         "topk_overlap_min": float(np.min(overlaps)) if overlaps else None,
         "topk_overlap_per_probe": [float(o) for o in overlaps],
-        "new_score_std": float(np.std(pooled_new)) if pooled_new.size else None,
-        "degenerate_scores": bool(degenerate),
+        "new_score_std": new_std,
+        "degenerate_scores": new_std is None or new_std < DEGENERATE_SCORE_STD,
     }
 
 
 # ----------------------------------------------------------------------
-# Monitor: measure → classify → report
+# Reports: measure, then name the refusal reason (if any)
 # ----------------------------------------------------------------------
-class DriftMonitor:
-    """Computes and classifies drift reports at artifact hot-swap time.
+def _report(kind, old_version, new_version, computed_at, measured, reasons) -> DriftReport:
+    return DriftReport(
+        kind=kind,
+        old_version=old_version,
+        new_version=new_version,
+        computed_at=computed_at,
+        severity=SEVERITY_CRITICAL if reasons else SEVERITY_OK,
+        reasons=reasons,
+        metrics=measured,
+    )
 
-    Stateless between calls except for pre-bound metric handles; the caller
-    (the serving runtime) supplies the outgoing and incoming artifacts.
-    All work happens on the swap path — a cold path by definition — so
-    clarity beats micro-optimisation here.
-    """
 
-    def __init__(
-        self,
-        config: DriftConfig | None = None,
-        metrics=None,
-        clock: Clock | None = None,
-        logger=None,
-    ) -> None:
-        self.config = config or DriftConfig()
-        self._clock = clock or Clock()
-        self._metrics = metrics
-        self._logger = logger
+def graph_report(
+    old_graph, new_graph, old_version: int | None, new_version: int, computed_at: float
+) -> DriftReport:
+    """Measure a graph transition; ``empty_graph`` when the new one has no edges."""
+    measured = compare_graphs(old_graph, new_graph)
+    reasons = ["empty_graph"] if measured["new_edges"] == 0 else []
+    return _report("graph", old_version, new_version, computed_at, measured, reasons)
 
-    # ------------------------------------------------------------------
-    def graph_report(
-        self, old_graph, new_graph, old_version: int | None, new_version: int
-    ) -> DriftReport:
-        measured = compare_graphs(old_graph, new_graph, bins=self.config.bins)
-        severity, reasons = self._classify_graph(measured)
-        return self._finalize("graph", old_version, new_version, measured, severity, reasons)
 
-    def preference_report(
-        self, old_store, new_store, old_version: int | None, new_version: int
-    ) -> DriftReport:
-        probes = default_probe_entities(
-            len(new_store.entity_embeddings), self.config.probe_entities
-        )
-        measured = compare_preference_stores(
-            old_store, new_store, probes,
-            top_k=self.config.top_k, bins=self.config.bins,
-        )
-        severity, reasons = self._classify_preferences(measured)
-        return self._finalize(
-            "preferences", old_version, new_version, measured, severity, reasons
-        )
-
-    # ------------------------------------------------------------------
-    def _classify_graph(self, m: dict) -> tuple[str, list[str]]:
-        checks: list[tuple[bool, str, str]] = [
-            (m["new_edges"] == 0, SEVERITY_CRITICAL, "empty_graph"),
-            (
-                m["edge_ratio"] is not None
-                and m["edge_ratio"] < self.config.edge_ratio_critical,
-                SEVERITY_CRITICAL,
-                f"edge_collapse:ratio={m['edge_ratio']:.3f}" if m["edge_ratio"] is not None else "",
-            ),
-            (
-                m["edge_churn"] >= self.config.churn_critical,
-                SEVERITY_CRITICAL,
-                f"edge_churn={m['edge_churn']:.2f}",
-            ),
-            (
-                m["edge_churn"] >= self.config.churn_warning,
-                SEVERITY_WARNING,
-                f"edge_churn={m['edge_churn']:.2f}",
-            ),
-        ]
-        psi = m["degree_shift"]["psi"]
-        if psi is not None:
-            checks.append(
-                (psi >= self.config.psi_critical, SEVERITY_CRITICAL, f"degree_psi={psi:.2f}")
-            )
-            checks.append(
-                (psi >= self.config.psi_warning, SEVERITY_WARNING, f"degree_psi={psi:.2f}")
-            )
-        return self._worst(checks)
-
-    def _classify_preferences(self, m: dict) -> tuple[str, list[str]]:
-        checks: list[tuple[bool, str, str]] = [
-            (m["degenerate_scores"], SEVERITY_CRITICAL, "degenerate_scores"),
-        ]
-        psi = m["score_shift"]["psi"]
-        if psi is not None:
-            checks.append(
-                (psi >= self.config.psi_critical, SEVERITY_CRITICAL, f"score_psi={psi:.2f}")
-            )
-            checks.append(
-                (psi >= self.config.psi_warning, SEVERITY_WARNING, f"score_psi={psi:.2f}")
-            )
-        overlap = m["topk_overlap_mean"]
-        if overlap is not None:
-            checks.append(
-                (
-                    overlap <= self.config.overlap_critical,
-                    SEVERITY_CRITICAL,
-                    f"topk_overlap={overlap:.2f}",
-                )
-            )
-            checks.append(
-                (
-                    overlap <= self.config.overlap_warning,
-                    SEVERITY_WARNING,
-                    f"topk_overlap={overlap:.2f}",
-                )
-            )
-        return self._worst(checks)
-
-    @staticmethod
-    def _worst(checks: list[tuple[bool, str, str]]) -> tuple[str, list[str]]:
-        severity = SEVERITY_OK
-        reasons: list[str] = []
-        for triggered, level, reason in checks:
-            if not triggered:
-                continue
-            if _SEVERITY_RANK[level] > _SEVERITY_RANK[severity]:
-                severity = level
-            if reason and reason not in reasons:
-                reasons.append(reason)
-        return severity, reasons
-
-    def _finalize(
-        self,
-        kind: str,
-        old_version: int | None,
-        new_version: int,
-        measured: dict,
-        severity: str,
-        reasons: list[str],
-    ) -> DriftReport:
-        report = DriftReport(
-            kind=kind,
-            old_version=old_version,
-            new_version=new_version,
-            computed_at=self._clock.time(),
-            severity=severity,
-            reasons=reasons,
-            metrics=measured,
-        )
-        if self._metrics is not None:
-            self._metrics.counter(
-                "drift_reports_total", help="Drift reports by kind and severity",
-                kind=kind, severity=severity,
-            ).inc()
-            shift = measured.get("degree_shift") or measured.get("score_shift") or {}
-            if shift.get("psi") is not None:
-                self._metrics.gauge(
-                    "drift_last_psi", help="PSI of the most recent drift report",
-                    kind=kind,
-                ).set(shift["psi"])
-        if self._logger is not None:
-            log = self._logger.warning if severity != SEVERITY_OK else self._logger.info
-            log(
-                "drift_report",
-                kind=kind,
-                old_version=old_version,
-                new_version=new_version,
-                severity=severity,
-                reasons=reasons,
-            )
-        return report
+def preference_report(
+    old_store, new_store, old_version: int | None, new_version: int, computed_at: float
+) -> DriftReport:
+    """Measure a preference transition; ``degenerate_scores`` when the new
+    store's pooled probe scores are constant."""
+    probes = default_probe_entities(len(new_store.entity_embeddings), PROBE_ENTITIES)
+    measured = compare_preference_stores(old_store, new_store, probes)
+    reasons = ["degenerate_scores"] if measured["degenerate_scores"] else []
+    return _report(
+        "preferences", old_version, new_version, computed_at, measured, reasons
+    )
 
 
 __all__ = [
     "SEVERITY_OK",
-    "SEVERITY_WARNING",
     "SEVERITY_CRITICAL",
-    "DriftConfig",
     "DriftReport",
-    "DriftMonitor",
-    "distribution_shift",
     "topk_overlap",
     "compare_graphs",
     "compare_preference_stores",
     "default_probe_entities",
+    "graph_report",
+    "preference_report",
 ]

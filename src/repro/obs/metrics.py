@@ -491,7 +491,7 @@ class MetricsRegistry:
     def series(self, name: str) -> list[tuple[dict[str, str], object]]:
         """Every labeled series of one family as ``(labels, series)`` pairs.
 
-        The read surface the SLO tracker aggregates over; returns ``[]``
+        The read surface for aggregating over a family; returns ``[]``
         for unknown families and on disabled registries. Collectors run
         first so read-through totals are current.
         """

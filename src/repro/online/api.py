@@ -369,10 +369,6 @@ class EGLService:
                     kind: [r.to_dict() for r in self.system.registry.records(kind)]
                     for kind in ("graph", "preferences")
                 },
-                "alerts": {
-                    "active": self.system.alerts.active(),
-                    "has_critical": self.system.alerts.has_critical(),
-                },
                 "metrics": self.obs.metrics.snapshot(),
             }
 
@@ -395,12 +391,6 @@ class EGLService:
                 for kind in ("graph", "preferences")
             },
         }
-
-    def alerts_payload(self) -> dict:
-        """Alert rules, active alerts and recent transitions + SLO signals."""
-        payload = self.system.alerts.snapshot()
-        payload["signals"] = self.system.quality_signals()
-        return payload
 
     def profile_payload(self) -> dict:
         """Per-phase totals over the request ring + per-generation
@@ -427,7 +417,6 @@ class EGLService:
                 JSON_CONTENT_TYPE, json.dumps(self.health().to_dict()),
             ),
             "/drift": lambda: (JSON_CONTENT_TYPE, json.dumps(self.drift_payload())),
-            "/alerts": lambda: (JSON_CONTENT_TYPE, json.dumps(self.alerts_payload())),
             "/journeys": lambda: (
                 NDJSON_CONTENT_TYPE, self.obs.journeys.to_ndjson(),
             ),

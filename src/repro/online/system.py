@@ -34,17 +34,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.graph.entity_graph import EntityGraph
-from repro.obs import (
-    AlertManager,
-    DriftConfig,
-    DriftMonitor,
-    Observability,
-    ResourceAccountant,
-    SLOTracker,
-    default_alert_rules,
-    default_objectives,
-)
-from repro.obs.drift import DriftReport
+from repro.obs import Observability, ResourceAccountant
 from repro.online.feedback import FeedbackRecorder
 from repro.online.reasoning import ExpansionView, GraphReasoner
 from repro.online.targeting import TargetingResult
@@ -97,9 +87,9 @@ class RefreshReport:
     #: Busy seconds of stages that ran in the stage worker beside another
     #: stage (week 0: ``cooccurrence_embedding``); ``{}`` when none did.
     overlapped_seconds: dict[str, float] = field(default_factory=dict)
-    #: True when the drift gate (or an open activation breaker) rejected
-    #: the hot-swap: the artifact was published to the registry but serving
-    #: stayed on the old generation.
+    #: True when the activation check (or an open activation breaker)
+    #: refused the hot-swap: the artifact was published to the registry but
+    #: serving stayed on the old generation.
     swap_rejected: bool = False
     swap_rejected_reason: str | None = None
     #: Checkpoint run id for this refresh (``weekly-<week>``).
@@ -125,8 +115,6 @@ class EGLSystem:
         artifact_root: str | Path | None = None,
         cache_size: int = 256,
         obs: Observability | None = None,
-        drift_config: DriftConfig | None = None,
-        gate_on_critical_drift: bool = False,
         retry_policy: RetryPolicy | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
@@ -144,31 +132,10 @@ class EGLSystem:
             checkpoints=self.registry.checkpoints,
             retry=self.retry, faults=faults,
         )
-        self.drift_monitor = DriftMonitor(
-            config=drift_config,
-            metrics=self.obs.metrics,
-            clock=self.obs.clock,
-            logger=self.obs.logger.child("drift"),
-        )
-        self.runtime = ServingRuntime(
-            cache_size=cache_size,
-            obs=self.obs,
-            drift_monitor=self.drift_monitor,
-            gate_on_critical_drift=gate_on_critical_drift,
-            faults=faults,
-        )
+        self.runtime = ServingRuntime(cache_size=cache_size, obs=self.obs, faults=faults)
         # Every drift report — from refresh-driven swaps *and* direct
-        # runtime activations — lands in the registry and the alert engine.
-        self.runtime.on_drift_report = self._on_drift_report
-        self.slo = SLOTracker(
-            default_objectives(), self.obs.metrics, clock=self.obs.clock
-        )
-        self.alerts = AlertManager(
-            default_alert_rules(),
-            clock=self.obs.clock,
-            metrics=self.obs.metrics,
-            logger=self.obs.logger.child("alerts"),
-        )
+        # runtime activations — lands in the registry.
+        self.runtime.on_drift_report = self.registry.attach_drift_report
         # Per-generation footprint gauges (disk bytes, generation counts,
         # mmap opens) exported via read-time collectors and ``/profile``.
         self.resources = ResourceAccountant(
@@ -224,9 +191,10 @@ class EGLSystem:
         ``weekly-<week>`` as it completes, so ``resume=True`` after a crash
         recomputes only what the crash interrupted (seeded stages make the
         result byte-identical — compare ``RefreshReport.artifact_digest``).
-        Registry publishes ride the retry policy; an activation rejected by
-        the drift gate or an open activation breaker leaves the artifact
-        published while serving stays on the last-good generation.
+        Registry publishes ride the retry policy; an activation refused by
+        the activation check or an open activation breaker leaves the
+        artifact published while serving stays on the last-good generation,
+        and keeps the marketer feedback for the next week.
         """
         clock = self.obs.clock
         start = clock.perf()
@@ -243,10 +211,6 @@ class EGLSystem:
             frozen = self.pipeline.freeze_artifacts(
                 run_id, lambda: self._publish_week_graph(run, resume), resume=resume
             )
-            # The published week trained on this feedback; a crash before
-            # here keeps it for the resume.
-            self.feedback.retire(feedback_pairs)
-
             ensemble_trained = False
             if len(self.pipeline.weekly_runs) >= 2:
                 self.pipeline.train_ensemble(run_id=run_id, resume=resume)
@@ -271,10 +235,14 @@ class EGLSystem:
                 )
             except (DriftGateError, CircuitOpenError) as error:
                 # The artifact stays published (evidence!) but serving keeps
-                # the old generation; a drift report is already in the
-                # registry and the alert engine via _on_drift_report.
+                # the old generation; its drift report, if any, is already
+                # in the registry.
                 swap_rejected = True
                 swap_rejected_reason = str(error)
+            else:
+                # A served generation trained on this feedback. A crash or a
+                # refused swap before here keeps it for the next run.
+                self.feedback.retire(feedback_pairs)
         finally:
             # Failure paths too: a refresh that raises must not leave its
             # training heap resident in the serving process.
@@ -346,49 +314,11 @@ class EGLSystem:
     def rollback(self, kind: str = "graph") -> dict:
         """Swap serving back to the previous generation of ``kind``.
 
-        The escape hatch when a bad artifact slipped past the drift gate:
+        The escape hatch when a bad artifact slipped past the activation check:
         one atomic reference swap, no recomputation. Returns the runtime's
         post-rollback version map.
         """
         return self.runtime.rollback(kind)
-
-    # ------------------------------------------------------------------
-    # Quality monitoring (drift + SLOs + alerts)
-    # ------------------------------------------------------------------
-    def _on_drift_report(self, report: DriftReport) -> None:
-        """Runtime callback: persist the report and re-evaluate alerts."""
-        self.registry.attach_drift_report(report)
-        self.evaluate_alerts()
-
-    def quality_signals(self) -> dict:
-        """One flat signal map for the alert rules: SLO status + drift.
-
-        Evaluates the SLO rolling windows (appending one sample per counter
-        family) and folds in the latest per-kind drift verdicts under the
-        ``drift_*`` names the default rules reference.
-        """
-        evaluation = self.slo.evaluate()
-        signals = dict(evaluation["signals"])
-        critical = 0.0
-        for kind, psi_key in (("graph", "degree_shift"), ("preferences", "score_shift")):
-            report = self.runtime.last_drift_report(kind)
-            if report is None:
-                continue
-            if report.is_critical:
-                critical = 1.0
-            psi = (report.metrics.get(psi_key) or {}).get("psi")
-            if psi is not None:
-                signals[f"drift_{kind}_psi"] = psi
-        signals["drift_critical"] = critical
-        return signals
-
-    def evaluate_alerts(self) -> list[dict]:
-        """Evaluate every alert rule against the current quality signals.
-
-        Returns the state *transitions* this evaluation produced (rules
-        newly firing or resolving); steady state returns an empty list.
-        """
-        return self.alerts.evaluate(self.quality_signals())
 
     # ------------------------------------------------------------------
     # Online stage (delegates to the serving runtime)

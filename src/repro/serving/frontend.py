@@ -655,14 +655,19 @@ class QueryFrontend:
         status, content_type = 200, JSON_CONTENT_TYPE
         if route is None:
             status = 404
-            body = json.dumps({"error": f"no route {path!r}", "routes": self.routes()})
+            body = json.dumps({
+                "error": f"no route {path!r}", "code": "not_found",
+                "routes": self.routes(),
+            })
         else:
             try:
                 content_type, body = route()
             except Exception as error:  # route bugs must not kill the thread
                 self._log.error("route_failed", path=path, error=repr(error))
                 status, content_type = 500, JSON_CONTENT_TYPE
-                body = json.dumps({"error": f"{type(error).__name__}: {error}"})
+                body = json.dumps(
+                    {"error": f"{type(error).__name__}: {error}", "code": "internal"}
+                )
         self._send(handler, status, content_type, body)
 
     def _send(

@@ -15,12 +15,12 @@ the offline producers republish artifacts weekly (entity graph) and daily
   did not produce it;
 * every forward pass on the read path runs under
   :func:`repro.tensor.no_grad`;
-* when a :class:`~repro.obs.drift.DriftMonitor` is attached, every
-  activation first measures the candidate against the active artifact and
-  produces a :class:`~repro.obs.drift.DriftReport`; with
-  ``gate_on_critical_drift=True`` a critical report *rejects* the swap
+* every activation that has a predecessor first measures the candidate
+  against the active artifact and produces a
+  :class:`~repro.obs.drift.DriftReport`; a critical one (an empty graph,
+  constant preference scores) *refuses* the swap
   (:class:`~repro.errors.DriftGateError`) and serving continues on the old
-  generation — the report is still recorded and forwarded, so the rejection
+  generation — the report is still recorded and forwarded, so the refusal
   is observable everywhere a successful swap would be.
 
 Degraded-mode serving (this layer's fault-tolerance contract):
@@ -62,7 +62,7 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.obs.context import annotate, phase
-from repro.obs.drift import DriftMonitor, DriftReport
+from repro.obs.drift import DriftReport, graph_report, preference_report
 from repro.online.reasoning import ExpansionView, GraphReasoner
 from repro.online.targeting import TargetingResult, UserTargeting
 from repro.preference.store import PreferenceStore
@@ -106,8 +106,6 @@ class ServingRuntime:
         self,
         cache_size: int = 256,
         obs: Observability | None = None,
-        drift_monitor: DriftMonitor | None = None,
-        gate_on_critical_drift: bool = False,
         activation_breaker: CircuitBreaker | None = None,
         read_breaker: CircuitBreaker | None = None,
         faults: FaultInjector | None = None,
@@ -129,9 +127,8 @@ class ServingRuntime:
         self._swap_count = 0
         self._swap_events: deque[dict] = deque(maxlen=SWAP_EVENT_CAPACITY)
         self._started_at = self._clock.time()
-        self.drift_monitor = drift_monitor
-        self.gate_on_critical_drift = gate_on_critical_drift
-        self._drift_reports: deque[DriftReport] = deque(maxlen=SWAP_EVENT_CAPACITY)
+        #: The latest drift report per artifact kind, for ``health()``.
+        self._last_drift: dict[str, DriftReport] = {}
         self._faults = faults
         self._log = self.obs.logger.child("runtime")
         # Previous generations, per artifact kind, for explicit rollback.
@@ -153,8 +150,8 @@ class ServingRuntime:
             if breaker.on_transition is None:
                 breaker.on_transition = self._on_breaker_transition
         #: Optional callback invoked with every DriftReport (accepted or
-        #: rejected); EGLSystem uses it to persist reports in the registry
-        #: and feed the alert engine, including for direct activations.
+        #: refused); EGLSystem uses it to persist reports in the registry,
+        #: including for direct activations.
         self.on_drift_report = None
         metrics = self.obs.metrics
         self._graph_version_gauge = metrics.gauge(
@@ -167,7 +164,7 @@ class ServingRuntime:
         self._pref_swap_counter = metrics.counter("serving_hot_swaps_total", kind="preferences")
         self._graph_reject_counter = metrics.counter(
             "serving_swap_rejections_total",
-            help="Hot-swaps rejected by the drift gate", kind="graph",
+            help="Hot-swaps refused by the activation check", kind="graph",
         )
         self._pref_reject_counter = metrics.counter(
             "serving_swap_rejections_total", kind="preferences"
@@ -257,10 +254,10 @@ class ServingRuntime:
         unreachable — version is part of every cache key — this just
         returns the memory).
 
-        Raises :class:`~repro.errors.DriftGateError` when the drift gate is
-        enabled and the candidate drifted critically from the active graph;
-        :class:`~repro.errors.CircuitOpenError` when the activation breaker
-        is open. Either way the old generation keeps serving.
+        Raises :class:`~repro.errors.DriftGateError` when the candidate has
+        no edges; :class:`~repro.errors.CircuitOpenError` when the
+        activation breaker is open. Either way the old generation keeps
+        serving.
         """
         with self._swap_lock:
             self._activate_graph(reasoner, version, tag)
@@ -269,30 +266,26 @@ class ServingRuntime:
         self, reasoner: GraphReasoner, version: int, tag: str | None
     ) -> None:
         start = self._perf()
+        tag = tag or f"graph-v{version}"
         breaker = self.activation_breaker
         breaker.allow()
         previous = self._active
+        report = None
         try:
             if self._faults is not None:
                 self._faults.check("runtime.activate")
-            if self.drift_monitor is not None and previous.reasoner is not None:
-                report = self.drift_monitor.graph_report(
+            if previous.reasoner is not None:
+                report = self._file_report(graph_report(
                     previous.reasoner.graph, reasoner.graph,
-                    previous.graph_version, version,
-                )
-                self._check_gate("graph", report, tag or f"graph-v{version}", start)
-        except DriftGateError:
-            # A gate rejection is a *policy* outcome, not an infrastructure
-            # failure — it must not push the breaker towards tripping.
-            raise
+                    previous.graph_version, version, self._clock.time(),
+                ))
         except Exception as error:
             breaker.record_failure(error)
             raise
+        if report is not None and report.gated:
+            self._refuse(report, tag, start)
         self._active = replace(
-            previous,
-            graph_version=version,
-            graph_tag=tag or f"graph-v{version}",
-            reasoner=reasoner,
+            previous, graph_version=version, graph_tag=tag, reasoner=reasoner
         )
         breaker.record_success()
         if previous.reasoner is not None:
@@ -300,7 +293,7 @@ class ServingRuntime:
         self._swap_count += 1
         if previous.graph_version is not None and previous.graph_version != version:
             self._cache.purge_version(previous.graph_version)
-        self._record_swap("graph", previous.graph_version, version, self._active.graph_tag, start)
+        self._record_swap("graph", previous.graph_version, version, tag, start)
         self._graph_swap_counter.inc()
         self._graph_version_gauge.set(version)
 
@@ -309,10 +302,9 @@ class ServingRuntime:
     ) -> None:
         """Hot-swap the daily preference artifact.
 
-        Raises :class:`~repro.errors.DriftGateError` when the drift gate is
-        enabled and the candidate's score distribution drifted critically;
-        :class:`~repro.errors.CircuitOpenError` when the activation breaker
-        is open.
+        Raises :class:`~repro.errors.DriftGateError` when the candidate's
+        probe scores are constant; :class:`~repro.errors.CircuitOpenError`
+        when the activation breaker is open.
         """
         with self._swap_lock:
             self._activate_preferences(store, version, tag)
@@ -321,30 +313,28 @@ class ServingRuntime:
         self, store: PreferenceStore, version: int, tag: str | None
     ) -> None:
         start = self._perf()
+        tag = tag or store.version_tag or f"daily-{version}"
         breaker = self.activation_breaker
         breaker.allow()
         previous = self._active
+        report = None
         try:
             if self._faults is not None:
                 self._faults.check("runtime.activate")
-            if self.drift_monitor is not None and previous.preference_store is not None:
-                report = self.drift_monitor.preference_report(
+            if previous.preference_store is not None:
+                report = self._file_report(preference_report(
                     previous.preference_store, store,
-                    previous.preference_version, version,
-                )
-                self._check_gate(
-                    "preferences", report,
-                    tag or store.version_tag or f"daily-{version}", start,
-                )
-        except DriftGateError:
-            raise
+                    previous.preference_version, version, self._clock.time(),
+                ))
         except Exception as error:
             breaker.record_failure(error)
             raise
+        if report is not None and report.gated:
+            self._refuse(report, tag, start)
         self._active = replace(
             previous,
             preference_version=version,
-            preference_tag=tag or store.version_tag or f"daily-{version}",
+            preference_tag=tag,
             preference_store=store,
             targeting=UserTargeting(store),
         )
@@ -353,46 +343,47 @@ class ServingRuntime:
             self._previous_preferences = previous
         self._swap_count += 1
         self._record_swap(
-            "preferences", previous.preference_version, version,
-            self._active.preference_tag, start,
+            "preferences", previous.preference_version, version, tag, start
         )
         self._pref_swap_counter.inc()
         self._pref_version_gauge.set(version)
 
-    def _check_gate(
-        self, kind: str, report: DriftReport, tag: str | None, start_perf: float
-    ) -> None:
-        """Record the report; reject the swap if the gate says so.
+    def _file_report(self, report: DriftReport) -> DriftReport:
+        """Mark, count, log and forward one drift report.
 
-        Runs *before* the atomic assignment, so a rejection leaves the
-        active generation untouched — in-flight and future requests keep
-        being served from the old artifacts.
+        A critical report is always ``gated``: the caller refuses the swap.
         """
-        gated = self.gate_on_critical_drift and report.is_critical
-        report.gated = gated
-        self._drift_reports.append(report)
+        report.gated = report.is_critical
+        self._last_drift[report.kind] = report
+        self.obs.metrics.counter(
+            "drift_reports_total", help="Drift reports by kind and severity",
+            kind=report.kind, severity=report.severity,
+        ).inc()
+        log = self._log.warning if report.gated else self._log.info
+        log(
+            "drift_report", kind=report.kind, old_version=report.old_version,
+            new_version=report.new_version, severity=report.severity,
+            reasons=report.reasons,
+        )
         if self.on_drift_report is not None:
             self.on_drift_report(report)
-        if not gated:
-            return
+        return report
+
+    def _refuse(self, report: DriftReport, tag: str, start_perf: float) -> None:
+        """Refuse a gated swap *before* the atomic assignment, so the active
+        generation is untouched — in-flight and future requests keep being
+        served from the old artifacts. A refusal is a policy outcome, not
+        an infrastructure failure: the activation breaker does not see it."""
+        kind = report.kind
         counter = self._graph_reject_counter if kind == "graph" else self._pref_reject_counter
         counter.inc()
-        self._swap_events.append(
-            {
-                "kind": kind,
-                "old_version": report.old_version,
-                "new_version": report.new_version,
-                "tag": tag,
-                "rejected": True,
-                "severity": report.severity,
-                "reasons": list(report.reasons),
-                "duration_ms": (self._perf() - start_perf) * 1000,
-                "at": self._clock.time(),
-            }
+        self._record_swap(
+            kind, report.old_version, report.new_version, tag, start_perf,
+            refused=report,
         )
         raise DriftGateError(
             f"{kind} hot-swap v{report.old_version}->v{report.new_version} "
-            f"rejected by drift gate: {', '.join(report.reasons) or report.severity}"
+            f"refused: {', '.join(report.reasons)}"
         )
 
     def _record_swap(
@@ -402,19 +393,25 @@ class ServingRuntime:
         new_version: int,
         tag: str | None,
         start_perf: float,
+        refused: DriftReport | None = None,
     ) -> None:
-        """Append one hot-swap to the event log — version transitions must
-        stay observable after the fact, not just bump a gauge."""
-        self._swap_events.append(
-            {
-                "kind": kind,
-                "old_version": old_version,
-                "new_version": new_version,
-                "tag": tag,
-                "duration_ms": (self._perf() - start_perf) * 1000,
-                "at": self._clock.time(),
-            }
-        )
+        """Append one hot-swap (or refused swap) to the event log — version
+        transitions must stay observable after the fact, not just bump a
+        gauge."""
+        event = {
+            "kind": kind,
+            "old_version": old_version,
+            "new_version": new_version,
+            "tag": tag,
+            "duration_ms": (self._perf() - start_perf) * 1000,
+            "at": self._clock.time(),
+        }
+        if refused is not None:
+            event.update(
+                rejected=True, severity=refused.severity,
+                reasons=list(refused.reasons),
+            )
+        self._swap_events.append(event)
 
     def acquire(self) -> ActiveArtifacts:
         """Snapshot the active generation — in-flight work stays on it."""
@@ -690,28 +687,11 @@ class ServingRuntime:
         """The retained hot-swap event log, oldest first."""
         return list(self._swap_events)
 
-    def drift_reports(self, kind: str | None = None) -> list[DriftReport]:
-        """Retained drift reports, oldest first, optionally by kind."""
-        reports = list(self._drift_reports)
-        if kind is not None:
-            reports = [r for r in reports if r.kind == kind]
-        return reports
-
-    def last_drift_report(self, kind: str) -> DriftReport | None:
-        for report in reversed(self._drift_reports):
-            if report.kind == kind:
-                return report
-        return None
-
     def drift_summary(self) -> dict:
         """Per-kind latest drift verdict, embedded in ``health()``."""
-        summary: dict = {
-            "monitored": self.drift_monitor is not None,
-            "gate_on_critical_drift": self.gate_on_critical_drift,
-            "reports": len(self._drift_reports),
-        }
+        summary: dict = {}
         for kind in ("graph", "preferences"):
-            last = self.last_drift_report(kind)
+            last = self._last_drift.get(kind)
             summary[kind] = None if last is None else {
                 "severity": last.severity,
                 "old_version": last.old_version,

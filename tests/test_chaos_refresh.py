@@ -131,6 +131,22 @@ def test_crashed_refresh_keeps_marketer_feedback_for_its_resume(
     assert len(system.feedback) == 0
 
 
+def test_refused_swap_keeps_marketer_feedback(chaos_world, chaos_events, tmp_path):
+    """A week whose graph never serves did not use the feedback: it stays
+    for the next refresh instead of being retired at publish time."""
+    system = make_system(chaos_world, tmp_path)
+    system.record_choice(0, [1, 2, 3])
+    breaker = system.runtime.activation_breaker
+    for _ in range(breaker.failure_threshold):
+        breaker.record_failure(RuntimeError("storage down"))
+    assert breaker.is_open
+
+    report = system.weekly_refresh(chaos_events)
+    assert report.swap_rejected
+    assert system.runtime.versions()["graph_version"] is None
+    assert len(system.feedback) == 3
+
+
 def test_thirty_percent_storage_errors_complete_via_retries(
     chaos_world, chaos_events, baseline, tmp_path
 ):

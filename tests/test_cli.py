@@ -93,7 +93,7 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "listener: http://127.0.0.1:" in out
         for route in (
-            "/metrics", "/health", "/drift", "/alerts", "/journeys", "/profile", "/frontend",
+            "/metrics", "/health", "/drift", "/journeys", "/profile", "/frontend",
         ):
             assert f"{route}\n" in out
         assert "/traces" not in out and "/metrics-openmetrics" not in out

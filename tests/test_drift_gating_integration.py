@@ -1,16 +1,17 @@
-"""Drift monitoring + swap gating, end to end on a frozen clock.
+"""The activation check, end to end on a frozen clock, with nothing to set.
 
-Two halves mirror the two operational stories:
+Two halves mirror the two operational stories, both on a default
+:class:`EGLSystem`:
 
 * **healthy cadence** — two seeded ``weekly_refresh`` runs plus two daily
   preference refreshes: every swap produces a :class:`DriftReport` that is
   persisted in the :class:`ArtifactRegistry` (as JSON next to the
   artifacts), surfaced by ``health()`` and served verbatim by the ``/drift``
-  telemetry route — and none of it fires a critical alert;
+  telemetry route — and none of them is refused;
 * **degenerate publish** — a preference index whose scores collapsed to a
-  constant: with ``gate_on_critical_drift`` the hot-swap is rejected
-  (:class:`DriftGateError`), serving continues on the old generation, the
-  report is filed as ``gated`` and the ``critical-drift`` alert fires.
+  constant, or a graph with no edges: the hot-swap is refused
+  (:class:`DriftGateError`) with the reason, serving continues on the old
+  generation and the report is filed as ``gated``.
 """
 
 import json
@@ -24,11 +25,14 @@ from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.errors import DriftGateError
+from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
-from repro.obs.drift import SEVERITY_CRITICAL
+from repro.obs.drift import SEVERITY_CRITICAL, SEVERITY_OK
 from repro.online import EGLSystem
 from repro.online.api import EGLService
+from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
+from repro.serving import ArtifactRegistry
 from repro.serving.frontend import QueryFrontend
 from repro.text.sequence_extractor import UserEntitySequence
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
@@ -47,10 +51,7 @@ def refreshed_system(world, tmp_path_factory):
     )
     obs = Observability(clock=ManualClock(start=FROZEN_START))
     system = EGLSystem(
-        world, config,
-        artifact_root=tmp_path_factory.mktemp("artifacts"),
-        obs=obs,
-        gate_on_critical_drift=True,
+        world, config, artifact_root=tmp_path_factory.mktemp("artifacts"), obs=obs
     )
     generator = BehaviorLogGenerator(world, BehaviorConfig(seed=5))
     reports = []
@@ -77,13 +78,15 @@ class TestHealthyCadence:
         graph_report = system.registry.drift_report("graph", 2)
         assert graph_report is not None
         assert graph_report.old_version == 1 and graph_report.new_version == 2
-        assert graph_report.severity != SEVERITY_CRITICAL
-        assert not graph_report.gated
+        assert graph_report.severity == SEVERITY_OK
+        assert graph_report.reasons == [] and not graph_report.gated
         assert graph_report.metrics["new_edges"] > 0
-        assert graph_report.metrics["degree_shift"]["psi"] is not None
+        assert 0.0 <= graph_report.metrics["edge_jaccard"] <= 1.0
+        assert "degree_shift" not in graph_report.metrics
 
         pref_report = system.registry.drift_report("preferences", 2)
         assert pref_report is not None
+        assert pref_report.severity == SEVERITY_OK
         assert not pref_report.metrics["degenerate_scores"]
         assert pref_report.metrics["topk_overlap_mean"] is not None
 
@@ -96,8 +99,6 @@ class TestHealthyCadence:
         assert on_disk == system.registry.drift_report("graph", 2).to_dict()
 
         # A fresh registry over the same root sees the filed reports.
-        from repro.serving import ArtifactRegistry
-
         reopened = ArtifactRegistry(root=root)
         assert reopened.drift_report("graph", 2) == system.registry.drift_report("graph", 2)
 
@@ -109,18 +110,10 @@ class TestHealthyCadence:
     def test_health_surfaces_latest_drift_verdicts(self, refreshed_system):
         system, _ = refreshed_system
         drift = system.runtime.health()["drift"]
-        assert drift["monitored"] and drift["gate_on_critical_drift"]
+        assert set(drift) == {"graph", "preferences"}
         assert drift["graph"]["new_version"] == 2
-        assert drift["graph"]["severity"] != SEVERITY_CRITICAL
-        assert drift["preferences"]["severity"] != SEVERITY_CRITICAL
-
-    def test_no_critical_alerts_on_healthy_refreshes(self, refreshed_system):
-        system, _ = refreshed_system
-        system.evaluate_alerts()
-        assert not system.alerts.has_critical()
-        signals = system.quality_signals()
-        assert signals["drift_critical"] == 0.0
-        assert "drift_graph_psi" in signals and "drift_preferences_psi" in signals
+        assert drift["graph"]["severity"] == SEVERITY_OK
+        assert drift["preferences"]["severity"] == SEVERITY_OK
 
     def test_drift_metrics_counted(self, refreshed_system):
         system, _ = refreshed_system
@@ -139,13 +132,10 @@ class TestHealthyCadence:
         with QueryFrontend(service) as server:
             with urllib.request.urlopen(server.url + "/drift", timeout=5) as response:
                 payload = json.loads(response.read())
-            with urllib.request.urlopen(server.url + "/alerts", timeout=5) as response:
-                alerts = json.loads(response.read())
         assert payload["summary"]["graph"]["new_version"] == 2
         served = payload["reports"]["graph"]
         assert served == [system.registry.drift_report("graph", 2).to_dict()]
-        assert alerts["active"] == []
-        assert alerts["signals"]["drift_critical"] == 0.0
+        assert "alerts" not in service.health().payload
 
 
 def _degenerate_store(world, sequences):
@@ -157,11 +147,11 @@ def _degenerate_store(world, sequences):
 
 class TestDegenerateArtifactGating:
     @pytest.fixture()
-    def gated_system(self, world, tmp_path):
+    def served(self, world, tmp_path):
+        """A default system serving one good generation of each kind, and
+        the sequences its preference generation was built from."""
         obs = Observability(clock=ManualClock(start=5_000.0))
-        system = EGLSystem(
-            world, obs=obs, artifact_root=tmp_path, gate_on_critical_drift=True
-        )
+        system = EGLSystem(world, obs=obs, artifact_root=tmp_path)
         rng = np.random.default_rng(0)
         sequences = {
             u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
@@ -171,10 +161,16 @@ class TestDegenerateArtifactGating:
             rng.normal(size=(world.num_entities, 6))
         ).build(sequences, world.num_users)
         system.runtime.activate_preferences(good, version=1, tag="daily-1")
+        graph = EntityGraph.from_edge_list(
+            world.num_entities, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0]
+        )
+        system.runtime.activate_graph(
+            GraphReasoner(graph, system.pipeline.entity_dict), version=1, tag="week-0"
+        )
         return system, sequences
 
-    def test_degenerate_swap_rejected_and_serving_continues(self, gated_system, world):
-        system, sequences = gated_system
+    def test_degenerate_swap_rejected_and_serving_continues(self, served, world):
+        system, sequences = served
         before = system.target_users([0, 1], k=5)
         with pytest.raises(DriftGateError, match="degenerate_scores"):
             system.runtime.activate_preferences(
@@ -185,8 +181,8 @@ class TestDegenerateArtifactGating:
         after = system.target_users([0, 1], k=5)
         assert [u.user_id for u in after.users] == [u.user_id for u in before.users]
 
-    def test_rejected_report_filed_as_gated_critical(self, gated_system, world):
-        system, sequences = gated_system
+    def test_rejected_report_filed_as_gated_critical(self, served, world):
+        system, sequences = served
         with pytest.raises(DriftGateError):
             system.runtime.activate_preferences(
                 _degenerate_store(world, sequences), version=2
@@ -194,23 +190,12 @@ class TestDegenerateArtifactGating:
         report = system.registry.drift_report("preferences", 2)
         assert report.severity == SEVERITY_CRITICAL
         assert report.gated
-        assert "degenerate_scores" in report.reasons
+        assert report.reasons == ["degenerate_scores"]
         # Persisted on disk even though the swap never happened.
         assert (system.registry.root / "drift-preferences-000002.json").exists()
 
-    def test_critical_drift_alert_fires(self, gated_system, world):
-        system, sequences = gated_system
-        with pytest.raises(DriftGateError):
-            system.runtime.activate_preferences(
-                _degenerate_store(world, sequences), version=2
-            )
-        firing = {a["rule"] for a in system.alerts.active()}
-        assert "critical-drift" in firing
-        assert system.alerts.has_critical()
-        assert system.quality_signals()["drift_critical"] == 1.0
-
-    def test_rejection_observable_in_events_and_metrics(self, gated_system, world):
-        system, sequences = gated_system
+    def test_rejection_observable_in_events_and_metrics(self, served, world):
+        system, sequences = served
         with pytest.raises(DriftGateError):
             system.runtime.activate_preferences(
                 _degenerate_store(world, sequences), version=2
@@ -222,31 +207,32 @@ class TestDegenerateArtifactGating:
         rejection = system.runtime.swap_events()[-1]
         assert rejection["rejected"] and rejection["kind"] == "preferences"
         assert rejection["new_version"] == 2
+        assert rejection["reasons"] == ["degenerate_scores"]
         # health() carries the gated verdict.
         drift = system.runtime.health()["drift"]
         assert drift["preferences"]["gated"]
         assert drift["preferences"]["severity"] == SEVERITY_CRITICAL
+        # A refusal is policy, not an infrastructure failure.
+        assert system.runtime.activation_breaker.snapshot()["consecutive_failures"] == 0
 
-    def test_gate_off_records_but_swaps(self, world, tmp_path):
-        obs = Observability(clock=ManualClock(start=5_000.0))
-        system = EGLSystem(
-            world, obs=obs, artifact_root=tmp_path, gate_on_critical_drift=False
-        )
-        rng = np.random.default_rng(0)
-        sequences = {
-            u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
-            for u in range(60)
-        }
-        good = PreferenceStore(
-            rng.normal(size=(world.num_entities, 6))
-        ).build(sequences, world.num_users)
-        system.runtime.activate_preferences(good, version=1)
-        system.runtime.activate_preferences(
-            _degenerate_store(world, sequences), version=2
-        )
-        # Monitor-only mode: the bad artifact IS active, but the critical
-        # report and alert still exist for the operator.
-        assert system.runtime.versions()["preference_version"] == 2
-        report = system.registry.drift_report("preferences", 2)
-        assert report.severity == SEVERITY_CRITICAL and not report.gated
-        assert system.alerts.has_critical()
+    def test_empty_graph_rejected_and_previous_graph_answers(self, served, world):
+        system, sequences = served
+        phrase = world.entities[0].name
+        before = system.expand([phrase], depth=2)
+        empty = EntityGraph.from_edge_list(world.num_entities, [], [], [])
+        with pytest.raises(DriftGateError, match="empty_graph"):
+            system.runtime.activate_graph(
+                GraphReasoner(empty, system.pipeline.entity_dict), version=2
+            )
+        assert system.runtime.versions()["graph_version"] == 1
+        after = system.expand([phrase], depth=2)
+        assert [e.entity_id for e in after.entities] == [
+            e.entity_id for e in before.entities
+        ]
+        assert 1 in {e.entity_id for e in after.entities}
+        report = system.registry.drift_report("graph", 2)
+        assert report.gated and report.reasons == ["empty_graph"]
+        assert report.metrics["new_edges"] == 0
+        assert system.obs.metrics.get_value(
+            "serving_swap_rejections_total", kind="graph"
+        ) == 1

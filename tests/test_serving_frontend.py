@@ -294,6 +294,28 @@ class TestHTTPSurface:
             assert int(excinfo.value.headers["Retry-After"]) >= 1
         assert frontend._httpd is None  # stop() tore the listener down
 
+    def test_unknown_get_route_is_404_with_code(self, service):
+        with QueryFrontend(service) as frontend:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{frontend.url}/alerts", timeout=10.0)
+        assert excinfo.value.code == 404
+        body = json.loads(excinfo.value.read())
+        assert body["code"] == "not_found"
+        assert "/alerts" not in body["routes"] and "/drift" in body["routes"]
+
+    def test_failing_get_route_is_500_with_code(self, service, monkeypatch):
+        def broken():
+            raise RuntimeError("route bug")
+
+        monkeypatch.setattr(service, "profile_payload", broken)
+        with QueryFrontend(service) as frontend:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{frontend.url}/profile", timeout=10.0)
+        assert excinfo.value.code == 500
+        body = json.loads(excinfo.value.read())
+        assert body["code"] == "internal"
+        assert body["error"] == "RuntimeError: route bug"
+
     def test_stop_drains_inflight_requests(self, service, world):
         release, entered = threading.Event(), threading.Event()
         _blocking_backend(service, release, entered)
