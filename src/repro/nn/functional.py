@@ -79,16 +79,19 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
     picked[rows] = shifted[at_target] - lse[:, 0]
     scale = 1.0 / (float(len(picked_targets)) or 1.0)
     loss = -picked.sum() * scale
+    # Shapes only: ``flat`` and ``counted`` may be views that would keep
+    # the logits alive until backward().
+    flat_shape, logits_shape = flat.shape, logits.shape
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         per_row = -(g * scale)
-        grad_counted = np.zeros(counted.shape)
+        grad_counted = np.zeros(shifted.shape)
         grad_counted[at_target] = per_row
         grad_counted -= np.exp(shifted - lse) * per_row
         # The logits' GEMMs stay full-size: uncounted rows get exact zeros.
-        grad = np.zeros(flat.shape)
+        grad = np.zeros(flat_shape)
         grad[rows] = grad_counted
-        return (grad.reshape(logits.shape),)
+        return (grad.reshape(logits_shape),)
 
     return _make(np.asarray(loss), (logits,), backward, "cross_entropy")
 

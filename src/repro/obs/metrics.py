@@ -278,29 +278,6 @@ class Histogram:
         pairs.append((math.inf, m.count))
         return pairs
 
-    @staticmethod
-    def merge(histograms: "list[Histogram]") -> "Histogram | None":
-        """Sum several same-bucket histograms into one (for cross-series
-        percentiles, e.g. an all-endpoints latency SLO). ``None`` when the
-        list is empty; mismatched bucket layouts are a config error."""
-        histograms = [h for h in histograms if isinstance(h, Histogram)]
-        if not histograms:
-            return None
-        bounds = histograms[0]._bounds
-        if any(h._bounds != bounds for h in histograms):
-            raise ConfigError("cannot merge histograms with different buckets")
-        merged = Histogram(bounds)
-        target = merged._register_stripe()
-        for h in histograms:
-            m = h._merged()
-            for i, c in enumerate(m.counts):
-                target.counts[i] += c
-            target.count += m.count
-            target.sum += m.sum
-            target.min = min(target.min, m.min)
-            target.max = max(target.max, m.max)
-        return merged
-
     def summary(self) -> dict:
         """JSON-safe digest for snapshots and health endpoints.
 

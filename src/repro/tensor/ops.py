@@ -80,9 +80,10 @@ def gelu(x: Tensor, where: np.ndarray | None = None) -> Tensor:
     c = np.sqrt(2.0 / np.pi)
     inner = c * (a + 0.044715 * a**3)
     t = np.tanh(inner)
+    shape = x.data.shape
 
     def on_rows(values: np.ndarray) -> np.ndarray:
-        full = np.zeros(x.data.shape)
+        full = np.zeros(shape)
         full[rows] = values
         return full
 
@@ -195,9 +196,10 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
+    count = len(tensors)
 
     def backward(g: np.ndarray) -> tuple:
-        parts = np.split(g, len(tensors), axis=axis)
+        parts = np.split(g, count, axis=axis)
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     return _make(data, tuple(tensors), backward, "stack")
@@ -254,9 +256,10 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     out = x.data[index]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
-        grad = np.zeros(x.data.shape, dtype=x.data.dtype)
+        grad = np.zeros(shape, dtype=dtype)
         scatter_add_rows(grad, index, g)
         return (grad,)
 
@@ -290,8 +293,8 @@ def edge_attention_logits(
 
     One node for what would otherwise be two gathers, a sum, a ``tanh`` and
     a matmul: the output has shape ``(E,)`` and only the ``(E, d)`` ``tanh``
-    output stays alive until ``backward()``, instead of five ``(E, d)``
-    arrays. Every value, and every gradient, is bit-identical to the
+    output, which the backward reads, stays alive until ``backward()``;
+    the four other ``(E, d)`` arrays exist only while the op runs. Every value, and every gradient, is bit-identical to the
     composed graph, whose backward visits ``dst_part`` before ``src_part``
     — hence that parent order here.
     """
@@ -300,15 +303,18 @@ def edge_attention_logits(
     dst = np.asarray(dst, dtype=np.int64)
     hidden = dst_part.data[dst] + src_part.data[src]
     np.tanh(hidden, out=hidden)
-    out = (hidden @ vector.data).reshape(len(src))
+    v = vector.data
+    out = (hidden @ v).reshape(len(src))
+    dst_shape, dst_dtype = dst_part.data.shape, dst_part.data.dtype
+    src_shape, src_dtype = src_part.data.shape, src_part.data.dtype
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = g.reshape(len(src), 1)
         g_vector = hidden.T @ g
-        g_pre = (g @ vector.data.T) * (1.0 - hidden * hidden)
-        g_dst = np.zeros(dst_part.data.shape, dtype=dst_part.data.dtype)
+        g_pre = (g @ v.T) * (1.0 - hidden * hidden)
+        g_dst = np.zeros(dst_shape, dtype=dst_dtype)
         scatter_add_rows(g_dst, dst, g_pre)
-        g_src = np.zeros(src_part.data.shape, dtype=src_part.data.dtype)
+        g_src = np.zeros(src_shape, dtype=src_dtype)
         scatter_add_rows(g_src, src, g_pre)
         return g_dst, g_src, g_vector
 
@@ -328,15 +334,16 @@ def weighted_scatter(
     h, weights = _as_tensor(h), _as_tensor(weights)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
+    x = h.data
     w = weights.data.reshape(len(src), 1)
-    out = np.zeros((num_rows,) + h.data.shape[1:], dtype=h.data.dtype)
-    scatter_add_rows(out, dst, h.data[src] * w)
+    out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
+    scatter_add_rows(out, dst, x[src] * w)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g_messages = g[dst]
-        g_weights = (g_messages * h.data[src]).sum(axis=1)
+        g_weights = (g_messages * x[src]).sum(axis=1)
         g_messages *= w
-        g_h = np.zeros(h.data.shape, dtype=h.data.dtype)
+        g_h = np.zeros(x.shape, dtype=x.dtype)
         scatter_add_rows(g_h, src, g_messages)
         return g_h, g_weights
 
@@ -373,14 +380,15 @@ def segment_softmax(logits: Tensor, segment_ids: np.ndarray, num_segments: int) 
     seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
     shifted = a - seg_max[segment_ids]
     ex = np.exp(shifted)
-    denom = np.zeros((num_segments, a.shape[1]))
+    width = a.shape[1]
+    denom = np.zeros((num_segments, width))
     scatter_add_rows(denom, segment_ids, ex)
     out = ex / denom[segment_ids]
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         gg = g[:, None] if g.ndim == 1 else g
         weighted = (gg * out)
-        seg_dot = np.zeros((num_segments, a.shape[1]))
+        seg_dot = np.zeros((num_segments, width))
         scatter_add_rows(seg_dot, segment_ids, weighted)
         grad = out * (gg - seg_dot[segment_ids])
         return (grad[:, 0] if squeeze else grad,)

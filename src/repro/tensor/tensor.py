@@ -2,9 +2,10 @@
 
 This module implements the :class:`Tensor` class used by every neural model
 in the library (NER tagger, mini-BERT, GNN encoders, ALPC, ensemble). It is a
-deliberately small engine: a ``Tensor`` wraps a ``numpy.ndarray`` and records
-the closure that propagates gradients to its parents; :meth:`Tensor.backward`
-walks the graph in reverse topological order.
+deliberately small engine: a ``Tensor`` wraps a ``numpy.ndarray``, and an op
+on tensors that need gradients records a graph node holding the closure that
+propagates gradients to its parents' nodes; :meth:`Tensor.backward` walks the
+nodes in reverse topological order.
 
 Design notes
 ------------
@@ -13,13 +14,19 @@ Design notes
 * Broadcasting is supported for elementwise arithmetic; the backward pass
   sums gradients back down to each parent's shape (:func:`unbroadcast`).
 * Graph recording can be disabled with :func:`no_grad` for cheap inference.
+* The graph links nodes, not tensors (PyTorch's saved-tensor model). A node
+  keeps its closure, its parents' nodes and its output's shape and dtype;
+  only a leaf's node keeps its tensor, whose ``grad`` it fills. An op's
+  output array therefore lives exactly as long as Python code or some
+  backward closure refers to it. A closure captures the arrays its
+  gradient formula reads and only the shapes and dtypes of the rest.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -72,9 +79,14 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-#: Rows of the flattened leading axes whose weight gradients
-#: :func:`_batched_weight_grad` forms at once.
-WEIGHT_GRAD_CHUNK = 64
+#: Bytes of per-row weight-gradient products that :func:`_batched_weight_grad`
+#: forms at once (at least one row).
+WEIGHT_GRAD_CHUNK_BYTES = 512 * 1024
+
+
+def weight_grad_chunk_rows(k: int, n: int, itemsize: int) -> int:
+    """Rows of ``k × n`` products of ``itemsize`` bytes formed per chunk."""
+    return max(1, WEIGHT_GRAD_CHUNK_BYTES // (k * n * itemsize))
 
 
 def _batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -83,23 +95,23 @@ def _batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     The gradient of a 2-D weight applied to ``a`` of shape ``(..., m, k)``.
     Formed in one go it materialises a ``(B, k, n)`` tensor (B = the product
     of the leading axes): 16 MB per linear layer for the ensemble's
-    ``(2048, 4, 32) @ (32, 32)``. Here ``WEIGHT_GRAD_CHUNK`` rows at a time
-    land in one reused buffer behind row 0, which holds the running sum, so
-    each slice is reduced with the same ``.sum(axis=0)`` and the additions
-    run in exactly the order of the one-shot reduction — the result is
-    bit-identical. (That reduction adds row by row only when ``k·n > 1``;
+    ``(2048, 4, 32) @ (32, 32)``. Here as many rows as fit in
+    ``WEIGHT_GRAD_CHUNK_BYTES`` (64 for that layer, one for the MLM head's
+    ``(32, 1060)``) land in one reused buffer behind row 0, which holds the
+    running sum, so each slice is reduced with the same ``.sum(axis=0)``
+    and the additions run in exactly the order of the one-shot reduction —
+    the result is bit-identical. (That reduction adds row by row only when ``k·n > 1``;
     a single weight is summed pairwise, so the caller keeps it one-shot.)
     """
     a = a.reshape(-1, *a.shape[-2:])
     g = g.reshape(-1, *g.shape[-2:])
     rows = a.shape[0]
-    buffer = np.empty(
-        (min(rows, WEIGHT_GRAD_CHUNK) + 1, a.shape[-1], g.shape[-1]),
-        dtype=np.result_type(a, g),
-    )
+    dtype = np.result_type(a, g)
+    chunk = weight_grad_chunk_rows(a.shape[-1], g.shape[-1], dtype.itemsize)
+    buffer = np.empty((min(rows, chunk) + 1, a.shape[-1], g.shape[-1]), dtype=dtype)
     total = None
-    for start in range(0, rows, WEIGHT_GRAD_CHUNK):
-        stop = min(start + WEIGHT_GRAD_CHUNK, rows)
+    for start in range(0, rows, chunk):
+        stop = min(start + chunk, rows)
         block = buffer[: stop - start + 1]
         np.matmul(np.swapaxes(a[start:stop], -1, -2), g[start:stop], out=block[1:])
         if total is None:
@@ -108,6 +120,38 @@ def _batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
             block[0] = total
             total = block.sum(axis=0)
     return total
+
+
+class _Node:
+    """One recorded op, as :meth:`Tensor.backward` needs it and no more.
+
+    ``parents`` holds one entry per op input: that input's node, or
+    ``None`` for a constant (nothing flows there). ``shape`` and ``dtype``
+    are the op output's, which is all :func:`unbroadcast` needs of it. A
+    leaf that requires grad gets a fresh node, without closure, each time
+    an op reads it; ``leaf`` is the tensor its gradient goes into, and
+    ``key`` (the leaf's id, else the node's) makes those nodes one vertex
+    of the walk. ``op`` names the op, for ``repr``.
+    """
+
+    __slots__ = ("backward_fn", "parents", "shape", "dtype", "leaf", "key", "op")
+
+    def __init__(
+        self,
+        backward_fn: Callable[[np.ndarray], tuple | None] | None,
+        parents: tuple["_Node | None", ...],
+        shape: tuple[int, ...],
+        dtype: np.dtype,
+        op: str = "",
+        leaf: "Tensor | None" = None,
+    ) -> None:
+        self.backward_fn = backward_fn
+        self.parents = parents
+        self.shape = shape
+        self.dtype = dtype
+        self.op = op
+        self.leaf = leaf
+        self.key = id(self if leaf is None else leaf)
 
 
 class Tensor:
@@ -123,16 +167,13 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_parents", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
         *,
-        parents: Sequence["Tensor"] = (),
-        backward_fn: Callable[[np.ndarray], None] | None = None,
-        op: str = "",
         dtype: np.dtype | type = np.float64,
     ) -> None:
         if isinstance(data, Tensor):
@@ -140,9 +181,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = tuple(parents)
-        self._backward_fn = backward_fn
-        self.op = op
+        #: The node of the op that produced this tensor, when recorded.
+        self._node: _Node | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -190,7 +230,8 @@ class Tensor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad_flag}, op={self.op!r})"
+        op = self._node.op if self._node is not None else ""
+        return f"Tensor(shape={self.shape}{grad_flag}, op={op!r})"
 
     # ------------------------------------------------------------------
     # Graph machinery
@@ -215,9 +256,9 @@ class Tensor:
 
         The graph is freed as it is walked (PyTorch's ``retain_graph=False``):
         a node drops its closure and parents once its gradient has been
-        propagated, so step *k*'s forward intermediates are gone before step
-        *k + 1* builds its own. Going through a freed node again raises
-        :class:`GradientError`; run the forward pass again instead.
+        propagated, so the arrays step *k*'s closures saved are gone before
+        step *k + 1* builds its own graph. Going through a freed node again
+        raises :class:`GradientError`; run the forward pass again instead.
         """
         if grad is None:
             if self.data.size != 1:
@@ -231,26 +272,30 @@ class Tensor:
                 f"grad shape {grad.shape} does not match tensor shape {self.data.shape}"
             )
 
-        order = _topological_order(self)
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in order:
-            node_grad = grads.pop(id(node), None)
+        root = self._node
+        if root is None:
+            if self.requires_grad:
+                self._accumulate_grad(grad)
+            return
+        grads: dict[int, np.ndarray] = {root.key: grad}
+        for node in _topological_order(root):
+            node_grad = grads.pop(node.key, None)
             if node_grad is None:
                 continue
-            if node.requires_grad:
-                node._accumulate_grad(node_grad)
-            if node._backward_fn is None:
+            if node.leaf is not None:
+                if node.leaf.requires_grad:
+                    node.leaf._accumulate_grad(node_grad)
                 continue
-            parent_grads = node._backward_fn(node_grad)
-            parents = node._parents
-            node._backward_fn, node._parents = _freed_graph, ()
+            parent_grads = node.backward_fn(node_grad)
+            parents = node.parents
+            node.backward_fn, node.parents = _freed_graph, ()
             if parent_grads is None:
                 continue
             for parent, pgrad in zip(parents, parent_grads):
-                if pgrad is None:
+                if parent is None or pgrad is None:
                     continue
-                pgrad = unbroadcast(np.asarray(pgrad, dtype=parent.data.dtype), parent.data.shape)
-                key = id(parent)
+                pgrad = unbroadcast(np.asarray(pgrad, dtype=parent.dtype), parent.shape)
+                key = parent.key
                 if key in grads:
                     grads[key] = grads[key] + pgrad
                 else:
@@ -391,17 +436,17 @@ class Tensor:
         return self.transpose()
 
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        a = self.data
-        out = a.sum(axis=axis, keepdims=keepdims)
+        out = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
 
         def backward(g: np.ndarray) -> tuple[np.ndarray]:
             grad = g
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(ax % a.ndim for ax in axes)
+                axes = tuple(ax % len(shape) for ax in axes)
                 for ax in sorted(axes):
                     grad = np.expand_dims(grad, ax)
-            return (np.broadcast_to(grad, a.shape).copy(),)
+            return (np.broadcast_to(grad, shape).copy(),)
 
         return _make(np.asarray(out), (self,), backward, "sum")
 
@@ -414,13 +459,13 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def __getitem__(self, index) -> "Tensor":
-        a = self.data
-        out = a[index]
+        out = self.data[index]
+        shape, dtype = self.data.shape, self.data.dtype
 
         def backward(g: np.ndarray) -> tuple[np.ndarray]:
             from repro.tensor.ops import scatter_add_rows  # ops imports this module
 
-            grad = np.zeros(a.shape, dtype=a.dtype)
+            grad = np.zeros(shape, dtype=dtype)
             if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
                 scatter_add_rows(grad, index, g)
             else:  # slices, masks, index tuples: few elements or no duplicates
@@ -438,44 +483,58 @@ def _raw(value: ArrayLike) -> np.ndarray:
     return value.data if isinstance(value, Tensor) else np.asarray(value)
 
 
+def _parent_node(tensor: Tensor) -> _Node | None:
+    """The node an op's gradient reaches ``tensor`` through, if any."""
+    if tensor._node is not None:
+        return tensor._node
+    if tensor.requires_grad:
+        return _Node(None, (), tensor.data.shape, tensor.data.dtype, leaf=tensor)
+    return None
+
+
 def _make(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
     backward_fn: Callable[[np.ndarray], tuple],
     op: str,
 ) -> Tensor:
-    """Create a result tensor, recording the graph only when needed."""
-    if _grad_enabled() and any(
-        p.requires_grad or p._backward_fn is not None for p in parents
-    ):
-        return Tensor(data, parents=parents, backward_fn=backward_fn, op=op)
-    return Tensor(data)
+    """Create a result tensor, recording a node only when a parent needs one.
+
+    The node refers to the parents' nodes, never to the parent tensors, so
+    recording keeps no input array alive that ``backward_fn`` does not hold.
+    """
+    out = Tensor(data)
+    if _grad_enabled():
+        nodes = tuple(_parent_node(p) for p in parents)
+        if any(node is not None for node in nodes):
+            out._node = _Node(backward_fn, nodes, out.data.shape, out.data.dtype, op)
+    return out
 
 
 def _freed_graph(grad: np.ndarray) -> None:
-    """The ``_backward_fn`` of a node an earlier ``backward()`` walked."""
+    """The ``backward_fn`` of a node an earlier ``backward()`` walked."""
     raise GradientError(
         "backward() through a graph that an earlier backward() already freed; "
         "run the forward pass again"
     )
 
 
-def _topological_order(root: Tensor) -> list[Tensor]:
+def _topological_order(root: _Node) -> list[_Node]:
     """Return nodes reachable from ``root`` in reverse topological order."""
-    order: list[Tensor] = []
+    order: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node.key in visited:
             continue
-        visited.add(id(node))
+        visited.add(node.key)
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
+        for parent in node.parents:
+            if parent is not None and parent.key not in visited:
                 stack.append((parent, False))
     order.reverse()
     return order

@@ -154,7 +154,7 @@ class TestFusedCrossEntropyKeepsTheBits:
 
     def test_no_graph_without_a_gradient_to_carry(self):
         logits, targets, mask = self.case("sparse_2d")
-        assert cross_entropy(Tensor(logits), targets, mask=mask)._backward_fn is None
+        assert cross_entropy(Tensor(logits), targets, mask=mask)._node is None
 
 
 class TestOtherLosses:

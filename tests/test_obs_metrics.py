@@ -75,29 +75,6 @@ class TestHistogram:
         assert summary["sum"] == pytest.approx(0.6)
         assert summary["mean"] == pytest.approx(0.2)
 
-    def test_merge_sums_same_bucket_histograms(self, registry):
-        a = registry.histogram("lat", buckets=(0.01, 0.1), endpoint="expand")
-        b = registry.histogram("lat", buckets=(0.01, 0.1), endpoint="target")
-        a.observe(0.005)
-        a.observe(0.05)
-        b.observe(0.2)
-        from repro.obs import Histogram
-
-        merged = Histogram.merge([a, b])
-        assert merged.count == 3
-        assert merged.sum == pytest.approx(0.255)
-        assert merged.min == 0.005 and merged.max == 0.2
-        assert merged.cumulative_buckets() == [(0.01, 1), (0.1, 2), (math.inf, 3)]
-
-    def test_merge_empty_list_is_none_and_mismatch_rejected(self, registry):
-        from repro.obs import Histogram
-
-        assert Histogram.merge([]) is None
-        a = registry.histogram("x", buckets=(0.1,))
-        b = registry.histogram("y", buckets=(0.2,))
-        with pytest.raises(ConfigError):
-            Histogram.merge([a, b])
-
     def test_invalid_buckets_rejected(self, registry):
         with pytest.raises(ConfigError):
             registry.histogram("bad", buckets=(0.5, 0.1))

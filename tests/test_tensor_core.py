@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import GradientError
 from repro.tensor import Tensor, as_tensor, is_grad_enabled, no_grad, unbroadcast
-from repro.tensor.tensor import WEIGHT_GRAD_CHUNK
+from repro.tensor.tensor import WEIGHT_GRAD_CHUNK_BYTES, weight_grad_chunk_rows
 
 from helpers import assert_gradcheck, summed_weight_grad
 
@@ -167,11 +167,21 @@ def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
 
 class TestChunkedWeightGrad:
     """A weight applied over leading batch axes gets its gradient in slices
-    of ``WEIGHT_GRAD_CHUNK`` rows, bit-identical to the one-shot sum."""
+    of at most ``WEIGHT_GRAD_CHUNK_BYTES`` of products (at least one row),
+    bit-identical to the one-shot sum."""
 
-    @pytest.mark.parametrize(
-        "rows", [WEIGHT_GRAD_CHUNK - 1, 2 * WEIGHT_GRAD_CHUNK, 2 * WEIGHT_GRAD_CHUNK + 1]
-    )
+    def test_chunk_is_bounded_in_bytes_not_rows(self):
+        assert weight_grad_chunk_rows(32, 32, 8) == 64  # the ensemble's layers
+        assert weight_grad_chunk_rows(32, 96, 8) == 21
+        assert weight_grad_chunk_rows(32, 1060, 8) == 1  # the MLM head
+        for k, n in [(32, 32), (32, 96), (64, 256), (32, 1060)]:
+            rows = weight_grad_chunk_rows(k, n, 8)
+            assert rows == 1 or rows * k * n * 8 <= WEIGHT_GRAD_CHUNK_BYTES
+
+    # 32 wide: 64 rows a chunk, so one partial chunk, two whole, two and a
+    # row. 96 wide: 21 rows a chunk, so three whole, six and two, six and
+    # three.
+    @pytest.mark.parametrize("rows", [63, 128, 129])
     @pytest.mark.parametrize("out_dim", [32, 96])
     def test_rows_around_a_chunk_multiple(self, rng, rows, out_dim):
         a = rng.normal(size=(rows, 4, 32))
@@ -192,6 +202,9 @@ class TestChunkedWeightGrad:
             ((3, 5, 7), 4),
             ((40, 5, 3, 6), 2),
             ((200, 3, 1), 1),  # a single weight keeps the one-shot sum
+            ((1, 5, 32), 1060),  # one-row chunks: one, two and three of them
+            ((2, 5, 32), 1060),
+            ((3, 5, 32), 1060),
         ],
     )
     def test_3d_and_4d_activations(self, rng, a_shape, out_dim):
@@ -219,6 +232,25 @@ class TestChunkedWeightGrad:
             tracemalloc.stop()
         beyond_outputs = peak - base - x.grad.nbytes - weight.grad.nbytes
         assert beyond_outputs < 2048 * 32 * 32 * 8 / 4, beyond_outputs
+
+    def test_wide_weight_holds_bytes_not_rows(self, rng):
+        """The MLM head, (32, 16, 32) @ (32, 1060): a 64-row chunk was a
+        33 × 32 × 1060 float64 buffer (8.9 MB), more than the step's own
+        activations. One row per chunk holds two 271 KB products."""
+        x = Tensor(rng.normal(size=(32, 16, 32)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(32, 1060)), requires_grad=True)
+        out = x @ weight
+        g = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out.backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond_outputs = peak - base - x.grad.nbytes - weight.grad.nbytes
+        assert beyond_outputs < 4 * 32 * 1060 * 8, beyond_outputs
 
 
 class TestReductionsAndShape:
@@ -287,20 +319,44 @@ class TestBackwardMechanics:
         assert x.grad is None
 
     def test_backward_frees_the_graph_it_walked(self):
-        """Step k's forward intermediates die with its backward, while the
-        loss is still bound — before, they lived until the next step's
-        loss replaced it, so two steps' graphs were alive at once."""
+        """The graph keeps what backward reads, and only until backward()
+        has read it. ``activation`` is read by no closure (``sum`` keeps its
+        shape), so it dies as soon as the forward drops it; ``hidden`` is
+        read by the product's closure, so it lives until ``backward()``
+        walks that node, while the loss is still bound."""
         w = Tensor(np.ones((4, 3)), requires_grad=True)
         hidden = Tensor(np.ones((5, 4))) @ w
         activation = hidden * hidden
         loss = activation.sum()
-        intermediates = [weakref.ref(hidden.data), weakref.ref(activation.data)]
+        read, unread = weakref.ref(hidden.data), weakref.ref(activation.data)
         del hidden, activation
-        assert all(ref() is not None for ref in intermediates)
+        assert unread() is None
+        assert read() is not None
         loss.backward()
-        assert all(ref() is None for ref in intermediates)
-        assert loss._parents == ()
+        assert read() is None
+        assert loss._node.parents == ()
         np.testing.assert_allclose(w.grad, np.full((4, 3), 40.0))
+
+    def test_linear_pre_bias_output_dies_with_the_forward(self):
+        """``x @ w + b``: the add's closure reads nothing, so the matmul's
+        output is freed once the forward is done with it, long before
+        ``backward()``; the input ``x`` that the matmul's closure reads
+        stays until then."""
+        x = Tensor(np.ones((5, 4)))
+        w = Tensor(np.ones((4, 3)), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        product = x @ w
+        pre_bias = weakref.ref(product.data)
+        out = product + b
+        del product
+        assert pre_bias() is None
+        kept = weakref.ref(x.data)
+        del x
+        assert kept() is not None
+        out.sum().backward()
+        assert kept() is None
+        np.testing.assert_allclose(w.grad, np.full((4, 3), 5.0))
+        np.testing.assert_allclose(b.grad, np.full(3, 5.0))
 
     def test_second_backward_through_a_freed_graph_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -323,7 +379,7 @@ class TestBackwardMechanics:
         with no_grad():
             assert not is_grad_enabled()
             y = x * 2
-        assert y._parents == ()
+        assert y._node is None
         assert is_grad_enabled()
 
     def test_no_grad_nesting_restores(self):

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError, NotFittedError
 from repro.eval import roc_auc
 from repro.tensor import Tensor
-from repro.tensor.tensor import WEIGHT_GRAD_CHUNK
+from repro.tensor.tensor import weight_grad_chunk_rows
 from repro.trmp import EnsembleConfig, EnsembleLinkPredictor, EnsembleModel
 
 from helpers import summed_weight_grad
@@ -73,7 +73,9 @@ class TestPredictor:
         the parameters the one-shot ``(B, k, n)`` sum trains to."""
         z = trained_alpc.node_embeddings
         snapshots = [z, z + 0.5]
-        assert len(split.train_pairs_and_labels()[0]) > 2 * WEIGHT_GRAD_CHUNK
+        # Every (model_dim × model_dim) weight's gradient spans several chunks.
+        chunk = weight_grad_chunk_rows(z.shape[1], EnsembleConfig().model_dim, 8)
+        assert len(split.train_pairs_and_labels()[0]) > 2 * chunk
 
         def fitted_parameters():
             model = EnsembleLinkPredictor(EnsembleConfig(epochs=3, seed=0))
