@@ -40,7 +40,7 @@ from repro.online.reasoning import ExpansionView, GraphReasoner
 from repro.online.targeting import TargetingResult
 from repro.preference.store import PreferenceStore
 from repro.resilience import Deadline, FaultInjector, RetryPolicy
-from repro.serving import ArtifactRegistry, ServingRuntime
+from repro.serving import ArtifactRecord, ArtifactRegistry, ServingRuntime
 from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
 
 try:  # glibc only; elsewhere there is nothing to trim
@@ -271,39 +271,52 @@ class EGLSystem:
             graph_format=frozen.get("format"),
         )
 
+    def _publish_daily_preferences(
+        self, events: list[BehaviorEvent]
+    ) -> tuple[ArtifactRecord, int]:
+        """Build and publish the day's preference index; returns the
+        registry record and the number of covered users.
+
+        The in-memory build lives only in this frame, so its arrays are
+        dead when the call returns — before the published generation is
+        opened and scored.
+        """
+        embeddings = self.pipeline.entity_embeddings()
+        sequences = self.pipeline.extractor.extract_sequences(events)
+        store = PreferenceStore(embeddings).build(sequences, self.world.num_users)
+        record = self.retry.call(
+            lambda: self.registry.publish_preferences(store),
+            seam="registry.publish_preferences",
+        )
+        return record, int(store.covered_users.sum())
+
     def daily_preference_refresh(self, events: list[BehaviorEvent]) -> int:
         """Recompute user embeddings/preferences; returns #covered users."""
         clock = self.obs.clock
         start = clock.perf()
         try:
-            embeddings = self.pipeline.entity_embeddings()
-            sequences = self.pipeline.extractor.extract_sequences(events)
-            store = PreferenceStore(embeddings).build(sequences, self.world.num_users)
-            covered = int(store.covered_users.sum())
-            record = self.retry.call(
-                lambda: self.registry.publish_preferences(store),
-                seam="registry.publish_preferences",
-            )
-            try:
-                # Serve the registry's artifact: a rooted registry maps the
-                # published pages read-only and shared, not copied.
-                serve_store = self.retry.call(
-                    lambda: self.registry.open_preferences(record.version),
-                    seam="registry.open_preferences",
-                )
-            except StorageError:
-                pass  # artifact quarantined; the last-good generation keeps serving
-            else:
-                try:
-                    self.runtime.activate_preferences(
-                        serve_store, record.version, tag=record.tag
-                    )
-                except (DriftGateError, CircuitOpenError):
-                    pass  # published but not activated; report already filed
+            record, covered = self._publish_daily_preferences(events)
         finally:
             # Return what the build freed to the OS, as weekly_refresh
-            # does, whether or not the refresh raised.
+            # does, whether or not the refresh raised — after the build is
+            # dropped, so its arrays go back too.
             _release_freed_heap()
+        try:
+            # Serve the registry's artifact: a rooted registry maps the
+            # published pages read-only and shared, not copied.
+            serve_store = self.retry.call(
+                lambda: self.registry.open_preferences(record.version),
+                seam="registry.open_preferences",
+            )
+        except StorageError:
+            pass  # artifact quarantined; the last-good generation keeps serving
+        else:
+            try:
+                self.runtime.activate_preferences(
+                    serve_store, record.version, tag=record.tag
+                )
+            except (DriftGateError, CircuitOpenError):
+                pass  # published but not activated; report already filed
         metrics = self.obs.metrics
         metrics.counter("offline_refreshes_total", job="daily").inc()
         metrics.histogram("offline_refresh_seconds", job="daily").observe(

@@ -25,12 +25,15 @@ arrays the kernel reads::
     <directory>/meta.json        per-array SHA-256; written last (commit point)
 
 :meth:`PreferenceStore.load_memmap` maps every array read-only, so a
-generation swap remaps pages instead of copying matrices.
+generation swap remaps pages instead of copying matrices, and
+:meth:`PreferenceStore.release_pages` lets a retired generation's pages go
+without closing its mapping.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -489,6 +492,27 @@ class PreferenceStore:
 
     def _covered_count(self) -> int:
         return sum(int(part.covered.sum()) for part in self._parts)
+
+    def release_pages(self) -> None:
+        """Give up the resident pages of a mapped store; keep the mapping.
+
+        The serving runtime calls this when the generation leaves service.
+        ``MADV_DONTNEED`` drops the pages this process faulted in while the
+        mapping stays valid: an in-flight reader or a later rollback faults
+        them back in from the page cache, with the same bytes. A
+        ``"memory"`` store has nothing mapped and is left as it is.
+        """
+        if self.storage != "memmap":
+            return
+        for array in (
+            self.entity_embeddings,
+            *(getattr(part, name) for part in self._parts for name, _ in _PARTITION_ARRAYS),
+        ):
+            # np.load(mmap_mode=...) returns a np.memmap whose base is the
+            # mmap.mmap; a view of it (entity_embeddings) adds one link.
+            while not isinstance(array, mmap.mmap):
+                array = array.base
+            array.madvise(mmap.MADV_DONTNEED)
 
     # ------------------------------------------------------------------
     # Artifact serialization (daily producer → serving runtime handoff)

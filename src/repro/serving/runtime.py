@@ -32,8 +32,9 @@ Degraded-mode serving (this layer's fault-tolerance contract):
   keeps serving;
 * **preference-read breaker** — failures while scoring users trip a second
   breaker; while it is open, ``target*`` serves from the *last-good*
-  generation (the one that most recently scored successfully) instead of
-  the active one, and recovery is probed half-open under the clock;
+  generation (the one that most recently scored successfully, never one a
+  rollback left) instead of the active one, and recovery is probed
+  half-open under the clock;
 * **deadlines** — ``expand``/``target*`` accept a per-request
   :class:`~repro.resilience.Deadline`; expired requests are *shed*
   (:class:`~repro.errors.DeadlineExceededError`) and counted, never
@@ -41,6 +42,13 @@ Degraded-mode serving (this layer's fault-tolerance contract):
 * **rollback** — :meth:`ServingRuntime.rollback` reinstates the previous
   generation per artifact kind (the manual lever when a bad artifact got
   past every gate).
+
+What the runtime retains besides the active generation is kind-scoped:
+each rollback slot holds only its own kind's fields, and last-good holds
+only the targeting degraded mode scores with. A preference generation
+that leaves service (by swap or by rollback) gives up its resident pages
+(:meth:`~repro.preference.store.PreferenceStore.release_pages`); its
+mapping stays valid, so a rollback is still one reference assignment.
 
 ``health()`` reports ``degraded: true`` with reasons whenever any breaker
 is not closed, so operators (and the chaos suite) see every degraded
@@ -98,6 +106,24 @@ class ActiveArtifacts:
             )
         return self.targeting
 
+    def graph_only(self) -> "ActiveArtifacts":
+        """This generation's graph fields alone (a graph rollback slot)."""
+        return ActiveArtifacts(
+            graph_version=self.graph_version,
+            graph_tag=self.graph_tag,
+            reasoner=self.reasoner,
+        )
+
+    def preferences_only(self) -> "ActiveArtifacts":
+        """This generation's preference fields alone (a preference
+        rollback slot)."""
+        return ActiveArtifacts(
+            preference_version=self.preference_version,
+            preference_tag=self.preference_tag,
+            preference_store=self.preference_store,
+            targeting=self.targeting,
+        )
+
 
 class ServingRuntime:
     """Hot-swappable serving layer between offline artifacts and the API."""
@@ -132,12 +158,17 @@ class ServingRuntime:
         self._faults = faults
         self._log = self.obs.logger.child("runtime")
         # Previous generations, per artifact kind, for explicit rollback.
+        # Each slot holds only its own kind's fields, so neither pins the
+        # other kind's generation.
         self._previous_graph: ActiveArtifacts | None = None
         self._previous_preferences: ActiveArtifacts | None = None
-        # The generation that most recently *served a scoring request
-        # successfully* — what degraded mode falls back to when the
-        # preference-read breaker is open.
-        self._last_good: ActiveArtifacts | None = None
+        # The targeting of the generation that most recently *served a
+        # scoring request successfully* — what degraded mode falls back to
+        # when the preference-read breaker is open.
+        self._last_good: UserTargeting | None = None
+        # Makes "is this generation still active? then it is last-good" one
+        # step against a rollback's swap of ``_active``.
+        self._last_good_lock = threading.Lock()
         self.activation_breaker = activation_breaker or CircuitBreaker(
             "activation", failure_threshold=3, recovery_timeout=60.0,
             clock=self._clock, on_transition=self._on_breaker_transition,
@@ -289,7 +320,7 @@ class ServingRuntime:
         )
         breaker.record_success()
         if previous.reasoner is not None:
-            self._previous_graph = previous
+            self._previous_graph = previous.graph_only()
         self._swap_count += 1
         if previous.graph_version is not None and previous.graph_version != version:
             self._cache.purge_version(previous.graph_version)
@@ -340,7 +371,9 @@ class ServingRuntime:
         )
         breaker.record_success()
         if previous.preference_store is not None:
-            self._previous_preferences = previous
+            self._previous_preferences = previous.preferences_only()
+            if previous.preference_store is not store:
+                previous.preference_store.release_pages()
         self._swap_count += 1
         self._record_swap(
             "preferences", previous.preference_version, version, tag, start
@@ -453,7 +486,7 @@ class ServingRuntime:
                 graph_tag=previous.graph_tag,
                 reasoner=previous.reasoner,
             )
-            self._previous_graph = current
+            self._previous_graph = current.graph_only()
             old_version, new_version = current.graph_version, previous.graph_version
             tag = previous.graph_tag
             if old_version is not None and old_version != new_version:
@@ -465,14 +498,21 @@ class ServingRuntime:
                 raise NotFittedError(
                     "no previous preference generation to roll back to"
                 )
-            self._active = replace(
-                current,
-                preference_version=previous.preference_version,
-                preference_tag=previous.preference_tag,
-                preference_store=previous.preference_store,
-                targeting=previous.targeting,
-            )
-            self._previous_preferences = current
+            with self._last_good_lock:
+                self._active = replace(
+                    current,
+                    preference_version=previous.preference_version,
+                    preference_tag=previous.preference_tag,
+                    preference_store=previous.preference_store,
+                    targeting=previous.targeting,
+                )
+                if self._last_good is current.targeting:
+                    # Degraded mode must not fall back to the generation
+                    # the operator just rolled away from.
+                    self._last_good = previous.targeting
+            self._previous_preferences = current.preferences_only()
+            if current.preference_store is not previous.preference_store:
+                current.preference_store.release_pages()
             old_version = current.preference_version
             new_version = previous.preference_version
             tag = previous.preference_tag
@@ -564,14 +604,14 @@ class ServingRuntime:
         active = self.acquire()
         if not breaker.allow_request():
             fallback = self._last_good
-            if fallback is None or fallback.targeting is None:
+            if fallback is None:
                 self._shed(endpoint, "circuit_open")
                 raise CircuitOpenError(
                     "preference read path is open and no last-good generation exists"
                 )
             self._degraded_serve_counter.inc()
             annotate(degraded="preference_read_open")
-            return score_with(fallback.targeting)
+            return score_with(fallback)
         targeting = active.require_targeting()  # NotFittedError is not a failure
         try:
             if self._faults is not None:
@@ -582,17 +622,17 @@ class ServingRuntime:
         except ReproError as error:
             breaker.record_failure(error)
             fallback = self._last_good
-            if (
-                fallback is not None
-                and fallback.targeting is not None
-                and fallback.targeting is not targeting
-            ):
+            if fallback is not None and fallback is not targeting:
                 self._degraded_serve_counter.inc()
                 annotate(degraded="preference_read_failure")
-                return score_with(fallback.targeting)
+                return score_with(fallback)
             raise
         breaker.record_success()
-        self._last_good = active
+        with self._last_good_lock:
+            # A request that finishes on a generation a rollback has just
+            # left must not make it last-good again.
+            if targeting is self._active.targeting:
+                self._last_good = targeting
         return result
 
     def target(

@@ -13,6 +13,7 @@ from repro.errors import (
     ConfigError,
     DeadlineExceededError,
     NotFittedError,
+    ReproError,
 )
 from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
@@ -187,6 +188,47 @@ class TestRollback:
         assert system.rollback("preferences")["preference_version"] == 1
         result = system.target_users([0, 1], k=3)
         assert len(result.users) == 3
+
+    def test_degraded_mode_after_a_rollback_serves_the_reinstated_generation(self, rig):
+        """A rollback never leaves last-good on the generation it left: with
+        the read breaker open, fallback answers come from v1, not v2."""
+        system, faults, _ = rig
+        v1_users = system.target_users([0, 1], k=5).users
+        system.runtime.activate_preferences(build_preferences(system.world, seed=2), 2)
+        v2_users = system.target_users([0, 1], k=5).users  # v2 is last-good
+        assert v2_users != v1_users
+        assert system.rollback("preferences")["preference_version"] == 1
+
+        faults.configure("preferences.read", error_rate=1.0)
+        for _ in range(5):  # v1 fails with no distinct fallback: errors
+            with pytest.raises(ReproError):
+                system.target_users([0, 1], k=5)
+        assert system.runtime.read_breaker.state == OPEN
+        assert system.target_users([0, 1], k=5).users == v1_users
+
+    def test_request_in_flight_across_a_rollback_does_not_become_last_good(
+        self, rig, monkeypatch
+    ):
+        system, faults, _ = rig
+        v1_users = system.target_users([0, 1], k=5).users
+        system.runtime.activate_preferences(build_preferences(system.world, seed=2), 2)
+        v2 = system.runtime.acquire().targeting
+        score_on_v2 = v2.target
+
+        def rolled_back_while_scoring(*args, **kwargs):
+            result = score_on_v2(*args, **kwargs)
+            system.rollback("preferences")
+            return result
+
+        monkeypatch.setattr(v2, "target", rolled_back_while_scoring)
+        assert system.target_users([0, 1], k=5).users != v1_users  # v2 answered
+        assert system.runtime.versions()["preference_version"] == 1
+
+        faults.configure("preferences.read", error_rate=1.0)
+        for _ in range(5):
+            with pytest.raises(ReproError):
+                system.target_users([0, 1], k=5)
+        assert system.target_users([0, 1], k=5).users == v1_users
 
     def test_rollback_without_previous_raises(self, rig):
         system, _, _ = rig

@@ -1,0 +1,178 @@
+"""A preference generation leaves memory when it leaves service.
+
+* the serving runtime retains each kind in its own slot: the graph rollback
+  slot never pins a preference generation, so generation 1 is unreachable
+  once two newer ones have been activated;
+* a mapped generation that leaves ``_active`` (by swap or by rollback)
+  gives up its resident pages but stays mapped: a rollback serves it again
+  with the same answers;
+* the daily refresh drops its in-memory build before the heap trim and
+  before the published generation is opened.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
+from repro.embeddings import SkipGramConfig
+from repro.embeddings.mlm import MLMConfig
+from repro.embeddings.semantic import SemanticEncoderConfig
+from repro.obs import ManualClock, Observability
+from repro.online import EGLSystem
+from repro.preference.store import PreferenceStore
+from repro.serving import ServingRuntime
+from repro.text.sequence_extractor import UserEntitySequence
+from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
+
+from reference_model import assert_matches_reference, reference_scores
+
+SMAPS = Path("/proc/self/smaps")
+
+
+@pytest.fixture(scope="module")
+def small_world():
+    return World(WorldConfig(num_entities=60, num_users=50, seed=9))
+
+
+@pytest.fixture(scope="module")
+def small_events(small_world):
+    return BehaviorLogGenerator(small_world, BehaviorConfig(num_days=10, seed=4)).generate()
+
+
+def rooted_system(world, root) -> EGLSystem:
+    config = TRMPConfig(
+        skipgram=SkipGramConfig(epochs=6, seed=2),
+        semantic=SemanticEncoderConfig(mlm=MLMConfig(epochs=3, seed=3)),
+        alpc=ALPCConfig(epochs=12, seed=1),
+        ensemble=EnsembleConfig(epochs=8, seed=0),
+    )
+    return EGLSystem(
+        world, config, artifact_root=root, obs=Observability(clock=ManualClock())
+    )
+
+
+def test_retired_preference_generation_is_unreachable(small_world, small_events, tmp_path):
+    """Week 0, a daily, week 1, two dailies: generation 1 is neither active
+    nor the preference rollback slot, and nothing else may keep it."""
+    system = rooted_system(small_world, tmp_path)
+    system.weekly_refresh(small_events)
+    system.daily_preference_refresh(small_events)
+    generation_1 = weakref.ref(system.preference_store)
+    system.weekly_refresh(small_events)
+    system.daily_preference_refresh(small_events)
+    system.daily_preference_refresh(small_events)
+    assert system.runtime.versions()["preference_version"] == 3
+
+    gc.collect()
+    assert generation_1() is None
+
+    runtime = system.runtime
+    graph_slot, preference_slot = runtime._previous_graph, runtime._previous_preferences
+    assert graph_slot.graph_version == 1 and graph_slot.reasoner is not None
+    assert graph_slot.preference_store is None and graph_slot.targeting is None
+    assert preference_slot.preference_version == 2
+    assert preference_slot.reasoner is None and preference_slot.graph_version is None
+
+
+def test_daily_refresh_drops_the_build_before_trim_and_open(
+    small_world, small_events, tmp_path, monkeypatch
+):
+    """The in-memory build is dead when the heap is trimmed and when the
+    published generation is opened, so neither the trim nor the open and
+    scoring of the mapped generation happen beside it."""
+    system = rooted_system(small_world, tmp_path)
+    system.weekly_refresh(small_events)
+    registry = system.registry
+    publish, open_preferences = registry.publish_preferences, registry.open_preferences
+    built, alive_at = [], {}
+
+    def keep_a_weakref(store, **kwargs):
+        built.append(weakref.ref(store))
+        return publish(store, **kwargs)
+
+    def note(event):
+        alive_at[event] = built[-1]() is not None
+
+    def open_after_the_build_died(version=None):
+        note("open")
+        return open_preferences(version)
+
+    monkeypatch.setattr(registry, "publish_preferences", keep_a_weakref)
+    monkeypatch.setattr(registry, "open_preferences", open_after_the_build_died)
+    monkeypatch.setattr(
+        "repro.online.system._release_freed_heap", lambda: note("trim")
+    )
+    assert system.daily_preference_refresh(small_events) > 0
+    assert len(built) == 1
+    assert alive_at == {"trim": False, "open": False}
+    assert system.runtime.versions()["preference_version"] == 1
+
+
+def mapping_rss_kb(path: Path) -> list[int]:
+    """``Rss`` of every mapping of ``path`` in this process, in kB."""
+    target = str(path.resolve())
+    found, current = [], False
+    for line in SMAPS.read_text(encoding="ascii", errors="replace").splitlines():
+        fields = line.split()
+        if fields and "-" in fields[0] and not fields[0].endswith(":"):
+            current = line.rstrip().endswith(target)
+        elif current and fields[0] == "Rss:":
+            found.append(int(fields[1]))
+    return found
+
+
+def build_store(num_users: int, num_entities: int, dim: int, seed: int):
+    rng = np.random.default_rng(seed)
+    embeddings = rng.normal(size=(num_entities, dim))
+    sequences = {
+        u: UserEntitySequence(u, rng.integers(0, num_entities, size=5).tolist())
+        for u in range(num_users)
+        if u % 7  # leave some users uncovered
+    }
+    return embeddings, sequences, PreferenceStore(embeddings).build(sequences, num_users)
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
+def test_retired_mapped_generation_is_not_resident_and_rolls_back(tmp_path):
+    num_users, num_entities, dim, k = 12_000, 40, 32, 20  # ~3 MB user_matrix
+    entity_ids = [3, 7, 11]
+    runtime = ServingRuntime()
+    generations = {}
+    for version in (1, 2):
+        embeddings, sequences, built = build_store(num_users, num_entities, dim, version)
+        directory = built.save_memmap(tmp_path / f"preferences-{version}")
+        generations[version] = (embeddings, sequences, directory / "shard-00" / "user_matrix.npy")
+        runtime.activate_preferences(PreferenceStore.load_memmap(directory), version)
+        runtime.target(entity_ids, k=k)
+
+    def rss(version):
+        sizes = mapping_rss_kb(generations[version][2])
+        assert len(sizes) == 1  # mapped exactly once, retired or not
+        return sizes[0]
+
+    assert rss(1) == 0  # retired by the swap: mapped, not resident
+    assert rss(2) > 0  # the active generation was read, and is resident
+
+    assert runtime.rollback("preferences")["preference_version"] == 1
+    assert rss(2) == 0  # the generation rolled away from is released in turn
+    embeddings, sequences, _ = generations[1]
+    scores = reference_scores(embeddings, sequences, num_users, entity_ids)
+    got = runtime.target(entity_ids, k=k).users
+    assert_matches_reference(got, scores, k, sequences)
+    assert rss(1) > 0  # the rollback faulted its pages back in
+
+
+def test_memory_store_is_unaffected_by_release_pages():
+    embeddings, sequences, store = build_store(300, 30, 8, seed=5)
+    before = store.top_users_for_entities([1, 2], k=10)
+    matrix = store.user_matrix.copy()
+    store.release_pages()
+    assert store.storage == "memory"
+    assert np.array_equal(store.user_matrix, matrix)
+    assert store.top_users_for_entities([1, 2], k=10) == before
