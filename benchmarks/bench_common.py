@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.datasets import (
     BehaviorConfig,
+    BehaviorLog,
     BehaviorLogGenerator,
     World,
     WorldConfig,
@@ -52,7 +53,7 @@ class BenchContext:
 
     world: World
     generator: BehaviorLogGenerator
-    events: list
+    events: BehaviorLog
     pipeline: TRMPipeline
     candidate: object
     split: object

@@ -4,6 +4,8 @@ from repro.datasets.world import NUM_ENTITY_TYPES, EntityRecord, World, WorldCon
 from repro.datasets.behavior import (
     BehaviorConfig,
     BehaviorEvent,
+    BehaviorLog,
+    BehaviorLogBuilder,
     BehaviorLogGenerator,
     Mention,
     WeeklyDriftProcess,
@@ -25,6 +27,8 @@ __all__ = [
     "NUM_ENTITY_TYPES",
     "BehaviorConfig",
     "BehaviorEvent",
+    "BehaviorLog",
+    "BehaviorLogBuilder",
     "BehaviorLogGenerator",
     "Mention",
     "WeeklyDriftProcess",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.datasets.behavior import BehaviorEvent, Mention
+from repro.datasets.behavior import BehaviorLog, BehaviorLogBuilder
 from repro.errors import ConfigError
 from repro.text.entity_dict import EntityDict, EntityEntry
 
@@ -19,7 +19,7 @@ from repro.text.entity_dict import EntityDict, EntityEntry
 # ----------------------------------------------------------------------
 # Behavior events (JSONL)
 # ----------------------------------------------------------------------
-def save_events(events: list[BehaviorEvent], path: str | Path) -> int:
+def save_events(events: BehaviorLog, path: str | Path) -> int:
     """Write events as JSON lines; returns the number written."""
     path = Path(path)
     with open(path, "w") as handle:
@@ -35,12 +35,17 @@ def save_events(events: list[BehaviorEvent], path: str | Path) -> int:
     return len(events)
 
 
-def load_events(path: str | Path) -> list[BehaviorEvent]:
-    """Read events written by :func:`save_events`."""
+def load_events(path: str | Path) -> BehaviorLog:
+    """Read events written by :func:`save_events`.
+
+    Every row is checked once, as it is read: a row the system cannot use
+    (see :meth:`BehaviorLogBuilder.append`) raises ``ConfigError`` naming
+    ``path:line``.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no event file at {path}")
-    events: list[BehaviorEvent] = []
+    log = BehaviorLogBuilder()
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -51,21 +56,18 @@ def load_events(path: str | Path) -> list[BehaviorEvent]:
             except json.JSONDecodeError as error:
                 raise ConfigError(f"{path}:{line_number}: invalid JSON ({error})") from error
             try:
-                events.append(
-                    BehaviorEvent(
-                        user_id=int(record["user_id"]),
-                        day=int(record["day"]),
-                        channel=str(record["channel"]),
-                        text=str(record["text"]),
-                        mentions=tuple(
-                            Mention(int(s), int(e), int(eid))
-                            for s, e, eid in record["mentions"]
-                        ),
-                    )
+                log.append(
+                    int(record["user_id"]),
+                    int(record["day"]),
+                    str(record["channel"]),
+                    str(record["text"]),
+                    [(int(s), int(e), int(eid)) for s, e, eid in record["mentions"]],
                 )
             except (KeyError, TypeError, ValueError) as error:
                 raise ConfigError(f"{path}:{line_number}: malformed record ({error})") from error
-    return events
+            except ConfigError as error:
+                raise ConfigError(f"{path}:{line_number}: {error}") from error
+    return log.build()
 
 
 # ----------------------------------------------------------------------

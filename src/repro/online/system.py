@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datasets.behavior import BehaviorEvent
+from repro.datasets.behavior import BehaviorLog
 from repro.datasets.world import World
 from repro.errors import (
     CircuitOpenError,
@@ -183,7 +183,7 @@ class EGLSystem:
         }
 
     def weekly_refresh(
-        self, events: list[BehaviorEvent], resume: bool = False
+        self, events: BehaviorLog, resume: bool = False
     ) -> RefreshReport:
         """Run TRMP on a weekly data drop and publish the new entity graph.
 
@@ -272,7 +272,7 @@ class EGLSystem:
         )
 
     def _publish_daily_preferences(
-        self, events: list[BehaviorEvent]
+        self, events: BehaviorLog
     ) -> tuple[ArtifactRecord, int]:
         """Build and publish the day's preference index; returns the
         registry record and the number of covered users.
@@ -290,7 +290,7 @@ class EGLSystem:
         )
         return record, int(store.covered_users.sum())
 
-    def daily_preference_refresh(self, events: list[BehaviorEvent]) -> int:
+    def daily_preference_refresh(self, events: BehaviorLog) -> int:
         """Recompute user embeddings/preferences; returns #covered users."""
         clock = self.obs.clock
         start = clock.perf()

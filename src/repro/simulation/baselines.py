@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets.behavior import BehaviorEvent
+from repro.datasets.behavior import BehaviorLog
 from repro.datasets.world import World
 from repro.errors import ConfigError
 from repro.rng import ensure_rng
@@ -35,7 +35,7 @@ class BaselineTargetingResult:
 class RuleBasedTargeting:
     """Tag/rule targeting: rank users by interactions with service-typed entities."""
 
-    def __init__(self, world: World, entity_dict: EntityDict, events: list[BehaviorEvent]) -> None:
+    def __init__(self, world: World, entity_dict: EntityDict, events: BehaviorLog) -> None:
         self.world = world
         self.entity_dict = entity_dict
         extractor = EntitySequenceExtractor(entity_dict)
@@ -111,7 +111,7 @@ class LookAlikeTargeting:
     preference lookups; the seed requirement is what breaks on new services.
     """
 
-    def __init__(self, world: World, entity_dict: EntityDict, events: list[BehaviorEvent]) -> None:
+    def __init__(self, world: World, entity_dict: EntityDict, events: BehaviorLog) -> None:
         rule = RuleBasedTargeting(world, entity_dict, events)
         counts = rule._type_counts
         self.world = world

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.datasets.behavior import BehaviorEvent
+from repro.datasets.behavior import BehaviorLog
 from repro.errors import ConfigError
 from repro.nn import LinearChainCRF, Linear, Module, TransformerEncoder
 from repro.tensor import Adam, Tensor, no_grad
@@ -64,7 +64,7 @@ class NERTagger(Module):
 # ----------------------------------------------------------------------
 # Training data from behavior logs
 # ----------------------------------------------------------------------
-def make_ner_examples(events: list[BehaviorEvent]) -> list[tuple[list[str], list[int]]]:
+def make_ner_examples(events: BehaviorLog) -> list[tuple[list[str], list[int]]]:
     """Turn gold mention spans into (tokens, BIO tags) pairs."""
     examples = []
     for event in events:

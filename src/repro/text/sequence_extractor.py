@@ -12,9 +12,12 @@ one entity sequence per user. Two extraction backends:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.datasets.behavior import BehaviorEvent
+import numpy as np
+
+from repro.datasets.behavior import BehaviorEvent, BehaviorLog
 from repro.errors import ConfigError
 from repro.text.entity_dict import EntityDict
 from repro.text.ner import NERTagger, extract_entities
@@ -56,7 +59,9 @@ class EntitySequenceExtractor:
     # ------------------------------------------------------------------
     def extract_event(self, event: BehaviorEvent) -> list[int]:
         """Entity ids mentioned in one event, in token order."""
-        tokens = event.tokens
+        return self._extract_tokens(event.tokens)
+
+    def _extract_tokens(self, tokens: list[str]) -> list[int]:
         if self.backend == "dictionary":
             return [entry.entity_id for _, _, entry in self.entity_dict.scan(tokens)]
         entries = extract_entities(self.tagger, self.vocab, tokens, self.entity_dict)
@@ -64,30 +69,35 @@ class EntitySequenceExtractor:
 
     def extract_sequences(
         self,
-        events: list[BehaviorEvent],
+        events: BehaviorLog | Iterable[BehaviorEvent],
         as_of_day: int | None = None,
     ) -> dict[int, UserEntitySequence]:
         """Per-user chronological entity sequences within the day window.
 
         ``as_of_day`` defaults to the max day present; only events in
-        ``(as_of_day - window_days, as_of_day]`` are used.
+        ``(as_of_day - window_days, as_of_day]`` are used. Events are read
+        by ``(day, user_id)``, ties in log order, and the dict's insertion
+        order is the order in which users first appear in that reading
+        (skip-gram trains in this order, so it is part of the result).
+        Events that are not a :class:`BehaviorLog` are converted to one first.
         """
-        if not events:
+        log = events if isinstance(events, BehaviorLog) else BehaviorLog.from_events(events)
+        if not len(log):
             return {}
+        days = log.days
         if as_of_day is None:
-            as_of_day = max(e.day for e in events)
+            as_of_day = int(days.max())
         lo = as_of_day - self.window_days
 
-        ordered = sorted(events, key=lambda e: (e.day, e.user_id))
+        order = np.lexsort((log.user_ids, days))  # stable, so ties keep log order
+        order = order[(days[order] > lo) & (days[order] <= as_of_day)]
         sequences: dict[int, UserEntitySequence] = {}
-        for event in ordered:
-            if not (lo < event.day <= as_of_day):
-                continue
-            seq = sequences.setdefault(event.user_id, UserEntitySequence(event.user_id))
-            seq.entity_ids.extend(self.extract_event(event))
+        for row, user_id in zip(order.tolist(), log.user_ids[order].tolist()):
+            seq = sequences.setdefault(user_id, UserEntitySequence(user_id))
+            seq.entity_ids.extend(self._extract_tokens(log.text_at(row).split()))
         return sequences
 
-    def corpus_sequences(self, events: list[BehaviorEvent]) -> list[list[int]]:
+    def corpus_sequences(self, events: BehaviorLog | Iterable[BehaviorEvent]) -> list[list[int]]:
         """All user sequences as plain id lists (skip-gram training input)."""
         return [
             seq.entity_ids

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.datasets.behavior import BehaviorEvent
+from repro.datasets.behavior import BehaviorLog
 from repro.datasets.splits import LinkPredictionSplit, make_link_prediction_split
 from repro.datasets.world import World
 from repro.embeddings.semantic import SemanticEncoderConfig, SemanticEntityEncoder
@@ -176,7 +176,7 @@ class TRMPipeline:
     # ------------------------------------------------------------------
     # Stage I
     # ------------------------------------------------------------------
-    def build_cooccurrence(self, events: list[BehaviorEvent]) -> np.ndarray:
+    def build_cooccurrence(self, events: BehaviorLog) -> np.ndarray:
         """Skip-gram over this drop's extracted entity sequences → ``E^Co``.
 
         Also records per-entity occurrence counts (evidence for the
@@ -334,7 +334,7 @@ class TRMPipeline:
 
     def run_week(
         self,
-        events: list[BehaviorEvent],
+        events: BehaviorLog,
         feedback_pairs: np.ndarray | None = None,
         run_id: str | None = None,
         resume: bool = False,
@@ -384,7 +384,7 @@ class TRMPipeline:
         self.weekly_runs.append(run)
         return run
 
-    def _compute_cooccurrence(self, events: list[BehaviorEvent]) -> dict:
+    def _compute_cooccurrence(self, events: BehaviorLog) -> dict:
         e_co = self.build_cooccurrence(events)
         return {"e_co": e_co, "counts": self._last_entity_counts}
 

@@ -17,6 +17,7 @@ from repro.tensor import (
     sigmoid,
     tanh,
 )
+from repro.text import UserEntitySequence
 
 
 def numeric_gradient(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -114,3 +115,24 @@ def composed_geniepath_breadth(self, h, memory, src, dst, num_nodes):
     new_memory = f_gate * memory + i_gate * c_tilde
     new_h = o_gate * tanh(new_memory)
     return new_h, new_memory
+
+
+def reference_extract_sequences(extractor, events, as_of_day=None):
+    """``EntitySequenceExtractor.extract_sequences`` as it was before logs
+    became columns — events sorted by ``(day, user_id)`` and read one event
+    object at a time: the oracle for the column path, dict order included."""
+    events = list(events)
+    if not events:
+        return {}
+    if as_of_day is None:
+        as_of_day = max(e.day for e in events)
+    lo = as_of_day - extractor.window_days
+
+    ordered = sorted(events, key=lambda e: (e.day, e.user_id))
+    sequences = {}
+    for event in ordered:
+        if not (lo < event.day <= as_of_day):
+            continue
+        seq = sequences.setdefault(event.user_id, UserEntitySequence(event.user_id))
+        seq.entity_ids.extend(extractor.extract_event(event))
+    return sequences

@@ -1,12 +1,24 @@
 """Behavior-log generation and weekly drift."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator, WeeklyDriftProcess, World, WorldConfig
+from repro.datasets import (
+    BehaviorConfig,
+    BehaviorEvent,
+    BehaviorLog,
+    BehaviorLogGenerator,
+    Mention,
+    WeeklyDriftProcess,
+    World,
+    WorldConfig,
+    load_events,
+    save_events,
+)
 from repro.errors import ConfigError
 
 
@@ -157,6 +169,57 @@ class TestEvents:
             if len(topics) >= 2:
                 agree.append(len(set(topics)) == 1)
         assert np.mean(agree) > 0.6
+
+
+class TestBehaviorLog:
+    def test_footprint_per_event(self, world):
+        """The log holds its columns, not an object graph per event (a list
+        of event objects held about 480 bytes per event)."""
+        generator = BehaviorLogGenerator(world, BehaviorConfig(num_days=21, seed=5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = generator.generate()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert isinstance(log, BehaviorLog) and len(log) > 2000
+        assert held / len(log) <= 128, held / len(log)
+
+    def test_sequence_contract(self, events):
+        rows = list(events)
+        assert len(events) == len(rows)
+        assert events[-1] == rows[-1] and events[-len(rows)] == rows[0]
+        for bad in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                events[bad]
+        part = events[10:40:3]
+        assert isinstance(part, BehaviorLog)
+        assert list(part) == rows[10:40:3]
+        assert list(events[5:5]) == [] and len(events[5:5].mentions) == 0
+        assert events[:30] + events[30:70] == events[:70]
+        assert list(events[60:70] + events[:5]) == rows[60:70] + rows[:5]
+        assert events[:10] != events[1:11]
+        assert events[:10] != rows[:10]  # a log is not a list
+        assert BehaviorLog.from_events(rows) == events
+        with pytest.raises(ValueError):
+            events.days[0] = 1  # immutable columns
+
+    def test_rows_are_python_ints_and_strs(self, events):
+        """The pinned stream hash is taken over ``repr``: numpy scalars
+        would print as ``np.int32(5)``."""
+        event = events[3]
+        assert isinstance(event, BehaviorEvent)
+        assert {type(event.user_id), type(event.day)} == {int}
+        assert type(event.channel) is str and type(event.text) is str
+        assert event.mentions and all(isinstance(m, Mention) for m in event.mentions)
+        assert {type(v) for m in event.mentions for v in (m.start, m.end, m.entity_id)} == {int}
+        assert "np." not in repr(event)
+
+    def test_save_load_round_trip_is_equal(self, events, tmp_path):
+        path = tmp_path / "events.jsonl"
+        assert save_events(events, path) == len(events)
+        assert load_events(path) == events
 
 
 class TestDrift:

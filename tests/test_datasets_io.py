@@ -1,5 +1,7 @@
 """Event / Entity Dict serialisation."""
 
+import json
+
 import pytest
 
 from repro.datasets import load_entity_dict, load_events, save_entity_dict, save_events
@@ -36,6 +38,30 @@ class TestEvents:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"user_id": 1, "day": 2}\n')
         with pytest.raises(ConfigError):
+            load_events(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"channel": "email"},
+            {"user_id": -5},
+            {"day": -1},
+            {"mentions": [[0, 0, -3]]},
+            {"mentions": [[-1, -1, 4]]},  # would tag the last token
+            {"mentions": [[1, 0, 4]]},  # inverted: would tag token 1
+            {"mentions": [[2, 3, 4]]},  # past the last of three tokens
+        ],
+        ids=["channel", "user_id", "day", "entity_id", "negative_span", "inverted_span",
+             "span_past_end"],
+    )
+    def test_unusable_row_names_its_line(self, tmp_path, change):
+        """A row the rest of the system cannot use fails here, with its
+        line, and not later as a wrong tag or an ``IndexError``."""
+        good = {"user_id": 1, "day": 2, "channel": "search", "text": "a b c",
+                "mentions": [[0, 1, 4]]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+        with pytest.raises(ConfigError, match=f"{path}:2: "):
             load_events(path)
 
     def test_blank_lines_skipped(self, events, tmp_path):
