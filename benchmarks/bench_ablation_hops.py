@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.online import EGLSystem
 
-from bench_common import bench_trmp_config, format_table, get_context, save_result
+from bench_common import bench_system, bench_trmp_config, format_table, get_context, save_result
 
 
 def run_hops() -> dict:
     context = get_context()
-    system = EGLSystem(context.world, bench_trmp_config())
+    system = bench_system(context.world, bench_trmp_config())
     system.weekly_refresh(context.events)
 
     world = context.world

@@ -10,7 +10,10 @@ reproduced table to ``benchmarks/results/<name>.json`` and a human-readable
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.eval import AnnotatorPanel
+from repro.online import EGLSystem
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig, TRMPipeline
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -45,6 +49,17 @@ def bench_trmp_config() -> TRMPConfig:
         ensemble_window=4,
         seed=0,
     )
+
+
+def bench_system(world: World, config: TRMPConfig | None = None, **kwargs) -> EGLSystem:
+    """An :class:`EGLSystem` over a fresh temporary artifact registry, so
+    every benchmark serves the CSR and memmap generations the e2e server
+    maps. ``kwargs`` go to the constructor. The directory is removed when
+    the system is collected or the interpreter exits."""
+    root = tempfile.mkdtemp(prefix="bench-registry-")
+    system = EGLSystem(world, config, artifact_root=root, **kwargs)
+    weakref.finalize(system, shutil.rmtree, root, ignore_errors=True)
+    return system
 
 
 @dataclass

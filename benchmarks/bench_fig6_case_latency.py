@@ -13,15 +13,14 @@ import time
 
 import numpy as np
 
-from repro.online import EGLSystem
 from repro.simulation import ConversionModel, default_services
 
-from bench_common import bench_trmp_config, format_table, get_context, save_result
+from bench_common import bench_system, bench_trmp_config, format_table, get_context, save_result
 
 
 def _prepare_system():
     context = get_context()
-    system = EGLSystem(context.world, bench_trmp_config())
+    system = bench_system(context.world, bench_trmp_config())
     system.weekly_refresh(context.events)
     recent = context.generator.generate(start_day=100, num_days=30, rng=99)
     system.daily_preference_refresh(recent)

@@ -63,11 +63,11 @@ import time
 
 import numpy as np
 
-from repro.online import EGLSystem
 from repro.online.api import EGLService
 from repro.serving.frontend import QueryFrontend
 
 from bench_common import (
+    bench_system,
     bench_trmp_config,
     format_table,
     get_context,
@@ -100,7 +100,7 @@ SHED_CODES = frozenset(
 
 def _prepare() -> tuple[EGLService, QueryFrontend, list[dict]]:
     context = get_context()
-    system = EGLSystem(context.world, bench_trmp_config())
+    system = bench_system(context.world, bench_trmp_config())
     system.weekly_refresh(context.events)
     service = EGLService(system)
     frontend = QueryFrontend(

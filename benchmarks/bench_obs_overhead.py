@@ -47,11 +47,11 @@ import time
 import numpy as np
 
 from repro.obs import Observability
-from repro.online import EGLSystem
 from repro.online.api import EGLService, ExpandRequest
 from repro.serving import ServingRuntime
 
 from bench_common import (
+    bench_system,
     bench_trmp_config,
     format_table,
     get_context,
@@ -77,13 +77,13 @@ MAX_SWEEPS = 3
 def _prepare() -> tuple[object, EGLService, EGLService]:
     """Two services over identical artifacts: obs on vs obs off."""
     context = get_context()
-    system = EGLSystem(context.world, bench_trmp_config())
+    system = bench_system(context.world, bench_trmp_config())
     system.weekly_refresh(context.events)
     recent = context.generator.generate(start_day=100, num_days=30, rng=99)
     system.daily_preference_refresh(recent)
 
     active = system.runtime.acquire()
-    bare_system = EGLSystem(context.world, bench_trmp_config(), obs=Observability.disabled())
+    bare_system = bench_system(context.world, bench_trmp_config(), obs=Observability.disabled())
     bare_system.runtime.activate_graph(
         active.reasoner, version=active.graph_version, tag=active.graph_tag
     )

@@ -23,6 +23,7 @@ import numpy as np
 from repro.online import EGLSystem
 
 from bench_common import (
+    bench_system,
     bench_trmp_config,
     format_table,
     get_context,
@@ -46,13 +47,13 @@ def _prepare_system() -> tuple[object, EGLSystem]:
         world = World(WorldConfig(num_entities=120, num_users=100, seed=7))
         generator = BehaviorLogGenerator(world, BehaviorConfig(num_days=10, seed=11))
         events = generator.generate()
-        system = EGLSystem(world)
+        system = bench_system(world)
         system.weekly_refresh(events)
         recent = generator.generate(start_day=100, num_days=10, rng=99)
         system.daily_preference_refresh(recent)
         return SimpleNamespace(world=world, generator=generator), system
     context = get_context()
-    system = EGLSystem(context.world, bench_trmp_config())
+    system = bench_system(context.world, bench_trmp_config())
     system.weekly_refresh(context.events)
     recent = context.generator.generate(start_day=100, num_days=30, rng=99)
     system.daily_preference_refresh(recent)

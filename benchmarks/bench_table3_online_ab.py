@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.online import EGLSystem
 from repro.simulation import (
     ABTestHarness,
     ConversionModel,
@@ -31,7 +30,7 @@ from repro.simulation import (
     default_services,
 )
 
-from bench_common import bench_trmp_config, format_table, get_context, save_result
+from bench_common import bench_system, bench_trmp_config, format_table, get_context, save_result
 
 PAPER_ROWS = {
     "Railway": {"conv": 0.232, "cvr": 0.230},
@@ -46,7 +45,7 @@ def run_table3() -> dict:
     context = get_context()
     world = context.world
 
-    system = EGLSystem(world, bench_trmp_config())
+    system = bench_system(world, bench_trmp_config())
     system.weekly_refresh(context.events)
     recent = context.generator.generate(start_day=100, num_days=30, rng=99)
     system.daily_preference_refresh(recent)

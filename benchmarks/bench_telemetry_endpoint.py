@@ -20,11 +20,10 @@ import urllib.request
 import numpy as np
 
 from repro.obs import Observability
-from repro.online import EGLSystem
 from repro.online.api import EGLService, ExpandRequest
 from repro.serving.frontend import QueryFrontend
 
-from bench_common import bench_trmp_config, format_table, get_context, save_result
+from bench_common import bench_system, bench_trmp_config, format_table, get_context, save_result
 
 WARMUP_SCRAPES = 5
 MEASURED_SCRAPES = 50
@@ -34,7 +33,7 @@ MAX_WARM_SCRAPE_MS = 50.0
 def _prepare() -> EGLService:
     """A served system with a densely populated metrics registry."""
     context = get_context()
-    system = EGLSystem(context.world, bench_trmp_config(), obs=Observability())
+    system = bench_system(context.world, bench_trmp_config(), obs=Observability())
     system.weekly_refresh(context.events)
     recent = context.generator.generate(start_day=100, num_days=30, rng=99)
     system.daily_preference_refresh(recent)

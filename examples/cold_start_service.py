@@ -11,6 +11,8 @@ systems cannot run without seed users. This example shows:
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 
 from repro import EGLSystem, World, WorldConfig
@@ -19,12 +21,12 @@ from repro.errors import ConfigError
 from repro.simulation import ConversionModel, LookAlikeTargeting, default_services
 
 
-def main() -> None:
+def main(artifact_root: str) -> None:
     world = World(WorldConfig(num_entities=250, num_users=250, seed=7))
     generator = BehaviorLogGenerator(world, BehaviorConfig(num_days=30, seed=11))
     events = generator.generate()
 
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=artifact_root)
     system.weekly_refresh(events)
     system.daily_preference_refresh(events)
 
@@ -62,4 +64,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="registry-") as root:
+        main(root)

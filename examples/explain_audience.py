@@ -9,17 +9,19 @@ behavior history.
 
 from __future__ import annotations
 
+import tempfile
+
 from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
 from repro.online import explain_targeting
 
 
-def main() -> None:
+def main(artifact_root: str) -> None:
     world = World(WorldConfig(num_entities=250, num_users=250, seed=7))
     generator = BehaviorLogGenerator(world, BehaviorConfig(num_days=30, seed=11))
     events = generator.generate()
 
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=artifact_root)
     system.weekly_refresh(events)
     system.daily_preference_refresh(events)
 
@@ -40,4 +42,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="registry-") as root:
+        main(root)

@@ -8,6 +8,8 @@ the choices back as high-confidence relations for next week's training.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 
 from repro import EGLSystem, World, WorldConfig
@@ -16,12 +18,12 @@ from repro.eval import AnnotatorPanel
 from repro.simulation import ConversionModel, default_services
 
 
-def main() -> None:
+def main(artifact_root: str) -> None:
     world = World(WorldConfig(num_entities=250, num_users=250, seed=7))
     generator = BehaviorLogGenerator(world, BehaviorConfig(num_days=30, seed=11))
     events = generator.generate()
 
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=artifact_root)
     system.weekly_refresh(events)
     system.daily_preference_refresh(events)
 
@@ -63,4 +65,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="registry-") as root:
+        main(root)

@@ -14,17 +14,19 @@ system:
 
 from __future__ import annotations
 
+import tempfile
+
 from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
 from repro.obs import ManualClock, Observability, phase
 from repro.online.api import EGLService, ExpandRequest, TargetRequest
 
 
-def main() -> None:
+def main(artifact_root: str) -> None:
     world = World(WorldConfig(num_entities=120, num_users=100, seed=5))
     events = BehaviorLogGenerator(world, BehaviorConfig(num_days=21, seed=9)).generate()
 
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=artifact_root)
     system.weekly_refresh(events)
     system.daily_preference_refresh(events)
     service = EGLService(system)
@@ -72,4 +74,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="registry-") as root:
+        main(root)

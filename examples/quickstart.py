@@ -13,13 +13,14 @@ Takes ~30 s on a laptop. Walks through the full system once:
 
 from __future__ import annotations
 
+import tempfile
 import time
 
 from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
 
 
-def main() -> None:
+def main(artifact_root: str) -> None:
     print("=== 1. Synthetic world ===")
     world = World(WorldConfig(num_entities=250, num_users=250, seed=7))
     print(f"{world.num_entities} entities, {world.num_users} users, "
@@ -30,7 +31,7 @@ def main() -> None:
     print(f"{len(events)} behavior events (search/visit logs)")
 
     print("\n=== 2. Offline stage (weekly TRMP refresh) ===")
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=artifact_root)
     report = system.weekly_refresh(events)
     print(f"week {report.week}: mined {report.num_relations} relations "
           f"in {report.elapsed_seconds:.0f}s")
@@ -80,4 +81,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="registry-") as root:
+        main(root)

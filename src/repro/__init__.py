@@ -5,10 +5,12 @@ User Targeting" (Yang, Hu, Yang et al., Ant Group).
 
 Quick tour
 ----------
+>>> import tempfile
 >>> from repro import World, WorldConfig, EGLSystem
 >>> from repro.datasets import BehaviorLogGenerator
 >>> world = World(WorldConfig(num_entities=200, num_users=150))
->>> system = EGLSystem(world)
+>>> root = tempfile.TemporaryDirectory()            # the artifact registry
+>>> system = EGLSystem(world, artifact_root=root.name)
 >>> generator = BehaviorLogGenerator(world)
 >>> events = generator.generate_week(0)
 >>> report = system.weekly_refresh(events)          # offline: TRMP

@@ -25,7 +25,8 @@ Commands
     ``--hold SECONDS`` keeps it up, ``--log-json`` streams structured JSON
     logs to stdout.
 ``refresh``
-    Run one checkpointed weekly refresh against ``--artifact-root``.
+    Run one checkpointed weekly refresh against ``--artifact-root`` (a
+    temporary directory when omitted, as for every other command).
     ``--kill-after STAGE`` injects a crash right after that stage
     checkpoints (exit 3); a second invocation with ``--resume`` picks up
     from the surviving checkpoints and reports which stages were resumed
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -124,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     refresh.add_argument("--seed", type=int, default=7)
     refresh.add_argument(
         "--artifact-root", default=None,
-        help="registry directory; required for cross-process --resume",
+        help="registry directory (default: a temporary one that lives as "
+             "long as the command); required for cross-process --resume",
     )
     refresh.add_argument(
         "--resume", action="store_true",
@@ -167,7 +170,7 @@ def cmd_demo(args) -> int:
     print(f"world: {world.num_entities} entities / {world.num_users} users; "
           f"{len(events)} behavior events")
 
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=args.root)
     start = time.perf_counter()
     report = system.weekly_refresh(events)
     system.daily_preference_refresh(events)
@@ -227,7 +230,7 @@ def cmd_serve(args) -> int:
         return 2
     world, generator = _make_world(args)
     events = generator.generate()
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=args.root)
     if args.log_json:
         system.obs.logger.attach_stream(sys.stdout)
     print("publishing offline artifacts...")
@@ -339,7 +342,7 @@ def cmd_refresh(args) -> int:
     if args.kill_after is not None:
         faults = FaultInjector(seed=args.seed)
         faults.fail_at(f"pipeline.{args.kill_after}", 1, exception=InjectedCrash)
-    system = EGLSystem(world, artifact_root=args.artifact_root, faults=faults)
+    system = EGLSystem(world, artifact_root=args.root, faults=faults)
 
     if args.resume:
         runs = system.registry.checkpoints.runs()
@@ -360,7 +363,7 @@ def cmd_refresh(args) -> int:
         return 3
 
     print(f"refresh {report.run_id}: week {report.week}, "
-          f"graph v{report.graph_version} ({report.graph_format}), "
+          f"graph v{report.graph_version}, "
           f"{report.num_relations} relations")
     if report.resumed_stages:
         print(f"  resumed stages: {', '.join(report.resumed_stages)}")
@@ -381,7 +384,7 @@ def cmd_rollback(args) -> int:
         print("error: --refreshes must be a positive integer", file=sys.stderr)
         return 2
     world, generator = _make_world(args)
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=args.root)
     for _ in range(args.refreshes):
         events = generator.generate()
         report = system.weekly_refresh(events)
@@ -415,7 +418,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     np.set_printoptions(precision=3, suppress=True)
-    return _COMMANDS[args.command](args)
+    with tempfile.TemporaryDirectory(prefix="repro-") as scratch:
+        # The registry is always on disk: without --artifact-root the
+        # command's artifacts live exactly as long as the command.
+        args.root = getattr(args, "artifact_root", None) or scratch
+        return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from repro.eval.annotator import (
 )
 from repro.eval.stability import StabilityReport, weekly_stability
 from repro.eval.relations import MinedRelationReport, accept_mask, evaluate_mined_relations
-from repro.eval.calibration import CalibrationReport, ReliabilityBin, reliability_report
 
 __all__ = [
     "roc_auc",
@@ -30,7 +29,4 @@ __all__ = [
     "MinedRelationReport",
     "accept_mask",
     "evaluate_mined_relations",
-    "CalibrationReport",
-    "ReliabilityBin",
-    "reliability_report",
 ]

@@ -4,7 +4,6 @@ from repro.gnn.common import gcn_norm_coefficients, message_edges
 from repro.gnn.layers import CompGCNLayer, GATLayer, GCNLayer, GraphSAGELayer
 from repro.gnn.geniepath import GeniePathEncoder, GeniePathLayer
 from repro.gnn.encoder import GNNEncoder
-from repro.gnn.hyperbolic import PoincareConfig, PoincareEmbedding, poincare_distance, project_to_ball
 
 __all__ = [
     "message_edges",
@@ -16,8 +15,4 @@ __all__ = [
     "GeniePathLayer",
     "GeniePathEncoder",
     "GNNEncoder",
-    "PoincareConfig",
-    "PoincareEmbedding",
-    "poincare_distance",
-    "project_to_ball",
 ]

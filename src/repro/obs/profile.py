@@ -68,8 +68,6 @@ class ResourceAccountant:
             metrics.add_collector(self._collect)
 
     def _path_bytes(self, path) -> int:
-        if not path:
-            return 0
         key = str(path)
         cached = self._bytes_cache.get(key)
         if cached is None:

@@ -7,8 +7,10 @@ responses, input validation and error envelopes — so a thin HTTP wrapper
 Python objects.
 
 Validation happens at this edge: malformed knobs (non-positive ``depth`` /
-``k`` / ``max_entities``, non-finite ``min_score`` / ``weights``) are
-rejected with the uniform error envelope before they reach the runtime.
+``k`` / ``max_entities``, non-finite ``min_score`` / ``weights``) and
+entity ids that name no entity (anything but an ``int`` in
+``[0, num_entities)``) are rejected with the uniform error envelope before
+they reach the runtime or the feedback recorder.
 Every response also reports the artifact versions that served it, so
 clients can correlate results across hot-swaps.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -141,7 +144,26 @@ def _validate_expand(request: ExpandRequest) -> None:
     _validate_timeout(request.timeout_ms)
 
 
-def _validate_target(request: TargetRequest) -> None:
+def _validate_entity_ids(ids, num_entities: int, name: str) -> None:
+    """Each id must be an integer, not a bool, in ``[0, num_entities)``:
+    a float, string or negative id would otherwise be coerced or wrap
+    around to some other entity, and a large one index past the arrays."""
+    if not isinstance(ids, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of entity ids")
+    for entity_id in ids:
+        if (
+            isinstance(entity_id, bool)
+            or not isinstance(entity_id, numbers.Integral)
+            or not 0 <= entity_id < num_entities
+        ):
+            raise ConfigError(
+                f"{name} must hold entity ids in [0, {num_entities}), "
+                f"got {entity_id!r}"
+            )
+
+
+def _validate_target(request: TargetRequest, num_entities: int) -> None:
+    _validate_entity_ids(request.entity_ids, num_entities, "entity_ids")
     if request.k < 1:
         raise ConfigError("k must be a positive integer")
     if request.weights is not None:
@@ -290,7 +312,7 @@ class EGLService:
         """Chosen entities → exported audience (Fig. 6 step 3)."""
 
         def run() -> dict:
-            _validate_target(request)
+            _validate_target(request, self.system.world.num_entities)
             result = self.system.target_users(
                 request.entity_ids,
                 k=request.k,
@@ -312,7 +334,7 @@ class EGLService:
 
         def run() -> dict:
             for request in requests:
-                _validate_target(request)
+                _validate_target(request, self.system.world.num_entities)
             if not requests:
                 raise ConfigError("need at least one target request")
             ks = {request.k for request in requests}
@@ -346,6 +368,9 @@ class EGLService:
         """Marketer kept these entities (§II-B feedback loop)."""
 
         def run() -> dict:
+            num_entities = self.system.world.num_entities
+            _validate_entity_ids([seed_entity_id], num_entities, "seed_entity_id")
+            _validate_entity_ids(chosen_entity_ids, num_entities, "chosen_entity_ids")
             self.system.record_choice(seed_entity_id, chosen_entity_ids)
             return {"recorded": len(self.system.feedback)}
 

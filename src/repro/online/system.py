@@ -99,9 +99,6 @@ class RefreshReport:
     #: Content digest of the published ranked graph — identical for a
     #: resumed and an uninterrupted run of the same seeded refresh.
     artifact_digest: str | None = None
-    #: Format of the published graph generation: "csr" (frozen artifact
-    #: directory) or "memory" (rootless registry).
-    graph_format: str | None = None
 
 
 class EGLSystem:
@@ -112,7 +109,8 @@ class EGLSystem:
         world: World,
         config: TRMPConfig | None = None,
         store_path: str | Path | None = None,
-        artifact_root: str | Path | None = None,
+        *,
+        artifact_root: str | Path,
         cache_size: int = 256,
         obs: Observability | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -178,7 +176,6 @@ class EGLSystem:
         return {
             "version": record.version,
             "tag": record.tag,
-            "format": record.format,
             "digest": graph_digest(run.ranked_graph),
         }
 
@@ -268,7 +265,6 @@ class EGLSystem:
             run_id=run_id,
             resumed_stages=list(run.resumed_stages),
             artifact_digest=graph_digest(run.ranked_graph),
-            graph_format=frozen.get("format"),
         )
 
     def _publish_daily_preferences(
@@ -302,8 +298,8 @@ class EGLSystem:
             # dropped, so its arrays go back too.
             _release_freed_heap()
         try:
-            # Serve the registry's artifact: a rooted registry maps the
-            # published pages read-only and shared, not copied.
+            # Serve the registry's artifact: the published pages are
+            # mapped read-only and shared, not copied.
             serve_store = self.retry.call(
                 lambda: self.registry.open_preferences(record.version),
                 seam="registry.open_preferences",

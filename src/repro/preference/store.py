@@ -4,24 +4,20 @@ The online stage must answer "top-K users by average preference over
 these entities" in milliseconds, so the daily job pre-computes one row per
 user — the embedding ``r_u`` (Eq. 7) and the user's sparse interaction
 frequencies ``freq_u(e)`` — and :class:`PreferenceStore` serves them.
-
-Rows live in ``P >= 1`` user partitions (hash :func:`shard_of`). One
-partition is the default; ``P > 1`` runs the same code once per partition
-and merges the per-partition top-K under the canonical order (descending
-score, ties by ascending user id). Every answer is byte-identical for
-every ``P``.
+Row ``i`` is user ``i``.
 
 One scoring kernel: the request's combine weights are folded into the
-entity side once (``q = E_unionᵀ · combine``), each partition scores
-``U_p · q`` and adds the direct-interaction term from its CSR rows — work
+entity side once (``q = E_unionᵀ · combine``), the kernel scores
+``U · q`` and adds the direct-interaction term from the CSR rows — work
 proportional to the rows and their non-zeros, never to
-``users × |union|``.
+``users × |union|``. Answers come in the canonical order: descending
+score, ties by ascending user id.
 
 One on-disk layout (format :data:`PREF_FORMAT`), holding exactly the
 arrays the kernel reads::
 
     <directory>/entity_embeddings.npy
-    <directory>/shard-NN/{user_ids,user_matrix,covered,row_ptr,col_idx,values}.npy
+    <directory>/{user_matrix,covered,row_ptr,col_idx,values}.npy
     <directory>/meta.json        per-array SHA-256; written last (commit point)
 
 :meth:`PreferenceStore.load_memmap` maps every array read-only, so a
@@ -42,56 +38,21 @@ import numpy as np
 from repro.errors import ConfigError, CorruptArtifactError, NotFittedError, StorageError
 from repro.obs.context import phase
 from repro.obs.profile import record_mmap_open
-from repro.preference.user_embedding import user_embedding, user_embedding_matrix
+from repro.preference.user_embedding import user_embedding_matrix
 from repro.resilience import atomic_write_array, atomic_write_text, file_digest
 from repro.text.sequence_extractor import UserEntitySequence
 
 #: On-disk format identifier of the preference artifact directory.
-PREF_FORMAT = "pref-mm-v2"
+PREF_FORMAT = "pref-mm-v3"
 
-#: Per-partition arrays (file order) and the dtype the kernel reads them as.
-_PARTITION_ARRAYS = (
-    ("user_ids", np.int64),
-    ("user_matrix", np.float64),
-    ("covered", np.bool_),
-    ("row_ptr", np.int64),
-    ("col_idx", np.int64),
-    ("values", np.float64),
+#: The per-user arrays: file stem, store attribute, dtype the kernel reads.
+_ROW_ARRAYS = (
+    ("user_matrix", "user_matrix", np.float64),
+    ("covered", "covered_users", np.bool_),
+    ("row_ptr", "row_ptr", np.int64),
+    ("col_idx", "col_idx", np.int64),
+    ("values", "values", np.float64),
 )
-
-
-#: splitmix64 finalizer constants — fixed forever; changing them would
-#: silently re-route every user and orphan published partition layouts.
-_MIX_0 = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-def shard_of(user_ids, n_shards: int):
-    """Owning partition of each user id — the stable hash partitioner.
-
-    Vectorized splitmix64 finalizer over the raw id, reduced modulo
-    ``n_shards``. Pure arithmetic on fixed constants: the mapping depends
-    only on ``(user_id, n_shards)``, never on process, platform, or
-    insertion order, which is what lets ``meta.json`` pin routing by
-    recording ``n_shards`` alone.
-
-    Accepts a scalar or an array; returns ``int`` or an int64 array.
-    """
-    if n_shards < 1:
-        raise StorageError("n_shards must be >= 1")
-    scalar = np.isscalar(user_ids) or getattr(user_ids, "ndim", 1) == 0
-    ids = np.atleast_1d(np.asarray(user_ids, dtype=np.uint64))
-    if n_shards == 1:
-        out = np.zeros(len(ids), dtype=np.int64)
-    else:
-        with np.errstate(over="ignore"):
-            x = ids + _MIX_0
-            x = (x ^ (x >> np.uint64(30))) * _MIX_1
-            x = (x ^ (x >> np.uint64(27))) * _MIX_2
-            x = x ^ (x >> np.uint64(31))
-            out = (x % np.uint64(n_shards)).astype(np.int64)
-    return int(out[0]) if scalar else out
 
 
 @dataclass
@@ -104,9 +65,7 @@ def _select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest scores in **canonical order**.
 
     Descending score, ties broken by ascending index (= ascending user
-    id, because partition rows are sorted by user id). A per-partition
-    top-k under this total order, merged under the same order, selects
-    exactly the users a single ranking of all rows would.
+    id, because row ``i`` is user ``i``).
     """
     n = len(scores)
     if k >= n:
@@ -151,44 +110,12 @@ def _combine_matrix(
 
 def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """``matrix @ vector`` with each row reduced on its own, in one fixed
-    order. BLAS picks its blocking from the matrix shape, so ``@`` can
-    round the same row differently in different partitionings (and equal
-    rows differently within one); ``einsum`` cannot, which is what keeps
-    answers byte-identical across partition counts and exact ties exact.
+    order. BLAS picks its blocking from the matrix shape and a row's
+    position in it, so ``@`` can round two equal rows differently;
+    ``einsum`` cannot, which is what keeps exact ties exact (and the
+    canonical tie order meaningful) within one matrix.
     """
     return np.einsum("ud,d->u", matrix, vector)
-
-
-@dataclass
-class _Partition:
-    """One partition's users; rows ascending by global user id.
-
-    The direct-interaction term is CSR over the rows:
-    ``values[row_ptr[i]:row_ptr[i + 1]]`` are user ``user_ids[i]``'s
-    interaction frequencies with entities ``col_idx[...]`` (ascending).
-    """
-
-    user_ids: np.ndarray  # (users_p,) int64
-    user_matrix: np.ndarray  # (users_p, dim) float64
-    covered: np.ndarray  # (users_p,) bool
-    row_ptr: np.ndarray  # (users_p + 1,) int64
-    col_idx: np.ndarray  # (nnz,) int64
-    values: np.ndarray  # (nnz,) float64
-
-    def take(self, rows: np.ndarray) -> "_Partition":
-        """The partition holding ``rows`` (local indices) in that order."""
-        starts = self.row_ptr[rows]
-        counts = self.row_ptr[rows + 1] - starts
-        row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        entries = np.repeat(starts - row_ptr[:-1], counts) + np.arange(row_ptr[-1])
-        return _Partition(
-            self.user_ids[rows],
-            np.ascontiguousarray(self.user_matrix[rows]),
-            self.covered[rows],
-            row_ptr,
-            self.col_idx[entries],
-            self.values[entries],
-        )
 
 
 def _interaction_rows(
@@ -216,7 +143,12 @@ def _interaction_rows(
 
 
 class PreferenceStore:
-    """Partitioned user rows + the top-K-by-average-preference kernel."""
+    """One row per user + the top-K-by-average-preference kernel.
+
+    The direct-interaction term is CSR over the rows:
+    ``values[row_ptr[u]:row_ptr[u + 1]]`` are user ``u``'s interaction
+    frequencies with entities ``col_idx[...]`` (ascending).
+    """
 
     def __init__(
         self,
@@ -247,16 +179,17 @@ class PreferenceStore:
         #: artifact). Reported by the serving runtime.
         self.storage = "memory"
         self.num_users = 0
-        self._parts: list[_Partition] = []
+        self.user_matrix: np.ndarray | None = None  # (users, dim) float64
+        self.covered_users: np.ndarray | None = None  # (users,) bool
+        self.row_ptr: np.ndarray | None = None  # (users + 1,) int64
+        self.col_idx: np.ndarray | None = None  # (nnz,) int64
+        self.values: np.ndarray | None = None  # (nnz,) float64
 
-    def _adopt(self, parts: list[_Partition], num_users: int) -> "PreferenceStore":
-        self._parts = parts
-        self.num_users = int(num_users)
+    def _adopt(self, arrays: dict[str, np.ndarray]) -> "PreferenceStore":
+        for _, attribute, _ in _ROW_ARRAYS:
+            setattr(self, attribute, arrays[attribute])
+        self.num_users = len(self.user_matrix)
         return self
-
-    @property
-    def n_shards(self) -> int:
-        return max(1, len(self._parts))
 
     # ------------------------------------------------------------------
     def build(
@@ -264,7 +197,7 @@ class PreferenceStore:
         sequences: dict[int, UserEntitySequence],
         num_users: int,
     ) -> "PreferenceStore":
-        """The daily refresh: recompute every user's row (one partition)."""
+        """The daily refresh: recompute every user's row."""
         user_matrix, covered = user_embedding_matrix(
             self.entity_embeddings, sequences, num_users
         )
@@ -273,107 +206,31 @@ class PreferenceStore:
         )
         self.storage = "memory"
         return self._adopt(
-            [
-                _Partition(
-                    np.arange(num_users, dtype=np.int64),
-                    user_matrix, covered, row_ptr, col_idx, values,
-                )
-            ],
-            num_users,
+            {
+                "user_matrix": user_matrix,
+                "covered_users": covered,
+                "row_ptr": row_ptr,
+                "col_idx": col_idx,
+                "values": values,
+            }
         )
-
-    def partitioned(self, n_shards: int) -> "PreferenceStore":
-        """The same rows split into ``n_shards`` hash partitions."""
-        self._require_built()
-        if n_shards < 1:
-            raise ConfigError("n_shards must be >= 1")
-        parts = self._parts
-        if n_shards != len(parts):
-            rows = self._all_rows()
-            owner = shard_of(rows.user_ids, n_shards)
-            parts = [rows.take(np.flatnonzero(owner == s)) for s in range(n_shards)]
-        out = PreferenceStore(
-            self.entity_embeddings,
-            normalize=False,
-            direct_weight=self.direct_weight,
-            version_tag=self.version_tag,
-        )
-        out.storage = self.storage if parts is self._parts else "memory"
-        return out._adopt(parts, self.num_users)
-
-    def update_user(self, sequence: UserEntitySequence) -> None:
-        """Incremental daily refresh of a single user, in place.
-
-        Cheaper than a full :meth:`build` when only a few users had new
-        behavior. Needs a freshly built (in-memory) store: a published
-        artifact is immutable.
-        """
-        self._require_built()
-        if self.storage != "memory":
-            raise ConfigError("a memmap-backed store is immutable; rebuild to update")
-        user_id = sequence.user_id
-        if not 0 <= user_id < self.num_users:
-            raise ConfigError(f"user {user_id} out of range")
-        embedding = user_embedding(self.entity_embeddings, sequence) if len(sequence) else 0.0
-        cols, counts = np.unique(
-            np.asarray(sequence.entity_ids, dtype=np.int64), return_counts=True
-        )
-        values = counts / max(len(sequence), 1)
-        part = self._parts[shard_of(user_id, len(self._parts))]
-        row = int(np.searchsorted(part.user_ids, user_id))
-        part.covered[row] = len(sequence) > 0
-        part.user_matrix[row] = embedding
-        start, end = part.row_ptr[row], part.row_ptr[row + 1]
-        part.col_idx = np.concatenate([part.col_idx[:start], cols, part.col_idx[end:]])
-        part.values = np.concatenate([part.values[:start], values, part.values[end:]])
-        part.row_ptr[row + 1 :] += len(cols) - (end - start)
 
     def _require_built(self) -> None:
-        if not self._parts:
+        if self.user_matrix is None:
             raise NotFittedError("PreferenceStore.build has not been called")
-
-    def _all_rows(self) -> _Partition:
-        """Every user's row as one partition in user-id order (the
-        partition itself at ``P = 1``; an assembled copy above)."""
-        self._require_built()
-        if len(self._parts) == 1:
-            return self._parts[0]
-        lengths = np.concatenate([np.diff(p.row_ptr) for p in self._parts])
-        stacked = _Partition(
-            *(
-                np.concatenate([getattr(p, name) for p in self._parts])
-                for name in ("user_ids", "user_matrix", "covered")
-            ),
-            np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
-            np.concatenate([p.col_idx for p in self._parts]),
-            np.concatenate([p.values for p in self._parts]),
-        )
-        return stacked.take(np.argsort(stacked.user_ids, kind="stable"))
-
-    @property
-    def user_matrix(self) -> np.ndarray:
-        return self._all_rows().user_matrix
-
-    @property
-    def covered_users(self) -> np.ndarray:
-        return self._all_rows().covered
 
     # ------------------------------------------------------------------
     def score_entity(self, entity_id: int) -> np.ndarray:
         """All users' preference scores for one entity (uncovered = -inf)."""
         self._require_built()
-        out = np.full(self.num_users, -np.inf)
-        embedding = self.entity_embeddings[entity_id]
-        for part in self._parts:
-            scores = _row_dots(part.user_matrix, embedding)
-            if self.direct_weight:
-                # The entity's column, read straight from the CSR rows
-                # (at most one entry per row).
-                hits = np.flatnonzero(part.col_idx == entity_id)
-                rows = np.searchsorted(part.row_ptr, hits, side="right") - 1
-                scores[rows] += self.direct_weight * part.values[hits]
-            out[part.user_ids] = np.where(part.covered, scores, -np.inf)
-        return out
+        scores = _row_dots(self.user_matrix, self.entity_embeddings[entity_id])
+        if self.direct_weight:
+            # The entity's column, read straight from the CSR rows
+            # (at most one entry per row).
+            hits = np.flatnonzero(self.col_idx == entity_id)
+            rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
+            scores[rows] += self.direct_weight * self.values[hits]
+        return np.where(self.covered_users, scores, -np.inf)
 
     def top_users_for_entity(self, entity_id: int, k: int) -> list[UserScore]:
         """Head of one entity's user ranking."""
@@ -401,32 +258,6 @@ class PreferenceStore:
             [list(entity_ids)], k, None if weights is None else [weights]
         )[0]
 
-    def _score_partition(self, task):
-        """Score one partition against the precombined queries; return its
-        per-set top-K as ``(user ids, scores)`` pairs."""
-        index, queries, slot_of, combine, k_eff = task
-        part = self._parts[index]
-        users = len(part.user_ids)
-        scores = np.stack([_row_dots(part.user_matrix, query) for query in queries])
-        if self.direct_weight:
-            # Direct-preference term from the CSR rows whose entity is in
-            # the request's union: O(nnz), summed per row in CSR order.
-            slots = slot_of[part.col_idx]
-            hits = np.flatnonzero(slots >= 0)
-            rows = np.searchsorted(part.row_ptr, hits, side="right") - 1
-            shares = part.values[hits, None] * combine[slots[hits]]
-            for i, out in enumerate(scores):
-                out += self.direct_weight * np.bincount(
-                    rows, weights=shares[:, i], minlength=users
-                )
-        scores = np.where(part.covered, scores, -np.inf)
-        k_local = min(k_eff, users)
-        top = []
-        for row in scores:
-            chosen = _select_top_k(row, k_local)
-            top.append((part.user_ids[chosen], row[chosen]))
-        return index, top
-
     def top_users_for_entity_sets(
         self,
         entity_sets: list[list[int]],
@@ -436,10 +267,9 @@ class PreferenceStore:
         """Batched :meth:`top_users_for_entities` over many entity sets.
 
         The combine weights of every set are folded into the entity side
-        once, each partition scores all sets against its rows and keeps a
-        per-set top-K, and the coordinator merges those under the
-        canonical order. This is how the runtime serves a burst of
-        targeting requests (or one request per expansion seed).
+        once, and every set is scored against all rows and keeps its
+        top-K in the canonical order. This is how the runtime serves a
+        burst of targeting requests (or one request per expansion seed).
         """
         self._require_built()
         if not entity_sets:
@@ -456,42 +286,37 @@ class PreferenceStore:
                 queries = np.ascontiguousarray(
                     (self.entity_embeddings[union_ids].T @ combine).T
                 )
-                # entity id -> combine row (or -1), so partitions map their
-                # CSR columns into the union without a dense gather.
-                slot_of = np.full(len(self.entity_embeddings), -1, dtype=np.int64)
-                slot_of[union_ids] = np.arange(len(union_ids))
-                k_eff = min(k, self._covered_count())
+                k_eff = min(k, int(self.covered_users.sum()))
                 if k_eff < 1:
                     return [[] for _ in entity_sets]
-            with phase("shard_scores"):
-                tasks = [
-                    (s, queries, slot_of, combine, k_eff)
-                    for s in range(len(self._parts))
-                ]
-                results = []
-                for task in tasks:
-                    with phase(f"shard{task[0]:02d}"):
-                        results.append(self._score_partition(task))
-            with phase("merge"):
-                merged: list[list[UserScore]] = []
-                for i in range(len(entity_sets)):
-                    user_ids = np.concatenate([top[i][0] for _, top in results])
-                    scores = np.concatenate([top[i][1] for _, top in results])
-                    finite = np.isfinite(scores)
-                    user_ids, scores = user_ids[finite], scores[finite]
-                    order = np.lexsort((user_ids, -scores))[:k_eff]
-                    merged.append(
-                        [
-                            UserScore(u, s)
-                            for u, s in zip(
-                                user_ids[order].tolist(), scores[order].tolist()
-                            )
-                        ]
+            scores = np.stack([_row_dots(self.user_matrix, query) for query in queries])
+            if self.direct_weight:
+                # Direct-preference term from the CSR rows whose entity is
+                # in the request's union: O(nnz), summed per row in CSR
+                # order. ``slot_of`` maps an entity id to its combine row
+                # (or -1) without a dense gather.
+                slot_of = np.full(len(self.entity_embeddings), -1, dtype=np.int64)
+                slot_of[union_ids] = np.arange(len(union_ids))
+                slots = slot_of[self.col_idx]
+                hits = np.flatnonzero(slots >= 0)
+                rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
+                shares = self.values[hits, None] * combine[slots[hits]]
+                for i, out in enumerate(scores):
+                    out += self.direct_weight * np.bincount(
+                        rows, weights=shares[:, i], minlength=self.num_users
                     )
-                return merged
-
-    def _covered_count(self) -> int:
-        return sum(int(part.covered.sum()) for part in self._parts)
+            scores = np.where(self.covered_users, scores, -np.inf)
+            answers: list[list[UserScore]] = []
+            for row in scores:
+                chosen = _select_top_k(row, k_eff)
+                chosen = chosen[np.isfinite(row[chosen])]
+                answers.append(
+                    [
+                        UserScore(u, s)
+                        for u, s in zip(chosen.tolist(), row[chosen].tolist())
+                    ]
+                )
+            return answers
 
     def release_pages(self) -> None:
         """Give up the resident pages of a mapped store; keep the mapping.
@@ -506,7 +331,7 @@ class PreferenceStore:
             return
         for array in (
             self.entity_embeddings,
-            *(getattr(part, name) for part in self._parts for name, _ in _PARTITION_ARRAYS),
+            *(getattr(self, attribute) for _, attribute, _ in _ROW_ARRAYS),
         ):
             # np.load(mmap_mode=...) returns a np.memmap whose base is the
             # mmap.mmap; a view of it (entity_embeddings) adds one link.
@@ -529,26 +354,17 @@ class PreferenceStore:
         self._require_built()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        checksums: dict = {
+        checksums = {
             "entity_embeddings": atomic_write_array(
                 directory / "entity_embeddings.npy", self.entity_embeddings
-            ),
-            "shards": [],
+            )
         }
-        for s, part in enumerate(self._parts):
-            shard_dir = directory / f"shard-{s:02d}"
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            checksums["shards"].append(
-                {
-                    name: atomic_write_array(
-                        shard_dir / f"{name}.npy", getattr(part, name)
-                    )
-                    for name, _ in _PARTITION_ARRAYS
-                }
+        for name, attribute, _ in _ROW_ARRAYS:
+            checksums[name] = atomic_write_array(
+                directory / f"{name}.npy", getattr(self, attribute)
             )
         meta = {
             "format": PREF_FORMAT,
-            "n_shards": len(self._parts),
             "num_users": self.num_users,
             "direct_weight": self.direct_weight,
             "version_tag": self.version_tag,
@@ -568,7 +384,6 @@ class PreferenceStore:
         manifest has no checksum for; the default open trusts
         previously-validated bytes and only checks dtypes and that the
         array lengths agree, so activation stays O(1) in matrix size.
-        Every partition must open or none serves.
         """
         directory = Path(directory)
         meta_path = directory / "meta.json"
@@ -581,13 +396,17 @@ class PreferenceStore:
                 f"preference artifact manifest unreadable: {meta_path}"
             ) from error
         if not isinstance(meta, dict) or meta.get("format") != PREF_FORMAT:
+            found = meta.get("format") if isinstance(meta, dict) else None
             raise CorruptArtifactError(
-                f"preference artifact {directory} is not format {PREF_FORMAT!r}"
+                f"preference artifact {directory} is format {found!r}, "
+                f"not {PREF_FORMAT!r}"
             )
 
-        def open_array(path: Path, recorded, dtype) -> np.ndarray:
+        def open_array(name: str, dtype) -> np.ndarray:
+            path = directory / f"{name}.npy"
             if not path.exists():
                 raise CorruptArtifactError(f"preference artifact missing array {path}")
+            recorded = checksums.get(name)
             if verify and (not recorded or file_digest(path) != recorded):
                 raise CorruptArtifactError(
                     f"preference artifact checksum missing or mismatched for {path}"
@@ -607,42 +426,26 @@ class PreferenceStore:
             return array
 
         try:
-            n_shards = int(meta["n_shards"])
             checksums = meta.get("checksums") or {}
-            shard_sums = checksums.get("shards") or [{}] * n_shards
             store = cls(
-                open_array(
-                    directory / "entity_embeddings.npy",
-                    checksums.get("entity_embeddings"),
-                    np.float64,
-                ),
+                open_array("entity_embeddings", np.float64),
                 # Embeddings were already normalised (or deliberately not)
                 # before saving; do not renormalise on load.
                 normalize=False,
                 direct_weight=float(meta["direct_weight"]),
                 version_tag=meta["version_tag"],
             )
-            parts = [
-                _Partition(
-                    *(
-                        open_array(
-                            directory / f"shard-{s:02d}" / f"{name}.npy",
-                            shard_sums[s].get(name),
-                            dtype,
-                        )
-                        for name, dtype in _PARTITION_ARRAYS
-                    )
-                )
-                for s in range(n_shards)
-            ]
+            arrays = {
+                attribute: open_array(name, dtype) for name, attribute, dtype in _ROW_ARRAYS
+            }
             num_users = int(meta["num_users"])
-        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as error:
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise CorruptArtifactError(
                 f"preference artifact manifest malformed: {meta_path}"
             ) from error
-        _check_shapes(directory, store.entity_embeddings, parts, num_users)
+        _check_shapes(directory, store.entity_embeddings, arrays, num_users)
         store.storage = "memmap"
-        return store._adopt(parts, num_users)
+        return store._adopt(arrays)
 
     @classmethod
     def validate_memmap(cls, directory: str | Path) -> bool:
@@ -652,7 +455,7 @@ class PreferenceStore:
 
 
 def _check_shapes(
-    directory: Path, embeddings: np.ndarray, parts: list[_Partition], num_users: int
+    directory: Path, embeddings: np.ndarray, arrays: dict[str, np.ndarray], num_users: int
 ) -> None:
     """Cheap structural proof of an opened artifact: a truncated or
     swapped array must not reach the kernel as an out-of-bounds read."""
@@ -662,25 +465,16 @@ def _check_shapes(
             raise CorruptArtifactError(f"preference artifact {directory}: {what}")
 
     require(embeddings.ndim == 2, "entity_embeddings is not a matrix")
-    require(len(parts) >= 1, "no partitions")
-    for s, part in enumerate(parts):
-        require(part.user_ids.ndim == 1, f"shard {s} user_ids is not a vector")
-        users = len(part.user_ids)
-        require(
-            part.user_matrix.shape == (users, embeddings.shape[1]),
-            f"shard {s} user_matrix does not match its user_ids and the embedding width",
-        )
-        require(
-            part.covered.shape == (users,) and part.row_ptr.shape == (users + 1,),
-            f"shard {s} covered/row_ptr do not match its user_ids",
-        )
-        require(
-            part.col_idx.shape == part.values.shape == (int(part.row_ptr[-1]),),
-            f"shard {s} CSR arrays disagree on the entry count",
-        )
     require(
-        np.array_equal(
-            np.sort(np.concatenate([p.user_ids for p in parts])), np.arange(num_users)
-        ),
-        f"partitions do not hold each of {num_users} users exactly once",
+        arrays["user_matrix"].shape == (num_users, embeddings.shape[1]),
+        f"user_matrix is not {num_users} users by the embedding width",
+    )
+    require(
+        arrays["covered_users"].shape == (num_users,)
+        and arrays["row_ptr"].shape == (num_users + 1,),
+        f"covered/row_ptr do not hold {num_users} users",
+    )
+    require(
+        arrays["col_idx"].shape == arrays["values"].shape == (int(arrays["row_ptr"][-1]),),
+        "CSR arrays disagree on the entry count",
     )

@@ -6,17 +6,12 @@ output is checkpointed under a *run id* the moment it finishes, so a
 re-run with ``resume=True`` loads every completed stage and recomputes
 only from the failure point.
 
-Two backings share one API:
-
-* **disk** (``root`` given) — each stage is one pickle file written
-  through :func:`~repro.resilience.atomic.atomic_write_bytes` (temp +
-  fsync + rename), with its SHA-256 digest recorded in a per-run manifest
-  that is itself written atomically. Digests are re-validated on load —
-  a flipped or truncated checkpoint raises
-  :class:`~repro.errors.CheckpointError` rather than resuming from bad
-  bytes;
-* **memory** (no root) — same semantics inside one process, which is what
-  the storeless integration tests exercise.
+Each stage is one pickle file under ``root`` written through
+:func:`~repro.resilience.atomic.atomic_write_bytes` (temp + fsync +
+rename), with its SHA-256 digest recorded in a per-run manifest that is
+itself written atomically. Digests are re-validated on load — a flipped or
+truncated checkpoint raises :class:`~repro.errors.CheckpointError` rather
+than resuming from bad bytes.
 
 Digests double as the idempotency proof: two runs of the same seeded
 refresh produce byte-identical stage payloads, so their digests match.
@@ -41,18 +36,16 @@ from repro.resilience.faults import FaultInjector
 class CheckpointStore:
     def __init__(
         self,
-        root: str | Path | None = None,
+        root: str | Path,
         faults: FaultInjector | None = None,
     ) -> None:
-        self.root = Path(root) if root is not None else None
+        self.root = Path(root)
         self._faults = faults
-        self._memory: dict[str, dict[str, bytes]] = {}
         self._manifests: dict[str, dict] = {}
         self.writes = 0
         self.loads = 0
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._load_manifests()
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._load_manifests()
 
     # ------------------------------------------------------------------
     # Producer side
@@ -64,11 +57,7 @@ class CheckpointStore:
         data = pickle_bytes(payload)
         digest = sha256_hex(data)
         manifest = self._manifests.setdefault(run_id, {"stages": {}})
-        if self.root is not None:
-            run_dir = self.root / run_id
-            atomic_write_bytes(run_dir / f"{stage}.ckpt", data)
-        else:
-            self._memory.setdefault(run_id, {})[stage] = data
+        atomic_write_bytes(self.root / run_id / f"{stage}.ckpt", data)
         manifest["stages"][stage] = {"digest": digest, "bytes": len(data)}
         self._save_manifest(run_id)
         self.writes += 1
@@ -91,16 +80,13 @@ class CheckpointStore:
         entry = self._manifests.get(run_id, {}).get("stages", {}).get(stage)
         if entry is None:
             raise CheckpointError(f"no checkpoint for run {run_id!r} stage {stage!r}")
-        if self.root is not None:
-            path = self.root / run_id / f"{stage}.ckpt"
-            try:
-                data = path.read_bytes()
-            except OSError as error:
-                raise CheckpointError(
-                    f"checkpoint file unreadable: {path} ({error})"
-                ) from error
-        else:
-            data = self._memory[run_id][stage]
+        path = self.root / run_id / f"{stage}.ckpt"
+        try:
+            data = path.read_bytes()
+        except OSError as error:
+            raise CheckpointError(
+                f"checkpoint file unreadable: {path} ({error})"
+            ) from error
         if sha256_hex(data) != entry["digest"]:
             raise CheckpointError(
                 f"checkpoint digest mismatch for run {run_id!r} stage {stage!r} "
@@ -119,25 +105,20 @@ class CheckpointStore:
     def clear_run(self, run_id: str) -> None:
         """Drop a finished run's checkpoints (space, not correctness)."""
         self._manifests.pop(run_id, None)
-        self._memory.pop(run_id, None)
-        if self.root is not None:
-            run_dir = self.root / run_id
-            if run_dir.exists():
-                for path in run_dir.iterdir():
-                    path.unlink()
-                run_dir.rmdir()
+        run_dir = self.root / run_id
+        if run_dir.exists():
+            for path in run_dir.iterdir():
+                path.unlink()
+            run_dir.rmdir()
 
     # ------------------------------------------------------------------
     def _save_manifest(self, run_id: str) -> None:
-        if self.root is None:
-            return
         atomic_write_text(
             self.root / run_id / "manifest.json",
             json.dumps(self._manifests[run_id], indent=2, sort_keys=False),
         )
 
     def _load_manifests(self) -> None:
-        assert self.root is not None
         for path in sorted(self.root.glob("*/manifest.json")):
             try:
                 manifest = json.loads(path.read_text(encoding="utf-8"))

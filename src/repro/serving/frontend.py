@@ -320,12 +320,13 @@ class QueryFrontend:
         if not isinstance(payload, dict):
             raise ConfigError("request body must be a JSON object")
         try:
-            seed = int(payload["seed_entity_id"])
-            chosen = [int(e) for e in payload["chosen_entity_ids"]]
-        except (KeyError, TypeError, ValueError):
+            seed = payload["seed_entity_id"]
+            chosen = payload["chosen_entity_ids"]
+        except KeyError:
             raise ConfigError(
                 "feedback body needs seed_entity_id and chosen_entity_ids"
             ) from None
+        # The service checks that both name entities.
         return self.service.record_feedback(seed, chosen)
 
     # ------------------------------------------------------------------

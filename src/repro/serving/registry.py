@@ -8,13 +8,12 @@ the record list only ever grows. Two artifact kinds exist today:
 
 * ``graph`` — the week's :class:`~repro.graph.EntityGraph`, frozen to a
   ``graph-csr-NNNNNN/`` :class:`~repro.graph.csr.CSRGraph` directory under
-  the registry root, or held in memory when the registry has no root;
+  the registry root;
 * ``preferences`` — a built :class:`~repro.preference.PreferenceStore`,
-  frozen to a memmap-able ``preferences-NNNNNN/`` directory (one
-  sub-directory per user partition) when the registry has a root
-  directory and opened zero-copy from it; held in memory otherwise.
+  frozen to a memmap-able ``preferences-NNNNNN/`` directory and opened
+  zero-copy from it.
 
-Crash safety (a rooted registry is the system's durable state):
+Crash safety (the registry root is the system's durable state):
 
 * every durable write — preference artifacts, the record manifest
   (``registry.json``), drift reports — goes through temp file + fsync +
@@ -34,9 +33,8 @@ Crash safety (a rooted registry is the system's durable state):
 
 Drift reports ride alongside: :meth:`ArtifactRegistry.attach_drift_report`
 files a :class:`~repro.obs.drift.DriftReport` under the artifact version it
-measured, persisted as ``drift-{kind}-{version:06d}.json`` when the
-registry is rooted, so "what changed when we swapped to v7?" survives a
-process restart.
+measured, persisted as ``drift-{kind}-{version:06d}.json``, so "what
+changed when we swapped to v7?" survives a process restart.
 """
 
 from __future__ import annotations
@@ -65,25 +63,21 @@ KIND_PREFERENCES = "preferences"
 MANIFEST_NAME = "registry.json"
 QUARANTINE_DIR = "quarantine"
 
-#: Record sources whose ``path`` is an artifact directory; every other
-#: record is held in memory and dies with its process.
-_DIRECTORY_SOURCES = ("csr", "file")
-
 
 @dataclass(frozen=True)
 class ArtifactRecord:
     """One immutable published artifact: what it is and where it lives.
 
-    ``format`` names the serving representation (``"csr"``, ``"memmap"``,
-    ``"memory"``). For a directory artifact ``path`` is the directory and
-    ``checksum`` the digest of its ``meta.json``.
+    ``format`` names the serving representation (``"csr"`` or
+    ``"memmap"``), ``path`` the artifact directory and ``checksum`` the
+    digest of its ``meta.json``.
     """
 
     kind: str
     version: int
     tag: str
-    source: str  # "csr" | "file" | "memory"
-    path: str | None = None
+    source: str  # "csr" | "file"
+    path: str
     edges: int | None = None
     checksum: str | None = None
     format: str | None = None
@@ -107,7 +101,7 @@ class ArtifactRecord:
             version=int(data["version"]),
             tag=data["tag"],
             source=data["source"],
-            path=data.get("path"),
+            path=data["path"],
             edges=data.get("edges"),
             checksum=data.get("checksum"),
             format=data.get("format"),
@@ -120,9 +114,8 @@ class ArtifactRegistry:
     Parameters
     ----------
     root:
-        Optional directory for durable artifacts (preference and CSR graph
-        directories). Without it the registry still versions and names artifacts,
-        holding them in memory — the shape integration tests use.
+        Directory of the durable state: artifact directories, the record
+        manifest, drift reports and refresh checkpoints.
     faults:
         Optional :class:`~repro.resilience.FaultInjector`; when given, the
         ``registry.write`` / ``registry.read`` seams fire on every durable
@@ -131,29 +124,23 @@ class ArtifactRegistry:
 
     def __init__(
         self,
-        root: str | Path | None = None,
+        root: str | Path,
         faults: FaultInjector | None = None,
     ) -> None:
-        self.root = Path(root) if root is not None else None
+        self.root = Path(root)
         self._faults = faults
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
         self._records: dict[str, list[ArtifactRecord]] = {
             KIND_GRAPH: [],
             KIND_PREFERENCES: [],
         }
-        self._memory: dict[tuple[str, int], object] = {}
         self._drift: dict[tuple[str, int], DriftReport] = {}
         #: Artifacts moved aside because they failed validation — each entry
         #: is ``{kind, version, path, reason}``. Surfaced in ``health()``.
         self.quarantined: list[dict] = []
-        self.checkpoints = CheckpointStore(
-            root=self.root / "checkpoints" if self.root is not None else None,
-            faults=faults,
-        )
-        if self.root is not None:
-            self._load_manifest()
-            self._load_drift_reports()
+        self.checkpoints = CheckpointStore(self.root / "checkpoints", faults=faults)
+        self._load_manifest()
+        self._load_drift_reports()
 
     # ------------------------------------------------------------------
     # Publish (producer side)
@@ -164,37 +151,29 @@ class ArtifactRegistry:
         """Register a weekly graph artifact.
 
         The graph is frozen to ``graph-csr-NNNNNN/`` under the registry
-        root, or kept in memory when the registry has none. The
-        ``meta.json`` digest goes into the record, pinning the directory.
+        root; the ``meta.json`` digest goes into the record, pinning the
+        directory.
         """
         self._check_faults("registry.write")
         version = self._next_version(KIND_GRAPH)
-        tag = tag or f"graph-v{version}"
-        if self.root is None:
-            record = ArtifactRecord(
-                kind=KIND_GRAPH, version=version, tag=tag, source="memory",
-                edges=graph.num_edges, format="memory",
-            )
-            self._memory[(KIND_GRAPH, version)] = graph
-        else:
-            directory = CSRGraph.from_entity_graph(graph).save(
-                self.root / f"graph-csr-{version:06d}"
-            )
-            record = ArtifactRecord(
-                kind=KIND_GRAPH, version=version, tag=tag, source="csr",
-                path=str(directory), edges=graph.num_edges,
+        directory = CSRGraph.from_entity_graph(graph).save(
+            self.root / f"graph-csr-{version:06d}"
+        )
+        return self._append(
+            ArtifactRecord(
+                kind=KIND_GRAPH, version=version, tag=tag or f"graph-v{version}",
+                source="csr", path=str(directory), edges=graph.num_edges,
                 checksum=csr_meta_digest(directory), format="csr",
             )
-        return self._append(record)
+        )
 
     def publish_preferences(
         self, store: PreferenceStore, tag: str | None = None
     ) -> ArtifactRecord:
-        """Register a daily preference artifact (frozen to disk if rooted).
+        """Register a daily preference artifact.
 
-        A rooted registry writes the store — in whatever partitioning it
-        carries — to ``preferences-NNNNNN/``: every array through the
-        atomic temp + rename path with its SHA-256 recorded in
+        The store is written to ``preferences-NNNNNN/``: every array
+        through the atomic temp + rename path with its SHA-256 recorded in
         ``meta.json``, which lands last; the ``meta.json`` digest goes
         into the record, pinning the whole directory.
         """
@@ -202,27 +181,21 @@ class ArtifactRegistry:
         version = self._next_version(KIND_PREFERENCES)
         tag = tag or f"daily-{version}"
         store.version_tag = tag
-        if self.root is not None:
-            directory = store.save_memmap(self.root / f"preferences-{version:06d}")
-            record = ArtifactRecord(
+        directory = store.save_memmap(self.root / f"preferences-{version:06d}")
+        return self._append(
+            ArtifactRecord(
                 kind=KIND_PREFERENCES, version=version, tag=tag,
                 source="file", path=str(directory),
                 checksum=file_digest(directory / "meta.json"),
                 format="memmap",
             )
-        else:
-            record = ArtifactRecord(
-                kind=KIND_PREFERENCES, version=version, tag=tag, source="memory",
-                format="memory",
-            )
-            self._memory[(KIND_PREFERENCES, version)] = store
-        return self._append(record)
+        )
 
     # ------------------------------------------------------------------
     # Open (serving side)
     # ------------------------------------------------------------------
-    def open_graph(self, version: int | None = None) -> CSRGraph | EntityGraph:
-        """Open a published graph artifact (maps it from disk if frozen).
+    def open_graph(self, version: int | None = None) -> CSRGraph:
+        """Open a published graph artifact, mapped read-only from disk.
 
         The directory's checksums were written at publish (or proven at
         startup), so the open maps it read-only after structure checks
@@ -232,22 +205,18 @@ class ArtifactRegistry:
         ``open_graph()`` resolves to the previous good version.
         """
         self._check_faults("registry.read")
-        record = self._resolve(KIND_GRAPH, version)
-        if record.source == "csr":
-            return self._open_directory(record, CSRGraph.load)
-        return self._memory[(KIND_GRAPH, record.version)]
+        return self._open_directory(self._resolve(KIND_GRAPH, version), CSRGraph.load)
 
     def open_preferences(self, version: int | None = None) -> PreferenceStore:
-        """Open a published preference artifact (maps it from disk if rooted).
+        """Open a published preference artifact, mapped read-only from disk.
 
         Same contract as :meth:`open_graph`: trusted map, quarantine on
         failure, previous generation next.
         """
         self._check_faults("registry.read")
-        record = self._resolve(KIND_PREFERENCES, version)
-        if record.source == "file":
-            return self._open_directory(record, PreferenceStore.load_memmap)
-        return self._memory[(KIND_PREFERENCES, record.version)]
+        return self._open_directory(
+            self._resolve(KIND_PREFERENCES, version), PreferenceStore.load_memmap
+        )
 
     # ------------------------------------------------------------------
     # Validation + quarantine
@@ -318,11 +287,10 @@ class ArtifactRegistry:
         """
         self._require_kind(report.kind)
         self._drift[(report.kind, report.new_version)] = report
-        if self.root is not None:
-            atomic_write_text(
-                self.root / f"drift-{report.kind}-{report.new_version:06d}.json",
-                json.dumps(report.to_dict(), indent=2, sort_keys=True),
-            )
+        atomic_write_text(
+            self.root / f"drift-{report.kind}-{report.new_version:06d}.json",
+            json.dumps(report.to_dict(), indent=2, sort_keys=True),
+        )
 
     def drift_report(self, kind: str, version: int) -> DriftReport | None:
         """The drift report filed for one artifact version, if any."""
@@ -340,7 +308,6 @@ class ArtifactRegistry:
         A torn report file is skipped (recorded under ``quarantined``), not
         fatal — losing one swap's evidence must not block startup.
         """
-        assert self.root is not None
         for path in sorted(self.root.glob("drift-*-*.json")):
             try:
                 report = DriftReport.from_dict(
@@ -359,11 +326,9 @@ class ArtifactRegistry:
             self._drift[(report.kind, report.new_version)] = report
 
     # ------------------------------------------------------------------
-    # Manifest persistence (rooted registries survive restarts)
+    # Manifest persistence (the catalogue survives restarts)
     # ------------------------------------------------------------------
     def _save_manifest(self) -> None:
-        if self.root is None:
-            return
         self._check_faults("registry.write")
         payload = {
             "records": {
@@ -378,12 +343,11 @@ class ArtifactRegistry:
     def _load_manifest(self) -> None:
         """Reload the published catalogue; validate every file artifact.
 
-        In-memory records died with their process and are dropped;
-        directory artifacts get the full checksum proof, so every later
-        open can map them without re-hashing, and the ones that fail it
-        are quarantined — startup never crashes on a torn artifact.
+        Every artifact directory gets the full checksum proof, so every
+        later open can map it without re-hashing, and the ones that fail it
+        are quarantined — startup never crashes on a torn artifact or on
+        one written in a format this build no longer serves.
         """
-        assert self.root is not None
         path = self.root / MANIFEST_NAME
         if not path.exists():
             return
@@ -404,8 +368,6 @@ class ArtifactRegistry:
         for kind in self._records:
             for data in raw.get(kind, []):
                 record = ArtifactRecord.from_dict(data)
-                if record.source not in _DIRECTORY_SOURCES:
-                    continue
                 try:
                     self._verify_directory(record)
                 except (StorageError, TypeError) as error:

@@ -234,7 +234,7 @@ def test_artifact_torn_between_publish_and_open_never_serves(
 
     registry = system.registry
     registry.publish_preferences = torn(
-        registry.publish_preferences, "shard-00/user_matrix.npy"
+        registry.publish_preferences, "user_matrix.npy"
     )
     system.daily_preference_refresh(chaos_events)  # absorbed: nothing to swap to
     registry.publish_graph = torn(registry.publish_graph, "neighbors.npy")

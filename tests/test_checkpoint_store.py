@@ -9,10 +9,9 @@ from repro.errors import CheckpointError
 from repro.resilience import CheckpointStore, FaultInjector, InjectedFault
 
 
-@pytest.fixture(params=["memory", "disk"])
-def store(request, tmp_path):
-    root = None if request.param == "memory" else tmp_path / "ckpt"
-    return CheckpointStore(root=root)
+@pytest.fixture()
+def store(tmp_path):
+    return CheckpointStore(root=tmp_path / "ckpt")
 
 
 def test_put_get_roundtrip(store):
@@ -108,9 +107,9 @@ def test_torn_manifest_means_run_is_recomputed(tmp_path):
     assert not reopened.has("run-1", "s")
 
 
-def test_fault_seams_fire_on_write_and_read():
+def test_fault_seams_fire_on_write_and_read(tmp_path):
     faults = FaultInjector()
-    store = CheckpointStore(faults=faults)
+    store = CheckpointStore(tmp_path / "ckpt", faults=faults)
     faults.fail_next("checkpoint.write", 1, exception=InjectedFault)
     with pytest.raises(InjectedFault):
         store.put("run-1", "s", 1)

@@ -38,7 +38,7 @@ from repro.serving import ServingRuntime, VersionedLRUCache
 # Satellite 1: per-request RequestRecord (regression for the reuse race)
 # ----------------------------------------------------------------------
 class TestRequestContextPerRequest:
-    def test_interleaved_requests_get_distinct_contexts(self, world):
+    def test_interleaved_requests_get_distinct_contexts(self, world, tmp_path):
         """Two overlapping requests must observe distinct, stable records.
 
         With the old one-context-per-service design the second request
@@ -46,7 +46,7 @@ class TestRequestContextPerRequest:
         both threads would see the *same* object and the first thread's
         request id would change under it mid-request.
         """
-        system = EGLSystem(world)
+        system = EGLSystem(world, artifact_root=tmp_path)
         graph = EntityGraph.from_edge_list(
             world.num_entities, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0]
         )
@@ -96,8 +96,8 @@ class TestRequestContextPerRequest:
         # Exactly one request carried a deadline; it never leaked across.
         assert sorted(dl is not None for dl in (dl_a, dl_b)) == [False, True]
 
-    def test_concurrent_requests_mint_unique_journeys(self, world):
-        system = EGLSystem(world)
+    def test_concurrent_requests_mint_unique_journeys(self, world, tmp_path):
+        system = EGLSystem(world, artifact_root=tmp_path)
         graph = EntityGraph.from_edge_list(
             world.num_entities, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0]
         )

@@ -43,11 +43,11 @@ def build_reasoner(world, system) -> GraphReasoner:
 
 
 @pytest.fixture()
-def rig(world):
+def rig(world, tmp_path):
     """A served system on a ManualClock with a shared fault injector."""
     obs = Observability(clock=ManualClock(start=5_000.0))
     faults = FaultInjector(seed=0, clock=obs.clock)
-    system = EGLSystem(world, obs=obs, faults=faults)
+    system = EGLSystem(world, artifact_root=tmp_path, obs=obs, faults=faults)
     system.runtime.activate_graph(build_reasoner(world, system), 1, tag="week-0")
     system.runtime.activate_preferences(build_preferences(world, seed=1), 1)
     return system, faults, obs.clock
@@ -333,8 +333,8 @@ class TestApiErrorCodes:
         response = service.target(TargetRequest(entity_ids=[0], timeout_ms=-5))
         assert response.code == "invalid_argument"
 
-    def test_not_ready_before_artifacts(self, world):
-        service = EGLService(EGLSystem(world))
+    def test_not_ready_before_artifacts(self, world, tmp_path):
+        service = EGLService(EGLSystem(world, artifact_root=tmp_path))
         response = service.target(TargetRequest(entity_ids=[0]))
         assert not response.ok
         assert response.code == "not_ready"

@@ -99,7 +99,7 @@ class TestKHopSubgraph:
 
 class TestServiceAPI:
     @pytest.fixture(scope="class")
-    def service(self, world):
+    def service(self, world, tmp_path_factory):
         from repro.datasets import BehaviorConfig, BehaviorLogGenerator
         from repro.embeddings import SkipGramConfig
         from repro.embeddings.mlm import MLMConfig
@@ -112,7 +112,7 @@ class TestServiceAPI:
             semantic=SemanticEncoderConfig(mlm=MLMConfig(epochs=3, seed=3)),
             alpc=ALPCConfig(epochs=10, seed=1),
         )
-        system = EGLSystem(world, config)
+        system = EGLSystem(world, config, artifact_root=tmp_path_factory.mktemp("registry"))
         events = BehaviorLogGenerator(world, BehaviorConfig(seed=5)).generate()
         system.weekly_refresh(events)
         system.daily_preference_refresh(events)

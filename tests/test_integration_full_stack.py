@@ -5,7 +5,7 @@ One scenario exercising nearly every subsystem the way a deployment would:
 1. export the world's logs and Entity Dict to files, reload them;
 2. two weekly refreshes (drifted data) publishing graph generations;
 3. checkpointing the ALPC model, reloading it;
-4. daily preference refresh + an incremental single-user update;
+4. daily preference refresh, and a rebuild after one user's behaviour moves;
 5. the serving API end to end, with explanations and calibration checks.
 """
 
@@ -23,8 +23,7 @@ from repro.datasets import (
 from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
-from repro.errors import ConfigError
-from repro.eval import reliability_report, roc_auc
+from repro.eval import roc_auc
 from repro.nn import load_checkpoint, save_checkpoint
 from repro.online import EGLSystem, explain_targeting
 from repro.online.api import EGLService, ExpandRequest, TargetRequest
@@ -92,8 +91,7 @@ class TestOfflineArtifacts:
         pairs, labels = run.split.test_pairs_and_labels()
         probs = run.alpc.predict_pairs(pairs)
         assert roc_auc(labels, probs) > 0.7
-        report = reliability_report(labels, probs, num_bins=5)
-        assert report.brier < 0.3
+        assert np.mean((probs - labels) ** 2) < 0.3  # Brier score
 
 
 class TestServingPath:
@@ -123,18 +121,16 @@ class TestServingPath:
 
     def test_incremental_preference_update_changes_ranking(self, stack, world):
         _, system, generator = stack
-        # The served generation is a mapped, immutable artifact: the
-        # incremental update runs on a freshly built in-memory store.
-        with pytest.raises(ConfigError):
-            system.preference_store.update_user(UserEntitySequence(0, [0]))
+        # The served generation is a mapped, immutable artifact: a user's
+        # new behaviour reaches serving through the next daily rebuild.
         sequences = system.pipeline.extractor.extract_sequences(generator.generate_week(1))
-        store = PreferenceStore(system.pipeline.entity_embeddings()).build(
-            sequences, world.num_users
-        )
         target_entity = world.entities[0].entity_id
         # Make an arbitrary user the heaviest interactor with that entity.
         user = 3
-        store.update_user(UserEntitySequence(user, [target_entity] * 10))
+        sequences[user] = UserEntitySequence(user, [target_entity] * 10)
+        store = PreferenceStore(system.pipeline.entity_embeddings()).build(
+            sequences, world.num_users
+        )
         top = store.top_users_for_entity(target_entity, k=1)
         assert top[0].user_id == user
 

@@ -22,10 +22,10 @@ from repro.text.sequence_extractor import UserEntitySequence
 
 
 @pytest.fixture()
-def frozen_service(world):
+def frozen_service(world, tmp_path):
     """EGLService on a ManualClock with hand-activated artifacts."""
     obs = Observability(clock=ManualClock(start=5_000.0))
-    system = EGLSystem(world, obs=obs)
+    system = EGLSystem(world, artifact_root=tmp_path, obs=obs)
     graph = EntityGraph.from_edge_list(
         world.num_entities, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0]
     )

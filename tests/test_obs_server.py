@@ -19,10 +19,10 @@ def _get(url):
 
 
 @pytest.fixture()
-def service(world):
+def service(world, tmp_path):
     """A service whose route table is four known routes: the listener
     serves whatever ``telemetry_routes()`` hands it."""
-    service = EGLService(EGLSystem(world, obs=Observability()))
+    service = EGLService(EGLSystem(world, artifact_root=tmp_path, obs=Observability()))
     routes = {
         "/metrics": lambda: (PROMETHEUS_CONTENT_TYPE, "up 1\n"),
         "/health": lambda: (JSON_CONTENT_TYPE, json.dumps({"ok": True})),

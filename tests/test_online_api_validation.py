@@ -15,9 +15,9 @@ from repro.text.sequence_extractor import UserEntitySequence
 
 
 @pytest.fixture(scope="module")
-def service(world):
+def service(world, tmp_path_factory):
     """An EGLService over hand-activated artifacts — no TRMP training."""
-    system = EGLSystem(world)
+    system = EGLSystem(world, artifact_root=tmp_path_factory.mktemp("registry"))
     graph = EntityGraph.from_edge_list(
         world.num_entities, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0]
     )
@@ -99,8 +99,8 @@ class TestVersionEcho:
         assert response.graph_version == 3
         assert response.preference_version == 5
 
-    def test_fresh_system_reports_none(self, world):
-        fresh = EGLService(EGLSystem(world))
+    def test_fresh_system_reports_none(self, world, tmp_path):
+        fresh = EGLService(EGLSystem(world, artifact_root=tmp_path))
         response = fresh.target(TargetRequest(entity_ids=[0], k=5))
         assert not response.ok  # nothing activated yet
         assert response.graph_version is None
@@ -127,3 +127,82 @@ class TestVersionEcho:
         )
         assert not response.ok
         assert "one k" in response.error
+
+
+# ----------------------------------------------------------------------
+# Entity ids are checked once, at the API boundary
+# ----------------------------------------------------------------------
+SMALL_ENTITIES = 40
+
+#: id → why it names no entity of a 40-entity world.
+NOT_ENTITIES = {
+    "negative": -1,  # would wrap around to entity 39
+    "float": 2.7,  # would be truncated to entity 2
+    "string": "3",
+    "bool": True,
+    "past-the-end": SMALL_ENTITIES,  # would index past the arrays
+}
+
+BODIES = {
+    "target": lambda bad: {"entity_ids": [1, bad], "k": 5},
+    "target_batch": lambda bad: {
+        "requests": [{"entity_ids": [1], "k": 5}, {"entity_ids": [bad], "k": 5}]
+    },
+    "feedback-seed": lambda bad: {"seed_entity_id": bad, "chosen_entity_ids": [1]},
+    "feedback-chosen": lambda bad: {"seed_entity_id": 3, "chosen_entity_ids": [1, bad]},
+}
+
+CASES = [
+    pytest.param(route, bad, False, id=f"{route}-{name}")
+    for route in BODIES for name, bad in NOT_ENTITIES.items()
+] + [
+    # A recorded out-of-range pair would make every later weekly refresh
+    # fail and keep the pair for the next one.
+    pytest.param("feedback-chosen", 1_000_000, True, id="feedback-poison-then-refresh"),
+]
+
+
+@pytest.fixture(scope="module")
+def small_stack(tmp_path_factory):
+    """A 40-entity world behind the front end, hand-activated, with a
+    week of behaviour for one real refresh."""
+    from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
+    from repro.embeddings import SkipGramConfig
+    from repro.embeddings.mlm import MLMConfig
+    from repro.embeddings.semantic import SemanticEncoderConfig
+    from repro.serving.frontend import QueryFrontend
+    from repro.trmp import ALPCConfig, TRMPConfig
+
+    world = World(WorldConfig(num_entities=SMALL_ENTITIES, num_users=30, seed=3))
+    config = TRMPConfig(
+        skipgram=SkipGramConfig(epochs=2, seed=2),
+        semantic=SemanticEncoderConfig(mlm=MLMConfig(epochs=1, seed=3)),
+        alpc=ALPCConfig(epochs=4, seed=1),
+    )
+    system = EGLSystem(world, config, artifact_root=tmp_path_factory.mktemp("registry"))
+    graph = EntityGraph.from_edge_list(SMALL_ENTITIES, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0])
+    system.runtime.activate_graph(GraphReasoner(graph, system.pipeline.entity_dict), 1)
+    rng = np.random.default_rng(0)
+    sequences = {
+        u: UserEntitySequence(u, list(rng.integers(0, SMALL_ENTITIES, size=6)))
+        for u in range(world.num_users)
+    }
+    system.runtime.activate_preferences(
+        PreferenceStore(rng.normal(size=(SMALL_ENTITIES, 6))).build(sequences, world.num_users),
+        1,
+    )
+    events = BehaviorLogGenerator(world, BehaviorConfig(num_days=7, seed=4)).generate()
+    return QueryFrontend(EGLService(system)), events
+
+
+@pytest.mark.parametrize("route, bad, refresh", CASES)
+def test_ids_that_name_no_entity_are_refused_and_not_recorded(small_stack, route, bad, refresh):
+    frontend, events = small_stack
+    system = frontend.service.system
+    status, envelope = frontend.dispatch(route.split("-")[0], BODIES[route](bad))
+    assert (status, envelope["code"]) == (400, "invalid_argument")
+    assert "entity ids" in envelope["error"]
+    assert len(system.feedback) == 0  # nothing recorded
+    if refresh:
+        report = system.weekly_refresh(events)
+        assert not report.swap_rejected and report.num_relations > 0

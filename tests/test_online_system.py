@@ -55,8 +55,8 @@ class TestOfflineCadence:
         _, covered, _ = refreshed
         assert covered > world.num_users * 0.8
 
-    def test_targeting_before_daily_refresh_raises(self, world):
-        fresh = EGLSystem(world)
+    def test_targeting_before_daily_refresh_raises(self, world, tmp_path):
+        fresh = EGLSystem(world, artifact_root=tmp_path)
         with pytest.raises(NotFittedError):
             fresh.target_users([0], k=5)
 
@@ -127,7 +127,7 @@ def served_edges(graph) -> dict:
 
 
 @pytest.mark.parametrize(
-    "construction", ["rootless", "artifact_root", "store_path+artifact_root"]
+    "construction", ["artifact_root", "store_path+artifact_root"]
 )
 def test_published_generation_is_the_weeks_trmp_graph(construction, tmp_path):
     """Generation N is exactly week N's ranked graph, never a union with
@@ -136,7 +136,6 @@ def test_published_generation_is_the_weeks_trmp_graph(construction, tmp_path):
     world = World(WorldConfig(num_entities=60, num_users=50, seed=9))
     generator = BehaviorLogGenerator(world, BehaviorConfig(num_days=7, seed=4))
     roots = {
-        "rootless": {},
         "artifact_root": {"artifact_root": tmp_path / "registry"},
         "store_path+artifact_root": {
             "store_path": tmp_path / "store", "artifact_root": tmp_path / "registry",

@@ -14,7 +14,6 @@ from repro.preference import (
     user_embedding,
     user_embedding_matrix,
 )
-from repro.preference.store import shard_of
 from repro.serving import ArtifactRegistry
 from repro.text.sequence_extractor import UserEntitySequence
 
@@ -130,29 +129,9 @@ class TestPreferenceStore:
         np.testing.assert_allclose(norms, np.ones(6))
 
 
-class TestPartitioner:
-    def test_deterministic_and_in_range(self):
-        ids = np.arange(10_000)
-        for n in (2, 4, 8):
-            owners = shard_of(ids, n)
-            assert owners.min() >= 0 and owners.max() < n
-            assert np.array_equal(owners, shard_of(ids, n))
-            # splitmix64 spreads sequential ids close to evenly
-            counts = np.bincount(owners, minlength=n)
-            assert counts.min() > len(ids) / n * 0.8
-
-    def test_scalar_matches_array(self):
-        ids = np.arange(257)
-        owners = shard_of(ids, 8)
-        assert all(shard_of(int(i), 8) == owners[i] for i in ids)
-
-    def test_single_shard_is_zero(self):
-        assert np.array_equal(shard_of(np.arange(100), 1), np.zeros(100, dtype=np.int64))
-
-
-def test_partitioned_artifact_roundtrip(tmp_path, rng):
-    """A partitioned store publishes one sub-directory per partition, opens
-    with the same partitioning and answers like the unpartitioned store."""
+def test_artifact_is_one_flat_partition(tmp_path, rng):
+    """A published store is one directory of flat arrays, row ``i`` = user
+    ``i``, that opens mapped and answers like the built store."""
     embeddings = rng.standard_normal((90, 12))
     sequences = {
         u: UserEntitySequence(u, [int(x) for x in rng.integers(0, 90, 5)])
@@ -160,15 +139,14 @@ def test_partitioned_artifact_roundtrip(tmp_path, rng):
     }
     store = PreferenceStore(embeddings).build(sequences, 60)
     registry = ArtifactRegistry(tmp_path / "registry")
-    record = registry.publish_preferences(store.partitioned(4))
+    record = registry.publish_preferences(store)
     assert record.format == "memmap"
     assert sorted(p.name for p in Path(record.path).iterdir()) == [
-        "entity_embeddings.npy", "meta.json",
-        "shard-00", "shard-01", "shard-02", "shard-03",
+        "col_idx.npy", "covered.npy", "entity_embeddings.npy", "meta.json",
+        "row_ptr.npy", "user_matrix.npy", "values.npy",
     ]
     index = registry.open_preferences(record.version)
-    assert index.n_shards == 4 and index.storage == "memmap"
-    assert sum(len(p.user_ids) for p in index._parts) == 60
+    assert index.storage == "memmap" and index.num_users == len(index.user_matrix) == 60
     sets = [[1, 2, 5], [9, 40]]
     assert index.top_users_for_entity_sets(sets, 10) == store.top_users_for_entity_sets(sets, 10)
 
@@ -186,42 +164,3 @@ def test_one_index_one_layout():
     assert not re.search(r"preferences-[^\n]*\.npz|savez", registry)
     formats = {m for body in text.values() for m in re.findall(r'"pref-[a-z0-9-]+"', body)}
     assert len(formats) == 1
-
-
-class TestIncrementalPreference:
-    @pytest.fixture()
-    def built_store(self, rng):
-        vectors = rng.normal(size=(6, 4))
-        sequences = {0: UserEntitySequence(0, [1, 2]), 1: UserEntitySequence(1, [3])}
-        return PreferenceStore(vectors).build(sequences, num_users=3)
-
-    def test_update_matches_full_rebuild(self, built_store, rng):
-        new_seq = UserEntitySequence(2, [4, 5, 4])
-        built_store.update_user(new_seq)
-        rebuilt = PreferenceStore(built_store.entity_embeddings, normalize=False).build(
-            {
-                0: UserEntitySequence(0, [1, 2]),
-                1: UserEntitySequence(1, [3]),
-                2: new_seq,
-            },
-            num_users=3,
-        )
-        np.testing.assert_allclose(built_store.user_matrix[2], rebuilt.user_matrix[2])
-        assert built_store.covered_users[2]
-
-    def test_update_to_empty_uncovers(self, built_store):
-        built_store.update_user(UserEntitySequence(0, []))
-        assert not built_store.covered_users[0]
-        users = built_store.top_users_for_entities([1], k=3)
-        assert 0 not in [u.user_id for u in users]
-
-    def test_update_invalidates_heads(self, built_store):
-        before = [u.user_id for u in built_store.top_users_for_entity(3, k=2)]
-        # Make user 0 a heavy interactor with entity 3.
-        built_store.update_user(UserEntitySequence(0, [3, 3, 3, 3]))
-        after = built_store.top_users_for_entity(3, k=1)
-        assert after[0].user_id == 0 or before[0] == 0
-
-    def test_out_of_range_user(self, built_store):
-        with pytest.raises(ConfigError):
-            built_store.update_user(UserEntitySequence(99, [1]))

@@ -147,7 +147,7 @@ def test_retired_mapped_generation_is_not_resident_and_rolls_back(tmp_path):
     for version in (1, 2):
         embeddings, sequences, built = build_store(num_users, num_entities, dim, version)
         directory = built.save_memmap(tmp_path / f"preferences-{version}")
-        generations[version] = (embeddings, sequences, directory / "shard-00" / "user_matrix.npy")
+        generations[version] = (embeddings, sequences, directory / "user_matrix.npy")
         runtime.activate_preferences(PreferenceStore.load_memmap(directory), version)
         runtime.target(entity_ids, k=k)
 

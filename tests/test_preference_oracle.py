@@ -1,9 +1,10 @@
-"""The preference index against the reference model, at every partition count.
+"""The served preference index against the reference model.
 
-One oracle (``tests/reference_model.py``) instead of pairwise parity: every
-answer of :class:`PreferenceStore` at P ∈ {1, 2, 4, 8} — in memory and
-after a publish → open round trip through the registry — must equal the
-per-user model, and must be byte-identical across P.
+One oracle (``tests/reference_model.py``) instead of pairwise parity:
+every answer of :class:`PreferenceStore` after a publish → open round trip
+through the registry — the mapped generation a daily refresh serves — must
+equal the per-user model, and must be byte-identical to the store it was
+built from.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.preference import PreferenceStore
 from repro.serving import ArtifactRegistry
 from repro.text.sequence_extractor import UserEntitySequence
 
-PARTITIONS = [1, 2, 4, 8]
 NUM_ENTITIES = 40
 DIM = 8
 #: (entity ids, weights): unweighted, weighted, a repeated entity, both.
@@ -59,14 +59,11 @@ def tied_world(seed=1, num_users=300):
 WORLDS = {"random": random_world, "tied": tied_world}
 
 
-def serve(store: PreferenceStore, n_shards: int, published_under: Path | None):
-    store = store.partitioned(n_shards)
-    if published_under is None:
-        return store
-    registry = ArtifactRegistry(root=published_under)
-    record = registry.publish_preferences(store)
-    opened = registry.open_preferences(record.version)
-    assert opened.storage == "memmap" and opened.n_shards == n_shards
+def publish(store: PreferenceStore, root: Path) -> PreferenceStore:
+    """The generation a daily refresh serves: published, then opened."""
+    registry = ArtifactRegistry(root=root)
+    opened = registry.open_preferences(registry.publish_preferences(store).version)
+    assert opened.storage == "memmap"
     return opened
 
 
@@ -77,38 +74,35 @@ def answers(store: PreferenceStore, ks: list[int]) -> list:
 
 
 @pytest.mark.parametrize("world_name", sorted(WORLDS))
-@pytest.mark.parametrize("published", [False, True], ids=["memory", "published"])
-def test_every_partitioning_equals_reference(world_name, published, tmp_path):
+def test_published_index_equals_reference(world_name, tmp_path):
     embeddings, sequences, num_users = WORLDS[world_name]()
     covered = sum(1 for s in sequences.values() if len(s))
     # below the covered count, and above it (and above the old 200-user
     # head cache, where the dense store used to stop short)
     ks = [10, covered + 25]
     built = PreferenceStore(embeddings).build(sequences, num_users)
-    baseline = answers(built, ks)
+    store = publish(built, tmp_path)
     model = {
         tuple(ids): reference_scores(embeddings, sequences, num_users, ids, w)
         for ids, w in REQUESTS + [([4], None)]
     }
-    for n_shards in PARTITIONS:
-        store = serve(built, n_shards, tmp_path / f"p{n_shards}" if published else None)
-        got = answers(store, ks)
-        # byte-identical across partition counts and across the round trip
-        assert got == baseline
-        cases = [(ids, w, k) for ids, w in REQUESTS for k in ks] + [([4], None, ks[-1])]
-        for (ids, _, k), users in zip(cases, got):
-            assert_matches_reference(users, model[tuple(ids)], k, sequences)
-            assert len(users) == min(k, covered)
-        # one batched call over all sets answers like the model too
-        batch = store.top_users_for_entity_sets(
-            [ids for ids, _ in REQUESTS], ks[0], [w for _, w in REQUESTS]
-        )
-        for (ids, _), users in zip(REQUESTS, batch):
-            assert_matches_reference(users, model[tuple(ids)], ks[0], sequences)
-        # score_entity is the same rule for one entity, for every user
-        column, single = store.score_entity(17), model[(17,)]
-        assert np.isneginf(column[[u for u in range(num_users) if u not in single]]).all()
-        assert np.allclose([column[u] for u in single], list(single.values()), atol=1e-9, rtol=0)
+    got = answers(store, ks)
+    # byte-identical across the round trip
+    assert got == answers(built, ks)
+    cases = [(ids, w, k) for ids, w in REQUESTS for k in ks] + [([4], None, ks[-1])]
+    for (ids, _, k), users in zip(cases, got):
+        assert_matches_reference(users, model[tuple(ids)], k, sequences)
+        assert len(users) == min(k, covered)
+    # one batched call over all sets answers like the model too
+    batch = store.top_users_for_entity_sets(
+        [ids for ids, _ in REQUESTS], ks[0], [w for _, w in REQUESTS]
+    )
+    for (ids, _), users in zip(REQUESTS, batch):
+        assert_matches_reference(users, model[tuple(ids)], ks[0], sequences)
+    # score_entity is the same rule for one entity, for every user
+    column, single = store.score_entity(17), model[(17,)]
+    assert np.isneginf(column[[u for u in range(num_users) if u not in single]]).all()
+    assert np.allclose([column[u] for u in single], list(single.values()), atol=1e-9, rtol=0)
 
 
 def test_open_maps_the_published_files_and_nothing_dense(tmp_path):
@@ -120,32 +114,23 @@ def test_open_maps_the_published_files_and_nothing_dense(tmp_path):
         PreferenceStore(embeddings).build(sequences, num_users)
     )
     opened = registry.open_preferences(record.version)
-    (part,) = opened._parts
-    for name in ("user_ids", "user_matrix", "covered", "row_ptr", "col_idx", "values"):
-        array = getattr(part, name)
+    files = {
+        "user_matrix": opened.user_matrix,
+        "covered": opened.covered_users,
+        "row_ptr": opened.row_ptr,
+        "col_idx": opened.col_idx,
+        "values": opened.values,
+    }
+    for name, array in files.items():
         assert isinstance(array, np.memmap)
-        assert Path(array.filename) == Path(record.path) / "shard-00" / f"{name}.npy"
-    assert opened.user_matrix is part.user_matrix
-    assert opened.covered_users is part.covered
-    held = [opened.entity_embeddings, *vars(part).values()]
+        assert Path(array.filename) == Path(record.path) / f"{name}.npy"
+    held = [opened.entity_embeddings, *files.values()]
     assert (num_users, NUM_ENTITIES) not in [np.shape(a) for a in held]
-    assert not any(isinstance(v, np.ndarray) for v in vars(opened).values() if v is not opened.entity_embeddings)
+    arrays = {
+        k: v for k, v in vars(opened).items()
+        if isinstance(v, np.ndarray) and v is not opened.entity_embeddings
+    }
+    assert all(isinstance(v, np.memmap) for v in arrays.values())
     # first request after the swap runs on the mapped arrays as they are
     opened.top_users_for_entities([3, 11], 5)
-    assert all(getattr(opened._parts[0], n) is getattr(part, n) for n in vars(part))
-
-
-def test_update_user_matches_rebuild_at_every_partitioning():
-    embeddings, sequences, num_users = random_world(seed=3, num_users=60)
-    changes = [
-        UserEntitySequence(7, [4, 4, 9]),  # longer row
-        UserEntitySequence(8, []),  # uncovers the user
-        UserEntitySequence(58, [17]),  # covers a new user
-    ]
-    after = {**sequences, **{c.user_id: c for c in changes}}
-    rebuilt = answers(PreferenceStore(embeddings).build(after, num_users), [10])
-    for n_shards in PARTITIONS:
-        store = PreferenceStore(embeddings).build(sequences, num_users).partitioned(n_shards)
-        for change in changes:
-            store.update_user(change)
-        assert answers(store, [10]) == rebuilt
+    assert all(getattr(opened, k) is v for k, v in arrays.items())

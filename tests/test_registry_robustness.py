@@ -19,7 +19,7 @@ from reference_model import expansion_key, reference_expansion
 from repro.errors import CorruptArtifactError
 from repro.graph import CSRGraph, EntityGraph, k_hop_expansion
 from repro.preference.store import PreferenceStore
-from repro.resilience import FaultInjector, InjectedFault, atomic_write_bytes
+from repro.resilience import FaultInjector, InjectedFault, atomic_write_bytes, file_digest
 from repro.serving import KIND_GRAPH, KIND_PREFERENCES, ArtifactRegistry
 from repro.serving.registry import MANIFEST_NAME, QUARANTINE_DIR
 from repro.text.sequence_extractor import UserEntitySequence
@@ -84,13 +84,13 @@ def strip_checksums(path):
     path.write_text(json.dumps(meta), encoding="utf-8")
 
 
-#: name → (file inside a P-partition preference artifact, file inside a CSR
-#: graph artifact, damage, caught by the trusted open — otherwise only by
-#: the startup proof).
+#: name → (file inside a preference artifact, file inside a CSR graph
+#: artifact, damage, caught by the trusted open — otherwise only by the
+#: startup proof).
 DAMAGE = {
-    "truncated": ("shard-{last}/user_matrix.npy", "neighbors.npy", truncate, True),
-    "missing": ("shard-{last}/values.npy", "weights.npy", Path.unlink, True),
-    "bitflip": ("shard-{last}/user_matrix.npy", "weights.npy", flip_byte, False),
+    "truncated": ("user_matrix.npy", "neighbors.npy", truncate, True),
+    "missing": ("values.npy", "weights.npy", Path.unlink, True),
+    "bitflip": ("user_matrix.npy", "weights.npy", flip_byte, False),
     "meta-garbled": ("meta.json", "meta.json", truncate, True),
     "meta-missing": ("meta.json", "meta.json", Path.unlink, True),
     "no-checksums": ("meta.json", "meta.json", strip_checksums, False),
@@ -101,28 +101,27 @@ BAD_EDGES = [(4, 5, 0.75), (1, 5, 0.3)]  # published on top of the good ones
 
 
 class PreferenceGenerations:
-    """A good then a bad P-partition preference publish, and the question
-    the surviving generation must keep answering."""
+    """A good then a bad preference publish (one flat partition, hence
+    ``P1``), and the question the surviving generation must keep
+    answering."""
 
     kind = KIND_PREFERENCES
     query = ([1, 2, 5], 10, [3.0, 1.0, 1.0])
 
-    def __init__(self, n_shards):
-        self.n_shards = n_shards
+    def __init__(self):
         self.good = built_preferences(num_users=40, seed=1)
         self.want = self.good.top_users_for_entities(*self.query)
 
     def publish(self, registry, tmp_path):
-        registry.publish_preferences(self.good.partitioned(self.n_shards), tag="good")
-        bad = built_preferences(num_users=40, seed=2).partitioned(self.n_shards)
-        return registry.publish_preferences(bad, tag="bad")
+        registry.publish_preferences(self.good, tag="good")
+        return registry.publish_preferences(built_preferences(num_users=40, seed=2), tag="bad")
 
     def damaged_file(self, damage):
-        return DAMAGE[damage][0].format(last=f"{self.n_shards - 1:02d}")
+        return DAMAGE[damage][0]
 
     def answer(self, registry):
         store = registry.open_preferences()
-        assert store.version_tag == "good" and store.n_shards == self.n_shards
+        assert store.version_tag == "good" and store.storage == "memmap"
         return store.top_users_for_entities(*self.query)
 
 
@@ -151,8 +150,7 @@ class GraphGenerations:
 
 
 GENERATIONS = {
-    "P1": PreferenceGenerations(1),
-    "P4": PreferenceGenerations(4),
+    "P1": PreferenceGenerations(),
     "graph-registry": GraphGenerations(),
 }
 
@@ -163,7 +161,7 @@ class TestQuarantine:
         good = registry.publish_preferences(built_preferences(seed=1), tag="good")
         bad = registry.publish_preferences(built_preferences(seed=2), tag="bad")
         bad_path = published_dir(tmp_path, bad)
-        truncate(bad_path / "shard-00" / "covered.npy", 3)  # torn write
+        truncate(bad_path / "covered.npy", 3)  # torn write
 
         with pytest.raises(CorruptArtifactError):
             registry.open_preferences(bad.version)
@@ -210,7 +208,7 @@ class TestQuarantine:
         good = first.publish_preferences(built_preferences(seed=1), tag="good")
         bad = first.publish_preferences(built_preferences(seed=2), tag="bad")
         bad_path = published_dir(tmp_path, bad)
-        flip_byte(bad_path / "shard-00" / "user_matrix.npy")
+        flip_byte(bad_path / "user_matrix.npy")
 
         reopened = ArtifactRegistry(root=tmp_path)  # must not raise
         assert reopened.latest(KIND_PREFERENCES).version == good.version
@@ -235,6 +233,29 @@ class TestQuarantine:
         assert reopened.latest(KIND_PREFERENCES) is None
         assert reopened.quarantined[-1]["reason"] == "unparseable registry manifest"
 
+    def test_previous_format_generation_is_quarantined_at_startup(self, tmp_path):
+        """A ``pref-mm-v2`` generation (``shard-00/`` sub-directory) left in
+        an existing root is refused by name at startup, and ``latest()``
+        resolves past it to the newest generation this build serves."""
+        first = ArtifactRegistry(root=tmp_path)
+        good = first.publish_preferences(built_preferences(seed=1), tag="good")
+        old = write_v2_generation(
+            tmp_path / "preferences-000002", built_preferences(seed=2)
+        )
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text(encoding="utf-8"))
+        manifest["records"][KIND_PREFERENCES].append(
+            {**good.to_dict(), "version": 2, "tag": "v2", "path": str(old),
+             "checksum": file_digest(old / "meta.json")}
+        )
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+
+        reopened = ArtifactRegistry(root=tmp_path)  # must not raise
+        assert reopened.latest(KIND_PREFERENCES) == good
+        assert reopened.open_preferences().version_tag == "good"
+        (entry,) = reopened.quarantined
+        assert entry["version"] == 2 and "'pref-mm-v2'" in entry["reason"]
+        assert (tmp_path / QUARANTINE_DIR / old.name / "shard-00").is_dir()
+
     def test_torn_drift_report_is_skipped(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
         (tmp_path / "drift-graph-000002.json").write_text("]broken", encoding="utf-8")
@@ -243,13 +264,38 @@ class TestQuarantine:
         assert reopened.quarantined[-1]["reason"] == "unparseable drift report"
 
 
+def write_v2_generation(directory, store):
+    """The ``pref-mm-v2`` layout: one ``shard-NN/`` sub-directory per
+    partition, each with a ``user_ids`` array, checksums per shard."""
+    shard = directory / "shard-00"
+    shard.mkdir(parents=True)
+    arrays = {
+        "user_ids": np.arange(store.num_users, dtype=np.int64),
+        "user_matrix": store.user_matrix, "covered": store.covered_users,
+        "row_ptr": store.row_ptr, "col_idx": store.col_idx, "values": store.values,
+    }
+    np.save(directory / "entity_embeddings.npy", store.entity_embeddings)
+    for name, array in arrays.items():
+        np.save(shard / f"{name}.npy", array)
+    meta = {
+        "format": "pref-mm-v2", "n_shards": 1, "num_users": store.num_users,
+        "direct_weight": store.direct_weight, "version_tag": "v2",
+        "checksums": {
+            "entity_embeddings": file_digest(directory / "entity_embeddings.npy"),
+            "shards": [{name: file_digest(shard / f"{name}.npy") for name in arrays}],
+        },
+    }
+    (directory / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    return directory
+
+
 def frozen_graph(directory):
     graph = EntityGraph.from_edge_list(6, [(0, 1), (1, 2), (2, 5)], [0.9, 0.5, 0.7], [0, 1, 0])
     return CSRGraph.from_entity_graph(graph).save(directory)
 
 
 def frozen_preferences(directory):
-    return built_preferences(num_users=12).partitioned(2).save_memmap(directory)
+    return built_preferences(num_users=12).save_memmap(directory)
 
 
 class TestVerifiedLoad:
@@ -257,7 +303,7 @@ class TestVerifiedLoad:
         "freeze, array, validate",
         [
             (frozen_graph, "weights.npy", CSRGraph.validate),
-            (frozen_preferences, "shard-01/user_matrix.npy", PreferenceStore.validate_memmap),
+            (frozen_preferences, "user_matrix.npy", PreferenceStore.validate_memmap),
         ],
         ids=["csr", "pref"],
     )
@@ -288,21 +334,19 @@ def set_num_users(value):
     return damage
 
 
-#: One violated structure condition each, on a 12-user, 2-partition artifact.
+#: One violated structure condition each, on a 12-user artifact.
 BAD_SHAPES = {
-    "matrix-rows": rewrite("shard-00/user_matrix.npy", lambda a: a[:-1]),
-    "matrix-width": rewrite("shard-01/user_matrix.npy", lambda a: a[:, :-1]),
+    "matrix-rows": rewrite("user_matrix.npy", lambda a: a[:-1]),
+    "matrix-width": rewrite("user_matrix.npy", lambda a: a[:, :-1]),
     "embedding-width": rewrite("entity_embeddings.npy", lambda a: a[:, :-1]),
-    "covered-length": rewrite("shard-00/covered.npy", lambda a: a[:-1]),
-    "row_ptr-length": rewrite("shard-01/row_ptr.npy", lambda a: a[:-1]),
-    "row_ptr-end": rewrite("shard-00/row_ptr.npy", lambda a: a + 1),
-    "col_idx-length": rewrite("shard-00/col_idx.npy", lambda a: a[:-1]),
-    "values-length": rewrite("shard-01/values.npy", lambda a: a[:-1]),
-    "values-dtype": rewrite("shard-00/values.npy", lambda a: a.astype(np.float32)),
-    "user_ids-dtype": rewrite("shard-01/user_ids.npy", lambda a: a.astype(np.int32)),
-    "covered-dtype": rewrite("shard-00/covered.npy", lambda a: a.astype(np.int8)),
-    "user-owned-twice": rewrite("shard-00/user_ids.npy", lambda a: np.r_[a[:-1], 0]),
-    "user-out-of-range": rewrite("shard-01/user_ids.npy", lambda a: np.r_[a[:-1], 12]),
+    "covered-length": rewrite("covered.npy", lambda a: a[:-1]),
+    "row_ptr-length": rewrite("row_ptr.npy", lambda a: a[:-1]),
+    "row_ptr-end": rewrite("row_ptr.npy", lambda a: a + 1),
+    "col_idx-length": rewrite("col_idx.npy", lambda a: a[:-1]),
+    "values-length": rewrite("values.npy", lambda a: a[:-1]),
+    "values-dtype": rewrite("values.npy", lambda a: a.astype(np.float32)),
+    "row_ptr-dtype": rewrite("row_ptr.npy", lambda a: a.astype(np.int32)),
+    "covered-dtype": rewrite("covered.npy", lambda a: a.astype(np.int8)),
     "num_users-large": set_num_users(13),
     "num_users-small": set_num_users(11),
 }
@@ -314,7 +358,7 @@ class TestTrustedOpen:
         """The trusted (non-verifying) open still refuses arrays that do
         not fit together — they would be out-of-bounds reads in the kernel."""
         directory = frozen_preferences(tmp_path / "artifact")
-        assert PreferenceStore.load_memmap(directory).n_shards == 2
+        assert PreferenceStore.load_memmap(directory).num_users == 12
         BAD_SHAPES[violation](directory)
         with pytest.raises(CorruptArtifactError):
             PreferenceStore.load_memmap(directory)

@@ -46,9 +46,9 @@ def _layered_graph(num_nodes, fanout=4):
     return EntityGraph.from_edge_list(num_nodes, edges, weights, [0] * len(edges))
 
 
-def build_frontend(world, obs, **frontend_options) -> QueryFrontend:
+def build_frontend(world, obs, root, **frontend_options) -> QueryFrontend:
     """Hand-activated stack (no TRMP training) behind a front end."""
-    system = EGLSystem(world, obs=obs)
+    system = EGLSystem(world, artifact_root=root, obs=obs)
     reasoner = GraphReasoner(_layered_graph(world.num_entities), system.pipeline.entity_dict)
     system.runtime.activate_graph(reasoner, version=1, tag="week-0")
     rng = np.random.default_rng(0)
@@ -63,8 +63,8 @@ def build_frontend(world, obs, **frontend_options) -> QueryFrontend:
 
 
 @pytest.fixture()
-def frontend(world):
-    return build_frontend(world, Observability(clock=TickingClock(start=9_000.0)))
+def frontend(world, tmp_path):
+    return build_frontend(world, Observability(clock=TickingClock(start=9_000.0)), tmp_path)
 
 
 def _expand(world, index=0, depth=3):
@@ -138,9 +138,9 @@ class TestOneRecordPerDispatch:
         assert second["code"] == "invalid_argument"
         assert _phase_names(second) == ["admission", "api"]
 
-    def test_shed_when_full(self, world):
+    def test_shed_when_full(self, world, tmp_path):
         frontend = build_frontend(
-            world, Observability(clock=ManualClock()), max_concurrency=1, max_queue=0
+            world, Observability(clock=ManualClock()), tmp_path, max_concurrency=1, max_queue=0
         )
         assert frontend.admission.try_admit()[0]  # occupy the only token
         status, envelope = frontend.dispatch("expand", _expand(world))
@@ -150,9 +150,9 @@ class TestOneRecordPerDispatch:
         assert journey["queue_wait_ms"] is None  # refused without waiting
         assert _phase_names(journey) == ["admission"]
 
-    def test_shed_after_waiting_reports_the_wait(self, world):
+    def test_shed_after_waiting_reports_the_wait(self, world, tmp_path):
         frontend = build_frontend(
-            world, Observability(clock=ManualClock()),
+            world, Observability(clock=ManualClock()), tmp_path,
             max_concurrency=1, max_queue=1, queue_timeout=0.02,
         )
         assert frontend.admission.try_admit()[0]
@@ -224,11 +224,11 @@ class TestWaterfall:
         assert journey["cache"] == "miss"
         assert journey["hops"][0] == 1 and len(journey["hops"]) == 4
 
-    def test_hop_phases_explain_90pct_of_a_cold_khop(self, world):
+    def test_hop_phases_explain_90pct_of_a_cold_khop(self, world, tmp_path):
         """The old ``test_cold_csr_expansion_is_90pct_attributed`` gate: real
         clock, real work, summed over several cold expansions so a single
         scheduler hiccup cannot decide the ratio."""
-        frontend = build_frontend(world, Observability())
+        frontend = build_frontend(world, Observability(), tmp_path)
         for index in range(5):
             frontend.dispatch("expand", _expand(world, index))
         khop = hops = 0.0
@@ -283,9 +283,9 @@ class TestWaterfall:
 # Concurrency and equivalence
 # ----------------------------------------------------------------------
 class TestConcurrentRecords:
-    def test_threads_mint_distinct_ids_and_keep_their_own_phases(self, world):
+    def test_threads_mint_distinct_ids_and_keep_their_own_phases(self, world, tmp_path):
         frontend = build_frontend(
-            world, Observability(), max_concurrency=8, max_queue=64, queue_timeout=5.0
+            world, Observability(), tmp_path, max_concurrency=8, max_queue=64, queue_timeout=5.0
         )
         per_thread, n_threads = 20, 8  # 160 records: the ring keeps them all
         ids = [e.entity_id for e in world.entities[:3]]
@@ -319,9 +319,9 @@ class TestConcurrentRecords:
                 assert "cache.get" not in names and names.count("targeting") == 1
             self_times(journey)
 
-    def test_answers_equal_with_and_without_the_record(self, world):
-        recorded = build_frontend(world, Observability(clock=ManualClock()))
-        bare = build_frontend(world, Observability.disabled())
+    def test_answers_equal_with_and_without_the_record(self, world, tmp_path):
+        recorded = build_frontend(world, Observability(clock=ManualClock()), tmp_path / "recorded")
+        bare = build_frontend(world, Observability.disabled(), tmp_path / "bare")
         ids = [e.entity_id for e in world.entities[:4]]
         calls = [
             ("expand", _expand(world)),

@@ -120,11 +120,8 @@ def published_files(root, kind: str) -> dict[str, bytes]:
     }
 
 
-@pytest.mark.parametrize("n_parts", [1, 3])
-def test_preference_generation_is_byte_identical_to_the_bytesio_path(
-    n_parts, tmp_path, monkeypatch
-):
-    store = built_store(num_users=50).partitioned(n_parts)
+def test_preference_generation_is_byte_identical_to_the_bytesio_path(tmp_path, monkeypatch):
+    store = built_store(num_users=50)
     ArtifactRegistry(root=tmp_path / "new").publish_preferences(store)
     monkeypatch.setattr("repro.preference.store.atomic_write_array", bytesio_write_array)
     ArtifactRegistry(root=tmp_path / "old").publish_preferences(store)

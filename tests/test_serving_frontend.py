@@ -30,8 +30,8 @@ from repro.serving.frontend import (
 
 
 @pytest.fixture()
-def service(world):
-    system = EGLSystem(world, obs=Observability())
+def service(world, tmp_path):
+    system = EGLSystem(world, artifact_root=tmp_path, obs=Observability())
     graph = EntityGraph.from_edge_list(
         world.num_entities, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0]
     )

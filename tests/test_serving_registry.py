@@ -47,27 +47,12 @@ class TestPreferenceArtifact:
 
 
 class TestRegistry:
-    def test_publish_memory_graph(self):
-        registry = ArtifactRegistry()
-        graph = EntityGraph.from_edge_list(5, [(0, 1)], [0.5], [0])
-        record = registry.publish_graph(graph, tag="week-0")
-        assert record.source == "memory"
-        assert registry.open_graph(record.version) is graph
-
-    def test_publish_preferences_in_memory(self):
-        registry = ArtifactRegistry()
-        prefs = built_preferences()
-        record = registry.publish_preferences(prefs)
-        assert record.kind == KIND_PREFERENCES
-        assert record.version == 1
-        assert prefs.version_tag == record.tag
-        assert registry.open_preferences() is prefs
-
     def test_publish_preferences_durable(self, tmp_path):
         registry = ArtifactRegistry(root=tmp_path / "artifacts")
         prefs = built_preferences()
         record = registry.publish_preferences(prefs, tag="daily-A")
-        assert record.source == "file"
+        assert (record.kind, record.version, record.source) == (KIND_PREFERENCES, 1, "file")
+        assert prefs.version_tag == record.tag
         loaded = registry.open_preferences(record.version)
         assert loaded is not prefs  # reopened from disk
         np.testing.assert_allclose(loaded.user_matrix, prefs.user_matrix)
@@ -79,8 +64,8 @@ class TestRegistry:
         # A reopened registry continues the sequence from its manifest.
         assert ArtifactRegistry(tmp_path).publish_graph(graph).version == 4
 
-    def test_latest_and_get_record(self):
-        registry = ArtifactRegistry()
+    def test_latest_and_get_record(self, tmp_path):
+        registry = ArtifactRegistry(tmp_path)
         assert registry.latest(KIND_GRAPH) is None
         p1 = registry.publish_preferences(built_preferences(seed=1))
         p2 = registry.publish_preferences(built_preferences(seed=2))
@@ -89,6 +74,6 @@ class TestRegistry:
         with pytest.raises(StorageError):
             registry.get_record(KIND_PREFERENCES, 99)
 
-    def test_unknown_kind_raises(self):
+    def test_unknown_kind_raises(self, tmp_path):
         with pytest.raises(StorageError):
-            ArtifactRegistry().records("embeddings")
+            ArtifactRegistry(tmp_path).records("embeddings")

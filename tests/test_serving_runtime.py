@@ -211,8 +211,8 @@ class TestBatchedTargeting:
                 [u.score for u in batch_result.users]
             )
 
-    def test_full_flow_for_phrases(self, world, entity_dict):
-        system = EGLSystem(world)
+    def test_full_flow_for_phrases(self, world, entity_dict, tmp_path):
+        system = EGLSystem(world, artifact_root=tmp_path)
         system.runtime.activate_graph(
             make_reasoner(world, entity_dict, [(0, 1), (1, 2)], [0.9, 0.8]), version=1
         )
@@ -234,6 +234,8 @@ DELETED_NAMES = frozenset({
     "shard_score_rows", "preference_shards",
     "warm", "target_for_phrases", "neighbors_batch",
     "OfflineArtifacts", "stack_tensors",
+    "shard_of", "partitioned", "update_user", "PoincareEmbedding",
+    "reliability_report",
 })
 
 

@@ -213,17 +213,17 @@ def kill_worker_once_it_has_its_inputs(pipeline: TRMPipeline, killed: list[int])
         killed.append(pid)
 
 
-def test_sigkill_of_the_worker_fails_the_stage_and_resume_completes(world, events):
+def test_sigkill_of_the_worker_fails_the_stage_and_resume_completes(world, events, tmp_path):
     """A real kill, not an injected exception: no ``finally`` runs in the
     worker, the parent sees a dead pipe and a signal exit code."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: no worker to kill")
     slow_fit = config(skipgram_epochs=30)
 
-    reference = TRMPipeline(world, slow_fit, checkpoints=CheckpointStore())
+    reference = TRMPipeline(world, slow_fit, checkpoints=CheckpointStore(tmp_path / "reference"))
     expected = reference.run_week(events)
 
-    checkpoints = CheckpointStore()
+    checkpoints = CheckpointStore(tmp_path / "killed")
     pipeline = TRMPipeline(world, slow_fit, checkpoints=checkpoints)
     killed: list[int] = []
     killer = threading.Thread(
@@ -252,7 +252,7 @@ def test_sigkill_of_the_worker_fails_the_stage_and_resume_completes(world, event
     assert children() == []
 
 
-def test_a_raising_pretrain_leaves_no_child(world, events, monkeypatch):
+def test_a_raising_pretrain_leaves_no_child(world, events, monkeypatch, tmp_path):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: no worker is started")
     started = []
@@ -267,7 +267,7 @@ def test_a_raising_pretrain_leaves_no_child(world, events, monkeypatch):
 
     monkeypatch.setattr(stage_worker.subprocess, "Popen", recording_popen)
     monkeypatch.setattr(SemanticEntityEncoder, "pretrain", failing_pretrain)
-    pipeline = TRMPipeline(world, config(), checkpoints=CheckpointStore())
+    pipeline = TRMPipeline(world, config(), checkpoints=CheckpointStore(tmp_path))
     with pytest.raises(RuntimeError, match="pretrain failed"):
         pipeline.run_week(events)
     assert len(started) == 1 and started[0].returncode is not None  # reaped
