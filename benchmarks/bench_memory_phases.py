@@ -10,7 +10,12 @@ that is. This runs the server's own bring-up (``build_stack`` from
 ``refresh_under_load`` adds on top of it -- ``Stack.weeks()``, the week-1
 weekly refresh and four daily preference refreshes over weeks 1-4, as the
 operator cycles them -- while a thread reads ``VmRSS`` from
-``/proc/self/status`` every 5 ms. Each sample goes to the phase whose
+``/proc/self/status`` every 5 ms, and the ``VmRSS`` of every stage worker
+alive at that instant (the children listed in
+``/proc/self/task/*/children``): training and the daily build run there,
+so the server's own peak alone would hide what the host holds. Each
+phase reports the server's peak, the workers' peak and the peak of their
+sum at one instant. Each sample goes to the phase whose
 interval holds it: the bring-up phases come from ``build_stack``'s own
 ``setup_s`` marks (``world_and_events``, ``weekly_refresh``,
 ``daily_refresh``, ``listener``), the rest from marks this file sets between
@@ -43,25 +48,39 @@ POLL_S = 0.005
 DAILIES = 4
 
 
-def status_mb(field: str) -> float:
-    """One ``/proc/self/status`` field (``VmRSS``, ``VmHWM``), in MiB."""
-    for line in Path("/proc/self/status").read_text(encoding="ascii").splitlines():
+def status_mb(field: str, pid: str = "self") -> float:
+    """One ``/proc/<pid>/status`` field (``VmRSS``, ``VmHWM``), in MiB."""
+    for line in Path(f"/proc/{pid}/status").read_text(encoding="ascii").splitlines():
         if line.startswith(field + ":"):
             return int(line.split()[1]) / 1024  # the kernel reports KiB
-    raise RuntimeError(f"no {field} in /proc/self/status")
+    raise RuntimeError(f"no {field} in /proc/{pid}/status")
+
+
+def workers_mb() -> float:
+    """Summed ``VmRSS`` of this process's children (the stage workers)."""
+    total = 0.0
+    for children in Path("/proc/self/task").glob("*/children"):
+        for pid in children.read_text(encoding="ascii").split():
+            try:
+                total += status_mb("VmRSS", pid)
+            except (OSError, RuntimeError):  # exited, or a zombie without VmRSS
+                pass
+    return total
 
 
 class RssPoller:
-    """Reads ``VmRSS`` every ``POLL_S`` seconds on its own thread."""
+    """Reads this process's and its workers' ``VmRSS`` every ``POLL_S``
+    seconds on its own thread."""
 
     def __init__(self) -> None:
-        self.samples: list[tuple[float, float]] = []  # (perf_counter, MiB)
+        #: (perf_counter, server MiB, workers MiB)
+        self.samples: list[tuple[float, float, float]] = []
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="rss-poll", daemon=True)
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            self.samples.append((time.perf_counter(), status_mb("VmRSS")))
+            self.samples.append((time.perf_counter(), status_mb("VmRSS"), workers_mb()))
             self._stop.wait(POLL_S)
 
     def __enter__(self) -> RssPoller:
@@ -96,14 +115,19 @@ def measure() -> dict:
             stack.system.daily_preference_refresh(weeks[day % len(weeks)])
             mark(f"daily_{day + 1}")
         stack.frontend.stop()
+    def peak(values: list[float]) -> float | None:
+        return round(max(values), 2) if values else None
+
     phases = []
     for (_, begin), (name, end) in zip(marks, marks[1:]):
-        held = [mb for t, mb in poller.samples if begin < t <= end]
+        held = [(server, workers) for t, server, workers in poller.samples if begin < t <= end]
         phases.append({
             "phase": name,
             "seconds": round(end - begin, 3),
             "samples": len(held),
-            "peak_rss_mb": round(max(held), 2) if held else None,
+            "peak_rss_mb": peak([server for server, _ in held]),
+            "worker_peak_rss_mb": peak([workers for _, workers in held]),
+            "total_peak_rss_mb": peak([server + workers for server, workers in held]),
         })
     return {
         "phases": phases,
@@ -115,15 +139,21 @@ def measure() -> dict:
 
 def table(result: dict) -> str:
     lines = [
-        "Server resident set per phase (in-process poll of VmRSS every "
-        f"{result['poll_s'] * 1000:.0f} ms; no traffic)",
-        f"{'phase':<18}{'seconds':>9}{'samples':>9}{'peak MB':>10}",
+        "Resident set per phase (in-process poll of VmRSS every "
+        f"{result['poll_s'] * 1000:.0f} ms; no traffic): the server, its stage "
+        "workers, and the peak of the two summed at one instant",
+        f"{'phase':<18}{'seconds':>9}{'samples':>9}{'server MB':>11}{'workers MB':>12}"
+        f"{'sum MB':>9}",
     ]
+
+    def mb(value) -> str:
+        return "-" if value is None else f"{value:.2f}"
+
     for phase in result["phases"]:
-        peak = phase["peak_rss_mb"]
         lines.append(
             f"{phase['phase']:<18}{phase['seconds']:>9.2f}{phase['samples']:>9}"
-            f"{'-' if peak is None else f'{peak:.2f}':>10}"
+            f"{mb(phase['peak_rss_mb']):>11}{mb(phase['worker_peak_rss_mb']):>12}"
+            f"{mb(phase['total_peak_rss_mb']):>9}"
         )
     lines.append(f"VmHWM at exit: {result['vmhwm_mb']:.2f} MB")
     return "\n".join(lines) + "\n"
@@ -143,10 +173,15 @@ def test_memory_phases():
     for name in ("weekly_refresh", "week_1", "daily_1"):
         assert name in peaks, result  # the training phases last seconds
     assert max(peaks.values()) <= result["vmhwm_mb"] + 0.5, result
+    metrics = {}
+    for phase in result["phases"]:
+        if phase["peak_rss_mb"] is not None:
+            for key in ("peak_rss_mb", "worker_peak_rss_mb", "total_peak_rss_mb"):
+                metrics[f"{phase['phase']}.{key}"] = phase[key]
     record_history(
         "memory_phases",
-        {f"{name}.peak_rss_mb": mb for name, mb in peaks.items()},
-        directions=dict.fromkeys((f"{name}.peak_rss_mb" for name in peaks), "lower"),
+        metrics,
+        directions=dict.fromkeys(metrics, "lower"),
         config={"poll_s": POLL_S, "dailies": DAILIES, "traffic": "none"},
     )
 

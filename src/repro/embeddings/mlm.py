@@ -4,8 +4,8 @@ Paper §III-B.1 uses BERT pre-trained on Wikipedia to provide the
 *semantic-level* entity embeddings ``E^Se``. Offline we cannot ship BERT, so
 we pretrain a small transformer encoder with the same objective (masked token
 prediction) on the synthetic corpus (entity descriptions + behavior texts).
-The encoder is then reused by :mod:`repro.embeddings.semantic` to embed
-entities.
+Its learned token table is then reused by :mod:`repro.embeddings.semantic`
+to embed entities.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro import rng as rng_mod
 from repro.errors import ConfigError
 from repro.nn import Linear, Module, TransformerEncoder
 from repro.nn.functional import cross_entropy
-from repro.tensor import Adam, Tensor, no_grad
+from repro.tensor import Adam, Tensor
 from repro.text.tokenizer import encode_batch
 from repro.text.vocab import Vocab
 
@@ -82,14 +82,6 @@ class MaskedLanguageModel(Module):
         hidden = self.encoder(corrupted, key_padding_mask=mask)
         logits = self.output_head(hidden)
         return cross_entropy(logits, token_ids, mask=targets_mask)
-
-    def encode(self, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Mean-pooled sentence embeddings ``(batch, dim)`` (no gradient)."""
-        with no_grad():
-            hidden = self.encoder(token_ids, key_padding_mask=mask)
-        h = hidden.data
-        m = mask.astype(np.float64)[..., None]
-        return (h * m).sum(axis=1) / np.maximum(m.sum(axis=1), 1.0)
 
 
 @dataclass

@@ -78,7 +78,21 @@ class EntityGraph:
             raise GraphError("weight/relation arrays must match the edge count")
 
         self._build_csr()
-        self._edge_keys = set((int(a), int(b)) for a, b in zip(*self.canonical_pairs()))
+        self._edge_keys = self._key_set()
+
+    def _key_set(self) -> set[tuple[int, int]]:
+        return set((int(a), int(b)) for a, b in zip(*self.canonical_pairs()))
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickle refills a set in its iteration order, and the order a set
+        # iterates in depends on how it was filled, so the copy need not
+        # iterate like the original. Rebuilt the way the constructor builds
+        # it, an unpickled graph pickles to the same bytes as the graph it
+        # came from, which is what the stage checkpoints' digests compare.
+        # ``setattr`` interns the names, as pickle's own state restore does.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._edge_keys = self._key_set()
 
     # ------------------------------------------------------------------
     def _build_csr(self) -> None:

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.embeddings.semantic import SemanticEntityEncoder
 from repro.errors import GraphError, VocabularyError
 from repro.graph.entity_graph import EntityGraph
 from repro.graph.khop import ExpansionResult, k_hop_expansion
-from repro.tensor import no_grad
 from repro.text.entity_dict import EntityDict
+from repro.text.lexicon import Lexicon
 from repro.text.tokenizer import WhitespaceTokenizer
 
 
@@ -62,13 +61,11 @@ class GraphReasoner:
         self,
         graph: EntityGraph,  # or any csr_view() reader (a frozen CSRGraph)
         entity_dict: EntityDict,
-        semantic_encoder: SemanticEntityEncoder | None = None,
-        e_semantic: np.ndarray | None = None,
+        lexicon: Lexicon | None = None,
     ) -> None:
         self.graph = graph
         self.entity_dict = entity_dict
-        self.semantic_encoder = semantic_encoder
-        self.e_semantic = e_semantic
+        self.lexicon = lexicon
         self._tokenizer = WhitespaceTokenizer()
 
     # ------------------------------------------------------------------
@@ -76,21 +73,19 @@ class GraphReasoner:
         """Map a marketer phrase to entity ids.
 
         Exact Entity Dict hits win; otherwise (a genuinely new phrase — the
-        cold-start case) the semantic encoder embeds the text and the
-        nearest entities in ``E^Se`` are used.
+        cold-start case) the lexicon embeds the text as the average of its
+        pretrained token vectors and the nearest entities in ``E^Se`` are
+        used.
         """
         tokens = self._tokenizer.tokenize(phrase)
         spans = self.entity_dict.scan(tokens)
         if spans:
             return [entry.entity_id for _, _, entry in spans]
-        if self.semantic_encoder is None or self.e_semantic is None:
+        if self.lexicon is None:
             raise VocabularyError(
                 f"phrase {phrase!r} not in the Entity Dict and no semantic fallback configured"
             )
-        # Inference-only forward pass: serving must never record autograd.
-        with no_grad():
-            query = self.semantic_encoder.encode_text(phrase)
-        sims = self.e_semantic @ query
+        sims = self.lexicon.e_semantic @ self.lexicon.encode_text(phrase)
         top = np.argsort(-sims)[:fallback_k]
         return [int(t) for t in top]
 

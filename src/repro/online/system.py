@@ -8,6 +8,10 @@ Offline cadence (§II-B Remark):
 * ``daily_preference_refresh(events)`` — recompute user embeddings and the
   preference index from the last 30 days of behavior.
 
+Everything either producer trains or builds runs in a stage worker
+(:mod:`repro.trmp.stage_worker`); this process orchestrates, checkpoints,
+publishes and serves.
+
 Both producers end by *publishing* their output to the
 :class:`~repro.serving.ArtifactRegistry` and hot-swapping it into the
 :class:`~repro.serving.ServingRuntime` — the facade itself holds no live
@@ -18,7 +22,6 @@ version-pinned artifacts behind a read-through expansion cache.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,23 +45,8 @@ from repro.preference.store import PreferenceStore
 from repro.resilience import Deadline, FaultInjector, RetryPolicy
 from repro.serving import ArtifactRecord, ArtifactRegistry, ServingRuntime
 from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
-
-try:  # glibc only; elsewhere there is nothing to trim
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
-
-def _release_freed_heap() -> None:
-    """Return the heap pages freed so far to the OS.
-
-    TRMP trains inside the serving process. glibc keeps most of what the
-    training frees in its heap, and how much depends on where the freed
-    chunks happen to lie, so without this the server's resident set after
-    a weekly refresh differs by ~30 MB from one run to the next.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
+from repro.trmp.stage_worker import StageWorker, reject
+from repro.trmp.stages import preference_stage
 
 
 def graph_digest(graph: EntityGraph) -> str:
@@ -195,9 +183,11 @@ class EGLSystem:
         """
         clock = self.obs.clock
         start = clock.perf()
-        try:
-            feedback_pairs = self.feedback.pairs()
-            run_id = f"weekly-{len(self.pipeline.weekly_runs):04d}"
+        feedback_pairs = self.feedback.pairs()
+        run_id = f"weekly-{len(self.pipeline.weekly_runs):04d}"
+        # One block of stage workers for the whole refresh: the model
+        # worker that fits ALPC also fits the ensemble.
+        with self.pipeline.workers():
             run: WeeklyRun = self.pipeline.run_week(
                 events, feedback_pairs=feedback_pairs, run_id=run_id, resume=resume
             )
@@ -212,38 +202,34 @@ class EGLSystem:
             if len(self.pipeline.weekly_runs) >= 2:
                 self.pipeline.train_ensemble(run_id=run_id, resume=resume)
                 ensemble_trained = True
+            lexicon = self.pipeline.lexicon
 
-            # Hot-swap: build the complete new reasoner, then activate it —
-            # requests already in flight finish on the previous version.
-            reasoner = GraphReasoner(
-                self.retry.call(
-                    lambda: self.registry.open_graph(frozen["version"]),
-                    seam="registry.open_graph",
-                ),
-                self.pipeline.entity_dict,
-                semantic_encoder=self.pipeline.semantic_encoder,
-                e_semantic=self.pipeline.e_semantic,
+        # Hot-swap: build the complete new reasoner, then activate it —
+        # requests already in flight finish on the previous version.
+        reasoner = GraphReasoner(
+            self.retry.call(
+                lambda: self.registry.open_graph(frozen["version"]),
+                seam="registry.open_graph",
+            ),
+            self.pipeline.entity_dict,
+            lexicon,
+        )
+        swap_rejected = False
+        swap_rejected_reason = None
+        try:
+            self.runtime.activate_graph(
+                reasoner, frozen["version"], tag=frozen["tag"]
             )
-            swap_rejected = False
-            swap_rejected_reason = None
-            try:
-                self.runtime.activate_graph(
-                    reasoner, frozen["version"], tag=frozen["tag"]
-                )
-            except (DriftGateError, CircuitOpenError) as error:
-                # The artifact stays published (evidence!) but serving keeps
-                # the old generation; its drift report, if any, is already
-                # in the registry.
-                swap_rejected = True
-                swap_rejected_reason = str(error)
-            else:
-                # A served generation trained on this feedback. A crash or a
-                # refused swap before here keeps it for the next run.
-                self.feedback.retire(feedback_pairs)
-        finally:
-            # Failure paths too: a refresh that raises must not leave its
-            # training heap resident in the serving process.
-            _release_freed_heap()
+        except (DriftGateError, CircuitOpenError) as error:
+            # The artifact stays published (evidence!) but serving keeps
+            # the old generation; its drift report, if any, is already
+            # in the registry.
+            swap_rejected = True
+            swap_rejected_reason = str(error)
+        else:
+            # A served generation trained on this feedback. A crash or a
+            # refused swap before here keeps it for the next run.
+            self.feedback.retire(feedback_pairs)
         elapsed = clock.perf() - start
         metrics = self.obs.metrics
         metrics.counter(
@@ -273,30 +259,33 @@ class EGLSystem:
         """Build and publish the day's preference index; returns the
         registry record and the number of covered users.
 
-        The in-memory build lives only in this frame, so its arrays are
-        dead when the call returns — before the published generation is
-        opened and scored.
+        The extraction, the build and the memmap write run in a stage
+        worker, into the directory the registry reserved; this process
+        only appends the record once the worker has replied.
         """
         embeddings = self.pipeline.entity_embeddings()
-        sequences = self.pipeline.extractor.extract_sequences(events)
-        store = PreferenceStore(embeddings).build(sequences, self.world.num_users)
+        num_users = self.world.num_users
+        slot = self.retry.call(
+            self.registry.reserve_preferences, seam="registry.publish_preferences"
+        )
+        with StageWorker() as worker:
+            covered, _ = worker.run(
+                preference_stage, self.pipeline.extractor, events, embeddings,
+                num_users, slot.directory, slot.tag,
+            )
+        if not (type(covered) is int and 0 <= covered <= num_users):
+            raise reject(repr(covered), f"a covered-user count in [0, {num_users}]")
         record = self.retry.call(
-            lambda: self.registry.publish_preferences(store),
+            lambda: self.registry.commit_preferences(slot),
             seam="registry.publish_preferences",
         )
-        return record, int(store.covered_users.sum())
+        return record, covered
 
     def daily_preference_refresh(self, events: BehaviorLog) -> int:
         """Recompute user embeddings/preferences; returns #covered users."""
         clock = self.obs.clock
         start = clock.perf()
-        try:
-            record, covered = self._publish_daily_preferences(events)
-        finally:
-            # Return what the build freed to the OS, as weekly_refresh
-            # does, whether or not the refresh raised — after the build is
-            # dropped, so its arrays go back too.
-            _release_freed_heap()
+        record, covered = self._publish_daily_preferences(events)
         try:
             # Serve the registry's artifact: the published pages are
             # mapped read-only and shared, not copied.

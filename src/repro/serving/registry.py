@@ -108,6 +108,15 @@ class ArtifactRecord:
         )
 
 
+@dataclass(frozen=True)
+class PreferenceSlot:
+    """A reserved preference generation: its version, directory and tag."""
+
+    version: int
+    directory: Path
+    tag: str
+
+
 class ArtifactRegistry:
     """Append-only catalogue of published serving artifacts.
 
@@ -170,23 +179,38 @@ class ArtifactRegistry:
     def publish_preferences(
         self, store: PreferenceStore, tag: str | None = None
     ) -> ArtifactRecord:
-        """Register a daily preference artifact.
+        """Register a daily preference artifact built in this process.
 
-        The store is written to ``preferences-NNNNNN/``: every array
-        through the atomic temp + rename path with its SHA-256 recorded in
-        ``meta.json``, which lands last; the ``meta.json`` digest goes
-        into the record, pinning the whole directory.
+        The store is written to the next ``preferences-NNNNNN/``: every
+        array through the atomic temp + rename path with its SHA-256
+        recorded in ``meta.json``, which lands last; the ``meta.json``
+        digest goes into the record, pinning the whole directory.
+        """
+        slot = self.reserve_preferences(tag)
+        store.version_tag = slot.tag
+        store.save_memmap(slot.directory)
+        return self.commit_preferences(slot)
+
+    def reserve_preferences(self, tag: str | None = None) -> PreferenceSlot:
+        """The directory and tag the next preference generation goes to.
+
+        Whoever writes it — :meth:`publish_preferences`, or the daily
+        refresh's stage worker — hands the slot to
+        :meth:`commit_preferences` once ``meta.json`` has landed.
         """
         self._check_faults("registry.write")
         version = self._next_version(KIND_PREFERENCES)
-        tag = tag or f"daily-{version}"
-        store.version_tag = tag
-        directory = store.save_memmap(self.root / f"preferences-{version:06d}")
+        return PreferenceSlot(
+            version, self.root / f"preferences-{version:06d}", tag or f"daily-{version}"
+        )
+
+    def commit_preferences(self, slot: PreferenceSlot) -> ArtifactRecord:
+        """Append the record of a written slot, pinning its ``meta.json``."""
         return self._append(
             ArtifactRecord(
-                kind=KIND_PREFERENCES, version=version, tag=tag,
-                source="file", path=str(directory),
-                checksum=file_digest(directory / "meta.json"),
+                kind=KIND_PREFERENCES, version=slot.version, tag=slot.tag,
+                source="file", path=str(slot.directory),
+                checksum=file_digest(slot.directory / "meta.json"),
                 format="memmap",
             )
         )

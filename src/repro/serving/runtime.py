@@ -13,8 +13,6 @@ the offline producers republish artifacts weekly (entity graph) and daily
   (:class:`~repro.serving.cache.VersionedLRUCache`); because the version is
   part of the key, a cached expansion can never be served for a graph that
   did not produce it;
-* every forward pass on the read path runs under
-  :func:`repro.tensor.no_grad`;
 * every activation that has a predecessor first measures the candidate
   against the active artifact and produces a
   :class:`~repro.obs.drift.DriftReport`; a critical one (an empty graph,
@@ -76,7 +74,6 @@ from repro.online.targeting import TargetingResult, UserTargeting
 from repro.preference.store import PreferenceStore
 from repro.resilience import CLOSED, CircuitBreaker, Deadline, FaultInjector
 from repro.serving.cache import VersionedLRUCache
-from repro.tensor import no_grad
 
 #: How many hot-swap events the runtime keeps for post-hoc inspection.
 SWAP_EVENT_CAPACITY = 64
@@ -569,14 +566,13 @@ class ServingRuntime:
                     record.cache, record.hops = "hit", cached.hop_sizes
                 return cached
             start = self._perf()
-            with no_grad():
-                view = reasoner.expand(
-                    phrases,
-                    depth=depth,
-                    min_score=min_score,
-                    max_neighbors_per_node=max_neighbors_per_node,
-                    max_nodes=max_nodes,
-                )
+            view = reasoner.expand(
+                phrases,
+                depth=depth,
+                min_score=min_score,
+                max_neighbors_per_node=max_neighbors_per_node,
+                max_nodes=max_nodes,
+            )
             with phase("cache.put"):
                 self._cache.put(active.graph_version, key, view)
             elapsed = self._perf() - start
@@ -642,7 +638,7 @@ class ServingRuntime:
         weights: list[float] | None = None,
         deadline: Deadline | None = None,
     ) -> TargetingResult:
-        """Top-K users for one entity set (scoring already under no_grad)."""
+        """Top-K users for one entity set."""
         with phase("runtime"):
             self._check_deadline(deadline, "target")
             start = self._perf()

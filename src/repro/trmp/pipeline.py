@@ -7,6 +7,13 @@ retrains the co-occurrence embeddings and the ALPC ranking model, mines an
 entity graph, and contributes a snapshot to the ensemble — exactly the
 weekly refresh cadence described in §II-B.
 
+This process orchestrates; it does not train. Every stage that trains —
+NER with the skip-gram, the semantic pretrain, the split with the ALPC fit
+and the ranked graph, the ensemble — runs as one function of
+:mod:`repro.trmp.stages` in a :class:`~repro.trmp.stage_worker.StageWorker`,
+and its reply is checked before it is used or checkpointed. Candidate
+generation (a k-NN over two small matrices) stays here.
+
 Fault tolerance: when a :class:`~repro.resilience.CheckpointStore` is
 attached, each stage's output (cooccurrence, candidates, ranked, ensemble,
 artifact_freeze) is checkpointed under the run id the moment it completes — through the
@@ -18,24 +25,24 @@ byte-identical (same checkpoint digests) to an uninterrupted one.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.datasets.behavior import BehaviorLog
-from repro.datasets.splits import LinkPredictionSplit, make_link_prediction_split
+from repro.datasets.splits import LinkPredictionSplit
 from repro.datasets.world import World
-from repro.embeddings.semantic import SemanticEncoderConfig, SemanticEntityEncoder
-from repro.embeddings.skipgram import SkipGramConfig, fit_cooccurrence, occurrence_counts
-from repro.errors import ConfigError, NotFittedError
-from repro.graph.entity_graph import RELATION_RANKED, EntityGraph
+from repro.embeddings.semantic import SemanticEncoderConfig, entity_descriptions
+from repro.embeddings.skipgram import SkipGramConfig
+from repro.errors import NotFittedError
+from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability
 from repro.resilience import CheckpointStore, FaultInjector, RetryPolicy
-from repro.rng import ensure_rng
 from repro.text.entity_dict import EntityDict
+from repro.text.lexicon import Lexicon
 from repro.text.sequence_extractor import EntitySequenceExtractor
+from repro.text.vocab import Vocab
 from repro.trmp.alpc import ALPCConfig, ALPCLinkPredictor
 from repro.trmp.candidate import (
     CandidateGenerationConfig,
@@ -43,6 +50,13 @@ from repro.trmp.candidate import (
     CandidateResult,
 )
 from repro.trmp.ensemble import EnsembleConfig, EnsembleLinkPredictor
+from repro.trmp.stage_worker import StageWorker, checked_matrix, reject
+from repro.trmp.stages import (
+    cooccurrence_stage,
+    ensemble_stage,
+    lexicon_stage,
+    ranking_stage,
+)
 
 
 @dataclass
@@ -107,8 +121,7 @@ class TRMPipeline:
         self.obs = obs or Observability()
         self.entity_dict = EntityDict.from_world(world)
         self.extractor = EntitySequenceExtractor(self.entity_dict)
-        self._semantic_encoder: SemanticEntityEncoder | None = None
-        self._e_semantic: np.ndarray | None = None
+        self._lexicon: Lexicon | None = None
         self.weekly_runs: list[WeeklyRun] = []
         self.ensemble: EnsembleLinkPredictor | None = None
         self._stage_seconds: dict[str, float] = {}
@@ -121,6 +134,66 @@ class TRMPipeline:
         self.checkpoints = checkpoints
         self.retry = retry
         self.faults = faults
+        #: The open :meth:`workers` scope and its model worker, if any.
+        self._scope: ExitStack | None = None
+        self._model_worker: StageWorker | None = None
+
+    # ------------------------------------------------------------------
+    # Stage workers
+    # ------------------------------------------------------------------
+    @contextmanager
+    def workers(self):
+        """Keep the model worker started inside alive until the outermost
+        ``workers()`` block exits, then kill and reap it.
+
+        Inside one block the model worker — the one that pretrains — also
+        fits ALPC and the ensemble, so one weekly refresh starts two
+        processes: that one and the NER + skip-gram worker, which lives for
+        its stage only. Every method that runs a stage opens a block of its
+        own, so called alone it leaves no process behind either.
+        """
+        if self._scope is not None:
+            yield
+            return
+        with ExitStack() as scope:
+            self._scope = scope
+            try:
+                yield
+            finally:
+                self._scope = self._model_worker = None
+
+    def _model(self) -> StageWorker:
+        """The worker for the pretrain, ALPC and the ensemble; never the
+        skip-gram's (ALPC ran in a slow BLAS mode in that process)."""
+        if self._model_worker is None:
+            self._model_worker = self._scope.enter_context(StageWorker())
+        return self._model_worker
+
+    def _result(
+        self, worker: StageWorker, stage: str, *steps: str, since: float | None = None
+    ) -> tuple[object, dict[str, float]]:
+        """Wait for ``worker``'s reply, timed as ``stage`` from ``since``
+        (the caller's ``clock.perf()`` before it started the worker or
+        sent the request; default now).
+
+        The worker's busy seconds in each of ``steps`` become stages of
+        their own, taken out of the wait, so the stage seconds still sum
+        to the refresh's wall time.
+        """
+        clock = self.obs.clock
+        start = clock.perf() if since is None else since
+        try:
+            payload, seconds = worker.result()
+        except BaseException:
+            self._record(stage, clock.perf() - start)
+            raise
+        waited = clock.perf() - start
+        for step in steps:
+            part = min(seconds.get(step, 0.0), waited)
+            self._record(step, part)
+            waited -= part
+        self._record(stage, waited)
+        return payload, seconds
 
     @contextmanager
     def _stage(self, name: str):
@@ -131,9 +204,11 @@ class TRMPipeline:
         try:
             yield
         finally:  # a stage that raises still took its seconds
-            elapsed = clock.perf() - start
-            self._stage_seconds[name] = elapsed
-            self._observe_stage(name, elapsed)
+            self._record(name, clock.perf() - start)
+
+    def _record(self, name: str, seconds: float) -> None:
+        self._stage_seconds[name] = seconds
+        self._observe_stage(name, seconds)
 
     def _observe_stage(self, name: str, seconds: float) -> None:
         self.obs.metrics.histogram(
@@ -159,61 +234,85 @@ class TRMPipeline:
     # Static pieces
     # ------------------------------------------------------------------
     @property
-    def semantic_encoder(self) -> SemanticEntityEncoder:
-        if self._semantic_encoder is None:
-            with self._stage("semantic_pretrain"):
-                self._semantic_encoder = SemanticEntityEncoder(
-                    self.world, self.config.semantic
-                ).pretrain()
-        return self._semantic_encoder
+    def lexicon(self) -> Lexicon:
+        """The semantic encoder's vocabulary, token table and ``E^Se``,
+        pretrained in the model worker on first use."""
+        if self._lexicon is None:
+            start = self.obs.clock.perf()
+            with self.workers():
+                self._submit_pretrain()
+                self._receive_pretrain(since=start)
+        return self._lexicon
 
     @property
     def e_semantic(self) -> np.ndarray:
-        if self._e_semantic is None:
-            self._e_semantic = self.semantic_encoder.encode_entities()
-        return self._e_semantic
+        return self.lexicon.e_semantic
+
+    def _submit_pretrain(self) -> None:
+        semantic = self.config.semantic
+        self._model().submit(
+            lexicon_stage, entity_descriptions(self.world, semantic), semantic
+        )
+
+    def _receive_pretrain(self, since: float) -> None:
+        lexicon, _ = self._result(self._model(), "semantic_pretrain", since=since)
+        if not (isinstance(lexicon, Lexicon) and isinstance(lexicon.vocab, Vocab)):
+            raise reject(type(lexicon).__name__, "a Lexicon")
+        table = lexicon.token_table
+        dim = table.shape[1] if isinstance(table, np.ndarray) and table.ndim == 2 else -1
+        checked_matrix(table, (len(lexicon.vocab), dim), "the token table")
+        checked_matrix(lexicon.e_semantic, (self.world.num_entities, dim), "E^Se")
+        self._lexicon = lexicon
 
     # ------------------------------------------------------------------
     # Stage I
     # ------------------------------------------------------------------
     def build_cooccurrence(self, events: BehaviorLog) -> np.ndarray:
-        """Skip-gram over this drop's extracted entity sequences → ``E^Co``.
+        """NER and skip-gram over this drop, in a worker → ``E^Co``.
 
         Also records per-entity occurrence counts (evidence for the
         candidate stage's tail-entity gating).
 
-        While the semantic encoder is still untrained (week 0) and a second
-        CPU is available, the fit runs in a stage worker beside the
-        encoder's pretrain — the two share no state before the candidate
-        stage — so the pair costs the longer of the two, not their sum.
-        ``semantic_pretrain`` is then the parent's time in it and
-        ``cooccurrence_embedding`` the wait for the worker afterwards; the
-        worker's own busy time goes to :attr:`overlapped_seconds`. Either
-        way it is :func:`fit_cooccurrence` on the same inputs: same bytes.
+        While the semantic encoder is still untrained (week 0) the model
+        worker pretrains it meanwhile — the two share no state before the
+        candidate stage — so the pair costs the longer of the two, not
+        their sum. ``semantic_pretrain`` is then the wait for the model
+        worker and ``cooccurrence_embedding`` the wait for this one
+        afterwards; this worker's own busy time goes to
+        :attr:`overlapped_seconds`. Otherwise the wait is split into
+        ``ner_extraction`` (the worker's NER) and ``cooccurrence_embedding``.
         """
-        # Imported here: the worker runs that module as ``__main__`` after
-        # importing this package, which must not have loaded it already.
-        from repro.trmp.stage_worker import StageWorker
-
-        overlap = self._semantic_encoder is None and len(os.sched_getaffinity(0)) >= 2
-        # Started before NER so that its interpreter start-up and imports
-        # are off the critical path.
-        with StageWorker() if overlap else nullcontext() as worker:
-            with self._stage("ner_extraction"):
-                sequences = self.extractor.corpus_sequences(events)
-            if not sequences:
-                raise ConfigError("no entity sequences extracted from the events")
-            num_entities = self.world.num_entities
-            self._last_entity_counts = occurrence_counts(sequences, num_entities)
-            if worker is None:
-                with self._stage("cooccurrence_embedding"):
-                    return fit_cooccurrence(num_entities, self.config.skipgram, sequences)
-            worker.send(num_entities, self.config.skipgram, sequences)
-            self.semantic_encoder  # pretrains, as its own stage, beside the worker
-            with self._stage("cooccurrence_embedding"):
-                e_co, busy_seconds = worker.receive()
-        self._overlapped_seconds["cooccurrence_embedding"] = busy_seconds
-        self._observe_stage("cooccurrence_embedding.worker", busy_seconds)
+        num_entities = self.world.num_entities
+        start = self.obs.clock.perf()
+        with self.workers():
+            overlap = self._lexicon is None
+            if overlap:  # the longer of the two starts first
+                self._submit_pretrain()
+            # Its own ``with``: reaped when this stage ends, not with the
+            # model worker at the end of the refresh.
+            with StageWorker() as worker:
+                worker.submit(
+                    cooccurrence_stage, self.extractor, events, num_entities,
+                    self.config.skipgram,
+                )
+                if not overlap:
+                    payload, _ = self._result(
+                        worker, "cooccurrence_embedding", "ner_extraction", since=start
+                    )
+                else:
+                    self._receive_pretrain(since=start)
+                    payload, seconds = self._result(worker, "cooccurrence_embedding")
+                    busy_seconds = sum(seconds.values())
+                    self._overlapped_seconds["cooccurrence_embedding"] = busy_seconds
+                    self._observe_stage("cooccurrence_embedding.worker", busy_seconds)
+        if not (isinstance(payload, dict) and set(payload) == {"e_co", "counts"}):
+            raise reject(type(payload).__name__, "{e_co, counts}")
+        e_co = checked_matrix(
+            payload["e_co"], (num_entities, self.config.skipgram.dim), "E^Co"
+        )
+        self._last_entity_counts = checked_matrix(
+            payload["counts"], (num_entities,), "the occurrence counts"
+        )
         return e_co
 
     def build_candidate(self, e_cooccurrence: np.ndarray) -> CandidateResult:
@@ -228,72 +327,45 @@ class TRMPipeline:
     # ------------------------------------------------------------------
     # Stage II
     # ------------------------------------------------------------------
-    def train_ranking(
+    def rank_candidates(
         self,
         candidate: CandidateResult,
         feedback_pairs: np.ndarray | None = None,
         seed: int | None = None,
-    ) -> tuple[ALPCLinkPredictor, LinkPredictionSplit]:
-        """Train ALPC on the candidate graph's link-prediction split.
+    ) -> dict:
+        """Split, ALPC fit and ranked graph, in the model worker:
+        ``{"alpc", "split", "ranked"}``.
 
         ``feedback_pairs`` are marketer-confirmed relations from the online
-        stage (§II-B Remark); they are appended to the training positives as
-        high-confidence supervision.
+        stage (§II-B Remark), appended to the training positives. The
+        ranked graph keeps the candidate relations that clear both
+        endpoints' adaptive thresholds and ``ranked_min_probability``.
         """
         cfg = self.config
-        with self._stage("alpc_ranking"):
-            rng = ensure_rng(cfg.seed if seed is None else seed)
-            split = make_link_prediction_split(
-                candidate.graph,
-                test_fraction=cfg.test_fraction,
-                train_negative_ratio=cfg.train_negative_ratio,
-                rng=rng,
+        alpc_config = replace(cfg.alpc, seed=cfg.alpc.seed if seed is None else seed)
+        start = self.obs.clock.perf()
+        with self.workers():
+            worker = self._model()
+            worker.submit(
+                ranking_stage, candidate, feedback_pairs, alpc_config,
+                cfg.seed if seed is None else seed,
+                cfg.test_fraction, cfg.train_negative_ratio, cfg.ranked_min_probability,
             )
-            if feedback_pairs is not None and len(feedback_pairs):
-                extra = np.asarray(feedback_pairs, dtype=np.int64).reshape(-1, 2)
-                split.train_pos = np.concatenate([split.train_pos, extra])
-            alpc_cfg = ALPCConfig(**{**vars(cfg.alpc)})
-            if seed is not None:
-                alpc_cfg.seed = seed
-            alpc = ALPCLinkPredictor(alpc_cfg)
-            alpc.fit(split, candidate.node_features, self.e_semantic)
-        return alpc, split
-
-    def ranked_graph(
-        self, candidate: CandidateResult, alpc: ALPCLinkPredictor
-    ) -> EntityGraph:
-        """Stage II output graph: candidate relations accepted by ALPC.
-
-        Acceptance uses the two-sided adaptive threshold; edge weights are
-        the calibrated link probabilities.
-        """
-        with self._stage("graph_ranking"):
-            return self._ranked_graph(candidate, alpc)
-
-    def _ranked_graph(
-        self, candidate: CandidateResult, alpc: ALPCLinkPredictor
-    ) -> EntityGraph:
-        lo, hi = candidate.graph.canonical_pairs()
-        pairs = np.stack([lo, hi], axis=1)
-        probabilities = alpc.predict_pairs(pairs)
-        accepted = alpc.accept_pairs(pairs)
-        accepted &= probabilities >= self.config.ranked_min_probability
-        # Floor on graph size: a weekly model that under-fits must not
-        # publish an empty graph — fall back to the highest-probability
-        # fifth of the candidates so the online stage keeps serving.
-        min_keep = max(1, len(pairs) // 5)
-        if accepted.sum() < min_keep:
-            top = np.argsort(-probabilities)[:min_keep]
-            accepted = np.zeros(len(pairs), dtype=bool)
-            accepted[top] = True
-        kept = pairs[accepted]
-        weights = probabilities[accepted]
-        return EntityGraph.from_edge_list(
-            candidate.graph.num_nodes,
-            [tuple(p) for p in kept],
-            weights,
-            [RELATION_RANKED] * len(kept),
-        )
+            payload, _ = self._result(worker, "alpc_ranking", "graph_ranking", since=start)
+        num_nodes = candidate.graph.num_nodes
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("alpc"), ALPCLinkPredictor)
+            and isinstance(payload.get("split"), LinkPredictionSplit)
+            and isinstance(payload.get("ranked"), EntityGraph)
+            and len(payload) == 3
+            and payload["ranked"].num_nodes == num_nodes
+        ):
+            raise reject(type(payload).__name__, "{alpc, split, ranked} over the candidates")
+        z = payload["alpc"].node_embeddings
+        checked_matrix(z, (num_nodes, z.shape[-1]), "the ALPC snapshot")
+        checked_matrix(payload["ranked"].weight, payload["ranked"].weight.shape, "edge weights")
+        return payload
 
     # ------------------------------------------------------------------
     # Weekly orchestration + Stage III
@@ -352,24 +424,25 @@ class TRMPipeline:
         self._stage_seconds = {}
         self._overlapped_seconds = {}
         run_state: dict = {"resumed": [], "digests": {}}
-        co_payload = self._stage_checkpointed(
-            run_id, "cooccurrence", resume, run_state,
-            lambda: self._compute_cooccurrence(events),
-        )
-        e_co = co_payload["e_co"]
-        # Tail-entity evidence must survive a resume: the candidate stage
-        # reads it off the pipeline.
-        self._last_entity_counts = co_payload["counts"]
-        candidate = self._stage_checkpointed(
-            run_id, "candidates", resume, run_state,
-            lambda: self.build_candidate(e_co),
-        )
-        if self._e_semantic is None and "candidates" in run_state["resumed"]:
-            self._e_semantic = candidate.e_semantic
-        ranked_payload = self._stage_checkpointed(
-            run_id, "ranked", resume, run_state,
-            lambda: self._compute_ranked(candidate, feedback_pairs, week),
-        )
+        with self.workers():
+            co_payload = self._stage_checkpointed(
+                run_id, "cooccurrence", resume, run_state,
+                lambda: self._compute_cooccurrence(events),
+            )
+            e_co = co_payload["e_co"]
+            # Tail-entity evidence must survive a resume: the candidate stage
+            # reads it off the pipeline.
+            self._last_entity_counts = co_payload["counts"]
+            candidate = self._stage_checkpointed(
+                run_id, "candidates", resume, run_state,
+                lambda: self.build_candidate(e_co),
+            )
+            ranked_payload = self._stage_checkpointed(
+                run_id, "ranked", resume, run_state,
+                lambda: self.rank_candidates(
+                    candidate, feedback_pairs, seed=self.config.seed + week
+                ),
+            )
         run = WeeklyRun(
             week=week,
             candidate=candidate,
@@ -387,18 +460,6 @@ class TRMPipeline:
     def _compute_cooccurrence(self, events: BehaviorLog) -> dict:
         e_co = self.build_cooccurrence(events)
         return {"e_co": e_co, "counts": self._last_entity_counts}
-
-    def _compute_ranked(
-        self,
-        candidate: CandidateResult,
-        feedback_pairs: np.ndarray | None,
-        week: int,
-    ) -> dict:
-        alpc, split = self.train_ranking(
-            candidate, feedback_pairs=feedback_pairs, seed=self.config.seed + week
-        )
-        ranked = self.ranked_graph(candidate, alpc)
-        return {"alpc": alpc, "split": split, "ranked": ranked}
 
     def freeze_artifacts(self, run_id: str, publish, resume: bool = False) -> dict:
         """Freeze + register the run's servable artifacts as a stage.
@@ -439,11 +500,19 @@ class TRMPipeline:
             run.resumed_stages.append("ensemble")
             run.stage_digests["ensemble"] = ckpt.digest(run_id, "ensemble")
             return self.ensemble
-        with self._stage("ensemble"):
-            window = self.weekly_runs[-self.config.ensemble_window :]
-            snapshots = [run.snapshot_embeddings for run in window]
-            ensemble = EnsembleLinkPredictor(self.config.ensemble)
-            ensemble.fit(snapshots, window[-1].split)
+        window = self.weekly_runs[-self.config.ensemble_window :]
+        snapshots = [run.snapshot_embeddings for run in window]
+        start = self.obs.clock.perf()
+        with self.workers():
+            worker = self._model()
+            worker.submit(ensemble_stage, snapshots, window[-1].split, self.config.ensemble)
+            ensemble, _ = self._result(worker, "ensemble", since=start)
+        if not isinstance(ensemble, EnsembleLinkPredictor):
+            raise reject(type(ensemble).__name__, "an EnsembleLinkPredictor")
+        num_nodes, dim = snapshots[-1].shape
+        checked_matrix(
+            ensemble.entity_embeddings(), (num_nodes, len(snapshots) * dim), "h_e"
+        )
         self.ensemble = ensemble
         if ckpt is not None and run_id is not None:
             put = lambda: ckpt.put(run_id, "ensemble", ensemble)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -136,3 +138,20 @@ def reference_extract_sequences(extractor, events, as_of_day=None):
         seq = sequences.setdefault(event.user_id, UserEntitySequence(event.user_id))
         seq.entity_ids.extend(extractor.extract_event(event))
     return sequences
+
+
+def child_pids() -> list[int]:
+    """Pids whose parent is this process — zombies included, so an empty
+    list means every child was both stopped and reaped."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited between the listing and the read
+            continue
+        # "pid (comm) state ppid ...": comm may hold spaces and brackets.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == os.getpid():
+            found.append(int(entry.name))
+    return found

@@ -22,6 +22,8 @@ from repro.online.system import graph_digest
 from repro.resilience import FaultInjector, InjectedCrash, RetryPolicy
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
 
+from helpers import child_pids
+
 WEEKLY_STAGES = ["cooccurrence", "candidates", "ranked"]
 
 
@@ -233,8 +235,8 @@ def test_artifact_torn_between_publish_and_open_never_serves(
         return publish_then_tear
 
     registry = system.registry
-    registry.publish_preferences = torn(
-        registry.publish_preferences, "user_matrix.npy"
+    registry.commit_preferences = torn(
+        registry.commit_preferences, "user_matrix.npy"
     )
     system.daily_preference_refresh(chaos_events)  # absorbed: nothing to swap to
     registry.publish_graph = torn(registry.publish_graph, "neighbors.npy")
@@ -271,45 +273,38 @@ def test_crash_between_graph_publish_and_freeze_checkpoint_publishes_once(
     assert report.artifact_digest == baseline["artifact_digest"]
 
 
-def count_heap_releases(monkeypatch) -> list:
-    calls = []
-    monkeypatch.setattr(
-        "repro.online.system._release_freed_heap", lambda: calls.append(1)
-    )
-    return calls
-
-
 def test_weekly_refresh_releases_the_heap_on_success_and_on_crash(
-    chaos_world, chaos_events, tmp_path, monkeypatch
+    chaos_world, chaos_events, tmp_path
 ):
-    """A refresh that raises must not leave its training heap resident."""
-    calls = count_heap_releases(monkeypatch)
+    """Training's heap lives in the stage workers, and a refresh that
+    raises or returns has killed and reaped every one of them: none of
+    that heap stays resident, in this process or in another."""
     faults = FaultInjector(seed=0)
     faults.fail_at("pipeline.ranked", 1, exception=InjectedCrash)
     crashed = make_system(chaos_world, tmp_path, faults=faults)
     with pytest.raises(InjectedCrash):
         crashed.weekly_refresh(chaos_events)
-    assert len(calls) == 1
+    assert child_pids() == []
 
-    calls.clear()
     make_system(chaos_world, tmp_path).weekly_refresh(chaos_events, resume=True)
-    assert len(calls) == 1
+    assert child_pids() == []
 
 
 def test_daily_refresh_releases_the_heap_on_success_and_on_crash(
     chaos_world, chaos_events, tmp_path, monkeypatch
 ):
+    """The daily build's heap is its worker's: gone when the refresh
+    returns, and when it raises after the worker wrote the generation."""
     system = make_system(chaos_world, tmp_path)
     system.weekly_refresh(chaos_events)
-    calls = count_heap_releases(monkeypatch)
     assert system.daily_preference_refresh(chaos_events) > 0
-    assert len(calls) == 1
+    assert child_pids() == []
 
-    def crash(store, **kwargs):
-        raise InjectedCrash("killed inside registry.publish_preferences")
+    def crash(slot):
+        raise InjectedCrash("killed inside registry.commit_preferences")
 
-    calls.clear()
-    monkeypatch.setattr(system.registry, "publish_preferences", crash)
+    monkeypatch.setattr(system.registry, "commit_preferences", crash)
     with pytest.raises(InjectedCrash):
         system.daily_preference_refresh(chaos_events)
-    assert len(calls) == 1
+    assert child_pids() == []
+    assert system.runtime.versions()["preference_version"] == 1

@@ -80,7 +80,7 @@ class TestMetricsCommand:
         assert "api_request_seconds_bucket" in out
         assert "serving_expansion_cache_misses_total" in out
         assert 'serving_active_version{kind="graph"} 1' in out
-        assert 'pipeline_stage_seconds_count{stage="ner_extraction"} 1' in out
+        assert 'pipeline_stage_seconds_count{stage="semantic_pretrain"} 1' in out
 
 
 class TestServeCommand:

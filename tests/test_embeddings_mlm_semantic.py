@@ -56,14 +56,6 @@ class TestMLM:
         with pytest.raises(ConfigError):
             train_mlm(model, [])
 
-    def test_encode_pooled_shape_and_mask(self, rng):
-        vocab = Vocab(["a", "b"])
-        model = MaskedLanguageModel(vocab, MLMConfig(dim=16, max_len=4))
-        ids = np.array([[4, 5, 0, 0]])
-        mask = np.array([[True, True, False, False]])
-        out = model.encode(ids, mask)
-        assert out.shape == (1, 16)
-
 
 class TestSemanticEncoder:
     def test_pretrain_keeps_the_report(self, world, semantic_encoder):
@@ -93,11 +85,3 @@ class TestSemanticEncoder:
         top = int(np.argmax(sims))
         # The nearest entity should share the query entity's primary topic.
         assert world.entities[top].primary_topic == entity.primary_topic
-
-    def test_pooled_method_shape(self, world, semantic_encoder):
-        pooled = semantic_encoder.encode_entities(method="pooled")
-        assert pooled.shape[0] == world.num_entities
-
-    def test_unknown_method_raises(self, semantic_encoder):
-        with pytest.raises(ConfigError):
-            semantic_encoder.encode_entities(method="avg?")

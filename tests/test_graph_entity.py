@@ -1,5 +1,7 @@
 """EntityGraph: construction invariants, CSR adjacency, set operations."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,17 @@ class TestOperations:
         assert nx_graph.number_of_edges() == g.num_edges
         for u, v in nx_graph.edges():
             assert g.has_edge(u, v)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_unpickled_graph_pickles_to_the_same_bytes(self, seed):
+        """Stage payloads cross a process boundary and are pickled again for
+        their checkpoint digest: the edge-key set must not come back in
+        another iteration order."""
+        g = random_graph(seed, n=60, m=300)
+        data = pickle.dumps(g, protocol=5)
+        again = pickle.loads(data)
+        assert pickle.dumps(again, protocol=5) == data
+        assert again.edge_key_set() == g.edge_key_set()
 
     def test_canonical_pairs_ordered(self):
         g = EntityGraph(4, np.array([3, 2]), np.array([1, 0]))

@@ -39,11 +39,9 @@ class TestResolve:
         with pytest.raises(VocabularyError):
             reasoner.resolve_phrase("totally new thing")
 
-    def test_semantic_fallback(self, world, semantic_encoder, e_semantic, entity_dict):
+    def test_semantic_fallback(self, world, semantic_encoder, entity_dict):
         graph = EntityGraph.from_edge_list(world.num_entities, [(0, 1)])
-        reasoner = GraphReasoner(
-            graph, entity_dict, semantic_encoder=semantic_encoder, e_semantic=e_semantic
-        )
+        reasoner = GraphReasoner(graph, entity_dict, semantic_encoder.lexicon())
         # A phrase made of topic-0 words should resolve to some entity.
         word = world.topic_words[0][0]
         ids = reasoner.resolve_phrase(f"{word} {word}", fallback_k=3)

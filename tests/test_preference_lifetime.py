@@ -6,8 +6,8 @@
 * a mapped generation that leaves ``_active`` (by swap or by rollback)
   gives up its resident pages but stays mapped: a rollback serves it again
   with the same answers;
-* the daily refresh drops its in-memory build before the heap trim and
-  before the published generation is opened.
+* the daily refresh builds in a stage worker that is reaped before the
+  published generation is opened.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.serving import ServingRuntime
 from repro.text.sequence_extractor import UserEntitySequence
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
 
+from helpers import child_pids
 from reference_model import assert_matches_reference, reference_scores
 
 SMAPS = Path("/proc/self/smaps")
@@ -80,37 +81,29 @@ def test_retired_preference_generation_is_unreachable(small_world, small_events,
     assert preference_slot.reasoner is None and preference_slot.graph_version is None
 
 
-def test_daily_refresh_drops_the_build_before_trim_and_open(
+def test_daily_refresh_builds_in_a_worker_reaped_before_the_open(
     small_world, small_events, tmp_path, monkeypatch
 ):
-    """The in-memory build is dead when the heap is trimmed and when the
-    published generation is opened, so neither the trim nor the open and
-    scoring of the mapped generation happen beside it."""
+    """The daily builds nothing in this process, and its stage worker is
+    reaped before the published generation is opened, so the open and
+    the scoring of the mapped generation never run beside the build."""
     system = rooted_system(small_world, tmp_path)
     system.weekly_refresh(small_events)
     registry = system.registry
-    publish, open_preferences = registry.publish_preferences, registry.open_preferences
-    built, alive_at = [], {}
+    open_preferences = registry.open_preferences
+    children_at_open = []
 
-    def keep_a_weakref(store, **kwargs):
-        built.append(weakref.ref(store))
-        return publish(store, **kwargs)
-
-    def note(event):
-        alive_at[event] = built[-1]() is not None
-
-    def open_after_the_build_died(version=None):
-        note("open")
+    def open_after_the_worker_is_gone(version=None):
+        children_at_open.append(child_pids())
         return open_preferences(version)
 
-    monkeypatch.setattr(registry, "publish_preferences", keep_a_weakref)
-    monkeypatch.setattr(registry, "open_preferences", open_after_the_build_died)
-    monkeypatch.setattr(
-        "repro.online.system._release_freed_heap", lambda: note("trim")
-    )
+    def no_build(*args, **kwargs):
+        raise AssertionError("the serving process built a preference index")
+
+    monkeypatch.setattr(registry, "open_preferences", open_after_the_worker_is_gone)
+    monkeypatch.setattr(PreferenceStore, "build", no_build)
     assert system.daily_preference_refresh(small_events) > 0
-    assert len(built) == 1
-    assert alive_at == {"trim": False, "open": False}
+    assert children_at_open == [[]]
     assert system.runtime.versions()["preference_version"] == 1
 
 

@@ -94,6 +94,6 @@ class TestFeedback:
         e_co = pipeline.build_cooccurrence(events)
         candidate = pipeline.build_candidate(e_co)
         feedback = np.array([[0, 1], [2, 3]])
-        _, split = pipeline.train_ranking(candidate, feedback_pairs=feedback)
+        split = pipeline.rank_candidates(candidate, feedback_pairs=feedback)["split"]
         keys = {tuple(p) for p in split.train_pos}
         assert (0, 1) in keys and (2, 3) in keys
