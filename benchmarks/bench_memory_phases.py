@@ -10,12 +10,15 @@ that is. This runs the server's own bring-up (``build_stack`` from
 ``refresh_under_load`` adds on top of it -- ``Stack.weeks()``, the week-1
 weekly refresh and four daily preference refreshes over weeks 1-4, as the
 operator cycles them -- while a thread reads ``VmRSS`` from
-``/proc/self/status`` every 5 ms, and the ``VmRSS`` of every stage worker
+``/proc/self/status`` every 5 ms (with its split into ``RssAnon``, the heap
+and other private memory, and ``RssFile``, mapped file pages such as the
+published artifacts), and the ``VmRSS`` of every stage worker
 alive at that instant (the children listed in
 ``/proc/self/task/*/children``): training and the daily build run there,
 so the server's own peak alone would hide what the host holds. Each
-phase reports the server's peak, the workers' peak and the peak of their
-sum at one instant. Each sample goes to the phase whose
+phase reports the server's peak with its ``RssAnon`` / ``RssFile`` split at
+that sample, the workers' peak and the peak of their sum at one instant.
+Each sample goes to the phase whose
 interval holds it: the bring-up phases come from ``build_stack``'s own
 ``setup_s`` marks (``world_and_events``, ``weekly_refresh``,
 ``daily_refresh``, ``listener``), the rest from marks this file sets between
@@ -48,12 +51,23 @@ POLL_S = 0.005
 DAILIES = 4
 
 
+def status_fields_mb(fields: tuple[str, ...], pid: str = "self") -> tuple[float, ...]:
+    """``/proc/<pid>/status`` fields (``VmRSS``, ``RssAnon``, ...), in MiB,
+    from one read."""
+    found = {}
+    for line in Path(f"/proc/{pid}/status").read_text(encoding="ascii").splitlines():
+        name, _, value = line.partition(":")
+        if name in fields:
+            found[name] = int(value.split()[0]) / 1024  # the kernel reports KiB
+    missing = [field for field in fields if field not in found]
+    if missing:
+        raise RuntimeError(f"no {', '.join(missing)} in /proc/{pid}/status")
+    return tuple(found[field] for field in fields)
+
+
 def status_mb(field: str, pid: str = "self") -> float:
     """One ``/proc/<pid>/status`` field (``VmRSS``, ``VmHWM``), in MiB."""
-    for line in Path(f"/proc/{pid}/status").read_text(encoding="ascii").splitlines():
-        if line.startswith(field + ":"):
-            return int(line.split()[1]) / 1024  # the kernel reports KiB
-    raise RuntimeError(f"no {field} in /proc/{pid}/status")
+    return status_fields_mb((field,), pid)[0]
 
 
 def workers_mb() -> float:
@@ -69,18 +83,19 @@ def workers_mb() -> float:
 
 
 class RssPoller:
-    """Reads this process's and its workers' ``VmRSS`` every ``POLL_S``
-    seconds on its own thread."""
+    """Reads this process's ``VmRSS`` / ``RssAnon`` / ``RssFile`` and its
+    workers' ``VmRSS`` every ``POLL_S`` seconds on its own thread."""
 
     def __init__(self) -> None:
-        #: (perf_counter, server MiB, workers MiB)
-        self.samples: list[tuple[float, float, float]] = []
+        #: (perf_counter, (server, anon, file) MiB, workers MiB)
+        self.samples: list[tuple[float, tuple[float, float, float], float]] = []
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="rss-poll", daemon=True)
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            self.samples.append((time.perf_counter(), status_mb("VmRSS"), workers_mb()))
+            server = status_fields_mb(("VmRSS", "RssAnon", "RssFile"))
+            self.samples.append((time.perf_counter(), server, workers_mb()))
             self._stop.wait(POLL_S)
 
     def __enter__(self) -> RssPoller:
@@ -121,13 +136,17 @@ def measure() -> dict:
     phases = []
     for (_, begin), (name, end) in zip(marks, marks[1:]):
         held = [(server, workers) for t, server, workers in poller.samples if begin < t <= end]
+        # The split of the server's peak: the sample it was read in.
+        top = max(held, key=lambda sample: sample[0][0])[0] if held else None
         phases.append({
             "phase": name,
             "seconds": round(end - begin, 3),
             "samples": len(held),
-            "peak_rss_mb": peak([server for server, _ in held]),
+            "peak_rss_mb": peak([server[0] for server, _ in held]),
+            "peak_anon_mb": round(top[1], 2) if top else None,
+            "peak_file_mb": round(top[2], 2) if top else None,
             "worker_peak_rss_mb": peak([workers for _, workers in held]),
-            "total_peak_rss_mb": peak([server + workers for server, workers in held]),
+            "total_peak_rss_mb": peak([server[0] + workers for server, workers in held]),
         })
     return {
         "phases": phases,
@@ -140,10 +159,11 @@ def measure() -> dict:
 def table(result: dict) -> str:
     lines = [
         "Resident set per phase (in-process poll of VmRSS every "
-        f"{result['poll_s'] * 1000:.0f} ms; no traffic): the server, its stage "
-        "workers, and the peak of the two summed at one instant",
-        f"{'phase':<18}{'seconds':>9}{'samples':>9}{'server MB':>11}{'workers MB':>12}"
-        f"{'sum MB':>9}",
+        f"{result['poll_s'] * 1000:.0f} ms; no traffic): the server's peak, "
+        "its RssAnon / RssFile at that sample, its stage workers, and the "
+        "peak of the two summed at one instant",
+        f"{'phase':<18}{'seconds':>9}{'samples':>9}{'server MB':>11}{'anon MB':>9}"
+        f"{'file MB':>9}{'workers MB':>12}{'sum MB':>9}",
     ]
 
     def mb(value) -> str:
@@ -152,7 +172,8 @@ def table(result: dict) -> str:
     for phase in result["phases"]:
         lines.append(
             f"{phase['phase']:<18}{phase['seconds']:>9.2f}{phase['samples']:>9}"
-            f"{mb(phase['peak_rss_mb']):>11}{mb(phase['worker_peak_rss_mb']):>12}"
+            f"{mb(phase['peak_rss_mb']):>11}{mb(phase['peak_anon_mb']):>9}"
+            f"{mb(phase['peak_file_mb']):>9}{mb(phase['worker_peak_rss_mb']):>12}"
             f"{mb(phase['total_peak_rss_mb']):>9}"
         )
     lines.append(f"VmHWM at exit: {result['vmhwm_mb']:.2f} MB")
@@ -176,7 +197,10 @@ def test_memory_phases():
     metrics = {}
     for phase in result["phases"]:
         if phase["peak_rss_mb"] is not None:
-            for key in ("peak_rss_mb", "worker_peak_rss_mb", "total_peak_rss_mb"):
+            for key in (
+                "peak_rss_mb", "peak_anon_mb", "peak_file_mb",
+                "worker_peak_rss_mb", "total_peak_rss_mb",
+            ):
                 metrics[f"{phase['phase']}.{key}"] = phase[key]
     record_history(
         "memory_phases",

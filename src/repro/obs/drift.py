@@ -62,11 +62,6 @@ class DriftReport:
         return cls(**data)
 
 
-def _finite(values) -> np.ndarray:
-    array = np.asarray(values, dtype=np.float64).ravel()
-    return array[np.isfinite(array)]
-
-
 def topk_overlap(old_ids, new_ids) -> float:
     """Fractional overlap of two ranked id lists (order-insensitive).
 
@@ -142,20 +137,31 @@ def default_probe_entities(num_entities: int, count: int) -> list[int]:
 def compare_preference_stores(
     old_store, new_store, probe_entities: list[int], top_k: int = TOP_K
 ) -> dict:
-    """Audience overlap and score spread between preference indexes."""
+    """Audience overlap and score spread between preference indexes.
+
+    The new store is scored once for all probes
+    (:meth:`~repro.preference.store.PreferenceStore.score_entities`, which
+    reads a mapped matrix from its file), and each probe's top-K comes from
+    its own row of scores: the incoming generation is not faulted in before
+    a request reads it. The old store is the one serving, already resident.
+    Scores, top-K lists and the pooled spread have the bits per-probe
+    ``score_entity`` / ``top_users_for_entity`` calls give.
+    """
     num_entities = min(
         len(old_store.entity_embeddings), len(new_store.entity_embeddings)
     )
     probes = [e for e in probe_entities if 0 <= e < num_entities]
 
-    new_scores, overlaps = [], []
-    for entity_id in probes:
-        new_scores.append(_finite(new_store.score_entity(entity_id)))
+    new_scores = new_store.score_entities(probes)
+    overlaps = []
+    for entity_id, scores in zip(probes, new_scores):
         old_top = [u.user_id for u in old_store.top_users_for_entity(entity_id, top_k)]
-        new_top = [u.user_id for u in new_store.top_users_for_entity(entity_id, top_k)]
+        new_top = new_store.top_user_ids(scores, top_k).tolist()
         overlaps.append(topk_overlap(old_top, new_top))
 
-    pooled_new = np.concatenate(new_scores) if new_scores else np.empty(0)
+    # Row by row, so the pooled array is the probes' finite scores
+    # concatenated in probe order.
+    pooled_new = new_scores[np.isfinite(new_scores)]
     new_std = float(np.std(pooled_new)) if pooled_new.size else None
 
     return {

@@ -70,7 +70,8 @@ class RefreshReport:
     ensemble_trained: bool
     elapsed_seconds: float
     #: Wall time each TRMP stage added to the refresh (incl. ensemble when
-    #: trained); sums to ``elapsed_seconds`` less untimed glue.
+    #: trained, ``checkpoint`` commits and ``worker_reap``); sums to
+    #: ``elapsed_seconds`` less the graph's open and activation.
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Busy seconds of stages that ran in the stage worker beside another
     #: stage (week 0: ``cooccurrence_embedding``); ``{}`` when none did.

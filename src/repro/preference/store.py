@@ -21,15 +21,20 @@ arrays the kernel reads::
     <directory>/meta.json        per-array SHA-256; written last (commit point)
 
 :meth:`PreferenceStore.load_memmap` maps every array read-only, so a
-generation swap remaps pages instead of copying matrices, and
-:meth:`PreferenceStore.release_pages` lets a retired generation's pages go
-without closing its mapping.
+generation swap remaps pages instead of copying matrices.
+:meth:`PreferenceStore.score_entities` reads a mapped ``user_matrix`` from
+its file, so the activation check does not fault in a generation no request
+has read yet, and a retired generation gives up its pages when its last
+reader leaves (:meth:`PreferenceStore.reading`,
+:meth:`PreferenceStore.retire`) without closing its mapping.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +59,10 @@ _ROW_ARRAYS = (
     ("values", "values", np.float64),
 )
 
+#: Rows per block when :meth:`PreferenceStore.score_entities` reads a mapped
+#: ``user_matrix`` from its file (512 KiB at 64 float64 columns).
+_SCAN_BLOCK_ROWS = 1024
+
 
 @dataclass
 class UserScore:
@@ -75,6 +84,16 @@ def _select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     ties = np.flatnonzero(scores == boundary)
     chosen = np.concatenate([strict, ties[: k - len(strict)]])
     return chosen[np.argsort(-scores[chosen], kind="stable")]
+
+
+def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the at most ``k`` best *finite* scores, canonical order:
+    one served top-K from one row of scores (``k`` already capped at the
+    covered-user count)."""
+    if k < 1:
+        return np.zeros(0, dtype=np.int64)
+    chosen = _select_top_k(scores, k)
+    return chosen[np.isfinite(scores[chosen])]
 
 
 def _union_ids(entity_sets: list[list[int]]) -> np.ndarray:
@@ -184,6 +203,11 @@ class PreferenceStore:
         self.row_ptr: np.ndarray | None = None  # (users + 1,) int64
         self.col_idx: np.ndarray | None = None  # (nnz,) int64
         self.values: np.ndarray | None = None  # (nnz,) float64
+        # Scoring calls in flight (:meth:`reading`) and whether the serving
+        # runtime has taken this generation out of service (:meth:`retire`).
+        self._readers = 0
+        self._retired = False
+        self._reader_lock = threading.Lock()
 
     def _adopt(self, arrays: dict[str, np.ndarray]) -> "PreferenceStore":
         for _, attribute, _ in _ROW_ARRAYS:
@@ -231,6 +255,63 @@ class PreferenceStore:
             rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
             scores[rows] += self.direct_weight * self.values[hits]
         return np.where(self.covered_users, scores, -np.inf)
+
+    def score_entities(self, entity_ids: list[int]) -> np.ndarray:
+        """:meth:`score_entity` of each id, one row per id, in one pass
+        over the user rows.
+
+        The rows of a mapped store are read from its ``user_matrix`` file
+        into one reused block buffer, not through the mapping: scoring a
+        generation no request has read leaves its matrix unmapped in this
+        process (the activation check scores every incoming generation).
+        Each row is reduced on its own (:func:`_row_dots`), so every score
+        has the bits :meth:`score_entity` gives it.
+        """
+        self._require_built()
+        queries = self.entity_embeddings[np.asarray(entity_ids, dtype=np.int64)]
+        scores = np.empty((len(queries), self.num_users))
+        for start, block in self._user_row_blocks():
+            for out, query in zip(scores, queries):
+                out[start : start + len(block)] = _row_dots(block, query)
+        if self.direct_weight:
+            for out, entity_id in zip(scores, entity_ids):
+                hits = np.flatnonzero(self.col_idx == entity_id)
+                rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
+                out[rows] += self.direct_weight * self.values[hits]
+        return np.where(self.covered_users, scores, -np.inf)
+
+    def top_user_ids(self, scores: np.ndarray, k: int) -> np.ndarray:
+        """The user ids :meth:`top_users_for_entity` returns, taken from
+        that entity's row of :meth:`score_entities`."""
+        return _top_k_rows(scores, min(k, int(self.covered_users.sum())))
+
+    def _user_row_blocks(self):
+        """``(first row, rows)`` blocks of ``user_matrix`` in row order."""
+        matrix = self.user_matrix
+        if not (
+            isinstance(matrix, np.memmap)
+            and isinstance(matrix.base, mmap.mmap)
+            and matrix.flags.c_contiguous
+        ):
+            # In memory, or not laid out in the file row by row from
+            # ``matrix.offset`` (a view keeps its parent's offset).
+            for start in range(0, self.num_users, _SCAN_BLOCK_ROWS):
+                yield start, matrix[start : start + _SCAN_BLOCK_ROWS]
+            return
+        buffer = np.empty((min(_SCAN_BLOCK_ROWS, self.num_users), matrix.shape[1]))
+        with open(matrix.filename, "rb", buffering=0) as file:
+            file.seek(matrix.offset)
+            for start in range(0, self.num_users, _SCAN_BLOCK_ROWS):
+                block = buffer[: min(_SCAN_BLOCK_ROWS, self.num_users - start)]
+                view, filled = memoryview(block).cast("B"), 0
+                while filled < len(view):
+                    read = file.readinto(view[filled:])
+                    if not read:
+                        raise CorruptArtifactError(
+                            f"preference artifact {matrix.filename} ends inside user_matrix"
+                        )
+                    filled += read
+                yield start, block
 
     def top_users_for_entity(self, entity_id: int, k: int) -> list[UserScore]:
         """Head of one entity's user ranking."""
@@ -308,8 +389,7 @@ class PreferenceStore:
             scores = np.where(self.covered_users, scores, -np.inf)
             answers: list[list[UserScore]] = []
             for row in scores:
-                chosen = _select_top_k(row, k_eff)
-                chosen = chosen[np.isfinite(row[chosen])]
+                chosen = _top_k_rows(row, k_eff)
                 answers.append(
                     [
                         UserScore(u, s)
@@ -318,14 +398,44 @@ class PreferenceStore:
                 )
             return answers
 
+    @contextmanager
+    def reading(self):
+        """Count one scoring call for the block it wraps: a retired store
+        gives up its pages when the last such call leaves."""
+        with self._reader_lock:
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._reader_lock:
+                self._readers -= 1
+                if self._retired and not self._readers:
+                    self.release_pages()
+
+    def retire(self) -> None:
+        """Take this generation out of service: its pages go now if no
+        :meth:`reading` call holds it, else when the last one leaves (a
+        request that acquired it before the swap still reads it, and would
+        fault released pages back in)."""
+        with self._reader_lock:
+            self._retired = True
+            if not self._readers:
+                self.release_pages()
+
+    def reinstate(self) -> None:
+        """Put a retired generation back in service (activation, rollback):
+        its pages stay resident once read again."""
+        with self._reader_lock:
+            self._retired = False
+
     def release_pages(self) -> None:
         """Give up the resident pages of a mapped store; keep the mapping.
 
-        The serving runtime calls this when the generation leaves service.
-        ``MADV_DONTNEED`` drops the pages this process faulted in while the
-        mapping stays valid: an in-flight reader or a later rollback faults
-        them back in from the page cache, with the same bytes. A
-        ``"memory"`` store has nothing mapped and is left as it is.
+        :meth:`retire` calls this once the generation has left service and
+        its last reader has left. ``MADV_DONTNEED`` drops the pages this
+        process faulted in while the mapping stays valid: a later reader or
+        a rollback faults them back in from the page cache, with the same
+        bytes. A ``"memory"`` store has nothing mapped and is left as it is.
         """
         if self.storage != "memmap":
             return

@@ -43,10 +43,19 @@ Degraded-mode serving (this layer's fault-tolerance contract):
 
 What the runtime retains besides the active generation is kind-scoped:
 each rollback slot holds only its own kind's fields, and last-good holds
-only the targeting degraded mode scores with. A preference generation
-that leaves service (by swap or by rollback) gives up its resident pages
-(:meth:`~repro.preference.store.PreferenceStore.release_pages`); its
-mapping stays valid, so a rollback is still one reference assignment.
+only the targeting degraded mode scores with. Every scoring call counts
+itself a reader of the store it scores
+(:meth:`~repro.preference.store.PreferenceStore.reading`), and a preference
+generation that leaves service (by swap or by rollback) is retired: it
+gives up its resident pages once its last reader has left, and its mapping
+stays valid, so a rollback is still one reference assignment. The
+activation check reads the incoming generation from its files, so a swap
+holds one resident user matrix, not two.
+
+The serving process pins glibc's mmap threshold at its default
+(``mallopt(M_MMAP_THRESHOLD)``, once per process), so the score arrays
+every request allocates and frees go back to the operating system instead
+of piling up in the heap.
 
 ``health()`` reports ``degraded: true`` with reasons whenever any breaker
 is not closed, so operators (and the chaos suite) see every degraded
@@ -55,6 +64,8 @@ interval.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import threading
 from collections import deque
 from dataclasses import dataclass, replace
@@ -77,6 +88,33 @@ from repro.serving.cache import VersionedLRUCache
 
 #: How many hot-swap events the runtime keeps for post-hoc inspection.
 SWAP_EVENT_CAPACITY = 64
+
+#: glibc's ``mallopt`` parameter number for ``M_MMAP_THRESHOLD``, and the
+#: threshold's default (128 KiB).
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 128 * 1024
+
+
+@functools.cache
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at its default, once per process.
+
+    glibc serves an allocation of at least the threshold with its own
+    mapping, returned to the system on ``free``, but raises the threshold
+    to the size of every such block freed: after the first few, the
+    160-640 KB score arrays of each request come from the heap arenas and
+    stay there. Setting the threshold explicitly turns that adjustment off.
+    Not through ``MALLOC_MMAP_THRESHOLD_``: the stage workers inherit the
+    environment, and training slows under the pin. Skipped where the C
+    library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
 @dataclass(frozen=True)
@@ -122,6 +160,12 @@ class ActiveArtifacts:
         )
 
 
+def _read(targeting: UserTargeting, score_with) -> object:
+    """``score_with(targeting)``, counted as a reader of its store."""
+    with targeting.preference_store.reading():
+        return score_with(targeting)
+
+
 class ServingRuntime:
     """Hot-swappable serving layer between offline artifacts and the API."""
 
@@ -133,6 +177,7 @@ class ServingRuntime:
         read_breaker: CircuitBreaker | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
+        _pin_mmap_threshold()
         self.obs = obs or Observability()
         self._clock = self.obs.clock
         self._perf = self._clock.perf  # bound once: called twice per request
@@ -359,6 +404,7 @@ class ServingRuntime:
             raise
         if report is not None and report.gated:
             self._refuse(report, tag, start)
+        store.reinstate()
         self._active = replace(
             previous,
             preference_version=version,
@@ -370,7 +416,7 @@ class ServingRuntime:
         if previous.preference_store is not None:
             self._previous_preferences = previous.preferences_only()
             if previous.preference_store is not store:
-                previous.preference_store.release_pages()
+                previous.preference_store.retire()
         self._swap_count += 1
         self._record_swap(
             "preferences", previous.preference_version, version, tag, start
@@ -495,6 +541,7 @@ class ServingRuntime:
                 raise NotFittedError(
                     "no previous preference generation to roll back to"
                 )
+            previous.preference_store.reinstate()
             with self._last_good_lock:
                 self._active = replace(
                     current,
@@ -509,7 +556,7 @@ class ServingRuntime:
                     self._last_good = previous.targeting
             self._previous_preferences = current.preferences_only()
             if current.preference_store is not previous.preference_store:
-                current.preference_store.release_pages()
+                current.preference_store.retire()
             old_version = current.preference_version
             new_version = previous.preference_version
             tag = previous.preference_tag
@@ -595,6 +642,8 @@ class ServingRuntime:
         counts towards tripping and falls back once if a distinct last-good
         generation exists. Open: skip the active generation entirely and
         serve from last-good — the degraded interval the breaker buys.
+        Every call is one reader of the store it scores, so a generation
+        retired meanwhile keeps its pages until the call has left.
         """
         breaker = self.read_breaker
         active = self.acquire()
@@ -607,12 +656,12 @@ class ServingRuntime:
                 )
             self._degraded_serve_counter.inc()
             annotate(degraded="preference_read_open")
-            return score_with(fallback)
+            return _read(fallback, score_with)
         targeting = active.require_targeting()  # NotFittedError is not a failure
         try:
             if self._faults is not None:
                 self._faults.check("preferences.read")
-            result = score_with(targeting)
+            result = _read(targeting, score_with)
         except (ConfigError, NotFittedError):
             raise  # caller mistakes, not dependency failures
         except ReproError as error:
@@ -621,7 +670,7 @@ class ServingRuntime:
             if fallback is not None and fallback is not targeting:
                 self._degraded_serve_counter.inc()
                 annotate(degraded="preference_read_failure")
-                return score_with(fallback)
+                return _read(fallback, score_with)
             raise
         breaker.record_success()
         with self._last_good_lock:

@@ -21,6 +21,11 @@ attached :class:`~repro.resilience.RetryPolicy` when storage is flaky —
 and ``run_week(..., resume=True)`` reloads completed stages instead of
 recomputing them. Every training stage is seeded, so a resumed run is
 byte-identical (same checkpoint digests) to an uninterrupted one.
+
+Timing: :attr:`TRMPipeline.stage_seconds` also holds ``checkpoint`` (every
+checkpoint commit or load of the refresh; each fsyncs) and ``worker_reap``
+(killing and reaping the stage workers), so the stages sum to the refresh's
+wall time less only the graph's open and activation.
 """
 
 from __future__ import annotations
@@ -166,8 +171,19 @@ class TRMPipeline:
         """The worker for the pretrain, ALPC and the ensemble; never the
         skip-gram's (ALPC ran in a slow BLAS mode in that process)."""
         if self._model_worker is None:
-            self._model_worker = self._scope.enter_context(StageWorker())
+            self._model_worker = self._scope.enter_context(self._reaped(StageWorker()))
         return self._model_worker
+
+    @contextmanager
+    def _reaped(self, worker: StageWorker):
+        """``worker`` for the block, then killed and reaped, timed as the
+        ``worker_reap`` stage (a process that held a model takes a while
+        to tear down)."""
+        try:
+            yield worker
+        finally:
+            with self._stage("worker_reap"):
+                worker.__exit__(None, None, None)
 
     def _result(
         self, worker: StageWorker, stage: str, *steps: str, since: float | None = None
@@ -207,7 +223,9 @@ class TRMPipeline:
             self._record(name, clock.perf() - start)
 
     def _record(self, name: str, seconds: float) -> None:
-        self._stage_seconds[name] = seconds
+        # A stage timed more than once in one refresh (``checkpoint``: one
+        # commit per stage) adds up.
+        self._stage_seconds[name] = self._stage_seconds.get(name, 0.0) + seconds
         self._observe_stage(name, seconds)
 
     def _observe_stage(self, name: str, seconds: float) -> None:
@@ -219,8 +237,9 @@ class TRMPipeline:
     @property
     def stage_seconds(self) -> dict[str, float]:
         """Stage → wall seconds it *added* to the most recent refresh
-        (incl. ensemble); the values sum to the refresh's elapsed time
-        less untimed glue, also when stages overlapped."""
+        (incl. ensemble, checkpoint commits and worker reaps); the values
+        sum to the refresh's elapsed time less untimed glue, also when
+        stages overlapped."""
         return dict(self._stage_seconds)
 
     @property
@@ -290,7 +309,7 @@ class TRMPipeline:
                 self._submit_pretrain()
             # Its own ``with``: reaped when this stage ends, not with the
             # model worker at the end of the refresh.
-            with StageWorker() as worker:
+            with self._reaped(StageWorker()) as worker:
                 worker.submit(
                     cooccurrence_stage, self.extractor, events, num_entities,
                     self.config.skipgram,
@@ -389,16 +408,18 @@ class TRMPipeline:
         """
         ckpt = self.checkpoints
         if ckpt is not None and resume and ckpt.has(run_id, stage):
-            payload = ckpt.get(run_id, stage)
+            with self._stage("checkpoint"):
+                payload = ckpt.get(run_id, stage)
             run_state["resumed"].append(stage)
             run_state["digests"][stage] = ckpt.digest(run_id, stage)
             return payload
         payload = compute()
         if ckpt is not None:
             put = lambda: ckpt.put(run_id, stage, payload)
-            digest = put() if self.retry is None else self.retry.call(
-                put, seam=f"checkpoint.{stage}"
-            )
+            with self._stage("checkpoint"):
+                digest = put() if self.retry is None else self.retry.call(
+                    put, seam=f"checkpoint.{stage}"
+                )
             run_state["digests"][stage] = digest
             if self.faults is not None:
                 self.faults.check(f"pipeline.{stage}")
@@ -477,10 +498,14 @@ class TRMPipeline:
         the registry-assigned version.
         """
         state: dict = {"resumed": [], "digests": {}}
-        with self._stage("artifact_freeze"):
-            return self._stage_checkpointed(
-                run_id, "artifact_freeze", resume, state, publish
-            )
+
+        def timed_publish() -> dict:
+            with self._stage("artifact_freeze"):
+                return publish()
+
+        return self._stage_checkpointed(
+            run_id, "artifact_freeze", resume, state, timed_publish
+        )
 
     def train_ensemble(
         self, run_id: str | None = None, resume: bool = False
@@ -495,7 +520,8 @@ class TRMPipeline:
         ckpt = self.checkpoints
         run_id = run_id or self.weekly_runs[-1].run_id
         if ckpt is not None and run_id is not None and resume and ckpt.has(run_id, "ensemble"):
-            self.ensemble = ckpt.get(run_id, "ensemble")
+            with self._stage("checkpoint"):
+                self.ensemble = ckpt.get(run_id, "ensemble")
             run = self.weekly_runs[-1]
             run.resumed_stages.append("ensemble")
             run.stage_digests["ensemble"] = ckpt.digest(run_id, "ensemble")
@@ -516,9 +542,10 @@ class TRMPipeline:
         self.ensemble = ensemble
         if ckpt is not None and run_id is not None:
             put = lambda: ckpt.put(run_id, "ensemble", ensemble)
-            digest = put() if self.retry is None else self.retry.call(
-                put, seam="checkpoint.ensemble"
-            )
+            with self._stage("checkpoint"):
+                digest = put() if self.retry is None else self.retry.call(
+                    put, seam="checkpoint.ensemble"
+                )
             self.weekly_runs[-1].stage_digests["ensemble"] = digest
             if self.faults is not None:
                 self.faults.check("pipeline.ensemble")

@@ -6,7 +6,10 @@ pretrain, the ALPC fit, the ensemble fit and the daily preference build
 each run here as one module-level function of :mod:`repro.trmp.stages`,
 so their heaps live and die with this process, not the server's.
 
-It is a plain ``python -m`` child with its own stdin / stdout pipes. Each
+It is a plain ``python -c`` child with its own stdin / stdout pipes that
+imports this module and calls :func:`main` (not ``python -m``: importing the
+``repro.trmp`` package already imports this module, and runpy would run it
+a second time as ``__main__``, with a ``RuntimeWarning``). Each
 request is one length-prefixed pickle of ``(function, arguments)``; each
 reply one pickle of what the function returned. The worker serves requests
 until its stdin ends, so one worker can pretrain and then fit ALPC, and a
@@ -34,6 +37,8 @@ import numpy as np
 from repro.errors import StageWorkerError
 
 _LENGTH = struct.Struct("<Q")
+#: The worker's program: import this module, serve until stdin ends.
+_WORKER_MAIN = "import sys; from repro.trmp.stage_worker import main; sys.exit(main())"
 _STDERR_TAIL_BYTES = 2000
 
 
@@ -134,7 +139,7 @@ class StageWorker:
         # worker is gone, and a full pipe would block it.
         self._stderr = tempfile.TemporaryFile()
         self._process = subprocess.Popen(
-            [sys.executable, "-m", "repro.trmp.stage_worker"],
+            [sys.executable, "-c", _WORKER_MAIN],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr,
             env=env,
         )
@@ -218,7 +223,3 @@ def main() -> int:
             return 0  # the parent is done with us, or gone
         reply.write(_frame(function(*arguments)))
         reply.flush()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -112,6 +112,59 @@ class TestComparePreferenceStores:
         assert default_probe_entities(3, 10) == [0, 1, 2]
 
 
+def _scan_store(kind: str, storage: str, directory) -> PreferenceStore:
+    """2,500 users over three scan blocks: random scores, or a store whose
+    quantised embeddings and repeated sequences make exact ties."""
+    rng = np.random.default_rng(11)
+    num_users, num_entities = 2_500, 30
+    if kind == "tied":
+        embeddings = rng.integers(-1, 2, size=(num_entities, 4)).astype(np.float64)
+        sequences = {
+            u: UserEntitySequence(u, [u % 3, 5, 5]) for u in range(num_users) if u % 4
+        }
+        store = PreferenceStore(embeddings, normalize=False)
+    else:
+        embeddings = rng.normal(size=(num_entities, 8))
+        sequences = {
+            u: UserEntitySequence(u, rng.integers(0, num_entities, size=6).tolist())
+            for u in range(num_users)
+            if u % 5
+        }
+        store = PreferenceStore(embeddings)
+    store.build(sequences, num_users)
+    if storage == "memmap":
+        store = PreferenceStore.load_memmap(store.save_memmap(directory))
+    return store
+
+
+@pytest.mark.parametrize("storage", ["memory", "memmap"])
+@pytest.mark.parametrize("kind", ["random", "tied"])
+def test_the_streamed_check_has_the_bits_of_per_probe_scoring(kind, storage, tmp_path):
+    """One pass over the rows gives every probe the scores, the top-K and
+    the pooled spread that scoring each probe on its own gives."""
+    store = _scan_store(kind, storage, tmp_path / "new")
+    old = _scan_store("random" if kind == "tied" else "tied", "memory", None)
+    probes = default_probe_entities(len(store.entity_embeddings), 16)
+    streamed = store.score_entities(probes)
+    pooled = []
+    for entity_id, row in zip(probes, streamed):
+        alone = store.score_entity(entity_id)
+        assert row.tobytes() == alone.tobytes()
+        top = [u.user_id for u in store.top_users_for_entity(entity_id, 20)]
+        assert store.top_user_ids(row, 20).tolist() == top
+        pooled.append(alone[np.isfinite(alone)])
+
+    m = compare_preference_stores(old, store, probes)
+    assert m["new_score_std"] == float(np.std(np.concatenate(pooled)))
+    assert m["topk_overlap_per_probe"] == [
+        topk_overlap(
+            [u.user_id for u in old.top_users_for_entity(e, 20)],
+            [u.user_id for u in store.top_users_for_entity(e, 20)],
+        )
+        for e in probes
+    ]
+
+
 class TestDriftMonitorClassification:
     """Exactly two findings are critical; everything else is measured."""
 

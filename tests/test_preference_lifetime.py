@@ -6,6 +6,10 @@
 * a mapped generation that leaves ``_active`` (by swap or by rollback)
   gives up its resident pages but stays mapped: a rollback serves it again
   with the same answers;
+* the activation check reads the incoming generation from its files, so a
+  swap leaves it unmapped until a request reads it;
+* a request that holds the outgoing generation across the swap is the one
+  that releases it, when it leaves;
 * the daily refresh builds in a stage worker that is reaped before the
   published generation is opened.
 """
@@ -13,6 +17,8 @@
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -159,6 +165,117 @@ def test_retired_mapped_generation_is_not_resident_and_rolls_back(tmp_path):
     got = runtime.target(entity_ids, k=k).users
     assert_matches_reference(got, scores, k, sequences)
     assert rss(1) > 0  # the rollback faulted its pages back in
+
+
+def publish_generations(tmp_path, versions=(1, 2)):
+    """Mapped generations of ``build_store`` (~3 MB ``user_matrix`` each):
+    ``{version: (embeddings, sequences, store, user_matrix path)}``."""
+    generations = {}
+    for version in versions:
+        embeddings, sequences, built = build_store(12_000, 40, 32, version)
+        directory = built.save_memmap(tmp_path / f"preferences-{version}")
+        generations[version] = (
+            embeddings, sequences, PreferenceStore.load_memmap(directory),
+            directory / "user_matrix.npy",
+        )
+    return generations
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
+def test_the_activation_check_leaves_the_incoming_generation_unread(tmp_path):
+    generations = publish_generations(tmp_path)
+    runtime = ServingRuntime()
+    entity_ids, k = [3, 7, 11], 20
+    runtime.activate_preferences(generations[1][2], 1)
+    runtime.target(entity_ids, k=k)
+    runtime.activate_preferences(generations[2][2], 2)  # checked against v1
+    assert runtime.swap_events()[-1]["new_version"] == 2
+    assert runtime.drift_summary()["preferences"]["new_version"] == 2
+    assert mapping_rss_kb(generations[2][3]) == [0]
+
+    embeddings, sequences, _, path = generations[2]
+    scores = reference_scores(embeddings, sequences, 12_000, entity_ids)
+    assert_matches_reference(runtime.target(entity_ids, k=k).users, scores, k, sequences)
+    assert mapping_rss_kb(path)[0] > 0  # the first request reads it in
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
+def test_a_reader_across_the_swap_releases_the_retired_generation(tmp_path):
+    """The request acquired generation 1 before the swap and scores it
+    after: it faults the pages back in, and its exit gives them up."""
+    generations = publish_generations(tmp_path)
+    runtime = ServingRuntime()
+    runtime.activate_preferences(generations[1][2], 1)
+    store = generations[1][2]
+    entered, swapped = threading.Event(), threading.Event()
+    score = store.top_users_for_entities
+
+    def held_across_the_swap(*args, **kwargs):
+        entered.set()
+        assert swapped.wait(30)
+        return score(*args, **kwargs)
+
+    store.top_users_for_entities = held_across_the_swap
+    entity_ids, k, answers = [3, 7, 11], 20, []
+    reader = threading.Thread(
+        target=lambda: answers.append(runtime.target(entity_ids, k=k).users)
+    )
+    reader.start()
+    try:
+        assert entered.wait(30)
+        runtime.activate_preferences(generations[2][2], 2)
+    finally:
+        swapped.set()
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+
+    embeddings, sequences, _, path = generations[1]
+    scores = reference_scores(embeddings, sequences, 12_000, entity_ids)
+    assert_matches_reference(answers[0], scores, k, sequences)
+    assert mapping_rss_kb(path) == [0]
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
+def test_readers_racing_swaps_leave_only_the_active_generation_resident(tmp_path):
+    """More request threads than cores against swaps and rollbacks, with
+    the interpreter switching threads as often as it can: a lost update of
+    a reader count would leave a retired generation resident (or an active
+    one released)."""
+    generations = publish_generations(tmp_path, versions=(1, 2, 3))
+    runtime = ServingRuntime()
+    runtime.activate_preferences(generations[1][2], 1)
+    stop, errors = threading.Event(), []
+
+    def request() -> None:
+        while not stop.is_set():
+            try:
+                assert len(runtime.target([3, 7, 11], k=20).users) == 20
+            except Exception as error:  # reported below, not lost in the thread
+                errors.append(error)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=request) for _ in range(8)]
+    try:
+        for reader in readers:
+            reader.start()
+        for version in (2, 3, 2, 3, 1, 2, 3):
+            runtime.activate_preferences(generations[version][2], version)
+            runtime.rollback("preferences")
+            runtime.rollback("preferences")
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert errors == []
+    assert runtime.versions()["preference_version"] == 3
+    for version, (_, _, store, path) in generations.items():
+        assert store._readers == 0
+        if version != 3:
+            assert mapping_rss_kb(path) == [0], version
 
 
 def test_memory_store_is_unaffected_by_release_pages():

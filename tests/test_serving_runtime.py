@@ -5,6 +5,11 @@ so the swap/caching semantics are isolated from the offline pipeline.
 """
 
 import ast
+import ctypes
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -269,3 +274,53 @@ def test_surface_nothing_pays_for():
     assert set(_COMMANDS) == {
         "demo", "world", "graph-stats", "serve", "refresh", "rollback",
     }
+
+
+
+#: Run in a fresh interpreter, on a new thread as a request would be: how
+#: glibc serves a large block depends on what the process, and the arena
+#: the thread allocates from, freed before.
+MMAP_PROBE = """
+import ctypes, json, threading
+import numpy as np
+from repro.serving import ServingRuntime
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+ServingRuntime()
+mapped = []
+
+def request():
+    freed = np.ones(1 << 18)  # 2 MiB: its own mapping, then freed
+    del freed
+    before = libc.mallinfo2().hblks
+    scores = np.ones(40_000)  # a request's 320 KB score array
+    mapped.append(libc.mallinfo2().hblks - before)
+
+thread = threading.Thread(target=request)
+thread.start()
+thread.join()
+print(json.dumps(mapped))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="needs glibc's mallinfo2"
+)
+def test_a_score_array_is_its_own_mapping_after_a_larger_one_is_freed():
+    """glibc raises its mmap threshold to the size of each mapped block
+    freed; the serving process pins it, so a request thread's score array
+    is still mapped on its own (and unmapped on free), not carved from a
+    heap arena that keeps it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p or os.getcwd() for p in sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", MMAP_PROBE], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == [1]

@@ -366,6 +366,18 @@ def test_a_worker_whose_parent_dies_exits(tmp_path):
     assert not running(worker_pid)
 
 
+def test_a_worker_starts_clean_under_warnings_as_errors(monkeypatch):
+    """The worker imports its module and calls ``main`` (``python -m``
+    would run the module a second time, and runpy warns), and it inherits
+    no allocator setting: the serving process pins its own in-process."""
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    with StageWorker() as worker:
+        environ = Path(f"/proc/{worker.pid}/environ").read_bytes().split(b"\0")
+        assert worker.run(checked_reply, (7, {})) == (7, {})
+    assert not [entry for entry in environ if entry.startswith(b"MALLOC_")]
+    assert children_gone()
+
+
 def running(pid: int) -> bool:
     """True while ``pid`` exists and has not exited (a zombie has)."""
     try:
