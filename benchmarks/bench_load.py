@@ -94,7 +94,7 @@ ARRIVAL_SEED = 20230413
 MIX_SIZE = 512
 
 SHED_CODES = frozenset(
-    {"queue_full", "queue_timeout", "draining", "circuit_open", "deadline_exceeded"}
+    {"queue_full", "queue_timeout", "draining", "deadline_exceeded"}
 )
 
 

@@ -42,8 +42,8 @@ Exit codes
 0   success
 2   usage error (bad arguments)
 3   refresh interrupted by an injected crash — resumable with ``--resume``
-4   refresh completed but the hot-swap was refused (empty graph or open
-    activation breaker); serving stayed on the previous generation
+4   refresh completed but the hot-swap was refused (empty graph);
+    serving stayed on the previous generation
 5   rollback requested but no previous generation exists
 """
 
@@ -266,10 +266,6 @@ def cmd_serve(args) -> int:
     cache = health["cache"]
     print(f"\nruntime health: swaps {health['swap_count']}, "
           f"graph v{health['graph_version']}, preferences v{health['preference_version']}")
-    if health["degraded"]:
-        print(f"  status: DEGRADED ({'; '.join(health['degraded_reasons'])})")
-    else:
-        print("  status: healthy (all circuit breakers closed)")
     print(f"expansion cache: {cache['hits']} hits / {cache['misses']} misses "
           f"(hit rate {cache['hit_rate']:.0%}, size {cache['size']}/{cache['capacity']})")
     drift = health["drift"]
@@ -400,8 +396,7 @@ def cmd_rollback(args) -> int:
         return 5
     print(f"rolled back {args.kind}: v{before} -> v{after}")
     health = system.runtime.health()
-    print(f"runtime health: degraded={health['degraded']}, "
-          f"rollback_available={health['rollback_available']}")
+    print(f"runtime health: rollback_available={health['rollback_available']}")
     return 0
 
 

@@ -50,11 +50,6 @@ class DeadlineExceededError(ReproError):
     work was shed rather than finished late."""
 
 
-class CircuitOpenError(ReproError):
-    """A circuit breaker is open: the guarded dependency failed repeatedly
-    and calls are rejected fast until the recovery timeout elapses."""
-
-
 class CheckpointError(ReproError):
     """A refresh checkpoint could not be written, read back, or failed its
     content-digest validation."""

@@ -2,8 +2,8 @@
 
 A :class:`RequestRecord` is everything the system keeps about one request:
 identity, outcome, the artifact versions that served it, queue wait, cache
-hit/miss, degraded reason, hop sizes and a nested waterfall of timed
-phases. The outermost entry point opens it
+hit/miss, hop sizes and a nested waterfall of timed phases. The outermost
+entry point opens it
 (:meth:`~repro.serving.frontend.QueryFrontend.dispatch`, or
 ``EGLService._run`` when the service is driven without a front end) and
 binds it into a :mod:`contextvars` slot, so every layer underneath —
@@ -48,19 +48,17 @@ _AMBIENT: ContextVar["RequestRecord | None"] = ContextVar(
 RING_CAPACITY = 256
 
 #: Envelope codes that count as shed (refused by admission machinery rather
-#: than failed while computing). The first two originate in the runtime,
-#: the rest in the front end.
-_SHED_CODES = (
-    "circuit_open", "deadline_exceeded", "queue_full", "queue_timeout", "draining",
-)
+#: than failed while computing). The first originates in the runtime, the
+#: rest in the front end.
+_SHED_CODES = ("deadline_exceeded", "queue_full", "queue_timeout", "draining")
 
 
 class RequestRecord:
     """One request, start to finish (see module docstring).
 
     ``id``, ``endpoint`` and the phase events are written while the request
-    runs; layers fill ``queue_wait_ms`` / ``cache`` / ``degraded`` /
-    ``hops`` as they learn them (directly or through :func:`annotate`);
+    runs; layers fill ``queue_wait_ms`` / ``cache`` / ``hops`` as they
+    learn them (directly or through :func:`annotate`);
     :meth:`RequestLog.close` stamps ``ts``, ``duration_ms``, the outcome
     and both artifact versions. A record belongs to the one thread serving
     its request, so nothing here locks.
@@ -69,14 +67,14 @@ class RequestRecord:
     __slots__ = (
         "id", "endpoint", "ts", "duration_ms", "ok", "code",
         "graph_version", "preference_version",
-        "queue_wait_ms", "cache", "degraded", "hops",
+        "queue_wait_ms", "cache", "hops",
         "_events", "_perf", "_start",
     )
 
     def __init__(self, endpoint: str, perf) -> None:
         self.id = next_request_id()
         self.endpoint = endpoint
-        self.queue_wait_ms = self.cache = self.degraded = self.hops = None
+        self.queue_wait_ms = self.cache = self.hops = None
         #: Flat phase log: opening a phase appends its name then its start
         #: time, closing one appends its end time. A string therefore opens
         #: a phase and a float not preceded by a string closes the innermost
@@ -122,7 +120,6 @@ class RequestRecord:
             "preference_version": self.preference_version,
             "queue_wait_ms": self.queue_wait_ms,
             "cache": self.cache,
-            "degraded": self.degraded,
             "shed": self.code in _SHED_CODES,
             "hops": None if self.hops is None else list(self.hops),
             "phases": [
@@ -176,7 +173,7 @@ def current_request_id() -> int | None:
 
 
 def annotate(**fields) -> None:
-    """Set record fields (``degraded=...``, ``queue_wait_ms=...``) on the
+    """Set record fields (``queue_wait_ms=...``, ``cache=...``) on the
     current request, if any — the cold-path spelling of "if a record is
     bound"."""
     record = _AMBIENT.get()

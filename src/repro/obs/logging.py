@@ -1,6 +1,6 @@
 """Structured JSON logging stamped with the ambient request id.
 
-Operational events (hot-swaps, drift reports, breaker transitions, refresh
+Operational events (hot-swaps, drift reports, rollbacks, refresh
 lifecycle) need to be machine-readable and joinable against requests — an
 ad-hoc ``print`` is neither. A :class:`StructuredLogger` emits one JSON
 object per line with a timestamp from the injectable clock and, when a

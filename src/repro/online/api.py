@@ -6,11 +6,14 @@ responses, input validation and error envelopes — so a thin HTTP wrapper
 (or a test) can drive :class:`repro.online.EGLSystem` without touching its
 Python objects.
 
-Validation happens at this edge: malformed knobs (non-positive ``depth`` /
-``k`` / ``max_entities``, non-finite ``min_score`` / ``weights``) and
-entity ids that name no entity (anything but an ``int`` in
-``[0, num_entities)``) are rejected with the uniform error envelope before
-they reach the runtime or the feedback recorder.
+Validation happens at this edge: a field of the wrong type (``depth`` /
+``k`` / ``max_entities`` must be an ``int``, not a ``bool``; ``min_score``
+/ ``timeout_ms`` / each weight a finite real number; ``phrases`` a
+non-empty list of strings), an out-of-range knob and an entity id that
+names no entity (anything but an ``int`` in ``[0, num_entities)``) are
+rejected as ``invalid_argument`` before they reach the runtime or the
+feedback recorder. So is a phrase list the reasoner resolves to no entity
+(:class:`~repro.errors.VocabularyError`).
 Every response also reports the artifact versions that served it, so
 clients can correlate results across hot-swaps.
 
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import (
     CheckpointError,
-    CircuitOpenError,
     ConfigError,
     CorruptArtifactError,
     DeadlineExceededError,
@@ -39,6 +41,7 @@ from repro.errors import (
     NotFittedError,
     ReproError,
     StorageError,
+    VocabularyError,
 )
 from repro.obs import Observability
 from repro.online.system import EGLSystem
@@ -53,9 +56,9 @@ NDJSON_CONTENT_TYPE = "application/x-ndjson"
 #: is the catch-all). Clients branch on ``code``, never on message text.
 ERROR_CODES: tuple[tuple[type[ReproError], str], ...] = (
     (ConfigError, "invalid_argument"),
+    (VocabularyError, "invalid_argument"),
     (NotFittedError, "not_ready"),
     (DeadlineExceededError, "deadline_exceeded"),
-    (CircuitOpenError, "circuit_open"),
     (CorruptArtifactError, "corrupt_artifact"),
     (CheckpointError, "checkpoint_failed"),
     (DriftGateError, "drift_gated"),
@@ -127,20 +130,42 @@ class ApiResponse:
         }
 
 
-def _validate_timeout(timeout_ms: float | None) -> None:
-    if timeout_ms is not None and (
-        not math.isfinite(timeout_ms) or timeout_ms <= 0
-    ):
-        raise ConfigError("timeout_ms must be a positive finite number")
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _validate_positive_int(value, name: str) -> None:
+    if not _is_int(value) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _validate_timeout(timeout_ms) -> None:
+    if timeout_ms is not None and not (_is_finite(timeout_ms) and timeout_ms > 0):
+        raise ConfigError(
+            f"timeout_ms must be a positive finite number, got {timeout_ms!r}"
+        )
 
 
 def _validate_expand(request: ExpandRequest) -> None:
-    if request.depth < 1:
-        raise ConfigError("depth must be a positive integer")
-    if request.max_entities < 1:
-        raise ConfigError("max_entities must be a positive integer")
-    if not math.isfinite(request.min_score):
-        raise ConfigError("min_score must be finite")
+    phrases = request.phrases
+    if (
+        not isinstance(phrases, list)
+        or not phrases
+        or not all(isinstance(phrase, str) for phrase in phrases)
+    ):
+        raise ConfigError(f"phrases must be a non-empty list of strings, got {phrases!r}")
+    _validate_positive_int(request.depth, "depth")
+    _validate_positive_int(request.max_entities, "max_entities")
+    if not _is_finite(request.min_score):
+        raise ConfigError(f"min_score must be a finite number, got {request.min_score!r}")
     _validate_timeout(request.timeout_ms)
 
 
@@ -151,11 +176,7 @@ def _validate_entity_ids(ids, num_entities: int, name: str) -> None:
     if not isinstance(ids, (list, tuple)):
         raise ConfigError(f"{name} must be a list of entity ids")
     for entity_id in ids:
-        if (
-            isinstance(entity_id, bool)
-            or not isinstance(entity_id, numbers.Integral)
-            or not 0 <= entity_id < num_entities
-        ):
+        if not _is_int(entity_id) or not 0 <= entity_id < num_entities:
             raise ConfigError(
                 f"{name} must hold entity ids in [0, {num_entities}), "
                 f"got {entity_id!r}"
@@ -164,13 +185,13 @@ def _validate_entity_ids(ids, num_entities: int, name: str) -> None:
 
 def _validate_target(request: TargetRequest, num_entities: int) -> None:
     _validate_entity_ids(request.entity_ids, num_entities, "entity_ids")
-    if request.k < 1:
-        raise ConfigError("k must be a positive integer")
-    if request.weights is not None:
-        if len(request.weights) != len(request.entity_ids):
-            raise ConfigError("weights must align with entity_ids")
-        if not all(math.isfinite(float(w)) for w in request.weights):
-            raise ConfigError("weights must be finite")
+    _validate_positive_int(request.k, "k")
+    weights = request.weights
+    if weights is not None:
+        if not isinstance(weights, (list, tuple)) or len(weights) != len(request.entity_ids):
+            raise ConfigError("weights must be a list aligned with entity_ids")
+        if not all(_is_finite(w) for w in weights):
+            raise ConfigError(f"weights must be finite numbers, got {weights!r}")
     _validate_timeout(request.timeout_ms)
 
 
@@ -384,8 +405,6 @@ class EGLService:
             runtime_health = self.system.runtime.health()
             return {
                 "weekly_runs": weeks,
-                "degraded": runtime_health["degraded"],
-                "degraded_reasons": runtime_health["degraded_reasons"],
                 "preferences_ready": runtime_health["preferences_ready"],
                 "ensemble_ready": self.system.pipeline.ensemble is not None,
                 "quarantined": list(self.system.registry.quarantined),

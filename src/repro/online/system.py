@@ -30,12 +30,7 @@ import numpy as np
 
 from repro.datasets.behavior import BehaviorLog
 from repro.datasets.world import World
-from repro.errors import (
-    CircuitOpenError,
-    DriftGateError,
-    NotFittedError,
-    StorageError,
-)
+from repro.errors import DriftGateError, NotFittedError, StorageError
 from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability, ResourceAccountant
 from repro.online.feedback import FeedbackRecorder
@@ -76,9 +71,9 @@ class RefreshReport:
     #: Busy seconds of stages that ran in the stage worker beside another
     #: stage (week 0: ``cooccurrence_embedding``); ``{}`` when none did.
     overlapped_seconds: dict[str, float] = field(default_factory=dict)
-    #: True when the activation check (or an open activation breaker)
-    #: refused the hot-swap: the artifact was published to the registry but
-    #: serving stayed on the old generation.
+    #: True when the activation check refused the hot-swap: the artifact
+    #: was published to the registry but serving stayed on the old
+    #: generation.
     swap_rejected: bool = False
     swap_rejected_reason: str | None = None
     #: Checkpoint run id for this refresh (``weekly-<week>``).
@@ -119,7 +114,7 @@ class EGLSystem:
             checkpoints=self.registry.checkpoints,
             retry=self.retry, faults=faults,
         )
-        self.runtime = ServingRuntime(cache_size=cache_size, obs=self.obs, faults=faults)
+        self.runtime = ServingRuntime(cache_size=cache_size, obs=self.obs)
         # Every drift report — from refresh-driven swaps *and* direct
         # runtime activations — lands in the registry.
         self.runtime.on_drift_report = self.registry.attach_drift_report
@@ -178,9 +173,9 @@ class EGLSystem:
         recomputes only what the crash interrupted (seeded stages make the
         result byte-identical — compare ``RefreshReport.artifact_digest``).
         Registry publishes ride the retry policy; an activation refused by
-        the activation check or an open activation breaker leaves the
-        artifact published while serving stays on the last-good generation,
-        and keeps the marketer feedback for the next week.
+        the activation check leaves the artifact published while serving
+        stays on the generation it had, and keeps the marketer feedback for
+        the next week.
         """
         clock = self.obs.clock
         start = clock.perf()
@@ -221,7 +216,7 @@ class EGLSystem:
             self.runtime.activate_graph(
                 reasoner, frozen["version"], tag=frozen["tag"]
             )
-        except (DriftGateError, CircuitOpenError) as error:
+        except DriftGateError as error:
             # The artifact stays published (evidence!) but serving keeps
             # the old generation; its drift report, if any, is already
             # in the registry.
@@ -295,13 +290,13 @@ class EGLSystem:
                 seam="registry.open_preferences",
             )
         except StorageError:
-            pass  # artifact quarantined; the last-good generation keeps serving
+            pass  # artifact quarantined; the previous generation keeps serving
         else:
             try:
                 self.runtime.activate_preferences(
                     serve_store, record.version, tag=record.tag
                 )
-            except (DriftGateError, CircuitOpenError):
+            except DriftGateError:
                 pass  # published but not activated; report already filed
         metrics = self.obs.metrics
         metrics.counter("offline_refreshes_total", job="daily").inc()

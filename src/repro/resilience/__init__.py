@@ -8,9 +8,6 @@ primitives that keep both sides alive when infrastructure misbehaves:
     :class:`RetryPolicy` — capped exponential backoff with seeded jitter,
     sleeping through the injectable clock (deterministic under
     :class:`~repro.obs.ManualClock`).
-``breaker``
-    :class:`CircuitBreaker` — closed / open / half-open, clock-driven
-    recovery, transition callbacks for metrics.
 ``deadline``
     :class:`Deadline` — absolute per-request budgets propagated through
     the serving read path; expired work is shed, not finished late.
@@ -20,12 +17,16 @@ primitives that keep both sides alive when infrastructure misbehaves:
     resume.
 ``faults``
     :class:`FaultInjector` — seeded error/latency/kill schedules injected
-    at named seams (registry, pipeline stages, preference reads) for the
-    chaos suite.
+    at named seams (registry, checkpoints, pipeline stages) for the chaos
+    suite.
 ``atomic``
     temp-file + fsync + rename writes and SHA-256 content digests, shared
     by the registry and checkpoint store; :func:`atomic_write_array`
     streams a ``.npy`` artifact to disk without serialising it in memory.
+
+There is no degraded mode: no circuit breaker and no fallback generation.
+A failing call raises its own error, answered with its own code, and
+serving stays on the generation it had until an activation check passes.
 """
 
 from repro.resilience.atomic import (
@@ -36,7 +37,6 @@ from repro.resilience.atomic import (
     pickle_bytes,
     sha256_hex,
 )
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import (
@@ -54,10 +54,6 @@ __all__ = [
     "file_digest",
     "pickle_bytes",
     "sha256_hex",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "CheckpointStore",
     "Deadline",
     "FaultInjector",

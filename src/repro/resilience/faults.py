@@ -2,7 +2,7 @@
 
 Production failures — flaky storage, slow dependencies, a process killed
 mid-refresh — are injected at named *seams* (``registry.write``,
-``pipeline.candidates``, ``preferences.read``, ...). Components that accept
+``pipeline.candidates``, ``checkpoint.write``, ...). Components that accept
 a :class:`FaultInjector` call :meth:`FaultInjector.check` at their seam;
 the injector then, per its configured schedule, adds latency (through the
 injectable clock, so :class:`~repro.obs.ManualClock` time is respected),

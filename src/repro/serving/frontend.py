@@ -23,17 +23,16 @@ responder in one socket write. Queries run behind an
   ``Retry-After`` hint. Overload is absorbed by explicit sheds, never by
   timeouts or errors — the load benchmark's acceptance gate.
 
-Resilience composition (nothing new — the existing machinery, arranged):
+A failing request is answered with its own envelope and code (a caller
+mistake 400 ``invalid_argument``, a backend fault 500 with the fault's
+code) and decides nothing for a later request: there is no breaker, so
+one caller's bad requests never refuse another's good ones.
 
-* a front-end :class:`~repro.resilience.CircuitBreaker` watches backend
-  *fault* codes (``internal``/``storage_error``/…; sheds and caller
-  mistakes don't count) and, while open, rejects before admission with
-  503 ``circuit_open``;
-* per-request :class:`~repro.resilience.Deadline` budgets span queue time
-  too: the queue wait is clipped to the remaining budget, a request whose
-  budget expired while queued is shed as ``deadline_exceeded`` without
-  touching the runtime, and the backend receives only the *remaining*
-  budget.
+Per-request :class:`~repro.resilience.Deadline` budgets span queue time
+too: the queue wait is clipped to the remaining budget, a request whose
+budget expired while queued is shed as ``deadline_exceeded`` without
+touching the runtime, and the backend receives only the *remaining*
+budget.
 
 Clocks: admission *waits* use the real ``threading.Condition`` timeout
 (wall seconds — a queue full of real threads cannot wait on a manual
@@ -70,7 +69,7 @@ from repro.online.api import (
     TargetRequest,
     error_code,
 )
-from repro.resilience import CircuitBreaker, Deadline
+from repro.resilience import Deadline
 
 #: Largest request body the listener will read, in bytes. A longer
 #: ``Content-Length`` is refused (413) without reading it.
@@ -85,17 +84,9 @@ HTTP_STATUS_BY_CODE: dict = {
     "queue_full": 429,
     "queue_timeout": 429,
     "draining": 503,
-    "circuit_open": 503,
     "not_ready": 503,
     "deadline_exceeded": 504,
 }
-
-#: Envelope codes that count as backend *faults* for the front-end breaker
-#: (sheds and caller mistakes must not trip it).
-_FAULT_CODES = frozenset(
-    {"internal", "storage_error", "corrupt_artifact", "checkpoint_failed"}
-)
-
 
 def http_status(code: str | None) -> int:
     """HTTP status for one envelope code (500 for unmapped fault codes)."""
@@ -261,7 +252,6 @@ class QueryFrontend:
         max_concurrency: int = 8,
         max_queue: int = 16,
         queue_timeout: float = 0.25,
-        breaker: CircuitBreaker | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -270,12 +260,6 @@ class QueryFrontend:
         self._clock = service.obs.clock
         self._perf = self._clock.perf
         self._requests = service.obs.journeys
-        # Front-end breaker: trips on backend fault codes so a broken
-        # backend is rejected fast (503 circuit_open) instead of burning
-        # pool threads on requests that will 500.
-        self.breaker = breaker or CircuitBreaker(
-            "frontend", failure_threshold=5, recovery_timeout=5.0, clock=self._clock
-        )
         self._host = host
         self._requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
@@ -413,14 +397,6 @@ class QueryFrontend:
         if handler is None:
             return self._error(endpoint, start, "invalid_argument",
                                f"unknown endpoint {endpoint!r}")
-        if not self.breaker.allow_request():
-            self._count_request(endpoint, "shed")
-            self._count_shed("circuit_open")
-            return self._error(
-                endpoint, start, "circuit_open",
-                "front-end breaker is open (backend faulting)",
-                retry_after=min(1.0, self.breaker.recovery_timeout),
-            )
         deadline = self._request_deadline(payload)
         max_wait = None
         if deadline is not None:
@@ -459,10 +435,6 @@ class QueryFrontend:
                 self._count_request(endpoint, "admitted")
                 return self._error(endpoint, start, error_code(error), str(error))
             self._count_request(endpoint, "admitted")
-            if response.code in _FAULT_CODES:
-                self.breaker.record_failure(ReproError(response.error or response.code))
-            else:
-                self.breaker.record_success()
             with phase("to_dict"):
                 envelope = response.to_dict()
             return (http_status(response.code), envelope)
@@ -515,7 +487,6 @@ class QueryFrontend:
     def stats(self) -> dict:
         return {
             "admission": self.admission.snapshot(),
-            "breaker": self.breaker.snapshot(),
             "endpoints": list(self.POST_ENDPOINTS),
         }
 

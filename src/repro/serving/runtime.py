@@ -21,18 +21,15 @@ the offline producers republish artifacts weekly (entity graph) and daily
   generation — the report is still recorded and forwarded, so the refusal
   is observable everywhere a successful swap would be.
 
-Degraded-mode serving (this layer's fault-tolerance contract):
+Faults (this layer's fault-tolerance contract — there is no degraded mode):
 
-* **activation breaker** — repeated activation failures (corrupt artifact,
-  injected storage faults) trip a :class:`~repro.resilience.CircuitBreaker`;
-  while it is open, further swap attempts are rejected fast with
-  :class:`~repro.errors.CircuitOpenError` and the last-good generation
-  keeps serving;
-* **preference-read breaker** — failures while scoring users trip a second
-  breaker; while it is open, ``target*`` serves from the *last-good*
-  generation (the one that most recently scored successfully, never one a
-  rollback left) instead of the active one, and recovery is probed
-  half-open under the clock;
+* **a failing activation raises** — a corrupt incoming artifact
+  (:class:`~repro.errors.CorruptArtifactError` from the activation check)
+  or a refused one propagates to the caller, and serving stays on the
+  generation it had, because the swap is one assignment made after the
+  check; the next activation is judged on its own artifact alone;
+* **a failing request raises** — its error reaches the API edge, which
+  answers it with its own envelope code; nothing else changes state;
 * **deadlines** — ``expand``/``target*`` accept a per-request
   :class:`~repro.resilience.Deadline`; expired requests are *shed*
   (:class:`~repro.errors.DeadlineExceededError`) and counted, never
@@ -42,9 +39,8 @@ Degraded-mode serving (this layer's fault-tolerance contract):
   past every gate).
 
 What the runtime retains besides the active generation is kind-scoped:
-each rollback slot holds only its own kind's fields, and last-good holds
-only the targeting degraded mode scores with. Every scoring call counts
-itself a reader of the store it scores
+each rollback slot holds only its own kind's fields. Every scoring call
+counts itself a reader of the store it scores
 (:meth:`~repro.preference.store.PreferenceStore.reading`), and a preference
 generation that leaves service (by swap or by rollback) is retired: it
 gives up its resident pages once its last reader has left, and its mapping
@@ -56,10 +52,6 @@ The serving process pins glibc's mmap threshold at its default
 (``mallopt(M_MMAP_THRESHOLD)``, once per process), so the score arrays
 every request allocates and frees go back to the operating system instead
 of piling up in the heap.
-
-``health()`` reports ``degraded: true`` with reasons whenever any breaker
-is not closed, so operators (and the chaos suite) see every degraded
-interval.
 """
 
 from __future__ import annotations
@@ -70,20 +62,14 @@ import threading
 from collections import deque
 from dataclasses import dataclass, replace
 
-from repro.errors import (
-    CircuitOpenError,
-    ConfigError,
-    DriftGateError,
-    NotFittedError,
-    ReproError,
-)
+from repro.errors import ConfigError, DriftGateError, NotFittedError
 from repro.obs import Observability
-from repro.obs.context import annotate, phase
+from repro.obs.context import phase
 from repro.obs.drift import DriftReport, graph_report, preference_report
 from repro.online.reasoning import ExpansionView, GraphReasoner
 from repro.online.targeting import TargetingResult, UserTargeting
 from repro.preference.store import PreferenceStore
-from repro.resilience import CLOSED, CircuitBreaker, Deadline, FaultInjector
+from repro.resilience import Deadline
 from repro.serving.cache import VersionedLRUCache
 
 #: How many hot-swap events the runtime keeps for post-hoc inspection.
@@ -160,12 +146,6 @@ class ActiveArtifacts:
         )
 
 
-def _read(targeting: UserTargeting, score_with) -> object:
-    """``score_with(targeting)``, counted as a reader of its store."""
-    with targeting.preference_store.reading():
-        return score_with(targeting)
-
-
 class ServingRuntime:
     """Hot-swappable serving layer between offline artifacts and the API."""
 
@@ -173,9 +153,6 @@ class ServingRuntime:
         self,
         cache_size: int = 256,
         obs: Observability | None = None,
-        activation_breaker: CircuitBreaker | None = None,
-        read_breaker: CircuitBreaker | None = None,
-        faults: FaultInjector | None = None,
     ) -> None:
         _pin_mmap_threshold()
         self.obs = obs or Observability()
@@ -197,31 +174,12 @@ class ServingRuntime:
         self._started_at = self._clock.time()
         #: The latest drift report per artifact kind, for ``health()``.
         self._last_drift: dict[str, DriftReport] = {}
-        self._faults = faults
         self._log = self.obs.logger.child("runtime")
         # Previous generations, per artifact kind, for explicit rollback.
         # Each slot holds only its own kind's fields, so neither pins the
         # other kind's generation.
         self._previous_graph: ActiveArtifacts | None = None
         self._previous_preferences: ActiveArtifacts | None = None
-        # The targeting of the generation that most recently *served a
-        # scoring request successfully* — what degraded mode falls back to
-        # when the preference-read breaker is open.
-        self._last_good: UserTargeting | None = None
-        # Makes "is this generation still active? then it is last-good" one
-        # step against a rollback's swap of ``_active``.
-        self._last_good_lock = threading.Lock()
-        self.activation_breaker = activation_breaker or CircuitBreaker(
-            "activation", failure_threshold=3, recovery_timeout=60.0,
-            clock=self._clock, on_transition=self._on_breaker_transition,
-        )
-        self.read_breaker = read_breaker or CircuitBreaker(
-            "preference_read", failure_threshold=5, recovery_timeout=30.0,
-            clock=self._clock, on_transition=self._on_breaker_transition,
-        )
-        for breaker in (self.activation_breaker, self.read_breaker):
-            if breaker.on_transition is None:
-                breaker.on_transition = self._on_breaker_transition
         #: Optional callback invoked with every DriftReport (accepted or
         #: refused); EGLSystem uses it to persist reports in the registry,
         #: including for direct activations.
@@ -253,13 +211,6 @@ class ServingRuntime:
         self._observe_target = metrics.histogram(
             "serving_target_seconds", help="User-targeting scoring latency"
         ).observe
-        self._degraded_gauge = metrics.gauge(
-            "serving_degraded", help="1 while any serving breaker is not closed"
-        )
-        self._degraded_serve_counter = metrics.counter(
-            "serving_degraded_serves_total",
-            help="Requests answered from the last-good generation",
-        )
         self._rollback_counters = {
             kind: metrics.counter(
                 "serving_rollbacks_total",
@@ -270,48 +221,20 @@ class ServingRuntime:
         self._shed_counters: dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    # Resilience plumbing
+    # Deadlines
     # ------------------------------------------------------------------
-    def _on_breaker_transition(self, name: str, old: str, new: str) -> None:
-        self.obs.metrics.counter(
-            "breaker_transitions_total",
-            help="Circuit-breaker state transitions", breaker=name, to=new,
-        ).inc()
-        self._degraded_gauge.set(1.0 if self._degraded_reasons() else 0.0)
-        self._log.warning(
-            "breaker_transition", breaker=name, old_state=old, new_state=new
-        )
-
-    def _degraded_reasons(self) -> list[str]:
-        reasons = []
-        for breaker in (self.activation_breaker, self.read_breaker):
-            snap = breaker.snapshot()
-            if snap["state"] != CLOSED:
-                detail = (
-                    f" (last error: {snap['last_error']})" if snap["last_error"] else ""
-                )
-                reasons.append(f"{breaker.name} breaker {snap['state']}{detail}")
-        return reasons
-
-    @property
-    def degraded(self) -> bool:
-        """True while any serving breaker is open or probing recovery."""
-        return bool(self._degraded_reasons())
-
-    def _shed(self, endpoint: str, reason: str) -> None:
-        counter = self._shed_counters.get((endpoint, reason))
-        if counter is None:
-            counter = self.obs.metrics.counter(
-                "serving_shed_requests_total",
-                help="Requests shed instead of served",
-                endpoint=endpoint, reason=reason,
-            )
-            self._shed_counters[(endpoint, reason)] = counter
-        counter.inc()
-
     def _check_deadline(self, deadline: Deadline | None, endpoint: str) -> None:
+        """Shed (count, then raise) a request whose budget has expired."""
         if deadline is not None and deadline.expired:
-            self._shed(endpoint, "deadline")
+            counter = self._shed_counters.get(endpoint)
+            if counter is None:
+                counter = self.obs.metrics.counter(
+                    "serving_shed_requests_total",
+                    help="Requests shed instead of served",
+                    endpoint=endpoint, reason="deadline",
+                )
+                self._shed_counters[endpoint] = counter
+            counter.inc()
             deadline.check(endpoint)
 
     # ------------------------------------------------------------------
@@ -328,9 +251,7 @@ class ServingRuntime:
         returns the memory).
 
         Raises :class:`~repro.errors.DriftGateError` when the candidate has
-        no edges; :class:`~repro.errors.CircuitOpenError` when the
-        activation breaker is open. Either way the old generation keeps
-        serving.
+        no edges; the old generation keeps serving.
         """
         with self._swap_lock:
             self._activate_graph(reasoner, version, tag)
@@ -340,27 +261,17 @@ class ServingRuntime:
     ) -> None:
         start = self._perf()
         tag = tag or f"graph-v{version}"
-        breaker = self.activation_breaker
-        breaker.allow()
         previous = self._active
-        report = None
-        try:
-            if self._faults is not None:
-                self._faults.check("runtime.activate")
-            if previous.reasoner is not None:
-                report = self._file_report(graph_report(
-                    previous.reasoner.graph, reasoner.graph,
-                    previous.graph_version, version, self._clock.time(),
-                ))
-        except Exception as error:
-            breaker.record_failure(error)
-            raise
-        if report is not None and report.gated:
-            self._refuse(report, tag, start)
+        if previous.reasoner is not None:
+            report = self._file_report(graph_report(
+                previous.reasoner.graph, reasoner.graph,
+                previous.graph_version, version, self._clock.time(),
+            ))
+            if report.gated:
+                self._refuse(report, tag, start)
         self._active = replace(
             previous, graph_version=version, graph_tag=tag, reasoner=reasoner
         )
-        breaker.record_success()
         if previous.reasoner is not None:
             self._previous_graph = previous.graph_only()
         self._swap_count += 1
@@ -376,8 +287,9 @@ class ServingRuntime:
         """Hot-swap the daily preference artifact.
 
         Raises :class:`~repro.errors.DriftGateError` when the candidate's
-        probe scores are constant; :class:`~repro.errors.CircuitOpenError`
-        when the activation breaker is open.
+        probe scores are constant, and
+        :class:`~repro.errors.CorruptArtifactError` when its files end
+        early; either way the old generation keeps serving.
         """
         with self._swap_lock:
             self._activate_preferences(store, version, tag)
@@ -387,23 +299,14 @@ class ServingRuntime:
     ) -> None:
         start = self._perf()
         tag = tag or store.version_tag or f"daily-{version}"
-        breaker = self.activation_breaker
-        breaker.allow()
         previous = self._active
-        report = None
-        try:
-            if self._faults is not None:
-                self._faults.check("runtime.activate")
-            if previous.preference_store is not None:
-                report = self._file_report(preference_report(
-                    previous.preference_store, store,
-                    previous.preference_version, version, self._clock.time(),
-                ))
-        except Exception as error:
-            breaker.record_failure(error)
-            raise
-        if report is not None and report.gated:
-            self._refuse(report, tag, start)
+        if previous.preference_store is not None:
+            report = self._file_report(preference_report(
+                previous.preference_store, store,
+                previous.preference_version, version, self._clock.time(),
+            ))
+            if report.gated:
+                self._refuse(report, tag, start)
         store.reinstate()
         self._active = replace(
             previous,
@@ -412,7 +315,6 @@ class ServingRuntime:
             preference_store=store,
             targeting=UserTargeting(store),
         )
-        breaker.record_success()
         if previous.preference_store is not None:
             self._previous_preferences = previous.preferences_only()
             if previous.preference_store is not store:
@@ -448,8 +350,7 @@ class ServingRuntime:
     def _refuse(self, report: DriftReport, tag: str, start_perf: float) -> None:
         """Refuse a gated swap *before* the atomic assignment, so the active
         generation is untouched — in-flight and future requests keep being
-        served from the old artifacts. A refusal is a policy outcome, not
-        an infrastructure failure: the activation breaker does not see it."""
+        served from the old artifacts."""
         kind = report.kind
         counter = self._graph_reject_counter if kind == "graph" else self._pref_reject_counter
         counter.inc()
@@ -542,18 +443,13 @@ class ServingRuntime:
                     "no previous preference generation to roll back to"
                 )
             previous.preference_store.reinstate()
-            with self._last_good_lock:
-                self._active = replace(
-                    current,
-                    preference_version=previous.preference_version,
-                    preference_tag=previous.preference_tag,
-                    preference_store=previous.preference_store,
-                    targeting=previous.targeting,
-                )
-                if self._last_good is current.targeting:
-                    # Degraded mode must not fall back to the generation
-                    # the operator just rolled away from.
-                    self._last_good = previous.targeting
+            self._active = replace(
+                current,
+                preference_version=previous.preference_version,
+                preference_tag=previous.preference_tag,
+                preference_store=previous.preference_store,
+                targeting=previous.targeting,
+            )
             self._previous_preferences = current.preferences_only()
             if current.preference_store is not previous.preference_store:
                 current.preference_store.retire()
@@ -634,52 +530,6 @@ class ServingRuntime:
                 )
             return view
 
-    def _score(self, endpoint: str, score_with) -> object:
-        """Run one scoring call through the preference-read breaker.
-
-        Closed (or half-open with a trial slot): score against the active
-        generation; success refreshes the last-good snapshot, failure
-        counts towards tripping and falls back once if a distinct last-good
-        generation exists. Open: skip the active generation entirely and
-        serve from last-good — the degraded interval the breaker buys.
-        Every call is one reader of the store it scores, so a generation
-        retired meanwhile keeps its pages until the call has left.
-        """
-        breaker = self.read_breaker
-        active = self.acquire()
-        if not breaker.allow_request():
-            fallback = self._last_good
-            if fallback is None:
-                self._shed(endpoint, "circuit_open")
-                raise CircuitOpenError(
-                    "preference read path is open and no last-good generation exists"
-                )
-            self._degraded_serve_counter.inc()
-            annotate(degraded="preference_read_open")
-            return _read(fallback, score_with)
-        targeting = active.require_targeting()  # NotFittedError is not a failure
-        try:
-            if self._faults is not None:
-                self._faults.check("preferences.read")
-            result = _read(targeting, score_with)
-        except (ConfigError, NotFittedError):
-            raise  # caller mistakes, not dependency failures
-        except ReproError as error:
-            breaker.record_failure(error)
-            fallback = self._last_good
-            if fallback is not None and fallback is not targeting:
-                self._degraded_serve_counter.inc()
-                annotate(degraded="preference_read_failure")
-                return _read(fallback, score_with)
-            raise
-        breaker.record_success()
-        with self._last_good_lock:
-            # A request that finishes on a generation a rollback has just
-            # left must not make it last-good again.
-            if targeting is self._active.targeting:
-                self._last_good = targeting
-        return result
-
     def target(
         self,
         entity_ids: list[int],
@@ -687,13 +537,15 @@ class ServingRuntime:
         weights: list[float] | None = None,
         deadline: Deadline | None = None,
     ) -> TargetingResult:
-        """Top-K users for one entity set."""
+        """Top-K users for one entity set, scored against the active
+        generation as one reader of its store (a generation retired
+        meanwhile keeps its pages until the call has left)."""
         with phase("runtime"):
             self._check_deadline(deadline, "target")
             start = self._perf()
-            result = self._score(
-                "target", lambda t: t.target(entity_ids, k, weights=weights)
-            )
+            targeting = self.acquire().require_targeting()
+            with targeting.preference_store.reading():
+                result = targeting.target(entity_ids, k, weights=weights)
             self._observe_target(self._perf() - start)
             return result
 
@@ -708,10 +560,9 @@ class ServingRuntime:
         with phase("runtime"):
             self._check_deadline(deadline, "target_batch")
             start = self._perf()
-            results = self._score(
-                "target_batch",
-                lambda t: t.target_batch(entity_sets, k, weights=weights),
-            )
+            targeting = self.acquire().require_targeting()
+            with targeting.preference_store.reading():
+                results = targeting.target_batch(entity_sets, k, weights=weights)
             self._observe_target(self._perf() - start)
             return results
 
@@ -744,18 +595,11 @@ class ServingRuntime:
         }
 
     def health(self) -> dict:
-        """Liveness plus artifact/cache/degraded state for the endpoint."""
+        """Liveness plus artifact/cache/drift state for the endpoint."""
         active = self._active
-        reasons = self._degraded_reasons()
         return {
             "graph_ready": active.reasoner is not None,
             "preferences_ready": active.targeting is not None,
-            "degraded": bool(reasons),
-            "degraded_reasons": reasons,
-            "breakers": {
-                "activation": self.activation_breaker.snapshot(),
-                "preference_read": self.read_breaker.snapshot(),
-            },
             "rollback_available": {
                 "graph": self._previous_graph is not None,
                 "preferences": self._previous_preferences is not None,

@@ -7,6 +7,7 @@ and a 30% storage error rate still completes through retries.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.errors import CorruptArtifactError
+from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
 from repro.online import EGLSystem
 from repro.online.system import graph_digest
@@ -133,20 +135,52 @@ def test_crashed_refresh_keeps_marketer_feedback_for_its_resume(
     assert len(system.feedback) == 0
 
 
-def test_refused_swap_keeps_marketer_feedback(chaos_world, chaos_events, tmp_path):
+def test_refused_swap_keeps_marketer_feedback(
+    chaos_world, chaos_events, tmp_path, monkeypatch
+):
     """A week whose graph never serves did not use the feedback: it stays
-    for the next refresh instead of being retired at publish time."""
+    for the next refresh instead of being retired at publish time. Here
+    the activation check refuses week 1, whose generation opens empty."""
     system = make_system(chaos_world, tmp_path)
+    system.weekly_refresh(chaos_events)
     system.record_choice(0, [1, 2, 3])
-    breaker = system.runtime.activation_breaker
-    for _ in range(breaker.failure_threshold):
-        breaker.record_failure(RuntimeError("storage down"))
-    assert breaker.is_open
+    empty = EntityGraph.from_edge_list(chaos_world.num_entities, [], [], [])
+    monkeypatch.setattr(system.registry, "open_graph", lambda version=None: empty)
 
     report = system.weekly_refresh(chaos_events)
-    assert report.swap_rejected
-    assert system.runtime.versions()["graph_version"] is None
+    assert report.swap_rejected and "empty_graph" in report.swap_rejected_reason
+    assert system.runtime.versions()["graph_version"] == 1
     assert len(system.feedback) == 3
+
+
+def test_good_daily_activates_after_three_corrupt_ones(
+    chaos_world, chaos_events, tmp_path, monkeypatch
+):
+    """Three dailies whose user matrix is cut short after the open are each
+    refused by the activation check, and v1 keeps serving; the next daily
+    is judged on its own files and activates."""
+    system = make_system(chaos_world, tmp_path)
+    system.weekly_refresh(chaos_events)
+    system.daily_preference_refresh(chaos_events)
+    served = system.target_users([0, 1, 2], k=5).users
+    open_preferences = system.registry.open_preferences
+
+    def open_then_cut(version=None):
+        store = open_preferences(version)
+        matrix = Path(store.user_matrix.filename)
+        os.truncate(matrix, matrix.stat().st_size - 8)
+        return store
+
+    monkeypatch.setattr(system.registry, "open_preferences", open_then_cut)
+    for _ in range(3):
+        with pytest.raises(CorruptArtifactError):
+            system.daily_preference_refresh(chaos_events)
+        assert system.runtime.versions()["preference_version"] == 1
+        assert system.target_users([0, 1, 2], k=5).users == served
+    monkeypatch.undo()
+
+    assert system.daily_preference_refresh(chaos_events) > 0
+    assert system.runtime.versions()["preference_version"] == 5
 
 
 def test_thirty_percent_storage_errors_complete_via_retries(

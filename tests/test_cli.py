@@ -156,11 +156,13 @@ class TestRollbackCommand:
         assert main(["rollback", "--refreshes", "0"]) == 2
 
 
-class TestServeDegradedStatus:
-    def test_healthy_status_line(self, capsys):
+class TestServeHealth:
+    def test_health_line_names_the_served_generations(self, capsys):
         code = main(
             ["serve", "--entities", "60", "--users", "40",
              "--seed", "3", "--requests", "2", "--k", "5"]
         )
         assert code == 0
-        assert "status: healthy (all circuit breakers closed)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "runtime health: swaps 2, graph v1, preferences v1" in out
+        assert "status:" not in out

@@ -1,4 +1,4 @@
-"""Thread-safety of the hot read path: records, cache, breaker, hot-swap.
+"""Thread-safety of the hot read path: records, cache, hot-swap.
 
 The concurrent front end (PR: admission control + load harness) drives
 the whole serving stack from a thread pool, so the invariants these tests
@@ -9,8 +9,6 @@ pin are correctness requirements, not hygiene:
   service);
 * the versioned LRU cache must not lose counter updates or corrupt its
   LRU order under a multi-threaded hammer;
-* a half-open circuit breaker must admit exactly ``half_open_max_calls``
-  concurrent probes, not one per racing thread;
 * a hot-swap during K in-flight expansions must yield every response
   wholly from exactly one generation (no torn reads across artifacts);
 * autograd mode is per-thread — racing ``no_grad()`` blocks on serving
@@ -21,16 +19,12 @@ pin are correctness requirements, not hygiene:
 import threading
 import time
 
-import pytest
-
-from repro.errors import ReproError
 from repro.graph import EntityGraph
-from repro.obs import ManualClock, Observability
+from repro.obs import Observability
 from repro.obs.context import current_record
 from repro.online import EGLSystem
 from repro.online.api import EGLService, ExpandRequest
 from repro.online.reasoning import GraphReasoner
-from repro.resilience import HALF_OPEN, CircuitBreaker
 from repro.serving import ServingRuntime, VersionedLRUCache
 
 
@@ -203,44 +197,6 @@ class TestCacheConcurrency:
         stats = cache.stats()
         assert len(cache) <= cache.capacity
         assert stats["hits"] + stats["misses"] == 0  # no get was issued
-
-
-# ----------------------------------------------------------------------
-# Satellite 3: half-open admits exactly half_open_max_calls probes
-# ----------------------------------------------------------------------
-class TestBreakerHalfOpenConcurrency:
-    @pytest.mark.parametrize("max_calls", [1, 2])
-    def test_exactly_max_calls_probes_pass(self, max_calls):
-        clock = ManualClock(start=0.0)
-        breaker = CircuitBreaker(
-            "probe", failure_threshold=1, recovery_timeout=5.0,
-            half_open_max_calls=max_calls, clock=clock,
-        )
-        breaker.record_failure(ReproError("down"))
-        assert breaker.is_open
-        clock.advance(6.0)  # recovery window passed: next check half-opens
-
-        n_threads = 12
-        barrier = threading.Barrier(n_threads, timeout=5.0)
-        results = []
-        lock = threading.Lock()
-
-        def caller() -> None:
-            barrier.wait()  # maximize the race on the half-open claim
-            allowed = breaker.allow_request()
-            with lock:
-                results.append(allowed)
-
-        threads = [threading.Thread(target=caller) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert sum(results) == max_calls
-        assert breaker.state == HALF_OPEN
-        # The probe's success closes the breaker for everyone.
-        breaker.record_success()
-        assert breaker.state == "closed"
 
 
 # ----------------------------------------------------------------------

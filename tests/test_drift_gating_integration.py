@@ -212,8 +212,6 @@ class TestDegenerateArtifactGating:
         drift = system.runtime.health()["drift"]
         assert drift["preferences"]["gated"]
         assert drift["preferences"]["severity"] == SEVERITY_CRITICAL
-        # A refusal is policy, not an infrastructure failure.
-        assert system.runtime.activation_breaker.snapshot()["consecutive_failures"] == 0
 
     def test_empty_graph_rejected_and_previous_graph_answers(self, served, world):
         system, sequences = served

@@ -59,11 +59,11 @@ class TestAmbientBinding:
     def test_annotate_sets_fields_on_the_bound_record(self, log):
         record = log.open("target")
         try:
-            assert record.cache is None and record.degraded is None
+            assert record.cache is None and record.queue_wait_ms is None
             annotate(cache="miss")
-            annotate(degraded="preference_read_open")
+            annotate(queue_wait_ms=2.5)
             assert record.cache == "miss"
-            assert record.degraded == "preference_read_open"
+            assert record.queue_wait_ms == 2.5
         finally:
             log.close(record)
 
@@ -175,7 +175,6 @@ class TestJourneyLog:
 
     def test_shed_flag_derived_from_response_code(self, log):
         for code, shed in [
-            ("circuit_open", True),
             ("deadline_exceeded", True),
             ("queue_full", True),
             ("queue_timeout", True),
@@ -186,13 +185,6 @@ class TestJourneyLog:
             log.clear()
             _finish(log, ok=code is None, code=code)
             assert log.tail()[0]["shed"] is shed
-
-    def test_degraded_flag_from_annotations(self, log):
-        _finish(log, endpoint="target", degraded="preference_read_open")
-        _finish(log, endpoint="target")
-        degraded, healthy = log.tail()
-        assert degraded["degraded"] == "preference_read_open"
-        assert healthy["degraded"] is None
 
     def test_endpoint_passes_through_verbatim(self, log):
         _finish(log, endpoint="replay.expand")

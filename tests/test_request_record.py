@@ -162,15 +162,6 @@ class TestOneRecordPerDispatch:
         assert journey["shed"] is True
         assert journey["queue_wait_ms"] >= 15.0
 
-    def test_breaker_open_refusal(self, frontend, world):
-        for _ in range(5):
-            frontend.breaker.record_failure(RuntimeError("backend down"))
-        status, envelope = frontend.dispatch("expand", _expand(world))
-        assert (status, envelope["code"]) == (503, "circuit_open")
-        (journey,) = frontend.service.obs.journeys.tail()
-        assert journey["shed"] is True and journey["code"] == "circuit_open"
-        assert journey["phases"] == []  # refused before admission
-
     def test_non_repro_error_closes_the_record_and_unbinds(self, frontend, world):
         def crash(*args, **kwargs):
             raise ValueError("not a ReproError")

@@ -65,9 +65,9 @@ def test_max_failures_caps_rate_driven_errors():
 def test_latency_advances_the_manual_clock_only():
     clock = ManualClock()
     injector = FaultInjector(seed=0, clock=clock)
-    injector.configure("preferences.read", latency=0.25)
+    injector.configure("registry.read", latency=0.25)
     for _ in range(4):
-        injector.check("preferences.read")
+        injector.check("registry.read")
     assert clock.perf() == pytest.approx(1.0)  # 4 x 250 ms, zero real time
 
 

@@ -1,7 +1,7 @@
 """Front-end admission control: sheds, backpressure, drain, HTTP surface.
 
 ``QueryFrontend.dispatch`` is exercised directly (the transport-free
-core) for admission/shed/breaker/deadline semantics; one end-to-end test
+core) for admission/shed/deadline/error-code semantics; one end-to-end test
 drives the real ``ThreadingHTTPServer`` over a socket, covering status
 codes, ``Retry-After`` headers and the merged GET telemetry routes.
 """
@@ -13,6 +13,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
@@ -21,6 +22,8 @@ from repro.obs import Observability
 from repro.online import EGLSystem
 from repro.online.api import EGLService
 from repro.online.reasoning import GraphReasoner
+from repro.preference.store import PreferenceStore
+from repro.text.sequence_extractor import UserEntitySequence
 from repro.serving.frontend import (
     MAX_BODY_BYTES,
     AdmissionController,
@@ -38,6 +41,41 @@ def service(world, tmp_path):
     reasoner = GraphReasoner(graph, system.pipeline.entity_dict)
     system.runtime.activate_graph(reasoner, version=1, tag="week-0")
     return EGLService(system)
+
+
+@pytest.fixture()
+def served(service, world):
+    """``service`` with a preference generation too, so /target answers."""
+    rng = np.random.default_rng(0)
+    sequences = {
+        u: UserEntitySequence(u, list(rng.integers(0, world.num_entities, size=6)))
+        for u in range(40)
+    }
+    store = PreferenceStore(rng.normal(size=(world.num_entities, 6)))
+    service.system.runtime.activate_preferences(
+        store.build(sequences, world.num_users), version=1
+    )
+    return service
+
+
+#: Mistyped fields, one per case: each is the caller's mistake (400).
+MISTYPED = [
+    pytest.param("expand", {"phrases": ["x"], "depth": "2"}, id="depth-str"),
+    pytest.param("expand", {"phrases": ["x"], "depth": 2.5}, id="depth-float"),
+    pytest.param("expand", {"phrases": ["x"], "max_entities": "3"}, id="max_entities-str"),
+    pytest.param("expand", {"phrases": ["x"], "min_score": "0"}, id="min_score-str"),
+    pytest.param("expand", {"phrases": ["x"], "timeout_ms": "5"}, id="expand-timeout-str"),
+    pytest.param("expand", {"phrases": [1]}, id="phrase-int"),
+    pytest.param("expand", {"phrases": "x"}, id="phrases-str"),
+    pytest.param("target", {"entity_ids": [0, 1], "k": "5"}, id="k-str"),
+    pytest.param("target", {"entity_ids": [0, 1], "k": 2.5}, id="k-float"),
+    pytest.param("target", {"entity_ids": [0, 1], "weights": ["a", 1.0]}, id="weight-str"),
+    pytest.param("target", {"entity_ids": [0, 1], "weights": 3}, id="weights-int"),
+    pytest.param("target", {"entity_ids": [0, 1], "timeout_ms": "5"}, id="target-timeout-str"),
+    pytest.param(
+        "target_batch", {"requests": [{"entity_ids": [0, 1], "k": None}]}, id="batch-k-null"
+    ),
+]
 
 
 def _blocking_backend(service, release: threading.Event, entered: threading.Event):
@@ -209,33 +247,40 @@ class TestDispatch:
             release.set()
             blocker.join(timeout=10.0)
 
-    def test_backend_faults_trip_frontend_breaker(self, service, world):
+    @pytest.mark.parametrize(("endpoint", "payload"), MISTYPED)
+    def test_mistyped_fields_are_400(self, served, endpoint, payload):
+        status, envelope = QueryFrontend(served).dispatch(endpoint, payload)
+        assert (status, envelope["code"]) == (400, "invalid_argument")
+
+    def test_backend_faults_answer_their_own_code(self, service, world):
+        """Each backend fault is one 500 with its own code; none refuses a
+        later request."""
         frontend = QueryFrontend(service)
-        frontend.breaker.failure_threshold = 2
+        real = service.system.expand
 
         def broken(phrases, **kwargs):
             raise StorageError("disk on fire")
 
         service.system.expand = broken
         phrase = world.entities[0].name
-        for _ in range(2):
+        for _ in range(6):
             status, envelope = frontend.dispatch("expand", {"phrases": [phrase]})
-            assert status == 500
-            assert envelope["code"] == "storage_error"
-        # Breaker tripped: next request is rejected before admission.
+            assert (status, envelope["code"]) == (500, "storage_error")
+            assert "retry_after_ms" not in envelope
+        service.system.expand = real
         status, envelope = frontend.dispatch("expand", {"phrases": [phrase]})
-        assert status == 503
-        assert envelope["code"] == "circuit_open"
-        assert "retry_after_ms" in envelope
-        assert frontend.stats()["breaker"]["state"] == "open"
+        assert status == 200 and envelope["ok"]
 
-    def test_caller_errors_do_not_trip_breaker(self, service):
-        frontend = QueryFrontend(service)
-        frontend.breaker.failure_threshold = 1
-        for _ in range(3):
-            status, _ = frontend.dispatch("expand", {"phrases": [], "depth": -1})
-            assert status == 400
-        assert frontend.stats()["breaker"]["state"] == "closed"
+    def test_caller_errors_leave_other_requests_served(self, served):
+        """One caller's bad requests are that caller's 400s: the next
+        request, from anyone, is served."""
+        frontend = QueryFrontend(served)
+        for _ in range(5):
+            status, envelope = frontend.dispatch("expand", {"phrases": []})
+            assert (status, envelope["code"]) == (400, "invalid_argument")
+        status, envelope = frontend.dispatch("target", {"entity_ids": [0, 1], "k": 3})
+        assert status == 200 and envelope["ok"]
+        assert len(envelope["payload"]["users"]) == 3
 
     def test_shed_metrics_are_exported(self, service, world):
         frontend = QueryFrontend(service)
@@ -411,7 +456,6 @@ class TestStatusMapping:
         assert http_status("queue_full") == 429
         assert http_status("queue_timeout") == 429
         assert http_status("draining") == 503
-        assert http_status("circuit_open") == 503
         assert http_status("not_ready") == 503
         assert http_status("deadline_exceeded") == 504
         assert http_status("internal") == 500

@@ -241,6 +241,8 @@ DELETED_NAMES = frozenset({
     "OfflineArtifacts", "stack_tensors",
     "shard_of", "partitioned", "update_user", "PoincareEmbedding",
     "reliability_report",
+    "CircuitBreaker", "CircuitOpenError", "read_breaker", "activation_breaker",
+    "_last_good",
 })
 
 
