@@ -145,7 +145,7 @@ def compare_preference_stores(
     its own row of scores: the incoming generation is not faulted in before
     a request reads it. The old store is the one serving, already resident.
     Scores, top-K lists and the pooled spread have the bits per-probe
-    ``score_entity`` / ``top_users_for_entity`` calls give.
+    ``top_users_for_entity`` calls give.
     """
     num_entities = min(
         len(old_store.entity_embeddings), len(new_store.entity_embeddings)

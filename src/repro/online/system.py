@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.datasets.behavior import BehaviorLog
 from repro.datasets.world import World
-from repro.errors import DriftGateError, NotFittedError, StorageError
+from repro.errors import CorruptArtifactError, DriftGateError, NotFittedError, StorageError
 from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability, ResourceAccountant
 from repro.online.feedback import FeedbackRecorder
@@ -298,6 +298,11 @@ class EGLSystem:
                 )
             except DriftGateError:
                 pass  # published but not activated; report already filed
+            except CorruptArtifactError as error:
+                # Its files ended under the activation check: quarantined
+                # like an artifact that fails to open, and the previous
+                # generation keeps serving.
+                self.registry.quarantine(record, f"activation refused: {error}")
         metrics = self.obs.metrics
         metrics.counter("offline_refreshes_total", job="daily").inc()
         metrics.histogram("offline_refresh_seconds", job="daily").observe(

@@ -2,22 +2,25 @@
 
 The online stage must answer "top-K users by average preference over
 these entities" in milliseconds, so the daily job pre-computes one row per
-user — the embedding ``r_u`` (Eq. 7) and the user's sparse interaction
-frequencies ``freq_u(e)`` — and :class:`PreferenceStore` serves them.
-Row ``i`` is user ``i``.
+covered user (a user with behaviour in the window) — the embedding ``r_u``
+(Eq. 7) — and each entity's sparse interaction frequencies ``freq_u(e)``,
+and :class:`PreferenceStore` serves them. Row ``r`` is user
+``user_ids[r]``; ``user_ids`` ascends, so ascending row order is ascending
+user id. A user with no row is never scored and never returned.
 
 One scoring kernel: the request's combine weights are folded into the
 entity side once (``q = E_unionᵀ · combine``), the kernel scores
-``U · q`` and adds the direct-interaction term from the CSR rows — work
-proportional to the rows and their non-zeros, never to
-``users × |union|``. Answers come in the canonical order: descending
-score, ties by ascending user id.
+``U · q`` over the covered rows and adds the direct-interaction term from
+the postings of the requested entities only — work proportional to the
+covered rows and those postings, never to ``users × |union|`` or to every
+interaction. Answers come in the canonical order: descending score, ties by
+ascending user id.
 
 One on-disk layout (format :data:`PREF_FORMAT`), holding exactly the
-arrays the kernel reads::
+arrays the kernel reads, in the orientation it reads them::
 
     <directory>/entity_embeddings.npy
-    <directory>/{user_matrix,covered,row_ptr,col_idx,values}.npy
+    <directory>/{user_ids,user_matrix,entity_ptr,user_rows,values}.npy
     <directory>/meta.json        per-array SHA-256; written last (commit point)
 
 :meth:`PreferenceStore.load_memmap` maps every array read-only, so a
@@ -48,15 +51,16 @@ from repro.resilience import atomic_write_array, atomic_write_text, file_digest
 from repro.text.sequence_extractor import UserEntitySequence
 
 #: On-disk format identifier of the preference artifact directory.
-PREF_FORMAT = "pref-mm-v3"
+PREF_FORMAT = "pref-mm-v4"
 
-#: The per-user arrays: file stem, store attribute, dtype the kernel reads.
-_ROW_ARRAYS = (
-    ("user_matrix", "user_matrix", np.float64),
-    ("covered", "covered_users", np.bool_),
-    ("row_ptr", "row_ptr", np.int64),
-    ("col_idx", "col_idx", np.int64),
-    ("values", "values", np.float64),
+#: The index arrays besides ``entity_embeddings``: file stem (= store
+#: attribute) and the dtype the kernel reads.
+_INDEX_ARRAYS = (
+    ("user_ids", np.int64),
+    ("user_matrix", np.float64),
+    ("entity_ptr", np.int64),
+    ("user_rows", np.int64),
+    ("values", np.float64),
 )
 
 #: Rows per block when :meth:`PreferenceStore.score_entities` reads a mapped
@@ -74,7 +78,7 @@ def _select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest scores in **canonical order**.
 
     Descending score, ties broken by ascending index (= ascending user
-    id, because row ``i`` is user ``i``).
+    id, because ``user_ids`` ascends).
     """
     n = len(scores)
     if k >= n:
@@ -138,35 +142,37 @@ def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def _interaction_rows(
-    sequences: dict[int, UserEntitySequence], num_users: int, num_entities: int
+    sequences: dict[int, UserEntitySequence], user_ids: np.ndarray, num_entities: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR ``(row_ptr, col_idx, values)`` of ``freq_u(e)`` = share of
-    user ``u``'s sequence spent on entity ``e``."""
-    active = [(u, seq.entity_ids) for u, seq in sequences.items() if len(seq)]
-    lengths = np.zeros(num_users, dtype=np.int64)
-    if active:
-        users = np.asarray([u for u, _ in active], dtype=np.int64)
-        lengths[users] = [len(ids) for _, ids in active]
-        events = np.concatenate([np.asarray(ids, dtype=np.int64) for _, ids in active])
+    """Postings ``(entity_ptr, user_rows, values)`` of ``freq_u(e)`` = share
+    of user ``u``'s sequence spent on entity ``e``, by entity: entity
+    ``e``'s are ``entity_ptr[e]:entity_ptr[e + 1]``, rows ascending."""
+    ids = [sequences[u].entity_ids for u in user_ids.tolist()]
+    lengths = np.asarray([len(seq) for seq in ids], dtype=np.int64)
+    rows = max(len(ids), 1)
+    if ids:
+        events = np.concatenate([np.asarray(seq, dtype=np.int64) for seq in ids])
         keys, counts = np.unique(
-            np.repeat(users, lengths[users]) * num_entities + events,
+            events * rows + np.repeat(np.arange(len(ids)), lengths),
             return_counts=True,
         )
     else:
         keys = counts = np.zeros(0, dtype=np.int64)
-    rows, cols = np.divmod(keys, num_entities)
-    row_ptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(rows, minlength=num_users))]
+    entities, user_rows = np.divmod(keys, rows)
+    entity_ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(entities, minlength=num_entities))]
     ).astype(np.int64)
-    return row_ptr, cols, counts / lengths[rows]
+    return entity_ptr, user_rows, counts / lengths[user_rows]
 
 
 class PreferenceStore:
-    """One row per user + the top-K-by-average-preference kernel.
+    """One row per covered user + the top-K-by-average-preference kernel.
 
-    The direct-interaction term is CSR over the rows:
-    ``values[row_ptr[u]:row_ptr[u + 1]]`` are user ``u``'s interaction
-    frequencies with entities ``col_idx[...]`` (ascending).
+    Row ``r`` of ``user_matrix`` is user ``user_ids[r]``. The
+    direct-interaction term is stored by entity:
+    ``values[entity_ptr[e]:entity_ptr[e + 1]]`` are entity ``e``'s
+    interaction frequencies with the users of rows ``user_rows[...]``
+    (ascending).
     """
 
     def __init__(
@@ -197,11 +203,12 @@ class PreferenceStore:
         #: or ``"memmap"`` (zero-copy mapped pages of a published
         #: artifact). Reported by the serving runtime.
         self.storage = "memory"
+        #: Users the store holds a row for (the covered users).
         self.num_users = 0
-        self.user_matrix: np.ndarray | None = None  # (users, dim) float64
-        self.covered_users: np.ndarray | None = None  # (users,) bool
-        self.row_ptr: np.ndarray | None = None  # (users + 1,) int64
-        self.col_idx: np.ndarray | None = None  # (nnz,) int64
+        self.user_ids: np.ndarray | None = None  # (rows,) int64, ascending
+        self.user_matrix: np.ndarray | None = None  # (rows, dim) float64
+        self.entity_ptr: np.ndarray | None = None  # (entities + 1,) int64
+        self.user_rows: np.ndarray | None = None  # (nnz,) int64
         self.values: np.ndarray | None = None  # (nnz,) float64
         # Scoring calls in flight (:meth:`reading`) and whether the serving
         # runtime has taken this generation out of service (:meth:`retire`).
@@ -210,9 +217,9 @@ class PreferenceStore:
         self._reader_lock = threading.Lock()
 
     def _adopt(self, arrays: dict[str, np.ndarray]) -> "PreferenceStore":
-        for _, attribute, _ in _ROW_ARRAYS:
-            setattr(self, attribute, arrays[attribute])
-        self.num_users = len(self.user_matrix)
+        for name, _ in _INDEX_ARRAYS:
+            setattr(self, name, arrays[name])
+        self.num_users = len(self.user_ids)
         return self
 
     # ------------------------------------------------------------------
@@ -221,20 +228,21 @@ class PreferenceStore:
         sequences: dict[int, UserEntitySequence],
         num_users: int,
     ) -> "PreferenceStore":
-        """The daily refresh: recompute every user's row."""
+        """The daily refresh: recompute every covered user's row."""
         user_matrix, covered = user_embedding_matrix(
             self.entity_embeddings, sequences, num_users
         )
-        row_ptr, col_idx, values = _interaction_rows(
-            sequences, num_users, len(self.entity_embeddings)
+        user_ids = np.flatnonzero(covered).astype(np.int64)
+        entity_ptr, user_rows, values = _interaction_rows(
+            sequences, user_ids, len(self.entity_embeddings)
         )
         self.storage = "memory"
         return self._adopt(
             {
-                "user_matrix": user_matrix,
-                "covered_users": covered,
-                "row_ptr": row_ptr,
-                "col_idx": col_idx,
+                "user_ids": user_ids,
+                "user_matrix": user_matrix[user_ids],
+                "entity_ptr": entity_ptr,
+                "user_rows": user_rows,
                 "values": values,
             }
         )
@@ -244,20 +252,17 @@ class PreferenceStore:
             raise NotFittedError("PreferenceStore.build has not been called")
 
     # ------------------------------------------------------------------
-    def score_entity(self, entity_id: int) -> np.ndarray:
-        """All users' preference scores for one entity (uncovered = -inf)."""
-        self._require_built()
-        scores = _row_dots(self.user_matrix, self.entity_embeddings[entity_id])
-        if self.direct_weight:
-            # The entity's column, read straight from the CSR rows
-            # (at most one entry per row).
-            hits = np.flatnonzero(self.col_idx == entity_id)
-            rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
-            scores[rows] += self.direct_weight * self.values[hits]
-        return np.where(self.covered_users, scores, -np.inf)
+    def _postings(self, entity_ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(user_rows, values)`` of each entity's interactions."""
+        starts = self.entity_ptr[entity_ids].tolist()
+        ends = self.entity_ptr[entity_ids + 1].tolist()
+        # Sliced as plain views: each slice of a np.memmap costs microseconds.
+        rows, values = self.user_rows.view(np.ndarray), self.values.view(np.ndarray)
+        return [(rows[start:end], values[start:end]) for start, end in zip(starts, ends)]
 
     def score_entities(self, entity_ids: list[int]) -> np.ndarray:
-        """:meth:`score_entity` of each id, one row per id, in one pass
+        """Every row's preference score for each entity: one row of scores
+        per id, whose column ``r`` is user ``user_ids[r]``, in one pass
         over the user rows.
 
         The rows of a mapped store are read from its ``user_matrix`` file
@@ -265,25 +270,24 @@ class PreferenceStore:
         generation no request has read leaves its matrix unmapped in this
         process (the activation check scores every incoming generation).
         Each row is reduced on its own (:func:`_row_dots`), so every score
-        has the bits :meth:`score_entity` gives it.
+        has the bits :meth:`top_users_for_entity` gives it.
         """
         self._require_built()
-        queries = self.entity_embeddings[np.asarray(entity_ids, dtype=np.int64)]
+        entity_ids = np.asarray(entity_ids, dtype=np.int64)
+        queries = self.entity_embeddings[entity_ids]
         scores = np.empty((len(queries), self.num_users))
         for start, block in self._user_row_blocks():
             for out, query in zip(scores, queries):
                 out[start : start + len(block)] = _row_dots(block, query)
         if self.direct_weight:
-            for out, entity_id in zip(scores, entity_ids):
-                hits = np.flatnonzero(self.col_idx == entity_id)
-                rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
-                out[rows] += self.direct_weight * self.values[hits]
-        return np.where(self.covered_users, scores, -np.inf)
+            for out, (rows, values) in zip(scores, self._postings(entity_ids)):
+                out[rows] += self.direct_weight * values
+        return scores
 
     def top_user_ids(self, scores: np.ndarray, k: int) -> np.ndarray:
         """The user ids :meth:`top_users_for_entity` returns, taken from
         that entity's row of :meth:`score_entities`."""
-        return _top_k_rows(scores, min(k, int(self.covered_users.sum())))
+        return self.user_ids[_top_k_rows(scores, min(k, self.num_users))]
 
     def _user_row_blocks(self):
         """``(first row, rows)`` blocks of ``user_matrix`` in row order."""
@@ -348,8 +352,8 @@ class PreferenceStore:
         """Batched :meth:`top_users_for_entities` over many entity sets.
 
         The combine weights of every set are folded into the entity side
-        once, and every set is scored against all rows and keeps its
-        top-K in the canonical order. This is how the runtime serves a
+        once, and every set is scored against the covered rows and keeps
+        its top-K in the canonical order. This is how the runtime serves a
         burst of targeting requests (or one request per expansion seed).
         """
         self._require_built()
@@ -367,33 +371,30 @@ class PreferenceStore:
                 queries = np.ascontiguousarray(
                     (self.entity_embeddings[union_ids].T @ combine).T
                 )
-                k_eff = min(k, int(self.covered_users.sum()))
+                k_eff = min(k, self.num_users)
                 if k_eff < 1:
                     return [[] for _ in entity_sets]
-            scores = np.stack([_row_dots(self.user_matrix, query) for query in queries])
-            if self.direct_weight:
-                # Direct-preference term from the CSR rows whose entity is
-                # in the request's union: O(nnz), summed per row in CSR
-                # order. ``slot_of`` maps an entity id to its combine row
-                # (or -1) without a dense gather.
-                slot_of = np.full(len(self.entity_embeddings), -1, dtype=np.int64)
-                slot_of[union_ids] = np.arange(len(union_ids))
-                slots = slot_of[self.col_idx]
-                hits = np.flatnonzero(slots >= 0)
-                rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
-                shares = self.values[hits, None] * combine[slots[hits]]
-                for i, out in enumerate(scores):
-                    out += self.direct_weight * np.bincount(
-                        rows, weights=shares[:, i], minlength=self.num_users
-                    )
-            scores = np.where(self.covered_users, scores, -np.inf)
+                postings = self._postings(union_ids)
             answers: list[list[UserScore]] = []
-            for row in scores:
-                chosen = _top_k_rows(row, k_eff)
+            for i, query in enumerate(queries):
+                scores = _row_dots(self.user_matrix, query)
+                if self.direct_weight:
+                    # Direct-preference term from the postings of the
+                    # set's entities only, added into each row in ascending
+                    # entity id from 0.0. A zero share would add +0.0,
+                    # which changes no such sum, so it is skipped.
+                    direct = np.zeros(self.num_users)
+                    for slot in np.flatnonzero(combine[:, i]).tolist():
+                        rows, values = postings[slot]
+                        direct[rows] += values * combine[slot, i]
+                    scores += self.direct_weight * direct
+                chosen = _top_k_rows(scores, k_eff)
                 answers.append(
                     [
                         UserScore(u, s)
-                        for u, s in zip(chosen.tolist(), row[chosen].tolist())
+                        for u, s in zip(
+                            self.user_ids[chosen].tolist(), scores[chosen].tolist()
+                        )
                     ]
                 )
             return answers
@@ -441,7 +442,7 @@ class PreferenceStore:
             return
         for array in (
             self.entity_embeddings,
-            *(getattr(self, attribute) for _, attribute, _ in _ROW_ARRAYS),
+            *(getattr(self, name) for name, _ in _INDEX_ARRAYS),
         ):
             # np.load(mmap_mode=...) returns a np.memmap whose base is the
             # mmap.mmap; a view of it (entity_embeddings) adds one link.
@@ -469,9 +470,9 @@ class PreferenceStore:
                 directory / "entity_embeddings.npy", self.entity_embeddings
             )
         }
-        for name, attribute, _ in _ROW_ARRAYS:
+        for name, _ in _INDEX_ARRAYS:
             checksums[name] = atomic_write_array(
-                directory / f"{name}.npy", getattr(self, attribute)
+                directory / f"{name}.npy", getattr(self, name)
             )
         meta = {
             "format": PREF_FORMAT,
@@ -545,9 +546,7 @@ class PreferenceStore:
                 direct_weight=float(meta["direct_weight"]),
                 version_tag=meta["version_tag"],
             )
-            arrays = {
-                attribute: open_array(name, dtype) for name, attribute, dtype in _ROW_ARRAYS
-            }
+            arrays = {name: open_array(name, dtype) for name, dtype in _INDEX_ARRAYS}
             num_users = int(meta["num_users"])
         except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise CorruptArtifactError(
@@ -576,15 +575,20 @@ def _check_shapes(
 
     require(embeddings.ndim == 2, "entity_embeddings is not a matrix")
     require(
+        arrays["user_ids"].shape == (num_users,),
+        f"user_ids does not hold {num_users} users",
+    )
+    require(
         arrays["user_matrix"].shape == (num_users, embeddings.shape[1]),
         f"user_matrix is not {num_users} users by the embedding width",
     )
     require(
-        arrays["covered_users"].shape == (num_users,)
-        and arrays["row_ptr"].shape == (num_users + 1,),
-        f"covered/row_ptr do not hold {num_users} users",
+        arrays["entity_ptr"].shape == (len(embeddings) + 1,),
+        f"entity_ptr does not hold {len(embeddings)} entities",
     )
     require(
-        arrays["col_idx"].shape == arrays["values"].shape == (int(arrays["row_ptr"][-1]),),
-        "CSR arrays disagree on the entry count",
+        arrays["user_rows"].shape
+        == arrays["values"].shape
+        == (int(arrays["entity_ptr"][-1]),),
+        "postings arrays disagree on the entry count",
     )

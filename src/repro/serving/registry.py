@@ -250,7 +250,7 @@ class ArtifactRegistry:
         try:
             return load(record.path)
         except StorageError as error:
-            self._quarantine(record, f"artifact unreadable: {error}")
+            self.quarantine(record, f"artifact unreadable: {error}")
             raise CorruptArtifactError(
                 f"{record.kind} artifact v{record.version} quarantined: {error}"
             ) from error
@@ -270,8 +270,10 @@ class ArtifactRegistry:
         else:
             PreferenceStore.validate_memmap(directory)
 
-    def _quarantine(self, record: ArtifactRecord, reason: str) -> None:
-        """Move the bad artifact aside, drop the record, keep the evidence.
+    def quarantine(self, record: ArtifactRecord, reason: str) -> None:
+        """Move the bad artifact aside, drop the record, keep the evidence:
+        the one recovery rule, for a generation that fails to open, fails
+        its startup proof, or fails under the activation check.
 
         The directory moves into a ``quarantine/`` sibling on the same
         filesystem, so the rename cannot fail half way.
@@ -399,7 +401,7 @@ class ArtifactRegistry:
                     continue
                 self._records[kind].append(record)
         for record, reason in corrupt:
-            self._quarantine(record, reason)
+            self.quarantine(record, reason)
 
     # ------------------------------------------------------------------
     # Catalogue

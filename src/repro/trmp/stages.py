@@ -150,7 +150,7 @@ def preference_stage(
     store = PreferenceStore(embeddings, version_tag=tag).build(sequences, num_users)
     built = perf_counter()
     store.save_memmap(directory)
-    return int(store.covered_users.sum()), {
+    return store.num_users, {
         "extract": extracted - start,
         "build": built - extracted,
         "save": perf_counter() - built,

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import ConfigError, NotFittedError
+from repro.preference import PreferenceStore, UserScore, user_embedding_matrix
+from repro.preference.store import _combine_matrix, _row_dots, _top_k_rows, _union_ids
 from repro.resilience import atomic_write_bytes, sha256_hex
 from repro.tensor import (
     Tensor,
@@ -138,6 +141,144 @@ def reference_extract_sequences(extractor, events, as_of_day=None):
         seq = sequences.setdefault(event.user_id, UserEntitySequence(event.user_id))
         seq.entity_ids.extend(extractor.extract_event(event))
     return sequences
+
+
+def _v3_interaction_rows(sequences, num_users, num_entities):
+    """CSR ``(row_ptr, col_idx, values)`` of ``freq_u(e)`` = share of
+    user ``u``'s sequence spent on entity ``e``."""
+    active = [(u, seq.entity_ids) for u, seq in sequences.items() if len(seq)]
+    lengths = np.zeros(num_users, dtype=np.int64)
+    if active:
+        users = np.asarray([u for u, _ in active], dtype=np.int64)
+        lengths[users] = [len(ids) for _, ids in active]
+        events = np.concatenate([np.asarray(ids, dtype=np.int64) for _, ids in active])
+        keys, counts = np.unique(
+            np.repeat(users, lengths[users]) * num_entities + events,
+            return_counts=True,
+        )
+    else:
+        keys = counts = np.zeros(0, dtype=np.int64)
+    rows, cols = np.divmod(keys, num_entities)
+    row_ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(rows, minlength=num_users))]
+    ).astype(np.int64)
+    return row_ptr, cols, counts / lengths[rows]
+
+
+class DenseV3PreferenceIndex:
+    """The ``pref-mm-v3`` preference index and its kernel as they were
+    before the artifact held covered users only: one row per user id, a
+    ``covered`` mask, the interactions as CSR over the users, every request
+    scoring all users and masking the uncovered ones to ``-inf``. In-memory
+    arrays, no timing phases: the byte-equality oracle for
+    :class:`PreferenceStore`. It answers the calls
+    ``compare_preference_stores`` makes, so drift metrics can be taken
+    from it too."""
+
+    def __init__(self, entity_embeddings, sequences, num_users, normalize=True,
+                 direct_weight=25.0):
+        embeddings = PreferenceStore(
+            entity_embeddings, normalize=normalize, direct_weight=direct_weight
+        ).entity_embeddings
+        self.entity_embeddings = embeddings
+        self.direct_weight = direct_weight
+        self.num_users = num_users
+        self.user_matrix, self.covered_users = user_embedding_matrix(
+            embeddings, sequences, num_users
+        )
+        self.row_ptr, self.col_idx, self.values = _v3_interaction_rows(
+            sequences, num_users, len(embeddings)
+        )
+
+    def _require_built(self) -> None:
+        if self.user_matrix is None:
+            raise NotFittedError("PreferenceStore.build has not been called")
+
+    def score_entity(self, entity_id: int) -> np.ndarray:
+        """All users' preference scores for one entity (uncovered = -inf)."""
+        self._require_built()
+        scores = _row_dots(self.user_matrix, self.entity_embeddings[entity_id])
+        if self.direct_weight:
+            # The entity's column, read straight from the CSR rows
+            # (at most one entry per row).
+            hits = np.flatnonzero(self.col_idx == entity_id)
+            rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
+            scores[rows] += self.direct_weight * self.values[hits]
+        return np.where(self.covered_users, scores, -np.inf)
+
+    def score_entities(self, entity_ids: list[int]) -> np.ndarray:
+        self._require_built()
+        queries = self.entity_embeddings[np.asarray(entity_ids, dtype=np.int64)]
+        scores = np.empty((len(queries), self.num_users))
+        for start in range(0, self.num_users, 1024):
+            block = self.user_matrix[start : start + 1024]
+            for out, query in zip(scores, queries):
+                out[start : start + len(block)] = _row_dots(block, query)
+        if self.direct_weight:
+            for out, entity_id in zip(scores, entity_ids):
+                hits = np.flatnonzero(self.col_idx == entity_id)
+                rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
+                out[rows] += self.direct_weight * self.values[hits]
+        return np.where(self.covered_users, scores, -np.inf)
+
+    def top_user_ids(self, scores: np.ndarray, k: int) -> np.ndarray:
+        return _top_k_rows(scores, min(k, int(self.covered_users.sum())))
+
+    def top_users_for_entity(self, entity_id: int, k: int) -> list[UserScore]:
+        return self.top_users_for_entity_sets([[int(entity_id)]], k)[0]
+
+    def top_users_for_entities(self, entity_ids, k, weights=None) -> list[UserScore]:
+        self._require_built()
+        if not entity_ids:
+            raise ConfigError("need at least one entity to target users")
+        return self.top_users_for_entity_sets(
+            [list(entity_ids)], k, None if weights is None else [weights]
+        )[0]
+
+    def top_users_for_entity_sets(self, entity_sets, k, weights=None):
+        self._require_built()
+        if not entity_sets:
+            return []
+        if any(not ids for ids in entity_sets):
+            raise ConfigError("need at least one entity to target users")
+        if weights is not None and len(weights) != len(entity_sets):
+            raise ConfigError("weights must align with entity_sets")
+        union_ids = _union_ids(entity_sets)
+        combine = _combine_matrix(entity_sets, weights, union_ids)
+        # (sets, dim), one contiguous query per set.
+        queries = np.ascontiguousarray(
+            (self.entity_embeddings[union_ids].T @ combine).T
+        )
+        k_eff = min(k, int(self.covered_users.sum()))
+        if k_eff < 1:
+            return [[] for _ in entity_sets]
+        scores = np.stack([_row_dots(self.user_matrix, query) for query in queries])
+        if self.direct_weight:
+            # Direct-preference term from the CSR rows whose entity is
+            # in the request's union: O(nnz), summed per row in CSR
+            # order. ``slot_of`` maps an entity id to its combine row
+            # (or -1) without a dense gather.
+            slot_of = np.full(len(self.entity_embeddings), -1, dtype=np.int64)
+            slot_of[union_ids] = np.arange(len(union_ids))
+            slots = slot_of[self.col_idx]
+            hits = np.flatnonzero(slots >= 0)
+            rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
+            shares = self.values[hits, None] * combine[slots[hits]]
+            for i, out in enumerate(scores):
+                out += self.direct_weight * np.bincount(
+                    rows, weights=shares[:, i], minlength=self.num_users
+                )
+        scores = np.where(self.covered_users, scores, -np.inf)
+        answers: list[list[UserScore]] = []
+        for row in scores:
+            chosen = _top_k_rows(row, k_eff)
+            answers.append(
+                [
+                    UserScore(u, s)
+                    for u, s in zip(chosen.tolist(), row[chosen].tolist())
+                ]
+            )
+        return answers
 
 
 def child_pids() -> list[int]:

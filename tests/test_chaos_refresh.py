@@ -157,30 +157,39 @@ def test_good_daily_activates_after_three_corrupt_ones(
     chaos_world, chaos_events, tmp_path, monkeypatch
 ):
     """Three dailies whose user matrix is cut short after the open are each
-    refused by the activation check, and v1 keeps serving; the next daily
-    is judged on its own files and activates."""
+    refused by the activation check and quarantined like an artifact that
+    fails to open, and v1 keeps serving as the registry's latest; the next
+    daily is judged on its own files and activates."""
     system = make_system(chaos_world, tmp_path)
     system.weekly_refresh(chaos_events)
     system.daily_preference_refresh(chaos_events)
     served = system.target_users([0, 1, 2], k=5).users
     open_preferences = system.registry.open_preferences
+    cut = []
 
     def open_then_cut(version=None):
         store = open_preferences(version)
         matrix = Path(store.user_matrix.filename)
         os.truncate(matrix, matrix.stat().st_size - 8)
+        cut.append(version)
         return store
 
     monkeypatch.setattr(system.registry, "open_preferences", open_then_cut)
-    for _ in range(3):
-        with pytest.raises(CorruptArtifactError):
-            system.daily_preference_refresh(chaos_events)
+    for attempt in range(3):
+        assert system.daily_preference_refresh(chaos_events) > 0
         assert system.runtime.versions()["preference_version"] == 1
         assert system.target_users([0, 1, 2], k=5).users == served
+        assert system.registry.latest("preferences").version == 1
+        refused = system.registry.quarantined[attempt]
+        assert refused["kind"] == "preferences" and refused["version"] == cut[attempt]
+        assert refused["reason"].startswith("activation refused")
+        assert not (tmp_path / f"preferences-{cut[attempt]:06d}").exists()
+    assert len(system.registry.quarantined) == 3
     monkeypatch.undo()
 
     assert system.daily_preference_refresh(chaos_events) > 0
-    assert system.runtime.versions()["preference_version"] == 5
+    latest = system.registry.latest("preferences").version
+    assert system.runtime.versions()["preference_version"] == latest > 1
 
 
 def test_thirty_percent_storage_errors_complete_via_retries(

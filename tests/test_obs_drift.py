@@ -146,9 +146,14 @@ def test_the_streamed_check_has_the_bits_of_per_probe_scoring(kind, storage, tmp
     old = _scan_store("random" if kind == "tied" else "tied", "memory", None)
     probes = default_probe_entities(len(store.entity_embeddings), 16)
     streamed = store.score_entities(probes)
+    row_of = {u: r for r, u in enumerate(store.user_ids.tolist())}
     pooled = []
     for entity_id, row in zip(probes, streamed):
-        alone = store.score_entity(entity_id)
+        # Every row's score as the serving kernel gives it, read off the
+        # whole audience.
+        alone = np.full(store.num_users, np.nan)
+        for user in store.top_users_for_entity(entity_id, store.num_users):
+            alone[row_of[user.user_id]] = user.score
         assert row.tobytes() == alone.tobytes()
         top = [u.user_id for u in store.top_users_for_entity(entity_id, 20)]
         assert store.top_user_ids(row, 20).tolist() == top

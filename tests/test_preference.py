@@ -1,6 +1,7 @@
 """User entity preference: embeddings and the serving store."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ class TestPreferenceStore:
     def test_requires_build(self, embeddings):
         store = PreferenceStore(embeddings)
         with pytest.raises(NotFittedError):
-            store.score_entity(0)
+            store.score_entities([0])
         with pytest.raises(NotFittedError):
             store.top_users_for_entities([0], 2)
 
@@ -95,9 +96,11 @@ class TestPreferenceStore:
         store = PreferenceStore(embeddings, direct_weight=0.0, normalize=False).build(
             sequences, num_users=5
         )
-        scores = store.score_entity(1)
+        scores = store.score_entities([1])[0]
+        assert store.user_ids.tolist() == [0, 1]
         expected = store.user_matrix[0] @ embeddings[1]
         assert scores[0] == pytest.approx(expected)
+        assert scores[1] == pytest.approx(embeddings[5] @ embeddings[1])
 
     def test_top_users_matches_bruteforce(self, embeddings, sequences):
         store = PreferenceStore(embeddings).build(sequences, num_users=5)
@@ -130,8 +133,8 @@ class TestPreferenceStore:
 
 
 def test_artifact_is_one_flat_partition(tmp_path, rng):
-    """A published store is one directory of flat arrays, row ``i`` = user
-    ``i``, that opens mapped and answers like the built store."""
+    """A published store is one directory of flat arrays, row ``r`` = user
+    ``user_ids[r]``, that opens mapped and answers like the built store."""
     embeddings = rng.standard_normal((90, 12))
     sequences = {
         u: UserEntitySequence(u, [int(x) for x in rng.integers(0, 90, 5)])
@@ -142,13 +145,38 @@ def test_artifact_is_one_flat_partition(tmp_path, rng):
     record = registry.publish_preferences(store)
     assert record.format == "memmap"
     assert sorted(p.name for p in Path(record.path).iterdir()) == [
-        "col_idx.npy", "covered.npy", "entity_embeddings.npy", "meta.json",
-        "row_ptr.npy", "user_matrix.npy", "values.npy",
+        "entity_embeddings.npy", "entity_ptr.npy", "meta.json",
+        "user_ids.npy", "user_matrix.npy", "user_rows.npy", "values.npy",
     ]
     index = registry.open_preferences(record.version)
     assert index.storage == "memmap" and index.num_users == len(index.user_matrix) == 60
     sets = [[1, 2, 5], [9, 40]]
     assert index.top_users_for_entity_sets(sets, 10) == store.top_users_for_entity_sets(sets, 10)
+
+
+def test_a_query_allocates_covered_sized_temporaries_only(rng):
+    """A query's temporaries are sized by the covered users (and the
+    request), not by the user id space or the interaction count: on a
+    world with 20,000 user ids, 1,000 covered users and 200,000
+    interactions, one call peaks at a small multiple of covered × 8 bytes
+    (a kernel scoring every user id and scanning every interaction peaks
+    near 2.3 MB here)."""
+    num_users, num_entities, covered = 20_000, 400, 1_000
+    sequences = {
+        u: UserEntitySequence(u, rng.choice(num_entities, 200, replace=False).tolist())
+        for u in rng.choice(num_users, covered, replace=False).tolist()
+    }
+    store = PreferenceStore(rng.normal(size=(num_entities, 8))).build(sequences, num_users)
+    assert len(store.values) == 200 * covered
+    entity_ids = list(range(0, num_entities, 27))
+    store.top_users_for_entities(entity_ids, 10)
+    tracemalloc.start()
+    try:
+        store.top_users_for_entities(entity_ids, 10, weights=np.linspace(1, 2, 15))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * covered * 8
 
 
 def test_one_index_one_layout():

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import DenseV3PreferenceIndex
 from reference_model import expansion_key, reference_expansion
 from repro.errors import CorruptArtifactError
 from repro.graph import CSRGraph, EntityGraph, k_hop_expansion
@@ -25,13 +26,18 @@ from repro.serving.registry import MANIFEST_NAME, QUARANTINE_DIR
 from repro.text.sequence_extractor import UserEntitySequence
 
 
-def built_preferences(num_users=6, num_entities=10, seed=0) -> PreferenceStore:
+def preference_inputs(num_users=6, num_entities=10, seed=0):
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(size=(num_entities, 4))
     sequences = {
         u: UserEntitySequence(u, list(rng.integers(0, num_entities, size=5)))
         for u in range(num_users)
     }
+    return embeddings, sequences, num_users
+
+
+def built_preferences(num_users=6, num_entities=10, seed=0) -> PreferenceStore:
+    embeddings, sequences, num_users = preference_inputs(num_users, num_entities, seed)
     return PreferenceStore(embeddings).build(sequences, num_users)
 
 
@@ -154,6 +160,11 @@ GENERATIONS = {
     "graph-registry": GraphGenerations(),
 }
 
+#: Every array file of a ``pref-mm-v4`` generation.
+PREFERENCE_ARRAYS = [
+    "entity_embeddings", "entity_ptr", "user_ids", "user_matrix", "user_rows", "values",
+]
+
 
 class TestQuarantine:
     def test_truncated_artifact_is_quarantined_not_served(self, tmp_path):
@@ -161,7 +172,7 @@ class TestQuarantine:
         good = registry.publish_preferences(built_preferences(seed=1), tag="good")
         bad = registry.publish_preferences(built_preferences(seed=2), tag="bad")
         bad_path = published_dir(tmp_path, bad)
-        truncate(bad_path / "covered.npy", 3)  # torn write
+        truncate(bad_path / "user_ids.npy", 3)  # torn write
 
         with pytest.raises(CorruptArtifactError):
             registry.open_preferences(bad.version)
@@ -182,7 +193,23 @@ class TestQuarantine:
         agrees."""
         generations = GENERATIONS[artifact]
         *_, apply, caught_on_open = DAMAGE[damage]
+        self.damage_is_quarantined(
+            tmp_path, generations, generations.damaged_file(damage), apply, caught_on_open
+        )
 
+    @pytest.mark.parametrize("array", PREFERENCE_ARRAYS)
+    @pytest.mark.parametrize("damage", ["bitflip", "missing", "truncated"])
+    def test_damage_to_each_preference_array_quarantines_generation(
+        self, tmp_path, damage, array
+    ):
+        """The same rule for every array file of a preference generation."""
+        *_, apply, caught_on_open = DAMAGE[damage]
+        self.damage_is_quarantined(
+            tmp_path, GENERATIONS["P1"], f"{array}.npy", apply, caught_on_open
+        )
+
+    @staticmethod
+    def damage_is_quarantined(tmp_path, generations, damaged_file, apply, caught_on_open):
         def answer(registry):
             assert registry.latest(generations.kind).version == 1
             return generations.answer(registry)
@@ -190,7 +217,7 @@ class TestQuarantine:
         registry = ArtifactRegistry(root=tmp_path)
         bad = generations.publish(registry, tmp_path)
         bad_path = Path(bad.path)
-        apply(bad_path / generations.damaged_file(damage))
+        apply(bad_path / damaged_file)
 
         if caught_on_open:
             with pytest.raises(CorruptArtifactError):
@@ -237,10 +264,22 @@ class TestQuarantine:
         """A ``pref-mm-v2`` generation (``shard-00/`` sub-directory) left in
         an existing root is refused by name at startup, and ``latest()``
         resolves past it to the newest generation this build serves."""
+        old = self.previous_format_is_quarantined(tmp_path, write_v2_generation, "pref-mm-v2")
+        assert (tmp_path / QUARANTINE_DIR / old.name / "shard-00").is_dir()
+
+    def test_v3_generation_is_quarantined_at_startup(self, tmp_path):
+        """A ``pref-mm-v3`` generation (a row per user id, a ``covered``
+        mask, CSR by user) is refused by name at startup too."""
+        old = self.previous_format_is_quarantined(tmp_path, write_v3_generation, "pref-mm-v3")
+        assert (tmp_path / QUARANTINE_DIR / old.name / "covered.npy").is_file()
+
+    @staticmethod
+    def previous_format_is_quarantined(tmp_path, write, name):
         first = ArtifactRegistry(root=tmp_path)
         good = first.publish_preferences(built_preferences(seed=1), tag="good")
-        old = write_v2_generation(
-            tmp_path / "preferences-000002", built_preferences(seed=2)
+        old = write(
+            tmp_path / "preferences-000002",
+            DenseV3PreferenceIndex(*preference_inputs(seed=2)),
         )
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text(encoding="utf-8"))
         manifest["records"][KIND_PREFERENCES].append(
@@ -253,8 +292,8 @@ class TestQuarantine:
         assert reopened.latest(KIND_PREFERENCES) == good
         assert reopened.open_preferences().version_tag == "good"
         (entry,) = reopened.quarantined
-        assert entry["version"] == 2 and "'pref-mm-v2'" in entry["reason"]
-        assert (tmp_path / QUARANTINE_DIR / old.name / "shard-00").is_dir()
+        assert entry["version"] == 2 and f"'{name}'" in entry["reason"]
+        return old
 
     def test_torn_drift_report_is_skipped(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
@@ -265,8 +304,9 @@ class TestQuarantine:
 
 
 def write_v2_generation(directory, store):
-    """The ``pref-mm-v2`` layout: one ``shard-NN/`` sub-directory per
-    partition, each with a ``user_ids`` array, checksums per shard."""
+    """The ``pref-mm-v2`` layout of a :class:`DenseV3PreferenceIndex`: one
+    ``shard-NN/`` sub-directory per partition, each with a ``user_ids``
+    array, checksums per shard."""
     shard = directory / "shard-00"
     shard.mkdir(parents=True)
     arrays = {
@@ -284,6 +324,26 @@ def write_v2_generation(directory, store):
             "entity_embeddings": file_digest(directory / "entity_embeddings.npy"),
             "shards": [{name: file_digest(shard / f"{name}.npy") for name in arrays}],
         },
+    }
+    (directory / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    return directory
+
+
+def write_v3_generation(directory, store):
+    """The ``pref-mm-v3`` layout of a :class:`DenseV3PreferenceIndex`: flat
+    arrays, row ``i`` = user ``i``, a ``covered`` mask and CSR by user."""
+    directory.mkdir(parents=True)
+    arrays = {
+        "entity_embeddings": store.entity_embeddings,
+        "user_matrix": store.user_matrix, "covered": store.covered_users,
+        "row_ptr": store.row_ptr, "col_idx": store.col_idx, "values": store.values,
+    }
+    for name, array in arrays.items():
+        np.save(directory / f"{name}.npy", array)
+    meta = {
+        "format": "pref-mm-v3", "num_users": store.num_users,
+        "direct_weight": store.direct_weight, "version_tag": "v3",
+        "checksums": {name: file_digest(directory / f"{name}.npy") for name in arrays},
     }
     (directory / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     return directory
@@ -339,14 +399,16 @@ BAD_SHAPES = {
     "matrix-rows": rewrite("user_matrix.npy", lambda a: a[:-1]),
     "matrix-width": rewrite("user_matrix.npy", lambda a: a[:, :-1]),
     "embedding-width": rewrite("entity_embeddings.npy", lambda a: a[:, :-1]),
-    "covered-length": rewrite("covered.npy", lambda a: a[:-1]),
-    "row_ptr-length": rewrite("row_ptr.npy", lambda a: a[:-1]),
-    "row_ptr-end": rewrite("row_ptr.npy", lambda a: a + 1),
-    "col_idx-length": rewrite("col_idx.npy", lambda a: a[:-1]),
+    "embedding-rows": rewrite("entity_embeddings.npy", lambda a: a[:-1]),
+    "user_ids-length": rewrite("user_ids.npy", lambda a: a[:-1]),
+    "entity_ptr-length": rewrite("entity_ptr.npy", lambda a: a[:-1]),
+    "entity_ptr-end": rewrite("entity_ptr.npy", lambda a: a + 1),
+    "user_rows-length": rewrite("user_rows.npy", lambda a: a[:-1]),
     "values-length": rewrite("values.npy", lambda a: a[:-1]),
     "values-dtype": rewrite("values.npy", lambda a: a.astype(np.float32)),
-    "row_ptr-dtype": rewrite("row_ptr.npy", lambda a: a.astype(np.int32)),
-    "covered-dtype": rewrite("covered.npy", lambda a: a.astype(np.int8)),
+    "entity_ptr-dtype": rewrite("entity_ptr.npy", lambda a: a.astype(np.int32)),
+    "user_rows-dtype": rewrite("user_rows.npy", lambda a: a.astype(np.int32)),
+    "user_ids-dtype": rewrite("user_ids.npy", lambda a: a.astype(np.int32)),
     "num_users-large": set_num_users(13),
     "num_users-small": set_num_users(11),
 }

@@ -30,7 +30,8 @@ class TestPreferenceArtifact:
         assert loaded.version_tag == "daily-1"
         assert loaded.storage == "memmap"
         np.testing.assert_array_equal(loaded.user_matrix, store.user_matrix)
-        np.testing.assert_array_equal(loaded.covered_users, store.covered_users)
+        np.testing.assert_array_equal(loaded.user_ids, store.user_ids)
+        assert loaded.user_ids.tolist() == [0, 1, 2, 3, 4]  # user 5 is uncovered
         original = store.top_users_for_entities([0, 3], k=3)
         assert loaded.top_users_for_entities([0, 3], k=3) == original
 

@@ -243,6 +243,7 @@ DELETED_NAMES = frozenset({
     "reliability_report",
     "CircuitBreaker", "CircuitOpenError", "read_breaker", "activation_breaker",
     "_last_good",
+    "score_entity",
 })
 
 
