@@ -62,6 +62,8 @@ KIND_PREFERENCES = "preferences"
 
 MANIFEST_NAME = "registry.json"
 QUARANTINE_DIR = "quarantine"
+#: The directory name of generation ``v`` is ``f"{prefix}{v:06d}"``.
+DIRECTORY_PREFIX = {KIND_GRAPH: "graph-csr-", KIND_PREFERENCES: "preferences-"}
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ class ArtifactRegistry:
         self._check_faults("registry.write")
         version = self._next_version(KIND_GRAPH)
         directory = CSRGraph.from_entity_graph(graph).save(
-            self.root / f"graph-csr-{version:06d}"
+            self.root / f"{DIRECTORY_PREFIX[KIND_GRAPH]}{version:06d}"
         )
         return self._append(
             ArtifactRecord(
@@ -200,9 +202,8 @@ class ArtifactRegistry:
         """
         self._check_faults("registry.write")
         version = self._next_version(KIND_PREFERENCES)
-        return PreferenceSlot(
-            version, self.root / f"preferences-{version:06d}", tag or f"daily-{version}"
-        )
+        directory = self.root / f"{DIRECTORY_PREFIX[KIND_PREFERENCES]}{version:06d}"
+        return PreferenceSlot(version, directory, tag or f"daily-{version}")
 
     def commit_preferences(self, slot: PreferenceSlot) -> ArtifactRecord:
         """Append the record of a written slot, pinning its ``meta.json``."""
@@ -438,8 +439,22 @@ class ArtifactRegistry:
         return self.get_record(kind, version)
 
     def _next_version(self, kind: str) -> int:
-        records = self._require_kind(kind)
-        return records[-1].version + 1 if records else 1
+        """One past every version of ``kind`` ever handed out in this root:
+        the live records, the generations quarantined by this process and
+        the directories earlier processes left under ``quarantine/``. A
+        quarantined number is never reused, so versions strictly increase
+        and the evidence of one refusal is not overwritten by the next."""
+        used = [record.version for record in self._require_kind(kind)]
+        used += [
+            entry["version"] for entry in self.quarantined
+            if entry["kind"] == kind and entry["version"] is not None
+        ]
+        prefix = DIRECTORY_PREFIX[kind]
+        for path in (self.root / QUARANTINE_DIR).glob(f"{prefix}*"):
+            suffix = path.name[len(prefix):]
+            if suffix.isdigit():
+                used.append(int(suffix))
+        return max(used, default=0) + 1
 
     def _append(self, record: ArtifactRecord) -> ArtifactRecord:
         records = self._require_kind(record.kind)

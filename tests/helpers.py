@@ -194,18 +194,6 @@ class DenseV3PreferenceIndex:
         if self.user_matrix is None:
             raise NotFittedError("PreferenceStore.build has not been called")
 
-    def score_entity(self, entity_id: int) -> np.ndarray:
-        """All users' preference scores for one entity (uncovered = -inf)."""
-        self._require_built()
-        scores = _row_dots(self.user_matrix, self.entity_embeddings[entity_id])
-        if self.direct_weight:
-            # The entity's column, read straight from the CSR rows
-            # (at most one entry per row).
-            hits = np.flatnonzero(self.col_idx == entity_id)
-            rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
-            scores[rows] += self.direct_weight * self.values[hits]
-        return np.where(self.covered_users, scores, -np.inf)
-
     def score_entities(self, entity_ids: list[int]) -> np.ndarray:
         self._require_built()
         queries = self.entity_embeddings[np.asarray(entity_ids, dtype=np.int64)]

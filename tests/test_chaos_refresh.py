@@ -184,12 +184,17 @@ def test_good_daily_activates_after_three_corrupt_ones(
         assert refused["kind"] == "preferences" and refused["version"] == cut[attempt]
         assert refused["reason"].startswith("activation refused")
         assert not (tmp_path / f"preferences-{cut[attempt]:06d}").exists()
-    assert len(system.registry.quarantined) == 3
+    refused = system.registry.quarantined
+    assert len(refused) == 3
+    # Each refusal got its own version and keeps its own evidence.
+    assert [entry["version"] for entry in refused] == cut == [2, 3, 4]
+    assert len({entry["path"] for entry in refused}) == 3
+    assert all(Path(entry["path"]).is_dir() for entry in refused)
     monkeypatch.undo()
 
     assert system.daily_preference_refresh(chaos_events) > 0
-    latest = system.registry.latest("preferences").version
-    assert system.runtime.versions()["preference_version"] == latest > 1
+    assert system.runtime.versions()["preference_version"] == 5
+    assert system.registry.latest("preferences").version == 5
 
 
 def test_thirty_percent_storage_errors_complete_via_retries(

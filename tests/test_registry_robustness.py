@@ -295,6 +295,25 @@ class TestQuarantine:
         assert entry["version"] == 2 and f"'{name}'" in entry["reason"]
         return old
 
+    def test_quarantined_version_is_never_reused(self, tmp_path):
+        registry = ArtifactRegistry(root=tmp_path)
+        registry.publish_preferences(built_preferences())
+        for _ in range(3):
+            record = registry.publish_preferences(built_preferences())
+            registry.quarantine(record, "refused")
+        assert [entry["version"] for entry in registry.quarantined] == [2, 3, 4]
+        assert sorted(p.name for p in (tmp_path / QUARANTINE_DIR).iterdir()) == [
+            "preferences-000002", "preferences-000003", "preferences-000004",
+        ]
+        assert registry.publish_preferences(built_preferences()).version == 5
+        # A restarted registry reads the numbers handed out from quarantine/.
+        registry.quarantine(registry.latest(KIND_PREFERENCES), "refused")
+        reopened = ArtifactRegistry(root=tmp_path)
+        assert reopened.latest(KIND_PREFERENCES).version == 1
+        assert reopened.publish_preferences(built_preferences()).version == 6
+        graph = EntityGraph.from_edge_list(6, [(0, 1), (1, 2)], [0.9, 0.5], [0, 1])
+        assert reopened.publish_graph(graph).version == 1
+
     def test_torn_drift_report_is_skipped(self, tmp_path):
         first = ArtifactRegistry(root=tmp_path)
         (tmp_path / "drift-graph-000002.json").write_text("]broken", encoding="utf-8")
