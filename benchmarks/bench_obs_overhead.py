@@ -106,7 +106,7 @@ def _time_runtime_round(runtime: ServingRuntime, phrases: list[list[str]]) -> fl
     """Mean per-call seconds for one warm round at the runtime layer."""
     start = time.perf_counter()
     for p in phrases:
-        runtime.expand(p, depth=2)
+        runtime.expand(runtime.acquire(), p, depth=2)
     return (time.perf_counter() - start) / len(phrases)
 
 

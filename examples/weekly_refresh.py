@@ -61,13 +61,12 @@ def main() -> None:
     for kind in ("graph", "preferences"):
         for record in system.registry.records(kind):
             edges = f"  {record.edges} edges" if record.edges is not None else ""
-            print(f"  [{record.kind}] v{record.version}  tag {record.tag}  "
-                  f"format {record.format}{edges}")
+            print(f"  [{record.kind}] v{record.version}  tag {record.tag}{edges}")
     versions = system.runtime.versions()
-    graph = system.runtime.acquire().reasoner.graph  # the mapped CSR artifact
+    graph = system.runtime.acquire().reasoner.graph  # the CSR artifact, proven at open
     print(f"online stage serves graph v{versions['graph_version']} "
-          f"({graph.num_edges} relations, {versions['graph_format']} artifact at "
-          f"{graph.source.name}/ — generations swap by remapping, not copying)")
+          f"({graph.num_edges} relations, read from {graph.source.name}/ and "
+          f"checksum-proven at open)")
 
 
 if __name__ == "__main__":

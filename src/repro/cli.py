@@ -237,10 +237,10 @@ def cmd_serve(args) -> int:
     report = system.weekly_refresh(events)
     system.daily_preference_refresh(events)
     versions = system.runtime.versions()
-    print(f"  graph artifact    v{versions['graph_version']} ({versions['graph_tag']}, "
-          f"format {versions['graph_format']}), {report.num_relations} relations")
+    print(f"  graph artifact    v{versions['graph_version']} ({versions['graph_tag']}), "
+          f"{report.num_relations} relations")
     print(f"  preference artifact v{versions['preference_version']} "
-          f"({versions['preference_tag']}, format {versions['preference_format']})")
+          f"({versions['preference_tag']})")
 
     service = EGLService(system)
     popular = sorted(world.entities, key=lambda e: -e.popularity)

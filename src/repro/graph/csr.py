@@ -1,4 +1,4 @@
-"""Immutable CSR snapshot artifacts — the zero-copy serving substrate.
+"""Immutable CSR snapshot artifacts — the graph serving substrate.
 
 The paper serves k-hop reasoning over millions of entities and billions of
 edges from Geabase; the reproduction's equivalent lever is freezing every
@@ -18,12 +18,11 @@ atomic temp-file + fsync + rename path and carries a SHA-256 checksum in
 the manifest; the manifest itself is written *last*, so a crash mid-freeze
 leaves no manifest and the artifact simply does not exist yet.
 
-Opening is ``np.memmap``-backed (``np.load(..., mmap_mode="r")``): a
-generation swap maps pages read-only instead of copying arrays, so swap
-latency is independent of artifact size and worker processes share pages.
-Checksum verification is therefore *not* performed on every open — it runs
-at publish time and at registry startup (``verify=True``), exactly like the
-registry's existing artifact-checksum story.
+Opening is the proof: :meth:`CSRGraph.load` reads each array file once
+into process memory (:func:`~repro.resilience.read_proven_array`), checks
+its checksum from that buffer and serves it read-only. An array with no
+recorded checksum is refused. A generation owns its bytes from then on,
+so its files may be truncated, unlinked or rewritten under a live server.
 
 Float rule: weights are quantised to float32 at freeze time (half the
 bytes, twice the cache density). An expansion score is the float64 product
@@ -41,8 +40,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import CorruptArtifactError, StorageError
-from repro.obs.profile import record_mmap_open
-from repro.resilience import atomic_write_array, atomic_write_text, file_digest
+from repro.resilience import (
+    atomic_write_array,
+    atomic_write_text,
+    file_digest,
+    read_proven_array,
+)
 
 #: On-disk format identifier, bumped on incompatible layout changes.
 CSR_FORMAT = "csr-v1"
@@ -60,13 +63,10 @@ _ARRAY_SPECS = (
 class CSRGraph:
     """Read-only CSR adjacency with the ``num_nodes``/``neighbors`` protocol.
 
-    Arrays may be ordinary ndarrays (freshly frozen) or read-only memmaps
-    (opened from disk). Either way the structure is immutable: generations
-    are replaced, never edited.
+    Arrays are freshly frozen, or read-only copies proven at open.
+    Either way the structure is immutable: generations are replaced,
+    never edited.
     """
-
-    #: Reported by the serving runtime in ``versions()``/``health()``.
-    artifact_format = "csr"
 
     def __init__(
         self,
@@ -230,14 +230,14 @@ class CSRGraph:
         return "offsets" if name == "offsets" else f"{name}_arr"
 
     @classmethod
-    def load(cls, directory: str | Path, verify: bool = False) -> "CSRGraph":
-        """Open an artifact directory, memory-mapped read-only.
+    def load(cls, directory: str | Path) -> "CSRGraph":
+        """Open an artifact directory: every array proven and held in memory.
 
-        ``verify=True`` additionally proves every array file's SHA-256
-        against ``meta.json`` (publish-time / startup validation) and
-        refuses an array ``meta.json`` has no checksum for; the
-        default open trusts previously-validated bytes so a generation
-        swap stays O(1) in artifact size.
+        Each array is read once and its SHA-256 checked against
+        ``meta.json`` from the buffer it is served from; an array with no
+        recorded checksum, a mismatch, a wrong dtype or an edge count that
+        disagrees with the manifest raises
+        :class:`~repro.errors.CorruptArtifactError`.
         """
         directory = Path(directory)
         meta_path = directory / META_NAME
@@ -254,24 +254,11 @@ class CSRGraph:
                 f"CSR artifact {directory} has format {meta.get('format')!r}, "
                 f"expected {CSR_FORMAT!r}"
             )
+        checksums = meta.get("checksums") or {}
         arrays: dict[str, np.ndarray] = {}
         for name, dtype in _ARRAY_SPECS:
             path = directory / f"{name}.npy"
-            if not path.exists():
-                raise CorruptArtifactError(f"CSR artifact missing array {path}")
-            if verify:
-                recorded = (meta.get("checksums") or {}).get(name)
-                if not recorded or file_digest(path) != recorded:
-                    raise CorruptArtifactError(
-                        f"CSR artifact checksum missing or mismatched for {path}"
-                    )
-            try:
-                arrays[name] = np.load(path, mmap_mode="r")
-            except (ValueError, OSError) as error:
-                raise CorruptArtifactError(
-                    f"CSR artifact array unreadable: {path}"
-                ) from error
-            record_mmap_open("graph")
+            arrays[name] = read_proven_array(path, checksums.get(name))
             if arrays[name].dtype != dtype:
                 raise CorruptArtifactError(
                     f"CSR artifact {path} has dtype {arrays[name].dtype}, "
@@ -296,12 +283,6 @@ class CSRGraph:
                 f"CSR artifact {directory} edge count mismatch"
             )
         return graph
-
-    @classmethod
-    def validate(cls, directory: str | Path) -> bool:
-        """Full checksum proof of an artifact directory (no arrays kept)."""
-        cls.load(directory, verify=True)
-        return True
 
 
 def csr_meta_digest(directory: str | Path) -> str:

@@ -24,7 +24,7 @@ fit to serve.
     outermost entry point and appended once to the :class:`RequestLog`
     ring behind the ``/journeys`` endpoint.
 ``profile``
-    :class:`ResourceAccountant` gauges for per-generation disk/mmap
+    :class:`ResourceAccountant` gauges for per-generation disk
     footprints.
 ``drift``
     artifact-to-artifact :class:`DriftReport` (edge/entity churn, top-K
@@ -62,11 +62,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import (
-    ResourceAccountant,
-    mmap_open_counts,
-    record_mmap_open,
-)
+from repro.obs.profile import ResourceAccountant
 
 
 class Observability:
@@ -112,8 +108,6 @@ __all__ = [
     "annotate",
     "phase",
     "ResourceAccountant",
-    "record_mmap_open",
-    "mmap_open_counts",
     "Counter",
     "Gauge",
     "Histogram",

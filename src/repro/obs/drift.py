@@ -140,11 +140,9 @@ def compare_preference_stores(
     """Audience overlap and score spread between preference indexes.
 
     The new store is scored once for all probes
-    (:meth:`~repro.preference.store.PreferenceStore.score_entities`, which
-    reads a mapped matrix from its file), and each probe's top-K comes from
-    its own row of scores: the incoming generation is not faulted in before
-    a request reads it. The old store is the one serving, already resident.
-    Scores, top-K lists and the pooled spread have the bits per-probe
+    (:meth:`~repro.preference.store.PreferenceStore.score_entities`), and
+    each probe's top-K comes from its own row of scores. Scores, top-K
+    lists and the pooled spread have the bits per-probe
     ``top_users_for_entity`` calls give.
     """
     num_entities = min(

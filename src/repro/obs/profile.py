@@ -1,31 +1,14 @@
 """Per-generation resource accounting.
 
-:func:`record_mmap_open` counts mmap artifact opens per kind
-(process-wide, stamped at the ``np.load`` call sites), and a
-:class:`ResourceAccountant` exports per-generation gauges (artifact bytes
-on disk, artifact counts, mmap opens) through read-time metric collectors
-— zero cost on any serving path. Where a *request's* time went is the
-request record's business (:mod:`repro.obs.context`).
+A :class:`ResourceAccountant` exports per-generation gauges (artifact bytes
+on disk, artifact counts) through read-time metric collectors — zero cost
+on any serving path. Where a *request's* time went is the request record's
+business (:mod:`repro.obs.context`).
 """
 
 from __future__ import annotations
 
 import os
-
-#: Process-wide mmap open counts per artifact kind. Stamped at the
-#: ``np.load(..., mmap_mode="r")`` call sites, so every generation swap
-#: that remaps (rather than copies) is visible.
-_MMAP_OPENS: dict[str, int] = {}
-
-
-def record_mmap_open(kind: str) -> None:
-    """Count one memory-mapped artifact open (``graph``, ``preferences``)."""
-    _MMAP_OPENS[kind] = _MMAP_OPENS.get(kind, 0) + 1
-
-
-def mmap_open_counts() -> dict[str, int]:
-    """A copy of the per-kind mmap open counters."""
-    return dict(_MMAP_OPENS)
 
 
 def _tree_bytes(path: str) -> int:
@@ -52,8 +35,7 @@ class ResourceAccountant:
 
     * ``artifact_disk_bytes{kind}`` — bytes on disk across that kind's
       retained generations;
-    * ``artifact_generations{kind}`` — retained generation count;
-    * ``artifact_mmap_opens_total{kind}`` — process mmap opens.
+    * ``artifact_generations{kind}`` — retained generation count.
 
     Artifact directories are immutable once published, so byte totals are
     cached per path and each directory is walked once per process.
@@ -76,7 +58,7 @@ class ResourceAccountant:
 
     def usage(self) -> dict:
         """JSON-safe per-kind usage summary (the ``/profile`` payload)."""
-        out: dict = {"mmap_opens": mmap_open_counts(), "artifacts": {}}
+        out: dict = {"artifacts": {}}
         if self._registry is None:
             return out
         for kind in self._kinds:
@@ -104,16 +86,6 @@ class ResourceAccountant:
                 help="Retained artifact generations",
                 kind=kind,
             ).set(stats["generations"])
-        for kind, count in usage["mmap_opens"].items():
-            metrics.counter(
-                "artifact_mmap_opens_total",
-                help="Memory-mapped artifact opens since process start",
-                kind=kind,
-            ).set_total(count)
 
 
-__all__ = [
-    "record_mmap_open",
-    "mmap_open_counts",
-    "ResourceAccountant",
-]
+__all__ = ["ResourceAccountant"]

@@ -15,7 +15,8 @@ rejected as ``invalid_argument`` before they reach the runtime or the
 feedback recorder. So is a phrase list the reasoner resolves to no entity
 (:class:`~repro.errors.VocabularyError`).
 Every response also reports the artifact versions that served it, so
-clients can correlate results across hot-swaps.
+clients can correlate results across hot-swaps: a request acquires the
+active generation once, is answered from it, and is labelled with it.
 
 This edge is also where per-request observability lives: every endpoint
 call runs inside a :class:`~repro.obs.context.RequestRecord` (its own when
@@ -46,6 +47,7 @@ from repro.errors import (
 from repro.obs import Observability
 from repro.online.system import EGLSystem
 from repro.resilience import Deadline
+from repro.serving.runtime import ActiveArtifacts
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 JSON_CONTENT_TYPE = "application/json"
@@ -98,8 +100,9 @@ class TargetRequest:
 class ApiResponse:
     """Uniform envelope: ``ok`` + payload or error message.
 
-    ``graph_version``/``preference_version`` identify the active artifacts
-    at response time — ``None`` until the matching refresh has run.
+    ``graph_version``/``preference_version`` identify the artifacts the
+    request was answered from — ``None`` until the matching refresh has
+    run.
     ``timestamp`` is the service clock's wall time when the envelope was
     sealed (deterministic under a frozen test clock).
     """
@@ -242,6 +245,9 @@ class EGLService:
         return bundle
 
     def _run(self, endpoint: str, fn) -> ApiResponse:
+        """Answer one request: ``fn(active)`` computes its payload from the
+        generation acquired here, which also labels the envelope and the
+        request record."""
         bundle = self._endpoint_obs.get(endpoint)
         if bundle is None:
             bundle = self._endpoint_bundle(endpoint)
@@ -252,11 +258,12 @@ class EGLService:
         # opened by the front end the api call is one phase inside it.
         record = self._requests.open(endpoint)
         start = self._perf()
+        active = self.system.runtime.acquire()
         try:
-            payload = fn()
+            payload = fn(active)
         except ReproError as error:
             response = self._envelope(
-                start, ok=False, error=str(error), code=error_code(error)
+                start, active, ok=False, error=str(error), code=error_code(error)
             )
         except BaseException:
             # Non-ReproError escape: close the record with error status
@@ -264,7 +271,7 @@ class EGLService:
             self._requests.close(record)
             raise
         else:
-            response = self._envelope(start, ok=True, payload=payload)
+            response = self._envelope(start, active, ok=True, payload=payload)
         observe_latency(response.elapsed_ms / 1000)
         if not response.ok:
             inc_error()
@@ -277,13 +284,13 @@ class EGLService:
     def _envelope(
         self,
         start: float,
+        active: ActiveArtifacts,
         ok: bool,
         payload: dict | None = None,
         error: str | None = None,
         code: str | None = None,
     ) -> ApiResponse:
         clock = self.obs.clock
-        active = self.system.runtime.acquire()
         return ApiResponse(
             ok=ok,
             elapsed_ms=(clock.perf() - start) * 1000,
@@ -304,9 +311,10 @@ class EGLService:
     def expand(self, request: ExpandRequest) -> ApiResponse:
         """Phrase → k-hop subgraph, as plain dicts (Fig. 6 steps 1-2)."""
 
-        def run() -> dict:
+        def run(active: ActiveArtifacts) -> dict:
             _validate_expand(request)
-            view = self.system.expand(
+            view = self.system.runtime.expand(
+                active,
                 request.phrases,
                 depth=request.depth,
                 min_score=request.min_score,
@@ -332,9 +340,10 @@ class EGLService:
     def target(self, request: TargetRequest) -> ApiResponse:
         """Chosen entities → exported audience (Fig. 6 step 3)."""
 
-        def run() -> dict:
+        def run(active: ActiveArtifacts) -> dict:
             _validate_target(request, self.system.world.num_entities)
-            result = self.system.target_users(
+            result = self.system.runtime.target(
+                active,
                 request.entity_ids,
                 k=request.k,
                 weights=request.weights,
@@ -353,7 +362,7 @@ class EGLService:
     def target_batch(self, requests: list[TargetRequest]) -> ApiResponse:
         """Many entity sets → one vectorized scoring pass (bulk export)."""
 
-        def run() -> dict:
+        def run(active: ActiveArtifacts) -> dict:
             for request in requests:
                 _validate_target(request, self.system.world.num_entities)
             if not requests:
@@ -364,7 +373,8 @@ class EGLService:
             # The batch runs as one pass, so the strictest request budget
             # bounds the whole batch.
             timeouts = [r.timeout_ms for r in requests if r.timeout_ms is not None]
-            results = self.system.target_users_batch(
+            results = self.system.runtime.target_batch(
+                active,
                 [request.entity_ids for request in requests],
                 k=ks.pop(),
                 weights=[request.weights for request in requests],
@@ -388,7 +398,7 @@ class EGLService:
     def record_feedback(self, seed_entity_id: int, chosen_entity_ids: list[int]) -> ApiResponse:
         """Marketer kept these entities (§II-B feedback loop)."""
 
-        def run() -> dict:
+        def run(active: ActiveArtifacts) -> dict:
             num_entities = self.system.world.num_entities
             _validate_entity_ids([seed_entity_id], num_entities, "seed_entity_id")
             _validate_entity_ids(chosen_entity_ids, num_entities, "chosen_entity_ids")
@@ -400,7 +410,7 @@ class EGLService:
     def health(self) -> ApiResponse:
         """Liveness + loaded artefacts + a full metrics snapshot."""
 
-        def run() -> dict:
+        def run(active: ActiveArtifacts) -> dict:
             weeks = len(self.system.pipeline.weekly_runs)
             runtime_health = self.system.runtime.health()
             return {

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.datasets.behavior import BehaviorLog
 from repro.datasets.world import World
-from repro.errors import CorruptArtifactError, DriftGateError, NotFittedError, StorageError
+from repro.errors import DriftGateError, NotFittedError, StorageError
 from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability, ResourceAccountant
 from repro.online.feedback import FeedbackRecorder
@@ -118,8 +118,8 @@ class EGLSystem:
         # Every drift report — from refresh-driven swaps *and* direct
         # runtime activations — lands in the registry.
         self.runtime.on_drift_report = self.registry.attach_drift_report
-        # Per-generation footprint gauges (disk bytes, generation counts,
-        # mmap opens) exported via read-time collectors and ``/profile``.
+        # Per-generation footprint gauges (disk bytes, generation counts)
+        # exported via read-time collectors and ``/profile``.
         self.resources = ResourceAccountant(
             metrics=self.obs.metrics, registry=self.registry
         )
@@ -255,7 +255,7 @@ class EGLSystem:
         """Build and publish the day's preference index; returns the
         registry record and the number of covered users.
 
-        The extraction, the build and the memmap write run in a stage
+        The extraction, the build and the artifact write run in a stage
         worker, into the directory the registry reserved; this process
         only appends the record once the worker has replied.
         """
@@ -283,8 +283,7 @@ class EGLSystem:
         start = clock.perf()
         record, covered = self._publish_daily_preferences(events)
         try:
-            # Serve the registry's artifact: the published pages are
-            # mapped read-only and shared, not copied.
+            # Serve the registry's artifact, every array proven at open.
             serve_store = self.retry.call(
                 lambda: self.registry.open_preferences(record.version),
                 seam="registry.open_preferences",
@@ -298,11 +297,6 @@ class EGLSystem:
                 )
             except DriftGateError:
                 pass  # published but not activated; report already filed
-            except CorruptArtifactError as error:
-                # Its files ended under the activation check: quarantined
-                # like an artifact that fails to open, and the previous
-                # generation keeps serving.
-                self.registry.quarantine(record, f"activation refused: {error}")
         metrics = self.obs.metrics
         metrics.counter("offline_refreshes_total", job="daily").inc()
         metrics.histogram("offline_refresh_seconds", job="daily").observe(
@@ -335,7 +329,7 @@ class EGLSystem:
     ) -> ExpansionView:
         """Marketer request: show the k-hop subgraph around the phrases."""
         return self.runtime.expand(
-            phrases, depth=depth, min_score=min_score, deadline=deadline
+            self.runtime.acquire(), phrases, depth=depth, min_score=min_score, deadline=deadline
         )
 
     def record_choice(self, seed_entity_id: int, chosen_entity_ids: list[int]) -> None:
@@ -350,7 +344,9 @@ class EGLSystem:
         deadline: Deadline | None = None,
     ) -> TargetingResult:
         """Export the top-K users for the chosen entities (Fig. 6 step 3)."""
-        return self.runtime.target(entity_ids, k=k, weights=weights, deadline=deadline)
+        return self.runtime.target(
+            self.runtime.acquire(), entity_ids, k=k, weights=weights, deadline=deadline
+        )
 
     def target_users_batch(
         self,
@@ -361,7 +357,7 @@ class EGLSystem:
     ) -> list[TargetingResult]:
         """Batched export: many entity sets scored in one vectorized pass."""
         return self.runtime.target_batch(
-            entity_sets, k=k, weights=weights, deadline=deadline
+            self.runtime.acquire(), entity_sets, k=k, weights=weights, deadline=deadline
         )
 
     def target_users_for_phrases(
@@ -378,17 +374,19 @@ class EGLSystem:
         The expansion's relevance scores weight each entity's contribution,
         and only the ``max_entities`` most relevant entities are used —
         mirroring a marketer keeping the best suggestions rather than the
-        whole k-hop frontier. The deadline is re-checked before scoring,
-        so a slow expansion sheds the (more expensive) scoring pass instead
-        of starting it with a spent budget.
+        whole k-hop frontier. Both steps serve from one generation. The
+        deadline is re-checked before scoring, so a slow expansion sheds the
+        (more expensive) scoring pass instead of starting it with a spent
+        budget.
         """
+        active = self.runtime.acquire()
         view = self.runtime.expand(
-            phrases, depth=depth, min_score=min_score, deadline=deadline
+            active, phrases, depth=depth, min_score=min_score, deadline=deadline
         )
         chosen = view.entities if max_entities is None else view.entities[:max_entities]
         weights = [e.score for e in chosen]
         return view, self.runtime.target(
-            [e.entity_id for e in chosen], k=k, weights=weights, deadline=deadline
+            active, [e.entity_id for e in chosen], k=k, weights=weights, deadline=deadline
         )
 
     @property

@@ -23,21 +23,15 @@ arrays the kernel reads, in the orientation it reads them::
     <directory>/{user_ids,user_matrix,entity_ptr,user_rows,values}.npy
     <directory>/meta.json        per-array SHA-256; written last (commit point)
 
-:meth:`PreferenceStore.load_memmap` maps every array read-only, so a
-generation swap remaps pages instead of copying matrices.
-:meth:`PreferenceStore.score_entities` reads a mapped ``user_matrix`` from
-its file, so the activation check does not fault in a generation no request
-has read yet, and a retired generation gives up its pages when its last
-reader leaves (:meth:`PreferenceStore.reading`,
-:meth:`PreferenceStore.retire`) without closing its mapping.
+:meth:`PreferenceStore.load_memmap` is the proof of that layout: it reads
+each array once into process memory, checks its SHA-256 against
+``meta.json`` from that buffer and serves it read-only. A generation owns
+its bytes from then on, and leaves memory when its last reference drops.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,9 +39,8 @@ import numpy as np
 
 from repro.errors import ConfigError, CorruptArtifactError, NotFittedError, StorageError
 from repro.obs.context import phase
-from repro.obs.profile import record_mmap_open
 from repro.preference.user_embedding import user_embedding_matrix
-from repro.resilience import atomic_write_array, atomic_write_text, file_digest
+from repro.resilience import atomic_write_array, atomic_write_text, read_proven_array
 from repro.text.sequence_extractor import UserEntitySequence
 
 #: On-disk format identifier of the preference artifact directory.
@@ -62,10 +55,6 @@ _INDEX_ARRAYS = (
     ("user_rows", np.int64),
     ("values", np.float64),
 )
-
-#: Rows per block when :meth:`PreferenceStore.score_entities` reads a mapped
-#: ``user_matrix`` from its file (512 KiB at 64 float64 columns).
-_SCAN_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -199,10 +188,6 @@ class PreferenceStore:
         #: Artifact identity: set by the daily producer (e.g. ``daily-3``)
         #: and reported by the serving runtime's health endpoint.
         self.version_tag = version_tag
-        #: How the backing arrays are held: ``"memory"`` (freshly built)
-        #: or ``"memmap"`` (zero-copy mapped pages of a published
-        #: artifact). Reported by the serving runtime.
-        self.storage = "memory"
         #: Users the store holds a row for (the covered users).
         self.num_users = 0
         self.user_ids: np.ndarray | None = None  # (rows,) int64, ascending
@@ -210,11 +195,6 @@ class PreferenceStore:
         self.entity_ptr: np.ndarray | None = None  # (entities + 1,) int64
         self.user_rows: np.ndarray | None = None  # (nnz,) int64
         self.values: np.ndarray | None = None  # (nnz,) float64
-        # Scoring calls in flight (:meth:`reading`) and whether the serving
-        # runtime has taken this generation out of service (:meth:`retire`).
-        self._readers = 0
-        self._retired = False
-        self._reader_lock = threading.Lock()
 
     def _adopt(self, arrays: dict[str, np.ndarray]) -> "PreferenceStore":
         for name, _ in _INDEX_ARRAYS:
@@ -236,7 +216,6 @@ class PreferenceStore:
         entity_ptr, user_rows, values = _interaction_rows(
             sequences, user_ids, len(self.entity_embeddings)
         )
-        self.storage = "memory"
         return self._adopt(
             {
                 "user_ids": user_ids,
@@ -256,19 +235,13 @@ class PreferenceStore:
         """``(user_rows, values)`` of each entity's interactions."""
         starts = self.entity_ptr[entity_ids].tolist()
         ends = self.entity_ptr[entity_ids + 1].tolist()
-        # Sliced as plain views: each slice of a np.memmap costs microseconds.
-        rows, values = self.user_rows.view(np.ndarray), self.values.view(np.ndarray)
+        rows, values = self.user_rows, self.values
         return [(rows[start:end], values[start:end]) for start, end in zip(starts, ends)]
 
     def score_entities(self, entity_ids: list[int]) -> np.ndarray:
         """Every row's preference score for each entity: one row of scores
-        per id, whose column ``r`` is user ``user_ids[r]``, in one pass
-        over the user rows.
+        per id, whose column ``r`` is user ``user_ids[r]``.
 
-        The rows of a mapped store are read from its ``user_matrix`` file
-        into one reused block buffer, not through the mapping: scoring a
-        generation no request has read leaves its matrix unmapped in this
-        process (the activation check scores every incoming generation).
         Each row is reduced on its own (:func:`_row_dots`), so every score
         has the bits :meth:`top_users_for_entity` gives it.
         """
@@ -276,9 +249,8 @@ class PreferenceStore:
         entity_ids = np.asarray(entity_ids, dtype=np.int64)
         queries = self.entity_embeddings[entity_ids]
         scores = np.empty((len(queries), self.num_users))
-        for start, block in self._user_row_blocks():
-            for out, query in zip(scores, queries):
-                out[start : start + len(block)] = _row_dots(block, query)
+        for out, query in zip(scores, queries):
+            out[:] = _row_dots(self.user_matrix, query)
         if self.direct_weight:
             for out, (rows, values) in zip(scores, self._postings(entity_ids)):
                 out[rows] += self.direct_weight * values
@@ -288,34 +260,6 @@ class PreferenceStore:
         """The user ids :meth:`top_users_for_entity` returns, taken from
         that entity's row of :meth:`score_entities`."""
         return self.user_ids[_top_k_rows(scores, min(k, self.num_users))]
-
-    def _user_row_blocks(self):
-        """``(first row, rows)`` blocks of ``user_matrix`` in row order."""
-        matrix = self.user_matrix
-        if not (
-            isinstance(matrix, np.memmap)
-            and isinstance(matrix.base, mmap.mmap)
-            and matrix.flags.c_contiguous
-        ):
-            # In memory, or not laid out in the file row by row from
-            # ``matrix.offset`` (a view keeps its parent's offset).
-            for start in range(0, self.num_users, _SCAN_BLOCK_ROWS):
-                yield start, matrix[start : start + _SCAN_BLOCK_ROWS]
-            return
-        buffer = np.empty((min(_SCAN_BLOCK_ROWS, self.num_users), matrix.shape[1]))
-        with open(matrix.filename, "rb", buffering=0) as file:
-            file.seek(matrix.offset)
-            for start in range(0, self.num_users, _SCAN_BLOCK_ROWS):
-                block = buffer[: min(_SCAN_BLOCK_ROWS, self.num_users - start)]
-                view, filled = memoryview(block).cast("B"), 0
-                while filled < len(view):
-                    read = file.readinto(view[filled:])
-                    if not read:
-                        raise CorruptArtifactError(
-                            f"preference artifact {matrix.filename} ends inside user_matrix"
-                        )
-                    filled += read
-                yield start, block
 
     def top_users_for_entity(self, entity_id: int, k: int) -> list[UserScore]:
         """Head of one entity's user ranking."""
@@ -399,62 +343,11 @@ class PreferenceStore:
                 )
             return answers
 
-    @contextmanager
-    def reading(self):
-        """Count one scoring call for the block it wraps: a retired store
-        gives up its pages when the last such call leaves."""
-        with self._reader_lock:
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._reader_lock:
-                self._readers -= 1
-                if self._retired and not self._readers:
-                    self.release_pages()
-
-    def retire(self) -> None:
-        """Take this generation out of service: its pages go now if no
-        :meth:`reading` call holds it, else when the last one leaves (a
-        request that acquired it before the swap still reads it, and would
-        fault released pages back in)."""
-        with self._reader_lock:
-            self._retired = True
-            if not self._readers:
-                self.release_pages()
-
-    def reinstate(self) -> None:
-        """Put a retired generation back in service (activation, rollback):
-        its pages stay resident once read again."""
-        with self._reader_lock:
-            self._retired = False
-
-    def release_pages(self) -> None:
-        """Give up the resident pages of a mapped store; keep the mapping.
-
-        :meth:`retire` calls this once the generation has left service and
-        its last reader has left. ``MADV_DONTNEED`` drops the pages this
-        process faulted in while the mapping stays valid: a later reader or
-        a rollback faults them back in from the page cache, with the same
-        bytes. A ``"memory"`` store has nothing mapped and is left as it is.
-        """
-        if self.storage != "memmap":
-            return
-        for array in (
-            self.entity_embeddings,
-            *(getattr(self, name) for name, _ in _INDEX_ARRAYS),
-        ):
-            # np.load(mmap_mode=...) returns a np.memmap whose base is the
-            # mmap.mmap; a view of it (entity_embeddings) adds one link.
-            while not isinstance(array, mmap.mmap):
-                array = array.base
-            array.madvise(mmap.MADV_DONTNEED)
-
     # ------------------------------------------------------------------
     # Artifact serialization (daily producer → serving runtime handoff)
     # ------------------------------------------------------------------
     def save_memmap(self, directory: str | Path) -> Path:
-        """Persist the built index as a memmap-able artifact directory.
+        """Persist the built index as a ``pref-mm-v4`` artifact directory.
 
         Each array is a raw ``.npy`` streamed from its own buffer through
         the atomic temp + fsync + rename path (no in-memory serialised
@@ -487,14 +380,14 @@ class PreferenceStore:
         return directory
 
     @classmethod
-    def load_memmap(cls, directory: str | Path, verify: bool = False) -> "PreferenceStore":
-        """Open a :meth:`save_memmap` artifact, memory-mapped read-only.
+    def load_memmap(cls, directory: str | Path) -> "PreferenceStore":
+        """Open a :meth:`save_memmap` artifact: every array proven and held
+        in memory.
 
-        ``verify=True`` proves every array file against the manifest
-        checksums (publish/startup validation) and refuses an array the
-        manifest has no checksum for; the default open trusts
-        previously-validated bytes and only checks dtypes and that the
-        array lengths agree, so activation stays O(1) in matrix size.
+        Each array is read once and its SHA-256 checked against the
+        manifest from the buffer it is served from; an array with no
+        recorded checksum, a mismatch, a wrong dtype or arrays that do not
+        fit together raise :class:`~repro.errors.CorruptArtifactError`.
         """
         directory = Path(directory)
         meta_path = directory / "meta.json"
@@ -515,20 +408,7 @@ class PreferenceStore:
 
         def open_array(name: str, dtype) -> np.ndarray:
             path = directory / f"{name}.npy"
-            if not path.exists():
-                raise CorruptArtifactError(f"preference artifact missing array {path}")
-            recorded = checksums.get(name)
-            if verify and (not recorded or file_digest(path) != recorded):
-                raise CorruptArtifactError(
-                    f"preference artifact checksum missing or mismatched for {path}"
-                )
-            try:
-                array = np.load(path, mmap_mode="r")
-            except (ValueError, OSError) as error:
-                raise CorruptArtifactError(
-                    f"preference artifact array unreadable: {path}"
-                ) from error
-            record_mmap_open("preferences")
+            array = read_proven_array(path, checksums.get(name))
             if array.dtype != dtype:
                 raise CorruptArtifactError(
                     f"preference artifact {path} has dtype {array.dtype}, "
@@ -553,14 +433,7 @@ class PreferenceStore:
                 f"preference artifact manifest malformed: {meta_path}"
             ) from error
         _check_shapes(directory, store.entity_embeddings, arrays, num_users)
-        store.storage = "memmap"
         return store._adopt(arrays)
-
-    @classmethod
-    def validate_memmap(cls, directory: str | Path) -> bool:
-        """Full checksum proof of every array of the artifact."""
-        cls.load_memmap(directory, verify=True)
-        return True
 
 
 def _check_shapes(

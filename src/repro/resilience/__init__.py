@@ -22,7 +22,9 @@ primitives that keep both sides alive when infrastructure misbehaves:
 ``atomic``
     temp-file + fsync + rename writes and SHA-256 content digests, shared
     by the registry and checkpoint store; :func:`atomic_write_array`
-    streams a ``.npy`` artifact to disk without serialising it in memory.
+    streams a ``.npy`` artifact to disk without serialising it in memory,
+    and :func:`read_proven_array` reads one back into memory, proving its
+    checksum from the buffer it serves.
 
 There is no degraded mode: no circuit breaker and no fallback generation.
 A failing call raises its own error, answered with its own code, and
@@ -35,6 +37,7 @@ from repro.resilience.atomic import (
     atomic_write_text,
     file_digest,
     pickle_bytes,
+    read_proven_array,
     sha256_hex,
 )
 from repro.resilience.checkpoint import CheckpointStore
@@ -53,6 +56,7 @@ __all__ = [
     "atomic_write_text",
     "file_digest",
     "pickle_bytes",
+    "read_proven_array",
     "sha256_hex",
     "CheckpointStore",
     "Deadline",

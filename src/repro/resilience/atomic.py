@@ -5,22 +5,32 @@ package is produced by writing a sibling temp file, flushing it to disk
 (``fsync``), and atomically renaming it over the destination
 (``os.replace``). A crash at any point leaves either the old complete file
 or the new complete file — never a prefix. Content digests (SHA-256) ride
-alongside so readers can prove the bytes they opened are the bytes that
-were published.
+alongside, and :func:`read_proven_array` is the one way back in: it proves
+an array's bytes against its digest from the buffer it then serves.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import pickle
 from pathlib import Path
 
 import numpy as np
 
+from repro.errors import CorruptArtifactError
+
 #: Pickle protocol pinned so content digests are stable across sessions.
 PICKLE_PROTOCOL = 4
+
+#: Byte boundary a proven array's file buffer starts on: with numpy's
+#: header padded to a multiple of it, the data does too.
+_BUFFER_ALIGN = 64
+#: Bytes that hold any version-1.0 ``.npy`` header (the version
+#: :func:`atomic_write_array` writes).
+_HEADER_BYTES = 1 << 16
 
 
 def sha256_hex(data: bytes) -> str:
@@ -86,6 +96,47 @@ def atomic_write_array(path: str | Path, array: np.ndarray) -> str:
         digest.update(chunk)
     _write_atomically(Path(path), chunks)
     return digest.hexdigest()
+
+
+def read_proven_array(path: str | Path, checksum: str | None) -> np.ndarray:
+    """Read a ``.npy`` file into process memory and return it read-only,
+    once its SHA-256 — taken over that same buffer — equals ``checksum``.
+
+    The bytes proven are the bytes served, and after the read the array
+    owns them: truncating, unlinking or rewriting the file changes nothing
+    for it. A missing file, an absent checksum, a mismatch or an
+    unparseable header raises
+    :class:`~repro.errors.CorruptArtifactError` naming the file.
+    """
+    path = Path(path)
+    if not checksum:
+        raise CorruptArtifactError(f"no checksum recorded for {path}")
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            size = os.fstat(handle.fileno()).st_size
+            raw = np.empty(size + _BUFFER_ALIGN, dtype=np.uint8)
+            skip = -raw.ctypes.data % _BUFFER_ALIGN
+            buffer = raw[skip : skip + size]
+            view, filled = memoryview(buffer), 0
+            while filled < size and (read := handle.readinto(view[filled:])):
+                filled += read
+    except OSError as error:
+        raise CorruptArtifactError(f"array file unreadable: {path}: {error}") from error
+    if filled != size or hashlib.sha256(buffer).hexdigest() != checksum:
+        raise CorruptArtifactError(f"checksum mismatch for {path}")
+    try:
+        header = io.BytesIO(view[:_HEADER_BYTES])
+        if np.lib.format.read_magic(header) != (1, 0):
+            raise ValueError("not a version-1.0 .npy header")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
+        data = buffer[header.tell() :]
+        if dtype.hasobject or len(data) != dtype.itemsize * math.prod(shape):
+            raise ValueError("data does not match the header")
+        array = data.view(dtype).reshape(shape, order="F" if fortran_order else "C")
+    except ValueError as error:
+        raise CorruptArtifactError(f"array file malformed: {path}: {error}") from error
+    array.flags.writeable = False
+    return array
 
 
 def _write_atomically(path: Path, chunks: tuple) -> Path:

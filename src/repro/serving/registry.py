@@ -10,8 +10,7 @@ the record list only ever grows. Two artifact kinds exist today:
   ``graph-csr-NNNNNN/`` :class:`~repro.graph.csr.CSRGraph` directory under
   the registry root;
 * ``preferences`` — a built :class:`~repro.preference.PreferenceStore`,
-  frozen to a memmap-able ``preferences-NNNNNN/`` directory and opened
-  zero-copy from it.
+  frozen to a ``preferences-NNNNNN/`` directory.
 
 Crash safety (the registry root is the system's durable state):
 
@@ -19,9 +18,11 @@ Crash safety (the registry root is the system's durable state):
   (``registry.json``), drift reports — goes through temp file + fsync +
   atomic rename, so a torn write leaves the previous complete file;
 * directory artifacts carry per-array SHA-256 checksums in their
-  ``meta.json`` and the ``meta.json`` digest in their record: written at
-  publish, proven in full at startup, trusted (structure checks only) at
-  swap time so an open stays O(1) in artifact size;
+  ``meta.json`` and the ``meta.json`` digest in their record, written at
+  publish. An open is the proof: it checks the record's digest, reads every
+  array once into process memory and checks its checksum from that buffer,
+  so what serves is what was proven, whatever later happens to the files.
+  Startup opens every record the same way and discards what it read;
 * one recovery rule for every kind: an artifact that fails validation is
   *quarantined* (moved into a ``quarantine/`` directory beside it) and its
   record dropped instead of serving bad bytes — ``latest()`` then resolves
@@ -70,9 +71,9 @@ DIRECTORY_PREFIX = {KIND_GRAPH: "graph-csr-", KIND_PREFERENCES: "preferences-"}
 class ArtifactRecord:
     """One immutable published artifact: what it is and where it lives.
 
-    ``format`` names the serving representation (``"csr"`` or
-    ``"memmap"``), ``path`` the artifact directory and ``checksum`` the
-    digest of its ``meta.json``.
+    ``path`` is the artifact directory and ``checksum`` the digest of its
+    ``meta.json``. ``format`` is ``"csr"`` or ``"memmap"``, kept as written
+    in existing manifests.
     """
 
     kind: str
@@ -220,36 +221,29 @@ class ArtifactRegistry:
     # Open (serving side)
     # ------------------------------------------------------------------
     def open_graph(self, version: int | None = None) -> CSRGraph:
-        """Open a published graph artifact, mapped read-only from disk.
+        """Open a published graph artifact, every array proven into memory.
 
-        The directory's checksums were written at publish (or proven at
-        startup), so the open maps it read-only after structure checks
-        alone — O(1) in graph size. An artifact that no longer opens is
-        quarantined and its record dropped before
-        :class:`~repro.errors.CorruptArtifactError` is raised — the next
-        ``open_graph()`` resolves to the previous good version.
+        An artifact that fails the proof is quarantined and its record
+        dropped before :class:`~repro.errors.CorruptArtifactError` is
+        raised — the next ``open_graph()`` resolves to the previous good
+        version.
         """
         self._check_faults("registry.read")
-        return self._open_directory(self._resolve(KIND_GRAPH, version), CSRGraph.load)
+        return self._open_directory(self._resolve(KIND_GRAPH, version))
 
     def open_preferences(self, version: int | None = None) -> PreferenceStore:
-        """Open a published preference artifact, mapped read-only from disk.
-
-        Same contract as :meth:`open_graph`: trusted map, quarantine on
-        failure, previous generation next.
-        """
+        """Open a published preference artifact; same contract as
+        :meth:`open_graph`."""
         self._check_faults("registry.read")
-        return self._open_directory(
-            self._resolve(KIND_PREFERENCES, version), PreferenceStore.load_memmap
-        )
+        return self._open_directory(self._resolve(KIND_PREFERENCES, version))
 
     # ------------------------------------------------------------------
-    # Validation + quarantine
+    # Proof + quarantine
     # ------------------------------------------------------------------
-    def _open_directory(self, record: ArtifactRecord, load):
-        """``load(record.path)``, or quarantine the record and raise."""
+    def _open_directory(self, record: ArtifactRecord):
+        """:meth:`_prove` the record, or quarantine it and raise."""
         try:
-            return load(record.path)
+            return self._prove(record)
         except StorageError as error:
             self.quarantine(record, f"artifact unreadable: {error}")
             raise CorruptArtifactError(
@@ -257,9 +251,9 @@ class ArtifactRegistry:
             ) from error
 
     @staticmethod
-    def _verify_directory(record: ArtifactRecord) -> None:
-        """Full proof of a directory artifact: the ``meta.json`` digest the
-        record pinned, then every array checksum inside it."""
+    def _prove(record: ArtifactRecord) -> CSRGraph | PreferenceStore:
+        """The one open of a directory artifact: the ``meta.json`` digest
+        the record pinned, then every array read and checked against it."""
         directory = Path(record.path)
         if record.checksum is not None and (
             not (directory / "meta.json").exists()
@@ -267,9 +261,8 @@ class ArtifactRegistry:
         ):
             raise CorruptArtifactError("manifest digest mismatch")
         if record.kind == KIND_GRAPH:
-            CSRGraph.validate(directory)
-        else:
-            PreferenceStore.validate_memmap(directory)
+            return CSRGraph.load(directory)
+        return PreferenceStore.load_memmap(directory)
 
     def quarantine(self, record: ArtifactRecord, reason: str) -> None:
         """Move the bad artifact aside, drop the record, keep the evidence:
@@ -368,12 +361,12 @@ class ArtifactRegistry:
         )
 
     def _load_manifest(self) -> None:
-        """Reload the published catalogue; validate every file artifact.
+        """Reload the published catalogue; prove every artifact.
 
-        Every artifact directory gets the full checksum proof, so every
-        later open can map it without re-hashing, and the ones that fail it
-        are quarantined — startup never crashes on a torn artifact or on
-        one written in a format this build no longer serves.
+        Every artifact directory is opened (and the arrays discarded), and
+        the ones that fail are quarantined — startup never crashes on a
+        torn artifact or on one written in a format this build no longer
+        serves.
         """
         path = self.root / MANIFEST_NAME
         if not path.exists():
@@ -396,7 +389,7 @@ class ArtifactRegistry:
             for data in raw.get(kind, []):
                 record = ArtifactRecord.from_dict(data)
                 try:
-                    self._verify_directory(record)
+                    self._prove(record)
                 except (StorageError, TypeError) as error:
                     corrupt.append((record, f"artifact invalid: {error}"))
                     continue

@@ -6,9 +6,11 @@ the offline producers republish artifacts weekly (entity graph) and daily
 
 * the active artifacts live in one immutable :class:`ActiveArtifacts`
   value; a refresh builds the *complete* next value and installs it with a
-  single reference assignment (atomic under the GIL), so a request that
-  already called :meth:`acquire` finishes on the old version while new
-  requests see the new one — no half-swapped state is ever observable;
+  single reference assignment (atomic under the GIL). A request calls
+  :meth:`acquire` once and passes that value to :meth:`expand` /
+  :meth:`target` / :meth:`target_batch`, so it is answered by, and labelled
+  with, one generation while new requests see the new one — no
+  half-swapped state is ever observable;
 * expansions are answered through a version-keyed read-through LRU cache
   (:class:`~repro.serving.cache.VersionedLRUCache`); because the version is
   part of the key, a cached expansion can never be served for a graph that
@@ -23,11 +25,11 @@ the offline producers republish artifacts weekly (entity graph) and daily
 
 Faults (this layer's fault-tolerance contract — there is no degraded mode):
 
-* **a failing activation raises** — a corrupt incoming artifact
-  (:class:`~repro.errors.CorruptArtifactError` from the activation check)
-  or a refused one propagates to the caller, and serving stays on the
-  generation it had, because the swap is one assignment made after the
-  check; the next activation is judged on its own artifact alone;
+* **a failing activation raises** — a refused incoming artifact
+  propagates to the caller, and serving stays on the generation it had,
+  because the swap is one assignment made after the check; the next
+  activation is judged on its own artifact alone (a corrupt one never
+  gets here: the registry's open proves every array);
 * **a failing request raises** — its error reaches the API edge, which
   answers it with its own envelope code; nothing else changes state;
 * **deadlines** — ``expand``/``target*`` accept a per-request
@@ -38,20 +40,16 @@ Faults (this layer's fault-tolerance contract — there is no degraded mode):
   generation per artifact kind (the manual lever when a bad artifact got
   past every gate).
 
-What the runtime retains besides the active generation is kind-scoped:
-each rollback slot holds only its own kind's fields. Every scoring call
-counts itself a reader of the store it scores
-(:meth:`~repro.preference.store.PreferenceStore.reading`), and a preference
-generation that leaves service (by swap or by rollback) is retired: it
-gives up its resident pages once its last reader has left, and its mapping
-stays valid, so a rollback is still one reference assignment. The
-activation check reads the incoming generation from its files, so a swap
-holds one resident user matrix, not two.
+Every generation's arrays are in process memory, proven at open. What the
+runtime retains besides the active generation is kind-scoped: each
+rollback slot holds only its own kind's fields. A generation leaves memory
+when its last reference drops — the active value, the rollback slot, or an
+in-flight request's :class:`ActiveArtifacts` — so nothing counts readers.
 
 The serving process pins glibc's mmap threshold at its default
 (``mallopt(M_MMAP_THRESHOLD)``, once per process), so the score arrays
-every request allocates and frees go back to the operating system instead
-of piling up in the heap.
+every request allocates and frees, and a replaced generation's arrays, go
+back to the operating system instead of piling up in the heap.
 """
 
 from __future__ import annotations
@@ -89,7 +87,8 @@ def _pin_mmap_threshold() -> None:
     mapping, returned to the system on ``free``, but raises the threshold
     to the size of every such block freed: after the first few, the
     160-640 KB score arrays of each request come from the heap arenas and
-    stay there. Setting the threshold explicitly turns that adjustment off.
+    stay there; a replaced generation's 2-4 MB arrays, freed, would raise
+    it first. Setting the threshold explicitly turns that adjustment off.
     Not through ``MALLOC_MMAP_THRESHOLD_``: the stage workers inherit the
     environment, and training slows under the pin. Skipped where the C
     library has no ``mallopt``.
@@ -287,9 +286,7 @@ class ServingRuntime:
         """Hot-swap the daily preference artifact.
 
         Raises :class:`~repro.errors.DriftGateError` when the candidate's
-        probe scores are constant, and
-        :class:`~repro.errors.CorruptArtifactError` when its files end
-        early; either way the old generation keeps serving.
+        probe scores are constant; the old generation keeps serving.
         """
         with self._swap_lock:
             self._activate_preferences(store, version, tag)
@@ -307,7 +304,6 @@ class ServingRuntime:
             ))
             if report.gated:
                 self._refuse(report, tag, start)
-        store.reinstate()
         self._active = replace(
             previous,
             preference_version=version,
@@ -317,8 +313,6 @@ class ServingRuntime:
         )
         if previous.preference_store is not None:
             self._previous_preferences = previous.preferences_only()
-            if previous.preference_store is not store:
-                previous.preference_store.retire()
         self._swap_count += 1
         self._record_swap(
             "preferences", previous.preference_version, version, tag, start
@@ -442,7 +436,6 @@ class ServingRuntime:
                 raise NotFittedError(
                     "no previous preference generation to roll back to"
                 )
-            previous.preference_store.reinstate()
             self._active = replace(
                 current,
                 preference_version=previous.preference_version,
@@ -451,8 +444,6 @@ class ServingRuntime:
                 targeting=previous.targeting,
             )
             self._previous_preferences = current.preferences_only()
-            if current.preference_store is not previous.preference_store:
-                current.preference_store.retire()
             old_version = current.preference_version
             new_version = previous.preference_version
             tag = previous.preference_tag
@@ -480,6 +471,7 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     def expand(
         self,
+        active: ActiveArtifacts,
         phrases: list[str],
         depth: int = 2,
         min_score: float = 0.0,
@@ -487,10 +479,10 @@ class ServingRuntime:
         max_nodes: int | None = None,
         deadline: Deadline | None = None,
     ) -> ExpansionView:
-        """k-hop expansion, read-through cached under the active version."""
+        """k-hop expansion from ``active`` (one :meth:`acquire`),
+        read-through cached under its graph version."""
         with phase("runtime") as record:
             self._check_deadline(deadline, "expand")
-            active = self.acquire()
             reasoner = active.require_reasoner()
             key = (
                 tuple(p.strip().lower() for p in phrases),
@@ -532,25 +524,24 @@ class ServingRuntime:
 
     def target(
         self,
+        active: ActiveArtifacts,
         entity_ids: list[int],
         k: int = 50,
         weights: list[float] | None = None,
         deadline: Deadline | None = None,
     ) -> TargetingResult:
-        """Top-K users for one entity set, scored against the active
-        generation as one reader of its store (a generation retired
-        meanwhile keeps its pages until the call has left)."""
+        """Top-K users for one entity set, scored against ``active``'s
+        preference generation."""
         with phase("runtime"):
             self._check_deadline(deadline, "target")
             start = self._perf()
-            targeting = self.acquire().require_targeting()
-            with targeting.preference_store.reading():
-                result = targeting.target(entity_ids, k, weights=weights)
+            result = active.require_targeting().target(entity_ids, k, weights=weights)
             self._observe_target(self._perf() - start)
             return result
 
     def target_batch(
         self,
+        active: ActiveArtifacts,
         entity_sets: list[list[int]],
         k: int = 50,
         weights: list[list[float] | None] | None = None,
@@ -560,9 +551,9 @@ class ServingRuntime:
         with phase("runtime"):
             self._check_deadline(deadline, "target_batch")
             start = self._perf()
-            targeting = self.acquire().require_targeting()
-            with targeting.preference_store.reading():
-                results = targeting.target_batch(entity_sets, k, weights=weights)
+            results = active.require_targeting().target_batch(
+                entity_sets, k, weights=weights
+            )
             self._observe_target(self._perf() - start)
             return results
 
@@ -570,28 +561,13 @@ class ServingRuntime:
     # Observability
     # ------------------------------------------------------------------
     def versions(self) -> dict:
-        """The active artifact versions — attached to every API response.
-
-        ``*_format`` names the serving representation each artifact is
-        mapped through — ``"csr"``/``"memmap"`` for the zero-copy mmap
-        substrate, ``"memory"`` for in-process artifacts — so operators
-        can tell at a glance whether a generation swap was a remap or a
-        copy.
-        """
+        """The active artifact versions and tags."""
         active = self._active
-        graph_format = None
-        if active.reasoner is not None:
-            graph_format = getattr(active.reasoner.graph, "artifact_format", "memory")
-        preference_format = None
-        if active.preference_store is not None:
-            preference_format = active.preference_store.storage
         return {
             "graph_version": active.graph_version,
             "graph_tag": active.graph_tag,
-            "graph_format": graph_format,
             "preference_version": active.preference_version,
             "preference_tag": active.preference_tag,
-            "preference_format": preference_format,
         }
 
     def health(self) -> dict:

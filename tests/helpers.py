@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import mmap
 import os
 from pathlib import Path
 
@@ -284,3 +285,12 @@ def child_pids() -> list[int]:
         if int(stat.rsplit(")", 1)[1].split()[1]) == os.getpid():
             found.append(int(entry.name))
     return found
+
+
+def assert_owned_read_only(array) -> None:
+    """``array`` is a read-only ``ndarray`` whose bytes this process owns:
+    no ``np.memmap`` and no ``mmap.mmap`` anywhere in its ``.base`` chain."""
+    assert type(array) is np.ndarray and not array.flags.writeable
+    while array is not None:
+        assert not isinstance(array, (mmap.mmap, np.memmap)), type(array)
+        array = getattr(array, "base", None)

@@ -156,10 +156,9 @@ def test_refused_swap_keeps_marketer_feedback(
 def test_good_daily_activates_after_three_corrupt_ones(
     chaos_world, chaos_events, tmp_path, monkeypatch
 ):
-    """Three dailies whose user matrix is cut short after the open are each
-    refused by the activation check and quarantined like an artifact that
-    fails to open, and v1 keeps serving as the registry's latest; the next
-    daily is judged on its own files and activates."""
+    """Three dailies whose user matrix is cut short before the open are each
+    refused by it and quarantined, and v1 keeps serving as the registry's
+    latest; the next daily is judged on its own files and activates."""
     system = make_system(chaos_world, tmp_path)
     system.weekly_refresh(chaos_events)
     system.daily_preference_refresh(chaos_events)
@@ -167,14 +166,13 @@ def test_good_daily_activates_after_three_corrupt_ones(
     open_preferences = system.registry.open_preferences
     cut = []
 
-    def open_then_cut(version=None):
-        store = open_preferences(version)
-        matrix = Path(store.user_matrix.filename)
+    def cut_then_open(version=None):
+        matrix = tmp_path / f"preferences-{version:06d}" / "user_matrix.npy"
         os.truncate(matrix, matrix.stat().st_size - 8)
         cut.append(version)
-        return store
+        return open_preferences(version)
 
-    monkeypatch.setattr(system.registry, "open_preferences", open_then_cut)
+    monkeypatch.setattr(system.registry, "open_preferences", cut_then_open)
     for attempt in range(3):
         assert system.daily_preference_refresh(chaos_events) > 0
         assert system.runtime.versions()["preference_version"] == 1
@@ -182,7 +180,8 @@ def test_good_daily_activates_after_three_corrupt_ones(
         assert system.registry.latest("preferences").version == 1
         refused = system.registry.quarantined[attempt]
         assert refused["kind"] == "preferences" and refused["version"] == cut[attempt]
-        assert refused["reason"].startswith("activation refused")
+        assert refused["reason"].startswith("artifact unreadable")
+        assert "user_matrix" in refused["reason"]
         assert not (tmp_path / f"preferences-{cut[attempt]:06d}").exists()
     refused = system.registry.quarantined
     assert len(refused) == 3

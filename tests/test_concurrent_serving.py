@@ -52,9 +52,9 @@ class TestRequestContextPerRequest:
         barrier = threading.Barrier(2, timeout=5.0)
         observed: list[tuple] = []
         lock = threading.Lock()
-        real_expand = system.expand
+        real_expand = system.runtime.expand
 
-        def slow_expand(phrases, depth=2, min_score=0.0, deadline=None):
+        def slow_expand(active, phrases, depth=2, min_score=0.0, deadline=None):
             ctx = current_record()
             entry_id = ctx.id
             barrier.wait()  # both requests are now in flight together
@@ -63,7 +63,7 @@ class TestRequestContextPerRequest:
                 observed.append((ctx, entry_id, ctx.id, deadline))
             return view
 
-        system.expand = slow_expand
+        system.runtime.expand = slow_expand
         try:
             phrase = world.entities[0].name
             requests = [
@@ -79,7 +79,7 @@ class TestRequestContextPerRequest:
             for t in threads:
                 t.join(timeout=10.0)
         finally:
-            system.expand = real_expand
+            system.runtime.expand = real_expand
 
         assert len(observed) == 2
         (ctx_a, entry_a, exit_a, dl_a), (ctx_b, entry_b, exit_b, dl_b) = observed
@@ -205,7 +205,8 @@ class TestCacheConcurrency:
 class TestHotSwapUnderLoad:
     def test_every_inflight_expansion_serves_one_whole_generation(self, world):
         """Property: with swaps racing K in-flight expansions, every result
-        equals one generation's expected output exactly — never a blend."""
+        equals one generation's expected output exactly — never a blend —
+        and that generation is the one its acquired label names."""
         obs = Observability.disabled()
         runtime = ServingRuntime(cache_size=0, obs=obs)  # every expand computes
         from repro.text import EntityDict
@@ -227,11 +228,18 @@ class TestHotSwapUnderLoad:
                 tuple(view.hop_sizes),
             )
 
+        def answer() -> tuple:
+            """One request: (its label, its answer's fingerprint)."""
+            active = runtime.acquire()
+            view = runtime.expand(active, [phrase], depth=3)
+            return active.graph_tag, fingerprint(view)
+
         runtime.activate_graph(reasoner_a, version=1, tag="gen-a")
-        expected_a = fingerprint(runtime.expand([phrase], depth=3))
+        _, expected_a = answer()
         runtime.activate_graph(reasoner_b, version=2, tag="gen-b")
-        expected_b = fingerprint(runtime.expand([phrase], depth=3))
+        _, expected_b = answer()
         assert expected_a != expected_b  # generations are distinguishable
+        expected = {"gen-a": expected_a, "gen-b": expected_b}
 
         stop = threading.Event()
         torn: list[tuple] = []
@@ -240,11 +248,11 @@ class TestHotSwapUnderLoad:
 
         def reader() -> None:
             while not stop.is_set():
-                got = fingerprint(runtime.expand([phrase], depth=3))
+                label, got = answer()
                 with lock:
                     served[0] += 1
-                    if got not in (expected_a, expected_b):
-                        torn.append(got)
+                    if got != expected[label]:
+                        torn.append((label, got))
 
         readers = [threading.Thread(target=reader) for _ in range(6)]
         for t in readers:
@@ -259,7 +267,7 @@ class TestHotSwapUnderLoad:
         for t in readers:
             t.join(timeout=10.0)
         assert served[0] > 0
-        assert torn == []  # every response came wholly from one generation
+        assert torn == []  # every answer came wholly from the labelled generation
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import os
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,30 +59,31 @@ def rig(world, tmp_path):
 class TestActivationFaults:
     def test_good_generation_after_three_corrupt_ones(self, world, tmp_path):
         """Each incoming generation is judged on its own files: three whose
-        user matrix ends early (cut after the open mapped it) are refused
-        by the activation check while v1 keeps answering, and the good one
-        after them activates."""
+        user matrix ends early are refused by the open (and quarantined)
+        while v1 keeps answering, and the good one after them activates."""
         registry = ArtifactRegistry(root=tmp_path)
         runtime = ServingRuntime()
 
         def published(seed):
-            record = registry.publish_preferences(build_preferences(world, seed))
-            return registry.open_preferences(record.version), record.version
+            return registry.publish_preferences(build_preferences(world, seed)).version
 
-        runtime.activate_preferences(*published(1))
-        served = runtime.target([0, 1], k=5).users
+        version = published(1)
+        runtime.activate_preferences(registry.open_preferences(version), version)
+        served = runtime.target(runtime.acquire(), [0, 1], k=5).users
         for seed in (2, 3, 4):
-            store, version = published(seed)
-            matrix = Path(store.user_matrix.filename)
+            version = published(seed)
+            matrix = tmp_path / f"preferences-{version:06d}" / "user_matrix.npy"
             os.truncate(matrix, matrix.stat().st_size - 8)
-            with pytest.raises(CorruptArtifactError):
-                runtime.activate_preferences(store, version)
+            with pytest.raises(CorruptArtifactError, match="user_matrix"):
+                registry.open_preferences(version)
             assert runtime.versions()["preference_version"] == 1
-            assert runtime.target([0, 1], k=5).users == served
+            assert runtime.target(runtime.acquire(), [0, 1], k=5).users == served
+        assert [entry["version"] for entry in registry.quarantined] == [2, 3, 4]
 
-        runtime.activate_preferences(*published(5))
+        version = published(5)
+        runtime.activate_preferences(registry.open_preferences(version), version)
         assert runtime.versions()["preference_version"] == 5
-        assert runtime.target([0, 1], k=5).users != served
+        assert runtime.target(runtime.acquire(), [0, 1], k=5).users != served
 
 
 class TestRollback:
@@ -219,13 +219,13 @@ class TestApiErrorCodes:
     def test_deadline_exceeded_code(self, rig, world, monkeypatch):
         system, clock = rig
         service = EGLService(system)
-        original = system.expand
+        original = system.runtime.expand
 
         def slow_expand(*args, **kwargs):
             clock.advance(1.0)  # the work outlives the budget
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(system, "expand", slow_expand)
+        monkeypatch.setattr(system.runtime, "expand", slow_expand)
         response = service.expand(
             ExpandRequest(phrases=[world.entities[0].name], timeout_ms=500)
         )

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import assert_owned_read_only
 from reference_model import expansion_key, reference_expansion
 from repro.errors import CorruptArtifactError, StorageError
 from repro.graph import CSRGraph, EntityGraph, csr_meta_digest
@@ -60,9 +61,11 @@ class TestRoundtrip:
         assert np.array_equal(loaded.neighbors_arr, frozen.neighbors_arr)
         assert np.array_equal(loaded.weights_arr, frozen.weights_arr)
         assert np.array_equal(loaded.relations_arr, frozen.relations_arr)
-        # Memmap-backed: the default open maps pages instead of copying.
-        assert isinstance(loaded.neighbors_arr, np.memmap)
-        assert not loaded.neighbors_arr.flags.writeable
+        # Proven into process memory: read-only, and no array is a mapping.
+        for array in (
+            loaded.offsets, loaded.neighbors_arr, loaded.weights_arr, loaded.relations_arr
+        ):
+            assert_owned_read_only(array)
 
     def test_rows_sorted_ascending_by_neighbor(self, rng):
         pairs, weights = random_edges(rng, num_nodes=30)
@@ -87,8 +90,14 @@ class TestRoundtrip:
         directory = CSRGraph.from_edges(15, np.array(pairs), weights).save(
             tmp_path / "csr"
         )
-        assert CSRGraph.validate(directory)
+        assert CSRGraph.load(directory).num_nodes == 15  # the open is the proof
         assert len(csr_meta_digest(directory)) == 64
+        path = directory / "weights.npy"
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF  # one weight's bits: the structure still fits
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="checksum mismatch.*weights"):
+            CSRGraph.load(directory)
 
 
 class TestCorruption:
@@ -107,7 +116,7 @@ class TestCorruption:
         path = directory / "neighbors.npy"
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorruptArtifactError, match="checksum"):
-            CSRGraph.load(directory, verify=True)
+            CSRGraph.load(directory)
 
     def test_torn_manifest_is_corrupt(self, tmp_path, rng):
         directory = self.freeze(tmp_path, rng)
@@ -189,7 +198,7 @@ class TestExpansionParity:
         record = ArtifactRegistry(tmp_path).publish_graph(graph, tag="parity")
 
         served = ArtifactRegistry(tmp_path).open_graph(record.version)
-        assert served.artifact_format == "csr"
+        assert isinstance(served, CSRGraph)
         assert Path(record.path).name == "graph-csr-000001"
         seeds = [pairs[0][0]]
         for depth in (1, 2, 3):

@@ -1,27 +1,15 @@
-"""Per-generation resource accounting (mmap opens, artifact bytes on disk)."""
+"""Per-generation resource accounting (artifact bytes on disk)."""
 
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (
-    ResourceAccountant,
-    mmap_open_counts,
-    record_mmap_open,
-)
+from repro.obs.profile import ResourceAccountant
 
 
 class TestResourceAccounting:
-    def test_mmap_open_counter_deltas(self):
-        before = mmap_open_counts().get("testkind", 0)
-        record_mmap_open("testkind")
-        record_mmap_open("testkind")
-        assert mmap_open_counts()["testkind"] == before + 2
-
-    def test_usage_without_registry_reports_only_mmap_opens(self):
+    def test_usage_without_registry_reports_no_artifacts(self):
         accountant = ResourceAccountant(metrics=None)
-        usage = accountant.usage()
-        assert usage["artifacts"] == {}
-        assert isinstance(usage["mmap_opens"], dict)
+        assert accountant.usage() == {"artifacts": {}}
 
     def test_usage_walks_registry_records(self, tmp_path):
         artifact = tmp_path / "gen-1"

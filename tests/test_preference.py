@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import assert_owned_read_only
 from reference_model import assert_matches_reference, reference_scores
 from repro.errors import ConfigError, NotFittedError
 from repro.preference import (
@@ -134,7 +135,8 @@ class TestPreferenceStore:
 
 def test_artifact_is_one_flat_partition(tmp_path, rng):
     """A published store is one directory of flat arrays, row ``r`` = user
-    ``user_ids[r]``, that opens mapped and answers like the built store."""
+    ``user_ids[r]``, that opens into process memory, read-only, and answers
+    like the built store."""
     embeddings = rng.standard_normal((90, 12))
     sequences = {
         u: UserEntitySequence(u, [int(x) for x in rng.integers(0, 90, 5)])
@@ -149,7 +151,10 @@ def test_artifact_is_one_flat_partition(tmp_path, rng):
         "user_ids.npy", "user_matrix.npy", "user_rows.npy", "values.npy",
     ]
     index = registry.open_preferences(record.version)
-    assert index.storage == "memmap" and index.num_users == len(index.user_matrix) == 60
+    assert index.num_users == len(index.user_matrix) == 60
+    for name in ("entity_embeddings", "user_ids", "user_matrix", "entity_ptr",
+                 "user_rows", "values"):
+        assert_owned_read_only(getattr(index, name))
     sets = [[1, 2, 5], [9, 40]]
     assert index.top_users_for_entity_sets(sets, 10) == store.top_users_for_entity_sets(sets, 10)
 

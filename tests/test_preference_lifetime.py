@@ -1,15 +1,14 @@
-"""A preference generation leaves memory when it leaves service.
+"""A preference generation leaves memory when its last reference drops.
 
 * the serving runtime retains each kind in its own slot: the graph rollback
   slot never pins a preference generation, so generation 1 is unreachable
   once two newer ones have been activated;
-* a mapped generation that leaves ``_active`` (by swap or by rollback)
-  gives up its resident pages but stays mapped: a rollback serves it again
-  with the same answers;
-* the activation check reads the incoming generation from its files, so a
-  swap leaves it unmapped until a request reads it;
-* a request that holds the outgoing generation across the swap is the one
-  that releases it, when it leaves;
+* the replaced generation is held whole by the rollback slot and rolls back
+  with the same answers; one that has left both the active value and the
+  slot is freed — its store is unreachable and, in a fresh process,
+  ``RssAnon`` gives its arrays back;
+* a request that acquired the outgoing generation before the swap is
+  answered from it and keeps it alive until it leaves, and no longer;
 * the daily refresh builds in a stage worker that is reaped before the
   published generation is opened.
 """
@@ -17,6 +16,9 @@
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -39,7 +41,7 @@ from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
 from helpers import child_pids
 from reference_model import assert_matches_reference, reference_scores
 
-SMAPS = Path("/proc/self/smaps")
+STATUS = Path("/proc/self/status")
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +93,8 @@ def test_daily_refresh_builds_in_a_worker_reaped_before_the_open(
     small_world, small_events, tmp_path, monkeypatch
 ):
     """The daily builds nothing in this process, and its stage worker is
-    reaped before the published generation is opened, so the open and
-    the scoring of the mapped generation never run beside the build."""
+    reaped before the published generation is opened, so the open and the
+    activation check never run beside the build."""
     system = rooted_system(small_world, tmp_path)
     system.weekly_refresh(small_events)
     registry = system.registry
@@ -113,17 +115,8 @@ def test_daily_refresh_builds_in_a_worker_reaped_before_the_open(
     assert system.runtime.versions()["preference_version"] == 1
 
 
-def mapping_rss_kb(path: Path) -> list[int]:
-    """``Rss`` of every mapping of ``path`` in this process, in kB."""
-    target = str(path.resolve())
-    found, current = [], False
-    for line in SMAPS.read_text(encoding="ascii", errors="replace").splitlines():
-        fields = line.split()
-        if fields and "-" in fields[0] and not fields[0].endswith(":"):
-            current = line.rstrip().endswith(target)
-        elif current and fields[0] == "Rss:":
-            found.append(int(fields[1]))
-    return found
+NUM_USERS, NUM_ENTITIES, DIM = 12_000, 40, 32  # ~3 MB user_matrix
+ENTITY_IDS, K = [3, 7, 11], 20
 
 
 def build_store(num_users: int, num_entities: int, dim: int, seed: int):
@@ -137,119 +130,165 @@ def build_store(num_users: int, num_entities: int, dim: int, seed: int):
     return embeddings, sequences, PreferenceStore(embeddings).build(sequences, num_users)
 
 
-@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
-def test_retired_mapped_generation_is_not_resident_and_rolls_back(tmp_path):
-    num_users, num_entities, dim, k = 12_000, 40, 32, 20  # ~3 MB user_matrix
-    entity_ids = [3, 7, 11]
-    runtime = ServingRuntime()
-    generations = {}
-    for version in (1, 2):
-        embeddings, sequences, built = build_store(num_users, num_entities, dim, version)
-        directory = built.save_memmap(tmp_path / f"preferences-{version}")
-        generations[version] = (embeddings, sequences, directory / "user_matrix.npy")
-        runtime.activate_preferences(PreferenceStore.load_memmap(directory), version)
-        runtime.target(entity_ids, k=k)
-
-    def rss(version):
-        sizes = mapping_rss_kb(generations[version][2])
-        assert len(sizes) == 1  # mapped exactly once, retired or not
-        return sizes[0]
-
-    assert rss(1) == 0  # retired by the swap: mapped, not resident
-    assert rss(2) > 0  # the active generation was read, and is resident
-
-    assert runtime.rollback("preferences")["preference_version"] == 1
-    assert rss(2) == 0  # the generation rolled away from is released in turn
-    embeddings, sequences, _ = generations[1]
-    scores = reference_scores(embeddings, sequences, num_users, entity_ids)
-    got = runtime.target(entity_ids, k=k).users
-    assert_matches_reference(got, scores, k, sequences)
-    assert rss(1) > 0  # the rollback faulted its pages back in
-
-
-def publish_generations(tmp_path, versions=(1, 2)):
-    """Mapped generations of ``build_store`` (~3 MB ``user_matrix`` each):
-    ``{version: (embeddings, sequences, store, user_matrix path)}``."""
+def publish_generations(tmp_path, versions=(1, 2)) -> dict:
+    """``{version: (embeddings, sequences, directory, built store's answer)}``
+    for published generations of ``build_store``; nothing opened."""
     generations = {}
     for version in versions:
-        embeddings, sequences, built = build_store(12_000, 40, 32, version)
+        embeddings, sequences, built = build_store(NUM_USERS, NUM_ENTITIES, DIM, version)
         directory = built.save_memmap(tmp_path / f"preferences-{version}")
-        generations[version] = (
-            embeddings, sequences, PreferenceStore.load_memmap(directory),
-            directory / "user_matrix.npy",
-        )
+        answer = built.top_users_for_entities(ENTITY_IDS, K)
+        generations[version] = (embeddings, sequences, directory, answer)
     return generations
 
 
-@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
-def test_the_activation_check_leaves_the_incoming_generation_unread(tmp_path):
-    generations = publish_generations(tmp_path)
+def answer(runtime: ServingRuntime) -> list:
+    return runtime.target(runtime.acquire(), ENTITY_IDS, k=K).users
+
+
+#: Run in a fresh interpreter: in a long-lived one, glibc may carve a
+#: generation's arrays from free heap space that a free does not return.
+RSS_PROBE = """
+import gc, json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_preference_lifetime import DIM, NUM_ENTITIES, NUM_USERS, build_store
+from repro.preference.store import PreferenceStore
+from repro.serving import ServingRuntime
+
+def rss_anon_kb():
+    for line in Path("/proc/self/status").read_text(encoding="ascii").splitlines():
+        if line.startswith("RssAnon:"):
+            return int(line.split()[1])
+
+runtime = ServingRuntime()  # first, as in a server: it pins the mmap threshold
+root = Path(tempfile.mkdtemp())
+directories = [
+    build_store(NUM_USERS, NUM_ENTITIES, DIM, seed)[2].save_memmap(root / str(seed))
+    for seed in (1, 2, 3)
+]
+gc.collect()
+for version, directory in enumerate(directories[:2], start=1):
+    runtime.activate_preferences(PreferenceStore.load_memmap(directory), version)
+incoming = PreferenceStore.load_memmap(directories[2])
+matrix_kb = incoming.user_matrix.nbytes // 1024
+before = rss_anon_kb()
+runtime.activate_preferences(incoming, 3)
+del incoming
+gc.collect()
+print(json.dumps({"freed_kb": before - rss_anon_kb(), "matrix_kb": matrix_kb}))
+"""
+
+
+def test_replaced_generation_is_freed_when_its_last_reference_drops(tmp_path):
+    generations = publish_generations(tmp_path, versions=(1, 2, 3))
     runtime = ServingRuntime()
-    entity_ids, k = [3, 7, 11], 20
-    runtime.activate_preferences(generations[1][2], 1)
-    runtime.target(entity_ids, k=k)
-    runtime.activate_preferences(generations[2][2], 2)  # checked against v1
-    assert runtime.swap_events()[-1]["new_version"] == 2
-    assert runtime.drift_summary()["preferences"]["new_version"] == 2
-    assert mapping_rss_kb(generations[2][3]) == [0]
+    opened = {}
+    for version in (1, 2):
+        store = PreferenceStore.load_memmap(generations[version][2])
+        opened[version] = weakref.ref(store)
+        runtime.activate_preferences(store, version)
+        assert answer(runtime) == generations[version][3]
+    del store
 
-    embeddings, sequences, _, path = generations[2]
-    scores = reference_scores(embeddings, sequences, 12_000, entity_ids)
-    assert_matches_reference(runtime.target(entity_ids, k=k).users, scores, k, sequences)
-    assert mapping_rss_kb(path)[0] > 0  # the first request reads it in
+    # The rollback slot holds generation 1 whole: it answers as it did.
+    assert runtime.rollback("preferences")["preference_version"] == 1
+    embeddings, sequences, _, _ = generations[1]
+    scores = reference_scores(embeddings, sequences, NUM_USERS, ENTITY_IDS)
+    assert_matches_reference(answer(runtime), scores, K, sequences)
+    assert runtime.rollback("preferences")["preference_version"] == 2
+    gc.collect()
+    assert opened[1]() is not None and opened[2]() is not None
+
+    # Generation 3 replaces 2, which replaces 1 in the slot: 1 is freed.
+    runtime.activate_preferences(PreferenceStore.load_memmap(generations[3][2]), 3)
+    gc.collect()
+    assert opened[1]() is None and opened[2]() is not None
+    assert answer(runtime) == generations[3][3]
 
 
-@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
-def test_a_reader_across_the_swap_releases_the_retired_generation(tmp_path):
-    """The request acquired generation 1 before the swap and scores it
-    after: it faults the pages back in, and its exit gives them up."""
-    generations = publish_generations(tmp_path)
-    runtime = ServingRuntime()
-    runtime.activate_preferences(generations[1][2], 1)
-    store = generations[1][2]
-    entered, swapped = threading.Event(), threading.Event()
+@pytest.mark.skipif(not STATUS.exists(), reason="needs /proc/self/status")
+def test_a_freed_generation_gives_its_memory_back():
+    """The same swap in a fresh process: ``RssAnon`` falls by at least
+    three quarters of the freed generation's ``user_matrix``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p or os.getcwd() for p in sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, str(Path(__file__).parent)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["freed_kb"] >= 0.75 * result["matrix_kb"], result
+
+
+def hold_across_the_swap(store, entered, swapped) -> None:
+    """Make ``store``'s next scoring call wait, once entered, for ``swapped``."""
     score = store.top_users_for_entities
 
-    def held_across_the_swap(*args, **kwargs):
+    def held(*args, **kwargs):
         entered.set()
         assert swapped.wait(30)
         return score(*args, **kwargs)
 
-    store.top_users_for_entities = held_across_the_swap
-    entity_ids, k, answers = [3, 7, 11], 20, []
-    reader = threading.Thread(
-        target=lambda: answers.append(runtime.target(entity_ids, k=k).users)
-    )
+    store.top_users_for_entities = held
+
+
+def test_a_reader_across_the_swap_releases_the_retired_generation(tmp_path):
+    """The request acquired generation 1 before two swaps pushed it out of
+    both the active value and the rollback slot: it is still answered from
+    generation 1, and its exit is what frees it."""
+    generations = publish_generations(tmp_path, versions=(1, 2, 3))
+    runtime = ServingRuntime()
+    store = PreferenceStore.load_memmap(generations[1][2])
+    generation_1 = weakref.ref(store)
+    runtime.activate_preferences(store, 1)
+    entered, swapped = threading.Event(), threading.Event()
+    hold_across_the_swap(store, entered, swapped)
+    del store
+    answers = []
+    reader = threading.Thread(target=lambda: answers.append(answer(runtime)))
     reader.start()
     try:
         assert entered.wait(30)
-        runtime.activate_preferences(generations[2][2], 2)
+        for version in (2, 3):
+            runtime.activate_preferences(
+                PreferenceStore.load_memmap(generations[version][2]), version
+            )
+        gc.collect()
+        assert generation_1() is not None  # the request in flight holds it
     finally:
         swapped.set()
         reader.join(timeout=30)
     assert not reader.is_alive()
+    assert answers == [generations[1][3]]
+    del reader
+    gc.collect()
+    assert generation_1() is None
 
-    embeddings, sequences, _, path = generations[1]
-    scores = reference_scores(embeddings, sequences, 12_000, entity_ids)
-    assert_matches_reference(answers[0], scores, k, sequences)
-    assert mapping_rss_kb(path) == [0]
 
-
-@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
-def test_readers_racing_swaps_leave_only_the_active_generation_resident(tmp_path):
+def test_readers_racing_swaps_keep_only_the_active_and_rollback_generations(tmp_path):
     """More request threads than cores against swaps and rollbacks, with
-    the interpreter switching threads as often as it can: a lost update of
-    a reader count would leave a retired generation resident (or an active
-    one released)."""
+    the interpreter switching threads as often as it can: every answer is
+    the one of the generation its request acquired, and afterwards only the
+    active generation and the rollback slot's are alive."""
     generations = publish_generations(tmp_path, versions=(1, 2, 3))
     runtime = ServingRuntime()
-    runtime.activate_preferences(generations[1][2], 1)
+    opened = []
+
+    def activate(version: int) -> None:
+        store = PreferenceStore.load_memmap(generations[version][2])
+        opened.append(weakref.ref(store))
+        runtime.activate_preferences(store, version)
+
+    activate(1)
     stop, errors = threading.Event(), []
 
     def request() -> None:
         while not stop.is_set():
             try:
-                assert len(runtime.target([3, 7, 11], k=20).users) == 20
+                active = runtime.acquire()
+                got = runtime.target(active, ENTITY_IDS, k=K).users
+                assert got == generations[active.preference_version][3]
             except Exception as error:  # reported below, not lost in the thread
                 errors.append(error)
                 return
@@ -261,7 +300,7 @@ def test_readers_racing_swaps_leave_only_the_active_generation_resident(tmp_path
         for reader in readers:
             reader.start()
         for version in (2, 3, 2, 3, 1, 2, 3):
-            runtime.activate_preferences(generations[version][2], version)
+            activate(version)
             runtime.rollback("preferences")
             runtime.rollback("preferences")
     finally:
@@ -272,17 +311,11 @@ def test_readers_racing_swaps_leave_only_the_active_generation_resident(tmp_path
     assert not any(reader.is_alive() for reader in readers)
     assert errors == []
     assert runtime.versions()["preference_version"] == 3
-    for version, (_, _, store, path) in generations.items():
-        assert store._readers == 0
-        if version != 3:
-            assert mapping_rss_kb(path) == [0], version
-
-
-def test_memory_store_is_unaffected_by_release_pages():
-    embeddings, sequences, store = build_store(300, 30, 8, seed=5)
-    before = store.top_users_for_entities([1, 2], k=10)
-    matrix = store.user_matrix.copy()
-    store.release_pages()
-    assert store.storage == "memory"
-    assert np.array_equal(store.user_matrix, matrix)
-    assert store.top_users_for_entities([1, 2], k=10) == before
+    del readers
+    gc.collect()
+    alive = [ref() for ref in opened if ref() is not None]
+    assert len(alive) == 2
+    assert {id(store) for store in alive} == {
+        id(runtime.acquire().preference_store),
+        id(runtime._previous_preferences.preference_store),
+    }

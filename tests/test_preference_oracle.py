@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import DenseV3PreferenceIndex
+from helpers import DenseV3PreferenceIndex, assert_owned_read_only
 from reference_model import assert_matches_reference, reference_scores
 from repro.obs.drift import compare_preference_stores, default_probe_entities
 from repro.preference import PreferenceStore
@@ -66,9 +66,7 @@ WORLDS = {"random": random_world, "tied": tied_world}
 def publish(store: PreferenceStore, root: Path) -> PreferenceStore:
     """The generation a daily refresh serves: published, then opened."""
     registry = ArtifactRegistry(root=root)
-    opened = registry.open_preferences(registry.publish_preferences(store).version)
-    assert opened.storage == "memmap"
-    return opened
+    return registry.open_preferences(registry.publish_preferences(store).version)
 
 
 def answers(store: PreferenceStore, ks: list[int]) -> list:
@@ -110,9 +108,9 @@ def test_published_index_equals_reference(world_name, tmp_path):
     assert np.allclose(column, [single[u] for u in sorted(single)], atol=1e-9, rtol=0)
 
 
-def test_open_maps_the_published_files_and_nothing_dense(tmp_path):
-    """The open is O(1) in index size: no checksum pass, no format
-    conversion — the kernel's arrays *are* the mapped files."""
+def test_open_proves_the_published_files_and_holds_nothing_dense(tmp_path):
+    """The kernel's arrays are the published files' bytes, read once into
+    process memory, read-only: no format conversion, no dense matrix."""
     embeddings, sequences, num_users = random_world()
     registry = ArtifactRegistry(root=tmp_path)
     record = registry.publish_preferences(
@@ -127,16 +125,13 @@ def test_open_maps_the_published_files_and_nothing_dense(tmp_path):
         "values": opened.values,
     }
     for name, array in files.items():
-        assert isinstance(array, np.memmap)
-        assert Path(array.filename) == Path(record.path) / f"{name}.npy"
+        assert_owned_read_only(array)
+        assert np.array_equal(array, np.load(Path(record.path) / f"{name}.npy"))
     held = [opened.entity_embeddings, *files.values()]
     assert (num_users, NUM_ENTITIES) not in [np.shape(a) for a in held]
-    arrays = {
-        k: v for k, v in vars(opened).items()
-        if isinstance(v, np.ndarray) and v is not opened.entity_embeddings
-    }
-    assert all(isinstance(v, np.memmap) for v in arrays.values())
-    # first request after the swap runs on the mapped arrays as they are
+    arrays = {k: v for k, v in vars(opened).items() if isinstance(v, np.ndarray)}
+    assert len(arrays) == 6
+    # first request after the swap runs on the proven arrays as they are
     opened.top_users_for_entities([3, 11], 5)
     assert all(getattr(opened, k) is v for k, v in arrays.items())
 

@@ -91,15 +91,14 @@ def strip_checksums(path):
 
 
 #: name → (file inside a preference artifact, file inside a CSR graph
-#: artifact, damage, caught by the trusted open — otherwise only by the
-#: startup proof).
+#: artifact, damage). The open is the proof, so it catches every one.
 DAMAGE = {
-    "truncated": ("user_matrix.npy", "neighbors.npy", truncate, True),
-    "missing": ("values.npy", "weights.npy", Path.unlink, True),
-    "bitflip": ("user_matrix.npy", "weights.npy", flip_byte, False),
-    "meta-garbled": ("meta.json", "meta.json", truncate, True),
-    "meta-missing": ("meta.json", "meta.json", Path.unlink, True),
-    "no-checksums": ("meta.json", "meta.json", strip_checksums, False),
+    "truncated": ("user_matrix.npy", "neighbors.npy", truncate),
+    "missing": ("values.npy", "weights.npy", Path.unlink),
+    "bitflip": ("user_matrix.npy", "weights.npy", flip_byte),
+    "meta-garbled": ("meta.json", "meta.json", truncate),
+    "meta-missing": ("meta.json", "meta.json", Path.unlink),
+    "no-checksums": ("meta.json", "meta.json", strip_checksums),
 }
 
 GOOD_EDGES = [(0, 1, 0.9), (1, 2, 0.5), (2, 5, 0.7), (0, 3, 0.25), (3, 4, 0.6)]
@@ -127,7 +126,7 @@ class PreferenceGenerations:
 
     def answer(self, registry):
         store = registry.open_preferences()
-        assert store.version_tag == "good" and store.storage == "memmap"
+        assert store.version_tag == "good"
         return store.top_users_for_entities(*self.query)
 
 
@@ -192,9 +191,9 @@ class TestQuarantine:
         quarantined, the previous one answers, and a reopened registry
         agrees."""
         generations = GENERATIONS[artifact]
-        *_, apply, caught_on_open = DAMAGE[damage]
+        *_, apply = DAMAGE[damage]
         self.damage_is_quarantined(
-            tmp_path, generations, generations.damaged_file(damage), apply, caught_on_open
+            tmp_path, generations, generations.damaged_file(damage), apply
         )
 
     @pytest.mark.parametrize("array", PREFERENCE_ARRAYS)
@@ -203,13 +202,11 @@ class TestQuarantine:
         self, tmp_path, damage, array
     ):
         """The same rule for every array file of a preference generation."""
-        *_, apply, caught_on_open = DAMAGE[damage]
-        self.damage_is_quarantined(
-            tmp_path, GENERATIONS["P1"], f"{array}.npy", apply, caught_on_open
-        )
+        *_, apply = DAMAGE[damage]
+        self.damage_is_quarantined(tmp_path, GENERATIONS["P1"], f"{array}.npy", apply)
 
     @staticmethod
-    def damage_is_quarantined(tmp_path, generations, damaged_file, apply, caught_on_open):
+    def damage_is_quarantined(tmp_path, generations, damaged_file, apply):
         def answer(registry):
             assert registry.latest(generations.kind).version == 1
             return generations.answer(registry)
@@ -219,15 +216,14 @@ class TestQuarantine:
         bad_path = Path(bad.path)
         apply(bad_path / damaged_file)
 
-        if caught_on_open:
-            with pytest.raises(CorruptArtifactError):
-                getattr(registry, f"open_{generations.kind}")(bad.version)
-            assert answer(registry) == generations.want
+        with pytest.raises(CorruptArtifactError):
+            getattr(registry, f"open_{generations.kind}")(bad.version)
+        assert answer(registry) == generations.want
         reopened = ArtifactRegistry(root=tmp_path)  # must not raise
         assert answer(reopened) == generations.want
         assert (bad_path.parent / QUARANTINE_DIR / bad_path.name).exists()
         assert not bad_path.exists()
-        assert len(registry.quarantined if caught_on_open else reopened.quarantined) == 1
+        assert len(registry.quarantined) == 1
         assert answer(ArtifactRegistry(root=tmp_path)) == generations.want  # durable
 
     def test_corrupt_artifact_detected_at_startup(self, tmp_path):
@@ -379,27 +375,33 @@ def frozen_preferences(directory):
 
 class TestVerifiedLoad:
     @pytest.mark.parametrize(
-        "freeze, array, validate",
+        "freeze, array, load",
         [
-            (frozen_graph, "weights.npy", CSRGraph.validate),
-            (frozen_preferences, "user_matrix.npy", PreferenceStore.validate_memmap),
+            (frozen_graph, "weights.npy", CSRGraph.load),
+            (frozen_preferences, "user_matrix.npy", PreferenceStore.load_memmap),
         ],
         ids=["csr", "pref"],
     )
-    def test_missing_checksum_fails_verification(self, tmp_path, freeze, array, validate):
-        """A manifest without checksums proves nothing: the full proof
-        must refuse it instead of skipping the arrays it cannot check."""
+    def test_missing_checksum_fails_verification(self, tmp_path, freeze, array, load):
+        """A manifest without checksums proves nothing: the open must
+        refuse it instead of skipping the arrays it cannot check."""
         directory = freeze(tmp_path / "artifact")
-        assert validate(directory)
+        load(directory)
         strip_checksums(directory / "meta.json")
         flip_byte(directory / array)
         with pytest.raises(CorruptArtifactError, match="checksum"):
-            validate(directory)
+            load(directory)
 
 
 def rewrite(relative, change):
+    """Replace one array and record its new checksum, so only the
+    structure checks can refuse the artifact."""
+
     def damage(directory):
         np.save(directory / relative, change(np.load(directory / relative)))
+        meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+        meta["checksums"][relative.removesuffix(".npy")] = file_digest(directory / relative)
+        (directory / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
 
     return damage
 
@@ -436,8 +438,8 @@ BAD_SHAPES = {
 class TestTrustedOpen:
     @pytest.mark.parametrize("violation", sorted(BAD_SHAPES))
     def test_bad_structure_is_corrupt(self, tmp_path, violation):
-        """The trusted (non-verifying) open still refuses arrays that do
-        not fit together — they would be out-of-bounds reads in the kernel."""
+        """Arrays whose checksums hold but which do not fit together are
+        refused too — they would be out-of-bounds reads in the kernel."""
         directory = frozen_preferences(tmp_path / "artifact")
         assert PreferenceStore.load_memmap(directory).num_users == 12
         BAD_SHAPES[violation](directory)

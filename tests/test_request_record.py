@@ -166,7 +166,7 @@ class TestOneRecordPerDispatch:
         def crash(*args, **kwargs):
             raise ValueError("not a ReproError")
 
-        frontend.service.system.expand = crash
+        frontend.service.system.runtime.expand = crash
         with pytest.raises(ValueError):
             frontend.dispatch("expand", _expand(world))
         (journey,) = frontend.service.obs.journeys.tail()
@@ -187,7 +187,7 @@ class TestOneRecordPerDispatch:
         def crash(*args, **kwargs):
             raise ValueError("not a ReproError")
 
-        service.system.expand = crash
+        service.system.runtime.expand = crash
         with pytest.raises(ValueError):
             service.expand(ExpandRequest(phrases=[world.entities[0].name]))
         assert service.obs.journeys.tail(1)[0]["code"] == "internal"

@@ -156,5 +156,5 @@ def test_save_memmap_holds_no_serialised_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - base < matrix_bytes / 4, (peak - base, matrix_bytes)
-    reopened = PreferenceStore.load_memmap(tmp_path / "prefs", verify=True)
+    reopened = PreferenceStore.load_memmap(tmp_path / "prefs")
     np.testing.assert_array_equal(reopened.user_matrix, store.user_matrix)

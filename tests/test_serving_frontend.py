@@ -79,15 +79,15 @@ MISTYPED = [
 
 
 def _blocking_backend(service, release: threading.Event, entered: threading.Event):
-    """Replace ``system.expand`` with one that parks until released."""
-    real = service.system.expand
+    """Replace the runtime's ``expand`` with one that parks until released."""
+    real = service.system.runtime.expand
 
-    def blocked(phrases, depth=2, min_score=0.0, deadline=None):
+    def blocked(*args, **kwargs):
         entered.set()
         release.wait(timeout=10.0)
-        return real(phrases, depth=depth, min_score=min_score, deadline=deadline)
+        return real(*args, **kwargs)
 
-    service.system.expand = blocked
+    service.system.runtime.expand = blocked
     return real
 
 
@@ -256,18 +256,18 @@ class TestDispatch:
         """Each backend fault is one 500 with its own code; none refuses a
         later request."""
         frontend = QueryFrontend(service)
-        real = service.system.expand
+        real = service.system.runtime.expand
 
-        def broken(phrases, **kwargs):
+        def broken(*args, **kwargs):
             raise StorageError("disk on fire")
 
-        service.system.expand = broken
+        service.system.runtime.expand = broken
         phrase = world.entities[0].name
         for _ in range(6):
             status, envelope = frontend.dispatch("expand", {"phrases": [phrase]})
             assert (status, envelope["code"]) == (500, "storage_error")
             assert "retry_after_ms" not in envelope
-        service.system.expand = real
+        service.system.runtime.expand = real
         status, envelope = frontend.dispatch("expand", {"phrases": [phrase]})
         assert status == 200 and envelope["ok"]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import assert_owned_read_only
 from repro.errors import StorageError
 from repro.graph import EntityGraph
 from repro.preference.store import PreferenceStore
@@ -28,7 +29,7 @@ class TestPreferenceArtifact:
         assert (directory / "meta.json").exists()
         loaded = PreferenceStore.load_memmap(directory)
         assert loaded.version_tag == "daily-1"
-        assert loaded.storage == "memmap"
+        assert_owned_read_only(loaded.user_matrix)
         np.testing.assert_array_equal(loaded.user_matrix, store.user_matrix)
         np.testing.assert_array_equal(loaded.user_ids, store.user_ids)
         assert loaded.user_ids.tolist() == [0, 1, 2, 3, 4]  # user 5 is uncovered
