@@ -26,11 +26,12 @@ def run_hops() -> dict:
     popular = np.argsort(-world.popularity)[:30]
     seeds = rng.choice(popular, size=8, replace=False)
 
+    reasoner = system.runtime.acquire().require_reasoner()
     results = {}
     for depth in (1, 2, 3, 4):
         counts, accs, scores = [], [], []
         for seed in seeds:
-            view = system.expand([world.entities[int(seed)].name], depth=depth)
+            view = reasoner.expand([world.entities[int(seed)].name], depth=depth)
             others = [e for e in view.entities if e.entity_id != int(seed)]
             counts.append(len(others))
             scores.extend(e.score for e in others)

@@ -33,16 +33,19 @@ def run_case() -> dict:
     service = default_services(world, rng=3)[2]  # the cosmetics analogue
     conversion = ConversionModel(world)
 
-    # Step 1-2: search the phrase, show the default two-hop subgraph.
+    # Step 1-2: search the phrase, show the default two-hop subgraph. One
+    # generation answers the whole session.
+    runtime = system.runtime
+    active = runtime.acquire()
     start = time.perf_counter()
-    view = system.expand(service.phrases[:1], depth=2)
+    view = runtime.expand(active, service.phrases[:1], depth=2)
     expand_time = time.perf_counter() - start
 
     # Step 3: the marketer keeps the top suggestions and exports users.
     chosen = view.entities[:10]
     start = time.perf_counter()
-    result = system.target_users(
-        [e.entity_id for e in chosen], k=60, weights=[e.score for e in chosen]
+    result = runtime.target(
+        active, [e.entity_id for e in chosen], k=60, weights=[e.score for e in chosen]
     )
     export_time = time.perf_counter() - start
 

@@ -66,16 +66,18 @@ def run_bench() -> dict:
     popular = sorted(world.entities, key=lambda e: -e.popularity)
     phrases = [e.name for e in popular[:5]]
 
+    runtime = system.runtime
+    active = runtime.acquire()
     per_phrase = []
     for phrase in phrases:
         start = time.perf_counter()
-        view = system.expand([phrase], depth=2)
+        view = runtime.expand(active, [phrase], depth=2)
         cold_s = time.perf_counter() - start
 
         warm_samples = []
         for _ in range(WARM_ROUNDS):
             start = time.perf_counter()
-            system.expand([phrase], depth=2)
+            runtime.expand(active, [phrase], depth=2)
             warm_samples.append(time.perf_counter() - start)
         warm_s = float(np.mean(warm_samples))
         per_phrase.append(
@@ -90,14 +92,14 @@ def run_bench() -> dict:
 
     # Batched vs sequential targeting over the expanded entity sets.
     entity_sets = [
-        [e.entity_id for e in system.expand([p], depth=2).top(10)] for p in phrases
+        [e.entity_id for e in runtime.expand(active, [p], depth=2).top(10)] for p in phrases
     ]
     start = time.perf_counter()
     for ids in entity_sets:
-        system.target_users(ids, k=50)
+        runtime.target(active, ids, k=50)
     sequential_ms = (time.perf_counter() - start) * 1000
     start = time.perf_counter()
-    system.target_users_batch(entity_sets, k=50)
+    runtime.target_batch(active, entity_sets, k=50)
     batched_ms = (time.perf_counter() - start) * 1000
 
     return {

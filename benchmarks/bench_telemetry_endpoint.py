@@ -20,7 +20,7 @@ import urllib.request
 import numpy as np
 
 from repro.obs import Observability
-from repro.online.api import EGLService, ExpandRequest
+from repro.online.api import EGLService
 from repro.serving.frontend import QueryFrontend
 
 from bench_common import bench_system, bench_trmp_config, format_table, get_context, save_result
@@ -30,8 +30,9 @@ MEASURED_SCRAPES = 50
 MAX_WARM_SCRAPE_MS = 50.0
 
 
-def _prepare() -> EGLService:
-    """A served system with a densely populated metrics registry."""
+def _prepare() -> QueryFrontend:
+    """A served system behind its (not yet listening) front end, with a
+    densely populated metrics registry."""
     context = get_context()
     system = bench_system(context.world, bench_trmp_config(), obs=Observability())
     system.weekly_refresh(context.events)
@@ -43,12 +44,14 @@ def _prepare() -> EGLService:
     system.daily_preference_refresh(
         context.generator.generate(start_day=130, num_days=30, rng=100)
     )
-    service = EGLService(system)
+    frontend = QueryFrontend(EGLService(system))
     popular = sorted(context.world.entities, key=lambda e: -e.popularity)
     for i in range(200):
-        service.expand(ExpandRequest(phrases=[popular[i % 8].name], depth=2))
-    system.target_users([popular[0].entity_id, popular[1].entity_id], k=20)
-    return service
+        frontend.dispatch("expand", {"phrases": [popular[i % 8].name], "depth": 2})
+    frontend.dispatch(
+        "target", {"entity_ids": [popular[0].entity_id, popular[1].entity_id], "k": 20}
+    )
+    return frontend
 
 
 def _scrape(url: str) -> tuple[float, int]:
@@ -60,8 +63,7 @@ def _scrape(url: str) -> tuple[float, int]:
 
 
 def run_bench() -> dict:
-    service = _prepare()
-    with QueryFrontend(service) as server:
+    with _prepare() as server:
         url = server.url + "/metrics"
         for _ in range(WARMUP_SCRAPES):
             _scrape(url)

@@ -18,6 +18,7 @@ import numpy as np
 from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
 from repro.errors import ConfigError
+from repro.online import target_users_for_phrases
 from repro.simulation import ConversionModel, LookAlikeTargeting, default_services
 
 
@@ -41,7 +42,9 @@ def main(artifact_root: str) -> None:
         print(f"FAILS as expected: {error}")
 
     print("\n--- EGL (no seeds needed) ---")
-    view, result = system.target_users_for_phrases(service.phrases, depth=2, k=50)
+    view, result = target_users_for_phrases(
+        system.runtime.acquire(), service.phrases, depth=2, k=50
+    )
     print(f"expanded to {len(view.entities)} entities, "
           f"exported {len(result.users)} users in {result.elapsed_seconds*1000:.1f} ms")
 
@@ -57,7 +60,7 @@ def main(artifact_root: str) -> None:
     topic_word = world.topic_words[service.primary_topic][0]
     phrase = f"{topic_word} deals"
     print(f"marketer types {phrase!r} (not an entity name)")
-    view = system.expand([phrase], depth=1)
+    view = system.runtime.expand(system.runtime.acquire(), [phrase], depth=1)
     print("semantic fallback resolved it near:")
     for entity in view.top(3):
         print(f"  {entity.name} (hop {entity.hop}, score {entity.score:.3f})")

@@ -13,7 +13,7 @@ import tempfile
 
 from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
-from repro.online import explain_targeting
+from repro.online import explain_targeting, target_users_for_phrases
 
 
 def main(artifact_root: str) -> None:
@@ -27,13 +27,14 @@ def main(artifact_root: str) -> None:
 
     phrase = max(world.entities, key=lambda e: e.popularity).name
     print(f"targeting request: {phrase!r}\n")
-    view, result = system.target_users_for_phrases([phrase], depth=2, k=10)
+    active = system.runtime.acquire()  # one generation answers and explains
+    view, result = target_users_for_phrases(active, [phrase], depth=2, k=10)
 
     sequences = system.pipeline.extractor.extract_sequences(events)
     report = explain_targeting(
         view,
         result.users,
-        system.preference_store,
+        active.preference_store,
         sequences,
         system.pipeline.entity_dict,
         max_users=8,

@@ -32,7 +32,10 @@ def main(artifact_root: str) -> None:
     print(f"A new service arrives: {service.name}")
     print(f"Step 1 — the marketer searches: {phrase!r}\n")
 
-    view = system.expand([phrase], depth=2)
+    # One generation answers the whole session: acquire it once.
+    runtime = system.runtime
+    active = runtime.acquire()
+    view = runtime.expand(active, [phrase], depth=2)
     print(f"Step 2 — default 2-hop subgraph ({len(view.entities)} entities):")
     for entity in view.top(10):
         print(
@@ -43,8 +46,8 @@ def main(artifact_root: str) -> None:
 
     chosen = view.top(8)
     print(f"\nStep 3 — the marketer keeps {len(chosen)} entities and exports users")
-    result = system.target_users(
-        [e.entity_id for e in chosen], k=60, weights=[e.score for e in chosen]
+    result = runtime.target(
+        active, [e.entity_id for e in chosen], k=60, weights=[e.score for e in chosen]
     )
     print(f"  exported {len(result.users)} users in {result.elapsed_seconds*1000:.1f} ms")
 

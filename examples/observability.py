@@ -19,7 +19,8 @@ import tempfile
 from repro import EGLSystem, World, WorldConfig
 from repro.datasets import BehaviorConfig, BehaviorLogGenerator
 from repro.obs import ManualClock, Observability, phase
-from repro.online.api import EGLService, ExpandRequest, TargetRequest
+from repro.online.api import EGLService
+from repro.serving.frontend import QueryFrontend
 
 
 def main(artifact_root: str) -> None:
@@ -30,20 +31,21 @@ def main(artifact_root: str) -> None:
     system.weekly_refresh(events)
     system.daily_preference_refresh(events)
     service = EGLService(system)
+    frontend = QueryFrontend(service)  # the one entry point; no socket needed
 
     print("=== 1. A request mix, then the /metrics exposition ===")
     popular = sorted(world.entities, key=lambda e: -e.popularity)[:3]
     for entity in popular:
-        cold = service.expand(ExpandRequest(phrases=[entity.name], depth=2))
-        service.expand(ExpandRequest(phrases=[entity.name], depth=2))  # cache hit
-        ids = [e["entity_id"] for e in cold.payload["entities"][:5]]
-        service.target(TargetRequest(entity_ids=ids, k=10))
-    service.expand(ExpandRequest(phrases=["anything"], depth=-1))  # rejected
+        _, cold = frontend.dispatch("expand", {"phrases": [entity.name], "depth": 2})
+        frontend.dispatch("expand", {"phrases": [entity.name], "depth": 2})  # cache hit
+        ids = [e["entity_id"] for e in cold["payload"]["entities"][:5]]
+        frontend.dispatch("target", {"entity_ids": ids, "k": 10})
+    frontend.dispatch("expand", {"phrases": ["anything"], "depth": -1})  # rejected
 
     exposition = service.metrics_text()
     shown = [
         line for line in exposition.splitlines()
-        if line.startswith(("api_requests_total", "serving_expansion_cache",
+        if line.startswith(("requests_total", "serving_expansion_cache",
                             "serving_active_version"))
     ]
     print("\n".join(shown))

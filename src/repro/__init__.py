@@ -15,8 +15,13 @@ Quick tour
 >>> events = generator.generate_week(0)
 >>> report = system.weekly_refresh(events)          # offline: TRMP
 >>> covered = system.daily_preference_refresh(events)
->>> view, result = system.target_users_for_phrases( # online: cold start
-...     [world.entities[0].name], depth=2, k=20)
+>>> from repro.online import target_users_for_phrases
+>>> view, result = target_users_for_phrases(       # online: cold start
+...     system.runtime.acquire(), [world.entities[0].name], depth=2, k=20)
+>>> from repro.online.api import EGLService       # online: one request
+>>> from repro.serving.frontend import QueryFrontend
+>>> status, envelope = QueryFrontend(EGLService(system)).dispatch(
+...     "expand", {"phrases": [world.entities[0].name], "depth": 2})
 
 Subpackages: :mod:`repro.tensor` (autograd), :mod:`repro.nn` (layers),
 :mod:`repro.text`, :mod:`repro.embeddings`, :mod:`repro.graph`,

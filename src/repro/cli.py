@@ -13,11 +13,11 @@ Commands
     summary per stage.
 ``serve``
     Bring up the layered serving runtime (registry → runtime → cached read
-    path → API), replay a burst of marketer requests through the API
-    envelope, then print artifact versions, cache statistics and the
-    ``/metrics`` exposition. With ``--port`` it also binds the one HTTP
-    listener (:class:`~repro.serving.frontend.QueryFrontend`) and prints
-    its URL: POST ``/expand``/``/target`` with admission control
+    path → API), replay a burst of marketer requests through
+    ``QueryFrontend.dispatch`` (the one online entry point), then print
+    artifact versions, cache statistics and the ``/metrics`` exposition.
+    With ``--port`` the same front end also binds the one HTTP listener
+    and prints its URL: POST ``/expand``/``/target`` with admission control
     (``--max-concurrency``, ``--max-queue``, ``--queue-timeout``) and
     structured 429/503 shed envelopes with ``Retry-After``; GET/HEAD
     ``/metrics``, ``/health``, ``/drift``, ``/journeys``,
@@ -163,7 +163,7 @@ def _make_world(args):
 
 
 def cmd_demo(args) -> int:
-    from repro.online import EGLSystem
+    from repro.online import EGLSystem, target_users_for_phrases
 
     world, generator = _make_world(args)
     events = generator.generate()
@@ -182,7 +182,9 @@ def cmd_demo(args) -> int:
 
     phrase = args.phrase or max(world.entities, key=lambda e: e.popularity).name
     print(f"\nmarketer phrase: {phrase!r} (depth {args.depth})")
-    view, result = system.target_users_for_phrases([phrase], depth=args.depth, k=args.k)
+    view, result = target_users_for_phrases(
+        system.runtime.acquire(), [phrase], depth=args.depth, k=args.k
+    )
     for entity in view.top(8):
         print(f"  hop {entity.hop}  {entity.score:.3f}  {entity.name:<20s} "
               f"via {' > '.join(entity.path)}")
@@ -223,7 +225,8 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_serve(args) -> int:
     from repro.online import EGLSystem
-    from repro.online.api import EGLService, ExpandRequest, TargetRequest
+    from repro.online.api import EGLService
+    from repro.serving.frontend import QueryFrontend
 
     if args.requests < 1:
         print("error: --requests must be a positive integer", file=sys.stderr)
@@ -243,6 +246,13 @@ def cmd_serve(args) -> int:
           f"({versions['preference_tag']})")
 
     service = EGLService(system)
+    frontend = QueryFrontend(
+        service,
+        max_concurrency=args.max_concurrency,
+        max_queue=args.max_queue,
+        queue_timeout=args.queue_timeout,
+        port=args.port or 0,
+    )
     popular = sorted(world.entities, key=lambda e: -e.popularity)
     phrases = [e.name for e in popular[: max(1, min(5, args.requests))]]
     print(f"\nreplaying {args.requests} expand+target requests "
@@ -250,14 +260,14 @@ def cmd_serve(args) -> int:
     start = time.perf_counter()
     ok = 0
     for i in range(args.requests):
-        expand = service.expand(
-            ExpandRequest(phrases=[phrases[i % len(phrases)]], depth=args.depth)
+        _, expand = frontend.dispatch(
+            "expand", {"phrases": [phrases[i % len(phrases)]], "depth": args.depth}
         )
-        if not expand.ok:
+        if not expand["ok"]:
             continue
-        ids = [e["entity_id"] for e in expand.payload["entities"]][:10]
-        target = service.target(TargetRequest(entity_ids=ids, k=args.k))
-        ok += int(target.ok)
+        ids = [e["entity_id"] for e in expand["payload"]["entities"]][:10]
+        _, target = frontend.dispatch("target", {"entity_ids": ids, "k": args.k})
+        ok += int(target["ok"])
     elapsed_ms = (time.perf_counter() - start) * 1000
     print(f"  {ok}/{args.requests} requests served in {elapsed_ms:.1f} ms "
           f"({elapsed_ms / max(args.requests, 1):.2f} ms/request)")
@@ -277,15 +287,6 @@ def cmd_serve(args) -> int:
     _print_stage_breakdown(report)
 
     if args.port is not None:
-        from repro.serving.frontend import QueryFrontend
-
-        frontend = QueryFrontend(
-            service,
-            max_concurrency=args.max_concurrency,
-            max_queue=args.max_queue,
-            queue_timeout=args.queue_timeout,
-            port=args.port,
-        )
         frontend.start()
         try:
             print(f"\nlistener: {frontend.url}")

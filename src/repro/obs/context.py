@@ -2,16 +2,15 @@
 
 A :class:`RequestRecord` is everything the system keeps about one request:
 identity, outcome, the artifact versions that served it, queue wait, cache
-hit/miss, hop sizes and a nested waterfall of timed phases. The outermost
-entry point opens it
-(:meth:`~repro.serving.frontend.QueryFrontend.dispatch`, or
-``EGLService._run`` when the service is driven without a front end) and
-binds it into a :mod:`contextvars` slot, so every layer underneath —
-runtime, cache, kernels, structured logs — reaches the current request
-without a parameter threaded through a dozen signatures. The opener closes
-it exactly once, on every outcome (ok, error, shed, escaped exception),
-which appends it to the system's one bounded ring: :class:`RequestLog`,
-served as flat NDJSON by ``/journeys``.
+hit/miss, hop sizes and a nested waterfall of timed phases. The one online
+entry point, :meth:`~repro.serving.frontend.QueryFrontend.dispatch`, opens
+it and binds it into a :mod:`contextvars` slot, so every layer underneath —
+api, runtime, cache, kernels, structured logs — reaches the current
+request without a parameter threaded through a dozen signatures.
+``dispatch`` closes it exactly once, on every outcome (ok, error, shed,
+escaped exception), which appends it to the system's one bounded ring:
+:class:`RequestLog`, served as flat NDJSON by ``/journeys``. Nothing else
+opens a record: a service or runtime called directly records nothing.
 
 :func:`phase` is the one timed-region primitive. Inside a request it
 writes the phase's name and start time to the record's flat event list and
@@ -204,13 +203,9 @@ class RequestLog:
 
     # ------------------------------------------------------------------
     def open(self, endpoint: str) -> RequestRecord | None:
-        """Open and bind the record of a request entering the system.
-
-        Returns ``None`` — nothing for the caller to close — when a record
-        is already bound (an outer entry point opened it and will close
-        it) or the log is disabled.
-        """
-        if not self.enabled or _AMBIENT.get() is not None:
+        """Open and bind the record of a request entering the system;
+        ``None`` (nothing to close) when the log is disabled."""
+        if not self.enabled:
             return None
         record = RequestRecord(endpoint, self._perf)
         _AMBIENT.set(record)
@@ -231,7 +226,7 @@ class RequestLog:
         """
         if record is None:
             return
-        _AMBIENT.set(None)  # only the outermost entry point binds
+        _AMBIENT.set(None)
         record.duration_ms = (self._perf() - record._start) * 1000
         record.ts = self._time()
         record.ok = ok

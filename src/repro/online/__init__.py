@@ -1,11 +1,11 @@
 """Online serving: graph reasoning, user targeting, feedback, EGL facade."""
 
 from repro.online.reasoning import EntityView, ExpansionView, GraphReasoner
-from repro.online.targeting import TargetingResult, UserTargeting
+from repro.online.targeting import TargetingResult, UserTargeting, target_users_for_phrases
 from repro.online.feedback import FeedbackRecorder
 from repro.online.system import EGLSystem, RefreshReport
 from repro.online.explain import UserExplanation, explain_expansion, explain_targeting, explain_user
-from repro.online.api import ApiResponse, EGLService, ExpandRequest, TargetRequest
+from repro.online.api import ApiResponse, EGLService
 
 __all__ = [
     "EntityView",
@@ -13,6 +13,7 @@ __all__ = [
     "GraphReasoner",
     "TargetingResult",
     "UserTargeting",
+    "target_users_for_phrases",
     "FeedbackRecorder",
     "EGLSystem",
     "RefreshReport",
@@ -22,6 +23,4 @@ __all__ = [
     "explain_user",
     "ApiResponse",
     "EGLService",
-    "ExpandRequest",
-    "TargetRequest",
 ]

@@ -1,29 +1,30 @@
-"""Serving API facade: JSON-serialisable request/response types.
+"""Serving API: request validation and answers as JSON-ready envelopes.
 
-A deployment would put the online stage behind an RPC/HTTP layer. This
-module is that layer minus the transport: typed requests, dict-serialisable
-responses, input validation and error envelopes — so a thin HTTP wrapper
-(or a test) can drive :class:`repro.online.EGLSystem` without touching its
-Python objects.
+:class:`EGLService` is the online stage minus transport and admission.
+Each endpoint method (:meth:`~EGLService.expand`, ``target``,
+``target_batch``, ``record_feedback``) takes the decoded JSON body,
+checks it with that endpoint's one validation function, acquires the
+active generation once, answers from it and returns an
+:class:`ApiResponse` labelled with it — also when a swap lands while the
+answer is computed. A :class:`~repro.errors.ReproError` is answered with
+its own envelope and ``code`` (:data:`ERROR_CODES`).
 
-Validation happens at this edge: a field of the wrong type (``depth`` /
-``k`` / ``max_entities`` must be an ``int``, not a ``bool``; ``min_score``
-/ ``timeout_ms`` / each weight a finite real number; ``phrases`` a
-non-empty list of strings), an out-of-range knob and an entity id that
-names no entity (anything but an ``int`` in ``[0, num_entities)``) are
-rejected as ``invalid_argument`` before they reach the runtime or the
-feedback recorder. So is a phrase list the reasoner resolves to no entity
+Validation happens at this edge: a key the endpoint does not define, a
+field of the wrong type (``depth`` / ``k`` / ``max_entities`` must be an
+``int``, not a ``bool``; ``min_score`` / ``timeout_ms`` / each weight a
+finite real number; ``phrases`` a non-empty list of strings), an
+out-of-range knob and an entity id that names no entity (anything but an
+``int`` in ``[0, num_entities)``) are rejected as ``invalid_argument``
+before they reach the runtime or the feedback recorder. So is a phrase
+list the reasoner resolves to no entity
 (:class:`~repro.errors.VocabularyError`).
-Every response also reports the artifact versions that served it, so
-clients can correlate results across hot-swaps: a request acquires the
-active generation once, is answered from it, and is labelled with it.
 
-This edge is also where per-request observability lives: every endpoint
-call runs inside a :class:`~repro.obs.context.RequestRecord` (its own when
-the service is driven directly, the front end's otherwise), bumps
-``api_requests_total{endpoint,status}`` and records its latency into
-``api_request_seconds{endpoint}``. All timing goes through the system's
-injectable :class:`~repro.obs.Clock`, so tests can freeze it.
+The service opens no request record and owns no metric:
+:meth:`~repro.serving.frontend.QueryFrontend.dispatch`, the one online
+entry point, records and counts every request, and builds the envelopes
+it refuses or sheds before the service through the same
+:func:`build_envelope`. All timing goes through the system's injectable
+:class:`~repro.obs.Clock`, so tests can freeze it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.errors import (
     StorageError,
     VocabularyError,
 )
-from repro.obs import Observability
+from repro.obs import Clock
 from repro.online.system import EGLSystem
 from repro.resilience import Deadline
 from repro.serving.runtime import ActiveArtifacts
@@ -78,25 +79,6 @@ def error_code(error: ReproError) -> str:
 
 
 @dataclass
-class ExpandRequest:
-    phrases: list[str]
-    depth: int = 2
-    min_score: float = 0.0
-    max_entities: int = 25
-    #: Per-request budget; the runtime sheds expired work with
-    #: ``deadline_exceeded`` rather than finishing late. ``None`` = no limit.
-    timeout_ms: float | None = None
-
-
-@dataclass
-class TargetRequest:
-    entity_ids: list[int]
-    k: int = 50
-    weights: list[float] | None = None
-    timeout_ms: float | None = None
-
-
-@dataclass
 class ApiResponse:
     """Uniform envelope: ``ok`` + payload or error message.
 
@@ -117,11 +99,14 @@ class ApiResponse:
     graph_version: int | None = None
     preference_version: int | None = None
     timestamp: float | None = None
+    #: Set on sheds only: when a retry may succeed.
+    retry_after_ms: float | None = None
 
     def to_dict(self) -> dict:
         """The wire envelope. ``payload`` rides by reference: it was built
-        for this response and nothing else holds it."""
-        return {
+        for this response and nothing else holds it. ``retry_after_ms``
+        appears on sheds only."""
+        envelope = {
             "ok": self.ok,
             "elapsed_ms": self.elapsed_ms,
             "payload": self.payload,
@@ -131,6 +116,57 @@ class ApiResponse:
             "preference_version": self.preference_version,
             "timestamp": self.timestamp,
         }
+        if self.retry_after_ms is not None:
+            envelope["retry_after_ms"] = self.retry_after_ms
+        return envelope
+
+
+def build_envelope(
+    clock: Clock,
+    start: float,
+    active: ActiveArtifacts,
+    payload: dict | None = None,
+    code: str | None = None,
+    error: str | None = None,
+    retry_after_ms: float | None = None,
+) -> ApiResponse:
+    """The one envelope builder: an answer (``code`` ``None``) or a
+    refusal, labelled with ``active``'s versions and timed from ``start``
+    (a ``clock.perf()`` reading)."""
+    return ApiResponse(
+        ok=code is None,
+        elapsed_ms=(clock.perf() - start) * 1000,
+        payload={} if payload is None else payload,
+        error=error,
+        code=code,
+        graph_version=active.graph_version,
+        preference_version=active.preference_version,
+        timestamp=clock.time(),
+        retry_after_ms=retry_after_ms,
+    )
+
+
+# ----------------------------------------------------------------------
+# Validation: one function per endpoint, from the decoded JSON body
+# ----------------------------------------------------------------------
+EXPAND_FIELDS = frozenset({"phrases", "depth", "min_score", "max_entities", "timeout_ms"})
+TARGET_FIELDS = frozenset({"entity_ids", "k", "weights", "timeout_ms"})
+TARGET_BATCH_FIELDS = frozenset({"requests", "timeout_ms"})
+FEEDBACK_FIELDS = frozenset({"seed_entity_id", "chosen_entity_ids"})
+
+
+def _fields(payload, allowed: frozenset, required: tuple[str, ...]) -> dict:
+    """``payload`` as a JSON object holding ``required`` and nothing
+    outside ``allowed``."""
+    if not isinstance(payload, dict):
+        raise ConfigError("request body must be a JSON object")
+    unknown = payload.keys() - allowed
+    if unknown:
+        raise ConfigError(f"unknown fields {sorted(unknown)}; allowed: {sorted(allowed)}")
+    missing = [name for name in required if name not in payload]
+    if missing:
+        raise ConfigError(f"missing fields {missing}")
+    return payload
 
 
 def _is_int(value) -> bool:
@@ -145,31 +181,20 @@ def _is_finite(value) -> bool:
     )
 
 
-def _validate_positive_int(value, name: str) -> None:
+def _positive_int(body: dict, name: str, default: int) -> int:
+    value = body.get(name, default)
     if not _is_int(value) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
-def _validate_timeout(timeout_ms) -> None:
+def _timeout(body: dict) -> float | None:
+    timeout_ms = body.get("timeout_ms")
     if timeout_ms is not None and not (_is_finite(timeout_ms) and timeout_ms > 0):
         raise ConfigError(
             f"timeout_ms must be a positive finite number, got {timeout_ms!r}"
         )
-
-
-def _validate_expand(request: ExpandRequest) -> None:
-    phrases = request.phrases
-    if (
-        not isinstance(phrases, list)
-        or not phrases
-        or not all(isinstance(phrase, str) for phrase in phrases)
-    ):
-        raise ConfigError(f"phrases must be a non-empty list of strings, got {phrases!r}")
-    _validate_positive_int(request.depth, "depth")
-    _validate_positive_int(request.max_entities, "max_entities")
-    if not _is_finite(request.min_score):
-        raise ConfigError(f"min_score must be a finite number, got {request.min_score!r}")
-    _validate_timeout(request.timeout_ms)
+    return timeout_ms
 
 
 def _validate_entity_ids(ids, num_entities: int, name: str) -> None:
@@ -186,247 +211,198 @@ def _validate_entity_ids(ids, num_entities: int, name: str) -> None:
             )
 
 
-def _validate_target(request: TargetRequest, num_entities: int) -> None:
-    _validate_entity_ids(request.entity_ids, num_entities, "entity_ids")
-    _validate_positive_int(request.k, "k")
-    weights = request.weights
+def validate_expand(payload) -> tuple[list[str], int, float, int, float | None]:
+    """``/expand`` body → ``(phrases, depth, min_score, max_entities,
+    timeout_ms)``."""
+    body = _fields(payload, EXPAND_FIELDS, ("phrases",))
+    phrases = body["phrases"]
+    if (
+        not isinstance(phrases, list)
+        or not phrases
+        or not all(isinstance(phrase, str) for phrase in phrases)
+    ):
+        raise ConfigError(f"phrases must be a non-empty list of strings, got {phrases!r}")
+    depth = _positive_int(body, "depth", 2)
+    max_entities = _positive_int(body, "max_entities", 25)
+    min_score = body.get("min_score", 0.0)
+    if not _is_finite(min_score):
+        raise ConfigError(f"min_score must be a finite number, got {min_score!r}")
+    return phrases, depth, min_score, max_entities, _timeout(body)
+
+
+def validate_target(
+    payload, num_entities: int
+) -> tuple[list[int], int, list[float] | None, float | None]:
+    """``/target`` body (or one ``/target_batch`` item) → ``(entity_ids,
+    k, weights, timeout_ms)``."""
+    body = _fields(payload, TARGET_FIELDS, ("entity_ids",))
+    entity_ids = body["entity_ids"]
+    _validate_entity_ids(entity_ids, num_entities, "entity_ids")
+    k = _positive_int(body, "k", 50)
+    weights = body.get("weights")
     if weights is not None:
-        if not isinstance(weights, (list, tuple)) or len(weights) != len(request.entity_ids):
+        if not isinstance(weights, (list, tuple)) or len(weights) != len(entity_ids):
             raise ConfigError("weights must be a list aligned with entity_ids")
         if not all(_is_finite(w) for w in weights):
             raise ConfigError(f"weights must be finite numbers, got {weights!r}")
-    _validate_timeout(request.timeout_ms)
+    return entity_ids, k, weights, _timeout(body)
+
+
+def validate_target_batch(
+    payload, num_entities: int
+) -> tuple[list[list[int]], int, list[list[float] | None], float | None]:
+    """``/target_batch`` body → ``(entity_sets, k, weights, timeout_ms)``.
+
+    The batch runs as one pass, so the strictest budget — the top-level
+    ``timeout_ms`` or any item's — bounds the whole batch.
+    """
+    body = _fields(payload, TARGET_BATCH_FIELDS, ("requests",))
+    items = body["requests"]
+    if not isinstance(items, list):
+        raise ConfigError("requests must be a list of target requests")
+    targets = [validate_target(item, num_entities) for item in items]
+    if not targets:
+        raise ConfigError("need at least one target request")
+    ks = {k for _, k, _, _ in targets}
+    if len(ks) != 1:
+        raise ConfigError("batched target requests must share one k")
+    timeouts = [t for t in [_timeout(body)] + [t for *_, t in targets] if t is not None]
+    return (
+        [ids for ids, _, _, _ in targets],
+        ks.pop(),
+        [weights for _, _, weights, _ in targets],
+        min(timeouts) if timeouts else None,
+    )
+
+
+def validate_feedback(payload, num_entities: int) -> tuple[int, list[int]]:
+    """``/feedback`` body → ``(seed_entity_id, chosen_entity_ids)``."""
+    body = _fields(payload, FEEDBACK_FIELDS, ("seed_entity_id", "chosen_entity_ids"))
+    seed, chosen = body["seed_entity_id"], body["chosen_entity_ids"]
+    _validate_entity_ids([seed], num_entities, "seed_entity_id")
+    _validate_entity_ids(chosen, num_entities, "chosen_entity_ids")
+    return seed, chosen
+
+
+def _audience(result) -> dict:
+    return {
+        "entity_ids": result.entity_ids,
+        "users": [
+            {"user_id": u.user_id, "score": round(u.score, 6)} for u in result.users
+        ],
+    }
 
 
 class EGLService:
-    """Request-level wrapper over a prepared :class:`EGLSystem`."""
+    """Validation plus answer over a prepared :class:`EGLSystem`."""
 
-    def __init__(
-        self,
-        system: EGLSystem,
-        obs: Observability | None = None,
-    ) -> None:
+    def __init__(self, system: EGLSystem) -> None:
         self.system = system
-        self.obs = obs or getattr(system, "obs", None) or Observability()
-        self._perf = self.obs.clock.perf
-        self._requests = self.obs.journeys
-        # Per-endpoint metric handles, resolved once: registry lookups sort
-        # labels and hash keys, which is too much for the warm request path.
-        self._endpoint_obs: dict[str, tuple] = {}
+        self.obs = system.obs
+        self._clock = system.obs.clock
 
     # ------------------------------------------------------------------
-    def _endpoint_bundle(self, endpoint: str) -> tuple:
-        metrics = self.obs.metrics
-        histogram = metrics.histogram(
-            "api_request_seconds", help="End-to-end API request latency",
-            endpoint=endpoint,
-        )
-        ok_counter = metrics.counter(
-            "api_requests_total", help="API requests by endpoint and outcome",
-            endpoint=endpoint, status="ok",
-        )
-        error_counter = metrics.counter(
-            "api_requests_total", help="API requests by endpoint and outcome",
-            endpoint=endpoint, status="error",
-        )
-        if getattr(metrics, "enabled", False):
-            # The ok series is derived at read-out, not incremented per
-            # request: every request observes the latency histogram and
-            # errors increment their counter (observe *before* inc, so
-            # the difference is monotone at every instant), hence
-            # ok = observations - errors. One fewer hot-path mutation.
-            metrics.add_collector(
-                lambda h=histogram, e=error_counter, c=ok_counter: c.set_total(
-                    h.count - e.value
-                )
-            )
-        bundle = (error_counter.inc, histogram.observe)
-        self._endpoint_obs[endpoint] = bundle
-        return bundle
-
-    def _run(self, endpoint: str, fn) -> ApiResponse:
-        """Answer one request: ``fn(active)`` computes its payload from the
-        generation acquired here, which also labels the envelope and the
-        request record."""
-        bundle = self._endpoint_obs.get(endpoint)
-        if bundle is None:
-            bundle = self._endpoint_bundle(endpoint)
-        inc_error, observe_latency = bundle
-        # ``None`` when a front end already opened (and will close) this
-        # request's record, or observability is disabled. A record's own
-        # duration is its opener's layer: opened here it *is* the api call,
-        # opened by the front end the api call is one phase inside it.
-        record = self._requests.open(endpoint)
-        start = self._perf()
+    def _answer(self, answer, payload) -> ApiResponse:
+        """``answer(active, payload)`` computes the payload from the
+        generation acquired here, which also labels the envelope."""
+        start = self._clock.perf()
         active = self.system.runtime.acquire()
         try:
-            payload = fn(active)
+            body = answer(active, payload)
         except ReproError as error:
-            response = self._envelope(
-                start, active, ok=False, error=str(error), code=error_code(error)
+            return build_envelope(
+                self._clock, start, active, code=error_code(error), error=str(error)
             )
-        except BaseException:
-            # Non-ReproError escape: close the record with error status
-            # (which unbinds it), then let the caller see the crash.
-            self._requests.close(record)
-            raise
-        else:
-            response = self._envelope(start, active, ok=True, payload=payload)
-        observe_latency(response.elapsed_ms / 1000)
-        if not response.ok:
-            inc_error()
-        self._requests.close(
-            record, response.ok, response.code,
-            response.graph_version, response.preference_version,
-        )
-        return response
-
-    def _envelope(
-        self,
-        start: float,
-        active: ActiveArtifacts,
-        ok: bool,
-        payload: dict | None = None,
-        error: str | None = None,
-        code: str | None = None,
-    ) -> ApiResponse:
-        clock = self.obs.clock
-        return ApiResponse(
-            ok=ok,
-            elapsed_ms=(clock.perf() - start) * 1000,
-            payload=payload or {},
-            error=error,
-            code=code,
-            graph_version=active.graph_version,
-            preference_version=active.preference_version,
-            timestamp=clock.time(),
-        )
+        return build_envelope(self._clock, start, active, body)
 
     def _deadline(self, timeout_ms: float | None) -> Deadline | None:
         if timeout_ms is None:
             return None
-        return Deadline.after(timeout_ms / 1000, clock=self.obs.clock)
+        return Deadline.after(timeout_ms / 1000, clock=self._clock)
 
     # ------------------------------------------------------------------
-    def expand(self, request: ExpandRequest) -> ApiResponse:
+    def expand(self, payload: dict) -> ApiResponse:
         """Phrase → k-hop subgraph, as plain dicts (Fig. 6 steps 1-2)."""
+        return self._answer(self._expand, payload)
 
-        def run(active: ActiveArtifacts) -> dict:
-            _validate_expand(request)
-            view = self.system.runtime.expand(
-                active,
-                request.phrases,
-                depth=request.depth,
-                min_score=request.min_score,
-                deadline=self._deadline(request.timeout_ms),
-            )
-            return {
-                "seeds": view.seeds,
-                "entities": [
-                    {
-                        "entity_id": e.entity_id,
-                        "name": e.name,
-                        "type": e.type_name,
-                        "hop": e.hop,
-                        "score": round(e.score, 6),
-                        "path": e.path,
-                    }
-                    for e in view.top(request.max_entities)
-                ],
-            }
+    def _expand(self, active: ActiveArtifacts, payload) -> dict:
+        phrases, depth, min_score, max_entities, timeout_ms = validate_expand(payload)
+        view = self.system.runtime.expand(
+            active,
+            phrases,
+            depth=depth,
+            min_score=min_score,
+            deadline=self._deadline(timeout_ms),
+        )
+        return {
+            "seeds": view.seeds,
+            "entities": [
+                {
+                    "entity_id": e.entity_id,
+                    "name": e.name,
+                    "type": e.type_name,
+                    "hop": e.hop,
+                    "score": round(e.score, 6),
+                    "path": e.path,
+                }
+                for e in view.top(max_entities)
+            ],
+        }
 
-        return self._run("expand", run)
-
-    def target(self, request: TargetRequest) -> ApiResponse:
+    def target(self, payload: dict) -> ApiResponse:
         """Chosen entities → exported audience (Fig. 6 step 3)."""
+        return self._answer(self._target, payload)
 
-        def run(active: ActiveArtifacts) -> dict:
-            _validate_target(request, self.system.world.num_entities)
-            result = self.system.runtime.target(
-                active,
-                request.entity_ids,
-                k=request.k,
-                weights=request.weights,
-                deadline=self._deadline(request.timeout_ms),
-            )
-            return {
-                "entity_ids": result.entity_ids,
-                "users": [
-                    {"user_id": u.user_id, "score": round(u.score, 6)}
-                    for u in result.users
-                ],
-            }
+    def _target(self, active: ActiveArtifacts, payload) -> dict:
+        entity_ids, k, weights, timeout_ms = validate_target(
+            payload, self.system.world.num_entities
+        )
+        result = self.system.runtime.target(
+            active, entity_ids, k=k, weights=weights,
+            deadline=self._deadline(timeout_ms),
+        )
+        return _audience(result)
 
-        return self._run("target", run)
-
-    def target_batch(self, requests: list[TargetRequest]) -> ApiResponse:
+    def target_batch(self, payload: dict) -> ApiResponse:
         """Many entity sets → one vectorized scoring pass (bulk export)."""
+        return self._answer(self._target_batch, payload)
 
-        def run(active: ActiveArtifacts) -> dict:
-            for request in requests:
-                _validate_target(request, self.system.world.num_entities)
-            if not requests:
-                raise ConfigError("need at least one target request")
-            ks = {request.k for request in requests}
-            if len(ks) != 1:
-                raise ConfigError("batched target requests must share one k")
-            # The batch runs as one pass, so the strictest request budget
-            # bounds the whole batch.
-            timeouts = [r.timeout_ms for r in requests if r.timeout_ms is not None]
-            results = self.system.runtime.target_batch(
-                active,
-                [request.entity_ids for request in requests],
-                k=ks.pop(),
-                weights=[request.weights for request in requests],
-                deadline=self._deadline(min(timeouts) if timeouts else None),
-            )
-            return {
-                "results": [
-                    {
-                        "entity_ids": result.entity_ids,
-                        "users": [
-                            {"user_id": u.user_id, "score": round(u.score, 6)}
-                            for u in result.users
-                        ],
-                    }
-                    for result in results
-                ],
-            }
+    def _target_batch(self, active: ActiveArtifacts, payload) -> dict:
+        entity_sets, k, weights, timeout_ms = validate_target_batch(
+            payload, self.system.world.num_entities
+        )
+        results = self.system.runtime.target_batch(
+            active, entity_sets, k=k, weights=weights,
+            deadline=self._deadline(timeout_ms),
+        )
+        return {"results": [_audience(result) for result in results]}
 
-        return self._run("target_batch", run)
-
-    def record_feedback(self, seed_entity_id: int, chosen_entity_ids: list[int]) -> ApiResponse:
+    def record_feedback(self, payload: dict) -> ApiResponse:
         """Marketer kept these entities (§II-B feedback loop)."""
+        return self._answer(self._record_feedback, payload)
 
-        def run(active: ActiveArtifacts) -> dict:
-            num_entities = self.system.world.num_entities
-            _validate_entity_ids([seed_entity_id], num_entities, "seed_entity_id")
-            _validate_entity_ids(chosen_entity_ids, num_entities, "chosen_entity_ids")
-            self.system.record_choice(seed_entity_id, chosen_entity_ids)
-            return {"recorded": len(self.system.feedback)}
-
-        return self._run("feedback", run)
+    def _record_feedback(self, active: ActiveArtifacts, payload) -> dict:
+        seed, chosen = validate_feedback(payload, self.system.world.num_entities)
+        self.system.record_choice(seed, chosen)
+        return {"recorded": len(self.system.feedback)}
 
     def health(self) -> ApiResponse:
         """Liveness + loaded artefacts + a full metrics snapshot."""
-
-        def run(active: ActiveArtifacts) -> dict:
-            weeks = len(self.system.pipeline.weekly_runs)
-            runtime_health = self.system.runtime.health()
-            return {
-                "weekly_runs": weeks,
-                "preferences_ready": runtime_health["preferences_ready"],
-                "ensemble_ready": self.system.pipeline.ensemble is not None,
-                "quarantined": list(self.system.registry.quarantined),
-                "runtime": runtime_health,
-                "artifacts": {
-                    kind: [r.to_dict() for r in self.system.registry.records(kind)]
-                    for kind in ("graph", "preferences")
-                },
-                "metrics": self.obs.metrics.snapshot(),
-            }
-
-        return self._run("health", run)
+        start = self._clock.perf()
+        active = self.system.runtime.acquire()
+        runtime_health = self.system.runtime.health()
+        return build_envelope(self._clock, start, active, {
+            "weekly_runs": len(self.system.pipeline.weekly_runs),
+            "preferences_ready": runtime_health["preferences_ready"],
+            "ensemble_ready": self.system.pipeline.ensemble is not None,
+            "quarantined": list(self.system.registry.quarantined),
+            "runtime": runtime_health,
+            "artifacts": {
+                kind: [r.to_dict() for r in self.system.registry.records(kind)]
+                for kind in ("graph", "preferences")
+            },
+            "metrics": self.obs.metrics.snapshot(),
+        })
 
     def metrics_text(self) -> str:
         """The ``/metrics``-equivalent Prometheus text exposition."""

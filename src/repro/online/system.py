@@ -15,9 +15,12 @@ publishes and serves.
 Both producers end by *publishing* their output to the
 :class:`~repro.serving.ArtifactRegistry` and hot-swapping it into the
 :class:`~repro.serving.ServingRuntime` — the facade itself holds no live
-serving state. The online path (``expand`` → ``record_choice`` →
-``target_users``) delegates to the runtime, which serves from immutable,
-version-pinned artifacts behind a read-through expansion cache.
+serving state and answers no query. The online path reads
+``system.runtime``: a request acquires the active generation once
+(``runtime.acquire()``) and is answered from it, through
+:meth:`~repro.serving.frontend.QueryFrontend.dispatch` or
+:func:`~repro.online.targeting.target_users_for_phrases`. Marketer
+choices come back through :meth:`EGLSystem.record_choice`.
 """
 
 from __future__ import annotations
@@ -30,14 +33,12 @@ import numpy as np
 
 from repro.datasets.behavior import BehaviorLog
 from repro.datasets.world import World
-from repro.errors import DriftGateError, NotFittedError, StorageError
+from repro.errors import DriftGateError, StorageError
 from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability, ResourceAccountant
 from repro.online.feedback import FeedbackRecorder
-from repro.online.reasoning import ExpansionView, GraphReasoner
-from repro.online.targeting import TargetingResult
-from repro.preference.store import PreferenceStore
-from repro.resilience import Deadline, FaultInjector, RetryPolicy
+from repro.online.reasoning import GraphReasoner
+from repro.resilience import FaultInjector, RetryPolicy
 from repro.serving import ArtifactRecord, ArtifactRegistry, ServingRuntime
 from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
 from repro.trmp.stage_worker import StageWorker, reject
@@ -314,84 +315,8 @@ class EGLSystem:
         return self.runtime.rollback(kind)
 
     # ------------------------------------------------------------------
-    # Online stage (delegates to the serving runtime)
+    # Marketer feedback (the weekly refresh trains on it)
     # ------------------------------------------------------------------
-    @property
-    def reasoner(self) -> GraphReasoner:
-        return self.runtime.acquire().require_reasoner()
-
-    def expand(
-        self,
-        phrases: list[str],
-        depth: int = 2,
-        min_score: float = 0.0,
-        deadline: Deadline | None = None,
-    ) -> ExpansionView:
-        """Marketer request: show the k-hop subgraph around the phrases."""
-        return self.runtime.expand(
-            self.runtime.acquire(), phrases, depth=depth, min_score=min_score, deadline=deadline
-        )
-
     def record_choice(self, seed_entity_id: int, chosen_entity_ids: list[int]) -> None:
         """Marketer kept these entities — high-confidence feedback (§II-B)."""
         self.feedback.record_expansion_choice(seed_entity_id, chosen_entity_ids)
-
-    def target_users(
-        self,
-        entity_ids: list[int],
-        k: int = 50,
-        weights: list[float] | None = None,
-        deadline: Deadline | None = None,
-    ) -> TargetingResult:
-        """Export the top-K users for the chosen entities (Fig. 6 step 3)."""
-        return self.runtime.target(
-            self.runtime.acquire(), entity_ids, k=k, weights=weights, deadline=deadline
-        )
-
-    def target_users_batch(
-        self,
-        entity_sets: list[list[int]],
-        k: int = 50,
-        weights: list[list[float] | None] | None = None,
-        deadline: Deadline | None = None,
-    ) -> list[TargetingResult]:
-        """Batched export: many entity sets scored in one vectorized pass."""
-        return self.runtime.target_batch(
-            self.runtime.acquire(), entity_sets, k=k, weights=weights, deadline=deadline
-        )
-
-    def target_users_for_phrases(
-        self,
-        phrases: list[str],
-        depth: int = 2,
-        k: int = 50,
-        min_score: float = 0.0,
-        max_entities: int | None = 15,
-        deadline: Deadline | None = None,
-    ) -> tuple[ExpansionView, TargetingResult]:
-        """The full cold-start flow: phrases → expansion → top-K users.
-
-        The expansion's relevance scores weight each entity's contribution,
-        and only the ``max_entities`` most relevant entities are used —
-        mirroring a marketer keeping the best suggestions rather than the
-        whole k-hop frontier. Both steps serve from one generation. The
-        deadline is re-checked before scoring, so a slow expansion sheds the
-        (more expensive) scoring pass instead of starting it with a spent
-        budget.
-        """
-        active = self.runtime.acquire()
-        view = self.runtime.expand(
-            active, phrases, depth=depth, min_score=min_score, deadline=deadline
-        )
-        chosen = view.entities if max_entities is None else view.entities[:max_entities]
-        weights = [e.score for e in chosen]
-        return view, self.runtime.target(
-            active, [e.entity_id for e in chosen], k=k, weights=weights, deadline=deadline
-        )
-
-    @property
-    def preference_store(self) -> PreferenceStore:
-        store = self.runtime.acquire().preference_store
-        if store is None:
-            raise NotFittedError("daily_preference_refresh has not run yet")
-        return store

@@ -9,18 +9,25 @@ Scoring runs under :func:`repro.tensor.no_grad`: the read path is
 inference-only and must never record autograd state. ``target_batch``
 scores many entity sets in one vectorized pass — the shape the runtime
 uses when a burst of requests (or one request per campaign variant)
-arrives together.
+arrives together. :func:`target_users_for_phrases` is the whole cold-start
+flow (phrases → expansion → audience) over one acquired generation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.obs.context import phase
+from repro.online.reasoning import ExpansionView
 from repro.preference.store import PreferenceStore, UserScore
+from repro.resilience import Deadline
 from repro.tensor import no_grad
+
+if TYPE_CHECKING:
+    from repro.serving.runtime import ActiveArtifacts
 
 
 @dataclass
@@ -89,3 +96,33 @@ class UserTargeting:
                 )
                 for ids, users in zip(entity_sets, per_set)
             ]
+
+
+def target_users_for_phrases(
+    active: ActiveArtifacts,
+    phrases: list[str],
+    depth: int = 2,
+    k: int = 50,
+    min_score: float = 0.0,
+    max_entities: int | None = 15,
+    deadline: Deadline | None = None,
+) -> tuple[ExpansionView, TargetingResult]:
+    """The full cold-start flow over one generation (``runtime.acquire()``):
+    phrases → expansion → top-K users.
+
+    The expansion's relevance scores weight each entity's contribution,
+    and only the ``max_entities`` most relevant entities are used —
+    mirroring a marketer keeping the best suggestions rather than the
+    whole k-hop frontier. The deadline is checked before each step, so a
+    slow expansion sheds the (more expensive) scoring pass instead of
+    starting it with a spent budget.
+    """
+    if deadline is not None:
+        deadline.check("expand")
+    view = active.require_reasoner().expand(phrases, depth=depth, min_score=min_score)
+    chosen = view.entities if max_entities is None else view.entities[:max_entities]
+    if deadline is not None:
+        deadline.check("target")
+    return view, active.require_targeting().target(
+        [e.entity_id for e in chosen], k, weights=[e.score for e in chosen]
+    )

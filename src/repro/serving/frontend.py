@@ -1,13 +1,21 @@
-"""The one HTTP listener: admission control, backpressure, drain, telemetry.
+"""The one HTTP listener and the one online entry point.
 
 The paper's online stage answers "heavy traffic from millions of users";
 everything below this module already serves one request correctly — this
 module makes *many at once* safe. A :class:`QueryFrontend` drives an
 :class:`~repro.online.api.EGLService` from a thread pool (stdlib
-``ThreadingHTTPServer``): POST queries go through :meth:`dispatch`,
-GET/HEAD requests render the service's telemetry routes (``/metrics``,
-``/health``, …, plus ``/frontend``), and every response leaves through one
-responder in one socket write. Queries run behind an
+``ThreadingHTTPServer``): every POST — also one whose body or route the
+listener refuses — goes through :meth:`QueryFrontend.dispatch`, GET/HEAD
+requests render the service's telemetry routes (``/metrics``,
+``/health``, …, plus ``/frontend``) and open no request record, and every
+response leaves through one responder in one socket write.
+
+``dispatch`` alone opens and closes the request's
+:class:`~repro.obs.context.RequestRecord`, counts the request once in
+``requests_total{endpoint,code}`` (``code`` ``ok`` when served) and times
+it in ``request_seconds{endpoint}``. The service validates and answers;
+the envelopes ``dispatch`` refuses or sheds itself come from the same
+:func:`~repro.online.api.build_envelope`. Queries run behind an
 :class:`AdmissionController` that enforces:
 
 * **token-style concurrency** — at most ``max_concurrency`` requests
@@ -65,8 +73,7 @@ from repro.online.api import (
     JSON_CONTENT_TYPE,
     ApiResponse,
     EGLService,
-    ExpandRequest,
-    TargetRequest,
+    build_envelope,
     error_code,
 )
 from repro.resilience import Deadline
@@ -87,6 +94,17 @@ HTTP_STATUS_BY_CODE: dict = {
     "not_ready": 503,
     "deadline_exceeded": 504,
 }
+
+
+
+def _decode(raw: bytes):
+    """A POST body → its JSON value (``{}`` when empty), or the
+    :class:`~repro.errors.ConfigError` that refuses it."""
+    try:
+        return json.loads(raw.decode("utf-8")) if raw.strip() else {}
+    except (ValueError, UnicodeDecodeError) as error:
+        return ConfigError(f"bad JSON body: {error}")
+
 
 def http_status(code: str | None) -> int:
     """HTTP status for one envelope code (500 for unmapped fault codes)."""
@@ -225,26 +243,25 @@ def _route_path(handler: BaseHTTPRequestHandler) -> str:
     return handler.path.split("?", 1)[0].rstrip("/") or "/"
 
 
-def _build(cls, payload: dict):
-    """Payload dict → request dataclass; unknown keys are caller errors."""
-    if not isinstance(payload, dict):
-        raise ConfigError("request body must be a JSON object")
-    try:
-        return cls(**payload)
-    except TypeError as error:
-        raise ConfigError(f"bad request fields: {error}") from None
-
-
 class QueryFrontend:
     """Thread-pooled query surface over one :class:`EGLService`.
 
-    :meth:`dispatch` is the transport-free core — benchmarks and tests
+    :meth:`dispatch` is the one online entry point — benchmarks and tests
     drive it directly from threads; the HTTP listener is a thin wrapper
-    that JSON-decodes bodies, maps envelopes to statuses/headers and
-    serves the service's telemetry routes to GET/HEAD.
+    that reads and JSON-decodes bodies, hands every POST to it, maps
+    envelopes to statuses/headers and serves the service's telemetry
+    routes to GET/HEAD.
     """
 
-    POST_ENDPOINTS = ("expand", "target", "target_batch", "feedback")
+    #: POST endpoint → the :class:`EGLService` method that answers it,
+    #: looked up per request (so a class-level wrapper sees every call).
+    ANSWERS = {
+        "expand": "expand",
+        "target": "target",
+        "target_batch": "target_batch",
+        "feedback": "record_feedback",
+    }
+    POST_ENDPOINTS = tuple(ANSWERS)
 
     def __init__(
         self,
@@ -259,7 +276,7 @@ class QueryFrontend:
         self.admission = AdmissionController(max_concurrency, max_queue, queue_timeout)
         self._clock = service.obs.clock
         self._perf = self._clock.perf
-        self._requests = service.obs.journeys
+        self._journeys = service.obs.journeys
         self._host = host
         self._requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
@@ -270,82 +287,49 @@ class QueryFrontend:
             "frontend_queue_wait_seconds",
             help="Time requests spent waiting for an execution token",
         )
-        self._request_counters: dict[tuple[str, str], object] = {}
-        self._shed_counters: dict[str, object] = {}
+        # Series handles resolved once per label set: registry lookups
+        # sort labels and hash keys, too much for the warm request path.
+        self._request_counters: dict[tuple[str, str | None], object] = {}
+        self._latency: dict[str, object] = {}
         self._http_counters: dict[tuple[str, int], object] = {}
         self._metrics = metrics
         metrics.add_collector(self._collect)
-        self._handlers = {
-            "expand": lambda p: self.service.expand(_build(ExpandRequest, p)),
-            "target": lambda p: self.service.target(_build(TargetRequest, p)),
-            "target_batch": self._handle_target_batch,
-            "feedback": self._handle_feedback,
-        }
         self._get_routes = dict(service.telemetry_routes())
         self._get_routes["/frontend"] = lambda: (
             JSON_CONTENT_TYPE, json.dumps(self.stats())
         )
-        # The only values the request counter's ``path`` label takes.
-        self._known_paths = frozenset(self._get_routes) | {
-            f"/{endpoint}" for endpoint in self.POST_ENDPOINTS
-        }
-
-    # ------------------------------------------------------------------
-    # Payload handlers
-    # ------------------------------------------------------------------
-    def _handle_target_batch(self, payload: dict):
-        if not isinstance(payload, dict) or not isinstance(payload.get("requests"), list):
-            raise ConfigError("target_batch body needs a 'requests' list")
-        return self.service.target_batch(
-            [_build(TargetRequest, item) for item in payload["requests"]]
-        )
-
-    def _handle_feedback(self, payload: dict):
-        if not isinstance(payload, dict):
-            raise ConfigError("request body must be a JSON object")
-        try:
-            seed = payload["seed_entity_id"]
-            chosen = payload["chosen_entity_ids"]
-        except KeyError:
-            raise ConfigError(
-                "feedback body needs seed_entity_id and chosen_entity_ids"
-            ) from None
-        # The service checks that both name entities.
-        return self.service.record_feedback(seed, chosen)
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _count_request(self, endpoint: str, outcome: str) -> None:
-        counter = self._request_counters.get((endpoint, outcome))
-        if counter is None:
-            counter = self._metrics.counter(
-                "frontend_requests_total",
-                help="Front-end requests by endpoint and admission outcome",
-                endpoint=endpoint, outcome=outcome,
-            )
-            self._request_counters[(endpoint, outcome)] = counter
-        counter.inc()
-
-    def _count_shed(self, reason: str) -> None:
-        counter = self._shed_counters.get(reason)
-        if counter is None:
-            counter = self._metrics.counter(
-                "frontend_shed_total",
-                help="Front-end requests shed by admission control",
-                reason=reason,
-            )
-            self._shed_counters[reason] = counter
-        counter.inc()
+    def _observe_request(self, endpoint: str, code: str | None, seconds: float) -> None:
+        """One POST: ``requests_total{endpoint,code}`` (``ok`` when served)
+        and ``request_seconds{endpoint}``."""
+        if endpoint not in self.ANSWERS:
+            endpoint = "other"  # a port scan must not mint a series per probe
+        inc = self._request_counters.get((endpoint, code))
+        if inc is None:
+            inc = self._request_counters[(endpoint, code)] = self._metrics.counter(
+                "requests_total", help="POST requests by endpoint and envelope code",
+                endpoint=endpoint, code=code or "ok",
+            ).inc
+        inc()
+        observe = self._latency.get(endpoint)
+        if observe is None:
+            observe = self._latency[endpoint] = self._metrics.histogram(
+                "request_seconds", help="POST request latency, dispatch to envelope",
+                endpoint=endpoint,
+            ).observe
+        observe(seconds)
 
     def _count_http(self, path: str, status: int) -> None:
-        if path not in self._known_paths:
+        if path not in self._get_routes:
             path = "other"  # a port scan must not mint a series per probe
         counter = self._http_counters.get((path, status))
         if counter is None:
             counter = self._metrics.counter(
                 "frontend_http_requests_total",
-                help="Requests answered by the listener, by path and status",
+                help="GET/HEAD requests answered by the listener, by path and status",
                 path=path, status=str(status),
             )
             self._http_counters[(path, status)] = counter
@@ -364,39 +348,48 @@ class QueryFrontend:
         ).set(1.0 if snap["draining"] else 0.0)
 
     # ------------------------------------------------------------------
-    # Dispatch (the transport-free core)
+    # Dispatch (the one online entry point)
     # ------------------------------------------------------------------
-    def dispatch(self, endpoint: str, payload: dict) -> tuple[int, dict]:
+    def dispatch(self, endpoint: str, payload) -> tuple[int, dict]:
         """Run one request through admission + service; returns
         ``(http_status, envelope_dict)``.
 
-        Opens the request's :class:`~repro.obs.context.RequestRecord` and
-        closes it on every outcome — served, refused, shed or crashed — so
-        ``/journeys`` shows the requests that never reached the service
-        too. Shed envelopes mirror the
-        :class:`~repro.online.api.ApiResponse` shape
-        (``ok``/``code``/versions/timestamp) plus ``retry_after_ms`` so a
-        shed is indistinguishable from any other envelope to parse, and
-        explicitly retryable.
+        Opens the request's :class:`~repro.obs.context.RequestRecord`,
+        counts the request once, and closes the record on every outcome —
+        served, refused, shed or crashed — so ``/journeys`` shows the
+        requests that never reached the service too. ``payload`` is the
+        decoded JSON body, or the :class:`~repro.errors.ReproError` the
+        listener refused the body with. Every envelope, shed ones included,
+        comes from :func:`~repro.online.api.build_envelope`; a shed also
+        carries ``retry_after_ms``, so it is explicitly retryable.
         """
-        record = self._requests.open(endpoint)
-        try:
-            status, envelope = self._serve(endpoint, payload)
-        except BaseException:
-            self._requests.close(record)
-            raise
-        self._requests.close(
-            record, envelope["ok"], envelope["code"],
-            envelope["graph_version"], envelope["preference_version"],
-        )
-        return (status, envelope)
-
-    def _serve(self, endpoint: str, payload: dict) -> tuple[int, dict]:
+        record = self._journeys.open(endpoint)
         start = self._perf()
-        handler = self._handlers.get(endpoint)
-        if handler is None:
-            return self._error(endpoint, start, "invalid_argument",
-                               f"unknown endpoint {endpoint!r}")
+        try:
+            response = self._respond(endpoint, payload, start)
+            with phase("to_dict"):
+                envelope = response.to_dict()
+        except BaseException:
+            # Counted and closed as the record's default, ``internal``.
+            self._observe_request(endpoint, "internal", self._perf() - start)
+            self._journeys.close(record)
+            raise
+        code = response.code
+        self._observe_request(endpoint, code, self._perf() - start)
+        self._journeys.close(
+            record, response.ok, code, response.graph_version, response.preference_version,
+        )
+        return (http_status(code), envelope)
+
+    def _respond(self, endpoint: str, payload, start: float) -> ApiResponse:
+        if isinstance(payload, ReproError):
+            return self._refuse(start, error_code(payload), str(payload))
+        method = self.ANSWERS.get(endpoint)
+        if method is None:
+            return self._refuse(
+                start, "invalid_argument",
+                f"no POST route {endpoint!r}; endpoints: {list(self.POST_ENDPOINTS)}",
+            )
         deadline = self._request_deadline(payload)
         max_wait = None
         if deadline is not None:
@@ -407,39 +400,36 @@ class QueryFrontend:
             self._queue_wait_hist.observe(waited)
             annotate(queue_wait_ms=waited * 1000)
         if not admitted:
-            self._count_request(endpoint, "shed")
-            self._count_shed(reason)
-            return self._error(
-                endpoint, start, reason, f"request shed: {reason}",
-                retry_after=self._retry_after(reason),
+            return self._refuse(
+                start, reason, f"request shed: {reason}", self._retry_after(reason)
             )
         try:
             if deadline is not None:
                 if deadline.expired:
                     # The whole budget went to queueing; shed without
                     # touching the runtime.
-                    self._count_request(endpoint, "shed")
-                    self._count_shed("deadline_exceeded")
-                    return self._error(
-                        endpoint, start, "deadline_exceeded",
-                        "deadline expired while queued",
-                        retry_after=self._retry_after("queue_timeout"),
+                    return self._refuse(
+                        start, "deadline_exceeded", "deadline expired while queued",
+                        self._retry_after("queue_timeout"),
                     )
                 # The backend gets only the remaining budget.
                 payload = dict(payload)
                 payload["timeout_ms"] = max(deadline.remaining() * 1000, 0.001)
-            try:
-                with phase("api"):
-                    response = handler(payload)
-            except ReproError as error:
-                self._count_request(endpoint, "admitted")
-                return self._error(endpoint, start, error_code(error), str(error))
-            self._count_request(endpoint, "admitted")
-            with phase("to_dict"):
-                envelope = response.to_dict()
-            return (http_status(response.code), envelope)
+            with phase("api"):
+                return getattr(self.service, method)(payload)
         finally:
             self.admission.release()
+
+    def _refuse(
+        self, start: float, code: str, message: str, retry_after: float | None = None
+    ) -> ApiResponse:
+        """An envelope for a request the service never answered, labelled
+        with the generation serving now."""
+        return build_envelope(
+            self._clock, start, self.service.system.runtime.acquire(),
+            code=code, error=message,
+            retry_after_ms=None if retry_after is None else round(retry_after * 1000, 3),
+        )
 
     def _request_deadline(self, payload) -> Deadline | None:
         timeout_ms = payload.get("timeout_ms") if isinstance(payload, dict) else None
@@ -458,28 +448,6 @@ class QueryFrontend:
         # A queue slot frees within roughly one queue_timeout once load
         # falls; never advertise less than 50ms (retry stampede).
         return max(0.05, self.admission.queue_timeout)
-
-    def _error(
-        self,
-        endpoint: str,
-        start: float,
-        code: str,
-        message: str,
-        retry_after: float | None = None,
-    ) -> tuple[int, dict]:
-        active = self.service.system.runtime.acquire()
-        envelope = ApiResponse(
-            ok=False,
-            elapsed_ms=(self._perf() - start) * 1000,
-            error=message,
-            code=code,
-            graph_version=active.graph_version,
-            preference_version=active.preference_version,
-            timestamp=self._clock.time(),
-        ).to_dict()
-        if retry_after is not None:
-            envelope["retry_after_ms"] = round(retry_after * 1000, 3)
-        return (http_status(code), envelope)
 
     # ------------------------------------------------------------------
     # Stats
@@ -576,9 +544,7 @@ class QueryFrontend:
 
     # ------------------------------------------------------------------
     def _handle_post(self, handler: BaseHTTPRequestHandler) -> None:
-        path = _route_path(handler)
-        endpoint = path.lstrip("/")
-        start = self._perf()
+        endpoint = _route_path(handler).lstrip("/") or "/"
         try:
             length = int(handler.headers.get("Content-Length") or 0)
         except ValueError:
@@ -588,29 +554,17 @@ class QueryFrontend:
             # would be parsed as the next request line, so this
             # connection ends with the refusal.
             handler.close_connection = True
-            _, envelope = self._error(
-                endpoint or "/", start, "invalid_argument",
-                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]",
+            payload = ConfigError(
+                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]"
             )
-            status = 413 if length > MAX_BODY_BYTES else 400
         else:
             # Consumed before routing: an unknown route must not leave its
             # body behind on a keep-alive connection either.
             raw = handler.rfile.read(length)
-            if endpoint not in self.POST_ENDPOINTS:
-                status, envelope = self._error(
-                    endpoint or "/", start, "invalid_argument",
-                    f"no POST route {path!r}; endpoints: {list(self.POST_ENDPOINTS)}",
-                )
-            else:
-                try:
-                    payload = json.loads(raw.decode("utf-8")) if raw.strip() else {}
-                except (ValueError, UnicodeDecodeError) as error:
-                    status, envelope = self._error(
-                        endpoint, start, "invalid_argument", f"bad JSON body: {error}"
-                    )
-                else:
-                    status, envelope = self.dispatch(endpoint, payload)
+            payload = _decode(raw) if endpoint in self.ANSWERS else None
+        status, envelope = self.dispatch(endpoint, payload)
+        if length > MAX_BODY_BYTES:
+            status = 413
         extra_headers = []
         retry_after_ms = envelope.get("retry_after_ms")
         if retry_after_ms is not None:
@@ -640,6 +594,7 @@ class QueryFrontend:
                 body = json.dumps(
                     {"error": f"{type(error).__name__}: {error}", "code": "internal"}
                 )
+        self._count_http(path, status)
         self._send(handler, status, content_type, body)
 
     def _send(
@@ -650,15 +605,13 @@ class QueryFrontend:
         body: "str | bytes",
         extra_headers=(),
     ) -> None:
-        """The one responder: count the request, then emit status line,
-        headers and body.
+        """The one responder: status line, headers and body.
 
         ``Content-Length`` always states the body a GET would carry, also
         on HEAD responses where the body itself is omitted (RFC 9110).
         Headers and body still leave in two writes, as before the
         listeners were merged; ROADMAP item 1(a) makes them one.
         """
-        self._count_http(_route_path(handler), status)
         payload = body.encode("utf-8") if isinstance(body, str) else body
         handler.send_response(status)
         handler.send_header("Content-Type", content_type)

@@ -72,29 +72,25 @@ class ArtifactRecord:
     """One immutable published artifact: what it is and where it lives.
 
     ``path`` is the artifact directory and ``checksum`` the digest of its
-    ``meta.json``. ``format`` is ``"csr"`` or ``"memmap"``, kept as written
-    in existing manifests.
+    ``meta.json``. A manifest written with the retired ``source`` /
+    ``format`` keys still loads: :meth:`from_dict` reads the keys it knows.
     """
 
     kind: str
     version: int
     tag: str
-    source: str  # "csr" | "file"
     path: str
     edges: int | None = None
     checksum: str | None = None
-    format: str | None = None
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "version": self.version,
             "tag": self.tag,
-            "source": self.source,
             "path": self.path,
             "edges": self.edges,
             "checksum": self.checksum,
-            "format": self.format,
         }
 
     @classmethod
@@ -103,11 +99,9 @@ class ArtifactRecord:
             kind=data["kind"],
             version=int(data["version"]),
             tag=data["tag"],
-            source=data["source"],
             path=data["path"],
             edges=data.get("edges"),
             checksum=data.get("checksum"),
-            format=data.get("format"),
         )
 
 
@@ -174,8 +168,8 @@ class ArtifactRegistry:
         return self._append(
             ArtifactRecord(
                 kind=KIND_GRAPH, version=version, tag=tag or f"graph-v{version}",
-                source="csr", path=str(directory), edges=graph.num_edges,
-                checksum=csr_meta_digest(directory), format="csr",
+                path=str(directory), edges=graph.num_edges,
+                checksum=csr_meta_digest(directory),
             )
         )
 
@@ -211,9 +205,8 @@ class ArtifactRegistry:
         return self._append(
             ArtifactRecord(
                 kind=KIND_PREFERENCES, version=slot.version, tag=slot.tag,
-                source="file", path=str(slot.directory),
+                path=str(slot.directory),
                 checksum=file_digest(slot.directory / "meta.json"),
-                format="memmap",
             )
         )
 

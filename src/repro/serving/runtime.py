@@ -496,7 +496,7 @@ class ServingRuntime:
             if cached is not None:
                 # Hits are not sampled into a histogram: their counts come
                 # from the cache's own counters (collected at read-out) and
-                # their latency is inside api_request_seconds.
+                # their latency is inside request_seconds.
                 if record is not None:
                     record.cache, record.hops = "hit", cached.hop_sizes
                 return cached

@@ -15,6 +15,7 @@ import numpy as np
 from repro.datasets.world import World
 from repro.errors import ConfigError
 from repro.online.system import EGLSystem
+from repro.online.targeting import target_users_for_phrases
 from repro.rng import ensure_rng
 from repro.simulation.baselines import RuleBasedTargeting
 from repro.simulation.conversion import ConversionModel, ExposureOutcome
@@ -72,8 +73,8 @@ class ABTestHarness:
         import time
 
         start = time.perf_counter()
-        _, egl_result = self.system.target_users_for_phrases(
-            service.phrases, depth=depth, k=audience_size
+        _, egl_result = target_users_for_phrases(
+            self.system.runtime.acquire(), service.phrases, depth=depth, k=audience_size
         )
         egl_time = time.perf_counter() - start
 

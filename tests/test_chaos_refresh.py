@@ -19,7 +19,7 @@ from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.errors import CorruptArtifactError
 from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
-from repro.online import EGLSystem
+from repro.online import EGLSystem, target_users_for_phrases
 from repro.online.system import graph_digest
 from repro.resilience import FaultInjector, InjectedCrash, RetryPolicy
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
@@ -162,7 +162,8 @@ def test_good_daily_activates_after_three_corrupt_ones(
     system = make_system(chaos_world, tmp_path)
     system.weekly_refresh(chaos_events)
     system.daily_preference_refresh(chaos_events)
-    served = system.target_users([0, 1, 2], k=5).users
+    runtime = system.runtime
+    served = runtime.target(runtime.acquire(), [0, 1, 2], k=5).users
     open_preferences = system.registry.open_preferences
     cut = []
 
@@ -176,7 +177,7 @@ def test_good_daily_activates_after_three_corrupt_ones(
     for attempt in range(3):
         assert system.daily_preference_refresh(chaos_events) > 0
         assert system.runtime.versions()["preference_version"] == 1
-        assert system.target_users([0, 1, 2], k=5).users == served
+        assert runtime.target(runtime.acquire(), [0, 1, 2], k=5).users == served
         assert system.registry.latest("preferences").version == 1
         refused = system.registry.quarantined[attempt]
         assert refused["kind"] == "preferences" and refused["version"] == cut[attempt]
@@ -269,7 +270,9 @@ def test_artifact_torn_between_publish_and_open_never_serves(
     system.weekly_refresh(chaos_events)
     system.daily_preference_refresh(chaos_events)
     phrase = max(chaos_world.entities, key=lambda e: e.popularity).name
-    view, result = system.target_users_for_phrases([phrase], depth=2, k=10)
+    view, result = target_users_for_phrases(
+        system.runtime.acquire(), [phrase], depth=2, k=10
+    )
     assert view.entities and result.users
 
     def torn(publish, array):
@@ -296,7 +299,9 @@ def test_artifact_torn_between_publish_and_open_never_serves(
     assert [(q["kind"], q["version"]) for q in registry.quarantined] == [
         ("preferences", 2), ("graph", 2),
     ]
-    again_view, again = system.target_users_for_phrases([phrase], depth=2, k=10)
+    again_view, again = target_users_for_phrases(
+        system.runtime.acquire(), [phrase], depth=2, k=10
+    )
     assert again_view.entities == view.entities and again.users == result.users
 
 

@@ -76,8 +76,8 @@ class TestMetricsCommand:
         assert "=== /metrics ===" in out
         # Non-zero request counters, latency histograms, cache counters,
         # version gauges and stage timings all appear in the exposition.
-        assert 'api_requests_total{endpoint="expand",status="ok"} 6' in out
-        assert "api_request_seconds_bucket" in out
+        assert 'requests_total{code="ok",endpoint="expand"} 6' in out
+        assert "request_seconds_bucket" in out
         assert "serving_expansion_cache_misses_total" in out
         assert 'serving_active_version{kind="graph"} 1' in out
         assert 'pipeline_stage_seconds_count{stage="semantic_pretrain"} 1' in out

@@ -23,9 +23,10 @@ from repro.graph import EntityGraph
 from repro.obs import Observability
 from repro.obs.context import current_record
 from repro.online import EGLSystem
-from repro.online.api import EGLService, ExpandRequest
+from repro.online.api import EGLService
 from repro.online.reasoning import GraphReasoner
 from repro.serving import ServingRuntime, VersionedLRUCache
+from repro.serving.frontend import QueryFrontend
 
 
 # ----------------------------------------------------------------------
@@ -46,8 +47,10 @@ class TestRequestContextPerRequest:
         )
         reasoner = GraphReasoner(graph, system.pipeline.entity_dict)
         system.runtime.activate_graph(reasoner, version=1, tag="week-0")
-        service = EGLService(system)
-        view = system.expand([world.entities[0].name], depth=1)
+        frontend = QueryFrontend(EGLService(system))
+        view = system.runtime.expand(
+            system.runtime.acquire(), [world.entities[0].name], depth=1
+        )
 
         barrier = threading.Barrier(2, timeout=5.0)
         observed: list[tuple] = []
@@ -67,11 +70,11 @@ class TestRequestContextPerRequest:
         try:
             phrase = world.entities[0].name
             requests = [
-                ExpandRequest(phrases=[phrase], timeout_ms=60_000.0),
-                ExpandRequest(phrases=[phrase]),  # no deadline
+                {"phrases": [phrase], "timeout_ms": 60_000.0},
+                {"phrases": [phrase]},  # no deadline
             ]
             threads = [
-                threading.Thread(target=service.expand, args=(req,))
+                threading.Thread(target=frontend.dispatch, args=("expand", req))
                 for req in requests
             ]
             for t in threads:
@@ -98,13 +101,14 @@ class TestRequestContextPerRequest:
         reasoner = GraphReasoner(graph, system.pipeline.entity_dict)
         system.runtime.activate_graph(reasoner, version=1, tag="week-0")
         service = EGLService(system)
+        frontend = QueryFrontend(service)
         phrase = world.entities[0].name
         per_thread, n_threads = 25, 4
 
         def worker():
             for _ in range(per_thread):
-                response = service.expand(ExpandRequest(phrases=[phrase]))
-                assert response.ok
+                status, envelope = frontend.dispatch("expand", {"phrases": [phrase]})
+                assert status == 200 and envelope["ok"]
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
         for t in threads:
@@ -119,7 +123,7 @@ class TestRequestContextPerRequest:
         # exactly its own runtime > cache.get chain.
         for journey in journeys:
             names = [name for name, *_ in journey["phases"]]
-            assert names[:2] == ["runtime", "cache.get"]
+            assert names[:4] == ["admission", "api", "runtime", "cache.get"]
             assert [names.count(n) for n in ("runtime", "cache.get")] == [1, 1]
 
 

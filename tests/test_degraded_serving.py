@@ -21,7 +21,8 @@ from repro.errors import (
 from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
 from repro.online import EGLSystem
-from repro.online.api import EGLService, ExpandRequest, TargetRequest, error_code
+from repro.online import target_users_for_phrases
+from repro.online.api import EGLService, error_code
 from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
 from repro.resilience import Deadline
@@ -95,7 +96,8 @@ class TestRollback:
         versions = system.rollback("graph")
         assert versions["graph_version"] == 1
         assert versions["graph_tag"] == "week-0"
-        assert system.expand([world.entities[0].name], depth=1) is not None
+        runtime = system.runtime
+        assert runtime.expand(runtime.acquire(), [world.entities[0].name], depth=1) is not None
 
         versions = system.rollback("graph")  # rolling back twice returns
         assert versions["graph_version"] == 2
@@ -104,7 +106,7 @@ class TestRollback:
         system, _ = rig
         system.runtime.activate_preferences(build_preferences(system.world, 2), 2)
         assert system.rollback("preferences")["preference_version"] == 1
-        result = system.target_users([0, 1], k=3)
+        result = system.runtime.target(system.runtime.acquire(), [0, 1], k=3)
         assert len(result.users) == 3
 
     def test_rollback_without_previous_raises(self, rig):
@@ -171,7 +173,9 @@ class TestDeadlines:
         deadline = Deadline.after(0.5, clock=clock)
         clock.advance(0.75)
         with pytest.raises(DeadlineExceededError):
-            system.expand([world.entities[0].name], deadline=deadline)
+            system.runtime.expand(
+                system.runtime.acquire(), [world.entities[0].name], deadline=deadline
+            )
         assert (
             system.obs.metrics.get_value(
                 "serving_shed_requests_total", endpoint="expand", reason="deadline"
@@ -184,13 +188,14 @@ class TestDeadlines:
         deadline = Deadline.after(0.1, clock=clock)
         clock.advance(0.2)
         with pytest.raises(DeadlineExceededError):
-            system.target_users([0], k=3, deadline=deadline)
+            system.runtime.target(system.runtime.acquire(), [0], k=3, deadline=deadline)
 
     def test_live_deadline_lets_requests_through(self, rig, world):
         system, clock = rig
         deadline = Deadline.after(10.0, clock=clock)
-        view, result = system.target_users_for_phrases(
-            [world.entities[0].name], depth=1, k=3, deadline=deadline
+        view, result = target_users_for_phrases(
+            system.runtime.acquire(), [world.entities[0].name], depth=1, k=3,
+            deadline=deadline,
         )
         assert len(result.users) == 3
 
@@ -198,21 +203,19 @@ class TestDeadlines:
 class TestApiErrorCodes:
     def test_validation_maps_to_invalid_argument(self, rig, world):
         service = EGLService(rig[0])
-        response = service.expand(
-            ExpandRequest(phrases=[world.entities[0].name], depth=-1)
-        )
+        response = service.expand({"phrases": [world.entities[0].name], "depth": -1})
         assert not response.ok
         assert response.code == "invalid_argument"
         assert response.to_dict()["code"] == "invalid_argument"
 
     def test_bad_timeout_is_invalid_argument(self, rig):
         service = EGLService(rig[0])
-        response = service.target(TargetRequest(entity_ids=[0], timeout_ms=-5))
+        response = service.target({"entity_ids": [0], "timeout_ms": -5})
         assert response.code == "invalid_argument"
 
     def test_not_ready_before_artifacts(self, world, tmp_path):
         service = EGLService(EGLSystem(world, artifact_root=tmp_path))
-        response = service.target(TargetRequest(entity_ids=[0]))
+        response = service.target({"entity_ids": [0]})
         assert not response.ok
         assert response.code == "not_ready"
 
@@ -226,9 +229,7 @@ class TestApiErrorCodes:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(system.runtime, "expand", slow_expand)
-        response = service.expand(
-            ExpandRequest(phrases=[world.entities[0].name], timeout_ms=500)
-        )
+        response = service.expand({"phrases": [world.entities[0].name], "timeout_ms": 500})
         assert not response.ok
         assert response.code == "deadline_exceeded"
 
@@ -244,22 +245,22 @@ class TestApiErrorCodes:
 
         monkeypatch.setattr(system.runtime.acquire().targeting, "target", broken)
         codes = [
-            service.target(TargetRequest(entity_ids=[0], k=3)).code for _ in range(6)
+            service.target({"entity_ids": [0], "k": 3}).code for _ in range(6)
         ]
         assert codes == ["storage_error"] * 6
         monkeypatch.undo()
-        assert service.target(TargetRequest(entity_ids=[0], k=3)).ok
+        assert service.target({"entity_ids": [0], "k": 3}).ok
 
     def test_unresolved_phrases_are_invalid_argument(self, rig):
         """A phrase list that resolves to no entity is the caller's
         mistake, not a server fault."""
         assert error_code(VocabularyError("x")) == "invalid_argument"
-        response = EGLService(rig[0]).expand(ExpandRequest(phrases=["no such entity"]))
+        response = EGLService(rig[0]).expand({"phrases": ["no such entity"]})
         assert (response.ok, response.code) == (False, "invalid_argument")
 
     def test_successful_response_has_no_code(self, rig, world):
         service = EGLService(rig[0])
-        response = service.expand(ExpandRequest(phrases=[world.entities[0].name]))
+        response = service.expand({"phrases": [world.entities[0].name]})
         assert response.ok
         assert response.code is None
 

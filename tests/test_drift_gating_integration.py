@@ -171,14 +171,14 @@ class TestDegenerateArtifactGating:
 
     def test_degenerate_swap_rejected_and_serving_continues(self, served, world):
         system, sequences = served
-        before = system.target_users([0, 1], k=5)
+        before = system.runtime.target(system.runtime.acquire(), [0, 1], k=5)
         with pytest.raises(DriftGateError, match="degenerate_scores"):
             system.runtime.activate_preferences(
                 _degenerate_store(world, sequences), version=2, tag="daily-2"
             )
         # The old generation is still active and still answers.
         assert system.runtime.versions()["preference_version"] == 1
-        after = system.target_users([0, 1], k=5)
+        after = system.runtime.target(system.runtime.acquire(), [0, 1], k=5)
         assert [u.user_id for u in after.users] == [u.user_id for u in before.users]
 
     def test_rejected_report_filed_as_gated_critical(self, served, world):
@@ -216,14 +216,14 @@ class TestDegenerateArtifactGating:
     def test_empty_graph_rejected_and_previous_graph_answers(self, served, world):
         system, sequences = served
         phrase = world.entities[0].name
-        before = system.expand([phrase], depth=2)
+        before = system.runtime.expand(system.runtime.acquire(), [phrase], depth=2)
         empty = EntityGraph.from_edge_list(world.num_entities, [], [], [])
         with pytest.raises(DriftGateError, match="empty_graph"):
             system.runtime.activate_graph(
                 GraphReasoner(empty, system.pipeline.entity_dict), version=2
             )
         assert system.runtime.versions()["graph_version"] == 1
-        after = system.expand([phrase], depth=2)
+        after = system.runtime.expand(system.runtime.acquire(), [phrase], depth=2)
         assert [e.entity_id for e in after.entities] == [
             e.entity_id for e in before.entities
         ]

@@ -7,7 +7,7 @@ from repro.embeddings import BruteForceKNN, IVFIndex
 from repro.errors import ConfigError, StorageError
 from repro.graph import EntityGraph, k_hop_subgraph
 from repro.nn import MLP, load_checkpoint, save_checkpoint
-from repro.online.api import EGLService, ExpandRequest, TargetRequest
+from repro.online.api import EGLService
 from repro.tensor import Tensor
 
 
@@ -126,7 +126,7 @@ class TestServiceAPI:
 
     def test_expand_payload_serialisable(self, service, world):
         phrase = world.entities[0].name
-        response = service.expand(ExpandRequest(phrases=[phrase], depth=2))
+        response = service.expand({"phrases": [phrase], "depth": 2})
         assert response.ok
         import json
 
@@ -135,7 +135,7 @@ class TestServiceAPI:
         assert all("path" in e for e in response.payload["entities"])
 
     def test_expand_error_envelope(self, service):
-        response = service.expand(ExpandRequest(phrases=[""], depth=1))
+        response = service.expand({"phrases": [""], "depth": 1})
         # Blank phrase resolves nothing OR hits the semantic fallback —
         # either a clean error envelope or a valid payload, never a raise.
         assert isinstance(response.ok, bool)
@@ -143,18 +143,20 @@ class TestServiceAPI:
             assert response.error
 
     def test_target_flow(self, service):
-        expand = service.expand(ExpandRequest(phrases=[service.system.world.entities[1].name]))
+        expand = service.expand({"phrases": [service.system.world.entities[1].name]})
         ids = [e["entity_id"] for e in expand.payload["entities"]][:5]
-        response = service.target(TargetRequest(entity_ids=ids, k=7))
+        response = service.target({"entity_ids": ids, "k": 7})
         assert response.ok
         assert len(response.payload["users"]) == 7
 
     def test_target_validation_error(self, service):
-        response = service.target(TargetRequest(entity_ids=[], k=5))
+        response = service.target({"entity_ids": [], "k": 5})
         assert not response.ok
         assert "entity" in response.error
 
     def test_feedback_recorded(self, service):
-        response = service.record_feedback(0, [1, 2])
+        response = service.record_feedback(
+            {"seed_entity_id": 0, "chosen_entity_ids": [1, 2]}
+        )
         assert response.ok
         assert response.payload["recorded"] == 2

@@ -26,7 +26,7 @@ from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.eval import roc_auc
 from repro.nn import load_checkpoint, save_checkpoint
 from repro.online import EGLSystem, explain_targeting
-from repro.online.api import EGLService, ExpandRequest, TargetRequest
+from repro.online.api import EGLService
 from repro.preference import PreferenceStore
 from repro.text.sequence_extractor import UserEntitySequence
 from repro.trmp import ALPCConfig, ALPCModel, TRMPConfig
@@ -101,20 +101,21 @@ class TestServingPath:
         assert service.health().payload["ensemble_ready"]
 
         phrase = max(world.entities, key=lambda e: e.popularity).name
-        expand = service.expand(ExpandRequest(phrases=[phrase], depth=2))
+        expand = service.expand({"phrases": [phrase], "depth": 2})
         assert expand.ok and len(expand.payload["entities"]) >= 1
 
         ids = [e["entity_id"] for e in expand.payload["entities"]][:8]
-        target = service.target(TargetRequest(entity_ids=ids, k=10))
+        target = service.target({"entity_ids": ids, "k": 10})
         assert target.ok and len(target.payload["users"]) == 10
 
         # Explanations ground the selection in user histories.
-        view = system.expand([phrase], depth=2)
-        result = system.target_users(ids, k=10)
+        active = system.runtime.acquire()
+        view = system.runtime.expand(active, [phrase], depth=2)
+        result = system.runtime.target(active, ids, k=10)
         events = generator.generate_week(2)
         sequences = system.pipeline.extractor.extract_sequences(events)
         report = explain_targeting(
-            view, result.users, system.preference_store, sequences,
+            view, result.users, active.preference_store, sequences,
             system.pipeline.entity_dict,
         )
         assert "top users" in report

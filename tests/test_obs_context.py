@@ -67,14 +67,6 @@ class TestAmbientBinding:
         finally:
             log.close(record)
 
-    def test_inner_entry_point_adopts_the_bound_record(self, log):
-        outer = log.open("expand")
-        assert log.open("expand") is None  # nothing for the inner to close
-        log.close(None)  # closing "nothing" is a no-op
-        assert current_record() is outer
-        log.close(outer, ok=True, code=None)
-        assert len(log) == 1
-
     def test_disabled_log_opens_nothing(self, clock):
         log = RequestLog(clock, enabled=False)
         assert log.open("expand") is None

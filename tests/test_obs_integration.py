@@ -1,10 +1,10 @@
 """End-to-end observability: one request sequence, verified signals.
 
-Drives an ``expand`` → ``expand`` → ``target`` sequence through the API
-facade over hand-activated artifacts (no TRMP training) and asserts the
-exact counter deltas, the cache miss-then-hit pair, correctly nested
-request-record phases, and the frozen-clock timestamps the injectable clock
-enables.
+Drives an ``expand`` → ``expand`` → ``target`` sequence through
+``QueryFrontend.dispatch`` over hand-activated artifacts (no TRMP training)
+and asserts the exact counter deltas, the cache miss-then-hit pair,
+correctly nested request-record phases, and the frozen-clock timestamps the
+injectable clock enables.
 """
 
 import json
@@ -15,9 +15,10 @@ import pytest
 from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
 from repro.online import EGLSystem
-from repro.online.api import EGLService, ExpandRequest, TargetRequest
+from repro.online.api import EGLService
 from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
+from repro.serving.frontend import QueryFrontend
 from repro.text.sequence_extractor import UserEntitySequence
 
 
@@ -43,11 +44,13 @@ def frozen_service(world, tmp_path):
 
 
 def run_sequence(service, world):
+    """Three envelopes, each through the one entry point."""
+    frontend = QueryFrontend(service)
     phrase = world.entities[0].name
-    cold = service.expand(ExpandRequest(phrases=[phrase], depth=2))
-    warm = service.expand(ExpandRequest(phrases=[phrase], depth=2))
-    ids = [e["entity_id"] for e in cold.payload["entities"]]
-    target = service.target(TargetRequest(entity_ids=ids, k=5))
+    _, cold = frontend.dispatch("expand", {"phrases": [phrase], "depth": 2})
+    _, warm = frontend.dispatch("expand", {"phrases": [phrase], "depth": 2})
+    ids = [e["entity_id"] for e in cold["payload"]["entities"]]
+    _, target = frontend.dispatch("target", {"entity_ids": ids, "k": 5})
     return cold, warm, target
 
 
@@ -55,11 +58,13 @@ class TestCounterDeltas:
     def test_request_counters_and_cache_pair(self, frozen_service, world):
         metrics = frozen_service.obs.metrics
         cold, warm, target = run_sequence(frozen_service, world)
-        assert cold.ok and warm.ok and target.ok
+        assert cold["ok"] and warm["ok"] and target["ok"]
 
-        assert metrics.get_value("api_requests_total", endpoint="expand", status="ok") == 2
-        assert metrics.get_value("api_requests_total", endpoint="target", status="ok") == 1
-        assert metrics.get_value("api_requests_total", endpoint="expand", status="error") == 0
+        assert metrics.get_value("requests_total", endpoint="expand", code="ok") == 2
+        assert metrics.get_value("requests_total", endpoint="target", code="ok") == 1
+        assert [labels for labels, _ in metrics.series("requests_total")] == [
+            {"code": "ok", "endpoint": "expand"}, {"code": "ok", "endpoint": "target"},
+        ]
 
         # The identical second expansion is the hit of a miss-then-hit pair.
         assert metrics.get_value("serving_expansion_cache_misses_total") == 1
@@ -68,12 +73,14 @@ class TestCounterDeltas:
 
     def test_error_requests_counted_separately(self, frozen_service, world):
         metrics = frozen_service.obs.metrics
-        response = frozen_service.expand(
-            ExpandRequest(phrases=[world.entities[0].name], depth=-1)
+        status, envelope = QueryFrontend(frozen_service).dispatch(
+            "expand", {"phrases": [world.entities[0].name], "depth": -1}
         )
-        assert not response.ok
-        assert metrics.get_value("api_requests_total", endpoint="expand", status="error") == 1
-        assert metrics.get_value("api_requests_total", endpoint="expand", status="ok") == 0
+        assert (status, envelope["code"]) == (400, "invalid_argument")
+        assert metrics.get_value(
+            "requests_total", endpoint="expand", code="invalid_argument"
+        ) == 1
+        assert metrics.get_value("requests_total", endpoint="expand", code="ok") is None
 
     def test_latency_histograms(self, frozen_service, world):
         run_sequence(frozen_service, world)
@@ -86,7 +93,7 @@ class TestCounterDeltas:
         # obs-free (hits are counted by the cache's own collector instead).
         assert expand["computed"]["count"] == 1
         assert set(expand) == {"computed"}
-        api = snapshot["histograms"]["api_request_seconds"]
+        api = snapshot["histograms"]["request_seconds"]
         by_endpoint = {s["labels"]["endpoint"]: s for s in api}
         assert by_endpoint["expand"]["count"] == 2
         assert by_endpoint["target"]["count"] == 1
@@ -116,16 +123,16 @@ class TestTraceParenting:
         cold, warm, target = frozen_service.obs.journeys.tail()  # one record per request
         assert [j["endpoint"] for j in (cold, warm, target)] == ["expand", "expand", "target"]
 
-        # The *cold* expand computed: k-hop sits under runtime (the record
-        # itself is the api call when the service is driven directly).
+        # The *cold* expand computed: k-hop sits under runtime, which sits
+        # under the api call dispatch timed.
         nesting = _nesting(cold)
-        assert nesting["runtime"] is None
+        assert nesting["api"] is None and nesting["runtime"] == "api"
         assert nesting["khop"] == "runtime"
         assert nesting["hop.gather"] == "khop"
         assert nesting["cache.put"] == "runtime"
 
         nesting = _nesting(target)
-        assert nesting["runtime"] is None
+        assert nesting["runtime"] == "api"
         assert nesting["targeting"] == "runtime"
         assert nesting["preference.topk"] == "targeting"
 
@@ -142,18 +149,14 @@ class TestTraceParenting:
 
 class TestFrozenClock:
     def test_elapsed_and_timestamp_are_deterministic(self, frozen_service, world):
-        response = frozen_service.expand(
-            ExpandRequest(phrases=[world.entities[0].name], depth=2)
-        )
+        response = frozen_service.expand({"phrases": [world.entities[0].name], "depth": 2})
         assert response.elapsed_ms == 0.0  # the clock never moved
         assert response.timestamp == 5_000.0
 
     def test_advancing_the_clock_is_observed(self, frozen_service, world):
         clock = frozen_service.obs.clock
         clock.advance(1.5)
-        response = frozen_service.expand(
-            ExpandRequest(phrases=[world.entities[0].name], depth=2)
-        )
+        response = frozen_service.expand({"phrases": [world.entities[0].name], "depth": 2})
         assert response.timestamp == 5_001.5
 
 
@@ -166,7 +169,7 @@ class TestHealthEmbedsMetrics:
         json.dumps(payload)  # still fully serialisable
         metrics = payload["metrics"]
         assert metrics["enabled"]
-        assert "api_requests_total" in metrics["counters"]
+        assert "requests_total" in metrics["counters"]
         assert "serving_expand_seconds" in metrics["histograms"]
         swaps = payload["runtime"]["recent_swaps"]
         assert [e["kind"] for e in swaps] == ["graph", "preferences"]
@@ -175,6 +178,6 @@ class TestHealthEmbedsMetrics:
     def test_metrics_text_exposition(self, frozen_service, world):
         run_sequence(frozen_service, world)
         text = frozen_service.metrics_text()
-        assert 'api_requests_total{endpoint="expand",status="ok"} 2' in text
+        assert 'requests_total{code="ok",endpoint="expand"} 2' in text
         assert "serving_expansion_cache_hits_total 1" in text
         assert 'serving_active_version{kind="graph"} 1' in text

@@ -8,7 +8,7 @@ import pytest
 
 from repro.graph import EntityGraph
 from repro.online import EGLSystem
-from repro.online.api import EGLService, ExpandRequest, TargetRequest
+from repro.online.api import EGLService
 from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
 from repro.text.sequence_extractor import UserEntitySequence
@@ -37,50 +37,38 @@ def service(world, tmp_path_factory):
 class TestValidation:
     def test_non_positive_depth_rejected(self, service, world):
         for depth in (0, -1):
-            response = service.expand(
-                ExpandRequest(phrases=[world.entities[0].name], depth=depth)
-            )
+            response = service.expand({"phrases": [world.entities[0].name], "depth": depth})
             assert not response.ok
             assert "depth" in response.error
 
     def test_non_positive_max_entities_rejected(self, service, world):
-        response = service.expand(
-            ExpandRequest(phrases=[world.entities[0].name], max_entities=0)
-        )
+        response = service.expand({"phrases": [world.entities[0].name], "max_entities": 0})
         assert not response.ok
         assert "max_entities" in response.error
 
     def test_non_finite_min_score_rejected(self, service, world):
         for bad in (math.nan, math.inf, -math.inf):
-            response = service.expand(
-                ExpandRequest(phrases=[world.entities[0].name], min_score=bad)
-            )
+            response = service.expand({"phrases": [world.entities[0].name], "min_score": bad})
             assert not response.ok
             assert "min_score" in response.error
 
     def test_non_positive_k_rejected(self, service):
-        response = service.target(TargetRequest(entity_ids=[0], k=0))
+        response = service.target({"entity_ids": [0], "k": 0})
         assert not response.ok
         assert "k must be" in response.error
 
     def test_non_finite_weights_rejected(self, service):
-        response = service.target(
-            TargetRequest(entity_ids=[0, 1], k=5, weights=[0.5, math.nan])
-        )
+        response = service.target({"entity_ids": [0, 1], "k": 5, "weights": [0.5, math.nan]})
         assert not response.ok
         assert "finite" in response.error
 
     def test_misaligned_weights_rejected(self, service):
-        response = service.target(
-            TargetRequest(entity_ids=[0, 1], k=5, weights=[0.5])
-        )
+        response = service.target({"entity_ids": [0, 1], "k": 5, "weights": [0.5]})
         assert not response.ok
         assert "align" in response.error
 
     def test_error_envelope_is_serialisable(self, service, world):
-        response = service.expand(
-            ExpandRequest(phrases=[world.entities[0].name], depth=-2)
-        )
+        response = service.expand({"phrases": [world.entities[0].name], "depth": -2})
         payload = response.to_dict()
         json.dumps(payload)
         assert payload["ok"] is False and payload["payload"] == {}
@@ -88,30 +76,27 @@ class TestValidation:
 
 class TestVersionEcho:
     def test_success_reports_active_versions(self, service, world):
-        response = service.expand(ExpandRequest(phrases=[world.entities[0].name]))
+        response = service.expand({"phrases": [world.entities[0].name]})
         assert response.ok
         assert response.graph_version == 3
         assert response.preference_version == 5
 
     def test_error_envelope_also_reports_versions(self, service):
-        response = service.target(TargetRequest(entity_ids=[0], k=-1))
+        response = service.target({"entity_ids": [0], "k": -1})
         assert not response.ok
         assert response.graph_version == 3
         assert response.preference_version == 5
 
     def test_fresh_system_reports_none(self, world, tmp_path):
         fresh = EGLService(EGLSystem(world, artifact_root=tmp_path))
-        response = fresh.target(TargetRequest(entity_ids=[0], k=5))
+        response = fresh.target({"entity_ids": [0], "k": 5})
         assert not response.ok  # nothing activated yet
         assert response.graph_version is None
         assert response.preference_version is None
 
     def test_batch_endpoint(self, service):
         response = service.target_batch(
-            [
-                TargetRequest(entity_ids=[0, 1], k=4),
-                TargetRequest(entity_ids=[2], k=4),
-            ]
+            {"requests": [{"entity_ids": [0, 1], "k": 4}, {"entity_ids": [2], "k": 4}]}
         )
         assert response.ok
         assert len(response.payload["results"]) == 2
@@ -120,10 +105,7 @@ class TestVersionEcho:
 
     def test_batch_requires_shared_k(self, service):
         response = service.target_batch(
-            [
-                TargetRequest(entity_ids=[0], k=4),
-                TargetRequest(entity_ids=[1], k=5),
-            ]
+            {"requests": [{"entity_ids": [0], "k": 4}, {"entity_ids": [1], "k": 5}]}
         )
         assert not response.ok
         assert "one k" in response.error

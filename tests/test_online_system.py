@@ -9,7 +9,7 @@ from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.errors import NotFittedError
 from repro.graph import EntityGraph
-from repro.online import EGLSystem
+from repro.online import EGLSystem, target_users_for_phrases
 from repro.simulation import ABTestHarness, ConversionModel, RuleBasedTargeting, default_services
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
 
@@ -58,19 +58,21 @@ class TestOfflineCadence:
     def test_targeting_before_daily_refresh_raises(self, world, tmp_path):
         fresh = EGLSystem(world, artifact_root=tmp_path)
         with pytest.raises(NotFittedError):
-            fresh.target_users([0], k=5)
+            fresh.runtime.target(fresh.runtime.acquire(), [0], k=5)
 
 
 class TestOnlineFlow:
     def test_expand_uses_stored_graph(self, system, refreshed, world):
         entity = world.entities[0]
-        view = system.expand([entity.name], depth=2)
+        view = system.runtime.expand(system.runtime.acquire(), [entity.name], depth=2)
         assert view.seeds == [entity.name.lower()]
         assert len(view.entities) >= 1
 
     def test_target_users_for_phrases(self, system, refreshed, world):
         entity = world.entities[1]
-        view, result = system.target_users_for_phrases([entity.name], depth=2, k=15)
+        view, result = target_users_for_phrases(
+            system.runtime.acquire(), [entity.name], depth=2, k=15
+        )
         assert len(result.users) == 15
         assert result.elapsed_seconds < 5.0
         scores = [u.score for u in result.users]
@@ -78,7 +80,7 @@ class TestOnlineFlow:
 
     def test_cold_phrase_resolves_semantically(self, system, refreshed, world):
         word = world.topic_words[2][0]
-        view = system.expand([f"{word} {word}"], depth=1)
+        view = system.runtime.expand(system.runtime.acquire(), [f"{word} {word}"], depth=1)
         assert len(view.entities) >= 1
 
     def test_record_choice_feeds_next_week(self, system, refreshed, generator):
@@ -91,7 +93,9 @@ class TestOnlineFlow:
     def test_targeted_users_have_high_affinity(self, system, refreshed, world):
         services = default_services(world, rng=3)
         service = services[0]
-        _, result = system.target_users_for_phrases(service.phrases, depth=2, k=25)
+        _, result = target_users_for_phrases(
+            system.runtime.acquire(), service.phrases, depth=2, k=25
+        )
         aff = service.user_affinity(world)
         assert aff[np.array(result.user_ids)].mean() > aff.mean() * 1.3
 

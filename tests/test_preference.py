@@ -145,7 +145,6 @@ def test_artifact_is_one_flat_partition(tmp_path, rng):
     store = PreferenceStore(embeddings).build(sequences, 60)
     registry = ArtifactRegistry(tmp_path / "registry")
     record = registry.publish_preferences(store)
-    assert record.format == "memmap"
     assert sorted(p.name for p in Path(record.path).iterdir()) == [
         "entity_embeddings.npy", "entity_ptr.npy", "meta.json",
         "user_ids.npy", "user_matrix.npy", "user_rows.npy", "values.npy",

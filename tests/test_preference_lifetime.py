@@ -72,7 +72,7 @@ def test_retired_preference_generation_is_unreachable(small_world, small_events,
     system = rooted_system(small_world, tmp_path)
     system.weekly_refresh(small_events)
     system.daily_preference_refresh(small_events)
-    generation_1 = weakref.ref(system.preference_store)
+    generation_1 = weakref.ref(system.runtime.acquire().preference_store)
     system.weekly_refresh(small_events)
     system.daily_preference_refresh(small_events)
     system.daily_preference_refresh(small_events)

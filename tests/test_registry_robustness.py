@@ -55,7 +55,6 @@ class TestAtomicWrites:
     def test_publish_records_checksum(self, tmp_path):
         registry = ArtifactRegistry(root=tmp_path)
         record = registry.publish_preferences(built_preferences())
-        assert record.source == "file"
         assert record.checksum is not None and len(record.checksum) == 64
         # No torn temp preference files linger after the atomic rename.
         assert not list(tmp_path.glob(".tmp-preferences-*"))
@@ -68,6 +67,32 @@ class TestAtomicWrites:
         assert latest == record
         loaded = reopened.open_preferences()
         assert loaded.version_tag == "daily-x"
+
+    def test_manifest_with_retired_source_and_format_keys_loads(self, tmp_path):
+        """Records once carried ``source`` and ``format``; a manifest that
+        still has them loads, also across a quarantine and a restart."""
+        first = ArtifactRegistry(root=tmp_path)
+        graph = first.publish_graph(EntityGraph.from_edge_list(6, [(0, 1)], [0.9], [0]))
+        daily = [first.publish_preferences(built_preferences(seed=s)) for s in (1, 2)]
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text(encoding="utf-8"))
+        retired = {KIND_GRAPH: ("csr", "csr"), KIND_PREFERENCES: ("file", "memmap")}
+        for kind, (source, format_) in retired.items():
+            for data in manifest["records"][kind]:
+                data.update(source=source, format=format_)
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+
+        reopened = ArtifactRegistry(root=tmp_path)
+        assert reopened.records(KIND_GRAPH) == [graph]
+        assert reopened.records(KIND_PREFERENCES) == daily
+        reopened.quarantine(daily[1], "refused")
+        restarted = ArtifactRegistry(root=tmp_path)
+        assert restarted.latest(KIND_PREFERENCES) == daily[0]
+        assert restarted.publish_preferences(built_preferences()).version == 3
+        saved = json.loads((tmp_path / MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert not any(
+            {"source", "format"} & set(data)
+            for records in saved["records"].values() for data in records
+        )
 
 
 def published_dir(root, record):

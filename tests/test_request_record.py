@@ -20,7 +20,7 @@ from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
 from repro.obs.context import current_record
 from repro.online import EGLSystem
-from repro.online.api import EGLService, ExpandRequest
+from repro.online.api import EGLService
 from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
 from repro.serving.frontend import QueryFrontend
@@ -134,9 +134,9 @@ class TestOneRecordPerDispatch:
         frontend.dispatch("expand", {"phrase": "typo"})
         first, second = frontend.service.obs.journeys.tail()
         assert (first["endpoint"], first["code"]) == ("nope", "invalid_argument")
-        assert first["phases"] == []
+        assert _phase_names(first) == ["to_dict"]  # refused before admission
         assert second["code"] == "invalid_argument"
-        assert _phase_names(second) == ["admission", "api"]
+        assert _phase_names(second) == ["admission", "api", "to_dict"]
 
     def test_shed_when_full(self, world, tmp_path):
         frontend = build_frontend(
@@ -148,7 +148,7 @@ class TestOneRecordPerDispatch:
         (journey,) = frontend.service.obs.journeys.tail()
         assert journey["shed"] is True and journey["code"] == "queue_full"
         assert journey["queue_wait_ms"] is None  # refused without waiting
-        assert _phase_names(journey) == ["admission"]
+        assert _phase_names(journey) == ["admission", "to_dict"]
 
     def test_shed_after_waiting_reports_the_wait(self, world, tmp_path):
         frontend = build_frontend(
@@ -174,24 +174,24 @@ class TestOneRecordPerDispatch:
         assert _phase_names(journey) == ["admission", "api"]
         assert current_record() is None
         assert frontend.admission.snapshot()["inflight"] == 0
+        metrics = frontend.service.obs.metrics
+        assert metrics.get_value("requests_total", endpoint="expand", code="internal") == 1
 
-    def test_service_driven_without_a_front_end_opens_its_own(self, frontend, world):
+    def test_service_called_directly_records_nothing(self, frontend, world):
+        """Only ``dispatch`` opens a record: the service answers, its
+        phases run against no record, and the ring stays empty."""
         service = frontend.service
-        response = service.expand(ExpandRequest(phrases=[world.entities[0].name]))
+        response = service.expand({"phrases": [world.entities[0].name]})
         assert response.ok
-        (journey,) = service.obs.journeys.tail()
-        # The record's own duration is the api call; its phases start below.
-        assert _phase_names(journey)[:2] == ["runtime", "cache.get"]
-        assert journey["cache"] == "miss"
+        assert len(service.obs.journeys) == 0 and current_record() is None
 
         def crash(*args, **kwargs):
             raise ValueError("not a ReproError")
 
         service.system.runtime.expand = crash
         with pytest.raises(ValueError):
-            service.expand(ExpandRequest(phrases=[world.entities[0].name]))
-        assert service.obs.journeys.tail(1)[0]["code"] == "internal"
-        assert current_record() is None
+            service.expand({"phrases": [world.entities[0].name]})
+        assert len(service.obs.journeys) == 0 and current_record() is None
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +297,8 @@ class TestConcurrentRecords:
         assert not any(t.is_alive() for t in threads)
         journeys = frontend.service.obs.journeys.tail()
         assert len(journeys) == per_thread * n_threads  # every dispatch, once
+        counted = frontend.service.obs.metrics.series("requests_total")
+        assert sum(series.value for _, series in counted) == per_thread * n_threads
         assert len({j["id"] for j in journeys}) == per_thread * n_threads
         for journey in journeys:
             names = _phase_names(journey)

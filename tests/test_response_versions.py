@@ -13,7 +13,7 @@ import pytest
 from repro.graph import EntityGraph
 from repro.obs import Observability
 from repro.online import EGLSystem
-from repro.online.api import EGLService, ExpandRequest, TargetRequest
+from repro.online.api import EGLService
 from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
 from repro.serving.frontend import QueryFrontend
@@ -75,7 +75,7 @@ def swap_preferences_mid_call(system, world, method: str) -> None:
 
 def test_expansion_answered_by_generation_1_is_labelled_1(system, world):
     swap_graph_mid_call(system, world)
-    response = EGLService(system).expand(ExpandRequest(phrases=[world.entities[0].name]))
+    response = EGLService(system).expand({"phrases": [world.entities[0].name]})
     assert response.ok
     assert [e["entity_id"] for e in response.payload["entities"]] == [0, 1]
     assert response.graph_version == 1
@@ -85,7 +85,7 @@ def test_expansion_answered_by_generation_1_is_labelled_1(system, world):
 def test_target_answered_by_generation_1_is_labelled_1(system, world):
     want = system.runtime.acquire().preference_store.top_users_for_entities([0, 1], 5)
     swap_preferences_mid_call(system, world, "top_users_for_entities")
-    response = EGLService(system).target(TargetRequest(entity_ids=[0, 1], k=5))
+    response = EGLService(system).target({"entity_ids": [0, 1], "k": 5})
     assert response.ok
     assert [u["user_id"] for u in response.payload["users"]] == [u.user_id for u in want]
     assert response.preference_version == 1
@@ -97,7 +97,7 @@ def test_target_batch_answered_by_generation_1_is_labelled_1(system, world):
     want = store.top_users_for_entity_sets([[0, 1], [2]], 5, [None, None])
     swap_preferences_mid_call(system, world, "top_users_for_entity_sets")
     response = EGLService(system).target_batch(
-        [TargetRequest(entity_ids=[0, 1], k=5), TargetRequest(entity_ids=[2], k=5)]
+        {"requests": [{"entity_ids": [0, 1], "k": 5}, {"entity_ids": [2], "k": 5}]}
     )
     assert response.ok
     assert [

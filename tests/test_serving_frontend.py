@@ -282,17 +282,6 @@ class TestDispatch:
         assert status == 200 and envelope["ok"]
         assert len(envelope["payload"]["users"]) == 3
 
-    def test_shed_metrics_are_exported(self, service, world):
-        frontend = QueryFrontend(service)
-        frontend.admission.begin_drain()
-        frontend.dispatch("expand", {"phrases": [world.entities[0].name]})
-        metrics = service.obs.metrics
-        assert metrics.get_value("frontend_shed_total", reason="draining") == 1.0
-        assert metrics.get_value(
-            "frontend_requests_total", endpoint="expand", outcome="shed"
-        ) == 1.0
-        assert metrics.get_value("frontend_draining") == 1.0
-
 
 class TestHTTPSurface:
     def test_end_to_end_over_sockets(self, service, world):
@@ -325,7 +314,7 @@ class TestHTTPSurface:
             assert stats["admission"]["max_concurrency"] == 4
             with urllib.request.urlopen(f"{base}/metrics", timeout=10.0) as response:
                 exposition = response.read().decode()
-            assert "frontend_requests_total" in exposition
+            assert 'requests_total{code="ok",endpoint="expand"} 1' in exposition
 
             # Draining: shed with Retry-After header.
             frontend.admission.begin_drain()

@@ -53,7 +53,7 @@ class TestRegistry:
         registry = ArtifactRegistry(root=tmp_path / "artifacts")
         prefs = built_preferences()
         record = registry.publish_preferences(prefs, tag="daily-A")
-        assert (record.kind, record.version, record.source) == (KIND_PREFERENCES, 1, "file")
+        assert (record.kind, record.version) == (KIND_PREFERENCES, 1)
         assert prefs.version_tag == record.tag
         loaded = registry.open_preferences(record.version)
         assert loaded is not prefs  # reopened from disk

@@ -18,7 +18,7 @@ import pytest
 from repro.cli import _COMMANDS
 from repro.errors import NotFittedError
 from repro.graph import EntityGraph
-from repro.online import EGLSystem
+from repro.online import EGLSystem, target_users_for_phrases
 from repro.online.reasoning import GraphReasoner
 from repro.preference.store import PreferenceStore
 from repro.serving import ServingRuntime
@@ -221,13 +221,14 @@ class TestBatchedTargeting:
             make_reasoner(world, entity_dict, [(0, 1), (1, 2)], [0.9, 0.8]), version=1
         )
         system.runtime.activate_preferences(build_preferences(world), version=1)
-        view, result = system.target_users_for_phrases(
-            [world.entities[0].name], depth=2, k=5
+        view, result = target_users_for_phrases(
+            system.runtime.acquire(), [world.entities[0].name], depth=2, k=5
         )
         assert len(view.entities) >= 1
         assert len(result.users) == 5
-        # The expansion went through the runtime's cache.
-        assert system.runtime.cache.stats()["misses"] == 1
+        # The flow reads the acquired generation itself: the runtime's
+        # request cache (the listener's) sees nothing.
+        assert system.runtime.cache.stats()["misses"] == 0
 
 
 #: Surface deleted because nothing outside its own test called it.
@@ -250,6 +251,11 @@ DELETED_NAMES = frozenset({
     "record_mmap_open", "mmap_open_counts", "artifact_mmap_opens_total", "mmap_opens",
     "_MMAP_OPENS", "storage", "graph_format", "preference_format", "artifact_format",
     "validate_memmap", "_verify_directory", "verify", "mmap_mode", "madvise",
+    # One request path: dispatch owns the record, the envelope and the metric.
+    "ExpandRequest", "TargetRequest", "_build", "_handle_target_batch", "_handle_feedback",
+    "_count_request", "_count_shed", "_error", "_envelope", "_endpoint_bundle", "_endpoint_obs", "_run",
+    "api_requests_total", "api_request_seconds", "frontend_requests_total",
+    "frontend_shed_total", "target_users", "target_users_batch",
 })
 
 

@@ -407,7 +407,7 @@ def killed_daily(world, events, tmp_path_factory):
     system.weekly_refresh(events)
     system.daily_preference_refresh(events)
     entity_ids, k = [0, 5, 9], 10
-    before = system.target_users(entity_ids, k=k).users
+    before = system.runtime.target(system.runtime.acquire(), entity_ids, k=k).users
 
     slot = root / "preferences-000002"
     slot.mkdir()
@@ -444,7 +444,7 @@ def killed_daily(world, events, tmp_path_factory):
         "versions": system.runtime.versions(),
         "records": [r.version for r in system.registry.records("preferences")],
         "before": before,
-        "after": system.target_users(entity_ids, k=k).users,
+        "after": system.runtime.target(system.runtime.acquire(), entity_ids, k=k).users,
         "query": (entity_ids, k),
     }
 
@@ -468,7 +468,7 @@ def test_the_daily_after_a_killed_one_serves_reference_answers(killed_daily, wor
     scores = reference_scores(
         system.pipeline.entity_embeddings(), sequences, world.num_users, entity_ids
     )
-    got = system.target_users(entity_ids, k=k).users
+    got = system.runtime.target(system.runtime.acquire(), entity_ids, k=k).users
     assert_matches_reference(got, scores, k, sequences)
 
 
