@@ -15,10 +15,10 @@ import tempfile
 
 import numpy as np
 
-from repro import EGLSystem, World, WorldConfig
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.errors import ConfigError
 from repro.online import target_users_for_phrases
+from repro.online.system import EGLSystem
 from repro.simulation import ConversionModel, LookAlikeTargeting, default_services
 
 

@@ -23,11 +23,11 @@ import tempfile
 
 import numpy as np
 
-from repro import EGLSystem, World, WorldConfig
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.errors import DriftGateError
+from repro.online.system import EGLSystem
 from repro.preference import PreferenceStore
-from repro.text.sequence_extractor import UserEntitySequence
+from repro.text.user_sequence import UserEntitySequence
 
 
 def main() -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import EGLSystem, World, WorldConfig
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.online import explain_targeting, target_users_for_phrases
+from repro.online.system import EGLSystem
 
 
 def main(artifact_root: str) -> None:

@@ -12,9 +12,9 @@ import tempfile
 
 import numpy as np
 
-from repro import EGLSystem, World, WorldConfig
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.eval import AnnotatorPanel
+from repro.online.system import EGLSystem
 from repro.simulation import ConversionModel, default_services
 
 

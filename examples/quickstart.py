@@ -16,10 +16,10 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro import EGLSystem, World, WorldConfig
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.online import target_users_for_phrases
 from repro.online.api import EGLService
+from repro.online.system import EGLSystem
 from repro.serving.frontend import QueryFrontend
 
 

@@ -13,9 +13,9 @@ import tempfile
 
 import numpy as np
 
-from repro import EGLSystem, World, WorldConfig
-from repro.datasets import BehaviorConfig, BehaviorLogGenerator
+from repro.datasets import BehaviorConfig, BehaviorLogGenerator, World, WorldConfig
 from repro.eval import AnnotatorPanel, weekly_stability
+from repro.online.system import EGLSystem
 
 
 def relation_acc(graph, panel, rng):

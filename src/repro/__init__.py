@@ -6,8 +6,8 @@ User Targeting" (Yang, Hu, Yang et al., Ant Group).
 Quick tour
 ----------
 >>> import tempfile
->>> from repro import World, WorldConfig, EGLSystem
->>> from repro.datasets import BehaviorLogGenerator
+>>> from repro.datasets import BehaviorLogGenerator, World, WorldConfig
+>>> from repro.online.system import EGLSystem
 >>> world = World(WorldConfig(num_entities=200, num_users=150))
 >>> root = tempfile.TemporaryDirectory()            # the artifact registry
 >>> system = EGLSystem(world, artifact_root=root.name)
@@ -15,7 +15,7 @@ Quick tour
 >>> events = generator.generate_week(0)
 >>> report = system.weekly_refresh(events)          # offline: TRMP
 >>> covered = system.daily_preference_refresh(events)
->>> from repro.online import target_users_for_phrases
+>>> from repro.online.targeting import target_users_for_phrases
 >>> view, result = target_users_for_phrases(       # online: cold start
 ...     system.runtime.acquire(), [world.entities[0].name], depth=2, k=20)
 >>> from repro.online.api import EGLService       # online: one request
@@ -29,29 +29,10 @@ Subpackages: :mod:`repro.tensor` (autograd), :mod:`repro.nn` (layers),
 :mod:`repro.preference`, :mod:`repro.online`, :mod:`repro.datasets`,
 :mod:`repro.eval`, :mod:`repro.simulation`, :mod:`repro.obs`
 (metrics/tracing/clock).
+
+This package imports nothing: a process loads only the layers it uses
+(``tests/test_layers.py`` holds the order), so a stage worker loads no
+serving code and the serving path loads no training code.
 """
 
-from repro.datasets.world import World, WorldConfig
-from repro.obs import Observability
-from repro.online.system import EGLSystem
-from repro.serving import ArtifactRegistry, ServingRuntime
-from repro.trmp.pipeline import TRMPConfig, TRMPipeline
-from repro.trmp.alpc import ALPCConfig, ALPCLinkPredictor
-from repro.graph.entity_graph import EntityGraph
-
 __version__ = "1.1.0"
-
-__all__ = [
-    "World",
-    "WorldConfig",
-    "EGLSystem",
-    "Observability",
-    "ArtifactRegistry",
-    "ServingRuntime",
-    "TRMPConfig",
-    "TRMPipeline",
-    "ALPCConfig",
-    "ALPCLinkPredictor",
-    "EntityGraph",
-    "__version__",
-]

@@ -1,4 +1,9 @@
-"""Synthetic data substrate: world, behavior logs, drift, splits."""
+"""Synthetic data substrate: world, behavior logs, drift, splits.
+
+:mod:`repro.datasets.benchmark_data` (the Table II datasets) mines its
+graph with TRMP, so it sits above :mod:`repro.trmp` and is imported from
+its own module, not from here.
+"""
 
 from repro.datasets.world import NUM_ENTITY_TYPES, EntityRecord, World, WorldConfig
 from repro.datasets.behavior import (
@@ -12,13 +17,6 @@ from repro.datasets.behavior import (
 )
 from repro.datasets.splits import LinkPredictionSplit, make_link_prediction_split
 from repro.datasets.io import load_entity_dict, load_events, save_entity_dict, save_events
-from repro.datasets.benchmark_data import (
-    DEFAULT_SAMPLING_RATIOS,
-    DatasetMBundle,
-    OfflineDataset,
-    build_dataset_m,
-    sample_sub_datasets,
-)
 
 __all__ = [
     "World",
@@ -34,11 +32,6 @@ __all__ = [
     "WeeklyDriftProcess",
     "LinkPredictionSplit",
     "make_link_prediction_split",
-    "DEFAULT_SAMPLING_RATIOS",
-    "DatasetMBundle",
-    "OfflineDataset",
-    "build_dataset_m",
-    "sample_sub_datasets",
     "save_events",
     "load_events",
     "save_entity_dict",

@@ -46,12 +46,6 @@ _AMBIENT: ContextVar["RequestRecord | None"] = ContextVar(
 #: serving process, not a log store).
 RING_CAPACITY = 256
 
-#: Envelope codes that count as shed (refused by admission machinery rather
-#: than failed while computing). The first originates in the runtime, the
-#: rest in the front end.
-_SHED_CODES = ("deadline_exceeded", "queue_full", "queue_timeout", "draining")
-
-
 class RequestRecord:
     """One request, start to finish (see module docstring).
 
@@ -64,7 +58,7 @@ class RequestRecord:
     """
 
     __slots__ = (
-        "id", "endpoint", "ts", "duration_ms", "ok", "code",
+        "id", "endpoint", "ts", "duration_ms", "ok", "code", "shed",
         "graph_version", "preference_version",
         "queue_wait_ms", "cache", "hops",
         "_events", "_perf", "_start",
@@ -119,7 +113,7 @@ class RequestRecord:
             "preference_version": self.preference_version,
             "queue_wait_ms": self.queue_wait_ms,
             "cache": self.cache,
-            "shed": self.code in _SHED_CODES,
+            "shed": self.shed,
             "hops": None if self.hops is None else list(self.hops),
             "phases": [
                 [name, depth, round(start * 1e6, 3), round(duration * 1e6, 3)]
@@ -218,11 +212,14 @@ class RequestLog:
         code: str | None = "internal",
         graph_version: int | None = None,
         preference_version: int | None = None,
+        shed: bool = False,
     ) -> None:
         """Unbind ``record``, stamp its outcome and append it to the ring.
 
-        The defaults describe a request that escaped with a
-        non-``ReproError``: callers on that path pass the record alone.
+        ``shed`` is whether the envelope told the client when to retry
+        (carries ``retry_after_ms``). The defaults describe a request that
+        escaped with a non-``ReproError``: callers on that path pass the
+        record alone.
         """
         if record is None:
             return
@@ -231,6 +228,7 @@ class RequestLog:
         record.ts = self._time()
         record.ok = ok
         record.code = code
+        record.shed = shed
         record.graph_version = graph_version
         record.preference_version = preference_version
         self._ring.append(record)

@@ -33,6 +33,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     CheckpointError,
@@ -46,9 +47,11 @@ from repro.errors import (
     VocabularyError,
 )
 from repro.obs import Clock
-from repro.online.system import EGLSystem
 from repro.resilience import Deadline
 from repro.serving.runtime import ActiveArtifacts
+
+if TYPE_CHECKING:
+    from repro.online.system import EGLSystem
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 JSON_CONTENT_TYPE = "application/json"

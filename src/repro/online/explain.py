@@ -17,7 +17,7 @@ from repro.errors import ConfigError
 from repro.online.reasoning import ExpansionView
 from repro.preference.store import PreferenceStore
 from repro.text.entity_dict import EntityDict
-from repro.text.sequence_extractor import UserEntitySequence
+from repro.text.user_sequence import UserEntitySequence
 
 
 @dataclass

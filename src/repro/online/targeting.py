@@ -5,11 +5,10 @@ average preference score, with the wall-clock time the request took — the
 paper reports 2-4 minutes end-to-end at Alipay scale; we report the
 simulator's actual latency.
 
-Scoring runs under :func:`repro.tensor.no_grad`: the read path is
-inference-only and must never record autograd state. ``target_batch``
-scores many entity sets in one vectorized pass — the shape the runtime
-uses when a burst of requests (or one request per campaign variant)
-arrives together. :func:`target_users_for_phrases` is the whole cold-start
+Scoring is plain numpy over the published preference arrays; nothing
+here touches the autograd engine. ``target_batch`` scores many entity
+sets in one vectorized pass — the shape the runtime uses when a burst of
+requests (or one request per campaign variant) arrives together. :func:`target_users_for_phrases` is the whole cold-start
 flow (phrases → expansion → audience) over one acquired generation.
 """
 
@@ -24,7 +23,6 @@ from repro.obs.context import phase
 from repro.online.reasoning import ExpansionView
 from repro.preference.store import PreferenceStore, UserScore
 from repro.resilience import Deadline
-from repro.tensor import no_grad
 
 if TYPE_CHECKING:
     from repro.serving.runtime import ActiveArtifacts
@@ -60,10 +58,9 @@ class UserTargeting:
             raise ConfigError("k must be >= 1")
         with phase("targeting"):
             start = time.perf_counter()
-            with no_grad():
-                users = self.preference_store.top_users_for_entities(
-                    list(entity_ids), k, weights=None if weights is None else list(weights)
-                )
+            users = self.preference_store.top_users_for_entities(
+                list(entity_ids), k, weights=None if weights is None else list(weights)
+            )
             elapsed = time.perf_counter() - start
             return TargetingResult(
                 entity_ids=list(entity_ids), users=users, elapsed_seconds=elapsed
@@ -85,10 +82,9 @@ class UserTargeting:
             raise ConfigError("k must be >= 1")
         with phase("targeting"):
             start = time.perf_counter()
-            with no_grad():
-                per_set = self.preference_store.top_users_for_entity_sets(
-                    [list(ids) for ids in entity_sets], k, weights=weights
-                )
+            per_set = self.preference_store.top_users_for_entity_sets(
+                [list(ids) for ids in entity_sets], k, weights=weights
+            )
             elapsed = time.perf_counter() - start
             return [
                 TargetingResult(

@@ -41,7 +41,7 @@ from repro.errors import ConfigError, CorruptArtifactError, NotFittedError, Stor
 from repro.obs.context import phase
 from repro.preference.user_embedding import user_embedding_matrix
 from repro.resilience import atomic_write_array, atomic_write_text, read_proven_array
-from repro.text.sequence_extractor import UserEntitySequence
+from repro.text.user_sequence import UserEntitySequence
 
 #: On-disk format identifier of the preference artifact directory.
 PREF_FORMAT = "pref-mm-v4"

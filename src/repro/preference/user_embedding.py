@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.text.sequence_extractor import UserEntitySequence
+from repro.text.user_sequence import UserEntitySequence
 
 
 def user_embedding(

@@ -13,6 +13,8 @@
     admission control, backpressure and graceful drain.
 """
 
+import importlib
+
 from repro.serving.cache import VersionedLRUCache
 from repro.serving.registry import (
     KIND_GRAPH,
@@ -22,17 +24,14 @@ from repro.serving.registry import (
 )
 from repro.serving.runtime import ActiveArtifacts, ServingRuntime
 
+# The front end wraps the API facade, a layer above this package's runtime:
+# its names resolve on first use (PEP 562).
+_LAZY = {"QueryFrontend": "frontend", "AdmissionController": "frontend"}
+
 
 def __getattr__(name: str):
-    # The front end wraps the API facade (a layer *above* this package),
-    # so importing it eagerly here would be circular: online.system
-    # imports repro.serving while initializing. PEP 562 lazy export keeps
-    # ``from repro.serving import QueryFrontend`` working without the
-    # cycle.
-    if name in ("QueryFrontend", "AdmissionController"):
-        from repro.serving import frontend
-
-        return getattr(frontend, name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -378,6 +378,7 @@ class QueryFrontend:
         self._observe_request(endpoint, code, self._perf() - start)
         self._journeys.close(
             record, response.ok, code, response.graph_version, response.preference_version,
+            shed=response.retry_after_ms is not None,
         )
         return (http_status(code), envelope)
 

@@ -10,10 +10,12 @@ refreshed expert dictionary of millions of entities across 26 types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.datasets.world import World
 from repro.errors import VocabularyError
+
+if TYPE_CHECKING:
+    from repro.datasets.world import World
 
 
 @dataclass(frozen=True)

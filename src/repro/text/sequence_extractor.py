@@ -13,7 +13,6 @@ one entity sequence per user. Two extraction backends:
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,18 +20,8 @@ from repro.datasets.behavior import BehaviorEvent, BehaviorLog
 from repro.errors import ConfigError
 from repro.text.entity_dict import EntityDict
 from repro.text.ner import NERTagger, extract_entities
+from repro.text.user_sequence import UserEntitySequence
 from repro.text.vocab import Vocab
-
-
-@dataclass
-class UserEntitySequence:
-    """Chronological entity ids a user interacted with in the window."""
-
-    user_id: int
-    entity_ids: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entity_ids)
 
 
 class EntitySequenceExtractor:

@@ -1,48 +1,38 @@
-"""TRMP: the Three-stage Relation Mining Procedure (the paper's core)."""
+"""TRMP: the Three-stage Relation Mining Procedure (the paper's core).
 
-from repro.trmp.candidate import (
-    CandidateGenerationConfig,
-    CandidateGenerator,
-    CandidateResult,
-    popularity_sampling_pairs,
-)
-from repro.trmp.losses import (
-    anchor_negative_mask,
-    info_nce_loss,
-    prediction_loss,
-    threshold_loss,
-    total_loss,
-)
-from repro.trmp.negative_sampling import (
-    hard_negative_pairs,
-    mixed_negative_pairs,
-    semantic_anchor_pairs,
-)
-from repro.trmp.alpc import ALPCConfig, ALPCLinkPredictor, ALPCModel, ALPCTrainReport
-from repro.trmp.ensemble import EnsembleConfig, EnsembleLinkPredictor, EnsembleModel
-from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
+Names resolve on first use (PEP 562): a stage worker imports
+:mod:`repro.trmp.stage_worker` through this package and must not pay for
+the training stack before its first job asks for it.
+"""
 
-__all__ = [
-    "CandidateGenerationConfig",
-    "CandidateGenerator",
-    "CandidateResult",
-    "popularity_sampling_pairs",
-    "prediction_loss",
-    "threshold_loss",
-    "info_nce_loss",
-    "anchor_negative_mask",
-    "total_loss",
-    "semantic_anchor_pairs",
-    "hard_negative_pairs",
-    "mixed_negative_pairs",
-    "ALPCConfig",
-    "ALPCLinkPredictor",
-    "ALPCModel",
-    "ALPCTrainReport",
-    "EnsembleConfig",
-    "EnsembleLinkPredictor",
-    "EnsembleModel",
-    "TRMPConfig",
-    "TRMPipeline",
-    "WeeklyRun",
-]
+import importlib
+
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "CandidateGenerationConfig", "CandidateGenerator", "CandidateResult",
+            "popularity_sampling_pairs",
+        ),
+        "candidate",
+    ),
+    **dict.fromkeys(
+        ("anchor_negative_mask", "info_nce_loss", "prediction_loss", "threshold_loss", "total_loss"),
+        "losses",
+    ),
+    **dict.fromkeys(
+        ("hard_negative_pairs", "mixed_negative_pairs", "semantic_anchor_pairs"),
+        "negative_sampling",
+    ),
+    **dict.fromkeys(("ALPCConfig", "ALPCLinkPredictor", "ALPCModel", "ALPCTrainReport"), "alpc"),
+    **dict.fromkeys(("EnsembleConfig", "EnsembleLinkPredictor", "EnsembleModel"), "ensemble"),
+    **dict.fromkeys(("TRMPConfig", "TRMPipeline", "WeeklyRun"), "pipeline"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

@@ -7,9 +7,8 @@ each run here as one module-level function of :mod:`repro.trmp.stages`,
 so their heaps live and die with this process, not the server's.
 
 It is a plain ``python -c`` child with its own stdin / stdout pipes that
-imports this module and calls :func:`main` (not ``python -m``: importing the
-``repro.trmp`` package already imports this module, and runpy would run it
-a second time as ``__main__``, with a ``RuntimeWarning``). Each
+imports this module and calls :func:`main`; it starts on four ``repro``
+modules and imports :mod:`repro.trmp.stages` with its first request. Each
 request is one length-prefixed pickle of ``(function, arguments)``; each
 reply one pickle of what the function returned. The worker serves requests
 until its stdin ends, so one worker can pretrain and then fit ALPC, and a

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.datasets import (
+from repro.datasets import BehaviorConfig, WorldConfig, make_link_prediction_split
+from repro.datasets.benchmark_data import (
     DEFAULT_SAMPLING_RATIOS,
     build_dataset_m,
-    make_link_prediction_split,
     sample_sub_datasets,
-    WorldConfig,
-    BehaviorConfig,
 )
 from repro.errors import ConfigError
 

@@ -7,7 +7,8 @@ shed by admission — goes through ``QueryFrontend.dispatch`` and leaves:
   envelope's;
 * a ``code`` on every non-2xx envelope (``None`` on a 2xx);
 * ``retry_after_ms`` and a ``Retry-After`` header on a shed, and neither on
-  anything else;
+  anything else, and a record flagged ``shed`` exactly when the envelope
+  carries them (a deadline that runs out in the backend is no shed);
 * exactly one step of ``requests_total``, under that endpoint and code.
 
 A GET opens no record and counts nothing there. (The draining case
@@ -72,7 +73,7 @@ INVALID = {
     "feedback": {"seed_entity_id": -1, "chosen_entity_ids": [1]},
 }
 
-#: Codes shed by admission in this module; all carry a retry hint.
+#: Outcomes shed by admission in this module; all carry a retry hint.
 SHEDS = {"queue_full", "draining", "deadline_exceeded"}
 
 
@@ -110,10 +111,13 @@ CASES = [
     for endpoint in ("expand", "target", "target_batch", "feedback")
     for outcome in (
         "ok", "invalid_argument", "unknown_key", "not_ready", "queue_full", "draining",
-        "deadline_exceeded", "bad_json", "too_long",
+        "deadline_exceeded", "runtime_deadline", "bad_json", "too_long",
     )
     # Feedback needs no artifact and takes no budget.
-    if not (endpoint == "feedback" and outcome in ("not_ready", "deadline_exceeded"))
+    if not (
+        endpoint == "feedback"
+        and outcome in ("not_ready", "deadline_exceeded", "runtime_deadline")
+    )
 ] + [("nope", "unknown_route")]
 
 #: outcome → (HTTP status, envelope code).
@@ -125,6 +129,7 @@ EXPECTED = {
     "queue_full": (429, "queue_full"),
     "draining": (503, "draining"),
     "deadline_exceeded": (504, "deadline_exceeded"),
+    "runtime_deadline": (504, "deadline_exceeded"),
     "bad_json": (400, "invalid_argument"),
     "too_long": (413, "invalid_argument"),
     "unknown_route": (400, "invalid_argument"),
@@ -160,6 +165,15 @@ def test_one_record_one_count_one_envelope_shape(world, tmp_path, endpoint, outc
             return admit(max_wait)
 
         frontend.admission.try_admit = admit_after_the_budget
+    elif outcome == "runtime_deadline":
+        body = {**body, "timeout_ms": 50.0}
+        answer = getattr(system.runtime, endpoint)
+
+        def answer_after_the_budget(*args, **kwargs):
+            system.obs.clock.advance(1.0)  # the budget ran out in the backend
+            return answer(*args, **kwargs)
+
+        setattr(system.runtime, endpoint, answer_after_the_budget)
     if request is None:
         request = post(f"/{endpoint}", json.dumps(body).encode())
 
@@ -183,7 +197,8 @@ def test_one_record_one_count_one_envelope_shape(world, tmp_path, endpoint, outc
     if outcome == "draining":
         assert system.obs.metrics.get_value("frontend_draining") == 1.0
 
-    shed = envelope["code"] in SHEDS
+    shed = outcome in SHEDS
+    assert record["shed"] is shed
     assert ("retry_after_ms" in envelope) == shed
     assert ("retry-after" in headers) == shed
     if shed:

@@ -165,18 +165,17 @@ class TestJourneyLog:
         assert journey["cache"] is None
         assert journey["ok"] is False and journey["code"] == "invalid_argument"
 
-    def test_shed_flag_derived_from_response_code(self, log):
-        for code, shed in [
-            ("deadline_exceeded", True),
-            ("queue_full", True),
-            ("queue_timeout", True),
-            ("draining", True),
-            ("invalid_argument", False),
-            (None, False),
-        ]:
+    def test_shed_flag_is_what_close_is_told(self, log):
+        """One code can be either: ``deadline_exceeded`` is a shed from
+        admission (with a retry hint) and not from the runtime (without
+        one), so the closer says which; nothing is derived from the code."""
+        for shed in (True, False):
             log.clear()
-            _finish(log, ok=code is None, code=code)
+            log.close(log.open("expand"), False, "deadline_exceeded", shed=shed)
             assert log.tail()[0]["shed"] is shed
+        log.clear()
+        _finish(log, ok=False, code="queue_full")
+        assert log.tail()[0]["shed"] is False
 
     def test_endpoint_passes_through_verbatim(self, log):
         _finish(log, endpoint="replay.expand")

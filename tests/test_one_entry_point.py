@@ -3,7 +3,9 @@
 Guards the shape of the request path: ``dispatch`` is the only opener of a
 request record, the service holds no metric or record code, ``EGLSystem``
 answers no query, and every name the end-to-end benchmark imports or wraps
-(``benchmarks/e2e/server.py`` and ``trace.py``) still resolves.
+(``benchmarks/e2e/server.py``, ``workloads.py`` and ``trace.py``) still
+resolves — its package-level imports in a fresh interpreter, where no
+earlier import has run a package ``__init__`` for them.
 """
 
 from __future__ import annotations
@@ -11,15 +13,22 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability
 from repro.online import EGLSystem
 from repro.online.api import ApiResponse, EGLService
+from repro.online.reasoning import GraphReasoner
 from repro.serving.frontend import AdmissionController, QueryFrontend
+from repro.text.entity_dict import EntityDict
 
 SRC = Path(repro.__file__).parent
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -49,6 +58,45 @@ def test_every_benchmark_wrapped_attribute_still_exists():
         tracer.uninstall()  # raises if a wrapper survives
     for owner, attribute in wrapped:
         assert not hasattr(vars(owner)[attribute], "__wrapped__")
+
+
+def test_the_tracer_sees_the_reasoners_khop_call(world):
+    """``GraphReasoner`` calls ``k_hop_expansion`` through
+    ``repro.online.reasoning``'s module global, where ``trace.py`` wraps it."""
+    trace = load_trace_module()
+    reasoner = GraphReasoner(
+        EntityGraph.from_edge_list(world.num_entities, [(0, 1), (1, 2)], [0.9, 0.8], [0, 0]),
+        EntityDict.from_world(world),
+    )
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        reasoner.expand([world.entities[0].name], depth=2)
+    finally:
+        tracer.uninstall()
+    assert [span.name for span in tracer.spans] == ["khop", "reasoner"]
+    assert tracer.spans[0].counts == {"khop.nodes": 3}
+
+
+def package_imports(script: Path) -> list[str]:
+    """The script's ``from repro.<package> import …`` lines (a package, not
+    a module: the imports an ``__init__`` change can break)."""
+    return [
+        ast.unparse(node)
+        for node in ast.parse(script.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        and (SRC.parent / node.module.replace(".", "/") / "__init__.py").is_file()
+    ]
+
+
+@pytest.mark.parametrize("script", ["server.py", "workloads.py"])
+def test_the_benchmark_package_imports_resolve_in_a_fresh_interpreter(script):
+    lines = package_imports(E2E / script)
+    assert lines
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    for line in lines:
+        subprocess.run([sys.executable, "-c", line], env=env, check=True)
 
 
 def test_the_benchmark_server_bring_up_names_resolve(world, tmp_path):

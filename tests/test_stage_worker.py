@@ -500,7 +500,7 @@ def test_a_valid_reply_passes_unchanged():
 
 
 # ----------------------------------------------------------------------
-# (g) one worker entry point; a serving side that cannot train
+# (g) one worker entry point (the layer order is tests/test_layers.py)
 # ----------------------------------------------------------------------
 def imported_modules(path: Path) -> set[str]:
     names: set[str] = set()
@@ -530,17 +530,3 @@ def test_one_worker_entry_point():
         if relative.startswith("serving/") or relative == "online/api.py":
             assert "repro.trmp.stage_worker" not in modules, relative
 
-
-TRAINING_PACKAGES = ("repro.tensor", "repro.nn", "repro.embeddings", "repro.trmp")
-
-
-def test_the_serving_side_imports_no_training_code():
-    """The reasoner and every serving module read published arrays; none
-    of them imports the autograd engine, the layers, the encoders or TRMP."""
-    paths = [SRC / "online" / "reasoning.py", *sorted((SRC / "serving").glob("*.py"))]
-    for path in paths:
-        for module in imported_modules(path):
-            assert not any(
-                module == package or module.startswith(package + ".")
-                for package in TRAINING_PACKAGES
-            ), (path.relative_to(SRC).as_posix(), module)
