@@ -337,7 +337,7 @@ def cmd_refresh(args) -> int:
     events = generator.generate()
     faults = None
     if args.kill_after is not None:
-        faults = FaultInjector(seed=args.seed)
+        faults = FaultInjector()
         faults.fail_at(f"pipeline.{args.kill_after}", 1, exception=InjectedCrash)
     system = EGLSystem(world, artifact_root=args.root, faults=faults)
 

@@ -30,11 +30,6 @@ class Clock:
     #: Monotonic high-resolution seconds (for durations).
     perf = staticmethod(_time.perf_counter)
 
-    #: Block for the given number of seconds (for retry backoff and
-    #: injected latency). ManualClock overrides this to *advance* instead,
-    #: so waits are deterministic and instantaneous under test.
-    sleep = staticmethod(_time.sleep)
-
 
 class ManualClock(Clock):
     """Deterministic clock for tests: time moves only via :meth:`advance`.
@@ -60,7 +55,3 @@ class ManualClock(Clock):
             raise ValueError("time cannot move backwards")
         self._wall += seconds
         self._perf += seconds
-
-    def sleep(self, seconds: float) -> None:
-        """A manual clock never blocks: sleeping *is* advancing."""
-        self.advance(seconds)

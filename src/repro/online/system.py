@@ -33,16 +33,16 @@ import numpy as np
 
 from repro.datasets.behavior import BehaviorLog
 from repro.datasets.world import World
-from repro.errors import DriftGateError, StorageError
+from repro.errors import CorruptArtifactError, DriftGateError
 from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability, ResourceAccountant
 from repro.online.feedback import FeedbackRecorder
 from repro.online.reasoning import GraphReasoner
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector
 from repro.serving import ArtifactRecord, ArtifactRegistry, ServingRuntime
 from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
 from repro.trmp.stage_worker import StageWorker, reject
-from repro.trmp.stages import preference_stage
+from repro.trmp.daily import preference_stage
 
 
 def graph_digest(graph: EntityGraph) -> str:
@@ -98,22 +98,17 @@ class EGLSystem:
         artifact_root: str | Path,
         cache_size: int = 256,
         obs: Observability | None = None,
-        retry_policy: RetryPolicy | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
         self.world = world
         self.obs = obs or Observability()
         self.faults = faults
-        self.retry = retry_policy or RetryPolicy(clock=self.obs.clock)
-        if self.retry.on_retry is None:
-            self.retry.on_retry = self._count_retry
         self.feedback = FeedbackRecorder()
         del store_path  # unread; kept while benchmarks/e2e/server.py still passes it
         self.registry = ArtifactRegistry(root=artifact_root, faults=faults)
         self.pipeline = TRMPipeline(
             world, config, obs=self.obs,
-            checkpoints=self.registry.checkpoints,
-            retry=self.retry, faults=faults,
+            checkpoints=self.registry.checkpoints, faults=faults,
         )
         self.runtime = ServingRuntime(cache_size=cache_size, obs=self.obs)
         # Every drift report — from refresh-driven swaps *and* direct
@@ -128,16 +123,6 @@ class EGLSystem:
     # ------------------------------------------------------------------
     # Offline stage
     # ------------------------------------------------------------------
-    def _count_retry(self, seam: str, attempt: int, error: Exception) -> None:
-        """RetryPolicy hook: every backoff is counted and logged."""
-        self.obs.metrics.counter(
-            "resilience_retries_total",
-            help="Transient-failure retries by seam", seam=seam,
-        ).inc()
-        self.obs.logger.child("resilience").warning(
-            "retry", seam=seam, attempt=attempt, error=str(error)
-        )
-
     def _publish_week_graph(self, run: WeeklyRun, resume: bool) -> dict:
         """Publish one week's mined graph; returns a path-free summary of
         the registered generation (the freeze-stage payload).
@@ -154,10 +139,7 @@ class EGLSystem:
             and record.tag == tag
             and record.edges == run.ranked_graph.num_edges
         ):
-            record = self.retry.call(
-                lambda: self.registry.publish_graph(run.ranked_graph, tag=tag),
-                seam="registry.publish_graph",
-            )
+            record = self.registry.publish_graph(run.ranked_graph, tag=tag)
         return {
             "version": record.version,
             "tag": record.tag,
@@ -173,7 +155,7 @@ class EGLSystem:
         ``weekly-<week>`` as it completes, so ``resume=True`` after a crash
         recomputes only what the crash interrupted (seeded stages make the
         result byte-identical — compare ``RefreshReport.artifact_digest``).
-        Registry publishes ride the retry policy; an activation refused by
+        A storage error raises to the caller; an activation refused by
         the activation check leaves the artifact published while serving
         stays on the generation it had, and keeps the marketer feedback for
         the next week.
@@ -204,10 +186,7 @@ class EGLSystem:
         # Hot-swap: build the complete new reasoner, then activate it —
         # requests already in flight finish on the previous version.
         reasoner = GraphReasoner(
-            self.retry.call(
-                lambda: self.registry.open_graph(frozen["version"]),
-                seam="registry.open_graph",
-            ),
+            self.registry.open_graph(frozen["version"]),
             self.pipeline.entity_dict,
             lexicon,
         )
@@ -262,9 +241,7 @@ class EGLSystem:
         """
         embeddings = self.pipeline.entity_embeddings()
         num_users = self.world.num_users
-        slot = self.retry.call(
-            self.registry.reserve_preferences, seam="registry.publish_preferences"
-        )
+        slot = self.registry.reserve_preferences()
         with StageWorker() as worker:
             covered, _ = worker.run(
                 preference_stage, self.pipeline.extractor, events, embeddings,
@@ -272,10 +249,7 @@ class EGLSystem:
             )
         if not (type(covered) is int and 0 <= covered <= num_users):
             raise reject(repr(covered), f"a covered-user count in [0, {num_users}]")
-        record = self.retry.call(
-            lambda: self.registry.commit_preferences(slot),
-            seam="registry.publish_preferences",
-        )
+        record = self.registry.commit_preferences(slot)
         return record, covered
 
     def daily_preference_refresh(self, events: BehaviorLog) -> int:
@@ -285,11 +259,8 @@ class EGLSystem:
         record, covered = self._publish_daily_preferences(events)
         try:
             # Serve the registry's artifact, every array proven at open.
-            serve_store = self.retry.call(
-                lambda: self.registry.open_preferences(record.version),
-                seam="registry.open_preferences",
-            )
-        except StorageError:
+            serve_store = self.registry.open_preferences(record.version)
+        except CorruptArtifactError:
             pass  # artifact quarantined; the previous generation keeps serving
         else:
             try:

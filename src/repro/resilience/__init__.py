@@ -4,10 +4,6 @@ The paper's system refreshes artifacts weekly/daily underneath an
 always-on targeting service; this package holds the dependency-free
 primitives that keep both sides alive when infrastructure misbehaves:
 
-``retry``
-    :class:`RetryPolicy` — capped exponential backoff with seeded jitter,
-    sleeping through the injectable clock (deterministic under
-    :class:`~repro.obs.ManualClock`).
 ``deadline``
     :class:`Deadline` — absolute per-request budgets propagated through
     the serving read path; expired work is shed, not finished late.
@@ -16,8 +12,8 @@ primitives that keep both sides alive when infrastructure misbehaves:
     id, digest-validated, atomic on disk; powers ``weekly_refresh``
     resume.
 ``faults``
-    :class:`FaultInjector` — seeded error/latency/kill schedules injected
-    at named seams (registry, checkpoints, pipeline stages) for the chaos
+    :class:`FaultInjector` — scripted failures on exact call numbers at
+    named seams (registry, checkpoints, pipeline stages) for the chaos
     suite.
 ``atomic``
     temp-file + fsync + rename writes and SHA-256 content digests, shared
@@ -26,8 +22,9 @@ primitives that keep both sides alive when infrastructure misbehaves:
     and :func:`read_proven_array` reads one back into memory, proving its
     checksum from the buffer it serves.
 
-There is no degraded mode: no circuit breaker and no fallback generation.
-A failing call raises its own error, answered with its own code, and
+There is no degraded mode: no retry, no circuit breaker and no fallback
+generation. A failing call raises its own error once, answered with its
+own code, and
 serving stays on the generation it had until an activation check passes.
 """
 
@@ -42,13 +39,7 @@ from repro.resilience.atomic import (
 )
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.deadline import Deadline
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultSpec,
-    InjectedCrash,
-    InjectedFault,
-)
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.faults import FaultInjector, InjectedCrash, InjectedFault
 
 __all__ = [
     "atomic_write_array",
@@ -61,8 +52,6 @@ __all__ = [
     "CheckpointStore",
     "Deadline",
     "FaultInjector",
-    "FaultSpec",
     "InjectedCrash",
     "InjectedFault",
-    "RetryPolicy",
 ]

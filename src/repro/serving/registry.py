@@ -125,7 +125,7 @@ class ArtifactRegistry:
     faults:
         Optional :class:`~repro.resilience.FaultInjector`; when given, the
         ``registry.write`` / ``registry.read`` seams fire on every durable
-        write / artifact open (the chaos suite's flaky-storage knob).
+        write / artifact open (scripted failures for the chaos suite).
     """
 
     def __init__(
@@ -296,7 +296,7 @@ class ArtifactRegistry:
         The report is keyed by the *candidate* (new) version — rejected
         swaps file reports too, which is exactly when you want the evidence
         durable. Re-attaching for the same version overwrites (a rejected
-        candidate may be re-measured on retry).
+        candidate may be measured again).
         """
         self._require_kind(report.kind)
         self._drift[(report.kind, report.new_version)] = report
@@ -449,7 +449,8 @@ class ArtifactRegistry:
             self._save_manifest()
         except BaseException:
             # A failed manifest write must not leave a half-published
-            # record behind — the caller's retry re-publishes cleanly.
+            # record behind: the error reaches the caller, and the next
+            # publish writes that version afresh.
             records.remove(record)
             raise
         return record

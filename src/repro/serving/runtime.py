@@ -33,9 +33,9 @@ Faults (this layer's fault-tolerance contract — there is no degraded mode):
 * **a failing request raises** — its error reaches the API edge, which
   answers it with its own envelope code; nothing else changes state;
 * **deadlines** — ``expand``/``target*`` accept a per-request
-  :class:`~repro.resilience.Deadline`; expired requests are *shed*
-  (:class:`~repro.errors.DeadlineExceededError`) and counted, never
-  finished late;
+  :class:`~repro.resilience.Deadline`; an expired request raises
+  :class:`~repro.errors.DeadlineExceededError` (counted once, at the
+  front end, under its code), never finished late;
 * **rollback** — :meth:`ServingRuntime.rollback` reinstates the previous
   generation per artifact kind (the manual lever when a bad artifact got
   past every gate).
@@ -72,6 +72,16 @@ from repro.serving.cache import VersionedLRUCache
 
 #: How many hot-swap events the runtime keeps for post-hoc inspection.
 SWAP_EVENT_CAPACITY = 64
+
+#: Each artifact kind's fields of :class:`ActiveArtifacts`: its version,
+#: its tag, then what serves it. Activation and rollback of a kind move
+#: exactly these.
+_FIELDS = {
+    "graph": ("graph_version", "graph_tag", "reasoner"),
+    "preferences": (
+        "preference_version", "preference_tag", "preference_store", "targeting",
+    ),
+}
 
 #: glibc's ``mallopt`` parameter number for ``M_MMAP_THRESHOLD``, and the
 #: threshold's default (128 KiB).
@@ -126,23 +136,19 @@ class ActiveArtifacts:
             )
         return self.targeting
 
-    def graph_only(self) -> "ActiveArtifacts":
-        """This generation's graph fields alone (a graph rollback slot)."""
-        return ActiveArtifacts(
-            graph_version=self.graph_version,
-            graph_tag=self.graph_tag,
-            reasoner=self.reasoner,
-        )
+    def only(self, kind: str) -> "ActiveArtifacts":
+        """This generation's ``kind`` fields alone (a rollback slot)."""
+        return ActiveArtifacts(**{name: getattr(self, name) for name in _FIELDS[kind]})
 
-    def preferences_only(self) -> "ActiveArtifacts":
-        """This generation's preference fields alone (a preference
-        rollback slot)."""
-        return ActiveArtifacts(
-            preference_version=self.preference_version,
-            preference_tag=self.preference_tag,
-            preference_store=self.preference_store,
-            targeting=self.targeting,
-        )
+
+def _drift_report(
+    kind: str, old: ActiveArtifacts, new: ActiveArtifacts, at: float
+) -> DriftReport:
+    """The activation check: ``new``'s ``kind`` generation against ``old``'s."""
+    versions = getattr(old, _FIELDS[kind][0]), getattr(new, _FIELDS[kind][0]), at
+    if kind == "graph":
+        return graph_report(old.reasoner.graph, new.reasoner.graph, *versions)
+    return preference_report(old.preference_store, new.preference_store, *versions)
 
 
 class ServingRuntime:
@@ -177,27 +183,29 @@ class ServingRuntime:
         # Previous generations, per artifact kind, for explicit rollback.
         # Each slot holds only its own kind's fields, so neither pins the
         # other kind's generation.
-        self._previous_graph: ActiveArtifacts | None = None
-        self._previous_preferences: ActiveArtifacts | None = None
+        self._previous: dict[str, ActiveArtifacts] = {}
         #: Optional callback invoked with every DriftReport (accepted or
         #: refused); EGLSystem uses it to persist reports in the registry,
         #: including for direct activations.
         self.on_drift_report = None
         metrics = self.obs.metrics
-        self._graph_version_gauge = metrics.gauge(
-            "serving_active_version", help="Active artifact version", kind="graph"
+
+        def per_kind(make, name: str, help: str) -> dict:
+            return {kind: make(name, help=help, kind=kind) for kind in _FIELDS}
+
+        self._version_gauges = per_kind(
+            metrics.gauge, "serving_active_version", "Active artifact version"
         )
-        self._pref_version_gauge = metrics.gauge("serving_active_version", kind="preferences")
-        self._graph_swap_counter = metrics.counter(
-            "serving_hot_swaps_total", help="Artifact hot-swaps performed", kind="graph"
+        self._swap_counters = per_kind(
+            metrics.counter, "serving_hot_swaps_total", "Artifact hot-swaps performed"
         )
-        self._pref_swap_counter = metrics.counter("serving_hot_swaps_total", kind="preferences")
-        self._graph_reject_counter = metrics.counter(
-            "serving_swap_rejections_total",
-            help="Hot-swaps refused by the activation check", kind="graph",
+        self._reject_counters = per_kind(
+            metrics.counter, "serving_swap_rejections_total",
+            "Hot-swaps refused by the activation check",
         )
-        self._pref_reject_counter = metrics.counter(
-            "serving_swap_rejections_total", kind="preferences"
+        self._rollback_counters = per_kind(
+            metrics.counter, "serving_rollbacks_total",
+            "Explicit rollbacks to the previous generation",
         )
         # Bound ``observe`` methods — skips a handle-attribute lookup per
         # request on the read path.
@@ -210,31 +218,6 @@ class ServingRuntime:
         self._observe_target = metrics.histogram(
             "serving_target_seconds", help="User-targeting scoring latency"
         ).observe
-        self._rollback_counters = {
-            kind: metrics.counter(
-                "serving_rollbacks_total",
-                help="Explicit rollbacks to the previous generation", kind=kind,
-            )
-            for kind in ("graph", "preferences")
-        }
-        self._shed_counters: dict[str, object] = {}
-
-    # ------------------------------------------------------------------
-    # Deadlines
-    # ------------------------------------------------------------------
-    def _check_deadline(self, deadline: Deadline | None, endpoint: str) -> None:
-        """Shed (count, then raise) a request whose budget has expired."""
-        if deadline is not None and deadline.expired:
-            counter = self._shed_counters.get(endpoint)
-            if counter is None:
-                counter = self.obs.metrics.counter(
-                    "serving_shed_requests_total",
-                    help="Requests shed instead of served",
-                    endpoint=endpoint, reason="deadline",
-                )
-                self._shed_counters[endpoint] = counter
-            counter.inc()
-            deadline.check(endpoint)
 
     # ------------------------------------------------------------------
     # Artifact activation (called by the offline producers)
@@ -252,33 +235,10 @@ class ServingRuntime:
         Raises :class:`~repro.errors.DriftGateError` when the candidate has
         no edges; the old generation keeps serving.
         """
-        with self._swap_lock:
-            self._activate_graph(reasoner, version, tag)
-
-    def _activate_graph(
-        self, reasoner: GraphReasoner, version: int, tag: str | None
-    ) -> None:
-        start = self._perf()
-        tag = tag or f"graph-v{version}"
-        previous = self._active
-        if previous.reasoner is not None:
-            report = self._file_report(graph_report(
-                previous.reasoner.graph, reasoner.graph,
-                previous.graph_version, version, self._clock.time(),
-            ))
-            if report.gated:
-                self._refuse(report, tag, start)
-        self._active = replace(
-            previous, graph_version=version, graph_tag=tag, reasoner=reasoner
-        )
-        if previous.reasoner is not None:
-            self._previous_graph = previous.graph_only()
-        self._swap_count += 1
-        if previous.graph_version is not None and previous.graph_version != version:
-            self._cache.purge_version(previous.graph_version)
-        self._record_swap("graph", previous.graph_version, version, tag, start)
-        self._graph_swap_counter.inc()
-        self._graph_version_gauge.set(version)
+        self._activate("graph", ActiveArtifacts(
+            graph_version=version, graph_tag=tag or f"graph-v{version}",
+            reasoner=reasoner,
+        ))
 
     def activate_preferences(
         self, store: PreferenceStore, version: int, tag: str | None = None
@@ -288,37 +248,54 @@ class ServingRuntime:
         Raises :class:`~repro.errors.DriftGateError` when the candidate's
         probe scores are constant; the old generation keeps serving.
         """
-        with self._swap_lock:
-            self._activate_preferences(store, version, tag)
-
-    def _activate_preferences(
-        self, store: PreferenceStore, version: int, tag: str | None
-    ) -> None:
-        start = self._perf()
-        tag = tag or store.version_tag or f"daily-{version}"
-        previous = self._active
-        if previous.preference_store is not None:
-            report = self._file_report(preference_report(
-                previous.preference_store, store,
-                previous.preference_version, version, self._clock.time(),
-            ))
-            if report.gated:
-                self._refuse(report, tag, start)
-        self._active = replace(
-            previous,
+        self._activate("preferences", ActiveArtifacts(
             preference_version=version,
-            preference_tag=tag,
-            preference_store=store,
-            targeting=UserTargeting(store),
+            preference_tag=tag or store.version_tag or f"daily-{version}",
+            preference_store=store, targeting=UserTargeting(store),
+        ))
+
+    def _activate(self, kind: str, incoming: ActiveArtifacts) -> None:
+        """Install ``incoming``'s generation of ``kind`` once the activation
+        check against the served one (if any) passes; the served one
+        becomes that kind's rollback slot."""
+        with self._swap_lock:
+            start = self._perf()
+            current = self._active
+            if getattr(current, _FIELDS[kind][2]) is not None:
+                report = self._file_report(
+                    _drift_report(kind, current, incoming, self._clock.time())
+                )
+                if report.gated:
+                    self._refuse(report, getattr(incoming, _FIELDS[kind][1]), start)
+            self._swap(kind, incoming, start)
+            self._swap_counters[kind].inc()
+
+    def _swap(
+        self, kind: str, incoming: ActiveArtifacts, start_perf: float,
+        rollback: bool = False,
+    ) -> tuple[int | None, int]:
+        """The one assignment an activation or a rollback makes: ``kind``'s
+        fields from ``incoming``, the other kind's kept; the replaced
+        generation, if one served, becomes the rollback slot. Returns the
+        old and the new version."""
+        version_field, tag_field, served_field = _FIELDS[kind][:3]
+        current = self._active
+        self._active = replace(
+            current, **{name: getattr(incoming, name) for name in _FIELDS[kind]}
         )
-        if previous.preference_store is not None:
-            self._previous_preferences = previous.preferences_only()
+        if getattr(current, served_field) is not None:
+            self._previous[kind] = current.only(kind)
+        old_version = getattr(current, version_field)
+        new_version = getattr(incoming, version_field)
+        if kind == "graph" and old_version is not None and old_version != new_version:
+            self._cache.purge_version(old_version)
         self._swap_count += 1
         self._record_swap(
-            "preferences", previous.preference_version, version, tag, start
+            kind, old_version, new_version, getattr(incoming, tag_field),
+            start_perf, rollback=rollback,
         )
-        self._pref_swap_counter.inc()
-        self._pref_version_gauge.set(version)
+        self._version_gauges[kind].set(new_version)
+        return old_version, new_version
 
     def _file_report(self, report: DriftReport) -> DriftReport:
         """Mark, count, log and forward one drift report.
@@ -346,8 +323,7 @@ class ServingRuntime:
         generation is untouched — in-flight and future requests keep being
         served from the old artifacts."""
         kind = report.kind
-        counter = self._graph_reject_counter if kind == "graph" else self._pref_reject_counter
-        counter.inc()
+        self._reject_counters[kind].inc()
         self._record_swap(
             kind, report.old_version, report.new_version, tag, start_perf,
             refused=report,
@@ -358,17 +334,13 @@ class ServingRuntime:
         )
 
     def _record_swap(
-        self,
-        kind: str,
-        old_version: int | None,
-        new_version: int,
-        tag: str | None,
-        start_perf: float,
-        refused: DriftReport | None = None,
+        self, kind: str, old_version: int | None, new_version: int,
+        tag: str | None, start_perf: float,
+        refused: DriftReport | None = None, rollback: bool = False,
     ) -> None:
-        """Append one hot-swap (or refused swap) to the event log — version
-        transitions must stay observable after the fact, not just bump a
-        gauge."""
+        """Append one hot-swap (refused swap, rollback) to the event log —
+        version transitions must stay observable after the fact, not just
+        bump a gauge."""
         event = {
             "kind": kind,
             "old_version": old_version,
@@ -377,6 +349,8 @@ class ServingRuntime:
             "duration_ms": (self._perf() - start_perf) * 1000,
             "at": self._clock.time(),
         }
+        if rollback:
+            event["rollback"] = True
         if refused is not None:
             event.update(
                 rejected=True, severity=refused.severity,
@@ -406,60 +380,17 @@ class ServingRuntime:
         :class:`~repro.errors.NotFittedError` when no previous generation
         of that kind exists.
         """
-        if kind not in self._rollback_counters:
+        if kind not in _FIELDS:
             raise ConfigError(f"unknown artifact kind {kind!r} for rollback")
         with self._swap_lock:
             return self._rollback(kind)
 
     def _rollback(self, kind: str) -> dict:
         start = self._perf()
-        current = self._active
-        if kind == "graph":
-            previous = self._previous_graph
-            if previous is None:
-                raise NotFittedError("no previous graph generation to roll back to")
-            self._active = replace(
-                current,
-                graph_version=previous.graph_version,
-                graph_tag=previous.graph_tag,
-                reasoner=previous.reasoner,
-            )
-            self._previous_graph = current.graph_only()
-            old_version, new_version = current.graph_version, previous.graph_version
-            tag = previous.graph_tag
-            if old_version is not None and old_version != new_version:
-                self._cache.purge_version(old_version)
-            self._graph_version_gauge.set(new_version)
-        else:
-            previous = self._previous_preferences
-            if previous is None:
-                raise NotFittedError(
-                    "no previous preference generation to roll back to"
-                )
-            self._active = replace(
-                current,
-                preference_version=previous.preference_version,
-                preference_tag=previous.preference_tag,
-                preference_store=previous.preference_store,
-                targeting=previous.targeting,
-            )
-            self._previous_preferences = current.preferences_only()
-            old_version = current.preference_version
-            new_version = previous.preference_version
-            tag = previous.preference_tag
-            self._pref_version_gauge.set(new_version)
-        self._swap_count += 1
-        self._swap_events.append(
-            {
-                "kind": kind,
-                "old_version": old_version,
-                "new_version": new_version,
-                "tag": tag,
-                "rollback": True,
-                "duration_ms": (self._perf() - start) * 1000,
-                "at": self._clock.time(),
-            }
-        )
+        previous = self._previous.get(kind)
+        if previous is None:
+            raise NotFittedError(f"no previous {kind} generation to roll back to")
+        old_version, new_version = self._swap(kind, previous, start, rollback=True)
         self._rollback_counters[kind].inc()
         self._log.warning(
             "rollback", kind=kind, old_version=old_version, new_version=new_version
@@ -482,7 +413,8 @@ class ServingRuntime:
         """k-hop expansion from ``active`` (one :meth:`acquire`),
         read-through cached under its graph version."""
         with phase("runtime") as record:
-            self._check_deadline(deadline, "expand")
+            if deadline is not None:
+                deadline.check("expand")
             reasoner = active.require_reasoner()
             key = (
                 tuple(p.strip().lower() for p in phrases),
@@ -533,7 +465,8 @@ class ServingRuntime:
         """Top-K users for one entity set, scored against ``active``'s
         preference generation."""
         with phase("runtime"):
-            self._check_deadline(deadline, "target")
+            if deadline is not None:
+                deadline.check("target")
             start = self._perf()
             result = active.require_targeting().target(entity_ids, k, weights=weights)
             self._observe_target(self._perf() - start)
@@ -549,7 +482,8 @@ class ServingRuntime:
     ) -> list[TargetingResult]:
         """Vectorized scoring of many entity sets in one call."""
         with phase("runtime"):
-            self._check_deadline(deadline, "target_batch")
+            if deadline is not None:
+                deadline.check("target_batch")
             start = self._perf()
             results = active.require_targeting().target_batch(
                 entity_sets, k, weights=weights
@@ -576,10 +510,7 @@ class ServingRuntime:
         return {
             "graph_ready": active.reasoner is not None,
             "preferences_ready": active.targeting is not None,
-            "rollback_available": {
-                "graph": self._previous_graph is not None,
-                "preferences": self._previous_preferences is not None,
-            },
+            "rollback_available": {kind: kind in self._previous for kind in _FIELDS},
             "swap_count": self._swap_count,
             "uptime_seconds": self._clock.time() - self._started_at,
             "cache": self._cache.stats(),
@@ -595,7 +526,7 @@ class ServingRuntime:
     def drift_summary(self) -> dict:
         """Per-kind latest drift verdict, embedded in ``health()``."""
         summary: dict = {}
-        for kind in ("graph", "preferences"):
+        for kind in _FIELDS:
             last = self._last_drift.get(kind)
             summary[kind] = None if last is None else {
                 "severity": last.severity,

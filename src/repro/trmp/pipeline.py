@@ -16,8 +16,7 @@ generation (a k-NN over two small matrices) stays here.
 
 Fault tolerance: when a :class:`~repro.resilience.CheckpointStore` is
 attached, each stage's output (cooccurrence, candidates, ranked, ensemble,
-artifact_freeze) is checkpointed under the run id the moment it completes — through the
-attached :class:`~repro.resilience.RetryPolicy` when storage is flaky —
+artifact_freeze) is checkpointed under the run id the moment it completes,
 and ``run_week(..., resume=True)`` reloads completed stages instead of
 recomputing them. Every training stage is seeded, so a resumed run is
 byte-identical (same checkpoint digests) to an uninterrupted one.
@@ -43,7 +42,7 @@ from repro.embeddings.skipgram import SkipGramConfig
 from repro.errors import NotFittedError
 from repro.graph.entity_graph import EntityGraph
 from repro.obs import Observability
-from repro.resilience import CheckpointStore, FaultInjector, RetryPolicy
+from repro.resilience import CheckpointStore, FaultInjector
 from repro.text.entity_dict import EntityDict
 from repro.text.lexicon import Lexicon
 from repro.text.sequence_extractor import EntitySequenceExtractor
@@ -118,7 +117,6 @@ class TRMPipeline:
         config: TRMPConfig | None = None,
         obs: Observability | None = None,
         checkpoints: CheckpointStore | None = None,
-        retry: RetryPolicy | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
         self.world = world
@@ -137,7 +135,6 @@ class TRMPipeline:
         #: Optional per-stage checkpointing (attached by EGLSystem so the
         #: checkpoints live next to the artifact registry).
         self.checkpoints = checkpoints
-        self.retry = retry
         self.faults = faults
         #: The open :meth:`workers` scope and its model worker, if any.
         self._scope: ExitStack | None = None
@@ -401,10 +398,9 @@ class TRMPipeline:
 
         On resume, a completed stage's payload is loaded (digest-proven)
         instead of recomputed. Otherwise the stage runs, its payload is
-        checkpointed — through the retry policy when one is attached, so a
-        flaky store doesn't lose the work — and the ``pipeline.<stage>``
-        fault seam fires *after* the commit: a scripted kill there models a
-        crash between stages, which is exactly what resume must survive.
+        checkpointed, and the ``pipeline.<stage>`` fault seam fires *after*
+        the commit: a scripted kill there models a crash between stages,
+        which is exactly what resume must survive.
         """
         ckpt = self.checkpoints
         if ckpt is not None and resume and ckpt.has(run_id, stage):
@@ -415,11 +411,8 @@ class TRMPipeline:
             return payload
         payload = compute()
         if ckpt is not None:
-            put = lambda: ckpt.put(run_id, stage, payload)
             with self._stage("checkpoint"):
-                digest = put() if self.retry is None else self.retry.call(
-                    put, seam=f"checkpoint.{stage}"
-                )
+                digest = ckpt.put(run_id, stage, payload)
             run_state["digests"][stage] = digest
             if self.faults is not None:
                 self.faults.check(f"pipeline.{stage}")
@@ -541,11 +534,8 @@ class TRMPipeline:
         )
         self.ensemble = ensemble
         if ckpt is not None and run_id is not None:
-            put = lambda: ckpt.put(run_id, "ensemble", ensemble)
             with self._stage("checkpoint"):
-                digest = put() if self.retry is None else self.retry.call(
-                    put, seam="checkpoint.ensemble"
-                )
+                digest = ckpt.put(run_id, "ensemble", ensemble)
             self.weekly_runs[-1].stage_digests["ensemble"] = digest
             if self.faults is not None:
                 self.faults.check("pipeline.ensemble")

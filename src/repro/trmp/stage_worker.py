@@ -3,12 +3,13 @@
 The serving process orchestrates — checkpoints, fault seams, resume,
 publish, open, activate — and never trains: the skip-gram, the semantic
 pretrain, the ALPC fit, the ensemble fit and the daily preference build
-each run here as one module-level function of :mod:`repro.trmp.stages`,
-so their heaps live and die with this process, not the server's.
+each run here as one module-level function of :mod:`repro.trmp.stages`
+(the daily build: :mod:`repro.trmp.daily`), so their heaps live and die
+with this process, not the server's.
 
 It is a plain ``python -c`` child with its own stdin / stdout pipes that
 imports this module and calls :func:`main`; it starts on four ``repro``
-modules and imports :mod:`repro.trmp.stages` with its first request. Each
+modules and imports the stage's module with its first request. Each
 request is one length-prefixed pickle of ``(function, arguments)``; each
 reply one pickle of what the function returned. The worker serves requests
 until its stdin ends, so one worker can pretrain and then fit ALPC, and a

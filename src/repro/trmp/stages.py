@@ -1,7 +1,7 @@
-"""Every stage that trains or builds, as one module-level function.
+"""Every stage a weekly refresh trains or builds, as one module-level
+function (the daily build is :mod:`repro.trmp.daily`).
 
-:class:`~repro.trmp.pipeline.TRMPipeline` and
-:class:`~repro.online.system.EGLSystem` run these in a
+:class:`~repro.trmp.pipeline.TRMPipeline` runs these in a
 :class:`~repro.trmp.stage_worker.StageWorker`, never in the serving
 process. Each takes picklable inputs, is seeded by its config alone, and
 returns ``(payload, {step: busy seconds})``: the payload is exactly what
@@ -11,7 +11,6 @@ published artifacts are the same bytes.
 
 from __future__ import annotations
 
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.embeddings.semantic import SemanticEncoderConfig, SemanticEntityEncod
 from repro.embeddings.skipgram import SkipGramConfig, fit_cooccurrence, occurrence_counts
 from repro.errors import ConfigError
 from repro.graph.entity_graph import RELATION_RANKED, EntityGraph
-from repro.preference.store import PreferenceStore
 from repro.rng import ensure_rng
 from repro.text.lexicon import Lexicon
 from repro.text.sequence_extractor import EntitySequenceExtractor
@@ -134,24 +132,3 @@ def ensemble_stage(
     ensemble = EnsembleLinkPredictor(config).fit(snapshots, split)
     return ensemble, {"ensemble": perf_counter() - start}
 
-
-def preference_stage(
-    extractor: EntitySequenceExtractor,
-    events: BehaviorLog,
-    embeddings: np.ndarray,
-    num_users: int,
-    directory: Path,
-    tag: str,
-) -> tuple[int, dict[str, float]]:
-    """The daily build, written to ``directory``; returns #covered users."""
-    start = perf_counter()
-    sequences = extractor.extract_sequences(events)
-    extracted = perf_counter()
-    store = PreferenceStore(embeddings, version_tag=tag).build(sequences, num_users)
-    built = perf_counter()
-    store.save_memmap(directory)
-    return store.num_users, {
-        "extract": extracted - start,
-        "build": built - extracted,
-        "save": perf_counter() - built,
-    }

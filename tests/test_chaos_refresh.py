@@ -2,7 +2,7 @@
 
 The acceptance bar: a refresh killed after *any* stage resumes to a final
 artifact whose content digest is byte-identical to an uninterrupted run,
-and a 30% storage error rate still completes through retries.
+and a storage error is raised once, to the caller, with serving unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.graph import EntityGraph
 from repro.obs import ManualClock, Observability
 from repro.online import EGLSystem, target_users_for_phrases
 from repro.online.system import graph_digest
-from repro.resilience import FaultInjector, InjectedCrash, RetryPolicy
+from repro.resilience import FaultInjector, InjectedCrash, InjectedFault
 from repro.trmp import ALPCConfig, EnsembleConfig, TRMPConfig
 
 from helpers import child_pids
@@ -48,12 +48,10 @@ def chaos_events(chaos_world):
     return BehaviorLogGenerator(chaos_world, BehaviorConfig(num_days=10, seed=4)).generate()
 
 
-def make_system(world, root, faults=None, retry=None) -> EGLSystem:
-    obs = Observability(clock=ManualClock())
+def make_system(world, root, faults=None) -> EGLSystem:
     return EGLSystem(
-        world, fast_config(), artifact_root=root, obs=obs,
-        retry_policy=retry or RetryPolicy(clock=obs.clock, seed=1),
-        faults=faults,
+        world, fast_config(), artifact_root=root,
+        obs=Observability(clock=ManualClock()), faults=faults,
     )
 
 
@@ -82,7 +80,7 @@ def test_baseline_digest_is_the_recorded_one(baseline):
 def test_kill_after_each_stage_resumes_byte_identical(
     kill_stage, chaos_world, chaos_events, baseline, tmp_path
 ):
-    faults = FaultInjector(seed=0)
+    faults = FaultInjector()
     faults.fail_at(f"pipeline.{kill_stage}", 1, exception=InjectedCrash)
     crashed = make_system(chaos_world, tmp_path, faults=faults)
     with pytest.raises(InjectedCrash):
@@ -120,7 +118,7 @@ def test_crashed_refresh_keeps_marketer_feedback_for_its_resume(
     published: a refresh killed before that resumes, in the same process,
     to the digest of an uninterrupted refresh with the same feedback (not
     the no-feedback one). Surviving a restart needs a durable log."""
-    faults = FaultInjector(seed=0)
+    faults = FaultInjector()
     faults.fail_at("pipeline.cooccurrence", 1, exception=InjectedCrash)
     system = make_system(chaos_world, tmp_path, faults=faults)
     system.record_choice(0, [1, 2, 3])
@@ -197,33 +195,28 @@ def test_good_daily_activates_after_three_corrupt_ones(
     assert system.registry.latest("preferences").version == 5
 
 
-def test_thirty_percent_storage_errors_complete_via_retries(
-    chaos_world, chaos_events, baseline, tmp_path
+def test_a_storage_fault_at_the_daily_open_reaches_the_caller(
+    chaos_world, chaos_events, tmp_path
 ):
-    faults = FaultInjector(seed=6)
-    for seam in ("registry.write", "registry.read", "checkpoint.write"):
-        faults.configure(seam, error_rate=0.3)
-    obs = Observability(clock=ManualClock())
-    retry = RetryPolicy(max_attempts=6, clock=obs.clock, seed=2)
-    system = EGLSystem(
-        chaos_world, fast_config(), artifact_root=tmp_path, obs=obs,
-        retry_policy=retry, faults=faults,
-    )
+    """Only a quarantine is absorbed by the daily: a storage error at the
+    open raises once, to the caller, and leaves serving and the quarantine
+    list as they were; the next daily activates."""
+    faults = FaultInjector()
+    system = make_system(chaos_world, tmp_path, faults=faults)
+    system.weekly_refresh(chaos_events)
+    system.daily_preference_refresh(chaos_events)
+    runtime = system.runtime
+    served = runtime.target(runtime.acquire(), [0, 1, 2], k=5).users
 
-    report = system.weekly_refresh(chaos_events)
+    faults.fail_next("registry.read")
+    with pytest.raises(InjectedFault):
+        system.daily_preference_refresh(chaos_events)
+    assert runtime.versions()["preference_version"] == 1
+    assert runtime.target(runtime.acquire(), [0, 1, 2], k=5).users == served
+    assert system.registry.quarantined == []
 
-    # Faults really fired, retries really absorbed them, and the result is
-    # still byte-identical to the clean run.
-    assert sum(faults.failures(s) for s in faults.snapshot()) > 0
-    assert report.artifact_digest == baseline["artifact_digest"]
-    retries = sum(
-        series["value"]
-        for series in system.obs.metrics.snapshot()["counters"][
-            "resilience_retries_total"
-        ]
-    )
-    assert retries > 0
-    assert obs.clock.perf() > 0  # backoff waited on the (manual) clock
+    assert system.daily_preference_refresh(chaos_events) > 0
+    assert runtime.versions()["preference_version"] == 3
 
 
 def test_ensemble_stage_checkpoint_and_resume(chaos_world, chaos_events, tmp_path):
@@ -234,7 +227,7 @@ def test_ensemble_stage_checkpoint_and_resume(chaos_world, chaos_events, tmp_pat
     reference = clean.pipeline.weekly_runs[-1].stage_digests["ensemble"]
 
     # Killed run: week 1's crash lands right after the ensemble commits.
-    faults = FaultInjector(seed=0)
+    faults = FaultInjector()
     faults.fail_at("pipeline.ensemble", 1, exception=InjectedCrash)
     crashed = make_system(chaos_world, tmp_path / "crashed", faults=faults)
     crashed.weekly_refresh(chaos_events)
@@ -311,7 +304,7 @@ def test_crash_between_graph_publish_and_freeze_checkpoint_publishes_once(
     """The 4th checkpoint write is the ``artifact_freeze`` put: the graph
     generation is already registered when the crash lands, so the resume
     reuses it instead of publishing a duplicate of the same week."""
-    faults = FaultInjector(seed=0)
+    faults = FaultInjector()
     faults.fail_at("checkpoint.write", 4, exception=InjectedCrash)
     crashed = make_system(chaos_world, tmp_path, faults=faults)
     with pytest.raises(InjectedCrash):
@@ -331,7 +324,7 @@ def test_weekly_refresh_releases_the_heap_on_success_and_on_crash(
     """Training's heap lives in the stage workers, and a refresh that
     raises or returns has killed and reaped every one of them: none of
     that heap stays resident, in this process or in another."""
-    faults = FaultInjector(seed=0)
+    faults = FaultInjector()
     faults.fail_at("pipeline.ranked", 1, exception=InjectedCrash)
     crashed = make_system(chaos_world, tmp_path, faults=faults)
     with pytest.raises(InjectedCrash):

@@ -113,7 +113,7 @@ def test_fault_seams_fire_on_write_and_read(tmp_path):
     faults.fail_next("checkpoint.write", 1, exception=InjectedFault)
     with pytest.raises(InjectedFault):
         store.put("run-1", "s", 1)
-    store.put("run-1", "s", 1)  # second attempt (a retry) succeeds
+    store.put("run-1", "s", 1)  # the next call succeeds
 
     faults.fail_next("checkpoint.read", 1, exception=InjectedFault)
     with pytest.raises(InjectedFault):

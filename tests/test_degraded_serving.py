@@ -172,16 +172,10 @@ class TestDeadlines:
         system, clock = rig
         deadline = Deadline.after(0.5, clock=clock)
         clock.advance(0.75)
-        with pytest.raises(DeadlineExceededError):
+        with pytest.raises(DeadlineExceededError, match="before expand"):
             system.runtime.expand(
                 system.runtime.acquire(), [world.entities[0].name], deadline=deadline
             )
-        assert (
-            system.obs.metrics.get_value(
-                "serving_shed_requests_total", endpoint="expand", reason="deadline"
-            )
-            == 1
-        )
 
     def test_expired_deadline_sheds_target(self, rig):
         system, clock = rig

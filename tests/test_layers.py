@@ -52,6 +52,7 @@ LAYERS = (
     ("repro.tensor",),
     ("repro.nn",),
     ("repro.text.ner", "repro.text.sequence_extractor"),
+    ("repro.trmp.daily",),
     ("repro.embeddings",),
     ("repro.gnn",),
     ("repro.eval",),
@@ -218,8 +219,12 @@ def _inside(module: str, packages) -> bool:
         ("import repro", None),
         ("import repro.serving.frontend", TRAINING_PACKAGES),
         ("import repro.trmp.stage_worker", ("repro.serving", "repro.online")),
+        (
+            "import repro.trmp.daily",
+            ("repro.embeddings", "repro.gnn", "repro.trmp.alpc", "repro.trmp.ensemble"),
+        ),
     ],
-    ids=["root", "serving", "stage-worker"],
+    ids=["root", "serving", "stage-worker", "daily"],
 )
 def test_what_a_fresh_interpreter_loads(statement, forbidden):
     loaded = _loaded_after(statement)

@@ -82,7 +82,7 @@ def test_retired_preference_generation_is_unreachable(small_world, small_events,
     assert generation_1() is None
 
     runtime = system.runtime
-    graph_slot, preference_slot = runtime._previous_graph, runtime._previous_preferences
+    graph_slot, preference_slot = runtime._previous["graph"], runtime._previous["preferences"]
     assert graph_slot.graph_version == 1 and graph_slot.reasoner is not None
     assert graph_slot.preference_store is None and graph_slot.targeting is None
     assert preference_slot.preference_version == 2
@@ -317,5 +317,5 @@ def test_readers_racing_swaps_keep_only_the_active_and_rollback_generations(tmp_
     assert len(alive) == 2
     assert {id(store) for store in alive} == {
         id(runtime.acquire().preference_store),
-        id(runtime._previous_preferences.preference_store),
+        id(runtime._previous["preferences"].preference_store),
     }

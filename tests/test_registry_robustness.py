@@ -487,8 +487,8 @@ class TestFaultSeams:
         with pytest.raises(InjectedFault):
             registry.publish_preferences(built_preferences(seed=2))
 
-        # The half-published record must not linger: the retry re-publishes
-        # under the same next version, and the durable manifest agrees.
+        # The half-published record must not linger: the next publish takes
+        # the same next version, and the durable manifest agrees.
         assert registry.latest(KIND_PREFERENCES).version == 1
         record = registry.publish_preferences(built_preferences(seed=2))
         assert record.version == 2

@@ -256,6 +256,10 @@ DELETED_NAMES = frozenset({
     "_count_request", "_count_shed", "_error", "_envelope", "_endpoint_bundle", "_endpoint_obs", "_run",
     "api_requests_total", "api_request_seconds", "frontend_requests_total",
     "frontend_shed_total", "target_users", "target_users_batch",
+    # No retry: a storage error is raised once; one swap path for both kinds.
+    "RetryPolicy", "retry_policy", "_count_retry", "resilience_retries_total", "FaultSpec",
+    "graph_only", "preferences_only", "_check_deadline", "serving_shed_requests_total",
+    "_previous_graph", "_previous_preferences",
 })
 
 
