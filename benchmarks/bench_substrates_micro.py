@@ -2,7 +2,7 @@
 
 Not a paper table — these track the cost of the building blocks every
 experiment leans on: autograd backward, GeniePath forward, segment softmax,
-kNN vs LSH queries, k-hop expansion.
+k-hop expansion.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embeddings import BruteForceKNN, LSHIndex
 from repro.gnn import GeniePathEncoder
 from repro.graph import EntityGraph, k_hop_expansion
 from repro.nn import MLP
@@ -57,14 +56,3 @@ def test_segment_softmax_large(benchmark, rng):
 def test_khop_expansion(benchmark, random_graph):
     benchmark(lambda: k_hop_expansion(random_graph, [0, 1, 2], depth=3))
 
-
-def test_bruteforce_knn_query(benchmark, rng):
-    vectors = rng.normal(size=(5000, 32))
-    index = BruteForceKNN(vectors)
-    benchmark(lambda: index.query(vectors[17], k=20, exclude=17))
-
-
-def test_lsh_query(benchmark, rng):
-    vectors = rng.normal(size=(5000, 32))
-    index = LSHIndex(vectors, num_tables=8, hash_bits=10, rng=0)
-    benchmark(lambda: index.query(vectors[17], k=20, exclude=17))

@@ -4,7 +4,6 @@ from repro.baselines.common import (
     EmbeddingLinkPredictor,
     GNNLinkPredictor,
     LinkPredictionResult,
-    PairScorer,
     evaluate_link_predictor,
 )
 from repro.baselines.deepwalk import DeepWalkLinkPredictor
@@ -56,7 +55,6 @@ __all__ = [
     "EmbeddingLinkPredictor",
     "GNNLinkPredictor",
     "LinkPredictionResult",
-    "PairScorer",
     "evaluate_link_predictor",
     "DeepWalkLinkPredictor",
     "Node2VecLinkPredictor",

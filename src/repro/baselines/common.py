@@ -98,31 +98,16 @@ class EmbeddingLinkPredictor:
         return self.embeddings[pairs[:, 0]] * self.embeddings[pairs[:, 1]]
 
 
-class PairScorer(Module):
-    """Pair scoring head ``g([z_u || z_v])``: inner product + MLP correction.
+class GNNLinkPredictor:
+    """Full-graph GNN encoder + pair MLP trained with BCE (the generic
+    recipe used by the GeniePath / CompGCN / GCN rows of Table II).
 
+    The pair head is ``g([z_u || z_v])``: inner product + MLP correction.
     The paper allows ``g`` to be an inner product, a bilinear form or a
     neural network; the inner-product term gives immediately useful
     gradients (it aligns with the embedding geometry), and the MLP learns
-    the asymmetric residual. All GNN-based models share this head so the
-    Table II comparison is scorer-for-scorer fair.
+    the asymmetric residual.
     """
-
-    def __init__(self, dim: int, hidden: int = 32, rng: np.random.Generator | int | None = None) -> None:
-        super().__init__()
-        self.mlp = MLP([2 * dim, hidden, 1], rng=rng)
-
-    def forward(self, z: Tensor, pairs: np.ndarray) -> Tensor:
-        left = gather_rows(z, pairs[:, 0])
-        right = gather_rows(z, pairs[:, 1])
-        dot = (left * right).sum(axis=1)
-        residual = self.mlp(concat([left, right], axis=1)).reshape(len(pairs))
-        return dot + residual
-
-
-class GNNLinkPredictor:
-    """Full-graph GNN encoder + pair MLP trained with BCE (the generic
-    recipe used by the GeniePath / CompGCN / GCN rows of Table II)."""
 
     def __init__(
         self,
@@ -137,7 +122,7 @@ class GNNLinkPredictor:
     ) -> None:
         self.name = name
         self.encoder = encoder
-        self.scorer = PairScorer(hidden_dim, rng=seed + 1)
+        self.pair_mlp = MLP([2 * hidden_dim, 32, 1], rng=seed + 1)
         self.epochs = epochs
         self.lr = lr
         self.batch_pairs = batch_pairs
@@ -152,7 +137,7 @@ class GNNLinkPredictor:
         n = split.num_nodes
         x = Tensor(np.asarray(features, dtype=np.float64))
         pairs, labels = split.train_pairs_and_labels()
-        params = self.encoder.parameters() + self.scorer.parameters()
+        params = self.encoder.parameters() + self.pair_mlp.parameters()
         optimizer = Adam(params, lr=self.lr)
 
         for _ in range(self.epochs):
@@ -161,7 +146,7 @@ class GNNLinkPredictor:
                 idx = order[start : start + self.batch_pairs]
                 optimizer.zero_grad()
                 z = self._encode(x, src, dst, n, rel)
-                logits = self.scorer(z, pairs[idx])
+                logits = self._score(z, pairs[idx])
                 loss = binary_cross_entropy_with_logits(logits, labels[idx])
                 loss.backward()
                 optimizer.clip_grad_norm(5.0)
@@ -173,6 +158,13 @@ class GNNLinkPredictor:
         self._final_z = z
         return self
 
+    def _score(self, z: Tensor, pairs: np.ndarray) -> Tensor:
+        left = gather_rows(z, pairs[:, 0])
+        right = gather_rows(z, pairs[:, 1])
+        dot = (left * right).sum(axis=1)
+        residual = self.pair_mlp(concat([left, right], axis=1)).reshape(len(pairs))
+        return dot + residual
+
     def _encode(self, x: Tensor, src, dst, n, rel) -> Tensor:
         if self.uses_relations:
             return self.encoder(x, src, dst, n, relation=rel)
@@ -182,7 +174,7 @@ class GNNLinkPredictor:
         if self._embeddings is None:
             raise NotFittedError(f"{self.name} has not been fitted")
         with no_grad():
-            logits = self.scorer(Tensor(self._embeddings), pairs)
+            logits = self._score(Tensor(self._embeddings), pairs)
             return sigmoid(logits).data
 
     @property

@@ -1,9 +1,9 @@
-"""Embedding substrate: skip-gram (E^Co), mini-BERT semantics (E^Se), kNN."""
+"""Embedding substrate: skip-gram (E^Co), mini-BERT semantics (E^Se), exact top-k."""
 
 from repro.embeddings.skipgram import SkipGramConfig, SkipGramModel, fit_cooccurrence
 from repro.embeddings.mlm import MaskedLanguageModel, MLMConfig, MLMTrainReport, train_mlm
 from repro.embeddings.semantic import SemanticEncoderConfig, SemanticEntityEncoder
-from repro.embeddings.knn import BruteForceKNN, IVFIndex, LSHIndex
+from repro.embeddings.knn import all_pairs_topk
 
 __all__ = [
     "SkipGramConfig",
@@ -15,7 +15,5 @@ __all__ = [
     "train_mlm",
     "SemanticEncoderConfig",
     "SemanticEntityEncoder",
-    "BruteForceKNN",
-    "IVFIndex",
-    "LSHIndex",
+    "all_pairs_topk",
 ]

@@ -1,13 +1,9 @@
-"""Nearest-neighbour indexes over embedding matrices.
+"""Exact cosine top-k over an embedding matrix.
 
 Candidate generation (TRMP Stage I) needs "top-k most similar entities" for
-every entity, under both the co-occurrence and the semantic embedding. Two
-backends with one interface:
-
-* :class:`BruteForceKNN` — exact cosine via blocked matrix products;
-* :class:`LSHIndex` — random-hyperplane locality-sensitive hashing with
-  exact re-ranking of hash-bucket candidates; sub-linear queries for the
-  million-entity regime the paper operates in.
+every entity, under both the co-occurrence and the semantic embedding;
+hard-negative sampling needs the same under the semantic one. Both call
+:func:`all_pairs_topk`.
 """
 
 from __future__ import annotations
@@ -15,200 +11,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.rng import ensure_rng
+
+#: Rows scored per matrix product: bounds the similarity block in memory.
+BLOCK_SIZE = 512
 
 
-def _normalise(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.maximum(norms, 1e-12)
+def all_pairs_topk(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every row of ``vectors``, its top-k other rows by cosine.
 
-
-class BruteForceKNN:
-    """Exact cosine top-k with blocked computation (bounded memory)."""
-
-    def __init__(self, vectors: np.ndarray, block_size: int = 512) -> None:
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ConfigError("vectors must be a 2-D matrix")
-        self._unit = _normalise(vectors)
-        self.block_size = block_size
-
-    @property
-    def num_items(self) -> int:
-        return len(self._unit)
-
-    def query(self, vector: np.ndarray, k: int, exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k (ids, cosine scores) for a single query vector."""
-        q = np.asarray(vector, dtype=np.float64)
-        q = q / max(np.linalg.norm(q), 1e-12)
-        scores = self._unit @ q
-        if exclude is not None:
-            scores[exclude] = -np.inf
-        k = min(k, len(scores))
-        top = np.argpartition(-scores, k - 1)[:k]
-        order = top[np.argsort(-scores[top])]
-        return order, scores[order]
-
-    def all_pairs_topk(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """For every item, its top-k other items.
-
-        Returns ``(ids, scores)`` of shape ``(n, k)``; self-matches excluded.
-        """
-        n = len(self._unit)
-        k = min(k, n - 1)
-        ids = np.empty((n, k), dtype=np.int64)
-        scores = np.empty((n, k))
-        for start in range(0, n, self.block_size):
-            end = min(start + self.block_size, n)
-            sims = self._unit[start:end] @ self._unit.T
-            sims[np.arange(end - start), np.arange(start, end)] = -np.inf
-            top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-            row_scores = np.take_along_axis(sims, top, axis=1)
-            order = np.argsort(-row_scores, axis=1)
-            ids[start:end] = np.take_along_axis(top, order, axis=1)
-            scores[start:end] = np.take_along_axis(row_scores, order, axis=1)
-        return ids, scores
-
-
-class IVFIndex:
-    """Inverted-file ANN index: k-means coarse quantiser + probed lists.
-
-    The third retrieval regime (besides exact and LSH): vectors are
-    assigned to the nearest of ``num_centroids`` k-means centroids; a query
-    scans only the ``num_probe`` closest centroid lists and re-ranks those
-    candidates exactly. This is the structure industrial candidate
-    generation actually runs at the paper's million-entity scale.
+    Returns ``(ids, scores)`` of shape ``(n, min(k, n - 1))``, each row in
+    descending score order; self-matches excluded.
     """
-
-    def __init__(
-        self,
-        vectors: np.ndarray,
-        num_centroids: int = 16,
-        num_probe: int = 4,
-        kmeans_iters: int = 10,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ConfigError("vectors must be a 2-D matrix")
-        if num_centroids < 1 or num_probe < 1:
-            raise ConfigError("num_centroids and num_probe must be >= 1")
-        rng = ensure_rng(rng)
-        self._unit = _normalise(vectors)
-        n = len(self._unit)
-        self.num_centroids = min(num_centroids, n)
-        self.num_probe = min(num_probe, self.num_centroids)
-        self.centroids = self._kmeans(rng, kmeans_iters)
-        assignments = np.argmax(self._unit @ self.centroids.T, axis=1)
-        self._lists: list[np.ndarray] = [
-            np.flatnonzero(assignments == c) for c in range(self.num_centroids)
-        ]
-
-    def _kmeans(self, rng: np.random.Generator, iters: int) -> np.ndarray:
-        """Spherical k-means (cosine similarity) with random init."""
-        n = len(self._unit)
-        start = rng.choice(n, size=self.num_centroids, replace=False)
-        centroids = self._unit[start].copy()
-        for _ in range(iters):
-            assignments = np.argmax(self._unit @ centroids.T, axis=1)
-            for c in range(self.num_centroids):
-                members = self._unit[assignments == c]
-                if len(members):
-                    mean = members.mean(axis=0)
-                    centroids[c] = mean / max(np.linalg.norm(mean), 1e-12)
-        return centroids
-
-    def query(self, vector: np.ndarray, k: int, exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate top-k via the ``num_probe`` closest centroid lists."""
-        q = np.asarray(vector, dtype=np.float64)
-        q = q / max(np.linalg.norm(q), 1e-12)
-        centroid_order = np.argsort(-(self.centroids @ q))[: self.num_probe]
-        candidates = np.concatenate([self._lists[c] for c in centroid_order]) if len(
-            centroid_order
-        ) else np.empty(0, dtype=np.int64)
-        if exclude is not None:
-            candidates = candidates[candidates != exclude]
-        if len(candidates) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        scores = self._unit[candidates] @ q
-        k = min(k, len(candidates))
-        top = np.argpartition(-scores, k - 1)[:k] if k < len(candidates) else np.arange(len(candidates))
-        order = top[np.argsort(-scores[top])]
-        return candidates[order], scores[order]
-
-    def recall_against_exact(self, exact: "BruteForceKNN", k: int, sample: np.ndarray) -> float:
-        """Fraction of exact top-k retrieved, averaged over ``sample`` items."""
-        hits = total = 0
-        for item in sample:
-            exact_ids, _ = exact.query(self._unit[item], k, exclude=int(item))
-            approx_ids, _ = self.query(self._unit[item], k, exclude=int(item))
-            hits += len(set(exact_ids.tolist()) & set(approx_ids.tolist()))
-            total += len(exact_ids)
-        return hits / total if total else 0.0
-
-
-class LSHIndex:
-    """Random-hyperplane LSH with multi-table probing and exact re-rank."""
-
-    def __init__(
-        self,
-        vectors: np.ndarray,
-        num_tables: int = 8,
-        hash_bits: int = 10,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ConfigError("vectors must be a 2-D matrix")
-        if hash_bits < 1 or hash_bits > 30:
-            raise ConfigError("hash_bits must be in [1, 30]")
-        rng = ensure_rng(rng)
-        self._unit = _normalise(vectors)
-        dim = vectors.shape[1]
-        self.num_tables = num_tables
-        self.hash_bits = hash_bits
-        self._planes = rng.normal(size=(num_tables, hash_bits, dim))
-        self._powers = 1 << np.arange(hash_bits)
-        self._tables: list[dict[int, list[int]]] = []
-        codes = self._hash(self._unit)  # (n, tables)
-        for t in range(num_tables):
-            table: dict[int, list[int]] = {}
-            for item, code in enumerate(codes[:, t]):
-                table.setdefault(int(code), []).append(item)
-            self._tables.append(table)
-
-    def _hash(self, vectors: np.ndarray) -> np.ndarray:
-        # (tables, bits, dim) x (n, dim) -> (n, tables, bits) signs -> codes
-        proj = np.einsum("tbd,nd->ntb", self._planes, vectors)
-        bits = (proj > 0).astype(np.int64)
-        return bits @ self._powers  # (n, tables)
-
-    def query(self, vector: np.ndarray, k: int, exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate top-k: union of hash buckets, exact re-rank."""
-        q = np.asarray(vector, dtype=np.float64)
-        q = q / max(np.linalg.norm(q), 1e-12)
-        codes = self._hash(q[None, :])[0]
-        candidates: set[int] = set()
-        for t, code in enumerate(codes):
-            candidates.update(self._tables[t].get(int(code), ()))
-        if exclude is not None:
-            candidates.discard(exclude)
-        if not candidates:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        cand = np.fromiter(candidates, dtype=np.int64)
-        scores = self._unit[cand] @ q
-        k = min(k, len(cand))
-        top = np.argpartition(-scores, k - 1)[:k] if k < len(cand) else np.arange(len(cand))
-        order = top[np.argsort(-scores[top])]
-        return cand[order], scores[order]
-
-    def recall_against_exact(self, exact: BruteForceKNN, k: int, sample: np.ndarray) -> float:
-        """Fraction of exact top-k retrieved, averaged over ``sample`` items."""
-        hits = 0
-        total = 0
-        for item in sample:
-            exact_ids, _ = exact.query(self._unit[item], k, exclude=int(item))
-            approx_ids, _ = self.query(self._unit[item], k, exclude=int(item))
-            hits += len(set(exact_ids.tolist()) & set(approx_ids.tolist()))
-            total += len(exact_ids)
-        return hits / total if total else 0.0
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise ConfigError("vectors must be a 2-D matrix")
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    unit = vectors / np.maximum(norms, 1e-12)
+    n = len(unit)
+    k = min(k, n - 1)
+    ids = np.empty((n, k), dtype=np.int64)
+    scores = np.empty((n, k))
+    for start in range(0, n, BLOCK_SIZE):
+        end = min(start + BLOCK_SIZE, n)
+        sims = unit[start:end] @ unit.T
+        sims[np.arange(end - start), np.arange(start, end)] = -np.inf
+        top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+        row_scores = np.take_along_axis(sims, top, axis=1)
+        order = np.argsort(-row_scores, axis=1)
+        ids[start:end] = np.take_along_axis(top, order, axis=1)
+        scores[start:end] = np.take_along_axis(row_scores, order, axis=1)
+    return ids, scores

@@ -4,7 +4,6 @@ from repro.eval.metrics import (
     average_precision,
     binary_accuracy,
     precision_at_k,
-    precision_recall,
     roc_auc,
 )
 from repro.eval.annotator import (
@@ -18,7 +17,6 @@ from repro.eval.relations import MinedRelationReport, accept_mask, evaluate_mine
 __all__ = [
     "roc_auc",
     "binary_accuracy",
-    "precision_recall",
     "precision_at_k",
     "average_precision",
     "AnnotatorPanel",

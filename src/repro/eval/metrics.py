@@ -1,4 +1,4 @@
-"""Evaluation metrics: ROC-AUC, classification accuracy, precision/recall."""
+"""Evaluation metrics: ROC-AUC, classification accuracy, precision@k, AP."""
 
 from __future__ import annotations
 
@@ -33,19 +33,6 @@ def binary_accuracy(labels: np.ndarray, scores: np.ndarray, threshold: float = 0
     labels = np.asarray(labels)
     predictions = np.asarray(scores) >= threshold
     return float((predictions == (labels == 1)).mean())
-
-
-def precision_recall(
-    labels: np.ndarray, scores: np.ndarray, threshold: float = 0.5
-) -> tuple[float, float]:
-    labels = np.asarray(labels) == 1
-    predicted = np.asarray(scores) >= threshold
-    tp = int((predicted & labels).sum())
-    fp = int((predicted & ~labels).sum())
-    fn = int((~predicted & labels).sum())
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall
 
 
 def precision_at_k(relevance: np.ndarray, k: int) -> float:

@@ -10,7 +10,7 @@ from repro.graph.entity_graph import (
     EntityGraph,
 )
 from repro.graph.csr import CSR_FORMAT, CSRGraph, csr_meta_digest
-from repro.graph.khop import ExpansionResult, k_hop_expansion, k_hop_subgraph
+from repro.graph.khop import ExpansionResult, k_hop_expansion
 from repro.graph.sampling import (
     AliasSampler,
     node2vec_walks,
@@ -18,7 +18,7 @@ from repro.graph.sampling import (
     sample_corrupted_targets,
     sample_negative_pairs,
 )
-from repro.graph.metrics import GraphSummary, connected_components, degree_histogram, local_clustering, mean_clustering, summarize_graph
+from repro.graph.metrics import GraphSummary, connected_components, local_clustering, mean_clustering, summarize_graph
 
 __all__ = [
     "CSR_FORMAT",
@@ -27,7 +27,6 @@ __all__ = [
     "EntityGraph",
     "ExpansionResult",
     "k_hop_expansion",
-    "k_hop_subgraph",
     "AliasSampler",
     "node2vec_walks",
     "random_walks",
@@ -35,7 +34,6 @@ __all__ = [
     "sample_negative_pairs",
     "GraphSummary",
     "connected_components",
-    "degree_histogram",
     "local_clustering",
     "mean_clustering",
     "summarize_graph",

@@ -92,30 +92,6 @@ class ExpansionResult:
         return path
 
 
-def k_hop_subgraph(
-    graph: EntityGraph,
-    seeds: list[int],
-    depth: int,
-    min_edge_weight: float = 0.0,
-    max_neighbors_per_node: int | None = None,
-) -> tuple[EntityGraph, "ExpansionResult", "np.ndarray"]:
-    """The induced subgraph over a k-hop expansion.
-
-    Returns ``(subgraph, expansion, node_ids)`` where ``node_ids[i]`` is
-    the original entity id of subgraph node ``i``. This is what the
-    marketer console renders as the "two-hops subgraph" in Fig. 6.
-    """
-    expansion = k_hop_expansion(
-        graph,
-        seeds,
-        depth,
-        min_edge_weight=min_edge_weight,
-        max_neighbors_per_node=max_neighbors_per_node,
-    )
-    subgraph, node_ids = graph.subgraph(list(expansion.scores))
-    return subgraph, expansion, node_ids
-
-
 def k_hop_expansion(
     graph: EntityGraph,
     seeds: list[int],

@@ -101,10 +101,3 @@ def summarize_graph(graph: EntityGraph, clustering_sample: int | None = 200) -> 
         largest_component=max((len(c) for c in components), default=0),
         mean_clustering=mean_clustering(graph, sample=clustering_sample),
     )
-
-
-def degree_histogram(graph: EntityGraph, num_bins: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, bin edges) of the degree distribution."""
-    degrees = graph.degrees()
-    counts, edges = np.histogram(degrees, bins=num_bins)
-    return counts, edges

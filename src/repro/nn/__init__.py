@@ -5,7 +5,6 @@ from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, MLP
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.transformer import TransformerEncoder, TransformerEncoderLayer
 from repro.nn.crf import LinearChainCRF
-from repro.nn.checkpoint import load_checkpoint, save_checkpoint
 from repro.nn import functional
 
 __all__ = [
@@ -21,6 +20,4 @@ __all__ = [
     "TransformerEncoderLayer",
     "LinearChainCRF",
     "functional",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

@@ -40,6 +40,7 @@ from repro.online.feedback import FeedbackRecorder
 from repro.online.reasoning import GraphReasoner
 from repro.resilience import FaultInjector
 from repro.serving import ArtifactRecord, ArtifactRegistry, ServingRuntime
+from repro.serving.registry import removed_on_failure
 from repro.trmp.pipeline import TRMPConfig, TRMPipeline, WeeklyRun
 from repro.trmp.stage_worker import StageWorker, reject
 from repro.trmp.daily import preference_stage
@@ -237,19 +238,21 @@ class EGLSystem:
 
         The extraction, the build and the artifact write run in a stage
         worker, into the directory the registry reserved; this process
-        only appends the record once the worker has replied.
+        only appends the record once the worker has replied. A worker that
+        fails, or a reply that fails its check, leaves no directory.
         """
         embeddings = self.pipeline.entity_embeddings()
         num_users = self.world.num_users
         slot = self.registry.reserve_preferences()
-        with StageWorker() as worker:
-            covered, _ = worker.run(
-                preference_stage, self.pipeline.extractor, events, embeddings,
-                num_users, slot.directory, slot.tag,
-            )
-        if not (type(covered) is int and 0 <= covered <= num_users):
-            raise reject(repr(covered), f"a covered-user count in [0, {num_users}]")
-        record = self.registry.commit_preferences(slot)
+        with removed_on_failure(slot.directory):
+            with StageWorker() as worker:
+                covered, _ = worker.run(
+                    preference_stage, self.pipeline.extractor, events, embeddings,
+                    num_users, slot.directory, slot.tag,
+                )
+            if not (type(covered) is int and 0 <= covered <= num_users):
+                raise reject(repr(covered), f"a covered-user count in [0, {num_users}]")
+            record = self.registry.commit_preferences(slot)
         return record, covered
 
     def daily_preference_refresh(self, events: BehaviorLog) -> int:

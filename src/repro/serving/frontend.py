@@ -8,7 +8,8 @@ module makes *many at once* safe. A :class:`QueryFrontend` drives an
 listener refuses — goes through :meth:`QueryFrontend.dispatch`, GET/HEAD
 requests render the service's telemetry routes (``/metrics``,
 ``/health``, …, plus ``/frontend``) and open no request record, and every
-response leaves through one responder in one socket write.
+response leaves through one responder, :meth:`QueryFrontend._send`, which
+writes the status line and headers, then the body: two socket writes.
 
 ``dispatch`` alone opens and closes the request's
 :class:`~repro.obs.context.RequestRecord`, counts the request once in

@@ -29,6 +29,10 @@ Crash safety (the registry root is the system's durable state):
   to the previous good generation, at startup as well as on open, so a
   corrupt artifact on disk degrades the catalogue rather than crashing
   the process;
+* a publish that raises removes the generation directory it was writing
+  before the error reaches its caller, so a failed write leaves no
+  directory without a record (a killed process still can; the next
+  publish of that version writes over it);
 * per-stage refresh checkpoints live in a sibling
   :class:`~repro.resilience.CheckpointStore` under ``checkpoints/``.
 
@@ -43,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,6 +110,17 @@ class ArtifactRecord:
         )
 
 
+@contextmanager
+def removed_on_failure(directory: Path):
+    """Remove ``directory``, a generation being written, if the block
+    raises; the error then reaches the caller unchanged."""
+    try:
+        yield
+    except BaseException:
+        shutil.rmtree(directory, ignore_errors=True)
+        raise
+
+
 @dataclass(frozen=True)
 class PreferenceSlot:
     """A reserved preference generation: its version, directory and tag."""
@@ -162,16 +178,16 @@ class ArtifactRegistry:
         """
         self._check_faults("registry.write")
         version = self._next_version(KIND_GRAPH)
-        directory = CSRGraph.from_entity_graph(graph).save(
-            self.root / f"{DIRECTORY_PREFIX[KIND_GRAPH]}{version:06d}"
-        )
-        return self._append(
-            ArtifactRecord(
-                kind=KIND_GRAPH, version=version, tag=tag or f"graph-v{version}",
-                path=str(directory), edges=graph.num_edges,
-                checksum=csr_meta_digest(directory),
+        directory = self.root / f"{DIRECTORY_PREFIX[KIND_GRAPH]}{version:06d}"
+        with removed_on_failure(directory):
+            CSRGraph.from_entity_graph(graph).save(directory)
+            return self._append(
+                ArtifactRecord(
+                    kind=KIND_GRAPH, version=version, tag=tag or f"graph-v{version}",
+                    path=str(directory), edges=graph.num_edges,
+                    checksum=csr_meta_digest(directory),
+                )
             )
-        )
 
     def publish_preferences(
         self, store: PreferenceStore, tag: str | None = None
@@ -185,8 +201,9 @@ class ArtifactRegistry:
         """
         slot = self.reserve_preferences(tag)
         store.version_tag = slot.tag
-        store.save_memmap(slot.directory)
-        return self.commit_preferences(slot)
+        with removed_on_failure(slot.directory):
+            store.save_memmap(slot.directory)
+            return self.commit_preferences(slot)
 
     def reserve_preferences(self, tag: str | None = None) -> PreferenceSlot:
         """The directory and tag the next preference generation goes to.

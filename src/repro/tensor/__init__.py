@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`Tensor`, :func:`as_tensor`, :func:`no_grad`
 * functional ops in :mod:`repro.tensor.ops` (re-exported here)
-* optimisers in :mod:`repro.tensor.optim`
+* the Adam optimiser in :mod:`repro.tensor.optim`
 * initialisers in :mod:`repro.tensor.init`
 """
 
@@ -37,7 +37,7 @@ from repro.tensor.ops import (
     weighted_scatter,
     where_const,
 )
-from repro.tensor.optim import SGD, Adam, CosineLR, Optimizer, StepLR, global_grad_norm
+from repro.tensor.optim import Adam, global_grad_norm
 from repro.tensor import init
 
 __all__ = [
@@ -72,11 +72,7 @@ __all__ = [
     "tanh",
     "weighted_scatter",
     "where_const",
-    "SGD",
     "Adam",
-    "CosineLR",
-    "Optimizer",
-    "StepLR",
     "global_grad_norm",
     "init",
 ]

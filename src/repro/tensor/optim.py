@@ -1,4 +1,4 @@
-"""Gradient-descent optimisers for :class:`repro.tensor.Tensor` parameters."""
+"""The Adam optimiser for :class:`repro.tensor.Tensor` parameters."""
 
 from __future__ import annotations
 
@@ -10,69 +10,7 @@ from repro.errors import ConfigError
 from repro.tensor.tensor import Tensor
 
 
-class Optimizer:
-    """Base optimiser: holds the parameter list and the zero-grad helper."""
-
-    def __init__(self, params: Iterable[Tensor]) -> None:
-        self.params: list[Tensor] = [p for p in params if p.requires_grad]
-        if not self.params:
-            raise ConfigError("optimizer received no trainable parameters")
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def clip_grad_norm(self, max_norm: float) -> float:
-        """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-        total = 0.0
-        for p in self.params:
-            if p.grad is not None:
-                total += float((p.grad**2).sum())
-        norm = float(np.sqrt(total))
-        if norm > max_norm and norm > 0:
-            scale = max_norm / norm
-            for p in self.params:
-                if p.grad is not None:
-                    p.grad *= scale
-        return norm
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
     def __init__(
@@ -83,7 +21,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params)
+        self.params: list[Tensor] = [p for p in params if p.requires_grad]
+        if not self.params:
+            raise ConfigError("optimizer received no trainable parameters")
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.lr = lr
@@ -93,6 +33,20 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+        norm = global_grad_norm(self.params)
+        if norm > max_norm and norm > 0:
+            scale = max_norm / norm
+            for p in self.params:
+                if p.grad is not None:
+                    p.grad *= scale
+        return norm
 
     def step(self) -> None:
         self._t += 1
@@ -112,42 +66,6 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Multiply the optimiser's learning rate by ``gamma`` every ``step_size`` calls."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        if step_size <= 0:
-            raise ConfigError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._count = 0
-
-    def step(self) -> None:
-        self._count += 1
-        if self._count % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-
-class CosineLR:
-    """Cosine decay of the learning rate over ``total_steps`` calls."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, min_lr: float = 0.0) -> None:
-        if total_steps <= 0:
-            raise ConfigError("total_steps must be positive")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-        self._count = 0
-
-    def step(self) -> None:
-        self._count = min(self._count + 1, self.total_steps)
-        frac = self._count / self.total_steps
-        cos = 0.5 * (1.0 + np.cos(np.pi * frac))
-        self.optimizer.lr = self.min_lr + (self.base_lr - self.min_lr) * cos
 
 
 def global_grad_norm(params: Sequence[Tensor]) -> float:

@@ -18,8 +18,7 @@ _LAZY = {
     **dict.fromkeys(
         (
             "NUM_TAGS", "TAG_B", "TAG_I", "TAG_O", "NERTagger", "NERTrainReport",
-            "evaluate_token_accuracy", "extract_entities", "make_ner_examples",
-            "spans_from_tags", "train_ner",
+            "extract_entities", "make_ner_examples", "spans_from_tags", "train_ner",
         ),
         "ner",
     ),

@@ -109,27 +109,15 @@ def train_ner(
             loss.backward()
             optimizer.step()
             losses.append(float(loss.data))
-    accuracy = evaluate_token_accuracy(tagger, vocab, examples)
-    return NERTrainReport(losses=losses, token_accuracy=accuracy)
-
-
-def evaluate_token_accuracy(
-    tagger: NERTagger,
-    vocab: Vocab,
-    examples: list[tuple[list[str], list[int]]],
-    batch_size: int = 64,
-) -> float:
-    correct = 0
-    total = 0
-    for start in range(0, len(examples), batch_size):
-        batch = examples[start : start + batch_size]
+    # Token accuracy of the trained tagger over its own examples.
+    correct = total = 0
+    for start in range(0, len(examples), 64):
+        batch = examples[start : start + 64]
         ids, mask, tags = _encode_tagged_batch(batch, vocab, tagger.max_len)
-        predicted = tagger.predict(ids, mask)
-        for row, path in enumerate(predicted):
-            gold = tags[row, : len(path)]
-            correct += int((np.asarray(path) == gold).sum())
+        for row, path in enumerate(tagger.predict(ids, mask)):
+            correct += int((np.asarray(path) == tags[row, : len(path)]).sum())
             total += len(path)
-    return correct / total if total else 0.0
+    return NERTrainReport(losses=losses, token_accuracy=correct / total if total else 0.0)
 
 
 def _encode_tagged_batch(

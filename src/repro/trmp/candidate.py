@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.embeddings.knn import BruteForceKNN
+from repro.embeddings.knn import all_pairs_topk
 from repro.errors import ConfigError
 from repro.graph.entity_graph import (
     RELATION_BOTH,
@@ -122,8 +122,7 @@ class CandidateGenerator:
         min_sim: float,
         allowed: np.ndarray | None = None,
     ) -> dict[tuple[int, int], float]:
-        index = BruteForceKNN(vectors)
-        ids, scores = index.all_pairs_topk(k)
+        ids, scores = all_pairs_topk(vectors, k)
         edges: dict[tuple[int, int], float] = {}
         for u in range(len(vectors)):
             if allowed is not None and not allowed[u]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.knn import BruteForceKNN
+from repro.embeddings.knn import all_pairs_topk
 from repro.errors import ConfigError
 from repro.graph.entity_graph import EntityGraph
 from repro.graph.sampling import sample_negative_pairs
@@ -59,8 +59,7 @@ def hard_negative_pairs(
 ) -> np.ndarray:
     """Non-edges whose endpoints are semantically close (hard negatives)."""
     rng = ensure_rng(rng)
-    index = BruteForceKNN(e_semantic)
-    ids, _ = index.all_pairs_topk(min(top_k, len(e_semantic) - 1))
+    ids, _ = all_pairs_topk(e_semantic, top_k)
     existing = graph.edge_key_set()
     candidates: list[tuple[int, int]] = []
     for u in range(graph.num_nodes):

@@ -1,49 +1,41 @@
-"""Brute-force and LSH nearest-neighbour indexes."""
+"""Exact all-pairs cosine top-k."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.embeddings import BruteForceKNN, LSHIndex
+from repro.embeddings import knn
+from repro.embeddings.knn import all_pairs_topk
 from repro.errors import ConfigError
 
 
-def naive_topk(vectors: np.ndarray, q: np.ndarray, k: int, exclude=None):
+def naive_all_pairs(vectors: np.ndarray, k: int):
+    """The full cosine matrix, self excluded, each row sorted descending."""
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    qq = q / np.linalg.norm(q)
-    sims = unit @ qq
-    if exclude is not None:
-        sims[exclude] = -np.inf
-    order = np.argsort(-sims)[:k]
-    return order, sims[order]
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
+    k = min(k, len(vectors) - 1)
+    ids = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return ids, np.take_along_axis(sims, ids, axis=1)
 
 
 class TestBruteForce:
     def test_rejects_non_matrix(self):
         with pytest.raises(ConfigError):
-            BruteForceKNN(np.zeros(5))
+            all_pairs_topk(np.zeros(5), 3)
 
-    def test_query_matches_naive(self, rng):
-        vectors = rng.normal(size=(40, 8))
-        knn = BruteForceKNN(vectors)
-        ids, scores = knn.query(vectors[3], k=5, exclude=3)
-        nids, nscores = naive_topk(vectors, vectors[3], 5, exclude=3)
+    def test_all_pairs_topk_matches_per_query(self, rng, monkeypatch):
+        vectors = rng.normal(size=(25, 6))
+        monkeypatch.setattr(knn, "BLOCK_SIZE", 7)  # force multiple blocks
+        ids, scores = all_pairs_topk(vectors, 4)
+        nids, nscores = naive_all_pairs(vectors, 4)
         np.testing.assert_array_equal(ids, nids)
         np.testing.assert_allclose(scores, nscores)
 
-    def test_all_pairs_topk_matches_per_query(self, rng):
-        vectors = rng.normal(size=(25, 6))
-        knn = BruteForceKNN(vectors, block_size=7)  # force multiple blocks
-        ids, scores = knn.all_pairs_topk(4)
-        for u in (0, 7, 24):
-            nids, nscores = naive_topk(vectors, vectors[u], 4, exclude=u)
-            np.testing.assert_array_equal(ids[u], nids)
-            np.testing.assert_allclose(scores[u], nscores)
-
     def test_no_self_matches(self, rng):
         vectors = rng.normal(size=(15, 4))
-        ids, _ = BruteForceKNN(vectors).all_pairs_topk(5)
+        ids, _ = all_pairs_topk(vectors, 5)
         for u in range(15):
             assert u not in ids[u]
 
@@ -52,37 +44,10 @@ class TestBruteForce:
     def test_k_clamped_to_population(self, n, k):
         rng = np.random.default_rng(n * 13 + k)
         vectors = rng.normal(size=(n, 3))
-        ids, scores = BruteForceKNN(vectors).all_pairs_topk(k)
+        ids, scores = all_pairs_topk(vectors, k)
         assert ids.shape == (n, min(k, n - 1))
         # Scores sorted descending per row.
         assert (np.diff(scores, axis=1) <= 1e-12).all()
-
-
-class TestLSH:
-    def test_validation(self, rng):
-        with pytest.raises(ConfigError):
-            LSHIndex(rng.normal(size=(5, 3)), hash_bits=0)
-        with pytest.raises(ConfigError):
-            LSHIndex(np.zeros(5))
-
-    def test_recall_on_clustered_data(self, rng):
-        centers = rng.normal(size=(5, 16)) * 4
-        vectors = np.concatenate([c + rng.normal(size=(30, 16)) * 0.3 for c in centers])
-        exact = BruteForceKNN(vectors)
-        lsh = LSHIndex(vectors, num_tables=10, hash_bits=8, rng=0)
-        recall = lsh.recall_against_exact(exact, k=5, sample=np.arange(0, 150, 10))
-        assert recall > 0.7
-
-    def test_query_returns_sorted_scores(self, rng):
-        vectors = rng.normal(size=(50, 8))
-        lsh = LSHIndex(vectors, rng=0)
-        ids, scores = lsh.query(vectors[0], k=10, exclude=0)
-        assert 0 not in ids
-        assert (np.diff(scores) <= 1e-12).all()
-
-    def test_empty_bucket_query(self, rng):
-        vectors = rng.normal(size=(4, 8))
-        lsh = LSHIndex(vectors, num_tables=1, hash_bits=12, rng=0)
-        # An orthogonal-ish query may hit an empty bucket; must not crash.
-        ids, scores = lsh.query(-vectors.sum(axis=0) * 100, k=3)
-        assert len(ids) == len(scores)
+        nids, nscores = naive_all_pairs(vectors, k)
+        np.testing.assert_array_equal(ids, nids)
+        np.testing.assert_allclose(scores, nscores)

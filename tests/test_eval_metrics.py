@@ -10,7 +10,6 @@ from repro.eval import (
     average_precision,
     binary_accuracy,
     precision_at_k,
-    precision_recall,
     roc_auc,
 )
 
@@ -65,18 +64,6 @@ class TestThresholdMetrics:
         labels = np.array([1, 0, 1, 0])
         scores = np.array([0.9, 0.1, 0.2, 0.8])
         assert binary_accuracy(labels, scores) == 0.5
-
-    def test_precision_recall_hand_case(self):
-        labels = np.array([1, 1, 0, 0, 1])
-        scores = np.array([0.9, 0.2, 0.8, 0.1, 0.7])
-        precision, recall = precision_recall(labels, scores, threshold=0.5)
-        # predicted positive: idx 0, 2, 4 → TP=2, FP=1, FN=1
-        assert precision == pytest.approx(2 / 3)
-        assert recall == pytest.approx(2 / 3)
-
-    def test_precision_recall_degenerate(self):
-        precision, recall = precision_recall(np.array([0, 0]), np.array([0.1, 0.2]))
-        assert precision == 0.0 and recall == 0.0
 
     def test_precision_at_k(self):
         relevance = np.array([1, 1, 0, 0])

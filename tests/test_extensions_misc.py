@@ -1,100 +1,8 @@
-"""IVF index, checkpoints, k-hop subgraphs, serving API facade."""
+"""The serving API facade over a trained system."""
 
-import numpy as np
 import pytest
 
-from repro.embeddings import BruteForceKNN, IVFIndex
-from repro.errors import ConfigError, StorageError
-from repro.graph import EntityGraph, k_hop_subgraph
-from repro.nn import MLP, load_checkpoint, save_checkpoint
 from repro.online.api import EGLService
-from repro.tensor import Tensor
-
-
-class TestIVFIndex:
-    @pytest.fixture()
-    def clustered(self, rng):
-        centers = rng.normal(size=(4, 12)) * 4
-        return np.concatenate([c + rng.normal(size=(40, 12)) * 0.3 for c in centers])
-
-    def test_validation(self, rng):
-        with pytest.raises(ConfigError):
-            IVFIndex(np.zeros(5))
-        with pytest.raises(ConfigError):
-            IVFIndex(rng.normal(size=(10, 3)), num_centroids=0)
-
-    def test_recall_on_clustered_data(self, clustered):
-        exact = BruteForceKNN(clustered)
-        ivf = IVFIndex(clustered, num_centroids=8, num_probe=3, rng=0)
-        recall = ivf.recall_against_exact(exact, k=5, sample=np.arange(0, 160, 10))
-        assert recall > 0.8
-
-    def test_more_probes_more_recall(self, clustered):
-        exact = BruteForceKNN(clustered)
-        sample = np.arange(0, 160, 10)
-        narrow = IVFIndex(clustered, num_centroids=8, num_probe=1, rng=0)
-        wide = IVFIndex(clustered, num_centroids=8, num_probe=8, rng=0)
-        assert wide.recall_against_exact(exact, 5, sample) >= narrow.recall_against_exact(
-            exact, 5, sample
-        )
-        # Probing every list is exact.
-        assert wide.recall_against_exact(exact, 5, sample) == pytest.approx(1.0)
-
-    def test_query_sorted_and_excludes(self, clustered):
-        ivf = IVFIndex(clustered, rng=0)
-        ids, scores = ivf.query(clustered[3], k=10, exclude=3)
-        assert 3 not in ids
-        assert (np.diff(scores) <= 1e-12).all()
-
-    def test_centroids_clamped_to_population(self, rng):
-        small = rng.normal(size=(5, 4))
-        ivf = IVFIndex(small, num_centroids=50, num_probe=50, rng=0)
-        assert ivf.num_centroids == 5
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        a = MLP([4, 8, 2], rng=0)
-        b = MLP([4, 8, 2], rng=1)
-        path = tmp_path / "model.npz"
-        n = save_checkpoint(a, path)
-        assert n == len(a.parameters())
-        load_checkpoint(b, path)
-        x = Tensor(np.ones((3, 4)))
-        np.testing.assert_allclose(a(x).data, b(x).data)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(StorageError):
-            load_checkpoint(MLP([2, 2], rng=0), tmp_path / "nope.npz")
-
-    def test_non_checkpoint_file_rejected(self, tmp_path):
-        path = tmp_path / "random.npz"
-        np.savez(path, foo=np.ones(3))
-        with pytest.raises(StorageError):
-            load_checkpoint(MLP([2, 2], rng=0), path)
-
-    def test_architecture_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "model.npz"
-        save_checkpoint(MLP([4, 8, 2], rng=0), path)
-        from repro.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            load_checkpoint(MLP([4, 4, 2], rng=0), path)
-
-
-class TestKHopSubgraph:
-    def test_induced_subgraph_matches_expansion(self):
-        graph = EntityGraph.from_edge_list(
-            6, [(0, 1), (1, 2), (2, 3), (4, 5)], weights=[0.9, 0.8, 0.7, 0.6]
-        )
-        sub, expansion, node_ids = k_hop_subgraph(graph, [0], depth=2)
-        assert set(node_ids.tolist()) == set(expansion.scores)
-        assert sub.num_nodes == 3  # 0, 1, 2
-        # Edges inside the expansion survive, relabelled.
-        local = {int(n): i for i, n in enumerate(node_ids)}
-        assert sub.has_edge(local[0], local[1])
-        assert sub.has_edge(local[1], local[2])
-        assert sub.num_edges == 2
 
 
 class TestServiceAPI:

@@ -4,9 +4,10 @@ The child process ignores ``SIGXFSZ`` and lowers its own ``RLIMIT_FSIZE``
 below the size of one array of each kind, so writing that array fails with
 ``OSError(EFBIG)`` — the error a full or quota-limited disk gives. The
 limit is set in the child only and acts on that process alone. The
-publish raises that error once, to its caller; the registry on disk is
-left as it was, and the next publish of each kind, in another process,
-gets the next version and opens.
+publish raises that error once, to its caller, after removing the
+generation directory it was writing; the registry on disk is left as it
+was, and the next publish of each kind, in another process, gets the next
+version and opens.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ CHILD = r"""
 import json, resource, signal, sys
 
 from repro.serving import ArtifactRegistry
-from test_file_size_limit import graph, preferences
+from test_file_size_limit import generations, graph, preferences
 
 root, limit = sys.argv[1], int(sys.argv[2])
 too_big = {"graph": graph(), "preferences": preferences()}
@@ -47,7 +49,7 @@ for kind, artifact in too_big.items():
     try:
         getattr(registry, f"publish_{kind}")(artifact, tag="too-big")
     except OSError as error:
-        failures[kind] = [type(error).__name__, error.errno]
+        failures[kind] = [type(error).__name__, error.errno, generations(root)]
 print(json.dumps(failures))
 """
 
@@ -71,6 +73,14 @@ def preferences() -> PreferenceStore:
     return PreferenceStore(rng.normal(size=(50, 32))).build(sequences, 2_000)
 
 
+def generations(root) -> list[str]:
+    """The generation directories under a registry root."""
+    return sorted(
+        path.name for path in Path(root).iterdir()
+        if path.name.startswith(("graph-csr-", "preferences-"))
+    )
+
+
 def catalogue(registry: ArtifactRegistry) -> dict:
     return {
         kind: [record.to_dict() for record in registry.records(kind)]
@@ -90,9 +100,11 @@ def test_publishes_past_the_file_size_limit_fail_and_leave_the_registry_whole(tm
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    # Each failed publish removed the version-2 directory it was writing.
+    published = ["graph-csr-000001", "preferences-000001"]
     assert json.loads(result.stdout) == {
-        "graph": ["OSError", errno.EFBIG],
-        "preferences": ["OSError", errno.EFBIG],
+        "graph": ["OSError", errno.EFBIG, published],
+        "preferences": ["OSError", errno.EFBIG, published],
     }
 
     json.loads((tmp_path / "registry.json").read_text(encoding="utf-8"))

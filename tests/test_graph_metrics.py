@@ -6,7 +6,6 @@ import pytest
 from repro.graph import (
     EntityGraph,
     connected_components,
-    degree_histogram,
     local_clustering,
     mean_clustering,
     summarize_graph,
@@ -78,9 +77,3 @@ class TestSummary:
         summary = summarize_graph(candidate.graph)
         assert summary.mean_clustering > summary.density * 2
 
-
-class TestHistogram:
-    def test_degree_histogram_total(self, two_triangles):
-        counts, edges = degree_histogram(two_triangles, num_bins=3)
-        assert counts.sum() == 7
-        assert len(edges) == 4

@@ -24,10 +24,10 @@ from repro.embeddings import SkipGramConfig
 from repro.embeddings.mlm import MLMConfig
 from repro.embeddings.semantic import SemanticEncoderConfig
 from repro.eval import roc_auc
-from repro.nn import load_checkpoint, save_checkpoint
 from repro.online import EGLSystem, explain_targeting
 from repro.online.api import EGLService
 from repro.preference import PreferenceStore
+from repro.resilience import CheckpointStore
 from repro.text.sequence_extractor import UserEntitySequence
 from repro.trmp import ALPCConfig, ALPCModel, TRMPConfig
 
@@ -72,10 +72,10 @@ class TestOfflineArtifacts:
     def test_alpc_checkpoint_round_trip(self, stack, world):
         base, system, _ = stack
         run = system.pipeline.weekly_runs[-1]
-        path = base / "alpc.npz"
-        save_checkpoint(run.alpc.model, path)
-        clone = ALPCModel(run.candidate.node_features.shape[1], run.alpc.config)
-        load_checkpoint(clone, path)
+        store = CheckpointStore(base / "alpc-checkpoints")
+        store.put("weekly-0001", "alpc_ranking", run.alpc)
+        clone = CheckpointStore(base / "alpc-checkpoints").get("weekly-0001", "alpc_ranking").model
+        assert isinstance(clone, ALPCModel) and clone is not run.alpc.model
         src, dst, _ = run.split.train_graph.directed_edges()
         from repro.tensor import Tensor, no_grad
 

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_model import assert_matches_reference, reference_scores
-from repro.graph import EntityGraph, k_hop_expansion, k_hop_subgraph
+from reference_model import (
+    assert_matches_reference,
+    expansion_key,
+    reference_expansion,
+    reference_scores,
+)
+from repro.graph import EntityGraph, k_hop_expansion
 from repro.preference import PreferenceStore
 from repro.text.sequence_extractor import UserEntitySequence
 
@@ -49,17 +54,24 @@ class TestKHopProperties:
         deep = set(k_hop_expansion(graph, [seed], 3).scores)
         assert shallow <= deep
 
-    @given(graph_strategy(), st.integers(0, 100))
+    @given(graph_strategy(), st.integers(0, 4), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
-    def test_subgraph_nodes_match_expansion(self, graph, seed_choice):
+    def test_expansion_matches_reference(self, graph, depth, seed_choice):
+        """The reference multiplies the float32 weights an artifact stores,
+        so the graph is given float32-representable weights. An
+        :class:`EntityGraph` keeps its rows in insertion order, not
+        neighbour order, so each hop is compared as a set; the scores and
+        parents are order-free."""
         seed = seed_choice % graph.num_nodes
-        sub, expansion, node_ids = k_hop_subgraph(graph, [seed], 2)
-        assert set(node_ids.tolist()) == set(expansion.scores)
-        assert sub.num_nodes == len(node_ids)
-        # Every subgraph edge exists in the parent graph.
-        lo, hi = sub.canonical_pairs()
-        for a, b in zip(lo, hi):
-            assert graph.has_edge(int(node_ids[a]), int(node_ids[b]))
+        lo, hi = graph.canonical_pairs()
+        weights = graph.weight.astype(np.float32).astype(np.float64)
+        graph = EntityGraph(graph.num_nodes, lo, hi, weights, graph.relation)
+        edges = list(zip(lo.tolist(), hi.tolist(), weights.tolist()))
+        seeds, hops, scores, parents = expansion_key(k_hop_expansion(graph, [seed], depth))
+        want = reference_expansion(graph.num_nodes, edges, [seed], depth)
+        assert seeds == want[0]
+        assert [set(hop) for hop in hops] == [set(hop) for hop in want[1]]
+        assert (scores, parents) == (want[2], want[3])
 
 
 class TestGraphSetProperties:

@@ -435,11 +435,12 @@ def killed_daily(world, events, tmp_path_factory):
     finally:
         killer.join(timeout=90)
         os.close(end)
-        fifo.unlink()
+        fifo.unlink(missing_ok=True)  # the failed daily removed its slot
     return {
         "system": system,
         "error": error.value,
         "killed": killed,
+        "slot_left": slot.exists(),
         "children": child_pids(),
         "versions": system.runtime.versions(),
         "records": [r.version for r in system.registry.records("preferences")],
@@ -451,6 +452,7 @@ def killed_daily(world, events, tmp_path_factory):
 
 def test_a_daily_worker_killed_mid_build_keeps_the_previous_generation(killed_daily):
     assert len(killed_daily["killed"]) == 1
+    assert not killed_daily["slot_left"]
     assert killed_daily["children"] == []
     assert killed_daily["versions"]["preference_version"] == 1
     assert killed_daily["records"] == [1]

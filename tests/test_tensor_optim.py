@@ -1,61 +1,14 @@
-"""Optimisers and schedulers."""
+"""The Adam optimiser and gradient-norm helpers."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.tensor import SGD, Adam, CosineLR, StepLR, Tensor, global_grad_norm
+from repro.tensor import Adam, Tensor, global_grad_norm
 
 
 def quadratic_loss(x: Tensor) -> Tensor:
     return ((x - 3.0) * (x - 3.0)).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        x = Tensor(np.zeros(4), requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            quadratic_loss(x).backward()
-            opt.step()
-        np.testing.assert_allclose(x.data, np.full(4, 3.0), atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        def final_loss(momentum):
-            x = Tensor(np.zeros(2), requires_grad=True)
-            opt = SGD([x], lr=0.02, momentum=momentum)
-            for _ in range(30):
-                opt.zero_grad()
-                quadratic_loss(x).backward()
-                opt.step()
-            return float(quadratic_loss(x).data)
-
-        assert final_loss(0.9) < final_loss(0.0)
-
-    def test_weight_decay_shrinks(self):
-        x = Tensor(np.full(3, 10.0), requires_grad=True)
-        opt = SGD([x], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (x.sum() * 0.0).backward()
-        opt.step()
-        assert np.all(np.abs(x.data) < 10.0)
-
-    def test_rejects_bad_lr_and_empty_params(self):
-        x = Tensor([1.0], requires_grad=True)
-        with pytest.raises(ConfigError):
-            SGD([x], lr=-1)
-        with pytest.raises(ConfigError):
-            SGD([Tensor([1.0])])  # no trainable params
-
-    def test_skips_params_without_grad(self):
-        x = Tensor([1.0], requires_grad=True)
-        y = Tensor([2.0], requires_grad=True)
-        opt = SGD([x, y], lr=0.5)
-        (x * 2).sum().backward()
-        opt.step()
-        np.testing.assert_allclose(y.data, [2.0])
-        np.testing.assert_allclose(x.data, [0.0])
 
 
 class TestAdam:
@@ -85,37 +38,27 @@ class TestAdam:
         opt.step()
         assert float(x.data[0]) < 5.0
 
-
-class TestSchedulersAndClip:
-    def test_step_lr(self):
-        x = Tensor([0.0], requires_grad=True)
-        opt = SGD([x], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        for _ in range(4):
-            sched.step()
-        assert opt.lr == pytest.approx(0.25)
-
-    def test_cosine_lr_reaches_min(self):
-        x = Tensor([0.0], requires_grad=True)
-        opt = SGD([x], lr=1.0)
-        sched = CosineLR(opt, total_steps=10, min_lr=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-        sched.step()  # clamps past the end
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_scheduler_validation(self):
-        x = Tensor([0.0], requires_grad=True)
-        opt = SGD([x], lr=1.0)
+    def test_rejects_bad_lr_and_empty_params(self):
+        x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ConfigError):
-            StepLR(opt, step_size=0)
+            Adam([x], lr=-1)
         with pytest.raises(ConfigError):
-            CosineLR(opt, total_steps=0)
+            Adam([Tensor([1.0])])  # no trainable params
 
+    def test_skips_params_without_grad(self):
+        x = Tensor([1.0], requires_grad=True)
+        y = Tensor([2.0], requires_grad=True)
+        opt = Adam([x, y], lr=0.5)
+        (x * 2).sum().backward()
+        opt.step()
+        np.testing.assert_allclose(y.data, [2.0])
+        np.testing.assert_allclose(x.data, [0.5])
+
+
+class TestClip:
     def test_clip_grad_norm_scales(self):
         x = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        opt = SGD([x], lr=1.0)
+        opt = Adam([x], lr=1.0)
         x.grad = np.array([3.0, 4.0])  # norm 5
         norm = opt.clip_grad_norm(1.0)
         assert norm == pytest.approx(5.0)
@@ -123,7 +66,7 @@ class TestSchedulersAndClip:
 
     def test_clip_grad_norm_noop_below_max(self):
         x = Tensor([1.0], requires_grad=True)
-        opt = SGD([x], lr=1.0)
+        opt = Adam([x], lr=1.0)
         x.grad = np.array([0.5])
         opt.clip_grad_norm(10.0)
         np.testing.assert_allclose(x.grad, [0.5])
